@@ -20,7 +20,6 @@ from .operators import (
 )
 from .channels import (
     Channel,
-    ChannelMatrix,
     amplitude_damping,
     adjoint_apply,
     apply,

@@ -23,7 +23,9 @@ import numpy as np
 from .operators import (
     Operator,
     identity,
+    matrix_from_json,
     matrix_rank,
+    matrix_to_json,
     partial_trace,
     partial_transpose,
     tensor_product,
@@ -169,26 +171,28 @@ def tensor_power(c: Channel, k: int) -> Channel:
                    label=f"{c.label}^(x{k})")
 
 
-class ChannelMatrix:
+def noisy_copies(rho: Operator, noise: Channel, k: int) -> Operator:
+    """The k-copy noisy state noise^(x k)(rho^(x k)) as one joint operator."""
+    joint = rho
+    for _ in range(k - 1):
+        joint = tensor_product(joint, rho)
+    return tensor_power(noise, k).apply(joint)
+
+
+def channel_matrix(c: Channel) -> np.ndarray:
     """Matrix M_N = sum_k conj(E_k) (x) E_k acting on vectorized operators."""
-
-    def __init__(self, entries: np.ndarray):
-        self.entries = np.asarray(entries, dtype=complex)
-
-
-def channel_matrix(c: Channel) -> ChannelMatrix:
     if c.kraus is None:
         raise ValueError("channel matrix requires Kraus form")
     d2 = c.in_dim * c.out_dim
     m = np.zeros((d2, d2), dtype=complex)
     for e in c.kraus:
         m += np.kron(e.conj(), e)
-    return ChannelMatrix(m)
+    return m
 
 
 def is_invertible(c: Channel, tol: float = 1e-9) -> bool:
     """Rank test on M_N: invertible iff the channel matrix has full rank."""
-    return matrix_rank(channel_matrix(c).entries, tol) == c.in_dim ** 2
+    return matrix_rank(channel_matrix(c), tol) == c.in_dim ** 2
 
 
 def identity_channel(d: int) -> Channel:
@@ -228,28 +232,22 @@ def amplitude_damping(eps: float) -> Channel:
     return Channel(2, 2, kraus=[a0, a1], label=f"AD(eps={eps:g})")
 
 
-def _complex_matrix_to_json(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
-
-
-def _complex_matrix_from_json(rows: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
-
-
 def channel_to_json(c: Channel) -> dict:
-    if c.kraus is None:
-        raise ValueError("JSON schema stores Kraus form only")
-    return {
-        "label": c.label,
-        "in_dim": c.in_dim,
-        "out_dim": c.out_dim,
-        "kraus": [_complex_matrix_to_json(e) for e in c.kraus],
-    }
+    """Kraus operators when the channel has them, otherwise its Choi matrix."""
+    doc = {"label": c.label, "in_dim": c.in_dim, "out_dim": c.out_dim}
+    if c.kraus is not None:
+        doc["kraus"] = [matrix_to_json(e) for e in c.kraus]
+    else:
+        doc["choi"] = matrix_to_json(c.choi.entries)
+    return doc
 
 
 def channel_from_json(data: dict) -> Channel:
-    return Channel(data["in_dim"], data["out_dim"],
-                   kraus=[_complex_matrix_from_json(e) for e in data["kraus"]],
+    d_in, d_out = data["in_dim"], data["out_dim"]
+    if "kraus" in data:
+        return Channel(d_in, d_out, kraus=[matrix_from_json(e) for e in data["kraus"]],
+                       label=data.get("label", ""))
+    return Channel(d_in, d_out, choi=Operator(matrix_from_json(data["choi"]), (d_in, d_out)),
                    label=data.get("label", ""))
 
 

@@ -16,18 +16,17 @@ import sys
 
 import numpy as np
 
-from .channels import amplitude_damping, depolarizing, is_invertible, tensor_power
+from .channels import amplitude_damping, depolarizing, is_invertible, noisy_copies, tensor_power
 from .estimator import (
     plan_shots,
     renyi_entropy,
     run_protocol,
     run_to_csv,
-    run_to_json,
     save_run,
 )
 from .hubbard import fig4_experiment, ground_state, build_hamiltonian, demo_model, reduced_state
 from .moments import moment_observable
-from .operators import Operator, random_density_matrix, tensor_product
+from .operators import Operator, matrix_from_json, random_density_matrix
 from .protocols import (
     ad_second_moment,
     de_kth_moment,
@@ -207,9 +206,7 @@ def _load_state(args, protocol) -> Operator:
                 f"hubbard subsystem dim {rho.dim} != protocol copy dim {d}", EXIT_USAGE))
         return rho
     with open(args.state) as fh:
-        rows = json.load(fh)
-    m = np.array([[complex(re, im) for re, im in row] for row in rows])
-    return Operator(m)
+        return Operator(matrix_from_json(json.load(fh)))
 
 
 def cmd_estimate(args) -> int:
@@ -220,10 +217,7 @@ def cmd_estimate(args) -> int:
                      f"{protocol.copy_dim}", EXIT_USAGE)
     rho = _load_state(args, protocol)
     if args.exact:
-        joint = rho
-        for _ in range(protocol.k - 1):
-            joint = tensor_product(joint, rho)
-        zeta = exact_expectation(protocol, tensor_power(noise, protocol.k).apply(joint))
+        zeta = exact_expectation(protocol, noisy_copies(rho, noise, protocol.k))
         est = protocol.f * zeta - protocol.t
         print(f"zeta: {_fmt(zeta)}")
         print(f"estimate: {_fmt(est)}")

@@ -7,9 +7,21 @@ stepping the golden-ratio increment.  Streams are therefore a pure function
 of ``(seed, shot_index)``: shots can be generated vectorized, in any order,
 or in parallel with bitwise-identical results.
 
-Per-shot outcomes are eigenvalues of the moment observable (all in [-1, 1],
-which fixes the range constant in the Hoeffding plan) or the precomputed
-per-outcome values of a measurement-based protocol.
+The sampling mode follows from the protocol's realization, and each mode
+has its own stream layout:
+
+* a Kraus-form channel draws a Kraus index, then an H_k eigenvalue from the
+  Born distribution of that branch (two uniforms per shot);
+* a projective measure-and-prepare map draws an outcome m from tr[E_m sigma]
+  and records its stored value (one uniform);
+* any other trace-preserving realization is applied, then H_k is measured
+  (one uniform);
+* the recursive retriever is not trace preserving and is evaluated exactly
+  only.
+
+Per-shot outcomes are eigenvalues of the moment observable or stored
+per-outcome values, all in [-1, 1], which fixes the range constant in the
+Hoeffding plan.
 """
 
 from __future__ import annotations
@@ -21,15 +33,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, tensor_power
+from .channels import Channel, noisy_copies
 from .moments import moment_observable
-from .operators import Operator, tensor_product
+from .operators import Operator
 from .protocols import (
-    ChoiMap,
-    MeasurementBased,
-    MixedUnitary,
+    MeasurePrepare,
     Recursive,
     RetrievalProtocol,
+    apply_realization,
+    is_trace_preserving,
 )
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -98,7 +110,7 @@ class EstimationRun:
     seed: int
     shots: int
     per_shot: np.ndarray         # outcome values, each in [-1, 1]
-    outcome_indices: np.ndarray  # sampled unitary / basis-outcome index per shot
+    outcome_indices: np.ndarray  # Kraus, measurement or H-eigenvalue index per shot
     zeta_bar: float
     estimate: float              # f * zeta_bar - t
     protocol_ref: str
@@ -113,14 +125,17 @@ def _finish_run(p: RetrievalProtocol, seed: int, values: np.ndarray,
                          protocol_ref=p.label or p.kind)
 
 
-def _noisy_joint_state(p: RetrievalProtocol, rho: Operator, noise: Channel) -> Operator:
+def _noisy_state(p: RetrievalProtocol, rho: Operator, noise: Channel) -> Operator:
+    """The k-copy noisy input of a sampled protocol, after the sampling gates."""
+    if isinstance(p.realization, Recursive):
+        raise ValueError(
+            "the recursive retriever is not trace preserving; finite-shot "
+            "simulation is unsupported - use exact evaluation (--exact)")
+    if not is_trace_preserving(p.realization):
+        raise ValueError("finite-shot simulation needs a trace-preserving retriever")
     if rho.dim != p.copy_dim:
         raise ValueError(f"state dim {rho.dim} != protocol copy dim {p.copy_dim}")
-    joint = rho
-    for _ in range(p.k - 1):
-        joint = tensor_product(joint, rho)
-    nk = tensor_power(noise, p.k)
-    return nk.apply(joint)
+    return noisy_copies(rho, noise, p.k)
 
 
 def _merged_eigenbasis(k: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -149,18 +164,27 @@ def _sample_categorical(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.searchsorted(cumulative, u, side="right").clip(0, cumulative.size - 1)
 
 
+def _is_kraus(r) -> bool:
+    return isinstance(r, Channel) and r.kraus is not None
+
+
+def _is_measurement(r) -> bool:
+    return isinstance(r, MeasurePrepare) and r.values is not None
+
+
 def run_mixed_unitary(p: RetrievalProtocol, rho: Operator, noise: Channel,
                       shots: int, seed: int) -> EstimationRun:
-    """Sample a unitary per shot, then an H-eigenvalue by Born probabilities."""
+    """Sample a Kraus operator per shot, then an H-eigenvalue by Born probabilities."""
     r = p.realization
-    if not isinstance(r, MixedUnitary):
-        raise TypeError("protocol realization is not mixed-unitary")
-    sigma = _noisy_joint_state(p, rho, noise).entries
+    if not _is_kraus(r):
+        raise TypeError("protocol realization is not a Kraus-form channel")
+    sigma = _noisy_state(p, rho, noise).entries
     values, v, groups = _merged_eigenbasis(p.k, p.copy_dim)
-    dists = np.stack([
-        np.cumsum(_born_distribution(u @ sigma @ u.conj().T, v, groups, values.size))
-        for u in r.unitaries])
-    cum_pj = np.cumsum(r.probabilities)
+    branches = [e @ sigma @ e.conj().T for e in r.kraus]
+    weights = np.array([np.trace(b).real for b in branches])
+    dists = np.stack([np.cumsum(_born_distribution(b, v, groups, values.size))
+                      for b in branches])
+    cum_pj = np.cumsum(weights / weights.sum())
     u12 = shot_uniforms(seed, shots, 2)
     j = _sample_categorical(cum_pj, u12[:, 0])
     outcome = (u12[:, 1][:, None] >= dists[j]).sum(axis=1).clip(0, values.size - 1)
@@ -169,31 +193,25 @@ def run_mixed_unitary(p: RetrievalProtocol, rho: Operator, noise: Channel,
 
 def run_measurement_based(p: RetrievalProtocol, rho: Operator, noise: Channel,
                           shots: int, seed: int) -> EstimationRun:
-    """Sample a basis outcome per shot; record its precomputed value tr[H sigma_i]."""
+    """Sample a measurement outcome per shot; record its stored value."""
     r = p.realization
-    if not isinstance(r, MeasurementBased):
-        raise TypeError("protocol realization is not measurement-based")
-    sigma = _noisy_joint_state(p, rho, noise).entries
+    if not _is_measurement(r):
+        raise TypeError("protocol realization is not a projective measurement")
+    sigma = _noisy_state(p, rho, noise).entries
     probs = r.outcome_probabilities(sigma)
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
     cum = np.cumsum(probs)
     u = shot_uniforms(seed, shots, 1)[:, 0]
     outcome = _sample_categorical(cum, u)
-    values = np.asarray(r.outcome_values, dtype=float)
+    values = np.asarray(r.values, dtype=float)
     return _finish_run(p, seed, values[outcome], outcome)
 
 
 def run_choi_map(p: RetrievalProtocol, rho: Operator, noise: Channel,
                  shots: int, seed: int) -> EstimationRun:
-    """Apply the (trace-preserving) retriever channel, then measure H."""
-    r = p.realization
-    if not isinstance(r, ChoiMap):
-        raise TypeError("protocol realization is not a Choi map")
-    if not r.trace_preserving:
-        raise ValueError("finite-shot simulation needs a trace-preserving retriever")
-    sigma = _noisy_joint_state(p, rho, noise).entries
-    out = r.apply(sigma)
+    """Apply the (trace-preserving) retriever, then measure H."""
+    out = apply_realization(p.realization, _noisy_state(p, rho, noise))
     values, v, groups = _merged_eigenbasis(p.k, p.copy_dim)
     cum = np.cumsum(_born_distribution(out, v, groups, values.size))
     u = shot_uniforms(seed, shots, 1)[:, 0]
@@ -203,19 +221,12 @@ def run_choi_map(p: RetrievalProtocol, rho: Operator, noise: Channel,
 
 def run_protocol(p: RetrievalProtocol, rho: Operator, noise: Channel,
                  shots: int, seed: int) -> EstimationRun:
-    """Dispatch on the realization; recursive retrievers are exact-only."""
-    r = p.realization
-    if isinstance(r, MixedUnitary):
+    """Sample in the mode the realization selects; recursive retrievers are exact-only."""
+    if _is_kraus(p.realization):
         return run_mixed_unitary(p, rho, noise, shots, seed)
-    if isinstance(r, MeasurementBased):
+    if _is_measurement(p.realization):
         return run_measurement_based(p, rho, noise, shots, seed)
-    if isinstance(r, ChoiMap):
-        return run_choi_map(p, rho, noise, shots, seed)
-    if isinstance(r, Recursive):
-        raise ValueError(
-            "the recursive retriever is not trace preserving; finite-shot "
-            "simulation is unsupported - use exact evaluation (--exact)")
-    raise TypeError(f"unknown realization {type(r)}")
+    return run_choi_map(p, rho, noise, shots, seed)
 
 
 def renyi_entropy(moment_value: float, alpha: int, base2: bool = False) -> float:

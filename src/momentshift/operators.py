@@ -69,17 +69,8 @@ class Operator:
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
 
-    def dagger(self) -> "Operator":
-        return Operator(self.entries.conj().T, self.subsystem_dims)
-
     def is_hermitian(self, tol: float = 1e-10) -> bool:
         return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= tol)
-
-    def is_psd(self, tol: float = 1e-9) -> bool:
-        if not self.is_hermitian(max(tol, 1e-10)):
-            return False
-        w = np.linalg.eigvalsh(self.entries)
-        return bool(w.min() >= -tol)
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh((self.entries + self.entries.conj().T) / 2)[0])
@@ -137,14 +128,6 @@ def identity(subsystem_dims: Sequence[int] | int) -> Operator:
 def tensor_product(a: Operator, b: Operator) -> Operator:
     """Kronecker product with concatenated subsystem bookkeeping."""
     return Operator(np.kron(a.entries, b.entries), a.subsystem_dims + b.subsystem_dims)
-
-
-def tensor_all(ops: Iterable[Operator]) -> Operator:
-    ops = list(ops)
-    out = ops[0]
-    for op in ops[1:]:
-        out = tensor_product(out, op)
-    return out
 
 
 def _check_subsystems(op: Operator, subsystems: Iterable[int]) -> tuple[int, ...]:
@@ -271,10 +254,18 @@ def random_pure_state(dim: int, seed: int,
                     tuple(subsystem_dims) if subsystem_dims else (dim,))
 
 
-def pauli_basis(n_qubits: int) -> list[np.ndarray]:
-    """All 4^n Pauli strings on n qubits, identity first, lexicographic in (I,X,Y,Z)."""
-    singles = [I2, PAULI_X, PAULI_Y, PAULI_Z]
-    out = [np.array([[1.0 + 0j]])]
-    for _ in range(n_qubits):
-        out = [np.kron(p, s) for p in out for s in singles]
-    return out
+def matrix_to_json(m: np.ndarray) -> list:
+    """Complex matrix as nested ``[real, imag]`` pairs, row by row."""
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], axis=-1).tolist()
+
+
+def matrix_from_json(rows: list) -> np.ndarray:
+    """Inverse of :func:`matrix_to_json`; rejects anything but (r, c, 2) pairs."""
+    pairs = np.asarray(rows, dtype=float)
+    if pairs.ndim != 3 or pairs.shape[-1] != 2:
+        raise ValueError("a JSON matrix is a list of rows of [real, imag] pairs")
+    m = np.empty(pairs.shape[:2], dtype=complex)
+    m.real = pairs[..., 0]
+    m.imag = pairs[..., 1]
+    return m

@@ -1,19 +1,29 @@
 """Executable retrieval protocols.
 
-A protocol bundles a channel realization with the two post-processing
-scalars: the sampling overhead ``f`` and the shift distance ``t``.  Its
-defining contract, holding for every constructor in this module, is
+A protocol bundles one realization of the retrieval operation with the two
+post-processing scalars: the sampling overhead ``f`` and the shift distance
+``t``.  Its defining contract, holding for every constructor in this module, is
 
     f * tr[H_k C(noise^(x k)(rho^(x k)))] - t  ==  tr[rho^k]
 
 for all states rho, where H_k is the moment observable on k copies.
 
-Four realizations are used: mixed-unitary ensembles (the twelve-unitary
-depolarizing twirl), measurement-based protocols (amplitude damping),
-explicit Choi matrices (SDP extractions and the n-qubit depolarizing
-retriever), and the recursive construction for arbitrary moment order under
-depolarizing noise, stored as a composition tree of transfer maps and
-applied factor-by-factor instead of materializing one giant Choi matrix.
+Three realizations are used:
+
+* a :class:`~momentshift.channels.Channel`, in Kraus form (the twelve-unitary
+  depolarizing twirl with Kraus operators sqrt(p_j) U_j, the identity
+  protocol) or in Choi form (SDP extractions);
+* a :class:`MeasurePrepare` map: the amplitude-damping protocol, a projective
+  measurement whose outcomes carry stored values, and the two-term qudit
+  depolarizing retriever;
+* :class:`Recursive`, the retriever for arbitrary moment order under
+  depolarizing noise, stored as a composition tree of transfer maps and
+  applied factor by factor instead of materializing one giant Choi matrix.
+
+Protocol files are written with kind ``channel``, ``measure_prepare`` or
+``recursive``; files of the earlier kinds ``mixed_unitary``,
+``measurement_based`` and ``choi`` still load, as the realization they
+describe.
 """
 
 from __future__ import annotations
@@ -22,87 +32,22 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import Channel, choi_of
+from .channels import Channel, adjoint_apply, apply, channel_from_json, channel_to_json
 from .moments import moment_observable, permutation_eigenprojectors
-from .operators import Operator, identity, partial_trace
+from .operators import Operator, identity, matrix_from_json, matrix_to_json
 from .sdp.problem import SdpSolution
 
 PROTOCOL_SCHEMA_VERSION = 1
 DENSE_CHOI_CAP = 1024  # largest Choi side materialized densely
+SAMPLING_TP_TOL = 1e-6  # trace preservation required of a sampled realization
 
 
 # ---------------------------------------------------------------------------
 # realizations
-
-
-@dataclass(frozen=True)
-class MixedUnitary:
-    probabilities: np.ndarray
-    unitaries: tuple[np.ndarray, ...]
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(x, dtype=complex)
-        for p, u in zip(self.probabilities, self.unitaries):
-            out += p * (u @ x @ u.conj().T)
-        return out
-
-    def as_channel(self) -> Channel:
-        d = self.unitaries[0].shape[0]
-        kraus = [np.sqrt(p) * u for p, u in zip(self.probabilities, self.unitaries)]
-        return Channel(d, d, kraus=kraus, label="mixed_unitary")
-
-    def choi(self) -> Operator:
-        return choi_of(self.as_channel())
-
-
-@dataclass(frozen=True)
-class MeasurementBased:
-    """Projective measurement in ``basis_states`` followed by state preparation.
-
-    ``outcome_values[i]`` caches tr[H sigma_i] so estimation needs only the
-    outcome index.
-    """
-
-    basis_states: tuple[np.ndarray, ...]
-    output_states: tuple[np.ndarray, ...]
-    outcome_values: tuple[float, ...]
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(x, dtype=complex)
-        for b, sigma in zip(self.basis_states, self.output_states):
-            out += (b.conj() @ x @ b) * sigma
-        return out
-
-    def outcome_probabilities(self, x: np.ndarray) -> np.ndarray:
-        return np.array([np.real(b.conj() @ x @ b) for b in self.basis_states])
-
-    def choi(self) -> Operator:
-        d_in = self.basis_states[0].size
-        d_out = self.output_states[0].shape[0]
-        j = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
-        for b, sigma in zip(self.basis_states, self.output_states):
-            j += np.kron(np.outer(b, b.conj()).T, sigma)
-        return Operator(j, (d_in, d_out))
-
-
-@dataclass(frozen=True)
-class ChoiMap:
-    choi_matrix: Operator
-    in_dim: int
-    out_dim: int
-    trace_preserving: bool = True
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        j = self.choi_matrix.entries.reshape(
-            self.in_dim, self.out_dim, self.in_dim, self.out_dim)
-        return np.einsum("ij,iajb->ab", x, j)
-
-    def choi(self) -> Operator:
-        return self.choi_matrix
 
 
 class MeasurePrepare:
@@ -111,13 +56,25 @@ class MeasurePrepare:
     Completely positive whenever every effect and output is PSD; the
     extension to a leading tensor factor is
     ``(T (x) id)(X) = sum_m outputs_m (x) tr_1[(effects_m (x) I) X]``.
+
+    ``values``, when given, makes the map a projective measurement whose
+    outcome m records ``values[m]`` = tr[H outputs_m], so estimation needs
+    only the outcome index.
     """
 
-    def __init__(self, effects: Sequence[np.ndarray], outputs: Sequence[np.ndarray]):
+    def __init__(self, effects: Sequence[np.ndarray], outputs: Sequence[np.ndarray],
+                 values: Sequence[float] | None = None):
         self.effects = tuple(np.asarray(e, dtype=complex) for e in effects)
         self.outputs = tuple(np.asarray(o, dtype=complex) for o in outputs)
         self.in_dim = self.effects[0].shape[0]
         self.out_dim = self.outputs[0].shape[0]
+        self.values = None if values is None else tuple(float(v) for v in values)
+        if self.values is not None:
+            projective = all(np.max(np.abs(e @ e - e)) <= 1e-9 for e in self.effects)
+            complete = np.max(np.abs(sum(self.effects) - np.eye(self.in_dim))) <= 1e-9
+            if len(self.values) != len(self.effects) or not (projective and complete):
+                raise ValueError("outcome values need one complete projective "
+                                 "measurement effect each")
 
     def apply(self, x: np.ndarray, rest: int = 1) -> np.ndarray:
         if rest == 1:
@@ -141,9 +98,24 @@ class MeasurePrepare:
             out += np.kron(e, w)
         return out
 
+    def outcome_probabilities(self, x: np.ndarray) -> np.ndarray:
+        """tr[effects_m x] for every outcome m."""
+        return np.real(np.einsum("mab,ba->m", np.stack(self.effects), x))
+
     def choi(self) -> Operator:
         j = sum(np.kron(e.T, f) for e, f in zip(self.effects, self.outputs))
         return Operator(j, (self.in_dim, self.out_dim))
+
+
+def _dense_choi(apply_map: Callable[[np.ndarray], np.ndarray], d: int) -> Operator:
+    """Choi matrix sum_ij |i><j| (x) T(|i><j|) of a map T on d x d matrices."""
+    j = np.zeros((d * d, d * d), dtype=complex)
+    for a in range(d):
+        for b in range(d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[a, b] = 1.0
+            j[a * d:(a + 1) * d, b * d:(b + 1) * d] = apply_map(unit)
+    return Operator(j, (d, d))
 
 
 class ComposedMap:
@@ -164,24 +136,9 @@ class ComposedMap:
         return y
 
     def choi(self) -> Operator:
-        d = self.dim
-        if d * d > DENSE_CHOI_CAP:
+        if self.dim * self.dim > DENSE_CHOI_CAP:
             raise ValueError("composed map too large to materialize densely")
-        j = np.zeros((d * d, d * d), dtype=complex)
-        e = np.zeros((d, d), dtype=complex)
-        for i in range(d):
-            for jdx in range(d):
-                e[i, jdx] = 1.0
-                out = self.apply(e)
-                j += np.kron(_unit(d, i, jdx), out)
-                e[i, jdx] = 0.0
-        return Operator(j, (d, d))
-
-
-def _unit(d: int, i: int, j: int) -> np.ndarray:
-    m = np.zeros((d, d), dtype=complex)
-    m[i, j] = 1.0
-    return m
+        return _dense_choi(self.apply, self.dim)
 
 
 @dataclass(frozen=True)
@@ -200,12 +157,7 @@ class Recursive:
         d = self.d ** self.k
         if d > 16:
             raise ValueError("dense Choi of the recursive retriever is capped at k*log2(d) <= 4")
-        j = np.zeros((d * d, d * d), dtype=complex)
-        for i in range(d):
-            for jdx in range(d):
-                out = self.apply(_unit(d, i, jdx))
-                j += np.kron(_unit(d, i, jdx), out)
-        return Operator(j, (d, d))
+        return _dense_choi(self.apply, d)
 
 
 # ---------------------------------------------------------------------------
@@ -218,21 +170,30 @@ class RetrievalProtocol:
     copy_dim: int
     f: float
     t: float
-    realization: object
+    realization: Channel | MeasurePrepare | Recursive
     label: str = ""
 
     @property
     def kind(self) -> str:
-        return {MixedUnitary: "mixed_unitary", MeasurementBased: "measurement_based",
-                ChoiMap: "choi", Recursive: "recursive"}[type(self.realization)]
+        return {Channel: "channel", MeasurePrepare: "measure_prepare",
+                Recursive: "recursive"}[type(self.realization)]
 
-    def channel_apply(self, noisy_state: Operator) -> Operator:
-        out = self.realization.apply(noisy_state.entries)
-        dims = noisy_state.subsystem_dims if out.shape[0] == noisy_state.dim else ()
-        return Operator(out, dims)
 
-    def estimate_from_expectation(self, zeta: float) -> float:
-        return self.f * zeta - self.t
+def apply_realization(r: Channel | MeasurePrepare | Recursive,
+                      noisy_state: Operator) -> np.ndarray:
+    """Dense output matrix of a realization on the joint k-copy state."""
+    if isinstance(r, Channel):
+        return apply(r, noisy_state).entries
+    return r.apply(noisy_state.entries)
+
+
+def is_trace_preserving(r: Channel | MeasurePrepare, tol: float = SAMPLING_TP_TOL) -> bool:
+    """Whether the realization's adjoint maps the identity to the identity."""
+    if isinstance(r, Channel):
+        unit = adjoint_apply(r, identity(r.out_dim)).entries
+    else:
+        unit = r.adjoint_apply(np.eye(r.out_dim))
+    return bool(np.max(np.abs(unit - np.eye(r.in_dim))) <= tol)
 
 
 def exact_expectation(p: RetrievalProtocol, noisy_state: Operator,
@@ -242,7 +203,7 @@ def exact_expectation(p: RetrievalProtocol, noisy_state: Operator,
         H = moment_observable(p.k, p.copy_dim)
     if noisy_state.dim != p.copy_dim ** p.k:
         raise ValueError("noisy state dimension does not match protocol")
-    out = p.realization.apply(noisy_state.entries)
+    out = apply_realization(p.realization, noisy_state)
     return float(np.real(np.trace(H.matrix.entries @ out)))
 
 
@@ -275,16 +236,16 @@ def _twirl_choi_closed_form() -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _checked_twirl() -> MixedUnitary:
+def _checked_twirl() -> Channel:
     """Build the twelve-unitary ensemble, verifying the constants on first use."""
     us = _twirl_unitaries()
     for idx, u in enumerate(us):
         if np.max(np.abs(u @ u.conj().T - np.eye(4))) > 1e-12:
             raise AssertionError(f"twirl unitary {idx + 1} failed unitarity check")
-    mu = MixedUnitary(np.full(12, 1.0 / 12.0), us)
-    if np.max(np.abs(mu.choi().entries - _twirl_choi_closed_form())) > 1e-12:
+    twirl = Channel(4, 4, kraus=[np.sqrt(1.0 / 12.0) * u for u in us], label="twirl")
+    if np.max(np.abs(twirl.choi.entries - _twirl_choi_closed_form())) > 1e-12:
         raise AssertionError("twirl Choi does not match its closed form")
-    return mu
+    return twirl
 
 
 def de_second_moment(eps: float) -> RetrievalProtocol:
@@ -316,14 +277,14 @@ def ad_second_moment(eps: float) -> RetrievalProtocol:
     sigma_a = ((1 + 2 * eps) * eye4 + (1 - 4 * eps) * h) / 6
     sigma_3 = (eye4 - h) / 2
     sigma_4 = (eye4 + h) / 6
-    mb = MeasurementBased(
-        basis_states=(b00, psi_p, psi_m, b11),
-        output_states=(sigma_a, sigma_a, sigma_3, sigma_4),
-        outcome_values=(1 - 2 * eps, 1 - 2 * eps, -1.0, 1.0),
+    mp = MeasurePrepare(
+        effects=[np.outer(b, b.conj()) for b in (b00, psi_p, psi_m, b11)],
+        outputs=(sigma_a, sigma_a, sigma_3, sigma_4),
+        values=(1 - 2 * eps, 1 - 2 * eps, -1.0, 1.0),
     )
     s = (1.0 - eps) ** 2
     return RetrievalProtocol(k=2, copy_dim=2, f=1.0 / s, t=-eps ** 2 / s,
-                             realization=mb,
+                             realization=mp,
                              label=f"ad_second_moment(eps={eps:g})")
 
 
@@ -358,16 +319,14 @@ def _de2_qudit_protocol(eps: float, d: int, label: str) -> RetrievalProtocol:
     if not 0.0 <= eps < 1.0:
         raise ValueError("depolarizing retrieval requires 0 <= eps < 1")
     s = (1.0 - eps) ** 2
-    cm = ChoiMap(_de2_qudit_map(d).choi(), in_dim=d * d, out_dim=d * d,
-                 trace_preserving=True)
     return RetrievalProtocol(k=2, copy_dim=d, f=1.0 / s, t=(1.0 - s) / (d * s),
-                             realization=cm, label=label)
+                             realization=_de2_qudit_map(d), label=label)
 
 
 def de_second_moment_nqubit(eps: float, n: int) -> RetrievalProtocol:
     """Purity retriever for global depolarizing noise on n-qubit states."""
     if n < 1 or n > 3:
-        raise ValueError("dense construction capped at 1 <= n <= 3 qubits")
+        raise ValueError("construction capped at 1 <= n <= 3 qubits")
     return _de2_qudit_protocol(eps, 2 ** n,
                                label=f"de_second_moment_nqubit(eps={eps:g},n={n})")
 
@@ -522,13 +481,10 @@ def from_sdp_solution(sol: SdpSolution, k: int, H) -> RetrievalProtocol:
     t = sol.scalar("t")
     j_scaled = sol.block("J")
     d = int(round(np.sqrt(j_scaled.dim)))
-    j = Operator(j_scaled.entries / f, (d, d))
-    marg = partial_trace(j, [0])
-    tp = bool(np.max(np.abs(marg.entries - np.eye(d))) <= 1e-6)
     copy_dim = int(round(d ** (1.0 / k)))
     return RetrievalProtocol(
         k=k, copy_dim=copy_dim, f=f, t=t,
-        realization=ChoiMap(j, in_dim=d, out_dim=d, trace_preserving=tp),
+        realization=Channel(d, d, choi=Operator(j_scaled.entries / f, (d, d))),
         label=sol.name or "sdp_protocol",
     )
 
@@ -536,42 +492,25 @@ def from_sdp_solution(sol: SdpSolution, k: int, H) -> RetrievalProtocol:
 def identity_protocol(k: int, d: int) -> RetrievalProtocol:
     """Measure the moment observable directly; f = 1, t = 0 (no mitigation)."""
     dk = d ** k
-    return RetrievalProtocol(
-        k=k, copy_dim=d, f=1.0, t=0.0,
-        realization=ChoiMap(choi_of(Channel(dk, dk, kraus=[np.eye(dk)])),
-                            in_dim=dk, out_dim=dk, trace_preserving=True),
-        label="identity",
-    )
+    return RetrievalProtocol(k=k, copy_dim=d, f=1.0, t=0.0,
+                             realization=Channel(dk, dk, kraus=[np.eye(dk)]),
+                             label="identity")
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 
-def _mat_json(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
-
-
-def _mat_from_json(rows: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
-
-
 def protocol_to_json(p: RetrievalProtocol) -> dict:
     r = p.realization
-    if isinstance(r, MixedUnitary):
-        data = {"probabilities": [float(x) for x in r.probabilities],
-                "unitaries": [_mat_json(u) for u in r.unitaries]}
-    elif isinstance(r, MeasurementBased):
-        data = {"basis_states": [_mat_json(b.reshape(1, -1)) for b in r.basis_states],
-                "output_states": [_mat_json(s) for s in r.output_states],
-                "outcome_values": [float(v) for v in r.outcome_values]}
-    elif isinstance(r, ChoiMap):
-        data = {"choi": _mat_json(r.choi_matrix.entries), "in_dim": r.in_dim,
-                "out_dim": r.out_dim, "trace_preserving": r.trace_preserving}
-    elif isinstance(r, Recursive):
-        data = {"eps": r.eps, "order": r.k, "copy_dim": r.d}
+    if isinstance(r, Channel):
+        data = channel_to_json(r)
+    elif isinstance(r, MeasurePrepare):
+        data = {"effects": [matrix_to_json(e) for e in r.effects],
+                "outputs": [matrix_to_json(o) for o in r.outputs],
+                "values": r.values}
     else:
-        raise TypeError(f"unknown realization {type(r)}")
+        data = {"eps": r.eps, "order": r.k, "copy_dim": r.d}
     return {"schema_version": PROTOCOL_SCHEMA_VERSION, "kind": p.kind, "k": p.k,
             "copy_dim": p.copy_dim, "f": p.f, "t": p.t, "label": p.label,
             "data": data}
@@ -582,21 +521,23 @@ def protocol_from_json(doc: dict) -> RetrievalProtocol:
         raise ValueError(f"unsupported protocol schema {doc.get('schema_version')}")
     kind = doc["kind"]
     data = doc["data"]
-    if kind == "mixed_unitary":
-        r = MixedUnitary(np.array(data["probabilities"]),
-                         tuple(_mat_from_json(u) for u in data["unitaries"]))
-    elif kind == "measurement_based":
-        r = MeasurementBased(
-            tuple(_mat_from_json(b).reshape(-1) for b in data["basis_states"]),
-            tuple(_mat_from_json(s) for s in data["output_states"]),
-            tuple(float(v) for v in data["outcome_values"]))
-    elif kind == "choi":
-        r = ChoiMap(Operator(_mat_from_json(data["choi"]),
-                             (data["in_dim"], data["out_dim"])),
-                    in_dim=data["in_dim"], out_dim=data["out_dim"],
-                    trace_preserving=data["trace_preserving"])
-    elif kind == "recursive":
+    if kind == "recursive":
         return de_kth_moment(data["eps"], data["order"], data["copy_dim"])
+    if kind in ("channel", "choi"):
+        r = channel_from_json(data)
+    elif kind == "measure_prepare":
+        r = MeasurePrepare([matrix_from_json(e) for e in data["effects"]],
+                           [matrix_from_json(o) for o in data["outputs"]],
+                           data["values"])
+    elif kind == "mixed_unitary":
+        kraus = [np.sqrt(p) * matrix_from_json(u)
+                 for p, u in zip(data["probabilities"], data["unitaries"])]
+        r = Channel(kraus[0].shape[1], kraus[0].shape[0], kraus=kraus)
+    elif kind == "measurement_based":
+        basis = [matrix_from_json(b).reshape(-1) for b in data["basis_states"]]
+        r = MeasurePrepare([np.outer(b, b.conj()) for b in basis],
+                           [matrix_from_json(s) for s in data["output_states"]],
+                           data["outcome_values"])
     else:
         raise ValueError(f"unknown protocol kind {kind!r}")
     return RetrievalProtocol(k=doc["k"], copy_dim=doc["copy_dim"], f=doc["f"],

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..operators import Operator
+from ..operators import Operator, matrix_to_json
 
 
 class HermitianBasis:
@@ -133,18 +133,6 @@ class SdpProblem:
             if v not in declared:
                 raise ValueError(f"objective references undeclared {v!r}")
 
-    @property
-    def psd_blocks(self) -> list[tuple[str, int]]:
-        return [(b.name, b.dim) for b in self.blocks if b.psd]
-
-    @property
-    def free_scalars(self) -> list[str]:
-        return [s.name for s in self.scalars]
-
-    @property
-    def equality_constraints(self) -> list[Constraint]:
-        return self.constraints
-
 
 @dataclass
 class SdpSolution:
@@ -177,10 +165,8 @@ class SdpSolution:
             "variables": {},
         }
         for k, v in self.variables.items():
-            if isinstance(v, Operator):
-                out["variables"][k] = [[[z.real, z.imag] for z in row] for row in v.entries]
-            else:
-                out["variables"][k] = float(v)
+            out["variables"][k] = matrix_to_json(v.entries) if isinstance(v, Operator) \
+                else float(v)
         return out
 
 

@@ -50,6 +50,14 @@ def _trace_out_second(d1: int, d2: int):
     return mapper
 
 
+def _trace_scaling(block: str, scale: str, d1: int, d2: int, name: str) -> Constraint:
+    """tr_2[block] = scale * I: the Choi ``block`` is ``scale`` times trace preserving."""
+    return Constraint(
+        terms=(ConstraintTerm(var=block, block_map=_trace_out_second(d1, d2)),
+               ConstraintTerm(var=scale, scalar_coeff_op=-np.eye(d1))),
+        target=np.zeros((d1, d1)), name=name)
+
+
 def _batch_trace(batch: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("naa->n", batch))
 
@@ -100,20 +108,11 @@ def build_fmin(noise: Channel, k: int, H: MomentObservable) -> SdpProblem:
         raise ValueError(f"moment observable dim {H.matrix.dim} != {d}")
     _check_block(d * d)
     h = H.matrix.entries
-    eye_d = np.eye(d)
-
-    ts = Constraint(
-        terms=(
-            ConstraintTerm(var="J", block_map=_trace_out_second(d, d)),
-            ConstraintTerm(var="f", scalar_coeff_op=-eye_d),
-        ),
-        target=np.zeros((d, d)),
-        name="trace_scaling",
-    )
+    ts = _trace_scaling("J", "f", d, d, "trace_scaling")
     shift = Constraint(
         terms=(
             ConstraintTerm(var="J", block_map=_retriever_pullback(nk.kraus, h, d)),
-            ConstraintTerm(var="t", scalar_coeff_op=-eye_d),
+            ConstraintTerm(var="t", scalar_coeff_op=-np.eye(d)),
         ),
         target=h,
         name="observable_shift",
@@ -127,24 +126,25 @@ def build_fmin(noise: Channel, k: int, H: MomentObservable) -> SdpProblem:
     )
 
 
-def _noise_pushforward(kraus: tuple[np.ndarray, ...], h: np.ndarray, d: int):
-    """Batched K -> (NK(K))^T (x) H, the contracted dual coupling term."""
+def _noise_pushforward(kraus: tuple[np.ndarray, ...], h: np.ndarray, d: int,
+                       sign: float = 1.0):
+    """Batched K -> sign * (NK(K))^T (x) H, the contracted dual coupling term."""
     estack = np.stack(kraus)
-    eye_h = h
 
     def mapper(batch: np.ndarray) -> np.ndarray:
         nk_k = np.einsum("kab,nbc,kdc->nad", estack, batch, estack.conj())
         nk_k_t = np.transpose(nk_k, (0, 2, 1))
-        return np.einsum("nab,cd->nacbd", nk_k_t, eye_h).reshape(
+        return sign * np.einsum("nab,cd->nacbd", nk_k_t, h).reshape(
             batch.shape[0], d * d, d * d)
     return mapper
 
 
-def _kron_identity_right(d: int):
+def _kron_identity_right(d: int, sign: float = 1.0):
+    """Batched M -> sign * M (x) I_d."""
     eye_d = np.eye(d)
 
     def mapper(batch: np.ndarray) -> np.ndarray:
-        return np.einsum("nab,cd->nacbd", batch, eye_d).reshape(
+        return sign * np.einsum("nab,cd->nacbd", batch, eye_d).reshape(
             batch.shape[0], d * d, d * d)
     return mapper
 
@@ -163,8 +163,8 @@ def build_dual_fmin(noise: Channel, k: int, H: MomentObservable) -> SdpProblem:
     psd = Constraint(
         terms=(
             ConstraintTerm(var="T", block_map=_identity_map),
-            ConstraintTerm(var="M", block_map=_kron_identity_right_neg(d)),
-            ConstraintTerm(var="K", block_map=_noise_pushforward_neg(nk.kraus, h, d)),
+            ConstraintTerm(var="M", block_map=_kron_identity_right(d, sign=-1.0)),
+            ConstraintTerm(var="K", block_map=_noise_pushforward(nk.kraus, h, d, sign=-1.0)),
         ),
         target=np.zeros((d * d, d * d)),
         name="dual_psd",
@@ -191,16 +191,6 @@ def build_dual_fmin(noise: Channel, k: int, H: MomentObservable) -> SdpProblem:
         maximize=True,
         name=f"dual_fmin[{noise.label},k={k}]",
     )
-
-
-def _kron_identity_right_neg(d: int):
-    base = _kron_identity_right(d)
-    return lambda batch: -base(batch)
-
-
-def _noise_pushforward_neg(kraus, h, d):
-    base = _noise_pushforward(kraus, h, d)
-    return lambda batch: -base(batch)
 
 
 def dual_constraint_operator(cert: DualCertificate, noise: Channel, k: int,
@@ -247,22 +237,8 @@ def build_gmin(noise: Channel) -> SdpProblem:
             omega[i * da + i, jdx * da + jdx] = 1.0
 
     cons = [
-        Constraint(
-            terms=(
-                ConstraintTerm(var="J1", block_map=_trace_out_second(db, dc)),
-                ConstraintTerm(var="p1", scalar_coeff_op=-np.eye(db)),
-            ),
-            target=np.zeros((db, db)),
-            name="ts_J1",
-        ),
-        Constraint(
-            terms=(
-                ConstraintTerm(var="J2", block_map=_trace_out_second(db, dc)),
-                ConstraintTerm(var="p2", scalar_coeff_op=-np.eye(db)),
-            ),
-            target=np.zeros((db, db)),
-            name="ts_J2",
-        ),
+        _trace_scaling("J1", "p1", db, dc, "ts_J1"),
+        _trace_scaling("J2", "p2", db, dc, "ts_J2"),
         Constraint(
             terms=(
                 ConstraintTerm(var="J1", block_map=_link_with(j_noise, (da, db, dc))),
@@ -297,22 +273,8 @@ def build_info_recover(noise: Channel, obs: Operator) -> SdpProblem:
     h = obs.entries
 
     cons = [
-        Constraint(
-            terms=(
-                ConstraintTerm(var="J1", block_map=_trace_out_second(d, d)),
-                ConstraintTerm(var="c1", scalar_coeff_op=-np.eye(d)),
-            ),
-            target=np.zeros((d, d)),
-            name="ts_J1",
-        ),
-        Constraint(
-            terms=(
-                ConstraintTerm(var="J2", block_map=_trace_out_second(d, d)),
-                ConstraintTerm(var="c2", scalar_coeff_op=-np.eye(d)),
-            ),
-            target=np.zeros((d, d)),
-            name="ts_J2",
-        ),
+        _trace_scaling("J1", "c1", d, d, "ts_J1"),
+        _trace_scaling("J2", "c2", d, d, "ts_J2"),
         Constraint(
             terms=(
                 ConstraintTerm(var="J1", block_map=_retriever_pullback(noise.kraus, h, d)),

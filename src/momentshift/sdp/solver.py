@@ -107,16 +107,35 @@ def compile_problem(p: SdpProblem) -> _Compiled:
     return _Compiled(A=A, b=b, c=c, sections=sections, layout=layout, n=n)
 
 
+def _project_psd(h: np.ndarray) -> np.ndarray:
+    """Nearest PSD matrix to the Hermitian ``h`` in Frobenius norm.
+
+    LAPACK's complex divide-and-conquer driver can fail to converge on an
+    exactly Hermitian input.  The real symmetric embedding
+    [[Re h, -Im h], [Im h, Re h]] has the same spectrum, each eigenvalue
+    doubled, and its projection is the embedding of h's projection, so the
+    result is read back from its first block column.
+    """
+    try:
+        return _clip_spectrum(h)
+    except np.linalg.LinAlgError:
+        d = h.shape[0]
+        p = _clip_spectrum(np.block([[h.real, -h.imag], [h.imag, h.real]]))
+        return p[:d, :d] + 1j * p[d:, :d]
+
+
+def _clip_spectrum(h: np.ndarray) -> np.ndarray:
+    vals, vecs = np.linalg.eigh(h)
+    return (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
+
+
 def _project_cone(w: np.ndarray, sections: list) -> np.ndarray:
     z = w.copy()
     for kind, off, size, extra in sections:
         if kind == "psd":
             basis = HermitianBasis(extra)
             h = basis.from_coords(w[off:off + size])
-            vals, vecs = np.linalg.eigh(h)
-            vals = np.clip(vals, 0.0, None)
-            h = (vecs * vals) @ vecs.conj().T
-            z[off:off + size] = basis.to_coords(h)
+            z[off:off + size] = basis.to_coords(_project_psd(h))
         elif kind == "lower":
             z[off] = max(w[off], extra)
     return z

@@ -15,18 +15,12 @@ from .channels import (
     choi_of,
     compose,
     depolarizing,
-    identity_channel,
     is_invertible,
     link_product,
-    tensor_power,
+    noisy_copies,
 )
 from .moments import cyclic_permutation, moment_observable, permutation_eigenprojectors
-from .operators import (
-    Operator,
-    partial_trace,
-    random_density_matrix,
-    tensor_product,
-)
+from .operators import partial_trace, random_density_matrix, tensor_product
 from .protocols import (
     ad_second_moment,
     de_second_moment,
@@ -41,13 +35,6 @@ from .sdp.solver import solve
 from .hubbard import annihilation_operator, build_hamiltonian, ground_state, demo_model
 
 EPS_GRID = (0.05, 0.1, 0.2, 0.3)
-
-
-def _noisy_copies(rho, noise, k):
-    joint = rho
-    for _ in range(k - 1):
-        joint = tensor_product(joint, rho)
-    return tensor_power(noise, k).apply(joint)
 
 
 def _true_moment(rho, k):
@@ -162,7 +149,7 @@ def checks_protocols() -> list[tuple[str, bool, str]]:
                              (de_second_moment_nqubit(eps, 2), depolarizing(eps, 4))):
             for seed in range(25):
                 rho = random_density_matrix(proto.copy_dim, seed)
-                z = exact_expectation(proto, _noisy_copies(rho, noise, 2))
+                z = exact_expectation(proto, noisy_copies(rho, noise, 2))
                 worst = max(worst, abs(proto.f * z - proto.t - _true_moment(rho, 2)))
     out.append(("defining_contract_k2", worst < 1e-9, f"max err {worst:.2e}"))
 

@@ -16,6 +16,7 @@ from momentshift.channels import (
     identity_channel,
     is_invertible,
     link_product,
+    noisy_copies,
     tensor_power,
 )
 from momentshift.operators import (
@@ -168,24 +169,34 @@ class TestTensorPower:
         assert tensor_power(amplitude_damping(0.25), 3).is_cptp()
 
 
+@pytest.mark.parametrize("noise", [depolarizing(0.3, 2), amplitude_damping(0.4)])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_noisy_copies_is_product_of_noisy_states(noise, k):
+    rho = random_density_matrix(2, 5)
+    expect = np.ones((1, 1))
+    for _ in range(k):
+        expect = np.kron(expect, apply(noise, rho).entries)
+    assert_allclose(noisy_copies(rho, noise, k).entries, expect, atol=1e-12)
+
+
 class TestChannelMatrix:
     def test_identity(self):
-        m = channel_matrix(identity_channel(2)).entries
+        m = channel_matrix(identity_channel(2))
         assert_allclose(m, np.eye(4))
 
     def test_vec_action(self):
         rng = np.random.default_rng(3)
         c = amplitude_damping(0.45)
-        m = channel_matrix(c).entries
+        m = channel_matrix(c)
         x = Operator(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
         assert_allclose(m @ vectorize(x).entries, vectorize(apply(c, x)).entries,
                         atol=1e-12)
 
     def test_full_depolarizing_rank_one(self):
-        assert matrix_rank(channel_matrix(depolarizing(1.0, 2)).entries) == 1
+        assert matrix_rank(channel_matrix(depolarizing(1.0, 2))) == 1
 
     def test_de_half_spectrum(self):
-        w = np.linalg.eigvals(channel_matrix(depolarizing(0.5, 2)).entries)
+        w = np.linalg.eigvals(channel_matrix(depolarizing(0.5, 2)))
         assert_allclose(sorted(w.real), [0.5, 0.5, 0.5, 1.0], atol=1e-12)
         assert_allclose(w.imag, 0, atol=1e-12)
 

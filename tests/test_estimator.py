@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from momentshift.channels import amplitude_damping, depolarizing
+from momentshift.channels import Channel, amplitude_damping, depolarizing
 from momentshift.estimator import (
     derive_seed,
     plan_shots,
@@ -19,6 +19,7 @@ from momentshift.estimator import (
 )
 from momentshift.operators import Operator, random_density_matrix
 from momentshift.protocols import (
+    RetrievalProtocol,
     ad_second_moment,
     de_kth_moment,
     de_second_moment,
@@ -170,6 +171,16 @@ class TestChoiRun:
     def test_recursive_rejected(self):
         p = de_kth_moment(0.1, 3, 2)
         with pytest.raises(ValueError, match="exact"):
+            run_protocol(p, random_density_matrix(2, 0), depolarizing(0.1, 2),
+                         10, seed=0)
+
+    @pytest.mark.parametrize("realization", [
+        Channel(4, 4, kraus=[0.5 * np.eye(4)]),
+        Channel(4, 4, choi=Operator(0.5 * np.eye(16), (4, 4))),
+    ])
+    def test_non_trace_preserving_rejected(self, realization):
+        p = RetrievalProtocol(k=2, copy_dim=2, f=1.0, t=0.0, realization=realization)
+        with pytest.raises(ValueError, match="trace-preserving"):
             run_protocol(p, random_density_matrix(2, 0), depolarizing(0.1, 2),
                          10, seed=0)
 

@@ -1,0 +1,99 @@
+"""Seeded outputs pinned across protocol-file formats.
+
+The files in ``data/protocols_v1`` were written by the version-1 writers,
+whose kinds were ``mixed_unitary``, ``measurement_based``, ``choi`` and
+``recursive``; the expected stdout below was printed by the same code.  Each
+case runs once on the stored file and once on a file written now, and both
+must print the same bytes: loading an old file and rewriting a protocol in
+the current kinds both keep every sampling stream.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from momentshift import cli
+from momentshift.hubbard import fig4_experiment
+from momentshift.protocols import de_second_moment, save_protocol
+
+V1 = Path(__file__).parent / "data" / "protocols_v1"
+
+DE, AD = "depolarizing", "amplitude-damping"
+
+# name: (noise, eps, synthesize flags or None for the twirl, sampled stdout, exact stdout)
+CASES = {
+    "twirl": (DE, "0.1", None,
+              "planned shots: 4498 (delta=0.05, fail_prob=0.05, f=1.23456790123)\n"
+              "shots: 4498\nzeta_bar: 0.853712761227\nestimate: 0.936682421268\n",
+              "zeta: 0.846635314258\nestimate: 0.927944832417\nrenyi_2: 0.0747829957897\n"),
+    "ad_measure": (AD, "0.2", ["--k", "2"],
+                   "planned shots: 7205 (delta=0.05, fail_prob=0.05, f=1.5625)\n"
+                   "shots: 7205\nzeta_bar: 0.55519777932\nestimate: 0.929996530187\n",
+                   "zeta: 0.553884692747\nestimate: 0.927944832417\n"
+                   "renyi_2: 0.0747829957897\n"),
+    "de_choi_n1": (DE, "0.1", ["--k", "2"],
+                   "planned shots: 4498 (delta=0.05, fail_prob=0.05, f=1.23456790123)\n"
+                   "shots: 4498\nzeta_bar: 0.849266340596\nestimate: 0.931193013081\n",
+                   "zeta: 0.846635314258\nestimate: 0.927944832417\n"
+                   "renyi_2: 0.0747829957897\n"),
+    "sdp_ad_k2": (AD, "0.2", ["--k", "2", "--force-sdp"],
+                  "planned shots: 7205 (delta=0.05, fail_prob=0.05, f=1.5624995827)\n"
+                  "shots: 7205\nzeta_bar: 0.570575988897\nestimate: 0.954025161847\n",
+                  "zeta: 0.553884593499\nestimate: 0.927944863503\n"
+                  "renyi_2: 0.0747829622894\n"),
+    # sampling is refused after the shot plan is printed (exit 1)
+    "recursive_k3": (DE, "0.2", ["--k", "3"],
+                     "planned shots: 11258 (delta=0.05, fail_prob=0.05, f=1.953125)\n",
+                     "zeta: 0.428661631296\nestimate: 0.891917248625\n"
+                     "renyi_2: 0.114381921305\n"),
+}
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main(argv)
+    return rc, out.getvalue()
+
+
+def _written_now(name, tmp_path):
+    noise, eps, flags = CASES[name][:3]
+    path = tmp_path / f"{name}.json"
+    if flags is None:
+        save_protocol(de_second_moment(float(eps)), path)
+    else:
+        rc, _ = _run(["synthesize", "--noise", noise, "--eps", eps, *flags,
+                      "--out", str(path)])
+        assert rc == 0
+    return path
+
+
+@pytest.mark.parametrize("source", ["v1", "current"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_estimate_stdout_pinned(name, source, tmp_path):
+    noise, eps, _, sampled, exact = CASES[name]
+    path = V1 / f"{name}.json" if source == "v1" else _written_now(name, tmp_path)
+    base = ["estimate", "--protocol", str(path), "--noise", noise, "--eps", eps]
+    assert _run(base + ["--seed", "4", "--state-seed", "4"]) == \
+        (1 if name == "recursive_k3" else 0, sampled)
+    assert _run(base + ["--state-seed", "4", "--exact", "--renyi", "2"]) == (0, exact)
+
+
+def test_hubbard_demo_stdout_pinned():
+    assert _run(["hubbard-demo", "--eps", "0.1", "--shots", "256", "--trials", "4",
+                 "--seed", "4"]) == (0, (
+                     "exact tr[rho_A^2]: 0.299126782022\n"
+                     "analytic biased value: 0.289792693438\n"
+                     "raw mean: 0.2734375 (se 0.0279872203909)\n"
+                     "mitigated mean: 0.303047839506 (se 0.035764846099)\n"))
+
+
+def test_fig4_estimates_pinned():
+    res = fig4_experiment(0.1, shots=256, trials=4, seed=9)
+    assert [float(x) for x in res.raw_estimates] == [
+        0.359375, 0.2421875, 0.3203125, 0.421875]
+    assert [float(x) for x in res.mitigated_estimates] == [
+        0.40432098765432095, 0.28858024691358025, 0.38503086419753085,
+        0.41396604938271603]

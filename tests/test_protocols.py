@@ -2,20 +2,20 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from momentshift.channels import amplitude_damping, depolarizing, identity_channel
+from momentshift.channels import Channel, amplitude_damping, depolarizing, identity_channel
 from momentshift.moments import moment_observable
 from momentshift.operators import Operator, random_density_matrix
 from momentshift.protocols import (
-    ChoiMap,
-    MeasurementBased,
-    MixedUnitary,
+    MeasurePrepare,
     ad_second_moment,
+    apply_realization,
     de_kth_moment,
     de_second_moment,
     de_second_moment_nqubit,
     exact_expectation,
     from_sdp_solution,
     identity_protocol,
+    is_trace_preserving,
     load_protocol,
     protocol_from_json,
     protocol_to_json,
@@ -32,10 +32,12 @@ from conftest import noisy_copies, true_moment
 class TestTwirlProtocol:
     def test_unitaries_exactly_unitary(self):
         mu = de_second_moment(0.1).realization
-        assert isinstance(mu, MixedUnitary)
-        assert len(mu.unitaries) == 12
-        assert_allclose(mu.probabilities, np.full(12, 1 / 12))
-        for u in mu.unitaries:
+        assert isinstance(mu, Channel)
+        assert len(mu.kraus) == 12
+        # Kraus operators sqrt(p_j) U_j with p_j = 1/12
+        probabilities = [np.trace(e.conj().T @ e).real / 4 for e in mu.kraus]
+        assert_allclose(probabilities, np.full(12, 1 / 12))
+        for u in (np.sqrt(12) * e for e in mu.kraus):
             assert np.max(np.abs(u @ u.conj().T - np.eye(4))) < 1e-12
 
     def test_choi_closed_form(self):
@@ -44,7 +46,7 @@ class TestTwirlProtocol:
         xyz = (np.kron(PAULI_X, PAULI_X) + np.kron(PAULI_Y, PAULI_Y)
                + np.kron(PAULI_Z, PAULI_Z))
         closed = np.kron(np.eye(4), np.eye(4)) / 4 + np.kron(xyz, xyz) / 12
-        assert np.max(np.abs(mu.choi().entries - closed)) < 1e-12
+        assert np.max(np.abs(mu.choi.entries - closed)) < 1e-12
 
     def test_eps_zero_is_twirl_preserving(self):
         p = de_second_moment(0.0)
@@ -77,22 +79,27 @@ class TestAmplitudeDampingProtocol:
     def test_outcome_values_order(self):
         p = ad_second_moment(0.2)
         mb = p.realization
-        assert isinstance(mb, MeasurementBased)
-        assert mb.outcome_values == (0.6, 0.6, -1.0, 1.0)
-        # basis order |00>, |Psi+>, |Psi->, |11>
-        assert_allclose(mb.basis_states[0], [1, 0, 0, 0])
-        assert_allclose(mb.basis_states[3], [0, 0, 0, 1])
-        assert_allclose(mb.basis_states[1][1], mb.basis_states[1][2])
-        assert_allclose(mb.basis_states[2][1], -mb.basis_states[2][2])
+        assert isinstance(mb, MeasurePrepare)
+        assert mb.values == (0.6, 0.6, -1.0, 1.0)
+        # basis order |00>, |Psi+>, |Psi->, |11>; effects are |b><b|
+        assert_allclose(mb.effects[0], np.diag([1, 0, 0, 0]))
+        assert_allclose(mb.effects[3], np.diag([0, 0, 0, 1]))
+        assert_allclose(mb.effects[1][1, 2], mb.effects[1][1, 1])
+        assert_allclose(mb.effects[2][1, 2], -mb.effects[2][1, 1])
 
     def test_outcome_values_are_state_expectations(self):
         p = ad_second_moment(0.35)
         h = moment_observable(2, 2).matrix.entries
-        for sigma, val in zip(p.realization.output_states,
-                              p.realization.outcome_values):
+        for sigma, val in zip(p.realization.outputs,
+                              p.realization.values):
             assert abs(np.trace(h @ sigma).real - val) < 1e-12
             assert np.min(np.linalg.eigvalsh(sigma)) > -1e-12
             assert abs(np.trace(sigma) - 1) < 1e-12
+
+    def test_values_need_complete_projective_effects(self):
+        mp = ad_second_moment(0.2).realization
+        with pytest.raises(ValueError):
+            MeasurePrepare(mp.effects[:3], mp.outputs[:3], mp.values[:3])
 
     def test_scalars(self):
         p = ad_second_moment(0.2)
@@ -101,7 +108,7 @@ class TestAmplitudeDampingProtocol:
 
     def test_eps_zero(self):
         p = ad_second_moment(0.0)
-        assert p.realization.outcome_values == (1.0, 1.0, -1.0, 1.0)
+        assert p.realization.values == (1.0, 1.0, -1.0, 1.0)
         rho = random_density_matrix(2, 9, rank=1)
         z = exact_expectation(p, noisy_copies(rho, amplitude_damping(0.0), 2))
         assert abs(p.f * z - p.t - 1.0) < 1e-12
@@ -142,7 +149,7 @@ class TestAmplitudeDampingProtocol:
 class TestNQubitProtocol:
     def test_n1_matches_twirl_choi(self):
         a = de_second_moment_nqubit(0.2, 1).realization.choi()
-        b = de_second_moment(0.2).realization.choi()
+        b = de_second_moment(0.2).realization.choi
         assert np.max(np.abs(a.entries - b.entries)) < 1e-12
 
     def test_shift_value_n2(self):
@@ -251,7 +258,7 @@ class TestRecursiveProtocol:
         assert abs(p2.f - ref.f) < 1e-15
         assert abs(p2.t - ref.t) < 1e-15
         assert np.max(np.abs(p2.realization.choi().entries
-                             - ref.realization.choi().entries)) < 1e-12
+                             - ref.realization.choi.entries)) < 1e-12
 
     def test_shift_distance_recursion_k3(self):
         # tr[(noisy rho)^3] expansion with tr[I] = d fixes the constant term
@@ -342,8 +349,8 @@ class TestFromSdpSolution:
         h = moment_observable(2, 2)
         sol = solve(build_fmin(amplitude_damping(eps), 2, h))
         p = from_sdp_solution(sol, 2, h)
-        assert isinstance(p.realization, ChoiMap)
-        assert p.realization.trace_preserving
+        assert isinstance(p.realization, Channel)
+        assert is_trace_preserving(p.realization)
         noise = amplitude_damping(eps)
         worst = 0.0
         for seed in range(100):
@@ -398,9 +405,9 @@ class TestSerialization:
         assert loaded.f == pytest.approx(proto.f, abs=1e-15)
         assert loaded.t == pytest.approx(proto.t, abs=1e-15)
         d = proto.copy_dim ** proto.k
-        x = random_density_matrix(d, 0).entries
-        assert_allclose(loaded.realization.apply(x), proto.realization.apply(x),
-                        atol=1e-12)
+        x = random_density_matrix(d, 0)
+        assert_allclose(apply_realization(loaded.realization, x),
+                        apply_realization(proto.realization, x), atol=1e-12)
 
     def test_schema_fields(self):
         doc = protocol_to_json(ad_second_moment(0.2))

@@ -208,6 +208,24 @@ class TestGmin:
     def test_power_identity(self):
         assert gmin_power(1.5, 3) == pytest.approx(3.375)
 
+    def test_eigh_failure_falls_back_to_real_embedding(self, monkeypatch):
+        problem = build_gmin(depolarizing(0.1, 2))
+        reference = solve(problem)
+        eigh = np.linalg.eigh
+        shapes = []
+
+        def fails_once(a, *args, **kwargs):
+            shapes.append(a.shape)
+            if len(shapes) == 1:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", fails_once)
+        sol = solve(problem)
+        assert shapes[1] == (2 * shapes[0][0], 2 * shapes[0][0])
+        assert sol.status == "optimal"
+        assert abs(sol.objective_value - reference.objective_value) < 1e-6
+
     def test_multiplicativity(self):
         eps = 0.1
         g1 = solve(build_gmin(depolarizing(eps, 2))).objective_value
