@@ -22,6 +22,7 @@ import numpy as np
 
 from .operators import (
     Operator,
+    check_memory,
     identity,
     matrix_from_json,
     matrix_rank,
@@ -164,6 +165,8 @@ def tensor_power(c: Channel, k: int) -> Channel:
         raise ValueError("tensor_power requires Kraus form")
     if k == 1:
         return c
+    check_memory(16 * (len(c.kraus) * c.in_dim * c.out_dim) ** k,
+                 f"{k}-fold tensor power of {c!r}")
     kraus: list[np.ndarray] = [np.array([[1.0 + 0j]])]
     for _ in range(k):
         kraus = [np.kron(a, e) for a in kraus for e in c.kraus]
@@ -214,6 +217,7 @@ def depolarizing(eps: float, d: int = 2) -> Channel:
     """Depolarizing channel rho -> (1 - eps) rho + eps I/d."""
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"depolarizing noise level must be in [0, 1], got {eps}")
+    check_memory(2 * 16 * d ** 4, f"depolarizing channel on dimension {d}")  # Kraus, Weyl
     kraus = []
     w0 = np.sqrt(1.0 - eps + eps / d ** 2)
     kraus.append(w0 * np.eye(d, dtype=complex))

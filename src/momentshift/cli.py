@@ -64,10 +64,9 @@ def _noise_channel(model: str, eps: float, n: int):
         return depolarizing(eps, 2 ** n)
     if model == "amplitude-damping":
         if n != 1:
-            raise SystemExit(_fail("amplitude damping is a single-qubit model (n=1)",
-                                   EXIT_USAGE))
+            raise ValueError("amplitude damping is a single-qubit model (n=1)")
         return amplitude_damping(eps)
-    raise SystemExit(_fail(f"unknown noise model {model!r}", EXIT_USAGE))
+    raise ValueError(f"unknown noise model {model!r}")
 
 
 def _fail(msg: str, code: int) -> int:
@@ -202,11 +201,14 @@ def _load_state(args, protocol) -> Operator:
         g = ground_state(build_hamiltonian(demo_model()))
         rho = reduced_state(g, [0, 1])
         if rho.dim != d:
-            raise SystemExit(_fail(
-                f"hubbard subsystem dim {rho.dim} != protocol copy dim {d}", EXIT_USAGE))
+            raise ValueError(f"hubbard subsystem dim {rho.dim} != protocol copy dim {d}")
         return rho
     with open(args.state) as fh:
-        return Operator(matrix_from_json(json.load(fh)))
+        rho = Operator(matrix_from_json(json.load(fh)))
+    if not (rho.is_hermitian(1e-9) and abs(rho.trace() - 1.0) <= 1e-9
+            and rho.min_eigenvalue() >= -1e-9):
+        raise ValueError(f"{args.state} is not a density matrix (Hermitian, unit trace, PSD)")
+    return rho
 
 
 def cmd_estimate(args) -> int:
@@ -224,17 +226,14 @@ def cmd_estimate(args) -> int:
         if args.renyi:
             print(f"renyi_{args.renyi}: {_fmt(renyi_entropy(est, args.renyi))}")
         return EXIT_OK
-    if args.shots:
+    if args.shots is not None:
         shots = args.shots
     else:
         plan = plan_shots(args.delta, args.fail_prob, protocol.f)
         shots = plan.shots
         print(f"planned shots: {shots} (delta={_fmt(args.delta)}, "
               f"fail_prob={_fmt(args.fail_prob)}, f={_fmt(protocol.f)})")
-    try:
-        run = run_protocol(protocol, rho, noise, shots, args.seed)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    run = run_protocol(protocol, rho, noise, shots, args.seed)
     print(f"shots: {run.shots}")
     print(f"zeta_bar: {_fmt(run.zeta_bar)}")
     print(f"estimate: {_fmt(run.estimate)}")
@@ -293,13 +292,13 @@ def build_parser() -> _Parser:
                 description="Retrieve density-matrix moments from noisy states")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=True, fmt="json"):
+    def common(sp, *flags, fmt="json"):
+        shared = {"--format": dict(choices=("json", "csv"), default=fmt),
+                  "--tol": dict(type=float, default=DEFAULT_TOL, help="solver tolerance"),
+                  "--seed": dict(type=int, default=0)}
         sp.add_argument("--out", default=None, help="output file path")
-        sp.add_argument("--format", choices=("json", "csv"), default=fmt)
-        sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help="solver tolerance")
-        if seed:
-            sp.add_argument("--seed", type=int, default=0)
+        for flag in flags:
+            sp.add_argument(flag, **shared[flag])
 
     sp = sub.add_parser("synthesize", help="build a retrieval protocol")
     sp.add_argument("--noise", required=True,
@@ -309,7 +308,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--n", type=int, default=1, help="qubits per copy")
     sp.add_argument("--force-sdp", action="store_true",
                     help="skip closed forms and always solve the program")
-    common(sp)
+    common(sp, "--format", "--tol")
     sp.set_defaults(fn=cmd_synthesize)
 
     sp = sub.add_parser("overhead-sweep", help="overhead vs noise level table")
@@ -319,7 +318,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--eps-grid", default="0:0.3:7",
                     help="start:stop:num or comma-separated values")
     sp.add_argument("--methods", default="shift,inverse,recover")
-    common(sp, fmt="csv")
+    common(sp, "--format", "--tol", fmt="csv")
     sp.set_defaults(fn=cmd_overhead_sweep)
 
     sp = sub.add_parser("estimate", help="finite-shot or exact estimation")
@@ -338,7 +337,7 @@ def build_parser() -> _Parser:
                     help="dense evaluation, no sampling")
     sp.add_argument("--renyi", type=int, default=None,
                     help="also print the Renyi entropy of this order")
-    common(sp)
+    common(sp, "--format", "--seed")
     sp.set_defaults(fn=cmd_estimate)
 
     sp = sub.add_parser("verify", help="run module invariant suites")
@@ -353,7 +352,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--trials", type=int, default=60)
     sp.add_argument("--subsystem", default="0,1",
                     help="comma-separated qubit indices of subsystem A")
-    common(sp)
+    common(sp, "--seed")
     sp.set_defaults(fn=cmd_hubbard_demo)
     return p
 
@@ -362,8 +361,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SystemExit:
-        raise
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
 

@@ -222,6 +222,8 @@ def run_choi_map(p: RetrievalProtocol, rho: Operator, noise: Channel,
 def run_protocol(p: RetrievalProtocol, rho: Operator, noise: Channel,
                  shots: int, seed: int) -> EstimationRun:
     """Sample in the mode the realization selects; recursive retrievers are exact-only."""
+    if shots < 1:
+        raise ValueError(f"shots must be at least 1, got {shots}")
     if _is_kraus(p.realization):
         return run_mixed_unitary(p, rho, noise, shots, seed)
     if _is_measurement(p.realization):

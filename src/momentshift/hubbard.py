@@ -21,7 +21,7 @@ import numpy as np
 
 from .channels import depolarizing
 from .estimator import EstimationRun, derive_seed, run_choi_map
-from .operators import Operator, partial_trace
+from .operators import Operator, check_memory, partial_trace
 from .protocols import de_second_moment_nqubit, identity_protocol
 
 _SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
@@ -75,10 +75,10 @@ def annihilation_operator(mode: int, n_modes: int) -> Operator:
 
 
 def build_hamiltonian(model: HubbardModel) -> Operator:
-    if model.n_qubits > 8:
-        raise ValueError("dense diagonalization capped at 8 qubits (4 sites)")
     n = model.n_qubits
     dim = 2 ** n
+    # n annihilators and their adjoints, H and up to three products at a time
+    check_memory((2 * n + 4) * 16 * dim * dim, f"Hamiltonian on {n} qubits")
     a = [annihilation_operator(p, n).entries for p in range(n)]
     adag = [m.conj().T for m in a]
     h = np.zeros((dim, dim), dtype=complex)
@@ -183,8 +183,6 @@ def fig4_experiment(eps: float, subsystem: list[int] | None = None,
     model = model or demo_model()
     subsystem = list(subsystem) if subsystem is not None else [0, 1]
     n = len(subsystem)
-    if n > 2:
-        raise ValueError("protocol construction capped at 2-qubit subsystems")
     h = build_hamiltonian(model)
     g = ground_state(h)
     rho_a = reduced_state(g, subsystem)

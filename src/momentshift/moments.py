@@ -17,23 +17,19 @@ from itertools import product
 
 import numpy as np
 
-from .operators import Operator
-
-DIMENSION_CAP = 4096
+from .operators import Operator, check_memory
 
 
-def _check_cap(k: int, d: int) -> int:
+def _dim(k: int, d: int) -> int:
     if k < 1 or d < 2:
         raise ValueError("need k >= 1 and d >= 2")
-    dim = d ** k
-    if dim > DIMENSION_CAP:
-        raise ValueError(f"dense dimension {d}^{k} exceeds cap {DIMENSION_CAP}")
-    return dim
+    return d ** k
 
 
 def cyclic_permutation(k: int, d: int = 2) -> Operator:
     """Unitary S_k with S_k |x1 x2 ... xk> = |x2 ... xk x1>."""
-    dim = _check_cap(k, d)
+    dim = _dim(k, d)
+    check_memory(2 * 16 * dim * dim, f"cyclic permutation for k={k}, d={d}")  # S_k, copy
     s = np.zeros((dim, dim), dtype=complex)
     radix = [d ** (k - 1 - j) for j in range(k)]
     for x in product(range(d), repeat=k):
@@ -51,18 +47,14 @@ class MomentObservable:
     k: int
     d: int
     matrix: Operator
-    kind: str = "symmetrized"  # "symmetrized" (H) or "raw" (S_k)
 
 
-def moment_observable(k: int, d: int = 2, kind: str = "symmetrized") -> MomentObservable:
-    """Observable reading off tr[rho^k]: (S_k + S_k^dag)/2 or the raw S_k."""
-    s = cyclic_permutation(k, d)
-    if kind == "raw":
-        return MomentObservable(k=k, d=d, matrix=s, kind="raw")
-    if kind != "symmetrized":
-        raise ValueError(f"unknown observable kind {kind!r}")
-    h = Operator((s.entries + s.entries.conj().T) / 2, s.subsystem_dims)
-    return MomentObservable(k=k, d=d, matrix=h, kind="symmetrized")
+def moment_observable(k: int, d: int = 2) -> MomentObservable:
+    """Observable H_k = (S_k + S_k^dag)/2 reading off tr[rho^k]."""
+    dim = _dim(k, d)
+    check_memory(4 * 16 * dim * dim, f"moment observable for k={k}, d={d}")  # S, S^dag, H, copy
+    s = cyclic_permutation(k, d).entries
+    return MomentObservable(k=k, d=d, matrix=Operator((s + s.conj().T) / 2, (d,) * k))
 
 
 def _min_rotation(x: tuple[int, ...]) -> tuple[int, ...]:
@@ -84,7 +76,8 @@ def necklace_set(k: int, d: int = 2) -> list[tuple[int, ...]]:
     shifts of the returned set cover all d^k strings; for prime k the count
     equals (d^k - d)/k + d.
     """
-    _check_cap(k, d)
+    # at least d^k / k representatives of k entries each
+    check_memory(8 * k * (_dim(k, d) // k), f"necklace set for k={k}, d={d}")
     reps = []
     for x in product(range(d), repeat=k):
         if x == _min_rotation(x):
@@ -115,7 +108,9 @@ class PermutationSpectrum:
 
 
 def permutation_eigenprojectors(k: int, d: int = 2) -> PermutationSpectrum:
-    dim = _check_cap(k, d)
+    dim = _dim(k, d)
+    # k projectors, their Operator copies and the d^k eigenvectors
+    check_memory((2 * k + 1) * 16 * dim * dim, f"permutation eigenprojectors for k={k}, d={d}")
     reps = necklace_set(k, d)
     radix = [d ** (k - 1 - j) for j in range(k)]
     omega = np.exp(2j * np.pi / k)

@@ -3,8 +3,8 @@
 Everything downstream (channels, moment observables, SDP builders) works with
 :class:`Operator`: an immutable square complex matrix together with the list
 of subsystem dimensions that factor its Hilbert space.  All matrices are
-row-major ``complex128``; instances are small (dimension <= 4096) so no
-sparsity is attempted.
+row-major ``complex128`` and dense; every call that builds a large one first
+checks its bytes against the one fixed :data:`MEMORY_BUDGET` (:func:`check_memory`).
 """
 
 from __future__ import annotations
@@ -15,11 +15,19 @@ from typing import Iterable, Sequence
 import numpy as np
 
 DEFAULT_RANK_TOL = 1e-9
+MEMORY_BUDGET = 4 * 1024 ** 3  # bytes; fixed, so a call is accepted or refused everywhere
 
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def check_memory(nbytes: int, what: str) -> None:
+    """Refuse, before allocating, a call that needs more than the memory budget."""
+    if nbytes > MEMORY_BUDGET:
+        raise ValueError(f"{what} needs {-(-int(nbytes) // 2 ** 20)} MiB, over the "
+                         f"{MEMORY_BUDGET // 2 ** 20} MiB memory budget")
 
 
 def _as_matrix(entries) -> np.ndarray:

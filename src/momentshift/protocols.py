@@ -38,11 +38,10 @@ import numpy as np
 
 from .channels import Channel, adjoint_apply, apply, channel_from_json, channel_to_json
 from .moments import moment_observable, permutation_eigenprojectors
-from .operators import Operator, identity, matrix_from_json, matrix_to_json
+from .operators import Operator, check_memory, identity, matrix_from_json, matrix_to_json
 from .sdp.problem import SdpSolution
 
 PROTOCOL_SCHEMA_VERSION = 1
-DENSE_CHOI_CAP = 1024  # largest Choi side materialized densely
 SAMPLING_TP_TOL = 1e-6  # trace preservation required of a sampled realization
 
 
@@ -109,6 +108,7 @@ class MeasurePrepare:
 
 def _dense_choi(apply_map: Callable[[np.ndarray], np.ndarray], d: int) -> Operator:
     """Choi matrix sum_ij |i><j| (x) T(|i><j|) of a map T on d x d matrices."""
+    check_memory(2 * 16 * d ** 4, f"dense Choi matrix of side {d * d}")  # J and its copy
     j = np.zeros((d * d, d * d), dtype=complex)
     for a in range(d):
         for b in range(d):
@@ -136,8 +136,6 @@ class ComposedMap:
         return y
 
     def choi(self) -> Operator:
-        if self.dim * self.dim > DENSE_CHOI_CAP:
-            raise ValueError("composed map too large to materialize densely")
         return _dense_choi(self.apply, self.dim)
 
 
@@ -154,10 +152,7 @@ class Recursive:
         return _apply_ck(self.eps, self.k, self.d, x, rest, self.f_table)
 
     def choi(self) -> Operator:
-        d = self.d ** self.k
-        if d > 16:
-            raise ValueError("dense Choi of the recursive retriever is capped at k*log2(d) <= 4")
-        return _dense_choi(self.apply, d)
+        return _dense_choi(self.apply, self.d ** self.k)
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +287,6 @@ def ad_second_moment(eps: float) -> RetrievalProtocol:
 # qudit/n-qubit depolarizing second moment
 
 
-def _swap_matrix(d: int) -> np.ndarray:
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for a in range(d):
-        for b in range(d):
-            s[b * d + a, a * d + b] = 1.0
-    return s
-
-
 @lru_cache(maxsize=None)
 def _de2_qudit_map(d: int) -> MeasurePrepare:
     """Second-moment depolarizing retriever on a pair of d-dim systems.
@@ -308,7 +295,10 @@ def _de2_qudit_map(d: int) -> MeasurePrepare:
     G = d SWAP - I, the traceless part of d SWAP; for d = 2^n, G equals the
     sum of P_i (x) P_i over all non-identity Pauli strings.
     """
-    g = d * _swap_matrix(d) - np.eye(d * d)
+    # SWAP, G, and the two effects and two outputs, each d^2 x d^2
+    check_memory(6 * 16 * d ** 4, f"two-term depolarizing retriever on dimension {d}")
+    swap = np.eye(d * d).reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
+    g = d * swap - np.eye(d * d)
     return MeasurePrepare(
         effects=(np.eye(d * d), g),
         outputs=(np.eye(d * d) / d ** 2, g / (d ** 2 * (d ** 2 - 1))),
@@ -325,8 +315,8 @@ def _de2_qudit_protocol(eps: float, d: int, label: str) -> RetrievalProtocol:
 
 def de_second_moment_nqubit(eps: float, n: int) -> RetrievalProtocol:
     """Purity retriever for global depolarizing noise on n-qubit states."""
-    if n < 1 or n > 3:
-        raise ValueError("construction capped at 1 <= n <= 3 qubits")
+    if n < 1:
+        raise ValueError("the retriever needs n >= 1 qubits")
     return _de2_qudit_protocol(eps, 2 ** n,
                                label=f"de_second_moment_nqubit(eps={eps:g},n={n})")
 
@@ -388,10 +378,15 @@ def _build_transfer(q: np.ndarray, k: int, d: int) -> MeasurePrepare:
     return MeasurePrepare(effects, outputs)
 
 
+def _check_transfer_maps(k: int, d: int) -> None:
+    """Refuse transfer maps whose d^k x d^k arrays overrun the memory budget: the k
+    eigenprojectors of S_k and their eigenvectors, and each map's k effects and outputs."""
+    check_memory((5 * k + 1) * 16 * d ** (2 * k), f"transfer maps for k={k}, d={d}")
+
+
 @lru_cache(maxsize=None)
 def transfer_maps(k: int, d: int = 2) -> TransferMapPair:
-    if d ** k > DENSE_CHOI_CAP:
-        raise ValueError(f"dense transfer maps capped at d^k <= {DENSE_CHOI_CAP}")
+    _check_transfer_maps(k, d)
     q, q_tilde = q_matrices(k)
     return TransferMapPair(
         k=k, d=d, Q=q, Q_tilde=q_tilde,
@@ -460,8 +455,7 @@ def de_kth_moment(eps: float, k: int, d: int = 2) -> RetrievalProtocol:
     f_table, t_table = _shift_table(eps, k, d)
     if k == 2:
         return _de2_qudit_protocol(eps, d, label=f"de_kth_moment(eps={eps:g},k=2,d={d})")
-    if d ** k > DENSE_CHOI_CAP:
-        raise ValueError(f"dense verification capped at d^k <= {DENSE_CHOI_CAP}")
+    _check_transfer_maps(k, d)  # built on first evaluation
     return RetrievalProtocol(
         k=k, copy_dim=d, f=f_table[-1], t=t_table[-1],
         realization=Recursive(eps=eps, k=k, d=d, f_table=f_table),

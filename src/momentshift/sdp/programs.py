@@ -31,14 +31,9 @@ from .problem import (
     ScalarVar,
     SdpProblem,
 )
+from .solver import check_program_memory
 
 F_LOWER_BOUND = 1e-9
-SDP_BLOCK_CAP = 256
-
-
-def _check_block(dim: int) -> None:
-    if dim > SDP_BLOCK_CAP:
-        raise ValueError(f"PSD block dimension {dim} exceeds cap {SDP_BLOCK_CAP}")
 
 
 def _trace_out_second(d1: int, d2: int):
@@ -102,11 +97,14 @@ def build_fmin(noise: Channel, k: int, H: MomentObservable) -> SdpProblem:
     """Primal observable-shift program; optimum is f_min(noise, k)."""
     if noise.in_dim != noise.out_dim:
         raise ValueError("observable-shift synthesis needs a square channel")
-    nk = tensor_power(noise, k) if k > 1 else noise
-    d = nk.in_dim
+    d = noise.in_dim ** k
     if H.matrix.dim != d:
         raise ValueError(f"moment observable dim {H.matrix.dim} != {d}")
-    _check_block(d * d)
+    name = f"fmin[{noise.label},k={k}]"
+    blocks = [BlockVar("J", d * d, psd=True)]
+    scalars = [ScalarVar("f", lower=F_LOWER_BOUND), ScalarVar("t")]
+    check_program_memory(name, blocks, scalars, (d, d))
+    nk = tensor_power(noise, k) if k > 1 else noise
     h = H.matrix.entries
     ts = _trace_scaling("J", "f", d, d, "trace_scaling")
     shift = Constraint(
@@ -117,13 +115,8 @@ def build_fmin(noise: Channel, k: int, H: MomentObservable) -> SdpProblem:
         target=h,
         name="observable_shift",
     )
-    return SdpProblem(
-        blocks=[BlockVar("J", d * d, psd=True)],
-        scalars=[ScalarVar("f", lower=F_LOWER_BOUND), ScalarVar("t")],
-        objective={"f": 1.0},
-        constraints=[ts, shift],
-        name=f"fmin[{noise.label},k={k}]",
-    )
+    return SdpProblem(blocks=blocks, scalars=scalars, objective={"f": 1.0},
+                      constraints=[ts, shift], name=name)
 
 
 def _noise_pushforward(kraus: tuple[np.ndarray, ...], h: np.ndarray, d: int,
@@ -155,9 +148,13 @@ def _identity_map(batch: np.ndarray) -> np.ndarray:
 
 def build_dual_fmin(noise: Channel, k: int, H: MomentObservable) -> SdpProblem:
     """Dual of the observable-shift program: max -tr[KH] over feasible (M, K)."""
+    d = noise.in_dim ** k
+    name = f"dual_fmin[{noise.label},k={k}]"
+    blocks = [BlockVar("M", d, psd=False), BlockVar("K", d, psd=False),
+              BlockVar("T", d * d, psd=True)]
+    scalars = [ScalarVar("s", lower=0.0)]
+    check_program_memory(name, blocks, scalars, (d * d, 1, 1))
     nk = tensor_power(noise, k) if k > 1 else noise
-    d = nk.in_dim
-    _check_block(d * d)
     h = H.matrix.entries
 
     psd = Constraint(
@@ -182,15 +179,8 @@ def build_dual_fmin(noise: Channel, k: int, H: MomentObservable) -> SdpProblem:
         target=0.0,
         name="trace_K_zero",
     )
-    return SdpProblem(
-        blocks=[BlockVar("M", d, psd=False), BlockVar("K", d, psd=False),
-                BlockVar("T", d * d, psd=True)],
-        scalars=[ScalarVar("s", lower=0.0)],
-        objective={"K": -h},
-        constraints=[psd, trm, trk],
-        maximize=True,
-        name=f"dual_fmin[{noise.label},k={k}]",
-    )
+    return SdpProblem(blocks=blocks, scalars=scalars, objective={"K": -h},
+                      constraints=[psd, trm, trk], maximize=True, name=name)
 
 
 def dual_constraint_operator(cert: DualCertificate, noise: Channel, k: int,
@@ -229,7 +219,10 @@ def build_gmin(noise: Channel) -> SdpProblem:
     """
     da, db = noise.in_dim, noise.out_dim
     dc = da
-    _check_block(db * dc)
+    name = f"gmin[{noise.label}]"
+    blocks = [BlockVar("J1", db * dc, psd=True), BlockVar("J2", db * dc, psd=True)]
+    scalars = [ScalarVar("p1", lower=0.0), ScalarVar("p2", lower=0.0)]
+    check_program_memory(name, blocks, scalars, (db, db, da * dc))
     j_noise = choi_of(noise)
     omega = np.zeros((da * dc, da * dc), dtype=complex)
     for i in range(da):
@@ -248,13 +241,8 @@ def build_gmin(noise: Channel) -> SdpProblem:
             name="inverse_composition",
         ),
     ]
-    return SdpProblem(
-        blocks=[BlockVar("J1", db * dc, psd=True), BlockVar("J2", db * dc, psd=True)],
-        scalars=[ScalarVar("p1", lower=0.0), ScalarVar("p2", lower=0.0)],
-        objective={"p1": 1.0, "p2": 1.0},
-        constraints=cons,
-        name=f"gmin[{noise.label}]",
-    )
+    return SdpProblem(blocks=blocks, scalars=scalars, objective={"p1": 1.0, "p2": 1.0},
+                      constraints=cons, name=name)
 
 
 def gmin_power(g1: float, k: int) -> float:
@@ -269,7 +257,10 @@ def build_info_recover(noise: Channel, obs: Operator) -> SdpProblem:
         raise ValueError("information recovery assumes a square channel")
     if obs.dim != d:
         raise ValueError(f"observable dim {obs.dim} != channel dim {d}")
-    _check_block(d * d)
+    name = f"info_recover[{noise.label}]"
+    blocks = [BlockVar("J1", d * d, psd=True), BlockVar("J2", d * d, psd=True)]
+    scalars = [ScalarVar("c1", lower=0.0), ScalarVar("c2", lower=0.0)]
+    check_program_memory(name, blocks, scalars, (d, d, d))
     h = obs.entries
 
     cons = [
@@ -284,10 +275,5 @@ def build_info_recover(noise: Channel, obs: Operator) -> SdpProblem:
             name="observable_recovery",
         ),
     ]
-    return SdpProblem(
-        blocks=[BlockVar("J1", d * d, psd=True), BlockVar("J2", d * d, psd=True)],
-        scalars=[ScalarVar("c1", lower=0.0), ScalarVar("c2", lower=0.0)],
-        objective={"c1": 1.0, "c2": 1.0},
-        constraints=cons,
-        name=f"info_recover[{noise.label}]",
-    )
+    return SdpProblem(blocks=blocks, scalars=scalars, objective={"c1": 1.0, "c2": 1.0},
+                      constraints=cons, name=name)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..operators import Operator
-from .problem import HermitianBasis, SdpProblem, SdpSolution
+from ..operators import Operator, check_memory
+from .problem import BlockVar, HermitianBasis, ScalarVar, SdpProblem, SdpSolution
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITERS = 200_000
@@ -40,6 +40,20 @@ class _Compiled:
     sections: list  # (kind, offset, size, extra)
     layout: dict    # var name -> (offset, size, dim or None)
     n: int
+
+
+def check_program_memory(name: str, blocks: list[BlockVar], scalars: list[ScalarVar],
+                         target_dims: tuple[int, ...]) -> None:
+    """Refuse a program whose solver arrays overrun the memory budget: the real
+    m x n system A and its stacked rows, the thin SVD of A with a scaled copy of
+    V^T, the n x m pseudo-inverse and one ``CHUNK`` of basis matrices of the
+    largest block.  ``target_dims`` gives each constraint's target dimension
+    (1 for a scalar target), in the order the constraints are declared."""
+    n = sum(b.dim * b.dim for b in blocks) + len(scalars)
+    m = sum(t * t for t in target_dims)
+    r = min(m, n)
+    chunk = 16 * CHUNK * max(b.dim for b in blocks) ** 2
+    check_memory(8 * (2 * m * n + r * (m + 1 + 2 * n)) + chunk, f"program {name}")
 
 
 def compile_problem(p: SdpProblem) -> _Compiled:

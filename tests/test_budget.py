@@ -1,0 +1,110 @@
+"""The one memory budget: every dense allocation site refuses an oversized
+request with the MiB it needs, before allocating anything."""
+
+import re
+import time
+import tracemalloc
+from functools import partial
+
+import pytest
+
+from momentshift.channels import amplitude_damping, depolarizing, tensor_power
+from momentshift.cli import main
+from momentshift.hubbard import HubbardModel, build_hamiltonian
+from momentshift.moments import (
+    cyclic_permutation,
+    moment_observable,
+    necklace_set,
+    permutation_eigenprojectors,
+)
+from momentshift.operators import MEMORY_BUDGET
+from momentshift.protocols import (
+    ComposedMap,
+    de_kth_moment,
+    de_second_moment_nqubit,
+    transfer_maps,
+)
+from momentshift.sdp import programs
+from momentshift.sdp.programs import build_dual_fmin, build_fmin, build_gmin, build_info_recover
+from momentshift.sdp.solver import compile_problem
+
+BUDGET_MESSAGE = rf"needs \d+ MiB, over the {MEMORY_BUDGET // 2 ** 20} MiB memory budget"
+
+# site: builds (outside the measured window) the over-budget call to make
+OVER_BUDGET = {
+    "tensor_power": lambda: partial(tensor_power, depolarizing(0.1, 16), 2),
+    "depolarizing": lambda: partial(depolarizing, 0.1, 128),
+    "de2_qudit_map": lambda: partial(de_second_moment_nqubit, 0.1, 7),
+    "cyclic_permutation": lambda: partial(cyclic_permutation, 14, 2),
+    "moment_observable": lambda: partial(moment_observable, 14, 2),
+    "necklace_set": lambda: partial(necklace_set, 30, 2),
+    "permutation_eigenprojectors": lambda: partial(permutation_eigenprojectors, 12, 2),
+    "transfer_maps": lambda: partial(transfer_maps, 12, 2),
+    "de_kth_moment": lambda: partial(de_kth_moment, 0.1, 12, 2),
+    "composed_map_choi": lambda: ComposedMap([], dim=128).choi,
+    "recursive_choi": lambda: de_kth_moment(0.1, 7, 2).realization.choi,
+    "build_fmin": lambda: partial(build_fmin, amplitude_damping(0.1), 5,
+                                  moment_observable(5, 2)),
+    "build_dual_fmin": lambda: partial(build_dual_fmin, amplitude_damping(0.1), 4,
+                                       moment_observable(4, 2)),
+    "build_gmin": lambda: partial(build_gmin, depolarizing(0.1, 16)),
+    "build_info_recover": lambda: partial(build_info_recover,
+                                          tensor_power(amplitude_damping(0.1), 5),
+                                          moment_observable(5, 2).matrix),
+    "build_hamiltonian": lambda: partial(build_hamiltonian, HubbardModel(sites=6)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(OVER_BUDGET))
+def test_over_budget_refused_before_allocating(site):
+    call = OVER_BUDGET[site]()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=BUDGET_MESSAGE):
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_fmin(amplitude_damping(0.2), 2, moment_observable(2, 2)),
+    lambda: build_dual_fmin(amplitude_damping(0.2), 2, moment_observable(2, 2)),
+    lambda: build_gmin(depolarizing(0.2, 2)),
+    lambda: build_info_recover(tensor_power(amplitude_damping(0.2), 2),
+                               moment_observable(2, 2).matrix),
+], ids=["fmin", "dual_fmin", "gmin", "info_recover"])
+def test_program_estimate_matches_compiled_shape(build, monkeypatch):
+    declared = []
+    monkeypatch.setattr(programs, "check_program_memory",
+                        lambda name, blocks, scalars, target_dims: declared.append(
+                            (blocks, scalars, target_dims)))
+    p = build()
+    (blocks, scalars, target_dims), = declared
+    assert (blocks, scalars) == (p.blocks, p.scalars)
+    m = sum(t * t for t in target_dims)
+    n = sum(b.dim * b.dim for b in blocks) + len(scalars)
+    assert compile_problem(p).A.shape == (m, n)
+
+
+def test_k4_programs_fit_budget():
+    # the k = 4 shift and recover programs of `overhead-sweep --k 4` still pass the gate
+    h = moment_observable(4, 2)
+    assert build_fmin(amplitude_damping(0.2), 4, h).blocks[0].dim == 256
+    p = build_info_recover(tensor_power(amplitude_damping(0.2), 4), h.matrix)
+    assert [b.dim for b in p.blocks] == [256, 256]
+
+
+def test_cli_estimate_refuses_oversized_noisy_copies(capsys, tmp_path):
+    path = tmp_path / "de_n4.json"
+    assert main(["synthesize", "--noise", "depolarizing", "--eps", "0.1", "--k", "2",
+                 "--n", "4", "--out", str(path)]) == 0
+    capsys.readouterr()
+    start = time.perf_counter()
+    code = main(["estimate", "--protocol", str(path), "--noise", "depolarizing",
+                 "--eps", "0.1", "--n", "4", "--state", "maxmixed", "--exact"])
+    elapsed = time.perf_counter() - start
+    assert code == 1
+    assert re.search(BUDGET_MESSAGE, capsys.readouterr().err)
+    assert elapsed < 1.0

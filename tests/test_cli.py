@@ -124,6 +124,37 @@ class TestEstimate:
         lines = dict(l.split(": ") for l in out.strip().splitlines())
         assert float(lines["estimate"]) == pytest.approx(0.58, abs=1e-10)
 
+    @pytest.mark.parametrize("entries", [
+        [[[1.0, 0.0], [0.2, 0.0]], [[0.2, 0.0], [1.0, 0.0]]],   # trace 2
+        [[[0.5, 0.0], [0.2, 0.0]], [[0.1, 0.0], [0.5, 0.0]]],   # not Hermitian
+        [[[1.2, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.2, 0.0]]],  # not PSD
+    ])
+    @pytest.mark.parametrize("mode", [["--exact"], ["--shots", "100"]])
+    def test_state_file_must_be_density_matrix(self, capsys, tmp_path, entries, mode):
+        proto_path = tmp_path / "p.json"
+        state_path = tmp_path / "state.json"
+        run_cli(capsys, "synthesize", "--noise", "amplitude-damping", "--eps", "0.1",
+                "--out", str(proto_path))
+        state_path.write_text(json.dumps(entries))
+        code, out, err = run_cli(capsys, "estimate", "--protocol", str(proto_path),
+                                 "--noise", "amplitude-damping", "--eps", "0.1",
+                                 "--state", str(state_path), *mode)
+        assert code == 1
+        assert "not a density matrix" in err
+        assert "estimate" not in out
+
+    @pytest.mark.parametrize("shots", ["0", "-5"])
+    def test_shots_below_one_rejected(self, capsys, tmp_path, shots):
+        path = tmp_path / "p.json"
+        run_cli(capsys, "synthesize", "--noise", "depolarizing", "--eps", "0.1",
+                "--out", str(path))
+        code, out, err = run_cli(capsys, "estimate", "--protocol", str(path),
+                                 "--noise", "depolarizing", "--eps", "0.1",
+                                 "--state", "maxmixed", "--shots", shots)
+        assert code == 1
+        assert "shots" in err
+        assert "planned shots" not in out and "estimate" not in out
+
     def test_recursive_protocol_needs_exact(self, capsys, tmp_path):
         path = tmp_path / "p3.json"
         run_cli(capsys, "synthesize", "--noise", "depolarizing", "--eps", "0.1",
@@ -167,6 +198,24 @@ class TestSweep:
         code = main(["overhead-sweep", "--noise", "depolarizing",
                      "--methods", "bogus"])
         assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["synthesize", "--noise", "depolarizing", "--eps", "0.1", "--seed", "1"],
+    ["overhead-sweep", "--noise", "depolarizing", "--seed", "1"],
+    ["estimate", "--protocol", "p.json", "--noise", "depolarizing", "--eps", "0.1",
+     "--tol", "1e-3"],
+    ["verify", "--tol", "1e-3"],
+    ["verify", "--format", "csv"],
+    ["verify", "--seed", "1"],
+    ["hubbard-demo", "--format", "csv"],
+    ["hubbard-demo", "--tol", "1e-3"],
+])
+def test_unread_option_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

@@ -185,6 +185,14 @@ class TestChoiRun:
                          10, seed=0)
 
 
+@pytest.mark.parametrize("shots", [0, -5])
+def test_run_protocol_rejects_shots_below_one(shots):
+    p = de_second_moment(0.1)
+    rho = Operator(np.eye(2) / 2)
+    with pytest.raises(ValueError, match="shots"):
+        run_protocol(p, rho, depolarizing(0.1, 2), shots, seed=0)
+
+
 class TestUnbiasedness:
     def test_planned_shot_coverage_quick(self):
         # small version of the coverage guarantee: 50 runs, >= 44 within delta

@@ -53,7 +53,7 @@ class TestCyclicPermutation:
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
-            cyclic_permutation(13, 2)
+            cyclic_permutation(14, 2)
 
 
 class TestMomentObservable:
@@ -93,13 +93,6 @@ class TestMomentObservable:
         for k in (2, 3, 4, 5):
             w = np.linalg.eigvalsh(moment_observable(k, 2).matrix.entries)
             assert w.min() >= -1 - 1e-12 and w.max() <= 1 + 1e-12
-
-    def test_raw_kind(self):
-        raw = moment_observable(3, 2, kind="raw")
-        assert raw.kind == "raw"
-        assert_allclose(raw.matrix.entries, cyclic_permutation(3, 2).entries)
-        with pytest.raises(ValueError):
-            moment_observable(3, 2, kind="weird")
 
 
 class TestNecklaces:

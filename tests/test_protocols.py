@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from momentshift.channels import Channel, amplitude_damping, depolarizing, identity_channel
 from momentshift.moments import moment_observable
-from momentshift.operators import Operator, random_density_matrix
+from momentshift.operators import Operator, random_density_matrix, tensor_product
 from momentshift.protocols import (
     MeasurePrepare,
     ad_second_moment,
@@ -167,9 +167,19 @@ class TestNQubitProtocol:
             z = exact_expectation(p, noisy_copies(rho, noise, 2))
             assert abs(p.f * z - p.t - true_moment(rho, 2)) < 1e-10
 
+    def test_defining_contract_n4(self):
+        eps, d = 0.1, 16
+        p = de_second_moment_nqubit(eps, 4)
+        noise = depolarizing(eps, d)
+        for seed in range(3):
+            rho = random_density_matrix(d, seed)
+            noisy = noise.apply(rho)
+            z = exact_expectation(p, tensor_product(noisy, noisy))
+            assert abs(p.f * z - p.t - true_moment(rho, 2)) < 1e-10
+
     def test_cap(self):
         with pytest.raises(ValueError):
-            de_second_moment_nqubit(0.1, 4)
+            de_second_moment_nqubit(0.1, 7)
 
 
 class TestQMatrices:
