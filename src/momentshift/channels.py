@@ -175,11 +175,22 @@ def tensor_power(c: Channel, k: int) -> Channel:
 
 
 def noisy_copies(rho: Operator, noise: Channel, k: int) -> Operator:
-    """The k-copy noisy state noise^(x k)(rho^(x k)) as one joint operator."""
-    joint = rho
+    """The k-copy noisy state noise^(x k)(rho^(x k)) as one joint operator.
+
+    Every copy passes through the same channel, so the joint state is the
+    product N(rho)^(x k): one d x d channel application and k - 1 Kronecker
+    products, where ``tensor_power`` would build |K|^k Kraus operators.
+    """
+    if k < 1:
+        raise ValueError("noisy copies require k >= 1")
+    d = noise.out_dim
+    # the joint state twice (Kronecker product, Operator's copy) and one copy
+    check_memory(16 * (2 * d ** (2 * k) + d * d), f"{k} noisy copies of dimension {d}")
+    one = noise.apply(rho)
+    joint = one
     for _ in range(k - 1):
-        joint = tensor_product(joint, rho)
-    return tensor_power(noise, k).apply(joint)
+        joint = tensor_product(joint, one)
+    return joint
 
 
 def channel_matrix(c: Channel) -> np.ndarray:

@@ -30,6 +30,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -138,8 +139,12 @@ def _noisy_state(p: RetrievalProtocol, rho: Operator, noise: Channel) -> Operato
     return noisy_copies(rho, noise, p.k)
 
 
+@lru_cache(maxsize=None)
 def _merged_eigenbasis(k: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues of H_k merged within 1e-12, with per-column group labels."""
+    """Eigenvalues of H_k merged within 1e-12, with per-column group labels.
+
+    Cached per (k, d); the returned arrays are read-only.
+    """
     h = moment_observable(k, d).matrix
     w, v = np.linalg.eigh(h.entries)
     groups = np.zeros(w.size, dtype=int)
@@ -148,7 +153,10 @@ def _merged_eigenbasis(k: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
         if w[i] - uniq[-1] > 1e-12:
             uniq.append(w[i])
         groups[i] = len(uniq) - 1
-    return np.array(uniq), v, groups
+    out = (np.array(uniq), v, groups)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _born_distribution(state: np.ndarray, v: np.ndarray, groups: np.ndarray,

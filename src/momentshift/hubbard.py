@@ -180,6 +180,10 @@ def fig4_experiment(eps: float, subsystem: list[int] | None = None,
     directly, the mitigated one first applies the n-qubit depolarizing
     retriever and rescales/shifts.
     """
+    if shots < 1:
+        raise ValueError(f"shots must be at least 1, got {shots}")
+    if trials < 2:
+        raise ValueError(f"trials must be at least 2 for a standard error, got {trials}")
     model = model or demo_model()
     subsystem = list(subsystem) if subsystem is not None else [0, 1]
     n = len(subsystem)

@@ -2,13 +2,13 @@
 request with the MiB it needs, before allocating anything."""
 
 import re
-import time
 import tracemalloc
 from functools import partial
 
+import numpy as np
 import pytest
 
-from momentshift.channels import amplitude_damping, depolarizing, tensor_power
+from momentshift.channels import amplitude_damping, depolarizing, noisy_copies, tensor_power
 from momentshift.cli import main
 from momentshift.hubbard import HubbardModel, build_hamiltonian
 from momentshift.moments import (
@@ -17,7 +17,7 @@ from momentshift.moments import (
     necklace_set,
     permutation_eigenprojectors,
 )
-from momentshift.operators import MEMORY_BUDGET
+from momentshift.operators import MEMORY_BUDGET, random_density_matrix
 from momentshift.protocols import (
     ComposedMap,
     de_kth_moment,
@@ -33,6 +33,8 @@ BUDGET_MESSAGE = rf"needs \d+ MiB, over the {MEMORY_BUDGET // 2 ** 20} MiB memor
 # site: builds (outside the measured window) the over-budget call to make
 OVER_BUDGET = {
     "tensor_power": lambda: partial(tensor_power, depolarizing(0.1, 16), 2),
+    "noisy_copies": lambda: partial(noisy_copies, random_density_matrix(2, 0),
+                                    depolarizing(0.1, 2), 16),
     "depolarizing": lambda: partial(depolarizing, 0.1, 128),
     "de2_qudit_map": lambda: partial(de_second_moment_nqubit, 0.1, 7),
     "cyclic_permutation": lambda: partial(cyclic_permutation, 14, 2),
@@ -96,15 +98,15 @@ def test_k4_programs_fit_budget():
     assert [b.dim for b in p.blocks] == [256, 256]
 
 
-def test_cli_estimate_refuses_oversized_noisy_copies(capsys, tmp_path):
+def test_cli_estimate_n4_exact_matches_purity(capsys, tmp_path):
+    # four-qubit copies fit the budget in product form (the Kraus route needs 64 GiB)
     path = tmp_path / "de_n4.json"
     assert main(["synthesize", "--noise", "depolarizing", "--eps", "0.1", "--k", "2",
                  "--n", "4", "--out", str(path)]) == 0
     capsys.readouterr()
-    start = time.perf_counter()
-    code = main(["estimate", "--protocol", str(path), "--noise", "depolarizing",
-                 "--eps", "0.1", "--n", "4", "--state", "maxmixed", "--exact"])
-    elapsed = time.perf_counter() - start
-    assert code == 1
-    assert re.search(BUDGET_MESSAGE, capsys.readouterr().err)
-    assert elapsed < 1.0
+    assert main(["estimate", "--protocol", str(path), "--noise", "depolarizing",
+                 "--eps", "0.1", "--n", "4", "--state-seed", "3", "--exact"]) == 0
+    out = capsys.readouterr().out
+    estimate = float(re.search(r"^estimate: (\S+)$", out, re.M).group(1))
+    rho = random_density_matrix(16, 3).entries
+    assert abs(estimate - np.trace(rho @ rho).real) < 1e-9

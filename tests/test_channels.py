@@ -29,6 +29,7 @@ from momentshift.operators import (
     tensor_product,
     vectorize,
 )
+from conftest import noisy_copies as oracle_noisy_copies
 
 
 class TestDepolarizing:
@@ -170,13 +171,23 @@ class TestTensorPower:
 
 
 @pytest.mark.parametrize("noise", [depolarizing(0.3, 2), amplitude_damping(0.4)])
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_noisy_copies_is_product_of_noisy_states(noise, k):
     rho = random_density_matrix(2, 5)
-    expect = np.ones((1, 1))
-    for _ in range(k):
-        expect = np.kron(expect, apply(noise, rho).entries)
-    assert_allclose(noisy_copies(rho, noise, k).entries, expect, atol=1e-12)
+    assert_allclose(noisy_copies(rho, noise, k).entries,
+                    oracle_noisy_copies(rho, noise, k).entries, atol=1e-12)
+
+
+def test_noisy_copies_needs_one_copy():
+    with pytest.raises(ValueError, match="k >= 1"):
+        noisy_copies(random_density_matrix(2, 5), depolarizing(0.3, 2), 0)
+
+
+def test_noisy_copies_of_two_qubit_states():
+    noise = depolarizing(0.3, 4)
+    rho = random_density_matrix(4, 5)
+    assert_allclose(noisy_copies(rho, noise, 2).entries,
+                    oracle_noisy_copies(rho, noise, 2).entries, atol=1e-12)
 
 
 class TestChannelMatrix:

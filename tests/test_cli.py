@@ -248,3 +248,13 @@ class TestHubbardDemo:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--shots", "0", "--trials", "2"), "shots must be at least 1"),
+        (("--shots", "16", "--trials", "1"), "trials must be at least 2"),
+    ], ids=["zero_shots", "one_trial"])
+    def test_no_standard_error_is_usage_error(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "hubbard-demo", "--eps", "0.1", *flags)
+        assert code == 1
+        assert message in err
+        assert "nan" not in out

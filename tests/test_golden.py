@@ -5,7 +5,9 @@ whose kinds were ``mixed_unitary``, ``measurement_based``, ``choi`` and
 ``recursive``; the expected stdout below was printed by the same code.  Each
 case runs once on the stored file and once on a file written now, and both
 must print the same bytes: loading an old file and rewriting a protocol in
-the current kinds both keep every sampling stream.
+the current kinds both keep every sampling stream.  The recursive k = 4, 5 and
+the non-default Hubbard subsystem cases pin larger k-copy states on files
+written now.
 """
 
 import contextlib
@@ -51,6 +53,13 @@ CASES = {
 }
 
 
+# k: `estimate --exact --renyi k` stdout of the recursive retriever, depolarizing eps 0.2
+RECURSIVE_EXACT = {
+    4: "zeta: 0.355435717497\nestimate: 0.858485638421\nrenyi_4: 0.0508617758242\n",
+    5: "zeta: 0.270299028279\nestimate: 0.826352015011\nrenyi_5: 0.0476836069876\n",
+}
+
+
 def _run(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -88,6 +97,25 @@ def test_hubbard_demo_stdout_pinned():
                      "analytic biased value: 0.289792693438\n"
                      "raw mean: 0.2734375 (se 0.0279872203909)\n"
                      "mitigated mean: 0.303047839506 (se 0.035764846099)\n"))
+
+
+@pytest.mark.parametrize("k", sorted(RECURSIVE_EXACT))
+def test_recursive_exact_stdout_pinned(k, tmp_path):
+    path = tmp_path / f"recursive_k{k}.json"
+    assert _run(["synthesize", "--noise", DE, "--eps", "0.2", "--k", str(k),
+                 "--out", str(path)])[0] == 0
+    assert _run(["estimate", "--protocol", str(path), "--noise", DE, "--eps", "0.2",
+                 "--state-seed", "4", "--exact", "--renyi", str(k)]) == \
+        (0, RECURSIVE_EXACT[k])
+
+
+def test_hubbard_demo_subsystem_stdout_pinned():
+    assert _run(["hubbard-demo", "--eps", "0.1", "--shots", "256", "--trials", "4",
+                 "--seed", "4", "--subsystem", "1,3"]) == (0, (
+                     "exact tr[rho_A^2]: 0.407724686559\n"
+                     "analytic biased value: 0.377756996113\n"
+                     "raw mean: 0.375 (se 0.0287049579232)\n"
+                     "mitigated mean: 0.418788580247 (se 0.033986584542)\n"))
 
 
 def test_fig4_estimates_pinned():

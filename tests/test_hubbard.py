@@ -140,6 +140,7 @@ class TestFig4:
         assert np.array_equal(a.mitigated_estimates, b.mitigated_estimates)
 
     def test_three_qubit_subsystem(self):
-        res = fig4_experiment(0.1, subsystem=[0, 1, 2], shots=16, trials=1, seed=0)
+        res = fig4_experiment(0.1, subsystem=[0, 1, 2], shots=256, trials=4, seed=0)
         assert res.subsystem == (0, 1, 2)
         assert np.isfinite(res.raw_mean) and np.isfinite(res.mitigated_mean)
+        assert np.all(np.isfinite(res.std_errors()))
