@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -287,7 +288,9 @@ def cmd_hubbard_demo(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> _Parser:
+    """The CLI parser, built once per process; parsing does not change it."""
     p = _Parser(prog="momentshift",
                 description="Retrieve density-matrix moments from noisy states")
     sub = p.add_subparsers(dest="command", required=True)

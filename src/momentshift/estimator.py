@@ -19,6 +19,16 @@ has its own stream layout:
 * the recursive retriever is not trace preserving and is evaluated exactly
   only.
 
+The measurement and the apply-then-measure modes run in two steps.  The
+distribution step runs the sampling gates (the recursive refusal, trace
+preservation, the state dimension and the memory budget of the noisy k-copy
+state) and returns the outcome values with their cumulative probabilities;
+it depends only on the protocol, the state and the noise.  The draw step
+turns that pair, a shot count and a seed into an ``EstimationRun``.  A
+caller that repeats runs of one fixed set-up, such as
+``hubbard.fig4_experiment``, builds the distribution once and draws every
+trial from it.
+
 Per-shot outcomes are eigenvalues of the moment observable or stored
 per-outcome values, all in [-1, 1], which fixes the range constant in the
 Hoeffding plan.
@@ -45,40 +55,53 @@ from .protocols import (
     is_trace_preserving,
 )
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_MASK = 2 ** 64 - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
-def _sm64_output(state: np.ndarray) -> np.ndarray:
-    z = state.astype(np.uint64)
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+def _sm64_output(z: int) -> int:
+    """SplitMix64's output mix of a 64-bit state."""
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+    return z ^ (z >> 31)
 
 
-def _scramble(x: int) -> np.uint64:
-    state = (int(x) + int(_GOLDEN)) % 2 ** 64
-    return _sm64_output(np.array([state], dtype=np.uint64))[0]
+def _sm64_output_inplace(z: np.ndarray, tmp: np.ndarray) -> None:
+    """``_sm64_output`` on a uint64 array, overwriting ``z``; ``tmp`` is scratch."""
+    for shift, mix in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, shift, out=tmp)
+        z ^= tmp
+        z *= np.uint64(mix)
+    np.right_shift(z, 31, out=tmp)
+    z ^= tmp
+
+
+def _scramble(x: int) -> int:
+    return _sm64_output((int(x) + _GOLDEN) & _MASK)
 
 
 def shot_uniforms(seed: int, shots: int, draws: int) -> np.ndarray:
     """(shots, draws) array of uniforms; row i depends only on (seed, i)."""
-    base = _scramble(seed) + np.arange(shots, dtype=np.uint64)
-    cols = []
+    base = np.arange(shots, dtype=np.uint64)
+    base += np.uint64(_scramble(seed))
+    out = np.empty((shots, draws))
+    z = np.empty(shots, dtype=np.uint64)
+    tmp = np.empty(shots, dtype=np.uint64)
     for n in range(1, draws + 1):
-        step = np.uint64((n * int(_GOLDEN)) % 2 ** 64)
-        z = _sm64_output(base + step)
-        cols.append((z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53))
-    return np.stack(cols, axis=1)
+        np.add(base, np.uint64((n * _GOLDEN) & _MASK), out=z)
+        _sm64_output_inplace(z, tmp)
+        z >>= 11
+        np.multiply(z, 2.0 ** -53, out=out[:, n - 1])
+    return out
 
 
 def derive_seed(seed: int, *indices: int) -> int:
     """Deterministic sub-seed for independent trials/streams."""
-    s = int(_scramble(seed))
+    s = _scramble(seed)
     for ix in indices:
-        mixed = (s ^ (int(_scramble(ix)) + int(_GOLDEN))) % 2 ** 64
-        s = int(_sm64_output(np.array([mixed], dtype=np.uint64))[0])
+        s = _sm64_output((s ^ (_scramble(ix) + _GOLDEN)) & _MASK)
     return s
 
 
@@ -169,7 +192,15 @@ def _born_distribution(state: np.ndarray, v: np.ndarray, groups: np.ndarray,
 
 
 def _sample_categorical(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return np.searchsorted(cumulative, u, side="right").clip(0, cumulative.size - 1)
+    """Index of the first cumulative entry above u, the last index at most.
+
+    For a nondecreasing ``cumulative`` this is
+    ``searchsorted(cumulative, u, side="right").clip(0, cumulative.size - 1)``.
+    """
+    idx = np.zeros(u.shape, dtype=np.intp)
+    for c in cumulative[:-1]:
+        idx += u >= c
+    return idx
 
 
 def _is_kraus(r) -> bool:
@@ -178,6 +209,14 @@ def _is_kraus(r) -> bool:
 
 def _is_measurement(r) -> bool:
     return isinstance(r, MeasurePrepare) and r.values is not None
+
+
+def _draw(p: RetrievalProtocol, values: np.ndarray, cumulative: np.ndarray,
+          shots: int, seed: int) -> EstimationRun:
+    """One run of ``shots`` draws from a fixed outcome distribution."""
+    u = shot_uniforms(seed, shots, 1)[:, 0]
+    outcome = _sample_categorical(cumulative, u)
+    return _finish_run(p, seed, values[outcome], outcome)
 
 
 def run_mixed_unitary(p: RetrievalProtocol, rho: Operator, noise: Channel,
@@ -199,9 +238,9 @@ def run_mixed_unitary(p: RetrievalProtocol, rho: Operator, noise: Channel,
     return _finish_run(p, seed, values[outcome], j)
 
 
-def run_measurement_based(p: RetrievalProtocol, rho: Operator, noise: Channel,
-                          shots: int, seed: int) -> EstimationRun:
-    """Sample a measurement outcome per shot; record its stored value."""
+def _measurement_distribution(p: RetrievalProtocol, rho: Operator,
+                              noise: Channel) -> tuple[np.ndarray, np.ndarray]:
+    """Stored values and cumulative probabilities of the measurement outcomes."""
     r = p.realization
     if not _is_measurement(r):
         raise TypeError("protocol realization is not a projective measurement")
@@ -209,22 +248,27 @@ def run_measurement_based(p: RetrievalProtocol, rho: Operator, noise: Channel,
     probs = r.outcome_probabilities(sigma)
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
-    cum = np.cumsum(probs)
-    u = shot_uniforms(seed, shots, 1)[:, 0]
-    outcome = _sample_categorical(cum, u)
-    values = np.asarray(r.values, dtype=float)
-    return _finish_run(p, seed, values[outcome], outcome)
+    return np.asarray(r.values, dtype=float), np.cumsum(probs)
+
+
+def run_measurement_based(p: RetrievalProtocol, rho: Operator, noise: Channel,
+                          shots: int, seed: int) -> EstimationRun:
+    """Sample a measurement outcome per shot; record its stored value."""
+    return _draw(p, *_measurement_distribution(p, rho, noise), shots, seed)
+
+
+def _choi_distribution(p: RetrievalProtocol, rho: Operator,
+                       noise: Channel) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of H_k and their cumulative Born probabilities after the retriever."""
+    out = apply_realization(p.realization, _noisy_state(p, rho, noise))
+    values, v, groups = _merged_eigenbasis(p.k, p.copy_dim)
+    return values, np.cumsum(_born_distribution(out, v, groups, values.size))
 
 
 def run_choi_map(p: RetrievalProtocol, rho: Operator, noise: Channel,
                  shots: int, seed: int) -> EstimationRun:
     """Apply the (trace-preserving) retriever, then measure H."""
-    out = apply_realization(p.realization, _noisy_state(p, rho, noise))
-    values, v, groups = _merged_eigenbasis(p.k, p.copy_dim)
-    cum = np.cumsum(_born_distribution(out, v, groups, values.size))
-    u = shot_uniforms(seed, shots, 1)[:, 0]
-    outcome = _sample_categorical(cum, u)
-    return _finish_run(p, seed, values[outcome], outcome)
+    return _draw(p, *_choi_distribution(p, rho, noise), shots, seed)
 
 
 def run_protocol(p: RetrievalProtocol, rho: Operator, noise: Channel,

@@ -20,7 +20,7 @@ from math import exp
 import numpy as np
 
 from .channels import depolarizing
-from .estimator import EstimationRun, derive_seed, run_choi_map
+from .estimator import _choi_distribution, _draw, derive_seed
 from .operators import Operator, check_memory, partial_trace
 from .protocols import de_second_moment_nqubit, identity_protocol
 
@@ -196,15 +196,17 @@ def fig4_experiment(eps: float, subsystem: list[int] | None = None,
     mitigated_protocol = de_second_moment_nqubit(eps, n)
     raw_protocol = identity_protocol(2, d)
 
+    # The outcome distributions are fixed for the experiment; trials differ
+    # only in their draws.
+    raw_dist = _choi_distribution(raw_protocol, rho_a, noise)
+    mit_dist = _choi_distribution(mitigated_protocol, rho_a, noise)
     raw = np.empty(trials)
     mit = np.empty(trials)
     for trial in range(trials):
-        run_r: EstimationRun = run_choi_map(raw_protocol, rho_a, noise, shots,
-                                            derive_seed(seed, trial, 0))
-        run_m: EstimationRun = run_choi_map(mitigated_protocol, rho_a, noise, shots,
-                                            derive_seed(seed, trial, 1))
-        raw[trial] = run_r.estimate
-        mit[trial] = run_m.estimate
+        raw[trial] = _draw(raw_protocol, *raw_dist, shots,
+                           derive_seed(seed, trial, 0)).estimate
+        mit[trial] = _draw(mitigated_protocol, *mit_dist, shots,
+                           derive_seed(seed, trial, 1)).estimate
     return Fig4Result(
         exact_purity=exact, eps=eps, subsystem=tuple(subsystem),
         shots=shots, trials=trials, seed=seed,

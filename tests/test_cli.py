@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from momentshift.cli import main
+from momentshift.cli import build_parser, main
 from momentshift.protocols import load_protocol
 
 
@@ -258,3 +258,32 @@ class TestHubbardDemo:
         assert code == 1
         assert message in err
         assert "nan" not in out
+
+
+def test_reused_parser_prints_what_a_fresh_one_prints(capsys, tmp_path):
+    # main builds its parser once per process; a usage error in between must
+    # not change what the next command prints
+    path = tmp_path / "p.json"
+    run_cli(capsys, "synthesize", "--noise", "depolarizing", "--eps", "0.1",
+            "--out", str(path))
+    commands = [
+        ("estimate", "--protocol", str(path), "--noise", "depolarizing", "--eps", "0.1",
+         "--shots", "500", "--seed", "2"),
+        ("estimate", "--protocol", str(path), "--noise", "depolarizing"),  # no --eps
+        ("hubbard-demo", "--eps", "0.1", "--shots", "64", "--trials", "3", "--seed", "5"),
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    in_sequence = [outcome(argv) for argv in commands]
+    alone = []
+    for argv in commands:
+        build_parser.cache_clear()
+        alone.append(outcome(argv))
+    assert [code for code, _ in in_sequence] == [0, 1, 0]
+    assert in_sequence == alone

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from momentshift.channels import Channel, amplitude_damping, depolarizing
 from momentshift.estimator import (
+    _sample_categorical,
     derive_seed,
     plan_shots,
     renyi_entropy,
@@ -76,6 +77,37 @@ class TestStreams:
     def test_derive_seed_distinct(self):
         seeds = {derive_seed(5, t, m) for t in range(50) for m in range(2)}
         assert len(seeds) == 100
+
+    def test_derive_seed_pinned(self):
+        # SplitMix64 values of the earlier numpy-array implementation; negative
+        # and wide arguments reduce mod 2^64
+        assert derive_seed(-1, -3) == 12433421963164255912
+        assert derive_seed(2 ** 64 - 1, 5) == 223572123240426020
+        assert derive_seed(2 ** 70, 1) == 11869470683344840729
+
+    def test_shot_uniforms_pinned(self):
+        assert shot_uniforms(-5, 2, 2).tolist() == [
+            [0.6763599147503829, 0.44496798724275],
+            [0.07517679596274518, 0.8207499569688473]]
+
+
+def _searchsorted_index(cumulative, u):
+    return np.searchsorted(cumulative, u, side="right").clip(0, cumulative.size - 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_sample_categorical_matches_searchsorted(n):
+    rng = np.random.default_rng(n)
+    for scale in (1.0, 0.9):   # a complete distribution, and one summing below 1
+        cum = np.cumsum(rng.dirichlet(np.ones(n))) * scale
+        if n > 2:
+            cum[1] = cum[2]   # a zero-probability outcome: repeated entries
+        cases = {"random": rng.random(1000),
+                 "on entries": np.concatenate([cum, [0.0, np.nextafter(1.0, 0.0)]]),
+                 "above the last": np.array([cum[-1], 0.95, 0.999])}
+        for name, u in cases.items():
+            got = _sample_categorical(cum, u)
+            assert np.array_equal(got, _searchsorted_index(cum, u)), (scale, name)
 
 
 class TestMixedUnitaryRun:

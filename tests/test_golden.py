@@ -125,3 +125,13 @@ def test_fig4_estimates_pinned():
     assert [float(x) for x in res.mitigated_estimates] == [
         0.40432098765432095, 0.28858024691358025, 0.38503086419753085,
         0.41396604938271603]
+
+
+def test_hubbard_demo_benchmark_size_stdout_pinned():
+    # the default 4096 shots x 60 trials
+    assert _run(["hubbard-demo", "--eps", "0.17", "--subsystem", "1,3",
+                 "--seed", "3"]) == (0, (
+                     "exact tr[rho_A^2]: 0.407724686559\n"
+                     "analytic biased value: 0.358656536571\n"
+                     "raw mean: 0.362182617188 (se 0.00203024552968)\n"
+                     "mitigated mean: 0.411437353329 (se 0.00237380101678)\n"))

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from momentshift.channels import depolarizing
+from momentshift.estimator import derive_seed, run_choi_map
 from momentshift.hubbard import (
     HubbardModel,
     annihilation_operator,
@@ -13,6 +15,7 @@ from momentshift.hubbard import (
     reduced_state,
 )
 from momentshift.operators import random_pure_state
+from momentshift.protocols import de_second_moment_nqubit, identity_protocol
 
 
 class TestJordanWigner:
@@ -144,3 +147,20 @@ class TestFig4:
         assert res.subsystem == (0, 1, 2)
         assert np.isfinite(res.raw_mean) and np.isfinite(res.mitigated_mean)
         assert np.all(np.isfinite(res.std_errors()))
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("subsystem", [[0, 1], [1, 3], [0, 1, 2]])
+    def test_estimates_equal_one_run_per_trial(self, subsystem, seed):
+        # building each distribution once must give the estimates of one
+        # full run_choi_map per trial, bit for bit
+        eps, shots, trials = 0.17, 300, 5
+        res = fig4_experiment(eps, subsystem=subsystem, shots=shots,
+                              trials=trials, seed=seed)
+        rho_a = reduced_state(ground_state(build_hamiltonian(demo_model())), subsystem)
+        n = len(subsystem)
+        noise = depolarizing(eps, 2 ** n)
+        protocols = [identity_protocol(2, 2 ** n), de_second_moment_nqubit(eps, n)]
+        expected = [[run_choi_map(p, rho_a, noise, shots, derive_seed(seed, t, j)).estimate
+                     for t in range(trials)] for j, p in enumerate(protocols)]
+        assert res.raw_estimates.tolist() == expected[0]
+        assert res.mitigated_estimates.tolist() == expected[1]
