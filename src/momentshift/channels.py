@@ -68,24 +68,33 @@ class Channel:
         form = "kraus" if self.kraus is not None else "choi"
         return f"Channel({self.label or form}, {self.in_dim}->{self.out_dim})"
 
-    @property
     def choi(self) -> Operator:
         if self._choi is None:
             self._choi = choi_of(self)
         return self._choi
 
-    def apply(self, rho: Operator) -> Operator:
-        return apply(self, rho)
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Schroedinger-picture action N(x) on an in_dim x in_dim matrix."""
+        if self.kraus is not None:
+            return sum(e @ x @ e.conj().T for e in self.kraus)
+        j = self.choi().entries.reshape(self.in_dim, self.out_dim, self.in_dim, self.out_dim)
+        # N(x) = tr_A[(x^T (x) I) J]
+        return np.einsum("ij,iajb->ab", x, j)
 
-    def adjoint_apply(self, obs: Operator) -> Operator:
-        return adjoint_apply(self, obs)
+    def adjoint_apply(self, y: np.ndarray) -> np.ndarray:
+        """Heisenberg-picture action N^dag(y); unital when N is trace preserving."""
+        if self.kraus is not None:
+            return sum(e.conj().T @ y @ e for e in self.kraus)
+        j = self.choi().entries.reshape(self.in_dim, self.out_dim, self.in_dim, self.out_dim)
+        # N^dag(y) = tr_B[(I (x) y^T) J^T]
+        return np.einsum("ab,qbpa->pq", y, j)
 
-    def is_cptp(self, tol: float = CPTP_TOL) -> bool:
-        j = self.choi
-        if j.min_eigenvalue() < -tol:
+    def is_cptp(self) -> bool:
+        j = self.choi()
+        if j.min_eigenvalue() < -CPTP_TOL:
             return False
         marg = partial_trace(j.with_dims((self.in_dim, self.out_dim)), [0])
-        return bool(np.max(np.abs(marg.entries - np.eye(self.in_dim))) <= tol)
+        return bool(np.max(np.abs(marg.entries - np.eye(self.in_dim))) <= CPTP_TOL)
 
 
 def choi_of(c: Channel) -> Operator:
@@ -104,30 +113,14 @@ def apply(c: Channel, rho: Operator) -> Operator:
     """Schroedinger-picture action N(rho)."""
     if rho.dim != c.in_dim:
         raise ValueError(f"state dimension {rho.dim} != channel input {c.in_dim}")
-    if c.kraus is not None:
-        out = np.zeros((c.out_dim, c.out_dim), dtype=complex)
-        for e in c.kraus:
-            out += e @ rho.entries @ e.conj().T
-    else:
-        j = c.choi.entries.reshape(c.in_dim, c.out_dim, c.in_dim, c.out_dim)
-        # N(rho) = tr_A[(rho^T (x) I) J]
-        out = np.einsum("ij,iajb->ab", rho.entries, j)
-    return Operator(out, (c.out_dim,))
+    return Operator(c.apply(rho.entries), (c.out_dim,))
 
 
 def adjoint_apply(c: Channel, obs: Operator) -> Operator:
     """Heisenberg-picture action N^dag(O); unital when N is trace preserving."""
     if obs.dim != c.out_dim:
         raise ValueError(f"observable dimension {obs.dim} != channel output {c.out_dim}")
-    if c.kraus is not None:
-        out = np.zeros((c.in_dim, c.in_dim), dtype=complex)
-        for e in c.kraus:
-            out += e.conj().T @ obs.entries @ e
-    else:
-        j = c.choi.entries.reshape(c.in_dim, c.out_dim, c.in_dim, c.out_dim)
-        # N^dag(O) = tr_B[(I (x) O^T) J^T]
-        out = np.einsum("ab,qbpa->pq", obs.entries, j)
-    return Operator(out, (c.in_dim,))
+    return Operator(c.adjoint_apply(obs.entries), (c.in_dim,))
 
 
 def compose(after: Channel, before: Channel, label: str = "") -> Channel:
@@ -186,7 +179,7 @@ def noisy_copies(rho: Operator, noise: Channel, k: int) -> Operator:
     d = noise.out_dim
     # the joint state twice (Kronecker product, Operator's copy) and one copy
     check_memory(16 * (2 * d ** (2 * k) + d * d), f"{k} noisy copies of dimension {d}")
-    one = noise.apply(rho)
+    one = apply(noise, rho)
     joint = one
     for _ in range(k - 1):
         joint = tensor_product(joint, one)
@@ -204,9 +197,9 @@ def channel_matrix(c: Channel) -> np.ndarray:
     return m
 
 
-def is_invertible(c: Channel, tol: float = 1e-9) -> bool:
+def is_invertible(c: Channel) -> bool:
     """Rank test on M_N: invertible iff the channel matrix has full rank."""
-    return matrix_rank(channel_matrix(c), tol) == c.in_dim ** 2
+    return matrix_rank(channel_matrix(c)) == c.in_dim ** 2
 
 
 def identity_channel(d: int) -> Channel:
@@ -253,7 +246,7 @@ def channel_to_json(c: Channel) -> dict:
     if c.kraus is not None:
         doc["kraus"] = [matrix_to_json(e) for e in c.kraus]
     else:
-        doc["choi"] = matrix_to_json(c.choi.entries)
+        doc["choi"] = matrix_to_json(c.choi().entries)
     return doc
 
 

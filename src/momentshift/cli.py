@@ -25,7 +25,7 @@ from .estimator import (
     run_to_csv,
     save_run,
 )
-from .hubbard import fig4_experiment, ground_state, build_hamiltonian, demo_model, reduced_state
+from .hubbard import demo_model, fig4_experiment, model_ground_state, reduced_state
 from .moments import moment_observable
 from .operators import Operator, matrix_from_json, random_density_matrix
 from .protocols import (
@@ -199,8 +199,7 @@ def _load_state(args, protocol) -> Operator:
     if args.state == "maxmixed":
         return Operator(np.eye(d) / d)
     if args.state == "hubbard":
-        g = ground_state(build_hamiltonian(demo_model()))
-        rho = reduced_state(g, [0, 1])
+        rho = reduced_state(model_ground_state(demo_model()), [0, 1])
         if rho.dim != d:
             raise ValueError(f"hubbard subsystem dim {rho.dim} != protocol copy dim {d}")
         return rho

@@ -16,13 +16,16 @@ has its own stream layout:
   and records its stored value (one uniform);
 * any other trace-preserving realization is applied, then H_k is measured
   (one uniform);
-* the recursive retriever is not trace preserving and is evaluated exactly
-  only.
+* a realization that is not trace preserving, such as the recursive
+  retriever for k >= 3, fails the trace-preservation gate: evaluate it exactly.
+
+H_k's outcomes cos(2 pi m/k) and their Born probabilities come from the k
+traces tr[S_k^j X]; no eigendecomposition is computed.
 
 The measurement and the apply-then-measure modes run in two steps.  The
-distribution step runs the sampling gates (the recursive refusal, trace
-preservation, the state dimension and the memory budget of the noisy k-copy
-state) and returns the outcome values with their cumulative probabilities;
+distribution step runs the sampling gates (trace preservation, the state
+dimension and the memory budget of the noisy k-copy state) and returns the
+outcome values with their cumulative probabilities;
 it depends only on the protocol, the state and the noise.  The draw step
 turns that pair, a shot count and a seed into an ``EstimationRun``.  A
 caller that repeats runs of one fixed set-up, such as
@@ -45,15 +48,9 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import Channel, noisy_copies
-from .moments import moment_observable
+from .moments import cyclic_shift_index
 from .operators import Operator
-from .protocols import (
-    MeasurePrepare,
-    Recursive,
-    RetrievalProtocol,
-    apply_realization,
-    is_trace_preserving,
-)
+from .protocols import MeasurePrepare, RetrievalProtocol, is_trace_preserving
 
 _MASK = 2 ** 64 - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -151,44 +148,44 @@ def _finish_run(p: RetrievalProtocol, seed: int, values: np.ndarray,
 
 def _noisy_state(p: RetrievalProtocol, rho: Operator, noise: Channel) -> Operator:
     """The k-copy noisy input of a sampled protocol, after the sampling gates."""
-    if isinstance(p.realization, Recursive):
-        raise ValueError(
-            "the recursive retriever is not trace preserving; finite-shot "
-            "simulation is unsupported - use exact evaluation (--exact)")
     if not is_trace_preserving(p.realization):
-        raise ValueError("finite-shot simulation needs a trace-preserving retriever")
+        raise ValueError("finite-shot simulation needs a trace-preserving retriever; "
+                         "evaluate this one exactly (--exact)")
     if rho.dim != p.copy_dim:
         raise ValueError(f"state dim {rho.dim} != protocol copy dim {p.copy_dim}")
     return noisy_copies(rho, noise, p.k)
 
 
 @lru_cache(maxsize=None)
-def _merged_eigenbasis(k: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues of H_k merged within 1e-12, with per-column group labels.
+def _h_spectrum(k: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Outcomes of H_k, ascending, and the table reading their probabilities off S_k.
 
-    Cached per (k, d); the returned arrays are read-only.
+    H_k is cos(2 pi m/k), m = floor(k/2) .. 0, on the S_k eigenprojectors P_m + P_{k-m},
+    P_m = (1/k) sum_j w^(jm) S_k^j, so outcome m has probability
+    sum_j c_m cos(2 pi jm/k)/k tr[S_k^j X], c_m = 1 if m = k - m mod k, else 2.
+    The table holds the flat indices of X[x, S_k^j x] for j < k and those weights.
+    Cached per (k, d); the arrays are read-only.
     """
-    h = moment_observable(k, d).matrix
-    w, v = np.linalg.eigh(h.entries)
-    groups = np.zeros(w.size, dtype=int)
-    uniq = [w[0]]
-    for i in range(1, w.size):
-        if w[i] - uniq[-1] > 1e-12:
-            uniq.append(w[i])
-        groups[i] = len(uniq) - 1
-    out = (np.array(uniq), v, groups)
+    shift = cyclic_shift_index(k, d)
+    cols = [np.arange(d ** k)]  # S_k^j x for j < k
+    for _ in range(k - 1):
+        cols.append(shift[cols[-1]])
+    gather = cols[0] * d ** k + np.array(cols)
+    m = np.arange(k // 2, -1, -1)
+    mult = np.where((m == 0) | (2 * m == k), 1.0, 2.0)
+    weights = mult[:, None] * np.cos(2 * np.pi * np.outer(m, np.arange(k)) / k) / k
+    out = (np.cos(2 * np.pi * m / k), gather, weights)
     for a in out:
         a.flags.writeable = False
     return out
 
 
-def _born_distribution(state: np.ndarray, v: np.ndarray, groups: np.ndarray,
-                       n_groups: int) -> np.ndarray:
-    diag = np.real(np.einsum("ij,jk,ki->i", v.conj().T, state, v))
-    probs = np.zeros(n_groups)
-    np.add.at(probs, groups, diag)
-    probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
+def _h_distribution(states: np.ndarray, k: int, d: int) -> np.ndarray:
+    """Born probabilities of H_k's outcomes in each of a stack of k-copy states."""
+    _, gather, weights = _h_spectrum(k, d)
+    traces = states.reshape(*states.shape[:-2], -1)[..., gather].sum(axis=-1)
+    probs = np.clip(traces.real @ weights.T, 0.0, None)
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
 def _sample_categorical(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -226,11 +223,10 @@ def run_mixed_unitary(p: RetrievalProtocol, rho: Operator, noise: Channel,
     if not _is_kraus(r):
         raise TypeError("protocol realization is not a Kraus-form channel")
     sigma = _noisy_state(p, rho, noise).entries
-    values, v, groups = _merged_eigenbasis(p.k, p.copy_dim)
-    branches = [e @ sigma @ e.conj().T for e in r.kraus]
-    weights = np.array([np.trace(b).real for b in branches])
-    dists = np.stack([np.cumsum(_born_distribution(b, v, groups, values.size))
-                      for b in branches])
+    values = _h_spectrum(p.k, p.copy_dim)[0]
+    branches = np.stack([e @ sigma @ e.conj().T for e in r.kraus])
+    weights = np.trace(branches, axis1=1, axis2=2).real
+    dists = np.cumsum(_h_distribution(branches, p.k, p.copy_dim), axis=1)
     cum_pj = np.cumsum(weights / weights.sum())
     u12 = shot_uniforms(seed, shots, 2)
     j = _sample_categorical(cum_pj, u12[:, 0])
@@ -259,10 +255,9 @@ def run_measurement_based(p: RetrievalProtocol, rho: Operator, noise: Channel,
 
 def _choi_distribution(p: RetrievalProtocol, rho: Operator,
                        noise: Channel) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of H_k and their cumulative Born probabilities after the retriever."""
-    out = apply_realization(p.realization, _noisy_state(p, rho, noise))
-    values, v, groups = _merged_eigenbasis(p.k, p.copy_dim)
-    return values, np.cumsum(_born_distribution(out, v, groups, values.size))
+    """Outcomes of H_k and their cumulative Born probabilities after the retriever."""
+    out = p.realization.apply(_noisy_state(p, rho, noise).entries)
+    return _h_spectrum(p.k, p.copy_dim)[0], np.cumsum(_h_distribution(out, p.k, p.copy_dim))
 
 
 def run_choi_map(p: RetrievalProtocol, rho: Operator, noise: Channel,
@@ -273,7 +268,7 @@ def run_choi_map(p: RetrievalProtocol, rho: Operator, noise: Channel,
 
 def run_protocol(p: RetrievalProtocol, rho: Operator, noise: Channel,
                  shots: int, seed: int) -> EstimationRun:
-    """Sample in the mode the realization selects; recursive retrievers are exact-only."""
+    """Sample in the mode the realization selects; trace-preserving realizations only."""
     if shots < 1:
         raise ValueError(f"shots must be at least 1, got {shots}")
     if _is_kraus(p.realization):

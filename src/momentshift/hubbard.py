@@ -15,6 +15,7 @@ retriever construction used to mitigate it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import exp
 
 import numpy as np
@@ -26,6 +27,7 @@ from .protocols import de_second_moment_nqubit, identity_protocol
 
 _SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
+DEGENERACY_GAP_TOL = 1e-10  # a smaller spectral gap marks the ground state degenerate
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,7 @@ class GroundStateResult:
     degenerate: bool
 
 
-def ground_state(h: Operator, gap_tol: float = 1e-10) -> GroundStateResult:
+def ground_state(h: Operator) -> GroundStateResult:
     if not h.is_hermitian(1e-9):
         raise ValueError("Hamiltonian must be Hermitian")
     vals, vecs = np.linalg.eigh(h.entries)
@@ -112,7 +114,13 @@ def ground_state(h: Operator, gap_tol: float = 1e-10) -> GroundStateResult:
     return GroundStateResult(energy=float(vals[0]),
                              state=Operator(np.outer(psi, psi.conj()), h.subsystem_dims),
                              degeneracy_gap=gap,
-                             degenerate=bool(gap < gap_tol))
+                             degenerate=bool(gap < DEGENERACY_GAP_TOL))
+
+
+@lru_cache(maxsize=None)
+def model_ground_state(model: HubbardModel) -> GroundStateResult:
+    """Ground state of the model's Hamiltonian, computed on the first call per model."""
+    return ground_state(build_hamiltonian(model))
 
 
 def reduced_state(g: GroundStateResult, subsystem: list[int]) -> Operator:
@@ -187,8 +195,7 @@ def fig4_experiment(eps: float, subsystem: list[int] | None = None,
     model = model or demo_model()
     subsystem = list(subsystem) if subsystem is not None else [0, 1]
     n = len(subsystem)
-    h = build_hamiltonian(model)
-    g = ground_state(h)
+    g = model_ground_state(model)
     rho_a = reduced_state(g, subsystem)
     exact = float(np.trace(rho_a.entries @ rho_a.entries).real)
     d = 2 ** n

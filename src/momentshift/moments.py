@@ -26,17 +26,18 @@ def _dim(k: int, d: int) -> int:
     return d ** k
 
 
+def cyclic_shift_index(k: int, d: int = 2) -> np.ndarray:
+    """Flat index of S_k |x> = |x2 ... xk x1> for every basis string x, in order."""
+    strings = np.arange(_dim(k, d)).reshape((d,) * k)
+    return np.moveaxis(strings, -1, 0).reshape(-1)
+
+
 def cyclic_permutation(k: int, d: int = 2) -> Operator:
     """Unitary S_k with S_k |x1 x2 ... xk> = |x2 ... xk x1>."""
     dim = _dim(k, d)
     check_memory(2 * 16 * dim * dim, f"cyclic permutation for k={k}, d={d}")  # S_k, copy
     s = np.zeros((dim, dim), dtype=complex)
-    radix = [d ** (k - 1 - j) for j in range(k)]
-    for x in product(range(d), repeat=k):
-        col = sum(xi * r for xi, r in zip(x, radix))
-        shifted = x[1:] + x[:1]
-        row = sum(xi * r for xi, r in zip(shifted, radix))
-        s[row, col] = 1.0
+    s[cyclic_shift_index(k, d), np.arange(dim)] = 1.0
     return Operator(s, (d,) * k)
 
 

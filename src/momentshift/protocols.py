@@ -8,7 +8,9 @@ post-processing scalars: the sampling overhead ``f`` and the shift distance
 
 for all states rho, where H_k is the moment observable on k copies.
 
-Three realizations are used:
+Every realization is a linear map with one interface: ``in_dim``,
+``out_dim``, ``apply(x)`` and ``adjoint_apply(y)`` on dense matrices, and a
+``choi()`` method.  Three realizations are used:
 
 * a :class:`~momentshift.channels.Channel`, in Kraus form (the twelve-unitary
   depolarizing twirl with Kraus operators sqrt(p_j) U_j, the identity
@@ -19,6 +21,8 @@ Three realizations are used:
 * :class:`Recursive`, the retriever for arbitrary moment order under
   depolarizing noise, stored as a composition tree of transfer maps and
   applied factor by factor instead of materializing one giant Choi matrix.
+  It is not trace preserving for k >= 3, so the trace-preservation gate of
+  finite-shot sampling refuses it and it is evaluated exactly only.
 
 Protocol files are written with kind ``channel``, ``measure_prepare`` or
 ``recursive``; files of the earlier kinds ``mixed_unitary``,
@@ -36,9 +40,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import Channel, adjoint_apply, apply, channel_from_json, channel_to_json
+from .channels import Channel, channel_from_json, channel_to_json
 from .moments import moment_observable, permutation_eigenprojectors
-from .operators import Operator, check_memory, identity, matrix_from_json, matrix_to_json
+from .operators import Operator, check_memory, matrix_from_json, matrix_to_json
 from .sdp.problem import SdpSolution
 
 PROTOCOL_SCHEMA_VERSION = 1
@@ -148,11 +152,16 @@ class Recursive:
     d: int
     f_table: tuple[float, ...]  # f_2 .. f_k
 
+    in_dim = out_dim = property(lambda self: self.d ** self.k)
+
     def apply(self, x: np.ndarray, rest: int = 1) -> np.ndarray:
         return _apply_ck(self.eps, self.k, self.d, x, rest, self.f_table)
 
+    def adjoint_apply(self, y: np.ndarray, rest: int = 1) -> np.ndarray:
+        return _apply_ck(self.eps, self.k, self.d, y, rest, self.f_table, adjoint=True)
+
     def choi(self) -> Operator:
-        return _dense_choi(self.apply, self.d ** self.k)
+        return _dense_choi(self.apply, self.in_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -174,21 +183,10 @@ class RetrievalProtocol:
                 Recursive: "recursive"}[type(self.realization)]
 
 
-def apply_realization(r: Channel | MeasurePrepare | Recursive,
-                      noisy_state: Operator) -> np.ndarray:
-    """Dense output matrix of a realization on the joint k-copy state."""
-    if isinstance(r, Channel):
-        return apply(r, noisy_state).entries
-    return r.apply(noisy_state.entries)
-
-
-def is_trace_preserving(r: Channel | MeasurePrepare, tol: float = SAMPLING_TP_TOL) -> bool:
+def is_trace_preserving(r: Channel | MeasurePrepare | Recursive) -> bool:
     """Whether the realization's adjoint maps the identity to the identity."""
-    if isinstance(r, Channel):
-        unit = adjoint_apply(r, identity(r.out_dim)).entries
-    else:
-        unit = r.adjoint_apply(np.eye(r.out_dim))
-    return bool(np.max(np.abs(unit - np.eye(r.in_dim))) <= tol)
+    unit = r.adjoint_apply(np.eye(r.out_dim))
+    return bool(np.max(np.abs(unit - np.eye(r.in_dim))) <= SAMPLING_TP_TOL)
 
 
 def exact_expectation(p: RetrievalProtocol, noisy_state: Operator,
@@ -198,7 +196,7 @@ def exact_expectation(p: RetrievalProtocol, noisy_state: Operator,
         H = moment_observable(p.k, p.copy_dim)
     if noisy_state.dim != p.copy_dim ** p.k:
         raise ValueError("noisy state dimension does not match protocol")
-    out = apply_realization(p.realization, noisy_state)
+    out = p.realization.apply(noisy_state.entries)
     return float(np.real(np.trace(H.matrix.entries @ out)))
 
 
@@ -238,7 +236,7 @@ def _checked_twirl() -> Channel:
         if np.max(np.abs(u @ u.conj().T - np.eye(4))) > 1e-12:
             raise AssertionError(f"twirl unitary {idx + 1} failed unitarity check")
     twirl = Channel(4, 4, kraus=[np.sqrt(1.0 / 12.0) * u for u in us], label="twirl")
-    if np.max(np.abs(twirl.choi.entries - _twirl_choi_closed_form())) > 1e-12:
+    if np.max(np.abs(twirl.choi().entries - _twirl_choi_closed_form())) > 1e-12:
         raise AssertionError("twirl Choi does not match its closed form")
     return twirl
 
@@ -429,14 +427,20 @@ def _shift_table(eps: float, k: int, d: int) -> tuple[tuple[float, ...], tuple[f
 
 
 def _apply_ck(eps: float, k: int, d: int, x: np.ndarray, rest: int,
-              f_table: tuple[float, ...]) -> np.ndarray:
+              f_table: tuple[float, ...], adjoint: bool = False) -> np.ndarray:
+    """C_k = id + sum_l c_l R_l^dag o (C_l (x) id) on the leading k copies of x,
+    or its adjoint id + sum_l c_l (C_l^dag (x) id) o R_l."""
     if k == 2:
-        return _de2_qudit_map(d).apply(x, rest)
+        base = _de2_qudit_map(d)
+        return (base.adjoint_apply if adjoint else base.apply)(x, rest)
     out = np.array(x, dtype=complex, copy=True)
     for l in range(2, k):
         coeff = comb(k, l) * (1 - eps) ** l * eps ** (k - l) * f_table[l - 2]
-        y = _apply_ck(eps, l, d, x, rest * d ** (k - l), f_table)
-        z = recovery_map(k, l, d).adjoint_apply(y, rest)
+        r = recovery_map(k, l, d)
+        if adjoint:
+            z = _apply_ck(eps, l, d, r.apply(x, rest), rest * d ** (k - l), f_table, True)
+        else:
+            z = r.adjoint_apply(_apply_ck(eps, l, d, x, rest * d ** (k - l), f_table), rest)
         out += coeff * z
     return out
 

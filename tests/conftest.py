@@ -3,7 +3,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from momentshift import Operator, random_density_matrix, tensor_power, tensor_product
+from momentshift import Operator, apply, random_density_matrix, tensor_power, tensor_product
 
 
 @lru_cache(maxsize=8)  # a few channels in flight; each k = 5 power is up to 16 MiB
@@ -17,7 +17,7 @@ def noisy_copies(rho: Operator, noise, k: int) -> Operator:
     joint = rho
     for _ in range(k - 1):
         joint = tensor_product(joint, rho)
-    return _noise_power(noise, k).apply(joint)
+    return apply(_noise_power(noise, k), joint)
 
 
 def true_moment(rho: Operator, k: int) -> float:

@@ -97,7 +97,7 @@ class TestChoi:
 
     def test_choi_apply_consistent(self):
         c = amplitude_damping(0.25)
-        via_choi = Channel(2, 2, choi=c.choi)
+        via_choi = Channel(2, 2, choi=c.choi())
         for seed in range(4):
             rho = random_density_matrix(2, seed)
             assert_allclose(apply(via_choi, rho).entries, apply(c, rho).entries,
@@ -108,7 +108,7 @@ class TestChoi:
 
     def test_builtin_channels_cptp(self):
         for c in (depolarizing(0.3, 2), amplitude_damping(0.4), identity_channel(3)):
-            j = c.choi
+            j = c.choi()
             assert j.min_eigenvalue() >= -1e-9
             marg = partial_trace(j.with_dims((c.in_dim, c.out_dim)), [0])
             assert_allclose(marg.entries, np.eye(c.in_dim), atol=1e-9)
@@ -236,7 +236,7 @@ def _random_cptp(d: int, seed: int, n_kraus: int = 3) -> Channel:
 def test_link_product_matches_kraus_composition():
     first = amplitude_damping(0.3)
     second = depolarizing(0.25, 2)
-    j = link_product(first.choi, second.choi, (2, 2, 2))
+    j = link_product(first.choi(), second.choi(), (2, 2, 2))
     assert_allclose(j.entries, choi_of(compose(second, first)).entries, atol=1e-10)
 
 
@@ -245,7 +245,7 @@ def test_link_product_random_channels(seed):
     first = _random_cptp(2, seed)
     second = _random_cptp(2, seed + 10)
     assert first.is_cptp() and second.is_cptp()
-    j = link_product(first.choi, second.choi, (2, 2, 2))
+    j = link_product(first.choi(), second.choi(), (2, 2, 2))
     assert_allclose(j.entries, choi_of(compose(second, first)).entries, atol=1e-10)
 
 
@@ -256,7 +256,7 @@ def test_json_round_trip(tmp_path):
     save_channel(c, path)
     c2 = load_channel(path)
     assert c2.label == c.label
-    assert_allclose(c2.choi.entries, c.choi.entries, atol=1e-15)
+    assert_allclose(c2.choi().entries, c.choi().entries, atol=1e-15)
     doc = channel_to_json(c)
     assert set(doc) == {"label", "in_dim", "out_dim", "kraus"}
-    assert_allclose(channel_from_json(doc).choi.entries, c.choi.entries)
+    assert_allclose(channel_from_json(doc).choi().entries, c.choi().entries)

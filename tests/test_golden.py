@@ -135,3 +135,14 @@ def test_hubbard_demo_benchmark_size_stdout_pinned():
                      "analytic biased value: 0.358656536571\n"
                      "raw mean: 0.362182617188 (se 0.00203024552968)\n"
                      "mitigated mean: 0.411437353329 (se 0.00237380101678)\n"))
+
+
+def test_sampled_k3_stdout_pinned(tmp_path):
+    # a k = 3 retriever from the solver, sampled through H_3's outcomes
+    path = tmp_path / "sdp_ad_k3.json"
+    assert _run(["synthesize", "--noise", AD, "--eps", "0.1", "--k", "3", "--force-sdp",
+                 "--out", str(path)])[0] == 0
+    assert _run(["estimate", "--protocol", str(path), "--noise", AD, "--eps", "0.1",
+                 "--seed", "4", "--state-seed", "4"]) == (0, (
+                     "planned shots: 5443 (delta=0.05, fail_prob=0.05, f=1.35802499973)\n"
+                     "shots: 5443\nzeta_bar: 0.651111519383\nestimate: 0.896571481537\n"))

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from momentshift.channels import Channel, amplitude_damping, depolarizing, identity_channel
+from momentshift.channels import Channel, amplitude_damping, apply, depolarizing, identity_channel
 from momentshift.moments import moment_observable
 from momentshift.operators import Operator, random_density_matrix, tensor_product
 from momentshift.protocols import (
     MeasurePrepare,
+    _de2_qudit_map,
     ad_second_moment,
-    apply_realization,
     de_kth_moment,
     de_second_moment,
     de_second_moment_nqubit,
@@ -46,7 +46,7 @@ class TestTwirlProtocol:
         xyz = (np.kron(PAULI_X, PAULI_X) + np.kron(PAULI_Y, PAULI_Y)
                + np.kron(PAULI_Z, PAULI_Z))
         closed = np.kron(np.eye(4), np.eye(4)) / 4 + np.kron(xyz, xyz) / 12
-        assert np.max(np.abs(mu.choi.entries - closed)) < 1e-12
+        assert np.max(np.abs(mu.choi().entries - closed)) < 1e-12
 
     def test_eps_zero_is_twirl_preserving(self):
         p = de_second_moment(0.0)
@@ -149,7 +149,7 @@ class TestAmplitudeDampingProtocol:
 class TestNQubitProtocol:
     def test_n1_matches_twirl_choi(self):
         a = de_second_moment_nqubit(0.2, 1).realization.choi()
-        b = de_second_moment(0.2).realization.choi
+        b = de_second_moment(0.2).realization.choi()
         assert np.max(np.abs(a.entries - b.entries)) < 1e-12
 
     def test_shift_value_n2(self):
@@ -173,7 +173,7 @@ class TestNQubitProtocol:
         noise = depolarizing(eps, d)
         for seed in range(3):
             rho = random_density_matrix(d, seed)
-            noisy = noise.apply(rho)
+            noisy = apply(noise, rho)
             z = exact_expectation(p, tensor_product(noisy, noisy))
             assert abs(p.f * z - p.t - true_moment(rho, 2)) < 1e-10
 
@@ -268,7 +268,7 @@ class TestRecursiveProtocol:
         assert abs(p2.f - ref.f) < 1e-15
         assert abs(p2.t - ref.t) < 1e-15
         assert np.max(np.abs(p2.realization.choi().entries
-                             - ref.realization.choi.entries)) < 1e-12
+                             - ref.realization.choi().entries)) < 1e-12
 
     def test_shift_distance_recursion_k3(self):
         # tr[(noisy rho)^3] expansion with tr[I] = d fixes the constant term
@@ -416,8 +416,8 @@ class TestSerialization:
         assert loaded.t == pytest.approx(proto.t, abs=1e-15)
         d = proto.copy_dim ** proto.k
         x = random_density_matrix(d, 0)
-        assert_allclose(apply_realization(loaded.realization, x),
-                        apply_realization(proto.realization, x), atol=1e-12)
+        assert_allclose(loaded.realization.apply(x.entries),
+                        proto.realization.apply(x.entries), atol=1e-12)
 
     def test_schema_fields(self):
         doc = protocol_to_json(ad_second_moment(0.2))
@@ -429,3 +429,45 @@ class TestSerialization:
         doc["schema_version"] = 99
         with pytest.raises(ValueError):
             protocol_from_json(doc)
+
+
+def _adjoint_maps():
+    rng = np.random.default_rng(5)
+    kraus = [rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)) for _ in range(3)]
+    choi = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    choi += choi.conj().T  # Hermitian: the map preserves Hermiticity, as channels do
+    return {
+        "kraus_channel": Channel(2, 3, kraus=kraus),
+        "choi_channel": Channel(2, 3, choi=Operator(choi, (2, 3))),
+        "ad_second_moment": ad_second_moment(0.2).realization,
+        "de2_qudit_4": _de2_qudit_map(4),
+        "recovery_4_2": recovery_map(4, 2),
+        "recursive_k3_d2": de_kth_moment(0.1, 3, 2).realization,
+        "recursive_k4_d2": de_kth_moment(0.1, 4, 2).realization,
+        "recursive_k5_d2": de_kth_moment(0.1, 5, 2).realization,
+        "recursive_k3_d3": de_kth_moment(0.1, 3, 3).realization,
+    }
+
+
+class TestAdjoint:
+    @pytest.mark.parametrize("name", sorted(_adjoint_maps()))
+    def test_adjoint_identity(self, name):
+        # <Y, r(X)> = <r^dag(Y), X> for the Hilbert-Schmidt inner product
+        r = _adjoint_maps()[name]
+        in_dim = getattr(r, "in_dim", None) or r.dim
+        out_dim = getattr(r, "out_dim", None) or r.dim
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(in_dim, in_dim)) + 1j * rng.normal(size=(in_dim, in_dim))
+        y = rng.normal(size=(out_dim, out_dim)) + 1j * rng.normal(size=(out_dim, out_dim))
+        lhs = np.vdot(y, r.apply(x))
+        rhs = np.vdot(r.adjoint_apply(y), x)
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+    @pytest.mark.parametrize("k,d", [(3, 2), (4, 2), (5, 2), (3, 3)])
+    def test_recursive_not_trace_preserving(self, k, d):
+        assert not is_trace_preserving(de_kth_moment(0.1, k, d).realization)
+
+    def test_recursive_adjoint_unit_spectrum_k3(self):
+        r = de_kth_moment(0.1, 3, 2).realization
+        w = np.linalg.eigvalsh(r.adjoint_apply(np.eye(8)))
+        assert_allclose([w.min(), w.max()], [1.15, 1.30], atol=1e-12)
