@@ -7,6 +7,13 @@ batches of basis matrices.  The solver compiles everything to one real system
 ``A x = b`` over the orthonormal Hermitian coordinate basis
 ``{E_ii} u {(E_ij + E_ji)/sqrt2} u {i(E_ij - E_ji)/sqrt2}``, under which
 Frobenius norms and inner products carry over to ordinary Euclidean ones.
+
+A block may declare symmetry sectors: orthonormal column bases Q_s with
+mutually orthogonal ranges, restricting it to ``X = sum_s Q_s B_s Q_s^dag``
+with each ``B_s`` Hermitian of size m_s.  Its coordinates are then the
+Hermitian coordinates of the ``B_s``, concatenated (sum_s m_s^2 of them
+instead of dim^2); since ``||X||_F^2 = sum_s ||B_s||_F^2`` the map is still an
+isometry.  A block without sectors is the one-sector case Q = I.
 """
 
 from __future__ import annotations
@@ -78,11 +85,50 @@ class HermitianBasis:
         return h
 
 
+@dataclass(frozen=True, eq=False)
+class Sector:
+    """Orthonormal columns Q (dim x m) spanning one sector of a block, stored
+    by the rows they touch: ``Q[rows] = q`` and every other row is zero.
+    ``q=None`` is the whole space, Q = I."""
+
+    rows: np.ndarray
+    q: np.ndarray | None = None
+
+    @property
+    def size(self) -> int:
+        return len(self.rows) if self.q is None else self.q.shape[1]
+
+    def restrict(self, h: np.ndarray) -> np.ndarray:
+        """(dim, dim) -> (m, m): Q^dag h Q."""
+        if self.q is None:
+            return h
+        return self.q.conj().T @ h[np.ix_(self.rows, self.rows)] @ self.q
+
+    def embed(self, b: np.ndarray, dim: int) -> np.ndarray:
+        """(..., m, m) -> (..., dim, dim): Q b Q^dag."""
+        if self.q is None:
+            return b
+        out = np.zeros(b.shape[:-2] + (dim, dim), dtype=complex)
+        out[..., self.rows[:, None], self.rows] = self.q @ b @ self.q.conj().T
+        return out
+
+
 @dataclass(frozen=True)
 class BlockVar:
     name: str
     dim: int
     psd: bool = True  # False => free Hermitian variable
+    sectors: tuple[Sector, ...] | None = None  # None => one sector, Q = I
+
+    def parts(self) -> tuple[Sector, ...]:
+        return self.sectors or (Sector(np.arange(self.dim)),)
+
+    @property
+    def size(self) -> int:
+        """Real coordinates of the block: sum_s m_s^2, or dim^2 without sectors."""
+        if self.sectors is None:
+            return self.dim * self.dim
+        return sum(s.size ** 2 for s in self.sectors)
 
 
 @dataclass(frozen=True)
@@ -162,6 +208,7 @@ class SdpSolution:
             "dual_residual": self.dual_residual,
             "iterations": self.iterations,
             "name": self.name,
+            "diagnostics": self.diagnostics,
             "variables": {},
         }
         for k, v in self.variables.items():

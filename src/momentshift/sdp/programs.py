@@ -7,7 +7,10 @@ the retriever, C the retriever output measured with the moment observable.
 
 * ``build_fmin``: minimal trace-scaling factor f of a completely positive
   trace-scaling retriever whose adjoint pulls the observable back to
-  ``(H + t I)`` through the noise (the observable-shift program).
+  ``(H + t I)`` through the noise (the observable-shift program).  Its Choi
+  block is declared in the symmetry sectors of the copy cycle and, for
+  phase-covariant noise, of the excitation charge (``copy_sectors``), after
+  both symmetries are checked on the program's data.
 * ``build_dual_fmin``: its Lagrangian dual over (M, K) with objective
   ``-tr[K H]``; any feasible point certifies a lower bound on f.
 * ``build_gmin``: quasi-probability overhead of simulating the exact inverse
@@ -18,10 +21,12 @@ the retriever, C the retriever output measured with the moment observable.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from ..channels import Channel, choi_of, tensor_power
-from ..moments import MomentObservable
+from ..moments import MomentObservable, cyclic_shift_index
 from ..operators import Operator, identity, partial_trace, partial_transpose, tensor_product
 from .problem import (
     BlockVar,
@@ -30,10 +35,12 @@ from .problem import (
     DualCertificate,
     ScalarVar,
     SdpProblem,
+    Sector,
 )
 from .solver import check_program_memory
 
 F_LOWER_BOUND = 1e-9
+SYMMETRY_TOL = 1e-12
 
 
 def _trace_out_second(d1: int, d2: int):
@@ -93,6 +100,75 @@ def _link_with(j_noise: Operator, dims: tuple[int, int, int], sign: float = 1.0)
     return mapper
 
 
+def _charges(k: int, d: int) -> np.ndarray:
+    """Excitation number of every basis string of k copies of C^d: the
+    popcounts of its k digits, summed."""
+    digits = np.arange(d ** k)[:, None] // d ** np.arange(k) % d
+    popcount = np.array([bin(v).count("1") for v in range(d)])
+    return popcount[digits].sum(axis=1)
+
+
+def _off_charge(m: np.ndarray, charge: np.ndarray) -> float:
+    """Largest entry of ``m`` between basis states of different charge."""
+    return float(np.abs(m[charge[:, None] != charge]).max(initial=0.0))
+
+
+@lru_cache(maxsize=None)
+def copy_sectors(k: int, d: int, charge: bool) -> tuple[Sector, ...]:
+    """Symmetry sectors of a matrix on B (x) C, each k copies of C^d.
+
+    The copy cycle acts as the permutation P (x) P on basis strings.  Each
+    orbit x, Px, ..., P^{L-1}x gives the L columns
+    ``v_j = L^{-1/2} sum_t e^{-2 pi i j t/L} |P^t x>``, eigenvectors of the
+    cycle with Z_k label m = j k / L.  With ``charge`` the columns are also
+    labelled by popcount(b) - popcount(c), which is constant on orbits.  A
+    sector collects the columns of one label, ordered by orbit.
+    """
+    p = cyclic_shift_index(k, d)
+    dk = d ** k
+    perm = (p[:, None] * dk + p).reshape(-1)
+    orbits = [np.arange(dk * dk)]
+    for _ in range(k - 1):
+        orbits.append(perm[orbits[-1]])
+    orbits = np.stack(orbits)  # orbits[t, x] = P^t x
+    n = _charges(k, d)
+    labels = (n[:, None] - n).reshape(-1) if charge else np.zeros(dk * dk, dtype=int)
+    columns: dict[tuple[int, int], list] = {}
+    for x in np.flatnonzero(orbits.min(axis=0) == np.arange(dk * dk)):
+        length = next((t for t in range(1, k) if orbits[t, x] == x), k)
+        t = np.arange(length)
+        for j in range(length):
+            phases = np.exp(-2j * np.pi * j * t / length) / np.sqrt(length)
+            columns.setdefault((j * k // length, int(labels[x])), []).append(
+                (orbits[:length, x], phases))
+    sectors = []
+    for key in sorted(columns):
+        cols = columns[key]
+        rows = np.concatenate([members for members, _ in cols])
+        q = np.zeros((len(rows), len(cols)), dtype=complex)
+        start = 0
+        for c, (members, phases) in enumerate(cols):
+            q[start:start + len(members), c] = phases
+            start += len(members)
+        rows.flags.writeable = q.flags.writeable = False
+        sectors.append(Sector(rows, q))
+    return tuple(sectors)
+
+
+def _fmin_sectors(noise: Channel, k: int, h: np.ndarray) -> tuple[Sector, ...] | None:
+    """Sectors of the observable-shift program's J: the copy cycle's when it
+    commutes with H, split by charge when the charge phase also commutes with H
+    and with the noise; None (one sector) when the cycle fails."""
+    d = noise.in_dim
+    p = cyclic_shift_index(k, d)
+    if np.abs(h[np.ix_(p, p)] - h).max() > SYMMETRY_TOL:
+        return None
+    n1 = _charges(1, d)
+    covariant = max(_off_charge(noise.choi().entries, (n1[:, None] - n1).reshape(-1)),
+                    _off_charge(h, _charges(k, d))) <= SYMMETRY_TOL
+    return copy_sectors(k, d, covariant)
+
+
 def build_fmin(noise: Channel, k: int, H: MomentObservable) -> SdpProblem:
     """Primal observable-shift program; optimum is f_min(noise, k)."""
     if noise.in_dim != noise.out_dim:
@@ -101,11 +177,11 @@ def build_fmin(noise: Channel, k: int, H: MomentObservable) -> SdpProblem:
     if H.matrix.dim != d:
         raise ValueError(f"moment observable dim {H.matrix.dim} != {d}")
     name = f"fmin[{noise.label},k={k}]"
-    blocks = [BlockVar("J", d * d, psd=True)]
+    h = H.matrix.entries
+    blocks = [BlockVar("J", d * d, psd=True, sectors=_fmin_sectors(noise, k, h))]
     scalars = [ScalarVar("f", lower=F_LOWER_BOUND), ScalarVar("t")]
     check_program_memory(name, blocks, scalars, (d, d))
     nk = tensor_power(noise, k) if k > 1 else noise
-    h = H.matrix.entries
     ts = _trace_scaling("J", "f", d, d, "trace_scaling")
     shift = Constraint(
         terms=(

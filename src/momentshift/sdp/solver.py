@@ -2,21 +2,30 @@
 
 The compiled problem is ``min c.x  s.t.  A x = b, x in K`` where K is a
 product of PSD cones (in Hermitian coordinates), free subspaces, and
-lower-bounded scalars.  Iterations alternate a projection onto the affine
-set (through a cached pseudo-inverse of A) with a projection onto K
-(Hermitian eigendecomposition per block), with over-relaxation 1.5 and a
-deterministic residual-balancing penalty update.  Everything is plain
-numpy; identical inputs give identical iterates.
+lower-bounded scalars.  A block's coordinates are the Hermitian coordinates
+of its symmetry sectors (see ``problem``), so a block with sectors is solved
+on sum_s m_s^2 coordinates instead of dim^2.  Iterations alternate a
+projection onto the affine set (through a cached pseudo-inverse of A) with a
+projection onto K: a Hermitian eigendecomposition per sector, with the
+sectors of one size batched into one ``eigh`` call and 1 x 1 sectors
+clipped.  Over-relaxation is 1.5 with a deterministic residual-balancing
+penalty update.  Everything is plain numpy; identical inputs give identical
+iterates.
 
 Infeasibility is reported in two ways: inconsistent linear constraints are
 detected up front from the least-squares residual of ``A x = b``; conic
 infeasibility is flagged when the consensus residual stops improving over a
 5000-iteration window while the scaled dual vector keeps growing.
+
+``SdpSolution.diagnostics`` records the compile, factorization and iteration
+wall times, the coordinate and row counts, each block's sector sizes and the
+termination reason.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
@@ -37,8 +46,8 @@ class _Compiled:
     A: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    sections: list  # (kind, offset, size, extra)
-    layout: dict    # var name -> (offset, size, dim or None)
+    sections: list  # ("psd", coordinates, sector size) | ("lower", offset, bound)
+    layout: dict    # var name -> (offset, BlockVar or None)
     n: int
 
 
@@ -47,30 +56,57 @@ def check_program_memory(name: str, blocks: list[BlockVar], scalars: list[Scalar
     """Refuse a program whose solver arrays overrun the memory budget: the real
     m x n system A and its stacked rows, the thin SVD of A with a scaled copy of
     V^T, the n x m pseudo-inverse and one ``CHUNK`` of basis matrices of the
-    largest block.  ``target_dims`` gives each constraint's target dimension
-    (1 for a scalar target), in the order the constraints are declared."""
-    n = sum(b.dim * b.dim for b in blocks) + len(scalars)
+    largest block.  n counts each block's coordinates (``BlockVar.size``).
+    ``target_dims`` gives each constraint's target dimension (1 for a scalar
+    target), in the order the constraints are declared."""
+    n = sum(b.size for b in blocks) + len(scalars)
     m = sum(t * t for t in target_dims)
     r = min(m, n)
     chunk = 16 * CHUNK * max(b.dim for b in blocks) ** 2
     check_memory(8 * (2 * m * n + r * (m + 1 + 2 * n)) + chunk, f"program {name}")
 
 
+def _psd_sections(blk: BlockVar, offset: int) -> list:
+    """Cone sections of a PSD block, one per sector size m: the coordinates of
+    its sectors of that size, a slice for a lone sector, else a (g, m^2) index."""
+    starts: dict[int, list[int]] = {}
+    for sector in blk.parts():
+        starts.setdefault(sector.size, []).append(offset)
+        offset += sector.size ** 2
+    return [("psd", slice(group[0], group[0] + m * m) if len(group) == 1
+             else np.add.outer(group, np.arange(m * m)), m)
+            for m, group in sorted(starts.items())]
+
+
+def _block_coords(blk: BlockVar, h: np.ndarray) -> np.ndarray:
+    """Coordinates of the block's projection onto its sectors."""
+    return np.concatenate([HermitianBasis(s.size).to_coords(s.restrict(h))
+                           for s in blk.parts()])
+
+
+def _block_matrix(blk: BlockVar, x: np.ndarray) -> np.ndarray:
+    """Inverse of ``_block_coords``: the dim x dim matrix sum_s Q_s B_s Q_s^dag."""
+    h = 0
+    for s in blk.parts():
+        size = s.size * s.size
+        h = h + s.embed(HermitianBasis(s.size).from_coords(x[:size]), blk.dim)
+        x = x[size:]
+    return (h + h.conj().T) / 2  # exact no-op on one dense sector
+
+
 def compile_problem(p: SdpProblem) -> _Compiled:
-    layout: dict[str, tuple[int, int, int | None]] = {}
+    layout: dict[str, tuple[int, BlockVar | None]] = {}
     sections = []
     offset = 0
     for blk in p.blocks:
-        size = blk.dim * blk.dim
-        layout[blk.name] = (offset, size, blk.dim)
-        sections.append(("psd" if blk.psd else "free", offset, size, blk.dim))
-        offset += size
+        layout[blk.name] = (offset, blk)
+        if blk.psd:
+            sections += _psd_sections(blk, offset)
+        offset += blk.size
     for sc in p.scalars:
-        layout[sc.name] = (offset, 1, None)
-        if sc.lower is None:
-            sections.append(("free", offset, 1, None))
-        else:
-            sections.append(("lower", offset, 1, sc.lower))
+        layout[sc.name] = (offset, None)
+        if sc.lower is not None:
+            sections.append(("lower", offset, sc.lower))
         offset += 1
     n = offset
 
@@ -88,18 +124,20 @@ def compile_problem(p: SdpProblem) -> _Compiled:
             tgt = basis_out.to_coords(tgt)
         block_rows = np.zeros((m_rows, n))
         for term in con.terms:
-            off, size, dim = layout[term.var]
-            if dim is not None:
-                basis_in = HermitianBasis(dim)
-                for start in range(0, size, CHUNK):
-                    stop = min(start + CHUNK, size)
-                    batch = basis_in.basis_batch(start, stop)
-                    out = term.block_map(batch)
-                    if scalar_target:
-                        block_rows[0, off + start:off + stop] += np.real(out)
-                    else:
-                        block_rows[:, off + start:off + stop] += \
-                            basis_out.to_coords(out).T
+            off, blk = layout[term.var]
+            if blk is not None:
+                for sector in blk.parts():
+                    basis_in = HermitianBasis(sector.size)
+                    for start in range(0, basis_in.size, CHUNK):
+                        stop = min(start + CHUNK, basis_in.size)
+                        batch = sector.embed(basis_in.basis_batch(start, stop), blk.dim)
+                        out = term.block_map(batch)
+                        if scalar_target:
+                            block_rows[0, off + start:off + stop] += np.real(out)
+                        else:
+                            block_rows[:, off + start:off + stop] += \
+                                basis_out.to_coords(out).T
+                    off += basis_in.size
             elif scalar_target:
                 block_rows[0, off] += term.scalar_coeff
             else:
@@ -111,18 +149,19 @@ def compile_problem(p: SdpProblem) -> _Compiled:
 
     c = np.zeros(n)
     for var, coeff in p.objective.items():
-        off, size, dim = layout[var]
-        if dim is None:
+        off, blk = layout[var]
+        if blk is None:
             c[off] = float(coeff)
         else:
-            c[off:off + size] = HermitianBasis(dim).to_coords(np.asarray(coeff))
+            c[off:off + blk.size] = _block_coords(blk, np.asarray(coeff))
     if p.maximize:
         c = -c
     return _Compiled(A=A, b=b, c=c, sections=sections, layout=layout, n=n)
 
 
 def _project_psd(h: np.ndarray) -> np.ndarray:
-    """Nearest PSD matrix to the Hermitian ``h`` in Frobenius norm.
+    """Nearest PSD matrix to each Hermitian matrix of ``h`` (..., d, d) in
+    Frobenius norm.
 
     LAPACK's complex divide-and-conquer driver can fail to converge on an
     exactly Hermitian input.  The real symmetric embedding
@@ -133,34 +172,43 @@ def _project_psd(h: np.ndarray) -> np.ndarray:
     try:
         return _clip_spectrum(h)
     except np.linalg.LinAlgError:
-        d = h.shape[0]
-        p = _clip_spectrum(np.block([[h.real, -h.imag], [h.imag, h.real]]))
-        return p[:d, :d] + 1j * p[d:, :d]
+        d = h.shape[-1]
+        p = _clip_spectrum(np.concatenate([
+            np.concatenate([h.real, -h.imag], axis=-1),
+            np.concatenate([h.imag, h.real], axis=-1)], axis=-2))
+        return p[..., :d, :d] + 1j * p[..., d:, :d]
 
 
 def _clip_spectrum(h: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
+    return (vecs * np.clip(vals, 0.0, None)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def _project_cone(w: np.ndarray, sections: list) -> np.ndarray:
     z = w.copy()
-    for kind, off, size, extra in sections:
-        if kind == "psd":
+    for kind, sel, extra in sections:
+        if kind == "lower":
+            z[sel] = max(w[sel], extra)
+        elif extra == 1:
+            z[sel] = np.maximum(w[sel], 0.0)
+        else:
             basis = HermitianBasis(extra)
-            h = basis.from_coords(w[off:off + size])
-            z[off:off + size] = basis.to_coords(_project_psd(h))
-        elif kind == "lower":
-            z[off] = max(w[off], extra)
+            z[sel] = basis.to_coords(_project_psd(basis.from_coords(w[sel])))
     return z
 
 
 def solve(p: SdpProblem, tol: float = DEFAULT_TOL,
           max_iters: int = DEFAULT_MAX_ITERS) -> SdpSolution:
     """Solve the program; status is one of optimal / infeasible / max_iters."""
+    t_start = perf_counter()
     comp = compile_problem(p)
+    t_compiled = perf_counter()
     A, b, c = comp.A, comp.b, comp.c
     n = comp.n
+    diagnostics = {"compile_s": t_compiled - t_start, "coordinates": n,
+                   "rows": A.shape[0],
+                   "sector_sizes": {blk.name: [s.size for s in blk.parts()]
+                                    for blk in p.blocks}}
 
     if A.shape[0]:
         u_svd, s_svd, vt_svd = np.linalg.svd(A, full_matrices=False)
@@ -173,25 +221,28 @@ def solve(p: SdpProblem, tol: float = DEFAULT_TOL,
         x_ls = pinv @ b
         lin_res = np.linalg.norm(A @ x_ls - b) / (1.0 + np.linalg.norm(b))
         if lin_res > 1e-7:
+            diagnostics.update(factor_s=perf_counter() - t_compiled, iterate_s=0.0,
+                               reason="equality constraints inconsistent",
+                               linear_residual=float(lin_res))
             return _extract(p, comp, x_ls, status="infeasible",
                             primal=lin_res, dual=0.0, iterations=0,
-                            diagnostics={"reason": "equality constraints inconsistent",
-                                         "linear_residual": float(lin_res)})
+                            diagnostics=diagnostics)
     else:
         def proj_affine(w: np.ndarray) -> np.ndarray:
             return w
+    t_factored = perf_counter()
+    diagnostics["factor_s"] = t_factored - t_compiled
 
     sigma = 1.0
     x = np.zeros(n)
     z = np.zeros(n)
     u = np.zeros(n)
     rp = rd = np.inf
-    best_res = np.inf
     window_best = np.inf
     window_prev_best = np.inf
     window_u0 = 0.0
     it = 0
-    status = "max_iters"
+    status = reason = "max_iters"
     while it < max_iters:
         it += 1
         x = proj_affine(z - u - c / sigma)
@@ -205,10 +256,9 @@ def solve(p: SdpProblem, tol: float = DEFAULT_TOL,
             rp = np.linalg.norm(x - z) / scale
             rd = sigma * np.linalg.norm(z - z_prev) / (1.0 + sigma * np.linalg.norm(u))
             res = max(rp, rd)
-            best_res = min(best_res, res)
             window_best = min(window_best, res)
             if res <= tol:
-                status = "optimal"
+                status, reason = "optimal", "tolerance reached"
                 break
             if it % PENALTY_EVERY == 0 and rd > 0:
                 if rp > 10.0 * rd and sigma < 1e4:
@@ -223,30 +273,30 @@ def solve(p: SdpProblem, tol: float = DEFAULT_TOL,
                 growing = u_norm > 1.2 * max(window_u0, 1e-9)
                 if stalled and growing and window_best > 10.0 * tol \
                         and np.isfinite(window_prev_best):
-                    status = "infeasible"
+                    status, reason = "infeasible", "stall window"
                     break
                 window_prev_best = window_best
                 window_best = np.inf
                 window_u0 = u_norm
 
+    diagnostics.update(iterate_s=perf_counter() - t_factored, reason=reason)
     return _extract(p, comp, z, status=status, primal=float(rp), dual=float(rd),
-                    iterations=it)
+                    iterations=it, diagnostics=diagnostics)
 
 
 def _extract(p: SdpProblem, comp: _Compiled, xvec: np.ndarray, status: str,
              primal: float, dual: float, iterations: int,
-             diagnostics: dict | None = None) -> SdpSolution:
+             diagnostics: dict) -> SdpSolution:
     variables: dict = {}
-    for name, (off, size, dim) in comp.layout.items():
-        if dim is None:
+    for name, (off, blk) in comp.layout.items():
+        if blk is None:
             variables[name] = float(xvec[off])
         else:
-            h = HermitianBasis(dim).from_coords(xvec[off:off + size])
-            variables[name] = Operator(h)
+            variables[name] = Operator(_block_matrix(blk, xvec[off:off + blk.size]))
     obj = float(comp.c @ xvec)
     if p.maximize:
         obj = -obj
     return SdpSolution(status=status, objective_value=obj, variables=variables,
                        primal_residual=primal, dual_residual=dual,
                        iterations=iterations, name=p.name,
-                       diagnostics=diagnostics or {})
+                       diagnostics=diagnostics)

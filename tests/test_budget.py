@@ -86,7 +86,7 @@ def test_program_estimate_matches_compiled_shape(build, monkeypatch):
     (blocks, scalars, target_dims), = declared
     assert (blocks, scalars) == (p.blocks, p.scalars)
     m = sum(t * t for t in target_dims)
-    n = sum(b.dim * b.dim for b in blocks) + len(scalars)
+    n = sum(b.size for b in blocks) + len(scalars)
     assert compile_problem(p).A.shape == (m, n)
 
 
