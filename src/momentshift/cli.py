@@ -167,6 +167,14 @@ def cmd_overhead_sweep(args) -> int:
     return EXIT_OK
 
 
+def _optimum(problem, tol: float) -> tuple[float, str]:
+    """(optimal value, status) of a solve, or (NaN, status) when not optimal."""
+    sol = solve(problem, tol=tol)
+    if sol.status != "optimal":
+        return float("nan"), sol.status
+    return sol.objective_value, sol.status
+
+
 def _overhead_value(model: str, eps: float, k: int, method: str,
                     tol: float) -> tuple[float, str]:
     if eps >= 1.0:
@@ -178,18 +186,12 @@ def _overhead_value(model: str, eps: float, k: int, method: str,
         # loose, e.g. depolarizing at k = 3)
         if k == 2:
             return 1.0 / (1.0 - eps) ** 2, "analytic"
-        sol = solve(build_fmin(noise, k, moment_observable(k, 2)), tol=tol)
-        return (sol.objective_value, sol.status) if sol.status == "optimal" \
-            else (float("nan"), sol.status)
+        return _optimum(build_fmin(noise, k, moment_observable(k, 2)), tol)
     if method == "inverse":
-        sol = solve(build_gmin(noise), tol=tol)
-        if sol.status != "optimal":
-            return float("nan"), sol.status
-        return gmin_power(sol.objective_value, k), sol.status
-    sol = solve(build_info_recover(tensor_power(noise, k),
-                                   moment_observable(k, 2).matrix), tol=tol)
-    return (sol.objective_value, sol.status) if sol.status == "optimal" \
-        else (float("nan"), sol.status)
+        g1, status = _optimum(build_gmin(noise), tol)
+        return gmin_power(g1, k), status
+    return _optimum(build_info_recover(tensor_power(noise, k),
+                                       moment_observable(k, 2).matrix), tol)
 
 
 def _load_state(args, protocol) -> Operator:

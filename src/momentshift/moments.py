@@ -2,10 +2,14 @@
 
 The k-th moment of a state is read off k copies through the Hermitian
 observable ``H_k = (S_k + S_k^dag)/2`` where ``S_k`` cyclically shifts the
-copies: ``S_k |x1 x2 ... xk> = |x2 ... xk x1>``.  The spectral structure of
-``S_k`` is organized by necklaces (equivalence classes of index strings under
-rotation); each string of minimal period p contributes eigenstates only for
-the p phase labels m with m*p = 0 mod k.  For prime k every non-constant
+copies: ``S_k |x1 x2 ... xk> = |x2 ... xk x1>``.  ``S_k`` is a permutation of
+basis indices (``cyclic_shift_index``), and ``cycle_orbits`` tabulates the
+orbits of any index permutation P with P^k = I; every other structure of the
+copy cycle in the package is read off that one table.  The orbits of ``S_k``
+are necklaces (equivalence classes of index strings under rotation), each
+named by its smallest string; a necklace of period p contributes eigenstates
+only for the p phase labels m with m*p = 0 mod k, and its projector terms
+fill only the p x p block of its orbit.  For prime k every non-constant
 string has full period, which recovers the cardinality
 ``|C(k,d)| = (d^k - d)/k + d``; the construction below handles arbitrary k.
 """
@@ -13,7 +17,6 @@ string has full period, which recovers the cardinality
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -58,32 +61,39 @@ def moment_observable(k: int, d: int = 2) -> MomentObservable:
     return MomentObservable(k=k, d=d, matrix=Operator((s + s.conj().T) / 2, (d,) * k))
 
 
-def _min_rotation(x: tuple[int, ...]) -> tuple[int, ...]:
-    return min(x[i:] + x[:i] for i in range(len(x)))
+def cycle_orbits(perm: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orbit table of an index permutation P with P^k = I.
+
+    Returns ``(orbits, starts, lengths)``: ``orbits[t, x] = P^t x`` for t < k,
+    the smallest index of every orbit in ascending order, and each of those
+    orbits' lengths, so orbit i is ``orbits[:lengths[i], starts[i]]``.
+    """
+    orbits = np.empty((k, perm.size), dtype=perm.dtype)
+    orbits[0] = np.arange(perm.size)
+    for t in range(1, k):
+        orbits[t] = perm[orbits[t - 1]]
+    starts = np.flatnonzero(orbits.min(axis=0) == orbits[0])
+    back = orbits[1:, starts] == starts
+    lengths = np.where(back.any(axis=0), back.argmax(axis=0) + 1, k)
+    return orbits, starts, lengths
 
 
-def _period(x: tuple[int, ...]) -> int:
-    k = len(x)
-    for p in range(1, k + 1):
-        if k % p == 0 and x == x[p:] + x[:p]:
-            return p
-    return k
+def _strings(index: np.ndarray, k: int, d: int) -> list[tuple[int, ...]]:
+    """Digit strings x1 ... xk of flat basis indices."""
+    return [tuple(x) for x in (index[:, None] // d ** np.arange(k - 1, -1, -1) % d).tolist()]
 
 
 def necklace_set(k: int, d: int = 2) -> list[tuple[int, ...]]:
     """Canonical rotation-class representatives of length-k strings over [d].
 
-    Representatives are the lexicographically smallest rotations.  Cyclic
-    shifts of the returned set cover all d^k strings; for prime k the count
-    equals (d^k - d)/k + d.
+    Representatives are the lexicographically smallest rotations, the
+    smallest indices of S_k's orbits.  Cyclic shifts of the returned set
+    cover all d^k strings; for prime k the count equals (d^k - d)/k + d.
     """
-    # at least d^k / k representatives of k entries each
-    check_memory(8 * k * (_dim(k, d) // k), f"necklace set for k={k}, d={d}")
-    reps = []
-    for x in product(range(d), repeat=k):
-        if x == _min_rotation(x):
-            reps.append(x)
-    return reps
+    # the shift index, the k x d^k orbit table and its column minima
+    check_memory(8 * (k + 2) * _dim(k, d), f"necklace set for k={k}, d={d}")
+    _, starts, _ = cycle_orbits(cyclic_shift_index(k, d), k)
+    return _strings(starts, k, d)
 
 
 @dataclass(frozen=True)
@@ -99,7 +109,6 @@ class PermutationSpectrum:
 
     k: int
     d: int
-    necklaces: tuple[tuple[int, ...], ...]
     eigenstates: dict
     projectors: tuple[Operator, ...]
 
@@ -112,25 +121,18 @@ def permutation_eigenprojectors(k: int, d: int = 2) -> PermutationSpectrum:
     dim = _dim(k, d)
     # k projectors, their Operator copies and the d^k eigenvectors
     check_memory((2 * k + 1) * 16 * dim * dim, f"permutation eigenprojectors for k={k}, d={d}")
-    reps = necklace_set(k, d)
-    radix = [d ** (k - 1 - j) for j in range(k)]
+    orbits, starts, lengths = cycle_orbits(cyclic_shift_index(k, d), k)
     omega = np.exp(2j * np.pi / k)
     eigenstates: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
     proj = [np.zeros((dim, dim), dtype=complex) for _ in range(k)]
-    for x in reps:
-        p = _period(x)
-        orbit_idx = []
-        for l in range(p):
-            shifted = x[l:] + x[:l]
-            orbit_idx.append(sum(xi * r for xi, r in zip(shifted, radix)))
-        step = k // p
-        for m in range(0, k, step):
+    for x, p, necklace in zip(starts, lengths, _strings(starts, k, d)):
+        orbit = orbits[:p, x]
+        block = np.ix_(orbit, orbit)
+        for m in range(0, k, k // p):
+            v = omega ** (m * np.arange(p)) / np.sqrt(p)
             psi = np.zeros(dim, dtype=complex)
-            for l, idx in enumerate(orbit_idx):
-                psi[idx] += omega ** (m * l)
-            psi /= np.sqrt(p)
-            eigenstates[(m, x)] = psi
-            proj[m] += np.outer(psi, psi.conj())
+            psi[orbit] = v
+            eigenstates[(m, necklace)] = psi
+            proj[m][block] += np.outer(v, v.conj())
     projectors = tuple(Operator(pm, (d,) * k) for pm in proj)
-    return PermutationSpectrum(k=k, d=d, necklaces=tuple(reps),
-                               eigenstates=eigenstates, projectors=projectors)
+    return PermutationSpectrum(k=k, d=d, eigenstates=eigenstates, projectors=projectors)

@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channels import Channel, channel_from_json, channel_to_json
-from .moments import moment_observable, permutation_eigenprojectors
+from .moments import cyclic_shift_index, moment_observable, permutation_eigenprojectors
 from .operators import Operator, check_memory, matrix_from_json, matrix_to_json
 from .sdp.problem import SdpSolution
 
@@ -189,15 +189,17 @@ def is_trace_preserving(r: Channel | MeasurePrepare | Recursive) -> bool:
     return bool(np.max(np.abs(unit - np.eye(r.in_dim))) <= SAMPLING_TP_TOL)
 
 
-def exact_expectation(p: RetrievalProtocol, noisy_state: Operator,
-                      H=None) -> float:
-    """Dense evaluation of zeta = tr[H C(noisy_state)], no sampling."""
-    if H is None:
-        H = moment_observable(p.k, p.copy_dim)
+def exact_expectation(p: RetrievalProtocol, noisy_state: Operator) -> float:
+    """Dense evaluation of zeta = tr[H_k C(noisy_state)], no sampling.
+
+    H_k X has diagonal (X[S_k^-1 i, i] + X[S_k i, i]) / 2, read off the shift index.
+    """
     if noisy_state.dim != p.copy_dim ** p.k:
         raise ValueError("noisy state dimension does not match protocol")
     out = p.realization.apply(noisy_state.entries)
-    return float(np.real(np.trace(H.matrix.entries @ out)))
+    shift = cyclic_shift_index(p.k, p.copy_dim)
+    i = np.arange(shift.size)
+    return float(np.real((0.5 * (out[np.argsort(shift), i] + out[shift, i])).sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +349,6 @@ def q_matrices(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class TransferMapPair:
-    k: int
-    d: int
-    Q: np.ndarray
-    Q_tilde: np.ndarray
     forward: MeasurePrepare        # T_k:  H_k -> H_{k-1} (x) I/d
     forward_neg: MeasurePrepare    # T~_k: H_k -> -H_{k-1} (x) I/d
 
@@ -386,11 +384,8 @@ def _check_transfer_maps(k: int, d: int) -> None:
 def transfer_maps(k: int, d: int = 2) -> TransferMapPair:
     _check_transfer_maps(k, d)
     q, q_tilde = q_matrices(k)
-    return TransferMapPair(
-        k=k, d=d, Q=q, Q_tilde=q_tilde,
-        forward=_build_transfer(q, k, d),
-        forward_neg=_build_transfer(q_tilde, k, d),
-    )
+    return TransferMapPair(forward=_build_transfer(q, k, d),
+                           forward_neg=_build_transfer(q_tilde, k, d))
 
 
 @lru_cache(maxsize=None)
@@ -514,32 +509,41 @@ def protocol_to_json(p: RetrievalProtocol) -> dict:
             "data": data}
 
 
-def protocol_from_json(doc: dict) -> RetrievalProtocol:
-    if doc.get("schema_version") != PROTOCOL_SCHEMA_VERSION:
-        raise ValueError(f"unsupported protocol schema {doc.get('schema_version')}")
-    kind = doc["kind"]
-    data = doc["data"]
-    if kind == "recursive":
-        return de_kth_moment(data["eps"], data["order"], data["copy_dim"])
+def _realization_from_json(kind: str, data: dict) -> Channel | MeasurePrepare:
     if kind in ("channel", "choi"):
-        r = channel_from_json(data)
-    elif kind == "measure_prepare":
-        r = MeasurePrepare([matrix_from_json(e) for e in data["effects"]],
-                           [matrix_from_json(o) for o in data["outputs"]],
-                           data["values"])
-    elif kind == "mixed_unitary":
+        return channel_from_json(data)
+    if kind == "measure_prepare":
+        return MeasurePrepare([matrix_from_json(e) for e in data["effects"]],
+                              [matrix_from_json(o) for o in data["outputs"]],
+                              data["values"])
+    if kind == "mixed_unitary":
         kraus = [np.sqrt(p) * matrix_from_json(u)
                  for p, u in zip(data["probabilities"], data["unitaries"])]
-        r = Channel(kraus[0].shape[1], kraus[0].shape[0], kraus=kraus)
-    elif kind == "measurement_based":
+        return Channel(kraus[0].shape[1], kraus[0].shape[0], kraus=kraus)
+    if kind == "measurement_based":
         basis = [matrix_from_json(b).reshape(-1) for b in data["basis_states"]]
-        r = MeasurePrepare([np.outer(b, b.conj()) for b in basis],
-                           [matrix_from_json(s) for s in data["output_states"]],
-                           data["outcome_values"])
+        return MeasurePrepare([np.outer(b, b.conj()) for b in basis],
+                              [matrix_from_json(s) for s in data["output_states"]],
+                              data["outcome_values"])
+    raise ValueError(f"unknown protocol kind {kind!r}")
+
+
+def protocol_from_json(doc: dict) -> RetrievalProtocol:
+    """The protocol a file describes, refused unless it acts on k copies of copy_dim."""
+    if doc.get("schema_version") != PROTOCOL_SCHEMA_VERSION:
+        raise ValueError(f"unsupported protocol schema {doc.get('schema_version')}")
+    data = doc["data"]
+    if doc["kind"] == "recursive":
+        p = de_kth_moment(data["eps"], data["order"], data["copy_dim"])
     else:
-        raise ValueError(f"unknown protocol kind {kind!r}")
-    return RetrievalProtocol(k=doc["k"], copy_dim=doc["copy_dim"], f=doc["f"],
-                             t=doc["t"], realization=r, label=doc.get("label", ""))
+        p = RetrievalProtocol(k=doc["k"], copy_dim=doc["copy_dim"], f=doc["f"], t=doc["t"],
+                              realization=_realization_from_json(doc["kind"], data),
+                              label=doc.get("label", ""))
+    r, dim = p.realization, doc["copy_dim"] ** doc["k"]
+    if (r.in_dim, r.out_dim) != (dim, dim):
+        raise ValueError(f"protocol realization maps dimension {r.in_dim} to {r.out_dim}, "
+                         f"but {doc['k']} copies of dimension {doc['copy_dim']} need {dim}")
+    return p
 
 
 def save_protocol(p: RetrievalProtocol, path) -> None:

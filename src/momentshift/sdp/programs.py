@@ -25,8 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..channels import Channel, choi_of, tensor_power
-from ..moments import MomentObservable, cyclic_shift_index
+from ..channels import Channel, channel_matrix, choi_of, tensor_power
+from ..moments import MomentObservable, cycle_orbits, cyclic_shift_index
 from ..operators import Operator, identity, partial_trace, partial_transpose, tensor_product
 from .problem import (
     BlockVar,
@@ -64,8 +64,7 @@ def _batch_trace(batch: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("naa->n", batch))
 
 
-def _retriever_pullback(kraus: tuple[np.ndarray, ...], h: np.ndarray, d: int,
-                        sign: float = 1.0):
+def _retriever_pullback(noise: Channel, h: np.ndarray, d: int, sign: float = 1.0):
     """Batched J -> sign * NK^dag( tr_C[(I (x) H^T) J^T] ) for J on B (x) C.
 
     ``tr_C[(I (x) H^T) J^T]`` is the adjoint of the map with Choi J applied
@@ -75,7 +74,7 @@ def _retriever_pullback(kraus: tuple[np.ndarray, ...], h: np.ndarray, d: int,
     the d^2 x d^2 product) and the noise adjoint through its precomputed
     vectorized matrix, which keeps 256-dim Choi blocks tractable.
     """
-    madj = sum(np.kron(e.conj().T, e.T) for e in kraus)
+    madj = channel_matrix(noise).T
 
     def mapper(batch: np.ndarray) -> np.ndarray:
         n = batch.shape[0]
@@ -126,16 +125,11 @@ def copy_sectors(k: int, d: int, charge: bool) -> tuple[Sector, ...]:
     """
     p = cyclic_shift_index(k, d)
     dk = d ** k
-    perm = (p[:, None] * dk + p).reshape(-1)
-    orbits = [np.arange(dk * dk)]
-    for _ in range(k - 1):
-        orbits.append(perm[orbits[-1]])
-    orbits = np.stack(orbits)  # orbits[t, x] = P^t x
+    orbits, starts, lengths = cycle_orbits((p[:, None] * dk + p).reshape(-1), k)
     n = _charges(k, d)
     labels = (n[:, None] - n).reshape(-1) if charge else np.zeros(dk * dk, dtype=int)
     columns: dict[tuple[int, int], list] = {}
-    for x in np.flatnonzero(orbits.min(axis=0) == np.arange(dk * dk)):
-        length = next((t for t in range(1, k) if orbits[t, x] == x), k)
+    for x, length in zip(starts.tolist(), lengths.tolist()):
         t = np.arange(length)
         for j in range(length):
             phases = np.exp(-2j * np.pi * j * t / length) / np.sqrt(length)
@@ -185,7 +179,7 @@ def build_fmin(noise: Channel, k: int, H: MomentObservable) -> SdpProblem:
     ts = _trace_scaling("J", "f", d, d, "trace_scaling")
     shift = Constraint(
         terms=(
-            ConstraintTerm(var="J", block_map=_retriever_pullback(nk.kraus, h, d)),
+            ConstraintTerm(var="J", block_map=_retriever_pullback(nk, h, d)),
             ConstraintTerm(var="t", scalar_coeff_op=-np.eye(d)),
         ),
         target=h,
@@ -344,8 +338,8 @@ def build_info_recover(noise: Channel, obs: Operator) -> SdpProblem:
         _trace_scaling("J2", "c2", d, d, "ts_J2"),
         Constraint(
             terms=(
-                ConstraintTerm(var="J1", block_map=_retriever_pullback(noise.kraus, h, d)),
-                ConstraintTerm(var="J2", block_map=_retriever_pullback(noise.kraus, h, d, sign=-1.0)),
+                ConstraintTerm(var="J1", block_map=_retriever_pullback(noise, h, d)),
+                ConstraintTerm(var="J2", block_map=_retriever_pullback(noise, h, d, sign=-1.0)),
             ),
             target=h,
             name="observable_recovery",

@@ -171,6 +171,27 @@ class TestEstimate:
         lines = dict(l.split(": ") for l in out.strip().splitlines())
         assert float(lines["estimate"]) == pytest.approx(0.25, abs=1e-10)
 
+    @pytest.mark.parametrize("noise,synth,mode,realization_dim", [
+        ("amplitude-damping", ["--k", "2", "--force-sdp"], ["--shots", "10"], 4),
+        ("depolarizing", ["--k", "4"], ["--exact"], 16),
+    ], ids=["sdp_k2", "recursive_k4"])
+    def test_protocol_dimension_mismatch_refused_at_load(self, capsys, tmp_path, noise,
+                                                         synth, mode, realization_dim):
+        # a file edited to k = 3 no longer matches its realization's dimension
+        path = tmp_path / "p.json"
+        run_cli(capsys, "synthesize", "--noise", noise, "--eps", "0.2", *synth,
+                "--out", str(path))
+        doc = json.loads(path.read_text())
+        doc["k"] = 3
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "estimate", "--protocol", str(path),
+                                 "--noise", noise, "--eps", "0.2", "--state", "maxmixed",
+                                 *mode)
+        assert code == 1
+        assert f"dimension {realization_dim} to {realization_dim}" in err
+        assert "need 8" in err
+        assert "broadcast" not in err and "estimate" not in out
+
 
 class TestSweep:
     def test_csv_structure_and_ordering(self, capsys, tmp_path):

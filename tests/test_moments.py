@@ -1,8 +1,11 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from momentshift.moments import (
+    cycle_orbits,
     cyclic_permutation,
     moment_observable,
     necklace_set,
@@ -95,7 +98,26 @@ class TestMomentObservable:
             assert w.min() >= -1 - 1e-12 and w.max() <= 1 + 1e-12
 
 
+def _min_rotation_necklaces(k, d):
+    """Brute-force oracle: every string that is its own smallest rotation, in order."""
+    return [x for x in product(range(d), repeat=k)
+            if x == min(x[i:] + x[:i] for i in range(k))]
+
+
+class TestCycleOrbits:
+    def test_mixed_cycle_lengths(self):
+        perm = np.array([1, 0, 2, 4, 5, 3])  # cycles (0 1), (2), (3 4 5)
+        orbits, starts, lengths = cycle_orbits(perm, 6)
+        assert starts.tolist() == [0, 2, 3] and lengths.tolist() == [2, 1, 3]
+        assert orbits[:3, 3].tolist() == [3, 4, 5]
+        assert (orbits[:, perm] == perm[orbits]).all()
+
+
 class TestNecklaces:
+    @pytest.mark.parametrize("k,d", [(4, 2), (6, 2), (4, 3)])
+    def test_composite_order_matches_min_rotation(self, k, d):
+        assert necklace_set(k, d) == _min_rotation_necklaces(k, d)
+
     def test_k3_d2_canonical(self):
         assert necklace_set(3, 2) == [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]
 
@@ -123,6 +145,16 @@ class TestSpectrum:
         om = np.exp(2j * np.pi / k)
         s = sum(om ** (-m) * spec.projectors[m].entries for m in range(k))
         assert np.max(np.abs(s - cyclic_permutation(k, 2).entries)) < 1e-12
+
+    @pytest.mark.parametrize("k,d", [(4, 3), (6, 2)])
+    def test_projector_is_phase_average_of_shift_powers(self, k, d):
+        s = cyclic_permutation(k, d).entries
+        powers = [np.linalg.matrix_power(s, j) for j in range(k)]
+        om = np.exp(2j * np.pi / k)
+        spec = permutation_eigenprojectors(k, d)
+        for m in range(k):
+            ref = sum(om ** (j * m) * powers[j] for j in range(k)) / k
+            assert_allclose(spec.projectors[m].entries, ref, rtol=0, atol=1e-12)
 
     def test_projector_orthogonality(self):
         spec = permutation_eigenprojectors(4, 2)

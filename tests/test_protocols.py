@@ -51,9 +51,8 @@ class TestTwirlProtocol:
     def test_eps_zero_is_twirl_preserving(self):
         p = de_second_moment(0.0)
         assert p.f == 1.0 and p.t == 0.0
-        h = moment_observable(2, 2)
         rho = random_density_matrix(2, 3)
-        z = exact_expectation(p, noisy_copies(rho, depolarizing(0.0, 2), 2), h)
+        z = exact_expectation(p, noisy_copies(rho, depolarizing(0.0, 2), 2))
         assert abs(z - true_moment(rho, 2)) < 1e-12
 
     def test_scalar_values_at_01(self):
@@ -395,6 +394,16 @@ class TestExactExpectation:
         p = de_second_moment(0.1)
         with pytest.raises(ValueError):
             exact_expectation(p, random_density_matrix(8, 0))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_matches_dense_observable(self, k, d):
+        # the shift-index read equals tr[H_k C(x)] with the dense H_k, C = id
+        rng = np.random.default_rng(10 * k + d)
+        x = rng.normal(size=(d ** k, d ** k)) + 1j * rng.normal(size=(d ** k, d ** k))
+        h = moment_observable(k, d).matrix.entries
+        z = exact_expectation(identity_protocol(k, d), Operator(x))
+        assert abs(z - np.sum(h * x.T).real) < 1e-10
 
 
 class TestSerialization:
