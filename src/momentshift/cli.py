@@ -96,8 +96,8 @@ def cmd_synthesize(args) -> int:
         if not is_invertible(noise):
             print(f"status: infeasible\n{INFEASIBLE_MSG}")
             return EXIT_INFEASIBLE
-        h = moment_observable(args.k, noise.in_dim)
-        sol = solve(build_fmin(noise, args.k, h), tol=args.tol)
+        sol = solve(build_fmin(noise, args.k, moment_observable(args.k, noise.in_dim)),
+                    tol=args.tol)
         if sol.status == "infeasible":
             print(f"status: infeasible\n{INFEASIBLE_MSG}")
             return EXIT_INFEASIBLE
@@ -105,7 +105,7 @@ def cmd_synthesize(args) -> int:
             print(f"status: {sol.status} after {sol.iterations} iterations "
                   f"(residuals {_fmt(sol.primal_residual)}, {_fmt(sol.dual_residual)})")
             return EXIT_NO_CONVERGENCE
-        protocol = from_sdp_solution(sol, args.k, h)
+        protocol = from_sdp_solution(sol, args.k)
         status, residual, iterations = sol.status, max(
             sol.primal_residual, sol.dual_residual), sol.iterations
     print(f"f: {_fmt(protocol.f)}")

@@ -48,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import Channel, noisy_copies
-from .moments import cycle_orbits, cyclic_shift_index
+from .moments import leading_cycle_index
 from .operators import Operator
 from .protocols import MeasurePrepare, RetrievalProtocol, is_trace_preserving
 
@@ -166,8 +166,7 @@ def _h_spectrum(k: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     The table holds the flat indices of X[x, S_k^j x] for j < k and those weights.
     Cached per (k, d); the arrays are read-only.
     """
-    orbits = cycle_orbits(cyclic_shift_index(k, d), k)[0]  # S_k^j x for j < k
-    gather = orbits[0] * d ** k + orbits
+    gather = leading_cycle_index(k, k, d)
     m = np.arange(k // 2, -1, -1)
     mult = np.where((m == 0) | (2 * m == k), 1.0, 2.0)
     weights = mult[:, None] * np.cos(2 * np.pi * np.outer(m, np.arange(k)) / k) / k

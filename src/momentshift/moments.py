@@ -17,6 +17,7 @@ string has full period, which recovers the cardinality
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,6 +77,23 @@ def cycle_orbits(perm: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.n
     back = orbits[1:, starts] == starts
     lengths = np.where(back.any(axis=0), back.argmax(axis=0) + 1, k)
     return orbits, starts, lengths
+
+
+@lru_cache(maxsize=None)
+def leading_cycle_index(m: int, k: int, d: int = 2) -> np.ndarray:
+    """Flat indices of X[x, P_b x] for the leading-copy cycles P_b = S_m^b (x) I on k copies.
+
+    Row b, b < m, gathers tr[P_b X] = sum_x X[x, P_b x], and the same d^k
+    entries of a matrix hold P_b^dag.  Cached per (m, k, d); the array is read-only.
+    """
+    dim, rest = _dim(k, d), d ** (k - m)
+    # the table, its two temporaries, and x
+    check_memory(8 * (3 * m + 1) * dim, f"copy-cycle index for m={m}, k={k}, d={d}")
+    x = np.arange(dim)
+    orbits = cycle_orbits(cyclic_shift_index(m, d), m)[0]  # S_m^b y for b < m
+    table = x * dim + orbits[:, x // rest] * rest + x % rest
+    table.flags.writeable = False
+    return table
 
 
 def _strings(index: np.ndarray, k: int, d: int) -> list[tuple[int, ...]]:

@@ -16,12 +16,14 @@ Every realization is a linear map with one interface: ``in_dim``,
   depolarizing twirl with Kraus operators sqrt(p_j) U_j, the identity
   protocol) or in Choi form (SDP extractions);
 * a :class:`MeasurePrepare` map: the amplitude-damping protocol, a projective
-  measurement whose outcomes carry stored values, and the two-term qudit
-  depolarizing retriever;
-* :class:`Recursive`, the retriever for arbitrary moment order under
-  depolarizing noise, stored as a composition tree of transfer maps and
-  applied factor by factor instead of materializing one giant Choi matrix.
-  It is not trace preserving for k >= 3, so the trace-preservation gate of
+  measurement whose outcomes carry stored values;
+* :class:`Recursive`, the retriever of every moment order under depolarizing
+  noise.  Like the transfer and recovery maps it is built from, it is a
+  :class:`CycleMap` X -> [X +] sum_pq M[p, q] tr[P_q X] P_p^dag over
+  leading-copy cycles P = S_m^b (x) I, stored as a small coefficient matrix
+  and applied by gathering and scattering d^k matrix entries per cycle; no
+  d^k x d^k operator is built.  It is the two-term qudit map at k = 2; it is
+  not trace preserving for k >= 3, so the trace-preservation gate of
   finite-shot sampling refuses it and it is evaluated exactly only.
 
 Protocol files are written with kind ``channel``, ``measure_prepare`` or
@@ -33,7 +35,7 @@ describe.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import comb
 from typing import Callable, Sequence
@@ -41,7 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channels import Channel, channel_from_json, channel_to_json
-from .moments import cyclic_shift_index, moment_observable, permutation_eigenprojectors
+from .moments import cyclic_shift_index, leading_cycle_index, moment_observable
 from .operators import Operator, check_memory, matrix_from_json, matrix_to_json
 from .sdp.problem import SdpSolution
 
@@ -56,9 +58,7 @@ SAMPLING_TP_TOL = 1e-6  # trace preservation required of a sampled realization
 class MeasurePrepare:
     """Linear map rho -> sum_m tr[effects_m rho] outputs_m.
 
-    Completely positive whenever every effect and output is PSD; the
-    extension to a leading tensor factor is
-    ``(T (x) id)(X) = sum_m outputs_m (x) tr_1[(effects_m (x) I) X]``.
+    Completely positive whenever every effect and output is PSD.
 
     ``values``, when given, makes the map a projective measurement whose
     outcome m records ``values[m]`` = tr[H outputs_m], so estimation needs
@@ -79,27 +79,11 @@ class MeasurePrepare:
                 raise ValueError("outcome values need one complete projective "
                                  "measurement effect each")
 
-    def apply(self, x: np.ndarray, rest: int = 1) -> np.ndarray:
-        if rest == 1:
-            return sum(np.trace(e @ x) * f
-                       for e, f in zip(self.effects, self.outputs))
-        x4 = x.reshape(self.in_dim, rest, self.in_dim, rest)
-        out = np.zeros((self.out_dim * rest, self.out_dim * rest), dtype=complex)
-        for e, f in zip(self.effects, self.outputs):
-            y = np.einsum("ab,bcad->cd", e, x4)
-            out += np.kron(f, y)
-        return out
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return sum(np.trace(e @ x) * f for e, f in zip(self.effects, self.outputs))
 
-    def adjoint_apply(self, y: np.ndarray, rest: int = 1) -> np.ndarray:
-        if rest == 1:
-            return sum(np.trace(f @ y) * e
-                       for e, f in zip(self.effects, self.outputs))
-        y4 = y.reshape(self.out_dim, rest, self.out_dim, rest)
-        out = np.zeros((self.in_dim * rest, self.in_dim * rest), dtype=complex)
-        for e, f in zip(self.effects, self.outputs):
-            w = np.einsum("ab,bcad->cd", f, y4)
-            out += np.kron(e, w)
-        return out
+    def adjoint_apply(self, y: np.ndarray) -> np.ndarray:
+        return sum(np.trace(f @ y) * e for e, f in zip(self.effects, self.outputs))
 
     def outcome_probabilities(self, x: np.ndarray) -> np.ndarray:
         """tr[effects_m x] for every outcome m."""
@@ -122,46 +106,56 @@ def _dense_choi(apply_map: Callable[[np.ndarray], np.ndarray], d: int) -> Operat
     return Operator(j, (d, d))
 
 
-class ComposedMap:
-    """Composition of leading-factor maps; stages applied first to last."""
+class CycleMap:
+    """Map X -> [X +] sum_pq M[p, q] tr[P_q X] P_p^dag on k copies of C^d.
 
-    def __init__(self, stages: Sequence[tuple[MeasurePrepare, int]], dim: int):
-        self.stages = tuple(stages)  # (map, identity rest dimension)
-        self.dim = dim  # total input dimension
+    Every P is a leading-copy cycle S_m^b (x) I, given by its label (m, b);
+    the identity term is present when ``identity`` is set.  Each trace is a
+    gather-sum over d^k entries of X and each P_p^dag a scatter onto d^k
+    entries (``moments.leading_cycle_index``), so applying the map costs
+    O(labels * d^k) besides the output matrix.  The adjoint swaps the two
+    label sets and uses M^H.
+    """
 
-    def apply(self, x: np.ndarray, rest: int = 1) -> np.ndarray:
-        for m, stage_rest in self.stages:
-            x = m.apply(x, stage_rest * rest)
-        return x
+    def __init__(self, k: int, d: int, outputs: Sequence[tuple[int, int]],
+                 inputs: Sequence[tuple[int, int]], matrix: np.ndarray, identity: bool = False):
+        self.k, self.d = k, d
+        self.in_dim = self.out_dim = d ** k
+        self.outputs = tuple((m, b % m) for m, b in outputs)
+        self.inputs = tuple((m, b % m) for m, b in inputs)
+        self.matrix = np.asarray(matrix, dtype=complex)
+        self.identity = identity
 
-    def adjoint_apply(self, y: np.ndarray, rest: int = 1) -> np.ndarray:
-        for m, stage_rest in reversed(self.stages):
-            y = m.adjoint_apply(y, stage_rest * rest)
-        return y
+    def _map(self, x: np.ndarray, gather, scatter, matrix: np.ndarray) -> np.ndarray:
+        flat_x = x.reshape(-1)
+        traces = [flat_x[leading_cycle_index(m, self.k, self.d)[b]].sum() for m, b in gather]
+        out = (np.array(x, dtype=complex) if self.identity
+               else np.zeros((self.in_dim, self.in_dim), dtype=complex))
+        flat = out.reshape(-1)
+        for (m, b), c in zip(scatter, matrix @ np.array(traces, dtype=complex)):
+            flat[leading_cycle_index(m, self.k, self.d)[b]] += c
+        return out
 
-    def choi(self) -> Operator:
-        return _dense_choi(self.apply, self.dim)
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self._map(x, self.inputs, self.outputs, self.matrix)
 
-
-@dataclass(frozen=True)
-class Recursive:
-    """Recursive depolarizing retriever C_k as a lazy composition tree."""
-
-    eps: float
-    k: int
-    d: int
-    f_table: tuple[float, ...]  # f_2 .. f_k
-
-    in_dim = out_dim = property(lambda self: self.d ** self.k)
-
-    def apply(self, x: np.ndarray, rest: int = 1) -> np.ndarray:
-        return _apply_ck(self.eps, self.k, self.d, x, rest, self.f_table)
-
-    def adjoint_apply(self, y: np.ndarray, rest: int = 1) -> np.ndarray:
-        return _apply_ck(self.eps, self.k, self.d, y, rest, self.f_table, adjoint=True)
+    def adjoint_apply(self, y: np.ndarray) -> np.ndarray:
+        return self._map(y, self.outputs, self.inputs, self.matrix.conj().T)
 
     def choi(self) -> Operator:
         return _dense_choi(self.apply, self.in_dim)
+
+
+class Recursive(CycleMap):
+    """Recursive depolarizing retriever C_k (the two-term map at k = 2) as a copy-cycle map."""
+
+    def __init__(self, eps: float, k: int, d: int):
+        u, labels = _recursion_matrix(eps, k, d)
+        # C_k^dag(Y) = [Y +] sum_nj U[n, j] tr[S_k^j Y] E_n, E_n = S_m^b (x) I = (S_m^-b (x) I)^dag
+        super().__init__(k, d, outputs=[(k, j) for j in range(k)],
+                         inputs=[(m, -b) for m, b in labels], matrix=u.conj().T,
+                         identity=k > 2)
+        self.eps = eps
 
 
 # ---------------------------------------------------------------------------
@@ -284,45 +278,15 @@ def ad_second_moment(eps: float) -> RetrievalProtocol:
 
 
 # ---------------------------------------------------------------------------
-# qudit/n-qubit depolarizing second moment
-
-
-@lru_cache(maxsize=None)
-def _de2_qudit_map(d: int) -> MeasurePrepare:
-    """Second-moment depolarizing retriever on a pair of d-dim systems.
-
-    Choi form (1/d^2) I (x) I + (1/(d^2 (d^2-1))) G (x) G with
-    G = d SWAP - I, the traceless part of d SWAP; for d = 2^n, G equals the
-    sum of P_i (x) P_i over all non-identity Pauli strings.
-    """
-    # SWAP, G, and the two effects and two outputs, each d^2 x d^2
-    check_memory(6 * 16 * d ** 4, f"two-term depolarizing retriever on dimension {d}")
-    swap = np.eye(d * d).reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
-    g = d * swap - np.eye(d * d)
-    return MeasurePrepare(
-        effects=(np.eye(d * d), g),
-        outputs=(np.eye(d * d) / d ** 2, g / (d ** 2 * (d ** 2 - 1))),
-    )
-
-
-def _de2_qudit_protocol(eps: float, d: int, label: str) -> RetrievalProtocol:
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("depolarizing retrieval requires 0 <= eps < 1")
-    s = (1.0 - eps) ** 2
-    return RetrievalProtocol(k=2, copy_dim=d, f=1.0 / s, t=(1.0 - s) / (d * s),
-                             realization=_de2_qudit_map(d), label=label)
+# the depolarizing retrievers as copy-cycle maps
 
 
 def de_second_moment_nqubit(eps: float, n: int) -> RetrievalProtocol:
     """Purity retriever for global depolarizing noise on n-qubit states."""
     if n < 1:
         raise ValueError("the retriever needs n >= 1 qubits")
-    return _de2_qudit_protocol(eps, 2 ** n,
-                               label=f"de_second_moment_nqubit(eps={eps:g},n={n})")
-
-
-# ---------------------------------------------------------------------------
-# transfer maps and the recursive construction
+    return replace(de_kth_moment(eps, 2, 2 ** n),
+                   label=f"de_second_moment_nqubit(eps={eps:g},n={n})")
 
 
 def q_matrices(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -347,49 +311,62 @@ def q_matrices(k: int) -> tuple[np.ndarray, np.ndarray]:
     return q, q_tilde
 
 
+def _dft(k: int) -> np.ndarray:
+    """F[m, j] = w_k^(-mj) / k, so the S_k eigenprojector of w_k^m is sum_j F[m, j] S_k^j."""
+    j = np.arange(k)
+    return np.exp(-2j * np.pi * np.outer(j, j) / k) / k
+
+
+def _gram(s: int, d: int) -> np.ndarray:
+    """G[a, b] = tr[S_s^a S_s^b] = d^gcd(a + b, s)."""
+    a = np.arange(s)
+    return float(d) ** np.gcd(a[:, None] + a, s)
+
+
+def _transfer_matrix(q: np.ndarray, k: int, d: int) -> np.ndarray:
+    """A[p, j] with T(X) = sum_pj A[p, j] tr[S_k^j X] S_{k-1}^p (x) I for the transfer map
+    T(X) = sum_m tr[Pi_m X] / rank_m (sum_l q[l, m] Pi'_l) (x) I/d over the eigenprojectors
+    Pi_m of S_k and Pi'_l of S_{k-1}."""
+    f_k = _dft(k)
+    rank = (f_k @ _gram(k, d)[0]).real
+    return _dft(k - 1) @ q @ (f_k / rank[:, None]) / d
+
+
+def _recovery_matrix(k: int, l: int, d: int) -> np.ndarray:
+    """A[p, j] with R_l(X) = sum_pj A[p, j] tr[S_k^j X] S_l^p (x) I.
+
+    R_l is the composition (T_{l+1} (x) id) o ... o (T_{k-1} (x) id) o T~_k.
+    Stage T_s (x) id reads tr[S_s^a (S_s^p (x) I)] = G_s[a, p] off the previous
+    stage's output, so the stages multiply through the Gram matrices.
+    """
+    a = _transfer_matrix(q_matrices(k)[1], k, d)
+    for s in range(k - 1, l, -1):
+        a = _transfer_matrix(q_matrices(s)[0], s, d) @ _gram(s, d) @ a
+    return a
+
+
+def _to_copy_cycle(k: int, l: int, d: int, a: np.ndarray) -> CycleMap:
+    """The map X -> sum_pj a[p, j] tr[S_k^j X] S_l^p (x) I on k copies."""
+    return CycleMap(k, d, outputs=[(l, -p) for p in range(l)],
+                    inputs=[(k, j) for j in range(k)], matrix=a)
+
+
 @dataclass(frozen=True)
 class TransferMapPair:
-    forward: MeasurePrepare        # T_k:  H_k -> H_{k-1} (x) I/d
-    forward_neg: MeasurePrepare    # T~_k: H_k -> -H_{k-1} (x) I/d
-
-
-@lru_cache(maxsize=None)
-def _eigenvalue_projectors(k: int, d: int) -> tuple[np.ndarray, ...]:
-    """Projector onto the eigenspace of S_k with eigenvalue w_k^m, m = 0..k-1."""
-    spec = permutation_eigenprojectors(k, d)
-    return tuple(spec.projectors[(-m) % k].entries for m in range(k))
-
-
-def _build_transfer(q: np.ndarray, k: int, d: int) -> MeasurePrepare:
-    pk = _eigenvalue_projectors(k, d)
-    pk1 = _eigenvalue_projectors(k - 1, d)
-    eye_d = np.eye(d) / d
-    effects = []
-    outputs = []
-    for m in range(k):
-        rank = np.trace(pk[m]).real
-        effects.append(pk[m] / rank)
-        out = sum(q[l, m] * pk1[l] for l in range(k - 1))
-        outputs.append(np.kron(out, eye_d))
-    return MeasurePrepare(effects, outputs)
-
-
-def _check_transfer_maps(k: int, d: int) -> None:
-    """Refuse transfer maps whose d^k x d^k arrays overrun the memory budget: the k
-    eigenprojectors of S_k and their eigenvectors, and each map's k effects and outputs."""
-    check_memory((5 * k + 1) * 16 * d ** (2 * k), f"transfer maps for k={k}, d={d}")
+    forward: CycleMap        # T_k:  H_k -> H_{k-1} (x) I/d
+    forward_neg: CycleMap    # T~_k: H_k -> -H_{k-1} (x) I/d
 
 
 @lru_cache(maxsize=None)
 def transfer_maps(k: int, d: int = 2) -> TransferMapPair:
-    _check_transfer_maps(k, d)
     q, q_tilde = q_matrices(k)
-    return TransferMapPair(forward=_build_transfer(q, k, d),
-                           forward_neg=_build_transfer(q_tilde, k, d))
+    return TransferMapPair(forward=_to_copy_cycle(k, k - 1, d, _transfer_matrix(q, k, d)),
+                           forward_neg=_to_copy_cycle(k, k - 1, d,
+                                                      _transfer_matrix(q_tilde, k, d)))
 
 
 @lru_cache(maxsize=None)
-def recovery_map(k: int, l: int, d: int = 2) -> ComposedMap:
+def recovery_map(k: int, l: int, d: int = 2) -> CycleMap:
     """CP map R_l with R_l(H_k) = -H_l (x) I/d^{k-l}.
 
     Composition (T_{l+1} (x) id) o ... o (T_{k-1} (x) id) o T~_k; the first
@@ -398,10 +375,7 @@ def recovery_map(k: int, l: int, d: int = 2) -> ComposedMap:
     """
     if not 2 <= l < k:
         raise ValueError(f"recovery map needs 2 <= l < k, got l={l}, k={k}")
-    stages = [(transfer_maps(k, d).forward_neg, 1)]
-    for j in range(k - 1, l, -1):
-        stages.append((transfer_maps(j, d).forward, d ** (k - j)))
-    return ComposedMap(stages, dim=d ** k)
+    return _to_copy_cycle(k, l, d, _recovery_matrix(k, l, d))
 
 
 def _shift_table(eps: float, k: int, d: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -421,52 +395,52 @@ def _shift_table(eps: float, k: int, d: int) -> tuple[tuple[float, ...], tuple[f
     return tuple(f), tuple(t)
 
 
-def _apply_ck(eps: float, k: int, d: int, x: np.ndarray, rest: int,
-              f_table: tuple[float, ...], adjoint: bool = False) -> np.ndarray:
-    """C_k = id + sum_l c_l R_l^dag o (C_l (x) id) on the leading k copies of x,
-    or its adjoint id + sum_l c_l (C_l^dag (x) id) o R_l."""
-    if k == 2:
-        base = _de2_qudit_map(d)
-        return (base.adjoint_apply if adjoint else base.apply)(x, rest)
-    out = np.array(x, dtype=complex, copy=True)
-    for l in range(2, k):
-        coeff = comb(k, l) * (1 - eps) ** l * eps ** (k - l) * f_table[l - 2]
-        r = recovery_map(k, l, d)
-        if adjoint:
-            z = _apply_ck(eps, l, d, r.apply(x, rest), rest * d ** (k - l), f_table, True)
-        else:
-            z = r.adjoint_apply(_apply_ck(eps, l, d, x, rest * d ** (k - l), f_table), rest)
-        out += coeff * z
-    return out
+def _recursion_matrix(eps: float, k: int, d: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """U_k and its labels (m, b), with C_k^dag(Y) = [Y +] sum_nj U_k[n, j] tr[S_k^j Y] E_n
+    over E_n = S_m^b (x) I; the identity term is present for k >= 3.
+
+    C_2 is the two-term map from (tr Y, tr S_2 Y) to (I, S_2).  For k >= 3,
+    C_k^dag = id + sum_l c_l (C_l^dag (x) id) o R_l.  R_l maps Y to
+    sum_p (A_l t)_p S_l^p (x) I, t_j = tr[S_k^j Y], and C_l^dag maps S_l^p to
+    column V_l[:, p]: the unit vector of (l, p) (l >= 3) plus (U_l G_l)[:, p].
+    The labels of every U_l are a prefix of those of U_k, m = 2 .. k-1.
+    """
+    u = {2: np.array([[1.0, -1.0 / d], [-1.0 / d, 1.0]]) / (d * d - 1)}
+    for kk in range(3, k + 1):
+        u[kk] = np.zeros((kk * (kk - 1) // 2 - 1, kk), dtype=complex)
+        for l in range(2, kk):
+            v = u[l] @ _gram(l, d)
+            if l > 2:
+                v = np.vstack([v, np.eye(l)])
+            c = comb(kk, l) * eps ** (kk - l)  # binomial weight (1-eps)^l eps^(kk-l) times f_l
+            u[kk][:len(v)] += c * v @ _recovery_matrix(kk, l, d)
+    return u[k], [(m, b) for m in range(2, max(k, 3)) for b in range(m)]
 
 
 def de_kth_moment(eps: float, k: int, d: int = 2) -> RetrievalProtocol:
     """k-th moment retriever for depolarizing noise on d-dim states.
 
-    The realization is completely positive but not trace preserving for
-    k >= 3; it is evaluated exactly (densely) and is not part of the
-    finite-shot sampling surface.
+    The realization is a :class:`Recursive` copy-cycle map: the two-term map
+    at k = 2, and C_k = id + sum_l c_l R_l^dag o (C_l (x) id) for k >= 3.  It
+    is trace preserving only at k = 2; for k >= 3 it is completely positive
+    but not trace preserving, so it is evaluated exactly and is not part of
+    the finite-shot sampling surface.
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError("depolarizing retrieval requires 0 <= eps < 1")
     if k < 2:
         raise ValueError("moment order must be >= 2")
     f_table, t_table = _shift_table(eps, k, d)
-    if k == 2:
-        return _de2_qudit_protocol(eps, d, label=f"de_kth_moment(eps={eps:g},k=2,d={d})")
-    _check_transfer_maps(k, d)  # built on first evaluation
-    return RetrievalProtocol(
-        k=k, copy_dim=d, f=f_table[-1], t=t_table[-1],
-        realization=Recursive(eps=eps, k=k, d=d, f_table=f_table),
-        label=f"de_kth_moment(eps={eps:g},k={k},d={d})",
-    )
+    return RetrievalProtocol(k=k, copy_dim=d, f=f_table[-1], t=t_table[-1],
+                             realization=Recursive(eps, k, d),
+                             label=f"de_kth_moment(eps={eps:g},k={k},d={d})")
 
 
 # ---------------------------------------------------------------------------
 # SDP extraction
 
 
-def from_sdp_solution(sol: SdpSolution, k: int, H) -> RetrievalProtocol:
+def from_sdp_solution(sol: SdpSolution, k: int) -> RetrievalProtocol:
     """Turn an optimal observable-shift solution into an executable protocol."""
     if sol.status != "optimal":
         raise ValueError(f"cannot extract a protocol from a {sol.status} solution")

@@ -19,9 +19,9 @@ from momentshift.moments import (
 )
 from momentshift.operators import MEMORY_BUDGET, random_density_matrix
 from momentshift.protocols import (
-    ComposedMap,
     de_kth_moment,
     de_second_moment_nqubit,
+    recovery_map,
     transfer_maps,
 )
 from momentshift.sdp import programs
@@ -36,14 +36,14 @@ OVER_BUDGET = {
     "noisy_copies": lambda: partial(noisy_copies, random_density_matrix(2, 0),
                                     depolarizing(0.1, 2), 16),
     "depolarizing": lambda: partial(depolarizing, 0.1, 128),
-    "de2_qudit_map": lambda: partial(de_second_moment_nqubit, 0.1, 7),
+    "de2_qudit_map": lambda: de_second_moment_nqubit(0.1, 7).realization.choi,
     "cyclic_permutation": lambda: partial(cyclic_permutation, 14, 2),
     "moment_observable": lambda: partial(moment_observable, 14, 2),
     "necklace_set": lambda: partial(necklace_set, 30, 2),
     "permutation_eigenprojectors": lambda: partial(permutation_eigenprojectors, 12, 2),
-    "transfer_maps": lambda: partial(transfer_maps, 12, 2),
-    "de_kth_moment": lambda: partial(de_kth_moment, 0.1, 12, 2),
-    "composed_map_choi": lambda: ComposedMap([], dim=128).choi,
+    "transfer_maps": lambda: transfer_maps(12, 2).forward.choi,
+    "de_kth_moment": lambda: de_kth_moment(0.1, 12, 2).realization.choi,
+    "recovery_map_choi": lambda: recovery_map(7, 3, 2).choi,
     "recursive_choi": lambda: de_kth_moment(0.1, 7, 2).realization.choi,
     "build_fmin": lambda: partial(build_fmin, amplitude_damping(0.1), 5,
                                   moment_observable(5, 2)),
@@ -98,15 +98,27 @@ def test_k4_programs_fit_budget():
     assert [b.dim for b in p.blocks] == [256, 256]
 
 
-def test_cli_estimate_n4_exact_matches_purity(capsys, tmp_path):
-    # four-qubit copies fit the budget in product form (the Kraus route needs 64 GiB)
-    path = tmp_path / "de_n4.json"
-    assert main(["synthesize", "--noise", "depolarizing", "--eps", "0.1", "--k", "2",
-                 "--n", "4", "--out", str(path)]) == 0
+def _cli_exact_estimate(capsys, tmp_path, n, k):
+    """`estimate --exact` of the synthesized depolarizing retriever on n-qubit copies."""
+    path = tmp_path / f"de_n{n}_k{k}.json"
+    assert main(["synthesize", "--noise", "depolarizing", "--eps", "0.1", "--k", str(k),
+                 "--n", str(n), "--out", str(path)]) == 0
     capsys.readouterr()
     assert main(["estimate", "--protocol", str(path), "--noise", "depolarizing",
-                 "--eps", "0.1", "--n", "4", "--state-seed", "3", "--exact"]) == 0
+                 "--eps", "0.1", "--n", str(n), "--state-seed", "3", "--exact"]) == 0
     out = capsys.readouterr().out
-    estimate = float(re.search(r"^estimate: (\S+)$", out, re.M).group(1))
+    return float(re.search(r"^estimate: (\S+)$", out, re.M).group(1))
+
+
+def test_cli_estimate_n4_exact_matches_purity(capsys, tmp_path):
+    # four-qubit copies fit the budget in product form (the Kraus route needs 64 GiB)
     rho = random_density_matrix(16, 3).entries
-    assert abs(estimate - np.trace(rho @ rho).real) < 1e-9
+    assert abs(_cli_exact_estimate(capsys, tmp_path, 4, 2) - np.trace(rho @ rho).real) < 1e-9
+
+
+def test_cli_recursive_k4_n3_exact_matches_moment(capsys, tmp_path):
+    # the recursion on four three-qubit copies builds no d^k x d^k operator besides
+    # the 4096 x 4096 state and its image
+    rho = random_density_matrix(8, 3).entries
+    moment = np.trace(np.linalg.matrix_power(rho, 4)).real
+    assert abs(_cli_exact_estimate(capsys, tmp_path, 3, 4) - moment) < 1e-9

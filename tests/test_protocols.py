@@ -1,13 +1,15 @@
+from functools import lru_cache
+from math import comb
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from momentshift.channels import Channel, amplitude_damping, apply, depolarizing, identity_channel
-from momentshift.moments import moment_observable
+from momentshift.moments import moment_observable, permutation_eigenprojectors
 from momentshift.operators import Operator, random_density_matrix, tensor_product
 from momentshift.protocols import (
     MeasurePrepare,
-    _de2_qudit_map,
     ad_second_moment,
     de_kth_moment,
     de_second_moment,
@@ -177,8 +179,9 @@ class TestNQubitProtocol:
             assert abs(p.f * z - p.t - true_moment(rho, 2)) < 1e-10
 
     def test_cap(self):
+        # nothing large is built at construction; the dense Choi matrix is refused
         with pytest.raises(ValueError):
-            de_second_moment_nqubit(0.1, 7)
+            de_second_moment_nqubit(0.1, 7).realization.choi()
 
 
 class TestQMatrices:
@@ -242,7 +245,9 @@ class TestRecoveryMaps:
         h3 = moment_observable(3, 2).matrix.entries
         tgt = -np.kron(moment_observable(2, 2).matrix.entries, np.eye(2) / 2)
         assert np.max(np.abs(r.apply(h3) - tgt)) < 1e-10
-        assert len(r.stages) == 1
+        # the one stage is the sign-flipping transfer map
+        x = random_density_matrix(8, 4).entries
+        assert_allclose(r.apply(x), transfer_maps(3, 2).forward_neg.apply(x), atol=1e-14)
 
     @pytest.mark.parametrize("k,l", [(4, 2), (5, 2), (5, 3)])
     def test_composition_identity(self, k, l):
@@ -291,14 +296,13 @@ class TestRecursiveProtocol:
             assert abs(p.f * z - p.t - true_moment(rho, k)) < 1e-9
 
     def test_overhead_normalization(self):
-        for k in (2, 10, 50, 100):
-            f = de_kth_moment(0.15, 3, 2).f if k == 3 else 1 / (1 - 0.15) ** k
-            assert abs(f * (1 - 0.15) ** k - 1) < 1e-12
+        for k in (2, 3, 5, 10):
+            assert abs(de_kth_moment(0.15, k, 2).f * 0.85 ** k - 1) < 1e-12
 
     def test_completely_positive(self):
         for k in (3, 4):
             j = de_kth_moment(0.2, k, 2).realization.choi()
-            assert j.min_eigenvalue() > -1e-8
+            assert j.min_eigenvalue() >= -1e-12
 
     def test_qudit_d3(self):
         eps = 0.15
@@ -309,12 +313,96 @@ class TestRecursiveProtocol:
         assert abs(p.f * z - p.t - true_moment(rho, 3)) < 1e-9
 
 
+# Dense oracle: the transfer maps from the S_k eigenprojectors as effect/output
+# pairs, applied on the leading copies, and the recursion composed stage by stage.
+
+
+@lru_cache(maxsize=None)
+def _dense_transfer(k, d, negative):
+    q = q_matrices(k)[1 if negative else 0]
+    pk = permutation_eigenprojectors(k, d).projectors
+    pk1 = permutation_eigenprojectors(k - 1, d).projectors
+    effects = [pk[-m % k].entries / np.trace(pk[-m % k].entries).real for m in range(k)]
+    outputs = [np.kron(sum(q[l, m] * pk1[-l % (k - 1)].entries for l in range(k - 1)),
+                       np.eye(d) / d) for m in range(k)]
+    return effects, outputs
+
+
+def _dense_two_term(d):
+    g = d * moment_observable(2, d).matrix.entries - np.eye(d * d)  # d SWAP - I
+    return [np.eye(d * d), g], [np.eye(d * d) / d ** 2, g / (d ** 2 * (d ** 2 - 1))]
+
+
+def _leading(pair, x, rest, adjoint):
+    """(T (x) id_rest)(x) for T = sum_m tr[effects_m .] outputs_m, or its adjoint."""
+    effects, outputs = pair[::-1] if adjoint else pair
+    n = effects[0].shape[0]
+    x4 = x.reshape(n, rest, n, rest)
+    return sum(np.kron(f, np.einsum("ab,bcad->cd", e, x4)) for e, f in zip(effects, outputs))
+
+
+def _dense_recovery(k, l, d, x, rest=1, adjoint=False):
+    stages = [(_dense_transfer(k, d, True), 1)]
+    stages += [(_dense_transfer(j, d, False), d ** (k - j)) for j in range(k - 1, l, -1)]
+    for pair, r in (stages[::-1] if adjoint else stages):
+        x = _leading(pair, x, r * rest, adjoint)
+    return x
+
+
+def _dense_recursion(eps, k, d, x, rest=1, adjoint=False):
+    """C_k = id + sum_l c_l R_l^dag o (C_l (x) id), or its adjoint, on the leading k copies."""
+    if k == 2:
+        return _leading(_dense_two_term(d), x, rest, adjoint)
+    out = x.astype(complex)
+    for l in range(2, k):
+        c = comb(k, l) * eps ** (k - l)
+        if adjoint:
+            z = _dense_recursion(eps, l, d, _dense_recovery(k, l, d, x, rest),
+                                 rest * d ** (k - l), True)
+        else:
+            z = _dense_recovery(k, l, d, _dense_recursion(eps, l, d, x, rest * d ** (k - l)),
+                                rest, True)
+        out += c * z
+    return out
+
+
+def _random_pair(dim, seed):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(2)]
+
+
+class TestDenseOracle:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_transfer_and_recovery_maps(self, k, d):
+        x, y = _random_pair(d ** k, k + 10 * d)
+        tm = transfer_maps(k, d)
+        for negative, r in ((False, tm.forward), (True, tm.forward_neg)):
+            pair = _dense_transfer(k, d, negative)
+            assert_allclose(r.apply(x), _leading(pair, x, 1, False), rtol=0, atol=1e-12)
+            assert_allclose(r.adjoint_apply(y), _leading(pair, y, 1, True), rtol=0, atol=1e-12)
+        for l in range(2, k):
+            r = recovery_map(k, l, d)
+            assert_allclose(r.apply(x), _dense_recovery(k, l, d, x), rtol=0, atol=1e-12)
+            assert_allclose(r.adjoint_apply(y), _dense_recovery(k, l, d, y, adjoint=True),
+                            rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_recursion(self, k, d):
+        x, y = _random_pair(d ** k, k + 10 * d)
+        r = de_kth_moment(0.15, k, d).realization
+        assert_allclose(r.apply(x), _dense_recursion(0.15, k, d, x), rtol=0, atol=1e-12)
+        assert_allclose(r.adjoint_apply(y), _dense_recursion(0.15, k, d, y, adjoint=True),
+                        rtol=0, atol=1e-12)
+
+
 class TestFromSdpSolution:
     def test_depolarizing_agrees_with_analytic(self):
         eps = 0.1
         h = moment_observable(2, 2)
         sol = solve(build_fmin(depolarizing(eps, 2), 2, h))
-        p = from_sdp_solution(sol, 2, h)
+        p = from_sdp_solution(sol, 2)
         ref = de_second_moment(eps)
         assert abs(p.f - ref.f) < 1e-4
         assert abs(p.t - ref.t) < 1e-4
@@ -328,7 +416,7 @@ class TestFromSdpSolution:
     def test_identity_channel(self):
         h = moment_observable(2, 2)
         sol = solve(build_fmin(identity_channel(2), 2, h))
-        p = from_sdp_solution(sol, 2, h)
+        p = from_sdp_solution(sol, 2)
         assert abs(p.f - 1.0) < 1e-4
         assert abs(p.t) < 1e-4
         rho = random_density_matrix(2, 2)
@@ -339,7 +427,7 @@ class TestFromSdpSolution:
         eps = 0.3
         h = moment_observable(2, 2)
         sol = solve(build_fmin(amplitude_damping(eps), 2, h))
-        p = from_sdp_solution(sol, 2, h)
+        p = from_sdp_solution(sol, 2)
         ref = ad_second_moment(eps)
         noise = amplitude_damping(eps)
         for seed in range(5):
@@ -351,13 +439,13 @@ class TestFromSdpSolution:
     def test_rejects_non_optimal(self):
         sol = solve(build_fmin(depolarizing(1.0, 2), 2, moment_observable(2, 2)))
         with pytest.raises(ValueError):
-            from_sdp_solution(sol, 2, moment_observable(2, 2))
+            from_sdp_solution(sol, 2)
 
     def test_contract_at_solver_tolerance(self):
         eps = 0.2
         h = moment_observable(2, 2)
         sol = solve(build_fmin(amplitude_damping(eps), 2, h))
-        p = from_sdp_solution(sol, 2, h)
+        p = from_sdp_solution(sol, 2)
         assert isinstance(p.realization, Channel)
         assert is_trace_preserving(p.realization)
         noise = amplitude_damping(eps)
@@ -449,8 +537,10 @@ def _adjoint_maps():
         "kraus_channel": Channel(2, 3, kraus=kraus),
         "choi_channel": Channel(2, 3, choi=Operator(choi, (2, 3))),
         "ad_second_moment": ad_second_moment(0.2).realization,
-        "de2_qudit_4": _de2_qudit_map(4),
+        "de2_qudit_4": de_kth_moment(0.1, 2, 4).realization,
+        "transfer_4": transfer_maps(4, 2).forward,
         "recovery_4_2": recovery_map(4, 2),
+        "recovery_5_3": recovery_map(5, 3),
         "recursive_k3_d2": de_kth_moment(0.1, 3, 2).realization,
         "recursive_k4_d2": de_kth_moment(0.1, 4, 2).realization,
         "recursive_k5_d2": de_kth_moment(0.1, 5, 2).realization,
@@ -463,8 +553,7 @@ class TestAdjoint:
     def test_adjoint_identity(self, name):
         # <Y, r(X)> = <r^dag(Y), X> for the Hilbert-Schmidt inner product
         r = _adjoint_maps()[name]
-        in_dim = getattr(r, "in_dim", None) or r.dim
-        out_dim = getattr(r, "out_dim", None) or r.dim
+        in_dim, out_dim = r.in_dim, r.out_dim
         rng = np.random.default_rng(7)
         x = rng.normal(size=(in_dim, in_dim)) + 1j * rng.normal(size=(in_dim, in_dim))
         y = rng.normal(size=(out_dim, out_dim)) + 1j * rng.normal(size=(out_dim, out_dim))
