@@ -7,16 +7,11 @@ purity demonstration.
 
 from .operators import (
     Operator,
-    VectorizedOperator,
-    devectorize,
-    effective_rank,
-    hermitian_eig,
     identity,
     partial_trace,
     partial_transpose,
     random_density_matrix,
     tensor_product,
-    vectorize,
 )
 from .channels import (
     Channel,
@@ -24,7 +19,6 @@ from .channels import (
     adjoint_apply,
     apply,
     channel_matrix,
-    choi_of,
     depolarizing,
     identity_channel,
     is_invertible,
@@ -36,7 +30,6 @@ from .moments import (
     PermutationSpectrum,
     cyclic_permutation,
     moment_observable,
-    necklace_set,
     permutation_eigenprojectors,
 )
 from .sdp.problem import DualCertificate, SdpProblem, SdpSolution

@@ -15,7 +15,6 @@ access).
 
 from __future__ import annotations
 
-import json
 from typing import Sequence
 
 import numpy as np
@@ -69,8 +68,15 @@ class Channel:
         return f"Channel({self.label or form}, {self.in_dim}->{self.out_dim})"
 
     def choi(self) -> Operator:
+        """Choi matrix J = sum_ij |i><j| (x) N(|i><j|), input factor first."""
         if self._choi is None:
-            self._choi = choi_of(self)
+            d = self.in_dim * self.out_dim
+            j = np.zeros((d, d), dtype=complex)
+            for e in self.kraus:
+                v = e.T.reshape(-1)  # (I (x) E)|Omega>
+                j += np.outer(v, v.conj())
+            j.flags.writeable = False
+            self._choi = Operator(j, (self.in_dim, self.out_dim))
         return self._choi
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -95,18 +101,6 @@ class Channel:
             return False
         marg = partial_trace(j.with_dims((self.in_dim, self.out_dim)), [0])
         return bool(np.max(np.abs(marg.entries - np.eye(self.in_dim))) <= CPTP_TOL)
-
-
-def choi_of(c: Channel) -> Operator:
-    """Choi matrix J = sum_ij |i><j| (x) N(|i><j|), input factor first."""
-    if c.kraus is None:
-        return c._choi
-    d = c.in_dim * c.out_dim
-    j = np.zeros((d, d), dtype=complex)
-    for e in c.kraus:
-        v = e.T.reshape(-1)  # (I (x) E)|Omega>
-        j += np.outer(v, v.conj())
-    return Operator(j, (c.in_dim, c.out_dim))
 
 
 def apply(c: Channel, rho: Operator) -> Operator:
@@ -177,8 +171,9 @@ def noisy_copies(rho: Operator, noise: Channel, k: int) -> Operator:
     if k < 1:
         raise ValueError("noisy copies require k >= 1")
     d = noise.out_dim
-    # the joint state twice (Kronecker product, Operator's copy) and one copy
-    check_memory(16 * (2 * d ** (2 * k) + d * d), f"{k} noisy copies of dimension {d}")
+    # the joint state, the k - 1 copies it is built from, and one copy
+    check_memory(16 * (d ** (2 * k) + d ** (2 * k - 2) + d * d),
+                 f"{k} noisy copies of dimension {d}")
     one = apply(noise, rho)
     joint = one
     for _ in range(k - 1):
@@ -187,7 +182,8 @@ def noisy_copies(rho: Operator, noise: Channel, k: int) -> Operator:
 
 
 def channel_matrix(c: Channel) -> np.ndarray:
-    """Matrix M_N = sum_k conj(E_k) (x) E_k acting on vectorized operators."""
+    """Matrix M_N = sum_k conj(E_k) (x) E_k with M_N |X> = |N(X)>, where the
+    column-index-first |X> = sum_ij X_ij |j>|i> is ``X.T.reshape(-1)``."""
     if c.kraus is None:
         raise ValueError("channel matrix requires Kraus form")
     d2 = c.in_dim * c.out_dim
@@ -257,13 +253,3 @@ def channel_from_json(data: dict) -> Channel:
                        label=data.get("label", ""))
     return Channel(d_in, d_out, choi=Operator(matrix_from_json(data["choi"]), (d_in, d_out)),
                    label=data.get("label", ""))
-
-
-def save_channel(c: Channel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(channel_to_json(c), fh, indent=1)
-
-
-def load_channel(path) -> Channel:
-    with open(path) as fh:
-        return channel_from_json(json.load(fh))

@@ -60,6 +60,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
 def _noise_channel(model: str, eps: float, n: int):
     if model == "depolarizing":
         return depolarizing(eps, 2 ** n)
@@ -308,8 +318,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--noise", required=True,
                     choices=("depolarizing", "amplitude-damping"))
     sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--k", type=int, default=2, help="moment order")
-    sp.add_argument("--n", type=int, default=1, help="qubits per copy")
+    sp.add_argument("--k", type=_at_least(2), default=2, help="moment order")
+    sp.add_argument("--n", type=_at_least(1), default=1, help="qubits per copy")
     sp.add_argument("--force-sdp", action="store_true",
                     help="skip closed forms and always solve the program")
     common(sp, "--format", "--tol")
@@ -318,7 +328,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("overhead-sweep", help="overhead vs noise level table")
     sp.add_argument("--noise", required=True,
                     choices=("depolarizing", "amplitude-damping"))
-    sp.add_argument("--k", type=int, default=2)
+    sp.add_argument("--k", type=_at_least(2), default=2)
     sp.add_argument("--eps-grid", default="0:0.3:7",
                     help="start:stop:num or comma-separated values")
     sp.add_argument("--methods", default="shift,inverse,recover")
@@ -330,7 +340,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--noise", required=True,
                     choices=("depolarizing", "amplitude-damping"))
     sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--n", type=int, default=1)
+    sp.add_argument("--n", type=_at_least(1), default=1)
     sp.add_argument("--state", default="random",
                     help="random | maxmixed | hubbard | path to density-matrix JSON")
     sp.add_argument("--state-seed", type=int, default=0)

@@ -22,11 +22,10 @@ import numpy as np
 
 from .channels import depolarizing
 from .estimator import _choi_distribution, _draw, derive_seed
-from .operators import Operator, check_memory, partial_trace
+from .operators import I2, PAULI_Z, Operator, check_memory, partial_trace
 from .protocols import de_second_moment_nqubit, identity_protocol
 
 _SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 DEGENERACY_GAP_TOL = 1e-10  # a smaller spectral gap marks the ground state degenerate
 
 
@@ -69,7 +68,7 @@ def mode_index(site: int, spin: str) -> int:
 
 def annihilation_operator(mode: int, n_modes: int) -> Operator:
     """Jordan-Wigner a_p = Z^(x p) (x) |0><1| (x) I^(x rest)."""
-    ops = [_Z] * mode + [_SIGMA_MINUS] + [np.eye(2, dtype=complex)] * (n_modes - mode - 1)
+    ops = [PAULI_Z] * mode + [_SIGMA_MINUS] + [I2] * (n_modes - mode - 1)
     out = ops[0]
     for o in ops[1:]:
         out = np.kron(out, o)

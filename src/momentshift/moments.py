@@ -9,9 +9,7 @@ copy cycle in the package is read off that one table.  The orbits of ``S_k``
 are necklaces (equivalence classes of index strings under rotation), each
 named by its smallest string; a necklace of period p contributes eigenstates
 only for the p phase labels m with m*p = 0 mod k, and its projector terms
-fill only the p x p block of its orbit.  For prime k every non-constant
-string has full period, which recovers the cardinality
-``|C(k,d)| = (d^k - d)/k + d``; the construction below handles arbitrary k.
+fill only the p x p block of its orbit.
 """
 
 from __future__ import annotations
@@ -99,19 +97,6 @@ def leading_cycle_index(m: int, k: int, d: int = 2) -> np.ndarray:
 def _strings(index: np.ndarray, k: int, d: int) -> list[tuple[int, ...]]:
     """Digit strings x1 ... xk of flat basis indices."""
     return [tuple(x) for x in (index[:, None] // d ** np.arange(k - 1, -1, -1) % d).tolist()]
-
-
-def necklace_set(k: int, d: int = 2) -> list[tuple[int, ...]]:
-    """Canonical rotation-class representatives of length-k strings over [d].
-
-    Representatives are the lexicographically smallest rotations, the
-    smallest indices of S_k's orbits.  Cyclic shifts of the returned set
-    cover all d^k strings; for prime k the count equals (d^k - d)/k + d.
-    """
-    # the shift index, the k x d^k orbit table and its column minima
-    check_memory(8 * (k + 2) * _dim(k, d), f"necklace set for k={k}, d={d}")
-    _, starts, _ = cycle_orbits(cyclic_shift_index(k, d), k)
-    return _strings(starts, k, d)
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,8 @@ class Operator:
     Parameters
     ----------
     entries : (dim, dim) complex ndarray
-        Matrix in the computational product basis, row index first.
+        Matrix in the computational product basis, row index first.  It is
+        copied unless it already owns its data and is read-only.
     subsystem_dims : tuple of int
         Ordered local dimensions; their product must equal ``dim``.
     """
@@ -61,8 +62,9 @@ class Operator:
             raise ValueError(
                 f"product of subsystem_dims {dims} != matrix dimension {m.shape[0]}"
             )
-        m = m.copy()
-        m.flags.writeable = False
+        if m.flags.writeable or not m.flags.owndata:  # a frozen array it owns is held as is
+            m = m.copy()
+            m.flags.writeable = False
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "subsystem_dims", dims)
 
@@ -90,40 +92,8 @@ class Operator:
     def __add__(self, other: "Operator") -> "Operator":
         return Operator(self.entries + other.entries, self.subsystem_dims)
 
-    def __sub__(self, other: "Operator") -> "Operator":
-        return Operator(self.entries - other.entries, self.subsystem_dims)
-
-    def __mul__(self, scalar) -> "Operator":
-        return Operator(self.entries * scalar, self.subsystem_dims)
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other: "Operator") -> "Operator":
         return Operator(self.entries @ other.entries, self.subsystem_dims)
-
-
-@dataclass(frozen=True)
-class VectorizedOperator:
-    """Vector form |M> = sum_ij M_ij |j> (x) |i> of a square matrix.
-
-    The component at flat index ``j*dim + i`` is ``M[i, j]`` (column index
-    first); this single convention is used everywhere vectorization appears.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.entries, dtype=complex).reshape(-1)
-        d = int(round(np.sqrt(v.size)))
-        if d * d != v.size:
-            raise ValueError(f"vector length {v.size} is not a perfect square")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "entries", v)
-
-    @property
-    def dim2(self) -> int:
-        return self.entries.size
 
 
 def identity(subsystem_dims: Sequence[int] | int) -> Operator:
@@ -134,8 +104,25 @@ def identity(subsystem_dims: Sequence[int] | int) -> Operator:
 
 
 def tensor_product(a: Operator, b: Operator) -> Operator:
-    """Kronecker product with concatenated subsystem bookkeeping."""
-    return Operator(np.kron(a.entries, b.entries), a.subsystem_dims + b.subsystem_dims)
+    """Kronecker product with concatenated subsystem bookkeeping.
+
+    The product is written in place, one scaled copy of the larger factor per
+    entry of the smaller one (a broadcast product would allocate ufunc
+    buffers), and frozen before it is wrapped, so the Operator holds it
+    without a copy.
+    """
+    x, y = a.entries, b.entries
+    (m, n), (p, q) = x.shape, y.shape
+    out = np.empty((m * p, n * q), dtype=complex)
+    blocks = out.reshape(m, p, n, q)
+    if x.size <= y.size:
+        for i, j in np.ndindex(m, n):
+            np.multiply(x[i, j], y, out=blocks[i, :, j, :])
+    else:
+        for i, j in np.ndindex(p, q):
+            np.multiply(x, y[i, j], out=blocks[:, i, :, j])
+    out.flags.writeable = False
+    return Operator(out, a.subsystem_dims + b.subsystem_dims)
 
 
 def _check_subsystems(op: Operator, subsystems: Iterable[int]) -> tuple[int, ...]:
@@ -182,59 +169,6 @@ def partial_transpose(op: Operator, subsystems: Iterable[int]) -> Operator:
     return Operator(t.reshape(op.dim, op.dim), dims)
 
 
-def vectorize(m: Operator) -> VectorizedOperator:
-    """Column-index-first vectorization |M> = sum_ij M_ij |j>|i>."""
-    return VectorizedOperator(m.entries.T.reshape(-1))
-
-
-def devectorize(v: VectorizedOperator, subsystem_dims: Sequence[int] | None = None) -> Operator:
-    d = int(round(np.sqrt(v.dim2)))
-    m = v.entries.reshape(d, d).T
-    return Operator(m, tuple(subsystem_dims) if subsystem_dims else (d,))
-
-
-def hermitian_eig(op: Operator, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian operator.
-
-    Returns ascending real eigenvalues and an orthonormal eigenvector matrix
-    ``V`` (columns) with ``A = V diag(w) V^dag``.  Raises if the input fails
-    the Hermiticity test at ``tol``.
-    """
-    if not op.is_hermitian(tol):
-        raise ValueError("operator is not Hermitian within tolerance")
-    a = (op.entries + op.entries.conj().T) / 2
-    w, v = np.linalg.eigh(a)
-    return w, v
-
-
-def effective_rank(op: Operator, bipartition: Iterable[int], tol: float = DEFAULT_RANK_TOL) -> int:
-    """Rank of tr_B |O><O| for the bipartition A = ``bipartition``.
-
-    Equivalently the Schmidt rank of the vectorized operator across the cut
-    that groups the row and column indices of A against those of the remaining
-    subsystems; computed from singular values of the reshaped matrix, zeroing
-    any value <= tol * sigma_max.
-    """
-    if not op.is_hermitian(1e-8):
-        raise ValueError("effective rank is defined for Hermitian operators")
-    subs_a = _check_subsystems(op, bipartition)
-    dims = op.subsystem_dims
-    n = len(dims)
-    subs_b = [s for s in range(n) if s not in subs_a]
-    if not subs_b:
-        return 1 if np.any(op.entries) else 0
-    t = op.entries.reshape(dims + dims)
-    axes = [s for s in subs_a] + [s + n for s in subs_a] \
-        + [s for s in subs_b] + [s + n for s in subs_b]
-    da = int(np.prod([dims[s] for s in subs_a]))
-    db = int(np.prod([dims[s] for s in subs_b]))
-    m = t.transpose(axes).reshape(da * da, db * db)
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > tol * sv[0]))
-
-
 def matrix_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
     sv = np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
@@ -251,15 +185,6 @@ def random_density_matrix(dim: int, seed: int, rank: int | None = None,
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
     return Operator(rho, tuple(subsystem_dims) if subsystem_dims else (dim,))
-
-
-def random_pure_state(dim: int, seed: int,
-                      subsystem_dims: Sequence[int] | None = None) -> Operator:
-    rng = np.random.default_rng(seed)
-    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    psi /= np.linalg.norm(psi)
-    return Operator(np.outer(psi, psi.conj()),
-                    tuple(subsystem_dims) if subsystem_dims else (dim,))
 
 
 def matrix_to_json(m: np.ndarray) -> list:

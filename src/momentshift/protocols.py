@@ -44,7 +44,8 @@ import numpy as np
 
 from .channels import Channel, channel_from_json, channel_to_json
 from .moments import cyclic_shift_index, leading_cycle_index, moment_observable
-from .operators import Operator, check_memory, matrix_from_json, matrix_to_json
+from .operators import (I2, PAULI_X, PAULI_Y, PAULI_Z, Operator, check_memory,
+                        matrix_from_json, matrix_to_json)
 from .sdp.problem import SdpSolution
 
 PROTOCOL_SCHEMA_VERSION = 1
@@ -199,11 +200,6 @@ def exact_expectation(p: RetrievalProtocol, noisy_state: Operator) -> float:
 # ---------------------------------------------------------------------------
 # analytic single-qubit depolarizing protocol (twelve-unitary twirl)
 
-_I = np.eye(2, dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
 
 def _twirl_unitaries() -> tuple[np.ndarray, ...]:
     i = 1j
@@ -215,12 +211,12 @@ def _twirl_unitaries() -> tuple[np.ndarray, ...]:
     u10 = np.array([[-i, -1, -1, i], [-i, 1, -1, -i], [-i, -1, 1, -i], [-i, 1, 1, i]]) / 2
     u11 = np.array([[i, -i, -i, i], [1, 1, -1, -1], [1, -1, 1, -1], [-i, -i, -i, -i]]) / 2
     u12 = np.array([[-i, -i, -i, -i], [-1, 1, -1, 1], [-1, -1, 1, 1], [i, -i, -i, i]]) / 2
-    return (np.kron(_I, _I), np.kron(_X, _X), np.kron(_Y, _Y), np.kron(_Z, _Z),
-            u5, u6, u7, u8, u9, u10, u11, u12)
+    return (np.kron(I2, I2), np.kron(PAULI_X, PAULI_X), np.kron(PAULI_Y, PAULI_Y),
+            np.kron(PAULI_Z, PAULI_Z), u5, u6, u7, u8, u9, u10, u11, u12)
 
 
 def _twirl_choi_closed_form() -> np.ndarray:
-    paulis = np.kron(_X, _X) + np.kron(_Y, _Y) + np.kron(_Z, _Z)
+    paulis = np.kron(PAULI_X, PAULI_X) + np.kron(PAULI_Y, PAULI_Y) + np.kron(PAULI_Z, PAULI_Z)
     return np.kron(np.eye(4), np.eye(4)) / 4 + np.kron(paulis, paulis) / 12
 
 
@@ -430,6 +426,8 @@ def de_kth_moment(eps: float, k: int, d: int = 2) -> RetrievalProtocol:
         raise ValueError("depolarizing retrieval requires 0 <= eps < 1")
     if k < 2:
         raise ValueError("moment order must be >= 2")
+    if d != int(d) or d < 2:
+        raise ValueError(f"copy dimension must be an integer >= 2, got {d}")
     f_table, t_table = _shift_table(eps, k, d)
     return RetrievalProtocol(k=k, copy_dim=d, f=f_table[-1], t=t_table[-1],
                              realization=Recursive(eps, k, d),

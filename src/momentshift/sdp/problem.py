@@ -142,21 +142,20 @@ class ConstraintTerm:
     """One linear term of an equality constraint.
 
     For a block variable, ``block_map`` maps a batch (n, D, D) of Hermitian
-    matrices to (n, Dc, Dc) target-space matrices (or (n,) reals for scalar
-    constraints).  For a scalar variable, the coefficient is an operator on
-    the target space (operator constraints) or a plain float.
+    matrices to (n, Dc, Dc) target-space matrices; at Dc = 1 it may return
+    (n,) reals.  For a scalar variable, ``scalar_coeff_op`` is its (Dc, Dc)
+    coefficient operator on the target space.
     """
 
     var: str
     block_map: Callable[[np.ndarray], np.ndarray] | None = None
     scalar_coeff_op: np.ndarray | None = None
-    scalar_coeff: float = 0.0
 
 
 @dataclass(frozen=True)
 class Constraint:
     terms: tuple[ConstraintTerm, ...]
-    target: object  # (Dc, Dc) Hermitian ndarray or float
+    target: object  # (Dc, Dc) Hermitian ndarray; a float is the Dc = 1 case
     name: str = ""
 
 

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..channels import Channel, channel_matrix, choi_of, tensor_power
+from ..channels import Channel, channel_matrix, tensor_power
 from ..moments import MomentObservable, cycle_orbits, cyclic_shift_index
 from ..operators import Operator, identity, partial_trace, partial_transpose, tensor_product
 from .problem import (
@@ -239,14 +239,14 @@ def build_dual_fmin(noise: Channel, k: int, H: MomentObservable) -> SdpProblem:
     trm = Constraint(
         terms=(
             ConstraintTerm(var="M", block_map=_batch_trace),
-            ConstraintTerm(var="s", scalar_coeff=1.0),
+            ConstraintTerm(var="s", scalar_coeff_op=np.eye(1)),
         ),
-        target=1.0,
+        target=np.ones((1, 1)),
         name="trace_M_bound",
     )
     trk = Constraint(
         terms=(ConstraintTerm(var="K", block_map=_batch_trace),),
-        target=0.0,
+        target=np.zeros((1, 1)),
         name="trace_K_zero",
     )
     return SdpProblem(blocks=blocks, scalars=scalars, objective={"K": -h},
@@ -258,7 +258,7 @@ def dual_constraint_operator(cert: DualCertificate, noise: Channel, k: int,
     """Literal dual operator M (x) I + tr_A[(K^T (x) I (x) H)(J^{T_B} (x) I)]."""
     nk = tensor_power(noise, k) if k > 1 else noise
     d = nk.in_dim
-    j = choi_of(nk).with_dims((d, d))
+    j = nk.choi().with_dims((d, d))
     jtb = partial_transpose(j, [1])
     kt = Operator(cert.K.entries.T)
     big = tensor_product(tensor_product(kt, identity(d)),
@@ -293,7 +293,7 @@ def build_gmin(noise: Channel) -> SdpProblem:
     blocks = [BlockVar("J1", db * dc, psd=True), BlockVar("J2", db * dc, psd=True)]
     scalars = [ScalarVar("p1", lower=0.0), ScalarVar("p2", lower=0.0)]
     check_program_memory(name, blocks, scalars, (db, db, da * dc))
-    j_noise = choi_of(noise)
+    j_noise = noise.choi()
     omega = np.zeros((da * dc, da * dc), dtype=complex)
     for i in range(da):
         for jdx in range(da):

@@ -113,16 +113,10 @@ def compile_problem(p: SdpProblem) -> _Compiled:
     rows_a: list[np.ndarray] = []
     rows_b: list[np.ndarray] = []
     for con in p.constraints:
-        scalar_target = np.isscalar(con.target)
-        if scalar_target:
-            m_rows = 1
-            tgt = np.array([float(con.target)])
-        else:
-            tgt = np.asarray(con.target)
-            basis_out = HermitianBasis(tgt.shape[0])
-            m_rows = basis_out.size
-            tgt = basis_out.to_coords(tgt)
-        block_rows = np.zeros((m_rows, n))
+        tgt = np.atleast_2d(con.target)  # a float target is the 1 x 1 case
+        dc = tgt.shape[0]
+        basis_out = HermitianBasis(dc)
+        block_rows = np.zeros((basis_out.size, n))
         for term in con.terms:
             off, blk = layout[term.var]
             if blk is not None:
@@ -131,19 +125,13 @@ def compile_problem(p: SdpProblem) -> _Compiled:
                     for start in range(0, basis_in.size, CHUNK):
                         stop = min(start + CHUNK, basis_in.size)
                         batch = sector.embed(basis_in.basis_batch(start, stop), blk.dim)
-                        out = term.block_map(batch)
-                        if scalar_target:
-                            block_rows[0, off + start:off + stop] += np.real(out)
-                        else:
-                            block_rows[:, off + start:off + stop] += \
-                                basis_out.to_coords(out).T
+                        out = term.block_map(batch).reshape(stop - start, dc, dc)
+                        block_rows[:, off + start:off + stop] += basis_out.to_coords(out).T
                     off += basis_in.size
-            elif scalar_target:
-                block_rows[0, off] += term.scalar_coeff
             else:
                 block_rows[:, off] += basis_out.to_coords(term.scalar_coeff_op)
         rows_a.append(block_rows)
-        rows_b.append(tgt)
+        rows_b.append(basis_out.to_coords(tgt))
     A = np.vstack(rows_a) if rows_a else np.zeros((0, n))
     b = np.concatenate(rows_b) if rows_b else np.zeros(0)
 

@@ -12,7 +12,6 @@ import numpy as np
 
 from .channels import (
     amplitude_damping,
-    choi_of,
     compose,
     depolarizing,
     is_invertible,
@@ -154,7 +153,7 @@ def checks_protocols() -> list[tuple[str, bool, str]]:
     out.append(("defining_contract_k2", worst < 1e-9, f"max err {worst:.2e}"))
 
     j_link = link_product(amplitude_damping(0.3).choi(), depolarizing(0.2, 2).choi(), (2, 2, 2))
-    j_kraus = choi_of(compose(depolarizing(0.2, 2), amplitude_damping(0.3)))
+    j_kraus = compose(depolarizing(0.2, 2), amplitude_damping(0.3)).choi()
     err = float(np.max(np.abs(j_link.entries - j_kraus.entries)))
     out.append(("choi_link_product_convention", err < 1e-10, f"err {err:.2e}"))
     return out

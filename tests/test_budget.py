@@ -14,7 +14,6 @@ from momentshift.hubbard import HubbardModel, build_hamiltonian
 from momentshift.moments import (
     cyclic_permutation,
     moment_observable,
-    necklace_set,
     permutation_eigenprojectors,
 )
 from momentshift.operators import MEMORY_BUDGET, random_density_matrix
@@ -39,7 +38,6 @@ OVER_BUDGET = {
     "de2_qudit_map": lambda: de_second_moment_nqubit(0.1, 7).realization.choi,
     "cyclic_permutation": lambda: partial(cyclic_permutation, 14, 2),
     "moment_observable": lambda: partial(moment_observable, 14, 2),
-    "necklace_set": lambda: partial(necklace_set, 30, 2),
     "permutation_eigenprojectors": lambda: partial(permutation_eigenprojectors, 12, 2),
     "transfer_maps": lambda: transfer_maps(12, 2).forward.choi,
     "de_kth_moment": lambda: de_kth_moment(0.1, 12, 2).realization.choi,
@@ -68,6 +66,17 @@ def test_over_budget_refused_before_allocating(site):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
+
+
+def test_noisy_copies_holds_the_joint_state_once():
+    rho, noise = random_density_matrix(4, 0), depolarizing(0.1, 4)
+    tracemalloc.start()
+    try:
+        joint = noisy_copies(rho, noise, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * joint.entries.nbytes  # 1 MiB joint state at d = 4, k = 4
 
 
 @pytest.mark.parametrize("build", [

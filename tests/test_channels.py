@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,7 +12,6 @@ from momentshift.channels import (
     channel_from_json,
     channel_matrix,
     channel_to_json,
-    choi_of,
     compose,
     depolarizing,
     identity_channel,
@@ -27,7 +28,6 @@ from momentshift.operators import (
     partial_trace,
     random_density_matrix,
     tensor_product,
-    vectorize,
 )
 from conftest import noisy_copies as oracle_noisy_copies
 
@@ -87,12 +87,12 @@ class TestAmplitudeDamping:
 
 class TestChoi:
     def test_identity_channel(self):
-        j = choi_of(identity_channel(2))
+        j = identity_channel(2).choi()
         assert matrix_rank(j.entries) == 1
         assert_allclose(j.trace().real, 2.0)
 
     def test_full_depolarizing(self):
-        j = choi_of(depolarizing(1.0, 2))
+        j = depolarizing(1.0, 2).choi()
         assert_allclose(j.entries, np.kron(np.eye(2), np.eye(2) / 2), atol=1e-14)
 
     def test_choi_apply_consistent(self):
@@ -200,7 +200,8 @@ class TestChannelMatrix:
         c = amplitude_damping(0.45)
         m = channel_matrix(c)
         x = Operator(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-        assert_allclose(m @ vectorize(x).entries, vectorize(apply(c, x)).entries,
+        # column-index-first vectorization |X> = sum_ij X_ij |j>|i>
+        assert_allclose(m @ x.entries.T.reshape(-1), apply(c, x).entries.T.reshape(-1),
                         atol=1e-12)
 
     def test_full_depolarizing_rank_one(self):
@@ -237,7 +238,7 @@ def test_link_product_matches_kraus_composition():
     first = amplitude_damping(0.3)
     second = depolarizing(0.25, 2)
     j = link_product(first.choi(), second.choi(), (2, 2, 2))
-    assert_allclose(j.entries, choi_of(compose(second, first)).entries, atol=1e-10)
+    assert_allclose(j.entries, compose(second, first).choi().entries, atol=1e-10)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -246,15 +247,14 @@ def test_link_product_random_channels(seed):
     second = _random_cptp(2, seed + 10)
     assert first.is_cptp() and second.is_cptp()
     j = link_product(first.choi(), second.choi(), (2, 2, 2))
-    assert_allclose(j.entries, choi_of(compose(second, first)).entries, atol=1e-10)
+    assert_allclose(j.entries, compose(second, first).choi().entries, atol=1e-10)
 
 
 def test_json_round_trip(tmp_path):
-    from momentshift.channels import load_channel, save_channel
     c = amplitude_damping(0.15)
     path = tmp_path / "chan.json"
-    save_channel(c, path)
-    c2 = load_channel(path)
+    path.write_text(json.dumps(channel_to_json(c)))
+    c2 = channel_from_json(json.loads(path.read_text()))
     assert c2.label == c.label
     assert_allclose(c2.choi().entries, c.choi().entries, atol=1e-15)
     doc = channel_to_json(c)

@@ -192,6 +192,20 @@ class TestEstimate:
         assert "need 8" in err
         assert "broadcast" not in err and "estimate" not in out
 
+    @pytest.mark.parametrize("copy_dim", [0.5, 1])
+    def test_recursive_copy_dim_below_two_refused_at_load(self, capsys, tmp_path, copy_dim):
+        path = tmp_path / "p.json"
+        run_cli(capsys, "synthesize", "--noise", "depolarizing", "--eps", "0.1", "--k", "3",
+                "--out", str(path))
+        doc = json.loads(path.read_text())
+        doc["copy_dim"] = doc["data"]["copy_dim"] = copy_dim
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "estimate", "--protocol", str(path), "--noise",
+                                 "depolarizing", "--eps", "0.1", "--exact")
+        assert code == 1
+        assert f"copy dimension must be an integer >= 2, got {copy_dim}" in err
+        assert out == ""
+
 
 class TestSweep:
     def test_csv_structure_and_ordering(self, capsys, tmp_path):
@@ -239,6 +253,26 @@ def test_unread_option_is_usage_error(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["synthesize", "--noise", "depolarizing", "--eps", "0.1", "--n", "0"], "--n"),
+    (["synthesize", "--noise", "depolarizing", "--eps", "0.1", "--n", "-1"], "--n"),
+    (["synthesize", "--noise", "amplitude-damping", "--eps", "0.1", "--k", "1"], "--k"),
+    (["overhead-sweep", "--noise", "amplitude-damping", "--k", "1"], "--k"),
+    (["overhead-sweep", "--noise", "amplitude-damping", "--k", "0"], "--k"),
+    (["estimate", "--protocol", "p.json", "--noise", "depolarizing", "--eps", "0.1",
+      "--n", "0"], "--n"),
+], ids=["synthesize_n0", "synthesize_n_negative", "synthesize_k1", "sweep_k1", "sweep_k0",
+        "estimate_n0"])
+def test_order_or_qubits_out_of_range_is_usage_error(capsys, tmp_path, argv, flag):
+    path = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(path)])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1
+    assert f"argument {flag}: must be at least" in err
+    assert out == "" and not path.exists()
+
+
 class TestVerifyCommand:
     def test_moments_suite_passes(self, capsys, tmp_path):
         report = tmp_path / "report.json"
@@ -248,6 +282,12 @@ class TestVerifyCommand:
         assert "PASS" in out and "FAIL" not in out
         doc = json.loads(report.read_text())
         assert doc["failed"] == 0
+
+    @pytest.mark.parametrize("suite", ["protocols", "hubbard"])
+    def test_suite_passes(self, capsys, suite):
+        code, out, _ = run_cli(capsys, "verify", "--suite", suite)
+        assert code == 0
+        assert "PASS" in out and "FAIL" not in out
 
 
 class TestHubbardDemo:

@@ -14,7 +14,7 @@ from momentshift.hubbard import (
     demo_model,
     reduced_state,
 )
-from momentshift.operators import random_pure_state
+from momentshift.operators import random_density_matrix
 from momentshift.protocols import de_second_moment_nqubit, identity_protocol
 
 
@@ -90,7 +90,7 @@ class TestGroundState:
         h = build_hamiltonian(demo_model())
         g = ground_state(h)
         for seed in range(20):
-            psi = random_pure_state(64, seed)
+            psi = random_density_matrix(64, seed, rank=1)
             assert np.trace(h.entries @ psi.entries).real >= g.energy - 1e-9
 
     def test_reduced_full_system_is_ground_state(self):

@@ -6,9 +6,9 @@ from numpy.testing import assert_allclose
 
 from momentshift.moments import (
     cycle_orbits,
+    cyclic_shift_index,
     cyclic_permutation,
     moment_observable,
-    necklace_set,
     permutation_eigenprojectors,
 )
 from momentshift.operators import (
@@ -73,8 +73,7 @@ class TestMomentObservable:
         assert_allclose(val, 0.5)
 
     def test_pure_state_all_orders(self):
-        from momentshift.operators import random_pure_state
-        rho = random_pure_state(2, 5)
+        rho = random_density_matrix(2, 5, rank=1)
         for k in (2, 3, 5):
             h = moment_observable(k, 2).matrix
             assert_allclose(np.trace(h.entries @ _copies(rho, k).entries).real, 1.0,
@@ -113,24 +112,31 @@ class TestCycleOrbits:
         assert (orbits[:, perm] == perm[orbits]).all()
 
 
+def _orbit_minima(k, d):
+    """Digit strings of the smallest indices of S_k's orbits, ascending."""
+    starts = cycle_orbits(cyclic_shift_index(k, d), k)[1]
+    return [tuple(x) for x in (starts[:, None] // d ** np.arange(k - 1, -1, -1) % d).tolist()]
+
+
 class TestNecklaces:
+    """The orbit minima of the copy cycle are its necklaces."""
+
     @pytest.mark.parametrize("k,d", [(4, 2), (6, 2), (4, 3)])
     def test_composite_order_matches_min_rotation(self, k, d):
-        assert necklace_set(k, d) == _min_rotation_necklaces(k, d)
+        assert _orbit_minima(k, d) == _min_rotation_necklaces(k, d)
 
     def test_k3_d2_canonical(self):
-        assert necklace_set(3, 2) == [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]
+        assert _orbit_minima(3, 2) == [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]
 
     def test_k2_cardinality(self):
-        assert len(necklace_set(2, 2)) == (2 ** 2 - 2) // 2 + 2
+        assert len(_orbit_minima(2, 2)) == (2 ** 2 - 2) // 2 + 2
 
     @pytest.mark.parametrize("k,d", [(2, 2), (3, 2), (5, 2), (3, 3)])
     def test_prime_order_cardinality(self, k, d):
-        assert len(necklace_set(k, d)) == (d ** k - d) // k + d
+        assert len(_orbit_minima(k, d)) == (d ** k - d) // k + d
 
     def test_rotations_cover_everything(self):
-        from itertools import product
-        reps = necklace_set(3, 2)
+        reps = _orbit_minima(3, 2)
         covered = set()
         for x in reps:
             for l in range(3):

@@ -8,17 +8,12 @@ from momentshift.operators import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    devectorize,
-    effective_rank,
-    hermitian_eig,
     identity,
     partial_trace,
     partial_transpose,
     random_density_matrix,
     tensor_product,
-    vectorize,
 )
-from momentshift.moments import moment_observable
 
 
 class TestTensorProduct:
@@ -44,6 +39,14 @@ class TestTensorProduct:
         out = tensor_product(a, b)
         for (i, j, k, l) in [(0, 1, 0, 0), (1, 0, 1, 1), (1, 1, 0, 1)]:
             assert out.entries[i * 2 + k, j * 2 + l] == a.entries[i, j] * b.entries[k, l]
+
+    @pytest.mark.parametrize("da,db", [(3, 2), (2, 3)])
+    def test_matches_kron_bitwise(self, da, db):
+        # the smaller factor is looped over on either side
+        a, b = random_density_matrix(da, 1), random_density_matrix(db, 2)
+        out = tensor_product(a, b)
+        assert np.array_equal(out.entries, np.kron(a.entries, b.entries))
+        assert out.subsystem_dims == (da, db)
 
 
 class TestPartialTrace:
@@ -86,85 +89,6 @@ class TestPartialTrace:
                         atol=1e-14)
 
 
-class TestVectorization:
-    def test_ketbra_position(self):
-        v = vectorize(Operator([[0, 1], [0, 0]]))
-        expect = np.zeros(4)
-        expect[1 * 2 + 0] = 1.0
-        assert_allclose(v.entries, expect)
-
-    def test_identity(self):
-        assert_allclose(vectorize(identity(2)).entries, [1, 0, 0, 1])
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(1)
-        m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        assert_allclose(devectorize(vectorize(Operator(m))).entries, m)
-
-    def test_linearity(self, rho_pair):
-        a, b = rho_pair
-        lhs = vectorize(Operator(2.0 * a.entries + (1 - 3j) * b.entries)).entries
-        rhs = 2.0 * vectorize(a).entries + (1 - 3j) * vectorize(b).entries
-        assert_allclose(lhs, rhs)
-
-    def test_bad_length(self):
-        from momentshift.operators import VectorizedOperator
-        with pytest.raises(ValueError):
-            VectorizedOperator(np.zeros(5))
-
-
-class TestHermitianEig:
-    def test_pauli_z(self):
-        w, _ = hermitian_eig(Operator(PAULI_Z))
-        assert_allclose(w, [-1, 1])
-
-    def test_swap(self):
-        from momentshift.moments import cyclic_permutation
-        w, v = hermitian_eig(cyclic_permutation(2, 2))
-        assert_allclose(w, [-1, 1, 1, 1])
-        assert_allclose(v @ v.conj().T, np.eye(4), atol=1e-10)
-
-    def test_h3_spectrum(self):
-        # spectral values cos(2 pi m / 3) of the symmetrized 3-cycle
-        w, _ = hermitian_eig(moment_observable(3, 2).matrix)
-        assert set(np.round(w, 10)) == {-0.5, 1.0}
-
-    def test_reconstruction(self):
-        a = random_density_matrix(6, 8)
-        w, v = hermitian_eig(a)
-        assert_allclose((v * w) @ v.conj().T, a.entries, atol=1e-12)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            hermitian_eig(Operator([[0, 1], [0, 0]]))
-
-
-class TestEffectiveRank:
-    def test_swap_full(self):
-        h2 = moment_observable(2, 2).matrix
-        assert effective_rank(h2, [0]) == 4
-        assert effective_rank(h2, [1]) == 4
-
-    def test_product_operator(self):
-        assert effective_rank(identity((2, 2)), [0]) == 1
-
-    def test_schmidt_oracle(self):
-        rng = np.random.default_rng(17)
-        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        o = Operator(m + m.conj().T, (2, 2))
-        # Schmidt coefficients of the vectorized operator across (row,col) cut
-        t = o.entries.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-        sv = np.linalg.svd(t, compute_uv=False)
-        expected = int(np.sum(sv > 1e-9 * sv[0]))
-        assert effective_rank(o, [0]) == expected
-
-    @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_moment_observable_full_rank(self, k):
-        h = moment_observable(k, 2).matrix
-        for copy in range(k):
-            assert effective_rank(h, [copy]) == 4
-
-
 class TestPartialTranspose:
     def test_involution(self):
         rho = random_density_matrix(4, 2, subsystem_dims=(2, 2))
@@ -186,3 +110,18 @@ def test_operator_validation():
 def test_hermiticity_predicate():
     assert Operator(PAULI_Y).is_hermitian()
     assert not Operator([[0, 1], [0, 0]]).is_hermitian()
+
+
+def test_operator_unchanged_when_its_source_is_written():
+    m = np.eye(2, dtype=complex)
+    op = Operator(m)
+    m[0, 1] = 5.0
+    assert_allclose(op.entries, np.eye(2))
+    assert not op.entries.flags.writeable
+
+
+def test_operator_keeps_a_frozen_array_it_owns():
+    m = np.eye(2, dtype=complex)
+    m.flags.writeable = False
+    assert Operator(m).entries is m
+    assert Operator(m[:1, :1]).entries.base is None  # a view is copied
