@@ -4,7 +4,8 @@ Conventions, pinned once and verified by round-trip tests:
 
 * Choi matrices are input-system-first, ``J = sum_ij |i><j| (x) N(|i><j|)``.
 * The link product ``tr_B[(J_N^{T_B} (x) I_C)(I_A (x) J_C)]`` with the partial
-  transpose on the *output* factor of ``J_N`` reproduces Kraus composition.
+  transpose on the *output* factor of ``J_N`` reproduces Kraus composition
+  (``link_product``, the coupling of the inverse-channel program).
 * The channel matrix is ``M_N = sum_k conj(E_k) (x) E_k`` and satisfies
   ``M_N |X> = |N(X)>`` in the column-index-first vectorization.
 
@@ -22,7 +23,6 @@ import numpy as np
 from .operators import (
     Operator,
     check_memory,
-    identity,
     matrix_from_json,
     matrix_rank,
     matrix_to_json,
@@ -128,20 +128,19 @@ def compose(after: Channel, before: Channel, label: str = "") -> Channel:
                    label=label or f"{after.label}.{before.label}")
 
 
-def link_product(j_first: Operator, j_second: Operator,
-                 dims: tuple[int, int, int]) -> Operator:
-    """Choi of the composition from the Chois of the parts.
+def link_product(j_first: Operator, j_second: np.ndarray,
+                 dims: tuple[int, int, int]) -> np.ndarray:
+    """Chois of compositions from the Chois of their parts, batched.
 
-    ``j_first`` is J of the map A -> B, ``j_second`` of B -> C, and the result
-    is J of the composed map A -> C via
-    ``tr_B[(J_first^{T_B} (x) I_C)(I_A (x) J_second)]``.
+    ``j_first`` is J of a map A -> B and ``j_second`` a stack (n, B C, B C) of
+    Chois of maps B -> C; the result stacks the (n, A C, A C) Chois of the
+    composed maps A -> C, each ``tr_B[(J_first^{T_B} (x) I_C)(I_A (x) J_second)]``.
     """
     da, db, dc = dims
-    jn = partial_transpose(j_first.with_dims((da, db)), [1])
-    lhs = tensor_product(jn, identity(dc))
-    rhs = tensor_product(identity(da), j_second.with_dims((db, dc)))
-    prod = Operator(lhs.entries @ rhs.entries, (da, db, dc))
-    return partial_trace(prod, [0, 2])
+    jt4 = partial_transpose(j_first.with_dims((da, db)), [1]).entries.reshape(da, db, da, db)
+    n = j_second.shape[0]
+    x4 = j_second.reshape(n, db, dc, db, dc)
+    return np.einsum("abpq,nqcbe->nacpe", jt4, x4).reshape(n, da * dc, da * dc)
 
 
 def tensor_power(c: Channel, k: int) -> Channel:

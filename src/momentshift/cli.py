@@ -1,10 +1,10 @@
 """Command-line surface: synthesis, overhead sweeps, estimation, invariant
 verification, and the Fermi-Hubbard demonstration.
 
-Exit codes: 0 success, 1 usage error or failed verification, 2 infeasible /
-moment unrecoverable, 3 solver non-convergence.  All floats are printed with
-12 significant digits; every randomized command takes a --seed and is
-bit-reproducible.
+Exit codes: 0 success, 1 usage, file or format error or failed verification,
+2 infeasible / moment unrecoverable, 3 solver non-convergence.  All floats are
+printed with 12 significant digits; every randomized command takes a --seed
+and is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -349,7 +349,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--shots", type=int, default=None)
     sp.add_argument("--exact", action="store_true",
                     help="dense evaluation, no sampling")
-    sp.add_argument("--renyi", type=int, default=None,
+    sp.add_argument("--renyi", type=_at_least(2), default=None,
                     help="also print the Renyi entropy of this order")
     common(sp, "--format", "--seed")
     sp.set_defaults(fn=cmd_estimate)
@@ -375,7 +375,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         return _fail(str(exc), EXIT_USAGE)
 
 

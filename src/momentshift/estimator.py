@@ -187,11 +187,12 @@ def _h_distribution(states: np.ndarray, k: int, d: int) -> np.ndarray:
 def _sample_categorical(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Index of the first cumulative entry above u, the last index at most.
 
-    For a nondecreasing ``cumulative`` this is
-    ``searchsorted(cumulative, u, side="right").clip(0, cumulative.size - 1)``.
+    ``cumulative`` is one row shared by every shot or one row per shot, shape
+    (shots, m).  For a nondecreasing row this is
+    ``searchsorted(row, u, side="right").clip(0, m - 1)``.
     """
     idx = np.zeros(u.shape, dtype=np.intp)
-    for c in cumulative[:-1]:
+    for c in cumulative.T[:-1]:
         idx += u >= c
     return idx
 
@@ -226,7 +227,7 @@ def run_mixed_unitary(p: RetrievalProtocol, rho: Operator, noise: Channel,
     cum_pj = np.cumsum(weights / weights.sum())
     u12 = shot_uniforms(seed, shots, 2)
     j = _sample_categorical(cum_pj, u12[:, 0])
-    outcome = (u12[:, 1][:, None] >= dists[j]).sum(axis=1).clip(0, values.size - 1)
+    outcome = _sample_categorical(dists[j], u12[:, 1])
     return _finish_run(p, seed, values[outcome], j)
 
 

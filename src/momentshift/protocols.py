@@ -501,17 +501,21 @@ def _realization_from_json(kind: str, data: dict) -> Channel | MeasurePrepare:
 
 
 def protocol_from_json(doc: dict) -> RetrievalProtocol:
-    """The protocol a file describes, refused unless it acts on k copies of copy_dim."""
+    """The protocol a file describes, refused if it lacks a field or does not act
+    on k copies of copy_dim."""
     if doc.get("schema_version") != PROTOCOL_SCHEMA_VERSION:
         raise ValueError(f"unsupported protocol schema {doc.get('schema_version')}")
-    data = doc["data"]
-    if doc["kind"] == "recursive":
-        p = de_kth_moment(data["eps"], data["order"], data["copy_dim"])
-    else:
-        p = RetrievalProtocol(k=doc["k"], copy_dim=doc["copy_dim"], f=doc["f"], t=doc["t"],
-                              realization=_realization_from_json(doc["kind"], data),
-                              label=doc.get("label", ""))
-    r, dim = p.realization, doc["copy_dim"] ** doc["k"]
+    try:
+        data = doc["data"]
+        if doc["kind"] == "recursive":
+            p = de_kth_moment(data["eps"], data["order"], data["copy_dim"])
+        else:
+            p = RetrievalProtocol(k=doc["k"], copy_dim=doc["copy_dim"], f=doc["f"],
+                                  t=doc["t"], label=doc.get("label", ""),
+                                  realization=_realization_from_json(doc["kind"], data))
+        r, dim = p.realization, doc["copy_dim"] ** doc["k"]
+    except KeyError as exc:
+        raise ValueError(f"protocol file lacks the field {exc.args[0]!r}") from None
     if (r.in_dim, r.out_dim) != (dim, dim):
         raise ValueError(f"protocol realization maps dimension {r.in_dim} to {r.out_dim}, "
                          f"but {doc['k']} copies of dimension {doc['copy_dim']} need {dim}")

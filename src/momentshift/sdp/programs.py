@@ -17,6 +17,10 @@ the retriever, C the retriever output measured with the moment observable.
   of a channel as a difference of two scaled channels.
 * ``build_info_recover``: overhead of a Hermitian-preserving trace-scaling
   map recovering the expectation of one fixed observable.
+
+The last two are one program from one builder: PSD J1, J2 with tr_C J_i =
+c_i I, one coupling ``L(J1) - L(J2) = target`` and objective c1 + c2; L is the
+link with the noise (inverse) or the observable pullback (recover).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..channels import Channel, channel_matrix, tensor_power
+from ..channels import Channel, channel_matrix, link_product, tensor_power
 from ..moments import MomentObservable, cycle_orbits, cyclic_shift_index
 from ..operators import Operator, identity, partial_trace, partial_transpose, tensor_product
 from .problem import (
@@ -64,8 +68,13 @@ def _batch_trace(batch: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("naa->n", batch))
 
 
-def _retriever_pullback(noise: Channel, h: np.ndarray, d: int, sign: float = 1.0):
-    """Batched J -> sign * NK^dag( tr_C[(I (x) H^T) J^T] ) for J on B (x) C.
+def _negated(block_map):
+    """Batched X -> -block_map(X)."""
+    return lambda batch: -block_map(batch)
+
+
+def _retriever_pullback(noise: Channel, h: np.ndarray, d: int):
+    """Batched J -> NK^dag( tr_C[(I (x) H^T) J^T] ) for J on B (x) C.
 
     ``tr_C[(I (x) H^T) J^T]`` is the adjoint of the map with Choi J applied
     to H; composing with the Kraus adjoint of the noise gives the
@@ -80,22 +89,7 @@ def _retriever_pullback(noise: Channel, h: np.ndarray, d: int, sign: float = 1.0
         n = batch.shape[0]
         t = batch.reshape(n, d, d, d, d)
         y = np.einsum("cd,npdqc->nqp", h, t, optimize=True)
-        z = (madj @ y.reshape(n, d * d).T).T.reshape(n, d, d)
-        return sign * z
-    return mapper
-
-
-def _link_with(j_noise: Operator, dims: tuple[int, int, int], sign: float = 1.0):
-    """Batched X -> sign * tr_B[(J_N^{T_B} (x) I_C)(I_A (x) X)] for X on B (x) C."""
-    da, db, dc = dims
-    jt = partial_transpose(j_noise.with_dims((da, db)), [1]).entries
-    jt4 = jt.reshape(da, db, da, db)
-
-    def mapper(batch: np.ndarray) -> np.ndarray:
-        n = batch.shape[0]
-        x4 = batch.reshape(n, db, dc, db, dc)
-        out = np.einsum("abpq,nqcbe->nacpe", jt4, x4)
-        return sign * out.reshape(n, da * dc, da * dc)
+        return (madj @ y.reshape(n, d * d).T).T.reshape(n, d, d)
     return mapper
 
 
@@ -175,7 +169,7 @@ def build_fmin(noise: Channel, k: int, H: MomentObservable) -> SdpProblem:
     blocks = [BlockVar("J", d * d, psd=True, sectors=_fmin_sectors(noise, k, h))]
     scalars = [ScalarVar("f", lower=F_LOWER_BOUND), ScalarVar("t")]
     check_program_memory(name, blocks, scalars, (d, d))
-    nk = tensor_power(noise, k) if k > 1 else noise
+    nk = tensor_power(noise, k)
     ts = _trace_scaling("J", "f", d, d, "trace_scaling")
     shift = Constraint(
         terms=(
@@ -189,25 +183,24 @@ def build_fmin(noise: Channel, k: int, H: MomentObservable) -> SdpProblem:
                       constraints=[ts, shift], name=name)
 
 
-def _noise_pushforward(kraus: tuple[np.ndarray, ...], h: np.ndarray, d: int,
-                       sign: float = 1.0):
-    """Batched K -> sign * (NK(K))^T (x) H, the contracted dual coupling term."""
+def _noise_pushforward(kraus: tuple[np.ndarray, ...], h: np.ndarray, d: int):
+    """Batched K -> (NK(K))^T (x) H, the contracted dual coupling term."""
     estack = np.stack(kraus)
 
     def mapper(batch: np.ndarray) -> np.ndarray:
         nk_k = np.einsum("kab,nbc,kdc->nad", estack, batch, estack.conj())
         nk_k_t = np.transpose(nk_k, (0, 2, 1))
-        return sign * np.einsum("nab,cd->nacbd", nk_k_t, h).reshape(
+        return np.einsum("nab,cd->nacbd", nk_k_t, h).reshape(
             batch.shape[0], d * d, d * d)
     return mapper
 
 
-def _kron_identity_right(d: int, sign: float = 1.0):
-    """Batched M -> sign * M (x) I_d."""
+def _kron_identity_right(d: int):
+    """Batched M -> M (x) I_d."""
     eye_d = np.eye(d)
 
     def mapper(batch: np.ndarray) -> np.ndarray:
-        return sign * np.einsum("nab,cd->nacbd", batch, eye_d).reshape(
+        return np.einsum("nab,cd->nacbd", batch, eye_d).reshape(
             batch.shape[0], d * d, d * d)
     return mapper
 
@@ -224,14 +217,14 @@ def build_dual_fmin(noise: Channel, k: int, H: MomentObservable) -> SdpProblem:
               BlockVar("T", d * d, psd=True)]
     scalars = [ScalarVar("s", lower=0.0)]
     check_program_memory(name, blocks, scalars, (d * d, 1, 1))
-    nk = tensor_power(noise, k) if k > 1 else noise
+    nk = tensor_power(noise, k)
     h = H.matrix.entries
 
     psd = Constraint(
         terms=(
             ConstraintTerm(var="T", block_map=_identity_map),
-            ConstraintTerm(var="M", block_map=_kron_identity_right(d, sign=-1.0)),
-            ConstraintTerm(var="K", block_map=_noise_pushforward(nk.kraus, h, d, sign=-1.0)),
+            ConstraintTerm(var="M", block_map=_negated(_kron_identity_right(d))),
+            ConstraintTerm(var="K", block_map=_negated(_noise_pushforward(nk.kraus, h, d))),
         ),
         target=np.zeros((d * d, d * d)),
         name="dual_psd",
@@ -256,7 +249,7 @@ def build_dual_fmin(noise: Channel, k: int, H: MomentObservable) -> SdpProblem:
 def dual_constraint_operator(cert: DualCertificate, noise: Channel, k: int,
                              H: MomentObservable) -> Operator:
     """Literal dual operator M (x) I + tr_A[(K^T (x) I (x) H)(J^{T_B} (x) I)]."""
-    nk = tensor_power(noise, k) if k > 1 else noise
+    nk = tensor_power(noise, k)
     d = nk.in_dim
     j = nk.choi().with_dims((d, d))
     jtb = partial_transpose(j, [1])
@@ -281,38 +274,41 @@ def check_certificate(cert: DualCertificate, noise: Channel, k: int,
     return feasible, float(objective)
 
 
+def _channel_difference(name: str, d1: int, d2: int, target_dim: int, coupling,
+                        constraint: str) -> SdpProblem:
+    """min c1 + c2 over PSD J1, J2 on d1 (x) d2 with tr_2[J_i] = c_i I and
+    L(J1) - L(J2) = target, where ``coupling()`` returns (L, target); it is
+    called only once the program has passed the memory gate."""
+    blocks = [BlockVar("J1", d1 * d2, psd=True), BlockVar("J2", d1 * d2, psd=True)]
+    scalars = [ScalarVar("c1", lower=0.0), ScalarVar("c2", lower=0.0)]
+    check_program_memory(name, blocks, scalars, (d1, d1, target_dim))
+    block_map, target = coupling()
+    cons = [
+        _trace_scaling("J1", "c1", d1, d2, "ts_J1"),
+        _trace_scaling("J2", "c2", d1, d2, "ts_J2"),
+        Constraint(terms=(ConstraintTerm(var="J1", block_map=block_map),
+                          ConstraintTerm(var="J2", block_map=_negated(block_map))),
+                   target=target, name=constraint),
+    ]
+    return SdpProblem(blocks=blocks, scalars=scalars, objective={"c1": 1.0, "c2": 1.0},
+                      constraints=cons, name=name)
+
+
 def build_gmin(noise: Channel) -> SdpProblem:
     """Quasi-probability overhead of the exact channel inverse of ``noise``.
 
-    The decomposed map runs from the noise output back to its input; the
-    composition with the noise is pinned to the identity Choi matrix.
+    The decomposed map runs from the noise output back to its input; its link
+    with the noise is pinned to the identity Choi matrix.
     """
     da, db = noise.in_dim, noise.out_dim
-    dc = da
-    name = f"gmin[{noise.label}]"
-    blocks = [BlockVar("J1", db * dc, psd=True), BlockVar("J2", db * dc, psd=True)]
-    scalars = [ScalarVar("p1", lower=0.0), ScalarVar("p2", lower=0.0)]
-    check_program_memory(name, blocks, scalars, (db, db, da * dc))
-    j_noise = noise.choi()
-    omega = np.zeros((da * dc, da * dc), dtype=complex)
-    for i in range(da):
-        for jdx in range(da):
-            omega[i * da + i, jdx * da + jdx] = 1.0
 
-    cons = [
-        _trace_scaling("J1", "p1", db, dc, "ts_J1"),
-        _trace_scaling("J2", "p2", db, dc, "ts_J2"),
-        Constraint(
-            terms=(
-                ConstraintTerm(var="J1", block_map=_link_with(j_noise, (da, db, dc))),
-                ConstraintTerm(var="J2", block_map=_link_with(j_noise, (da, db, dc), sign=-1.0)),
-            ),
-            target=omega,
-            name="inverse_composition",
-        ),
-    ]
-    return SdpProblem(blocks=blocks, scalars=scalars, objective={"p1": 1.0, "p2": 1.0},
-                      constraints=cons, name=name)
+    def coupling():
+        j_noise = noise.choi()
+        omega = np.eye(da, dtype=complex).reshape(-1)
+        return (lambda batch: link_product(j_noise, batch, (da, db, da)),
+                np.outer(omega, omega))
+    return _channel_difference(f"gmin[{noise.label}]", db, da, da * da, coupling,
+                               "inverse_composition")
 
 
 def gmin_power(g1: float, k: int) -> float:
@@ -327,23 +323,7 @@ def build_info_recover(noise: Channel, obs: Operator) -> SdpProblem:
         raise ValueError("information recovery assumes a square channel")
     if obs.dim != d:
         raise ValueError(f"observable dim {obs.dim} != channel dim {d}")
-    name = f"info_recover[{noise.label}]"
-    blocks = [BlockVar("J1", d * d, psd=True), BlockVar("J2", d * d, psd=True)]
-    scalars = [ScalarVar("c1", lower=0.0), ScalarVar("c2", lower=0.0)]
-    check_program_memory(name, blocks, scalars, (d, d, d))
-    h = obs.entries
-
-    cons = [
-        _trace_scaling("J1", "c1", d, d, "ts_J1"),
-        _trace_scaling("J2", "c2", d, d, "ts_J2"),
-        Constraint(
-            terms=(
-                ConstraintTerm(var="J1", block_map=_retriever_pullback(noise, h, d)),
-                ConstraintTerm(var="J2", block_map=_retriever_pullback(noise, h, d, sign=-1.0)),
-            ),
-            target=h,
-            name="observable_recovery",
-        ),
-    ]
-    return SdpProblem(blocks=blocks, scalars=scalars, objective={"c1": 1.0, "c2": 1.0},
-                      constraints=cons, name=name)
+    return _channel_difference(
+        f"info_recover[{noise.label}]", d, d, d,
+        lambda: (_retriever_pullback(noise, obs.entries, d), obs.entries),
+        "observable_recovery")

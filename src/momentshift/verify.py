@@ -152,9 +152,10 @@ def checks_protocols() -> list[tuple[str, bool, str]]:
                 worst = max(worst, abs(proto.f * z - proto.t - _true_moment(rho, 2)))
     out.append(("defining_contract_k2", worst < 1e-9, f"max err {worst:.2e}"))
 
-    j_link = link_product(amplitude_damping(0.3).choi(), depolarizing(0.2, 2).choi(), (2, 2, 2))
+    j_link = link_product(amplitude_damping(0.3).choi(),
+                          depolarizing(0.2, 2).choi().entries[None], (2, 2, 2))
     j_kraus = compose(depolarizing(0.2, 2), amplitude_damping(0.3)).choi()
-    err = float(np.max(np.abs(j_link.entries - j_kraus.entries)))
+    err = float(np.max(np.abs(j_link[0] - j_kraus.entries)))
     out.append(("choi_link_product_convention", err < 1e-10, f"err {err:.2e}"))
     return out
 

@@ -1,23 +1,23 @@
-from functools import lru_cache
-
 import numpy as np
 import pytest
 
-from momentshift import Operator, apply, random_density_matrix, tensor_power, tensor_product
-
-
-@lru_cache(maxsize=8)  # a few channels in flight; each k = 5 power is up to 16 MiB
-def _noise_power(noise, k: int):
-    """tensor_power(noise, k), built once per (channel object, k)."""
-    return tensor_power(noise, k)
+from momentshift import Operator, random_density_matrix, tensor_product
 
 
 def noisy_copies(rho: Operator, noise, k: int) -> Operator:
-    """k noisy copies N(rho)^(x k) as one joint state, through N^(x k)(rho^(x k))."""
+    """k noisy copies N^(x k)(rho^(x k)) as one joint state: each copy's Kraus
+    operators act along that copy's row and column axes of rho^(x k)."""
     joint = rho
     for _ in range(k - 1):
         joint = tensor_product(joint, rho)
-    return apply(_noise_power(noise, k), joint)
+    t = joint.entries.reshape((rho.dim,) * (2 * k))
+    kraus = np.stack(noise.kraus)
+    for i in range(k):
+        t = np.moveaxis(t, (i, k + i), (0, 1))
+        t = np.einsum("rab,bc...,rdc->ad...", kraus, t, kraus.conj())
+        t = np.moveaxis(t, (0, 1), (i, k + i))
+    d = noise.out_dim ** k
+    return Operator(t.reshape(d, d))
 
 
 def true_moment(rho: Operator, k: int) -> float:

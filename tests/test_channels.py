@@ -225,29 +225,50 @@ class TestInvertibility:
         assert is_invertible(depolarizing(eps, 2))
 
 
-def _random_cptp(d: int, seed: int, n_kraus: int = 3) -> Channel:
-    """Random channel from a Haar-ish isometry (QR of a Ginibre block)."""
+def _random_cptp(d_in: int, d_out: int, seed: int, n_kraus: int = 3) -> Channel:
+    """Random channel d_in -> d_out from a Haar-ish isometry (QR of a Ginibre block)."""
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((n_kraus * d, d)) + 1j * rng.standard_normal((n_kraus * d, d))
-    v, _ = np.linalg.qr(g)
-    kraus = [v[i * d:(i + 1) * d, :] for i in range(n_kraus)]
-    return Channel(d, d, kraus=kraus, label=f"random{seed}")
+    shape = (n_kraus * d_out, d_in)
+    v, _ = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    kraus = [v[i * d_out:(i + 1) * d_out, :] for i in range(n_kraus)]
+    return Channel(d_in, d_out, kraus=kraus, label=f"random{seed}")
+
+
+def _link(first: Channel, second: Channel) -> np.ndarray:
+    """Choi of ``second . first`` through the link product of one Choi each."""
+    dims = (first.in_dim, first.out_dim, second.out_dim)
+    return link_product(first.choi(), second.choi().entries[None], dims)[0]
 
 
 def test_link_product_matches_kraus_composition():
     first = amplitude_damping(0.3)
     second = depolarizing(0.25, 2)
-    j = link_product(first.choi(), second.choi(), (2, 2, 2))
-    assert_allclose(j.entries, compose(second, first).choi().entries, atol=1e-10)
+    assert_allclose(_link(first, second), compose(second, first).choi().entries, atol=1e-10)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_link_product_random_channels(seed):
-    first = _random_cptp(2, seed)
-    second = _random_cptp(2, seed + 10)
+    first = _random_cptp(2, 2, seed)
+    second = _random_cptp(2, 2, seed + 10)
     assert first.is_cptp() and second.is_cptp()
-    j = link_product(first.choi(), second.choi(), (2, 2, 2))
-    assert_allclose(j.entries, compose(second, first).choi().entries, atol=1e-10)
+    assert_allclose(_link(first, second), compose(second, first).choi().entries, atol=1e-10)
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2, 4), (1, 2, 3)])
+def test_link_product_unequal_dimensions(dims):
+    da, db, dc = dims
+    first, second = _random_cptp(da, db, 1), _random_cptp(db, dc, 2)
+    assert first.is_cptp() and second.is_cptp()
+    assert_allclose(_link(first, second), compose(second, first).choi().entries, atol=1e-12)
+
+
+def test_link_product_of_a_stack_is_each_link():
+    first = _random_cptp(2, 3, 5)
+    seconds = [_random_cptp(3, 2, seed) for seed in (6, 7, 8)]
+    stack = link_product(first.choi(), np.stack([c.choi().entries for c in seconds]), (2, 3, 2))
+    assert stack.shape == (3, 4, 4)
+    for j, second in zip(stack, seconds):
+        assert_allclose(j, compose(second, first).choi().entries, atol=1e-12)
 
 
 def test_json_round_trip(tmp_path):

@@ -261,8 +261,10 @@ def test_unread_option_is_usage_error(capsys, argv):
     (["overhead-sweep", "--noise", "amplitude-damping", "--k", "0"], "--k"),
     (["estimate", "--protocol", "p.json", "--noise", "depolarizing", "--eps", "0.1",
       "--n", "0"], "--n"),
+    (["estimate", "--protocol", "p.json", "--noise", "depolarizing", "--eps", "0.1",
+      "--exact", "--renyi", "1"], "--renyi"),
 ], ids=["synthesize_n0", "synthesize_n_negative", "synthesize_k1", "sweep_k1", "sweep_k0",
-        "estimate_n0"])
+        "estimate_n0", "estimate_renyi1"])
 def test_order_or_qubits_out_of_range_is_usage_error(capsys, tmp_path, argv, flag):
     path = tmp_path / "out.json"
     with pytest.raises(SystemExit) as exc:
@@ -271,6 +273,50 @@ def test_order_or_qubits_out_of_range_is_usage_error(capsys, tmp_path, argv, fla
     assert exc.value.code == 1
     assert f"argument {flag}: must be at least" in err
     assert out == "" and not path.exists()
+
+
+class TestFileErrors:
+    """A file that cannot be read or written, or that lacks a field, is an
+    ``error: ...`` line and exit 1, never a traceback."""
+
+    @staticmethod
+    def estimate(capsys, protocol, *flags):
+        return run_cli(capsys, "estimate", "--protocol", str(protocol), "--noise",
+                       "depolarizing", "--eps", "0.1", "--exact", *flags)
+
+    @staticmethod
+    def protocol(capsys, tmp_path):
+        path = tmp_path / "p.json"
+        run_cli(capsys, "synthesize", "--noise", "depolarizing", "--eps", "0.1",
+                "--out", str(path))
+        return path
+
+    def test_missing_protocol_file(self, capsys, tmp_path):
+        code, out, err = self.estimate(capsys, tmp_path / "missing.json")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "missing.json" in err
+
+    def test_missing_state_file(self, capsys, tmp_path):
+        path = self.protocol(capsys, tmp_path)
+        code, out, err = self.estimate(capsys, path, "--state", str(tmp_path / "missing.json"))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "missing.json" in err
+
+    def test_unwritable_output(self, capsys, tmp_path):
+        out_path = tmp_path / "no" / "such" / "p.json"
+        code, out, err = run_cli(capsys, "synthesize", "--noise", "depolarizing",
+                                 "--eps", "0.1", "--out", str(out_path))
+        assert code == 1 and "protocol written" not in out
+        assert err.startswith("error: ") and str(out_path) in err
+
+    def test_protocol_without_data(self, capsys, tmp_path):
+        path = self.protocol(capsys, tmp_path)
+        doc = json.loads(path.read_text())
+        del doc["data"]
+        path.write_text(json.dumps(doc))
+        code, out, err = self.estimate(capsys, path)
+        assert code == 1 and out == ""
+        assert err == "error: protocol file lacks the field 'data'\n"
 
 
 class TestVerifyCommand:

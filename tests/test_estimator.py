@@ -108,6 +108,13 @@ def test_sample_categorical_matches_searchsorted(n):
         for name, u in cases.items():
             got = _sample_categorical(cum, u)
             assert np.array_equal(got, _searchsorted_index(cum, u)), (scale, name)
+        # one row per shot: every other shot reads ``cum``, the rest a row of their own
+        u = rng.random(1000)
+        rows = np.cumsum(rng.dirichlet(np.ones(n), size=u.size), axis=1) * scale
+        rows[::2] = cum
+        u[1::4] = rows[1::4, 0]   # on an entry of the shot's own row
+        want = [_searchsorted_index(row, x) for row, x in zip(rows, u)]
+        assert np.array_equal(_sample_categorical(rows, u), want), scale
 
 
 class TestMixedUnitaryRun:
