@@ -26,7 +26,6 @@ from .channels import (
     tensor_power,
 )
 from .moments import (
-    MomentObservable,
     PermutationSpectrum,
     cyclic_permutation,
     moment_observable,

@@ -106,8 +106,7 @@ def cmd_synthesize(args) -> int:
         if not is_invertible(noise):
             print(f"status: infeasible\n{INFEASIBLE_MSG}")
             return EXIT_INFEASIBLE
-        sol = solve(build_fmin(noise, args.k, moment_observable(args.k, noise.in_dim)),
-                    tol=args.tol)
+        sol = solve(build_fmin(noise, args.k), tol=args.tol)
         if sol.status == "infeasible":
             print(f"status: infeasible\n{INFEASIBLE_MSG}")
             return EXIT_INFEASIBLE
@@ -126,7 +125,7 @@ def cmd_synthesize(args) -> int:
     if args.out:
         save_protocol(protocol, args.out)
         print(f"protocol written to {args.out}")
-    elif args.format == "json":
+    else:
         print(json.dumps(protocol_to_json(protocol)))
     return EXIT_OK
 
@@ -196,12 +195,12 @@ def _overhead_value(model: str, eps: float, k: int, method: str,
         # loose, e.g. depolarizing at k = 3)
         if k == 2:
             return 1.0 / (1.0 - eps) ** 2, "analytic"
-        return _optimum(build_fmin(noise, k, moment_observable(k, 2)), tol)
+        return _optimum(build_fmin(noise, k), tol)
     if method == "inverse":
         g1, status = _optimum(build_gmin(noise), tol)
         return gmin_power(g1, k), status
     return _optimum(build_info_recover(tensor_power(noise, k),
-                                       moment_observable(k, 2).matrix), tol)
+                                       moment_observable(k, 2)), tol)
 
 
 def _load_state(args, protocol) -> Operator:
@@ -322,7 +321,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--n", type=_at_least(1), default=1, help="qubits per copy")
     sp.add_argument("--force-sdp", action="store_true",
                     help="skip closed forms and always solve the program")
-    common(sp, "--format", "--tol")
+    common(sp, "--tol")
     sp.set_defaults(fn=cmd_synthesize)
 
     sp = sub.add_parser("overhead-sweep", help="overhead vs noise level table")

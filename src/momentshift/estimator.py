@@ -20,7 +20,7 @@ has its own stream layout:
   retriever for k >= 3, fails the trace-preservation gate: evaluate it exactly.
 
 H_k's outcomes cos(2 pi m/k) and their Born probabilities come from the k
-traces tr[S_k^j X]; no eigendecomposition is computed.
+traces tr[S_k^j X] (``moments.cycle_traces``); no eigendecomposition is computed.
 
 The measurement and the apply-then-measure modes run in two steps.  The
 distribution step runs the sampling gates (trace preservation, the state
@@ -48,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import Channel, noisy_copies
-from .moments import leading_cycle_index
+from .moments import cycle_traces
 from .operators import Operator
 from .protocols import MeasurePrepare, RetrievalProtocol, is_trace_preserving
 
@@ -157,30 +157,26 @@ def _noisy_state(p: RetrievalProtocol, rho: Operator, noise: Channel) -> Operato
 
 
 @lru_cache(maxsize=None)
-def _h_spectrum(k: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Outcomes of H_k, ascending, and the table reading their probabilities off S_k.
+def _h_spectrum(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Outcomes of H_k, ascending, and the weights reading their probabilities off S_k.
 
     H_k is cos(2 pi m/k), m = floor(k/2) .. 0, on the S_k eigenprojectors P_m + P_{k-m},
     P_m = (1/k) sum_j w^(jm) S_k^j, so outcome m has probability
     sum_j c_m cos(2 pi jm/k)/k tr[S_k^j X], c_m = 1 if m = k - m mod k, else 2.
-    The table holds the flat indices of X[x, S_k^j x] for j < k and those weights.
-    Cached per (k, d); the arrays are read-only.
+    Cached per k; the arrays are read-only.
     """
-    gather = leading_cycle_index(k, k, d)
     m = np.arange(k // 2, -1, -1)
     mult = np.where((m == 0) | (2 * m == k), 1.0, 2.0)
     weights = mult[:, None] * np.cos(2 * np.pi * np.outer(m, np.arange(k)) / k) / k
-    out = (np.cos(2 * np.pi * m / k), gather, weights)
+    out = (np.cos(2 * np.pi * m / k), weights)
     for a in out:
         a.flags.writeable = False
     return out
 
 
-def _h_distribution(states: np.ndarray, k: int, d: int) -> np.ndarray:
-    """Born probabilities of H_k's outcomes in each of a stack of k-copy states."""
-    _, gather, weights = _h_spectrum(k, d)
-    traces = states.reshape(*states.shape[:-2], -1)[..., gather].sum(axis=-1)
-    probs = np.clip(traces.real @ weights.T, 0.0, None)
+def _h_distribution(traces: np.ndarray, k: int) -> np.ndarray:
+    """Born probabilities of H_k's outcomes from each state's traces tr[S_k^j X]."""
+    probs = np.clip(traces.real @ _h_spectrum(k)[1].T, 0.0, None)
     return probs / probs.sum(axis=-1, keepdims=True)
 
 
@@ -220,10 +216,11 @@ def run_mixed_unitary(p: RetrievalProtocol, rho: Operator, noise: Channel,
     if not _is_kraus(r):
         raise TypeError("protocol realization is not a Kraus-form channel")
     sigma = _noisy_state(p, rho, noise).entries
-    values = _h_spectrum(p.k, p.copy_dim)[0]
-    branches = np.stack([e @ sigma @ e.conj().T for e in r.kraus])
-    weights = np.trace(branches, axis1=1, axis2=2).real
-    dists = np.cumsum(_h_distribution(branches, p.k, p.copy_dim), axis=1)
+    values = _h_spectrum(p.k)[0]
+    traces = cycle_traces(np.stack([e @ sigma @ e.conj().T for e in r.kraus]),
+                          p.k, p.k, p.copy_dim)
+    weights = traces[:, 0].real  # tr[S_k^0 X] = tr X
+    dists = np.cumsum(_h_distribution(traces, p.k), axis=1)
     cum_pj = np.cumsum(weights / weights.sum())
     u12 = shot_uniforms(seed, shots, 2)
     j = _sample_categorical(cum_pj, u12[:, 0])
@@ -254,7 +251,8 @@ def _choi_distribution(p: RetrievalProtocol, rho: Operator,
                        noise: Channel) -> tuple[np.ndarray, np.ndarray]:
     """Outcomes of H_k and their cumulative Born probabilities after the retriever."""
     out = p.realization.apply(_noisy_state(p, rho, noise).entries)
-    return _h_spectrum(p.k, p.copy_dim)[0], np.cumsum(_h_distribution(out, p.k, p.copy_dim))
+    traces = cycle_traces(out, p.k, p.k, p.copy_dim)
+    return _h_spectrum(p.k)[0], np.cumsum(_h_distribution(traces, p.k))
 
 
 def run_choi_map(p: RetrievalProtocol, rho: Operator, noise: Channel,

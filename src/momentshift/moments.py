@@ -5,11 +5,12 @@ observable ``H_k = (S_k + S_k^dag)/2`` where ``S_k`` cyclically shifts the
 copies: ``S_k |x1 x2 ... xk> = |x2 ... xk x1>``.  ``S_k`` is a permutation of
 basis indices (``cyclic_shift_index``), and ``cycle_orbits`` tabulates the
 orbits of any index permutation P with P^k = I; every other structure of the
-copy cycle in the package is read off that one table.  The orbits of ``S_k``
-are necklaces (equivalence classes of index strings under rotation), each
-named by its smallest string; a necklace of period p contributes eigenstates
-only for the p phase labels m with m*p = 0 mod k, and its projector terms
-fill only the p x p block of its orbit.
+copy cycle in the package is read off that one table; every evaluation of H_k
+on a state reads the traces of ``cycle_traces``.  The orbits of ``S_k`` are
+necklaces (equivalence classes of index strings under rotation), each named by
+its smallest string; a necklace of period p contributes eigenstates only for
+the p phase labels m with m*p = 0 mod k, and its projector terms fill only the
+p x p block of its orbit.
 """
 
 from __future__ import annotations
@@ -43,21 +44,12 @@ def cyclic_permutation(k: int, d: int = 2) -> Operator:
     return Operator(s, (d,) * k)
 
 
-@dataclass(frozen=True)
-class MomentObservable:
-    """Observable on k copies with tr[H rho^(x k)] = tr[rho^k]."""
-
-    k: int
-    d: int
-    matrix: Operator
-
-
-def moment_observable(k: int, d: int = 2) -> MomentObservable:
-    """Observable H_k = (S_k + S_k^dag)/2 reading off tr[rho^k]."""
+def moment_observable(k: int, d: int = 2) -> Operator:
+    """Observable H_k = (S_k + S_k^dag)/2 with tr[H_k rho^(x k)] = tr[rho^k]."""
     dim = _dim(k, d)
     check_memory(4 * 16 * dim * dim, f"moment observable for k={k}, d={d}")  # S, S^dag, H, copy
     s = cyclic_permutation(k, d).entries
-    return MomentObservable(k=k, d=d, matrix=Operator((s + s.conj().T) / 2, (d,) * k))
+    return Operator((s + s.conj().T) / 2, (d,) * k)
 
 
 def cycle_orbits(perm: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -92,6 +84,12 @@ def leading_cycle_index(m: int, k: int, d: int = 2) -> np.ndarray:
     table = x * dim + orbits[:, x // rest] * rest + x % rest
     table.flags.writeable = False
     return table
+
+
+def cycle_traces(x: np.ndarray, m: int, k: int, d: int = 2) -> np.ndarray:
+    """tr[(S_m^b (x) I) x] for b < m, of one matrix or each of a stack.  With m = k
+    they are t_j = tr[S_k^j x], the one reading of H_k: tr[H_k x] = (t_1 + t_{k-1})/2."""
+    return x.reshape(*x.shape[:-2], -1)[..., leading_cycle_index(m, k, d)].sum(axis=-1)
 
 
 def _strings(index: np.ndarray, k: int, d: int) -> list[tuple[int, ...]]:

@@ -195,7 +195,10 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 def matrix_from_json(rows: list) -> np.ndarray:
     """Inverse of :func:`matrix_to_json`; rejects anything but (r, c, 2) pairs."""
-    pairs = np.asarray(rows, dtype=float)
+    try:
+        pairs = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError):  # not numbers, or ragged
+        pairs = np.empty(0)
     if pairs.ndim != 3 or pairs.shape[-1] != 2:
         raise ValueError("a JSON matrix is a list of rows of [real, imag] pairs")
     m = np.empty(pairs.shape[:2], dtype=complex)

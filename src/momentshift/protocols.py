@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channels import Channel, channel_from_json, channel_to_json
-from .moments import cyclic_shift_index, leading_cycle_index, moment_observable
+from .moments import cycle_traces, leading_cycle_index, moment_observable
 from .operators import (I2, PAULI_X, PAULI_Y, PAULI_Z, Operator, check_memory,
                         matrix_from_json, matrix_to_json)
 from .sdp.problem import SdpSolution
@@ -185,16 +185,12 @@ def is_trace_preserving(r: Channel | MeasurePrepare | Recursive) -> bool:
 
 
 def exact_expectation(p: RetrievalProtocol, noisy_state: Operator) -> float:
-    """Dense evaluation of zeta = tr[H_k C(noisy_state)], no sampling.
-
-    H_k X has diagonal (X[S_k^-1 i, i] + X[S_k i, i]) / 2, read off the shift index.
-    """
+    """zeta = tr[H_k C(noisy_state)], no sampling: Re(t_1 + t_{k-1})/2 of the
+    traces t_j = tr[S_k^j C(noisy_state)] that sampling reads too."""
     if noisy_state.dim != p.copy_dim ** p.k:
         raise ValueError("noisy state dimension does not match protocol")
-    out = p.realization.apply(noisy_state.entries)
-    shift = cyclic_shift_index(p.k, p.copy_dim)
-    i = np.arange(shift.size)
-    return float(np.real((0.5 * (out[np.argsort(shift), i] + out[shift, i])).sum()))
+    t = cycle_traces(p.realization.apply(noisy_state.entries), p.k, p.k, p.copy_dim)
+    return float((t[1 % p.k] + t[-1]).real / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +253,7 @@ def ad_second_moment(eps: float) -> RetrievalProtocol:
     b11 = np.array([0, 0, 0, 1], dtype=complex)
     psi_p = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
     psi_m = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
-    h = moment_observable(2, 2).matrix.entries
+    h = moment_observable(2, 2).entries
     eye4 = np.eye(4)
     sigma_a = ((1 + 2 * eps) * eye4 + (1 - 4 * eps) * h) / 6
     sigma_3 = (eye4 - h) / 2
@@ -500,25 +496,36 @@ def _realization_from_json(kind: str, data: dict) -> Channel | MeasurePrepare:
     raise ValueError(f"unknown protocol kind {kind!r}")
 
 
+def _field(doc: dict, name: str, kind: type = int):
+    """doc[name], refused unless it is a JSON integer (``int``) or number (``float``)."""
+    if isinstance(doc[name], bool) or not isinstance(doc[name], (int, kind)):
+        raise ValueError(f"protocol field {name!r} is not "
+                         f"{'an integer' if kind is int else 'a number'}")
+    return doc[name]
+
+
 def protocol_from_json(doc: dict) -> RetrievalProtocol:
-    """The protocol a file describes, refused if it lacks a field or does not act
-    on k copies of copy_dim."""
+    """The protocol a file describes, refused if it is not a JSON object, lacks a
+    field or a number, or does not act on k copies of copy_dim."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("data", {}), dict):
+        raise ValueError("protocol file or its 'data' is not a JSON object")
     if doc.get("schema_version") != PROTOCOL_SCHEMA_VERSION:
         raise ValueError(f"unsupported protocol schema {doc.get('schema_version')}")
     try:
-        data = doc["data"]
+        data, k, copy_dim = doc["data"], _field(doc, "k"), _field(doc, "copy_dim", float)
         if doc["kind"] == "recursive":
-            p = de_kth_moment(data["eps"], data["order"], data["copy_dim"])
+            p = de_kth_moment(_field(data, "eps", float), _field(data, "order"),
+                              _field(data, "copy_dim", float))
         else:
-            p = RetrievalProtocol(k=doc["k"], copy_dim=doc["copy_dim"], f=doc["f"],
-                                  t=doc["t"], label=doc.get("label", ""),
+            p = RetrievalProtocol(k=k, copy_dim=copy_dim, f=_field(doc, "f", float),
+                                  t=_field(doc, "t", float), label=doc.get("label", ""),
                                   realization=_realization_from_json(doc["kind"], data))
-        r, dim = p.realization, doc["copy_dim"] ** doc["k"]
+        r, dim = p.realization, copy_dim ** k
     except KeyError as exc:
         raise ValueError(f"protocol file lacks the field {exc.args[0]!r}") from None
     if (r.in_dim, r.out_dim) != (dim, dim):
         raise ValueError(f"protocol realization maps dimension {r.in_dim} to {r.out_dim}, "
-                         f"but {doc['k']} copies of dimension {doc['copy_dim']} need {dim}")
+                         f"but {k} copies of dimension {copy_dim} need {dim}")
     return p
 
 

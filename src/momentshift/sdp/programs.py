@@ -6,13 +6,12 @@ convention.  Labels follow the roles in the composition
 the retriever, C the retriever output measured with the moment observable.
 
 * ``build_fmin``: minimal trace-scaling factor f of a completely positive
-  trace-scaling retriever whose adjoint pulls the observable back to
-  ``(H + t I)`` through the noise (the observable-shift program).  Its Choi
-  block is declared in the symmetry sectors of the copy cycle and, for
-  phase-covariant noise, of the excitation charge (``copy_sectors``), after
-  both symmetries are checked on the program's data.
+  trace-scaling retriever whose adjoint pulls H_k back to ``(H_k + t I)``
+  through the noise (the observable-shift program).  Its Choi block is
+  declared in the sectors of the copy cycle and, for phase-covariant noise,
+  of the excitation charge (``copy_sectors``), both symmetries of H_k.
 * ``build_dual_fmin``: its Lagrangian dual over (M, K) with objective
-  ``-tr[K H]``; any feasible point certifies a lower bound on f.
+  ``-tr[K H_k]``; any feasible point certifies a lower bound on f.
 * ``build_gmin``: quasi-probability overhead of simulating the exact inverse
   of a channel as a difference of two scaled channels.
 * ``build_info_recover``: overhead of a Hermitian-preserving trace-scaling
@@ -30,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..channels import Channel, channel_matrix, link_product, tensor_power
-from ..moments import MomentObservable, cycle_orbits, cyclic_shift_index
+from ..moments import cycle_orbits, cyclic_shift_index, moment_observable
 from ..operators import Operator, identity, partial_trace, partial_transpose, tensor_product
 from .problem import (
     BlockVar,
@@ -101,11 +100,6 @@ def _charges(k: int, d: int) -> np.ndarray:
     return popcount[digits].sum(axis=1)
 
 
-def _off_charge(m: np.ndarray, charge: np.ndarray) -> float:
-    """Largest entry of ``m`` between basis states of different charge."""
-    return float(np.abs(m[charge[:, None] != charge]).max(initial=0.0))
-
-
 @lru_cache(maxsize=None)
 def copy_sectors(k: int, d: int, charge: bool) -> tuple[Sector, ...]:
     """Symmetry sectors of a matrix on B (x) C, each k copies of C^d.
@@ -143,33 +137,26 @@ def copy_sectors(k: int, d: int, charge: bool) -> tuple[Sector, ...]:
     return tuple(sectors)
 
 
-def _fmin_sectors(noise: Channel, k: int, h: np.ndarray) -> tuple[Sector, ...] | None:
-    """Sectors of the observable-shift program's J: the copy cycle's when it
-    commutes with H, split by charge when the charge phase also commutes with H
-    and with the noise; None (one sector) when the cycle fails."""
-    d = noise.in_dim
-    p = cyclic_shift_index(k, d)
-    if np.abs(h[np.ix_(p, p)] - h).max() > SYMMETRY_TOL:
-        return None
-    n1 = _charges(1, d)
-    covariant = max(_off_charge(noise.choi().entries, (n1[:, None] - n1).reshape(-1)),
-                    _off_charge(h, _charges(k, d))) <= SYMMETRY_TOL
-    return copy_sectors(k, d, covariant)
+def _fmin_sectors(noise: Channel, k: int) -> tuple[Sector, ...]:
+    """Sectors of the observable-shift program's J: the copy cycle's, split by
+    charge when the noise is phase covariant (H_k is both by construction)."""
+    n1 = _charges(1, noise.in_dim)
+    q = (n1[:, None] - n1).reshape(-1)  # charge of each basis state of the Choi matrix
+    covariant = np.abs(noise.choi().entries[q[:, None] != q]).max(initial=0.0) <= SYMMETRY_TOL
+    return copy_sectors(k, noise.in_dim, covariant)
 
 
-def build_fmin(noise: Channel, k: int, H: MomentObservable) -> SdpProblem:
-    """Primal observable-shift program; optimum is f_min(noise, k)."""
+def build_fmin(noise: Channel, k: int) -> SdpProblem:
+    """Primal observable-shift program for H_k; optimum is f_min(noise, k)."""
     if noise.in_dim != noise.out_dim:
         raise ValueError("observable-shift synthesis needs a square channel")
     d = noise.in_dim ** k
-    if H.matrix.dim != d:
-        raise ValueError(f"moment observable dim {H.matrix.dim} != {d}")
     name = f"fmin[{noise.label},k={k}]"
-    h = H.matrix.entries
-    blocks = [BlockVar("J", d * d, psd=True, sectors=_fmin_sectors(noise, k, h))]
+    blocks = [BlockVar("J", d * d, psd=True, sectors=_fmin_sectors(noise, k))]
     scalars = [ScalarVar("f", lower=F_LOWER_BOUND), ScalarVar("t")]
     check_program_memory(name, blocks, scalars, (d, d))
     nk = tensor_power(noise, k)
+    h = moment_observable(k, noise.in_dim).entries
     ts = _trace_scaling("J", "f", d, d, "trace_scaling")
     shift = Constraint(
         terms=(
@@ -209,8 +196,8 @@ def _identity_map(batch: np.ndarray) -> np.ndarray:
     return batch
 
 
-def build_dual_fmin(noise: Channel, k: int, H: MomentObservable) -> SdpProblem:
-    """Dual of the observable-shift program: max -tr[KH] over feasible (M, K)."""
+def build_dual_fmin(noise: Channel, k: int) -> SdpProblem:
+    """Dual of the observable-shift program: max -tr[K H_k] over feasible (M, K)."""
     d = noise.in_dim ** k
     name = f"dual_fmin[{noise.label},k={k}]"
     blocks = [BlockVar("M", d, psd=False), BlockVar("K", d, psd=False),
@@ -218,7 +205,7 @@ def build_dual_fmin(noise: Channel, k: int, H: MomentObservable) -> SdpProblem:
     scalars = [ScalarVar("s", lower=0.0)]
     check_program_memory(name, blocks, scalars, (d * d, 1, 1))
     nk = tensor_power(noise, k)
-    h = H.matrix.entries
+    h = moment_observable(k, noise.in_dim).entries
 
     psd = Constraint(
         terms=(
@@ -246,31 +233,28 @@ def build_dual_fmin(noise: Channel, k: int, H: MomentObservable) -> SdpProblem:
                       constraints=[psd, trm, trk], maximize=True, name=name)
 
 
-def dual_constraint_operator(cert: DualCertificate, noise: Channel, k: int,
-                             H: MomentObservable) -> Operator:
-    """Literal dual operator M (x) I + tr_A[(K^T (x) I (x) H)(J^{T_B} (x) I)]."""
+def dual_constraint_operator(cert: DualCertificate, noise: Channel, k: int) -> Operator:
+    """Literal dual operator M (x) I + tr_A[(K^T (x) I (x) H_k)(J^{T_B} (x) I)]."""
     nk = tensor_power(noise, k)
     d = nk.in_dim
-    j = nk.choi().with_dims((d, d))
-    jtb = partial_transpose(j, [1])
+    jtb = partial_transpose(nk.choi().with_dims((d, d)), [1])
     kt = Operator(cert.K.entries.T)
     big = tensor_product(tensor_product(kt, identity(d)),
-                         Operator(H.matrix.entries)) \
+                         Operator(moment_observable(k, noise.in_dim).entries)) \
         @ tensor_product(jtb, identity(d)).with_dims((d, d, d))
     coupling = partial_trace(big.with_dims((d, d, d)), [1, 2])
     dual_op = tensor_product(Operator(cert.M.entries), identity(d)) + coupling
     return Operator(dual_op.entries, (d, d))
 
 
-def check_certificate(cert: DualCertificate, noise: Channel, k: int,
-                      H: MomentObservable) -> tuple[bool, float]:
-    """Evaluate dual feasibility analytically and return (feasible, -tr[KH])."""
+def check_certificate(cert: DualCertificate, noise: Channel, k: int) -> tuple[bool, float]:
+    """Evaluate dual feasibility analytically and return (feasible, -tr[K H_k])."""
     tr_m = cert.M.trace().real
     tr_k = cert.K.trace()
-    dual_op = dual_constraint_operator(cert, noise, k, H)
+    dual_op = dual_constraint_operator(cert, noise, k)
     feasible = (tr_m <= 1.0 + 1e-9 and abs(tr_k) <= 1e-9
                 and dual_op.min_eigenvalue() >= -1e-9)
-    objective = -np.trace(cert.K.entries @ H.matrix.entries).real
+    objective = -np.trace(cert.K.entries @ moment_observable(k, noise.in_dim).entries).real
     return feasible, float(objective)
 
 

@@ -45,7 +45,7 @@ def checks_moments() -> list[tuple[str, bool, str]]:
     worst = 0.0
     for k in range(2, 6):
         s = cyclic_permutation(k, 2)
-        h = moment_observable(k, 2).matrix
+        h = moment_observable(k, 2)
         for seed in range(100 if k == 2 else 20):
             rho = random_density_matrix(2, seed)
             joint = rho
@@ -71,7 +71,7 @@ def checks_moments() -> list[tuple[str, bool, str]]:
 
     bound_ok = True
     for k in range(2, 6):
-        w = np.linalg.eigvalsh(moment_observable(k, 2).matrix.entries)
+        w = np.linalg.eigvalsh(moment_observable(k, 2).entries)
         bound_ok &= bool(w.min() >= -1 - 1e-12 and w.max() <= 1 + 1e-12)
     out.append(("observable_eigenvalue_bound", bound_ok, "H spectrum within [-1, 1]"))
     return out
@@ -79,15 +79,14 @@ def checks_moments() -> list[tuple[str, bool, str]]:
 
 def checks_sdp(tol: float = 1e-7) -> list[tuple[str, bool, str]]:
     out = []
-    h2 = moment_observable(2, 2)
     gap_worst = 0.0
     ordering_ok = True
     detail = []
     for name, mk in (("DE", lambda e: depolarizing(e, 2)), ("AD", amplitude_damping)):
         for eps in EPS_GRID:
             noise = mk(eps)
-            primal = solve(build_fmin(noise, 2, h2), tol=tol)
-            dual = solve(build_dual_fmin(noise, 2, h2), tol=tol)
+            primal = solve(build_fmin(noise, 2), tol=tol)
+            dual = solve(build_dual_fmin(noise, 2), tol=tol)
             gap = abs(primal.objective_value - dual.objective_value)
             gap_worst = max(gap_worst, gap)
             g1 = solve(build_gmin(noise), tol=tol).objective_value
@@ -97,7 +96,7 @@ def checks_sdp(tol: float = 1e-7) -> list[tuple[str, bool, str]]:
     out.append(("strong_duality_gap_k2", gap_worst < 1e-4, f"max gap {gap_worst:.2e}"))
     out.append(("shift_below_inverse_k2", ordering_ok, "; ".join(detail[:4])))
 
-    sol = solve(build_fmin(depolarizing(1.0, 2), 2, h2), tol=tol)
+    sol = solve(build_fmin(depolarizing(1.0, 2), 2), tol=tol)
     out.append(("noninvertible_infeasible", sol.status == "infeasible",
                 f"status {sol.status}"))
     out.append(("invertibility_rank_test",
@@ -123,8 +122,8 @@ def checks_protocols() -> list[tuple[str, bool, str]]:
     worst = 0.0
     for k in range(3, 6):
         tm = transfer_maps(k, 2)
-        hk = moment_observable(k, 2).matrix.entries
-        tgt = np.kron(moment_observable(k - 1, 2).matrix.entries, np.eye(2) / 2)
+        hk = moment_observable(k, 2).entries
+        tgt = np.kron(moment_observable(k - 1, 2).entries, np.eye(2) / 2)
         worst = max(worst, float(np.max(np.abs(tm.forward.apply(hk) - tgt))))
         worst = max(worst, float(np.max(np.abs(tm.forward_neg.apply(hk) + tgt))))
     out.append(("transfer_identity_k3_5", worst < 1e-9, f"max err {worst:.2e}"))
@@ -133,8 +132,8 @@ def checks_protocols() -> list[tuple[str, bool, str]]:
     min_eig = 0.0
     for (k, l) in ((3, 2), (4, 2), (4, 3)):
         r = recovery_map(k, l, 2)
-        hk = moment_observable(k, 2).matrix.entries
-        tgt = -np.kron(moment_observable(l, 2).matrix.entries,
+        hk = moment_observable(k, 2).entries
+        tgt = -np.kron(moment_observable(l, 2).entries,
                        np.eye(2 ** (k - l)) / 2 ** (k - l))
         worst = max(worst, float(np.max(np.abs(r.apply(hk) - tgt))))
         min_eig = min(min_eig, r.choi().min_eigenvalue())

@@ -44,8 +44,6 @@ from momentshift.estimator import renyi_entropy
 from conftest import noisy_copies, true_moment
 
 EPS_GRID = (0.05, 0.1, 0.2, 0.3)
-H2 = moment_observable(2, 2)
-H3 = moment_observable(3, 2)
 
 MODELS = {
     "DE": lambda eps: depolarizing(eps, 2),
@@ -64,7 +62,7 @@ def fmin_k2_solutions():
     for name, mk in MODELS.items():
         for eps in EPS_GRID:
             t0 = time.time()
-            sol = solve(build_fmin(mk(eps), 2, H2))
+            sol = solve(build_fmin(mk(eps), 2))
             out[(name, eps)] = (sol, time.time() - t0)
     return out
 
@@ -83,7 +81,7 @@ def gmin_values():
 
 @pytest.fixture(scope="module")
 def fmin_ad_k3():
-    return {eps: solve(build_fmin(amplitude_damping(eps), 3, H3)).objective_value
+    return {eps: solve(build_fmin(amplitude_damping(eps), 3)).objective_value
             for eps in EPS_GRID}
 
 
@@ -133,7 +131,7 @@ def test_criterion_4_dual_certificates():
     for eps in EPS_GRID:
         cert = DualCertificate(M=Operator(np.eye(4) / 4 - xyz / 12),
                                K=Operator(-xyz / (6 * (1 - eps) ** 2)))
-        feasible, obj = check_certificate(cert, depolarizing(eps, 2), 2, H2)
+        feasible, obj = check_certificate(cert, depolarizing(eps, 2), 2)
         all_feasible &= feasible
         worst = max(worst, abs(obj - 1 / (1 - eps) ** 2))
 
@@ -146,7 +144,7 @@ def test_criterion_4_dual_certificates():
         k[1, 2] = k[2, 1] = (eps - 1) / 2
         cert = DualCertificate(M=Operator(m),
                                K=Operator(k / (2 * (1 - eps) ** 2)))
-        feasible, obj = check_certificate(cert, amplitude_damping(eps), 2, H2)
+        feasible, obj = check_certificate(cert, amplitude_damping(eps), 2)
         all_feasible &= feasible
         worst = max(worst, abs(obj - 1 / (1 - eps) ** 2))
     _report(4, all_feasible and worst <= 1e-9,
@@ -205,8 +203,8 @@ def test_criterion_7_transfer_machinery():
     t_worst = 0.0
     for k in range(3, 6):
         tm = transfer_maps(k, 2)
-        hk = moment_observable(k, 2).matrix.entries
-        tgt = np.kron(moment_observable(k - 1, 2).matrix.entries, np.eye(2) / 2)
+        hk = moment_observable(k, 2).entries
+        tgt = np.kron(moment_observable(k - 1, 2).entries, np.eye(2) / 2)
         t_worst = max(t_worst, float(np.abs(tm.forward.apply(hk) - tgt).max()),
                       float(np.abs(tm.forward_neg.apply(hk) + tgt).max()))
     s_worst = 0.0
@@ -223,7 +221,7 @@ def test_criterion_7_transfer_machinery():
 def test_criterion_8_noninvertibility_signature():
     noise = depolarizing(1.0, 2)
     rank_flag = not is_invertible(noise)
-    sol = solve(build_fmin(noise, 2, H2))
+    sol = solve(build_fmin(noise, 2))
     _report(8, rank_flag and sol.status == "infeasible",
             f"rank test non-invertible, solver status {sol.status}")
 

@@ -43,14 +43,12 @@ OVER_BUDGET = {
     "de_kth_moment": lambda: de_kth_moment(0.1, 12, 2).realization.choi,
     "recovery_map_choi": lambda: recovery_map(7, 3, 2).choi,
     "recursive_choi": lambda: de_kth_moment(0.1, 7, 2).realization.choi,
-    "build_fmin": lambda: partial(build_fmin, amplitude_damping(0.1), 5,
-                                  moment_observable(5, 2)),
-    "build_dual_fmin": lambda: partial(build_dual_fmin, amplitude_damping(0.1), 4,
-                                       moment_observable(4, 2)),
+    "build_fmin": lambda: partial(build_fmin, amplitude_damping(0.1), 5),
+    "build_dual_fmin": lambda: partial(build_dual_fmin, amplitude_damping(0.1), 4),
     "build_gmin": lambda: partial(build_gmin, depolarizing(0.1, 16)),
     "build_info_recover": lambda: partial(build_info_recover,
                                           tensor_power(amplitude_damping(0.1), 5),
-                                          moment_observable(5, 2).matrix),
+                                          moment_observable(5, 2)),
     "build_hamiltonian": lambda: partial(build_hamiltonian, HubbardModel(sites=6)),
 }
 
@@ -80,11 +78,11 @@ def test_noisy_copies_holds_the_joint_state_once():
 
 
 @pytest.mark.parametrize("build", [
-    lambda: build_fmin(amplitude_damping(0.2), 2, moment_observable(2, 2)),
-    lambda: build_dual_fmin(amplitude_damping(0.2), 2, moment_observable(2, 2)),
+    lambda: build_fmin(amplitude_damping(0.2), 2),
+    lambda: build_dual_fmin(amplitude_damping(0.2), 2),
     lambda: build_gmin(depolarizing(0.2, 2)),
     lambda: build_info_recover(tensor_power(amplitude_damping(0.2), 2),
-                               moment_observable(2, 2).matrix),
+                               moment_observable(2, 2)),
 ], ids=["fmin", "dual_fmin", "gmin", "info_recover"])
 def test_program_estimate_matches_compiled_shape(build, monkeypatch):
     declared = []
@@ -101,9 +99,8 @@ def test_program_estimate_matches_compiled_shape(build, monkeypatch):
 
 def test_k4_programs_fit_budget():
     # the k = 4 shift and recover programs of `overhead-sweep --k 4` still pass the gate
-    h = moment_observable(4, 2)
-    assert build_fmin(amplitude_damping(0.2), 4, h).blocks[0].dim == 256
-    p = build_info_recover(tensor_power(amplitude_damping(0.2), 4), h.matrix)
+    assert build_fmin(amplitude_damping(0.2), 4).blocks[0].dim == 256
+    p = build_info_recover(tensor_power(amplitude_damping(0.2), 4), moment_observable(4, 2))
     assert [b.dim for b in p.blocks] == [256, 256]
 
 

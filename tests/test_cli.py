@@ -245,6 +245,7 @@ class TestSweep:
     ["verify", "--seed", "1"],
     ["hubbard-demo", "--format", "csv"],
     ["hubbard-demo", "--tol", "1e-3"],
+    ["synthesize", "--noise", "depolarizing", "--eps", "0.1", "--format", "csv"],
 ])
 def test_unread_option_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -318,6 +319,43 @@ class TestFileErrors:
         assert code == 1 and out == ""
         assert err == "error: protocol file lacks the field 'data'\n"
 
+    @pytest.mark.parametrize("data", [None, []], ids=["file", "data"])
+    def test_protocol_not_an_object(self, capsys, tmp_path, data):
+        path = self.protocol(capsys, tmp_path)
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps([] if data is None else {**doc, "data": data}))
+        code, out, err = self.estimate(capsys, path)
+        assert code == 1 and out == ""
+        assert err == "error: protocol file or its 'data' is not a JSON object\n"
+
+    def test_protocol_order_as_string(self, capsys, tmp_path):
+        path = self.protocol(capsys, tmp_path)
+        doc = json.loads(path.read_text())
+        doc["k"] = "2"
+        path.write_text(json.dumps(doc))
+        code, out, err = self.estimate(capsys, path)
+        assert code == 1 and out == ""
+        assert err == "error: protocol field 'k' is not an integer\n"
+
+    def test_recursive_order_as_string(self, capsys, tmp_path):
+        path = tmp_path / "p.json"
+        run_cli(capsys, "synthesize", "--noise", "depolarizing", "--eps", "0.1", "--k", "3",
+                "--out", str(path))
+        doc = json.loads(path.read_text())
+        doc["data"]["order"] = "3"
+        path.write_text(json.dumps(doc))
+        code, out, err = self.estimate(capsys, path)
+        assert code == 1 and out == ""
+        assert err == "error: protocol field 'order' is not an integer\n"
+
+    def test_state_not_a_matrix(self, capsys, tmp_path):
+        path = self.protocol(capsys, tmp_path)
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"a": 1}))
+        code, out, err = self.estimate(capsys, path, "--state", str(state))
+        assert code == 1 and out == ""
+        assert err == "error: a JSON matrix is a list of rows of [real, imag] pairs\n"
+
 
 class TestVerifyCommand:
     def test_moments_suite_passes(self, capsys, tmp_path):
@@ -329,7 +367,7 @@ class TestVerifyCommand:
         doc = json.loads(report.read_text())
         assert doc["failed"] == 0
 
-    @pytest.mark.parametrize("suite", ["protocols", "hubbard"])
+    @pytest.mark.parametrize("suite", ["protocols", "hubbard", "sdp"])
     def test_suite_passes(self, capsys, suite):
         code, out, _ = run_cli(capsys, "verify", "--suite", suite)
         assert code == 0

@@ -286,25 +286,24 @@ SPECTRUM_CASES = [(k, d) for d in (2, 3, 4) for k in range(2, 6) if d ** k <= 10
 @pytest.mark.parametrize("k,d", SPECTRUM_CASES)
 def test_h_spectrum_matches_dense_eigh(k, d):
     from momentshift.estimator import _h_distribution, _h_spectrum
-    from momentshift.moments import cyclic_permutation
+    from momentshift.moments import cycle_traces, cyclic_permutation
     s = cyclic_permutation(k, d).entries
     w, v = np.linalg.eigh((s + s.conj().T) / 2)
-    values = _h_spectrum(k, d)[0]
+    values = _h_spectrum(k)[0]
     assert np.all(np.diff(values) > 0)
     # every eigenvalue of H_k is one of the outcomes, and every outcome occurs
     nearest = np.abs(w[:, None] - values[None, :]).argmin(axis=1)
     assert_allclose(w, values[nearest], atol=1e-12)
     assert set(nearest) == set(range(values.size))
     states = np.stack([random_density_matrix(d ** k, seed).entries for seed in range(3)])
-    probs = _h_distribution(states, k, d)
+    probs = _h_distribution(cycle_traces(states, k, k, d), k)
     for x, p in zip(states, probs):
         diag = np.real(np.sum(v.conj() * (x @ v), axis=0))  # <v_i|x|v_i>
         oracle = np.bincount(nearest, weights=diag, minlength=values.size)
         assert_allclose(p, oracle, atol=1e-12)
-        assert_allclose(_h_distribution(x, k, d), p, atol=1e-15)
+        assert_allclose(_h_distribution(cycle_traces(x, k, k, d), k), p, atol=1e-15)
 
 
 def test_h_spectrum_k2_outcomes_exact():
     from momentshift.estimator import _h_spectrum
-    for d in (2, 3, 4):
-        assert _h_spectrum(2, d)[0].tolist() == [-1.0, 1.0]
+    assert _h_spectrum(2)[0].tolist() == [-1.0, 1.0]

@@ -63,11 +63,11 @@ class TestMomentObservable:
     def test_h2_pauli_form(self):
         expect = (np.kron(I2, I2) + np.kron(PAULI_X, PAULI_X)
                   + np.kron(PAULI_Y, PAULI_Y) + np.kron(PAULI_Z, PAULI_Z)) / 2
-        assert_allclose(moment_observable(2, 2).matrix.entries, expect)
+        assert_allclose(moment_observable(2, 2).entries, expect)
 
     def test_maximally_mixed_purity(self):
         from momentshift.operators import Operator
-        h = moment_observable(2, 2).matrix
+        h = moment_observable(2, 2)
         rho = Operator(np.eye(2) / 2)
         val = np.trace(h.entries @ _copies(rho, 2).entries).real
         assert_allclose(val, 0.5)
@@ -75,13 +75,13 @@ class TestMomentObservable:
     def test_pure_state_all_orders(self):
         rho = random_density_matrix(2, 5, rank=1)
         for k in (2, 3, 5):
-            h = moment_observable(k, 2).matrix
+            h = moment_observable(k, 2)
             assert_allclose(np.trace(h.entries @ _copies(rho, k).entries).real, 1.0,
                             atol=1e-10)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_trace_identity_many_states(self, k):
-        h = moment_observable(k, 2).matrix
+        h = moment_observable(k, 2)
         s = cyclic_permutation(k, 2).entries
         for seed in range(100):
             rho = random_density_matrix(2, seed)
@@ -93,7 +93,7 @@ class TestMomentObservable:
 
     def test_eigenvalue_bound(self):
         for k in (2, 3, 4, 5):
-            w = np.linalg.eigvalsh(moment_observable(k, 2).matrix.entries)
+            w = np.linalg.eigvalsh(moment_observable(k, 2).entries)
             assert w.min() >= -1 - 1e-12 and w.max() <= 1 + 1e-12
 
 

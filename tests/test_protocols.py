@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import lru_cache
 from math import comb
 
@@ -6,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from momentshift.channels import Channel, amplitude_damping, apply, depolarizing, identity_channel
-from momentshift.moments import moment_observable, permutation_eigenprojectors
+from momentshift.moments import cyclic_permutation, moment_observable, permutation_eigenprojectors
 from momentshift.operators import Operator, random_density_matrix, tensor_product
 from momentshift.protocols import (
     MeasurePrepare,
@@ -90,7 +91,7 @@ class TestAmplitudeDampingProtocol:
 
     def test_outcome_values_are_state_expectations(self):
         p = ad_second_moment(0.35)
-        h = moment_observable(2, 2).matrix.entries
+        h = moment_observable(2, 2).entries
         for sigma, val in zip(p.realization.outputs,
                               p.realization.values):
             assert abs(np.trace(h @ sigma).real - val) < 1e-12
@@ -133,7 +134,7 @@ class TestAmplitudeDampingProtocol:
     def test_choi_closed_form(self):
         # |00><00| x s_a + |Psi+><Psi+| x s_a + |Psi-><Psi-| x s_3 + |11><11| x s_4
         eps = 0.25
-        h = moment_observable(2, 2).matrix.entries
+        h = moment_observable(2, 2).entries
         eye4 = np.eye(4)
         b00 = np.array([1, 0, 0, 0.0])
         b11 = np.array([0, 0, 0, 1.0])
@@ -215,8 +216,8 @@ class TestTransferMaps:
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_observable_transfer(self, k):
         tm = transfer_maps(k, 2)
-        hk = moment_observable(k, 2).matrix.entries
-        tgt = np.kron(moment_observable(k - 1, 2).matrix.entries, np.eye(2) / 2)
+        hk = moment_observable(k, 2).entries
+        tgt = np.kron(moment_observable(k - 1, 2).entries, np.eye(2) / 2)
         assert np.max(np.abs(tm.forward.apply(hk) - tgt)) < 1e-9
         assert np.max(np.abs(tm.forward_neg.apply(hk) + tgt)) < 1e-9
 
@@ -242,8 +243,8 @@ class TestTransferMaps:
 class TestRecoveryMaps:
     def test_k3_single_stage(self):
         r = recovery_map(3, 2, 2)
-        h3 = moment_observable(3, 2).matrix.entries
-        tgt = -np.kron(moment_observable(2, 2).matrix.entries, np.eye(2) / 2)
+        h3 = moment_observable(3, 2).entries
+        tgt = -np.kron(moment_observable(2, 2).entries, np.eye(2) / 2)
         assert np.max(np.abs(r.apply(h3) - tgt)) < 1e-10
         # the one stage is the sign-flipping transfer map
         x = random_density_matrix(8, 4).entries
@@ -252,8 +253,8 @@ class TestRecoveryMaps:
     @pytest.mark.parametrize("k,l", [(4, 2), (5, 2), (5, 3)])
     def test_composition_identity(self, k, l):
         r = recovery_map(k, l, 2)
-        hk = moment_observable(k, 2).matrix.entries
-        tgt = -np.kron(moment_observable(l, 2).matrix.entries,
+        hk = moment_observable(k, 2).entries
+        tgt = -np.kron(moment_observable(l, 2).entries,
                        np.eye(2 ** (k - l)) / 2 ** (k - l))
         assert np.max(np.abs(r.apply(hk) - tgt)) < 1e-10
 
@@ -329,7 +330,7 @@ def _dense_transfer(k, d, negative):
 
 
 def _dense_two_term(d):
-    g = d * moment_observable(2, d).matrix.entries - np.eye(d * d)  # d SWAP - I
+    g = d * moment_observable(2, d).entries - np.eye(d * d)  # d SWAP - I
     return [np.eye(d * d), g], [np.eye(d * d) / d ** 2, g / (d ** 2 * (d ** 2 - 1))]
 
 
@@ -400,8 +401,7 @@ class TestDenseOracle:
 class TestFromSdpSolution:
     def test_depolarizing_agrees_with_analytic(self):
         eps = 0.1
-        h = moment_observable(2, 2)
-        sol = solve(build_fmin(depolarizing(eps, 2), 2, h))
+        sol = solve(build_fmin(depolarizing(eps, 2), 2))
         p = from_sdp_solution(sol, 2)
         ref = de_second_moment(eps)
         assert abs(p.f - ref.f) < 1e-4
@@ -414,8 +414,7 @@ class TestFromSdpSolution:
             assert abs(p.f * za - p.t - (ref.f * zb - ref.t)) < 1e-4
 
     def test_identity_channel(self):
-        h = moment_observable(2, 2)
-        sol = solve(build_fmin(identity_channel(2), 2, h))
+        sol = solve(build_fmin(identity_channel(2), 2))
         p = from_sdp_solution(sol, 2)
         assert abs(p.f - 1.0) < 1e-4
         assert abs(p.t) < 1e-4
@@ -425,8 +424,7 @@ class TestFromSdpSolution:
 
     def test_amplitude_damping_cross_implementation(self):
         eps = 0.3
-        h = moment_observable(2, 2)
-        sol = solve(build_fmin(amplitude_damping(eps), 2, h))
+        sol = solve(build_fmin(amplitude_damping(eps), 2))
         p = from_sdp_solution(sol, 2)
         ref = ad_second_moment(eps)
         noise = amplitude_damping(eps)
@@ -437,14 +435,13 @@ class TestFromSdpSolution:
             assert abs(est_sdp - est_ref) < 1e-4
 
     def test_rejects_non_optimal(self):
-        sol = solve(build_fmin(depolarizing(1.0, 2), 2, moment_observable(2, 2)))
+        sol = solve(build_fmin(depolarizing(1.0, 2), 2))
         with pytest.raises(ValueError):
             from_sdp_solution(sol, 2)
 
     def test_contract_at_solver_tolerance(self):
         eps = 0.2
-        h = moment_observable(2, 2)
-        sol = solve(build_fmin(amplitude_damping(eps), 2, h))
+        sol = solve(build_fmin(amplitude_damping(eps), 2))
         p = from_sdp_solution(sol, 2)
         assert isinstance(p.realization, Channel)
         assert is_trace_preserving(p.realization)
@@ -486,12 +483,24 @@ class TestExactExpectation:
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_matches_dense_observable(self, k, d):
-        # the shift-index read equals tr[H_k C(x)] with the dense H_k, C = id
+        # the trace read equals tr[H_k C(x)] with the dense H_k, C = id
         rng = np.random.default_rng(10 * k + d)
         x = rng.normal(size=(d ** k, d ** k)) + 1j * rng.normal(size=(d ** k, d ** k))
-        h = moment_observable(k, d).matrix.entries
+        h = moment_observable(k, d).entries
         z = exact_expectation(identity_protocol(k, d), Operator(x))
         assert abs(z - np.sum(h * x.T).real) < 1e-10
+        # and Re tr[S_k C(rho)] for each kind of realization: a recursive map
+        # everywhere, a Kraus channel, a Choi channel and the AD measurement at k = d = 2
+        s = cyclic_permutation(k, d).entries
+        rho = random_density_matrix(d ** k, 10 * k + d)
+        protocols = [de_kth_moment(0.1, k, d)]
+        if (k, d) == (2, 2):
+            twirl = de_second_moment(0.1)
+            choi = Channel(4, 4, choi=twirl.realization.choi())
+            protocols += [twirl, replace(twirl, realization=choi), ad_second_moment(0.2)]
+        for p in protocols:
+            dense = np.trace(s @ p.realization.apply(rho.entries)).real
+            assert abs(exact_expectation(p, rho) - dense) < 1e-10
 
 
 class TestSerialization:

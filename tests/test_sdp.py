@@ -91,38 +91,38 @@ class TestSolverToy:
                        constraints=[])
 
     def test_determinism(self):
-        p1 = solve(build_fmin(depolarizing(0.1, 2), 2, H2))
-        p2 = solve(build_fmin(depolarizing(0.1, 2), 2, H2))
+        p1 = solve(build_fmin(depolarizing(0.1, 2), 2))
+        p2 = solve(build_fmin(depolarizing(0.1, 2), 2))
         assert p1.iterations == p2.iterations
         assert p1.objective_value == p2.objective_value
 
 
 class TestFmin:
     def test_identity_channel(self):
-        sol = solve(build_fmin(identity_channel(2), 2, H2))
+        sol = solve(build_fmin(identity_channel(2), 2))
         assert sol.status == "optimal"
         assert abs(sol.objective_value - 1.0) < 1e-5
         assert abs(sol.scalar("t")) < 1e-5
 
     @pytest.mark.parametrize("eps", [0.1, 0.2])
     def test_depolarizing_values(self, eps):
-        sol = solve(build_fmin(depolarizing(eps, 2), 2, H2))
+        sol = solve(build_fmin(depolarizing(eps, 2), 2))
         s = (1 - eps) ** 2
         assert abs(sol.scalar("f") - 1 / s) < 1e-4
         assert abs(sol.scalar("t") - (1 - s) / (2 * s)) < 1e-4
 
     def test_amplitude_damping_values(self):
         eps = 0.2
-        sol = solve(build_fmin(amplitude_damping(eps), 2, H2))
+        sol = solve(build_fmin(amplitude_damping(eps), 2))
         assert abs(sol.scalar("f") - 1.5625) < 1e-4
         assert abs(sol.scalar("t") + 0.0625) < 1e-4
 
     def test_full_depolarizing_infeasible(self):
-        sol = solve(build_fmin(depolarizing(1.0, 2), 2, H2))
+        sol = solve(build_fmin(depolarizing(1.0, 2), 2))
         assert sol.status == "infeasible"
 
     def test_solution_block_properties(self):
-        sol = solve(build_fmin(depolarizing(0.2, 2), 2, H2))
+        sol = solve(build_fmin(depolarizing(0.2, 2), 2))
         j = sol.block("J")
         f = sol.scalar("f")
         marg = partial_trace(j.with_dims((4, 4)), [0])
@@ -136,8 +136,8 @@ class TestDuality:
         (amplitude_damping, 0.1), (amplitude_damping, 0.2),
     ])
     def test_gap(self, mk, eps):
-        primal = solve(build_fmin(mk(eps), 2, H2))
-        dual = solve(build_dual_fmin(mk(eps), 2, H2))
+        primal = solve(build_fmin(mk(eps), 2))
+        dual = solve(build_dual_fmin(mk(eps), 2))
         assert primal.status == dual.status == "optimal"
         assert abs(primal.objective_value - dual.objective_value) < 1e-4
 
@@ -150,11 +150,11 @@ class TestDuality:
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         k_op = Operator(m + m.conj().T)
         cert = DualCertificate(M=Operator(np.zeros((4, 4))), K=k_op)
-        literal = dual_constraint_operator(cert, noise, 2, H2)
+        literal = dual_constraint_operator(cert, noise, 2)
         nk = tensor_power(noise, 2)
         from momentshift.channels import apply
         pushed = apply(nk, k_op).entries.T
-        simplified = np.kron(pushed, H2.matrix.entries)
+        simplified = np.kron(pushed, H2.entries)
         assert_allclose(literal.entries, simplified, atol=1e-11)
 
 
@@ -167,7 +167,7 @@ class TestCertificates:
             M=Operator(np.eye(4) / 4 - xyz / 12),
             K=Operator(-xyz / (6 * (1 - eps) ** 2)),
         )
-        feasible, obj = check_certificate(cert, depolarizing(eps, 2), 2, H2)
+        feasible, obj = check_certificate(cert, depolarizing(eps, 2), 2)
         assert feasible
         assert abs(obj - 1 / 0.81) < 1e-9
 
@@ -182,14 +182,14 @@ class TestCertificates:
         k[1, 1] = k[2, 2] = (1 + eps) / 2
         k[1, 2] = k[2, 1] = (eps - 1) / 2
         cert = DualCertificate(M=Operator(m), K=Operator(k / (2 * (1 - eps) ** 2)))
-        feasible, obj = check_certificate(cert, amplitude_damping(eps), 2, H2)
+        feasible, obj = check_certificate(cert, amplitude_damping(eps), 2)
         assert feasible
         assert abs(obj - 1.5625) < 1e-9
 
     def test_zero_certificate(self):
         cert = DualCertificate(M=Operator(np.zeros((4, 4))),
                                K=Operator(np.zeros((4, 4))))
-        feasible, obj = check_certificate(cert, amplitude_damping(0.3), 2, H2)
+        feasible, obj = check_certificate(cert, amplitude_damping(0.3), 2)
         assert feasible
         assert obj == 0.0
 
@@ -254,9 +254,9 @@ class TestInfoRecover:
         eps = 0.2
         noise = amplitude_damping(eps)
         h3 = moment_observable(3, 2)
-        shift = solve(build_fmin(noise, 3, h3)).objective_value
+        shift = solve(build_fmin(noise, 3)).objective_value
         rec = solve(build_info_recover(tensor_power(noise, 3),
-                                       h3.matrix)).objective_value
+                                       h3)).objective_value
         inverse = gmin_power(solve(build_gmin(noise)).objective_value, 3)
         assert shift <= rec + 1e-5 <= inverse + 1e-5
 
@@ -266,13 +266,13 @@ class TestOverheadOrdering:
     @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2, 0.3])
     def test_k2(self, mk, eps):
         noise = mk(eps)
-        f = solve(build_fmin(noise, 2, H2)).objective_value
+        f = solve(build_fmin(noise, 2)).objective_value
         g1 = solve(build_gmin(noise)).objective_value
         assert f <= gmin_power(g1, 2) + 1e-6
 
 
 def test_solution_json_round_trip():
-    sol = solve(build_fmin(depolarizing(0.1, 2), 2, H2))
+    sol = solve(build_fmin(depolarizing(0.1, 2), 2))
     doc = sol.to_json()
     assert doc["status"] == "optimal"
     assert isinstance(doc["variables"]["f"], float)
@@ -311,7 +311,7 @@ class TestSymmetrySectors:
     @pytest.mark.parametrize("mk", [amplitude_damping, lambda e: depolarizing(e, 2)],
                              ids=["AD", "DE"])
     def test_sector_solve_matches_dense(self, mk, eps, k):
-        problem = build_fmin(mk(eps), k, moment_observable(k, 2))
+        problem = build_fmin(mk(eps), k)
         assert problem.blocks[0].sectors is not None
         _assert_matches_dense(problem)
 
@@ -338,11 +338,21 @@ class TestSymmetrySectors:
             labels.add((round(np.angle(phase) * k / (2 * np.pi)) % k, charge[support][0]))
         assert len(labels) == len(sectors)
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_moment_observable_has_both_symmetries(self, d):
+        # the sectors of build_fmin rest on these; they are not checked at build time
+        for k in range(2, 6):
+            h = moment_observable(k, d).entries
+            p = cyclic_shift_index(k, d)
+            assert np.array_equal(h[np.ix_(p, p)], h)
+            n = _string_charges(k, d)
+            assert not h[n[:, None] != n].any()
+
     def test_qubit_k3_sector_sizes(self):
         sizes = sorted(s.size for s in copy_sectors(3, 2, True))
         assert sizes == [1, 1] + [2] * 6 + [5] * 6 + [6, 6, 8]
         assert sum(m * m for m in sizes) == 312
-        assert build_fmin(amplitude_damping(0.1), 3, moment_observable(3, 2)).blocks[0].size == 312
+        assert build_fmin(amplitude_damping(0.1), 3).blocks[0].size == 312
 
     @pytest.mark.parametrize("kraus", [
         [np.sqrt(0.9) * np.eye(2), np.sqrt(0.1) * PAULI_X],
@@ -351,12 +361,12 @@ class TestSymmetrySectors:
                                      + 1j * np.random.default_rng(8).standard_normal((2, 2)))[0]],
     ], ids=["bit_flip", "random_unitary_mixture"])
     def test_non_covariant_noise_gets_cycle_only_sectors(self, kraus):
-        problem = build_fmin(Channel(2, 2, kraus=kraus), 2, H2)
+        problem = build_fmin(Channel(2, 2, kraus=kraus), 2)
         assert problem.blocks[0].sectors == copy_sectors(2, 2, False)
         _assert_matches_dense(problem)
 
     def test_batched_eigh_failure_falls_back_to_real_embedding(self, monkeypatch):
-        problem = build_fmin(amplitude_damping(0.2), 2, H2)
+        problem = build_fmin(amplitude_damping(0.2), 2)
         reference = solve(problem)
         eigh = np.linalg.eigh
         shapes = []
@@ -375,12 +385,12 @@ class TestSymmetrySectors:
         assert abs(sol.objective_value - reference.objective_value) < 1e-12
 
     def test_diagnostics_recorded(self):
-        sol = solve(build_fmin(amplitude_damping(0.2), 2, H2))
+        sol = solve(build_fmin(amplitude_damping(0.2), 2))
         diag = sol.diagnostics
         assert diag["reason"] == "tolerance reached"
         assert (diag["coordinates"], diag["rows"]) == (40, 32)
         assert sorted(diag["sector_sizes"]["J"]) == [1, 1, 2, 2, 2, 2, 2, 4]
         assert all(diag[key] >= 0.0 for key in ("compile_s", "factor_s", "iterate_s"))
         assert sol.to_json()["diagnostics"] == diag
-        capped = solve(build_fmin(amplitude_damping(0.2), 2, H2), max_iters=10)
+        capped = solve(build_fmin(amplitude_damping(0.2), 2), max_iters=10)
         assert capped.diagnostics["reason"] == "max_iters"
