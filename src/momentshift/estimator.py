@@ -217,8 +217,7 @@ def run_mixed_unitary(p: RetrievalProtocol, rho: Operator, noise: Channel,
         raise TypeError("protocol realization is not a Kraus-form channel")
     sigma = _noisy_state(p, rho, noise).entries
     values = _h_spectrum(p.k)[0]
-    traces = cycle_traces(np.stack([e @ sigma @ e.conj().T for e in r.kraus]),
-                          p.k, p.k, p.copy_dim)
+    traces = cycle_traces(np.stack([e @ sigma @ e.conj().T for e in r.kraus]), p.k, p.copy_dim)
     weights = traces[:, 0].real  # tr[S_k^0 X] = tr X
     dists = np.cumsum(_h_distribution(traces, p.k), axis=1)
     cum_pj = np.cumsum(weights / weights.sum())
@@ -251,7 +250,7 @@ def _choi_distribution(p: RetrievalProtocol, rho: Operator,
                        noise: Channel) -> tuple[np.ndarray, np.ndarray]:
     """Outcomes of H_k and their cumulative Born probabilities after the retriever."""
     out = p.realization.apply(_noisy_state(p, rho, noise).entries)
-    traces = cycle_traces(out, p.k, p.k, p.copy_dim)
+    traces = cycle_traces(out, p.k, p.copy_dim)
     return _h_spectrum(p.k)[0], np.cumsum(_h_distribution(traces, p.k))
 
 

@@ -86,10 +86,10 @@ def leading_cycle_index(m: int, k: int, d: int = 2) -> np.ndarray:
     return table
 
 
-def cycle_traces(x: np.ndarray, m: int, k: int, d: int = 2) -> np.ndarray:
-    """tr[(S_m^b (x) I) x] for b < m, of one matrix or each of a stack.  With m = k
-    they are t_j = tr[S_k^j x], the one reading of H_k: tr[H_k x] = (t_1 + t_{k-1})/2."""
-    return x.reshape(*x.shape[:-2], -1)[..., leading_cycle_index(m, k, d)].sum(axis=-1)
+def cycle_traces(x: np.ndarray, k: int, d: int = 2) -> np.ndarray:
+    """t_j = tr[S_k^j x] for j < k, of one matrix or each of a stack: the one
+    reading of H_k, tr[H_k x] = (t_1 + t_{k-1})/2."""
+    return x.reshape(*x.shape[:-2], -1)[..., leading_cycle_index(k, k, d)].sum(axis=-1)
 
 
 def _strings(index: np.ndarray, k: int, d: int) -> list[tuple[int, ...]]:

@@ -189,7 +189,7 @@ def exact_expectation(p: RetrievalProtocol, noisy_state: Operator) -> float:
     traces t_j = tr[S_k^j C(noisy_state)] that sampling reads too."""
     if noisy_state.dim != p.copy_dim ** p.k:
         raise ValueError("noisy state dimension does not match protocol")
-    t = cycle_traces(p.realization.apply(noisy_state.entries), p.k, p.k, p.copy_dim)
+    t = cycle_traces(p.realization.apply(noisy_state.entries), p.k, p.copy_dim)
     return float((t[1 % p.k] + t[-1]).real / 2)
 
 
@@ -422,8 +422,8 @@ def de_kth_moment(eps: float, k: int, d: int = 2) -> RetrievalProtocol:
         raise ValueError("depolarizing retrieval requires 0 <= eps < 1")
     if k < 2:
         raise ValueError("moment order must be >= 2")
-    if d != int(d) or d < 2:
-        raise ValueError(f"copy dimension must be an integer >= 2, got {d}")
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 2:
+        raise ValueError(f"copy dimension must be an integer >= 2, got {d!r}")
     f_table, t_table = _shift_table(eps, k, d)
     return RetrievalProtocol(k=k, copy_dim=d, f=f_table[-1], t=t_table[-1],
                              realization=Recursive(eps, k, d),
@@ -512,15 +512,17 @@ def protocol_from_json(doc: dict) -> RetrievalProtocol:
     if doc.get("schema_version") != PROTOCOL_SCHEMA_VERSION:
         raise ValueError(f"unsupported protocol schema {doc.get('schema_version')}")
     try:
-        data, k, copy_dim = doc["data"], _field(doc, "k"), _field(doc, "copy_dim", float)
-        if doc["kind"] == "recursive":
+        data, k = doc["data"], _field(doc, "k")
+        if doc["kind"] == "recursive":  # de_kth_moment refuses a bad data.copy_dim
             p = de_kth_moment(_field(data, "eps", float), _field(data, "order"),
-                              _field(data, "copy_dim", float))
+                              data["copy_dim"])
         else:
-            p = RetrievalProtocol(k=k, copy_dim=copy_dim, f=_field(doc, "f", float),
-                                  t=_field(doc, "t", float), label=doc.get("label", ""),
+            p = RetrievalProtocol(k=k, copy_dim=_field(doc, "copy_dim"),
+                                  f=_field(doc, "f", float), t=_field(doc, "t", float),
+                                  label=doc.get("label", ""),
                                   realization=_realization_from_json(doc["kind"], data))
-        r, dim = p.realization, copy_dim ** k
+        r, copy_dim = p.realization, _field(doc, "copy_dim")
+        dim = copy_dim ** k
     except KeyError as exc:
         raise ValueError(f"protocol file lacks the field {exc.args[0]!r}") from None
     if (r.in_dim, r.out_dim) != (dim, dim):

@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..channels import Channel, channel_matrix, link_product, tensor_power
-from ..moments import cycle_orbits, cyclic_shift_index, moment_observable
+from ..moments import cycle_orbits, cycle_traces, cyclic_shift_index, moment_observable
 from ..operators import Operator, identity, partial_trace, partial_transpose, tensor_product
 from .problem import (
     BlockVar,
@@ -239,8 +239,7 @@ def dual_constraint_operator(cert: DualCertificate, noise: Channel, k: int) -> O
     d = nk.in_dim
     jtb = partial_transpose(nk.choi().with_dims((d, d)), [1])
     kt = Operator(cert.K.entries.T)
-    big = tensor_product(tensor_product(kt, identity(d)),
-                         Operator(moment_observable(k, noise.in_dim).entries)) \
+    big = tensor_product(tensor_product(kt, identity(d)), moment_observable(k, noise.in_dim)) \
         @ tensor_product(jtb, identity(d)).with_dims((d, d, d))
     coupling = partial_trace(big.with_dims((d, d, d)), [1, 2])
     dual_op = tensor_product(Operator(cert.M.entries), identity(d)) + coupling
@@ -254,8 +253,8 @@ def check_certificate(cert: DualCertificate, noise: Channel, k: int) -> tuple[bo
     dual_op = dual_constraint_operator(cert, noise, k)
     feasible = (tr_m <= 1.0 + 1e-9 and abs(tr_k) <= 1e-9
                 and dual_op.min_eigenvalue() >= -1e-9)
-    objective = -np.trace(cert.K.entries @ moment_observable(k, noise.in_dim).entries).real
-    return feasible, float(objective)
+    t = cycle_traces(cert.K.entries, k, noise.in_dim)  # tr[K H_k] = (t_1 + t_{k-1})/2
+    return feasible, float(-(t[1] + t[-1]).real / 2)
 
 
 def _channel_difference(name: str, d1: int, d2: int, target_dim: int, coupling,

@@ -348,6 +348,26 @@ class TestFileErrors:
         assert code == 1 and out == ""
         assert err == "error: protocol field 'order' is not an integer\n"
 
+    def test_copy_dim_as_float(self, capsys, tmp_path):
+        path = self.protocol(capsys, tmp_path)
+        doc = json.loads(path.read_text())
+        doc["copy_dim"] = 2.0
+        path.write_text(json.dumps(doc))
+        code, out, err = self.estimate(capsys, path)
+        assert code == 1 and out == ""
+        assert err == "error: protocol field 'copy_dim' is not an integer\n"
+
+    def test_recursive_copy_dim_as_float(self, capsys, tmp_path):
+        path = tmp_path / "p.json"
+        run_cli(capsys, "synthesize", "--noise", "depolarizing", "--eps", "0.1", "--k", "3",
+                "--out", str(path))
+        doc = json.loads(path.read_text())
+        doc["data"]["copy_dim"] = 2.0
+        path.write_text(json.dumps(doc))
+        code, out, err = self.estimate(capsys, path)
+        assert code == 1 and out == ""
+        assert err == "error: copy dimension must be an integer >= 2, got 2.0\n"
+
     def test_state_not_a_matrix(self, capsys, tmp_path):
         path = self.protocol(capsys, tmp_path)
         state = tmp_path / "state.json"

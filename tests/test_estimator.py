@@ -296,12 +296,12 @@ def test_h_spectrum_matches_dense_eigh(k, d):
     assert_allclose(w, values[nearest], atol=1e-12)
     assert set(nearest) == set(range(values.size))
     states = np.stack([random_density_matrix(d ** k, seed).entries for seed in range(3)])
-    probs = _h_distribution(cycle_traces(states, k, k, d), k)
+    probs = _h_distribution(cycle_traces(states, k, d), k)
     for x, p in zip(states, probs):
         diag = np.real(np.sum(v.conj() * (x @ v), axis=0))  # <v_i|x|v_i>
         oracle = np.bincount(nearest, weights=diag, minlength=values.size)
         assert_allclose(p, oracle, atol=1e-12)
-        assert_allclose(_h_distribution(cycle_traces(x, k, k, d), k), p, atol=1e-15)
+        assert_allclose(_h_distribution(cycle_traces(x, k, d), k), p, atol=1e-15)
 
 
 def test_h_spectrum_k2_outcomes_exact():
