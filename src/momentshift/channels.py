@@ -23,6 +23,7 @@ import numpy as np
 from .operators import (
     Operator,
     check_memory,
+    list_from_json,
     matrix_from_json,
     matrix_rank,
     matrix_to_json,
@@ -248,7 +249,7 @@ def channel_to_json(c: Channel) -> dict:
 def channel_from_json(data: dict) -> Channel:
     d_in, d_out = data["in_dim"], data["out_dim"]
     if "kraus" in data:
-        return Channel(d_in, d_out, kraus=[matrix_from_json(e) for e in data["kraus"]],
+        return Channel(d_in, d_out, kraus=list_from_json(data, "kraus"),
                        label=data.get("label", ""))
     return Channel(d_in, d_out, choi=Operator(matrix_from_json(data["choi"]), (d_in, d_out)),
                    label=data.get("label", ""))

@@ -4,8 +4,9 @@ Shot randomness comes from SplitMix64 (Steele, Lea & Flood's 64-bit
 mix/increment generator) used in counter mode: the stream for shot ``i`` of a
 run seeded ``s`` starts from state ``scramble(s) + i`` and emits uniforms by
 stepping the golden-ratio increment.  Streams are therefore a pure function
-of ``(seed, shot_index)``: shots can be generated vectorized, in any order,
-or in parallel with bitwise-identical results.
+of ``(seed, shot_index)``, the same bits in any blocking.  Sampling compares
+each word's ``w >> 11`` with the integer thresholds ``ceil(c 2^53)`` of the
+cumulative probabilities c: ``u = (w >> 11) 2^-53 >= c`` iff ``w >> 11 >= ceil(c 2^53)``.
 
 The sampling mode follows from the protocol's realization, and each mode
 has its own stream layout:
@@ -25,12 +26,12 @@ traces tr[S_k^j X] (``moments.cycle_traces``); no eigendecomposition is computed
 The measurement and the apply-then-measure modes run in two steps.  The
 distribution step runs the sampling gates (trace preservation, the state
 dimension and the memory budget of the noisy k-copy state) and returns the
-outcome values with their cumulative probabilities;
-it depends only on the protocol, the state and the noise.  The draw step
-turns that pair, a shot count and a seed into an ``EstimationRun``.  A
-caller that repeats runs of one fixed set-up, such as
-``hubbard.fig4_experiment``, builds the distribution once and draws every
-trial from it.
+outcome values with the integer thresholds of their cumulative probabilities;
+it depends only on the protocol, the state and the noise, and refuses a
+distribution whose probabilities are all 0.  The draw step turns it, a shot
+count and a seed into an ``EstimationRun``.  A caller that repeats runs of one
+fixed set-up, such as ``hubbard.fig4_experiment``, builds the distribution
+once and reads every trial's ``zeta_bar`` off ``_run_means``.
 
 Per-shot outcomes are eigenvalues of the moment observable or stored
 per-outcome values, all in [-1, 1], which fixes the range constant in the
@@ -56,50 +57,64 @@ _MASK = 2 ** 64 - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_BLOCK = 1 << 14  # shots per sampling block: a uint64 scratch buffer is 128 KB
 
 
-def _sm64_output(z: int) -> int:
-    """SplitMix64's output mix of a 64-bit state."""
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    return z ^ (z >> 31)
-
-
-def _sm64_output_inplace(z: np.ndarray, tmp: np.ndarray) -> None:
-    """``_sm64_output`` on a uint64 array, overwriting ``z``; ``tmp`` is scratch."""
+def _mix(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """SplitMix64's output mix of every entry of a uint64 array, in place."""
+    tmp = np.empty_like(z) if tmp is None else tmp
     for shift, mix in ((30, _MIX1), (27, _MIX2)):
         np.right_shift(z, shift, out=tmp)
         z ^= tmp
         z *= np.uint64(mix)
     np.right_shift(z, 31, out=tmp)
     z ^= tmp
+    return z
 
 
-def _scramble(x: int) -> int:
-    return _sm64_output((int(x) + _GOLDEN) & _MASK)
+def _scrambled(x) -> np.ndarray:
+    """mix(x + golden) of every integer in x, taken mod 2^64."""
+    return _mix((np.array(x, dtype=object, ndmin=1) & _MASK).astype(np.uint64)
+                + np.uint64(_GOLDEN))
+
+
+def _word_blocks(seeds, shots: int, draws: int):
+    """Yield ``(r, cs, words)`` per block of at most ``_BLOCK`` shots, whole runs or one
+    run's shots, in reused buffers: ``words[n][i, j]`` is the SplitMix64 output of
+    ``scramble(seed) + shot + (n + 1) golden``, >> 11, for shot cs.start + j of run r + i."""
+    bases = _scrambled(seeds)
+    cols = min(shots, _BLOCK)
+    rows = min(_BLOCK // cols, bases.size)
+    ramp = np.arange(cols, dtype=np.uint64)
+    bufs = [np.empty(rows * cols, dtype=np.uint64) for _ in range(draws + 1)]
+    for r in range(0, bases.size, rows):
+        for c in range(0, shots, cols):
+            nr, nc = min(rows, bases.size - r), min(cols, shots - c)
+            words = [b[:nr * nc].reshape(nr, nc) for b in bufs]
+            for n, z in enumerate(words[:-1], 1):
+                np.add(bases[r:r + nr, None] + np.uint64((c + n * _GOLDEN) & _MASK),
+                       ramp[:nc], out=z)
+                _mix(z, words[-1])
+                z >>= 11
+            yield r, slice(c, c + nc), words[:-1]
 
 
 def shot_uniforms(seed: int, shots: int, draws: int) -> np.ndarray:
     """(shots, draws) array of uniforms; row i depends only on (seed, i)."""
-    base = np.arange(shots, dtype=np.uint64)
-    base += np.uint64(_scramble(seed))
     out = np.empty((shots, draws))
-    z = np.empty(shots, dtype=np.uint64)
-    tmp = np.empty(shots, dtype=np.uint64)
-    for n in range(1, draws + 1):
-        np.add(base, np.uint64((n * _GOLDEN) & _MASK), out=z)
-        _sm64_output_inplace(z, tmp)
-        z >>= 11
-        np.multiply(z, 2.0 ** -53, out=out[:, n - 1])
+    for _, cs, words in _word_blocks([seed], shots, draws):
+        for n, w in enumerate(words):
+            np.multiply(w[0], 2.0 ** -53, out=out[cs, n])
     return out
 
 
-def derive_seed(seed: int, *indices: int) -> int:
-    """Deterministic sub-seed for independent trials/streams."""
-    s = _scramble(seed)
+def derive_seed(seed: int, *indices):
+    """Deterministic sub-seed for independent trials/streams: an int for integer
+    indices; index arrays broadcast to an array of sub-seeds, made in one pass."""
+    s = _scrambled(seed)
     for ix in indices:
-        s = _sm64_output((s ^ (_scramble(ix) + _GOLDEN)) & _MASK)
-    return s
+        s = _mix(s ^ (_scrambled(ix) + np.uint64(_GOLDEN)))
+    return s if any(np.ndim(ix) for ix in indices) else s.item()
 
 
 @dataclass(frozen=True)
@@ -180,17 +195,21 @@ def _h_distribution(traces: np.ndarray, k: int) -> np.ndarray:
     return probs / probs.sum(axis=-1, keepdims=True)
 
 
-def _sample_categorical(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Index of the first cumulative entry above u, the last index at most.
+def _thresholds(cumulative: np.ndarray) -> np.ndarray:
+    """Integer thresholds ceil(c 2^53), outcome axis first, of each row's cumulative
+    probabilities c but the last; a NaN row, all of whose probabilities were 0, is refused."""
+    if np.isnan(cumulative).any():
+        raise ValueError("degenerate outcome distribution: every outcome has probability 0")
+    return np.ceil(cumulative[..., :-1].T * 2.0 ** 53).clip(0).astype(np.uint64)
 
-    ``cumulative`` is one row shared by every shot or one row per shot, shape
-    (shots, m).  For a nondecreasing row this is
-    ``searchsorted(row, u, side="right").clip(0, m - 1)``.
-    """
-    idx = np.zeros(u.shape, dtype=np.intp)
-    for c in cumulative.T[:-1]:
-        idx += u >= c
-    return idx
+
+def _outcome_index(words: np.ndarray, thresholds: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The comparison step: out = number of thresholds ``t`` (one, or one per word) with
+    ``words >= t``, i.e. ``searchsorted(c, words 2^-53, side="right")`` below m."""
+    out[...] = words >= thresholds[0] if len(thresholds) else 0
+    for t in thresholds[1:]:
+        out += words >= t
+    return out
 
 
 def _is_kraus(r) -> bool:
@@ -201,12 +220,28 @@ def _is_measurement(r) -> bool:
     return isinstance(r, MeasurePrepare) and r.values is not None
 
 
-def _draw(p: RetrievalProtocol, values: np.ndarray, cumulative: np.ndarray,
+def _draw(p: RetrievalProtocol, values: np.ndarray, thresholds: np.ndarray,
           shots: int, seed: int) -> EstimationRun:
     """One run of ``shots`` draws from a fixed outcome distribution."""
-    u = shot_uniforms(seed, shots, 1)[:, 0]
-    outcome = _sample_categorical(cumulative, u)
-    return _finish_run(p, seed, values[outcome], outcome)
+    outcome = np.empty((1, shots), dtype=np.intp)
+    for _, cs, (w,) in _word_blocks([seed], shots, 1):
+        _outcome_index(w, thresholds, outcome[:, cs])
+    return _finish_run(p, seed, values[outcome[0]], outcome[0])
+
+
+def _run_means(values: np.ndarray, thresholds: np.ndarray, shots: int, seeds) -> np.ndarray:
+    """``zeta_bar`` of one ``shots``-shot run per seed, bit-equal to ``_draw``'s."""
+    zeta = np.empty(len(seeds))
+    outcome = np.empty((max(1, _BLOCK // shots), shots), dtype=np.intp)
+    per_shot = np.empty(outcome.shape)
+    for r, cs, (w,) in _word_blocks(seeds, shots, 1):
+        nr = len(w)
+        _outcome_index(w, thresholds, outcome[:nr, cs])
+        if cs.stop == shots:  # the block ends runs r .. r + nr - 1
+            # indices are in range; take's default mode "raise" copies through a buffer
+            np.take(values, outcome[:nr], out=per_shot[:nr], mode="clip")
+            zeta[r:r + nr] = per_shot[:nr].mean(axis=1)
+    return zeta
 
 
 def run_mixed_unitary(p: RetrievalProtocol, rho: Operator, noise: Channel,
@@ -219,25 +254,24 @@ def run_mixed_unitary(p: RetrievalProtocol, rho: Operator, noise: Channel,
     values = _h_spectrum(p.k)[0]
     traces = cycle_traces(np.stack([e @ sigma @ e.conj().T for e in r.kraus]), p.k, p.copy_dim)
     weights = traces[:, 0].real  # tr[S_k^0 X] = tr X
-    dists = np.cumsum(_h_distribution(traces, p.k), axis=1)
-    cum_pj = np.cumsum(weights / weights.sum())
-    u12 = shot_uniforms(seed, shots, 2)
-    j = _sample_categorical(cum_pj, u12[:, 0])
-    outcome = _sample_categorical(dists[j], u12[:, 1])
-    return _finish_run(p, seed, values[outcome], j)
+    branch = _thresholds(np.cumsum(weights / weights.sum()))
+    # a branch of weight 0, never drawn, has a NaN row: no word reaches 1, so outcome 0
+    rows = _thresholds(np.nan_to_num(np.cumsum(_h_distribution(traces, p.k), axis=1), nan=1.0))
+    j, outcome = np.empty((2, 1, shots), dtype=np.intp)
+    for _, cs, (w1, w2) in _word_blocks([seed], shots, 2):
+        _outcome_index(w2, rows[:, _outcome_index(w1, branch, j[:, cs])], outcome[:, cs])
+    return _finish_run(p, seed, values[outcome[0]], j[0])
 
 
 def _measurement_distribution(p: RetrievalProtocol, rho: Operator,
                               noise: Channel) -> tuple[np.ndarray, np.ndarray]:
-    """Stored values and cumulative probabilities of the measurement outcomes."""
+    """Stored values and thresholds of the measurement outcomes."""
     r = p.realization
     if not _is_measurement(r):
         raise TypeError("protocol realization is not a projective measurement")
     sigma = _noisy_state(p, rho, noise).entries
-    probs = r.outcome_probabilities(sigma)
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum()
-    return np.asarray(r.values, dtype=float), np.cumsum(probs)
+    probs = np.clip(r.outcome_probabilities(sigma), 0.0, None)
+    return np.asarray(r.values, dtype=float), _thresholds(np.cumsum(probs / probs.sum()))
 
 
 def run_measurement_based(p: RetrievalProtocol, rho: Operator, noise: Channel,
@@ -248,10 +282,10 @@ def run_measurement_based(p: RetrievalProtocol, rho: Operator, noise: Channel,
 
 def _choi_distribution(p: RetrievalProtocol, rho: Operator,
                        noise: Channel) -> tuple[np.ndarray, np.ndarray]:
-    """Outcomes of H_k and their cumulative Born probabilities after the retriever."""
+    """Outcomes of H_k and the thresholds of their Born probabilities after the retriever."""
     out = p.realization.apply(_noisy_state(p, rho, noise).entries)
     traces = cycle_traces(out, p.k, p.copy_dim)
-    return _h_spectrum(p.k)[0], np.cumsum(_h_distribution(traces, p.k))
+    return _h_spectrum(p.k)[0], _thresholds(np.cumsum(_h_distribution(traces, p.k)))
 
 
 def run_choi_map(p: RetrievalProtocol, rho: Operator, noise: Channel,

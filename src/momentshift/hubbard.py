@@ -21,7 +21,7 @@ from math import exp
 import numpy as np
 
 from .channels import depolarizing
-from .estimator import _choi_distribution, _draw, derive_seed
+from .estimator import _choi_distribution, _run_means, derive_seed
 from .operators import I2, PAULI_Z, Operator, check_memory, partial_trace
 from .protocols import de_second_moment_nqubit, identity_protocol
 
@@ -202,17 +202,10 @@ def fig4_experiment(eps: float, subsystem: list[int] | None = None,
     mitigated_protocol = de_second_moment_nqubit(eps, n)
     raw_protocol = identity_protocol(2, d)
 
-    # The outcome distributions are fixed for the experiment; trials differ
-    # only in their draws.
-    raw_dist = _choi_distribution(raw_protocol, rho_a, noise)
-    mit_dist = _choi_distribution(mitigated_protocol, rho_a, noise)
-    raw = np.empty(trials)
-    mit = np.empty(trials)
-    for trial in range(trials):
-        raw[trial] = _draw(raw_protocol, *raw_dist, shots,
-                           derive_seed(seed, trial, 0)).estimate
-        mit[trial] = _draw(mitigated_protocol, *mit_dist, shots,
-                           derive_seed(seed, trial, 1)).estimate
+    # The outcome distributions are fixed; trials differ only in their seeds.
+    seeds = derive_seed(seed, np.arange(trials)[:, None], np.arange(2))
+    raw, mit = (p.f * _run_means(*_choi_distribution(p, rho_a, noise), shots, seeds[:, j]) - p.t
+                for j, p in enumerate((raw_protocol, mitigated_protocol)))
     return Fig4Result(
         exact_purity=exact, eps=eps, subsystem=tuple(subsystem),
         shots=shots, trials=trials, seed=seed,

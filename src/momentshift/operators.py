@@ -205,3 +205,16 @@ def matrix_from_json(rows: list) -> np.ndarray:
     m.real = pairs[..., 0]
     m.imag = pairs[..., 1]
     return m
+
+
+def list_from_json(doc: dict, name: str, numbers: bool = False) -> list:
+    """The matrices, or the numbers, of the nonempty JSON list ``doc[name]``; a
+    field holding anything else is refused by name."""
+    entries = doc[name]
+    if isinstance(entries, list) and entries and (
+            not numbers or all(type(x) in (int, float) for x in entries)):
+        try:
+            return [float(x) if numbers else matrix_from_json(x) for x in entries]
+        except ValueError:
+            pass
+    raise ValueError(f"JSON field {name!r} is not a list of {'numbers' if numbers else 'matrices'}")

@@ -45,7 +45,7 @@ import numpy as np
 from .channels import Channel, channel_from_json, channel_to_json
 from .moments import cycle_traces, leading_cycle_index, moment_observable
 from .operators import (I2, PAULI_X, PAULI_Y, PAULI_Z, Operator, check_memory,
-                        matrix_from_json, matrix_to_json)
+                        list_from_json, matrix_to_json)
 from .sdp.problem import SdpSolution
 
 PROTOCOL_SCHEMA_VERSION = 1
@@ -79,6 +79,8 @@ class MeasurePrepare:
             if len(self.values) != len(self.effects) or not (projective and complete):
                 raise ValueError("outcome values need one complete projective "
                                  "measurement effect each")
+            if not all(-1 <= v <= 1 for v in self.values):
+                raise ValueError("outcome values must lie in [-1, 1]")
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return sum(np.trace(e @ x) * f for e, f in zip(self.effects, self.outputs))
@@ -481,18 +483,18 @@ def _realization_from_json(kind: str, data: dict) -> Channel | MeasurePrepare:
     if kind in ("channel", "choi"):
         return channel_from_json(data)
     if kind == "measure_prepare":
-        return MeasurePrepare([matrix_from_json(e) for e in data["effects"]],
-                              [matrix_from_json(o) for o in data["outputs"]],
-                              data["values"])
+        values = None if data["values"] is None else list_from_json(data, "values", True)
+        return MeasurePrepare(list_from_json(data, "effects"), list_from_json(data, "outputs"),
+                              values)
     if kind == "mixed_unitary":
-        kraus = [np.sqrt(p) * matrix_from_json(u)
-                 for p, u in zip(data["probabilities"], data["unitaries"])]
+        kraus = [np.sqrt(p) * u for p, u in zip(list_from_json(data, "probabilities", True),
+                                                list_from_json(data, "unitaries"))]
         return Channel(kraus[0].shape[1], kraus[0].shape[0], kraus=kraus)
     if kind == "measurement_based":
-        basis = [matrix_from_json(b).reshape(-1) for b in data["basis_states"]]
+        basis = [b.reshape(-1) for b in list_from_json(data, "basis_states")]
         return MeasurePrepare([np.outer(b, b.conj()) for b in basis],
-                              [matrix_from_json(s) for s in data["output_states"]],
-                              data["outcome_values"])
+                              list_from_json(data, "output_states"),
+                              list_from_json(data, "outcome_values", True))
     raise ValueError(f"unknown protocol kind {kind!r}")
 
 

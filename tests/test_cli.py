@@ -1,10 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from momentshift.cli import build_parser, main
-from momentshift.protocols import load_protocol
+from momentshift.protocols import (ad_second_moment, de_second_moment, load_protocol,
+                                   protocol_to_json)
 
 
 def run_cli(capsys, *argv):
@@ -375,6 +377,47 @@ class TestFileErrors:
         code, out, err = self.estimate(capsys, path, "--state", str(state))
         assert code == 1 and out == ""
         assert err == "error: a JSON matrix is a list of rows of [real, imag] pairs\n"
+
+    @staticmethod
+    def document(source: str) -> dict:
+        """A protocol file's JSON: a current kind by name, or a stored earlier-kind file."""
+        protocols = {"channel": de_second_moment, "measure_prepare": ad_second_moment}
+        if source in protocols:
+            return json.loads(json.dumps(protocol_to_json(protocols[source](0.1))))
+        return json.loads((Path(__file__).parent / "data" / "protocols_v1" / source).read_text())
+
+    @pytest.mark.parametrize("bad", [5, ["x"]], ids=["not_a_list", "wrong_entries"])
+    @pytest.mark.parametrize("source, field, entries", [
+        ("channel", "kraus", "matrices"),
+        ("measure_prepare", "effects", "matrices"),
+        ("measure_prepare", "outputs", "matrices"),
+        ("measure_prepare", "values", "numbers"),
+        ("twirl.json", "probabilities", "numbers"),
+        ("twirl.json", "unitaries", "matrices"),
+        ("ad_measure.json", "basis_states", "matrices"),
+        ("ad_measure.json", "output_states", "matrices"),
+        ("ad_measure.json", "outcome_values", "numbers"),
+    ])
+    def test_data_list_of_wrong_type(self, capsys, tmp_path, source, field, entries, bad):
+        doc = self.document(source)
+        doc["data"][field] = bad
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = self.estimate(capsys, path)
+        assert code == 1 and out == ""
+        assert err == f"error: JSON field {field!r} is not a list of {entries}\n"
+
+    @pytest.mark.parametrize("source, field", [("measure_prepare", "values"),
+                                               ("ad_measure.json", "outcome_values")])
+    def test_stored_value_outside_unit_range(self, capsys, tmp_path, source, field):
+        # the Hoeffding plan assumes per-shot values in [-1, 1]
+        doc = self.document(source)
+        doc["data"][field][-1] = 1.5
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = self.estimate(capsys, path)
+        assert code == 1 and out == ""
+        assert err == "error: outcome values must lie in [-1, 1]\n"
 
 
 class TestVerifyCommand:

@@ -6,7 +6,13 @@ from numpy.testing import assert_allclose
 
 from momentshift.channels import Channel, amplitude_damping, depolarizing
 from momentshift.estimator import (
-    _sample_categorical,
+    _BLOCK,
+    _draw,
+    _h_distribution,
+    _h_spectrum,
+    _outcome_index,
+    _run_means,
+    _thresholds,
     derive_seed,
     plan_shots,
     renyi_entropy,
@@ -18,6 +24,7 @@ from momentshift.estimator import (
     run_to_json,
     shot_uniforms,
 )
+from momentshift.moments import cycle_traces
 from momentshift.operators import Operator, random_density_matrix
 from momentshift.protocols import (
     RetrievalProtocol,
@@ -26,6 +33,7 @@ from momentshift.protocols import (
     de_second_moment,
     de_second_moment_nqubit,
     exact_expectation,
+    identity_protocol,
 )
 from conftest import noisy_copies
 
@@ -85,6 +93,23 @@ class TestStreams:
         assert derive_seed(2 ** 64 - 1, 5) == 223572123240426020
         assert derive_seed(2 ** 70, 1) == 11869470683344840729
 
+    def test_shot_uniforms_across_blocks(self):
+        # SplitMix64 in counter mode, written out with Python integers: shot i,
+        # draw n of seed s is mix(scramble(s) + i + n golden) >> 11, times 2^-53
+        mask, golden = 2 ** 64 - 1, 0x9E3779B97F4A7C15
+
+        def mix(z):
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            return z ^ (z >> 31)
+
+        seed, shots = -9, 3 * _BLOCK + 7
+        base = mix((seed + golden) & mask)
+        u = shot_uniforms(seed, shots, 2)
+        for i in (0, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, shots - 1):
+            want = [(mix((base + i + n * golden) & mask) >> 11) * 2.0 ** -53 for n in (1, 2)]
+            assert u[i].tolist() == want, i
+
     def test_shot_uniforms_pinned(self):
         assert shot_uniforms(-5, 2, 2).tolist() == [
             [0.6763599147503829, 0.44496798724275],
@@ -95,6 +120,18 @@ def _searchsorted_index(cumulative, u):
     return np.searchsorted(cumulative, u, side="right").clip(0, cumulative.size - 1)
 
 
+def _on_grid(x):
+    """x rounded down to a multiple of 2^-53, the values a drawn uniform takes."""
+    return np.floor(np.asarray(x) * 2.0 ** 53) * 2.0 ** -53
+
+
+def _pick(cumulative, u):
+    """The kernel's comparison step on the words of the uniforms u = words 2^-53."""
+    words = (u * 2.0 ** 53).astype(np.uint64)
+    assert np.array_equal(words * 2.0 ** -53, u)   # u is a uniform the stream can draw
+    return _outcome_index(words, _thresholds(cumulative), np.empty(u.shape, dtype=np.intp))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 7])
 def test_sample_categorical_matches_searchsorted(n):
     rng = np.random.default_rng(n)
@@ -102,19 +139,121 @@ def test_sample_categorical_matches_searchsorted(n):
         cum = np.cumsum(rng.dirichlet(np.ones(n))) * scale
         if n > 2:
             cum[1] = cum[2]   # a zero-probability outcome: repeated entries
-        cases = {"random": rng.random(1000),
-                 "on entries": np.concatenate([cum, [0.0, np.nextafter(1.0, 0.0)]]),
-                 "above the last": np.array([cum[-1], 0.95, 0.999])}
-        for name, u in cases.items():
-            got = _sample_categorical(cum, u)
-            assert np.array_equal(got, _searchsorted_index(cum, u)), (scale, name)
+        # entries between two drawable uniforms, then entries a uniform can equal
+        for entries in (cum, _on_grid(cum)):
+            below, top = _on_grid(entries), np.nextafter(1.0, 0.0)
+            cases = {"random": rng.random(1000),
+                     "on entries": np.concatenate([below, [0.0, top]]),
+                     "next to entries": np.concatenate([np.minimum(below + 2.0 ** -53, top),
+                                                        np.maximum(below - 2.0 ** -53, 0)]),
+                     "above the last": np.array([below[-1], 0.95, 0.999])}
+            for name, u in cases.items():
+                got = _pick(entries, u)
+                assert np.array_equal(got, _searchsorted_index(entries, u)), (scale, name)
         # one row per shot: every other shot reads ``cum``, the rest a row of their own
         u = rng.random(1000)
-        rows = np.cumsum(rng.dirichlet(np.ones(n), size=u.size), axis=1) * scale
+        rows = _on_grid(np.cumsum(rng.dirichlet(np.ones(n), size=u.size), axis=1) * scale)
         rows[::2] = cum
         u[1::4] = rows[1::4, 0]   # on an entry of the shot's own row
         want = [_searchsorted_index(row, x) for row, x in zip(rows, u)]
-        assert np.array_equal(_sample_categorical(rows, u), want), scale
+        assert np.array_equal(_pick(rows, u), want), scale
+
+
+def _reference_draw(cumulative, u):
+    """Outcome per shot from the uniforms, row by row of a per-shot cumulative table."""
+    if cumulative.ndim == 1:
+        return _searchsorted_index(cumulative, u)
+    out = np.empty(u.size, dtype=np.intp)
+    for row in np.unique(cumulative, axis=0):
+        mine = (cumulative == row).all(axis=1)
+        out[mine] = _searchsorted_index(row, u[mine])
+    return out
+
+
+def _reference_run(kind, p, rho, noise, shots, seed):
+    """per_shot and outcome_indices from shot_uniforms and searchsorted(side="right")."""
+    sigma = noisy_copies(rho, noise, p.k).entries
+    values = _h_spectrum(p.k)[0]
+    if kind == "measurement":
+        probs = np.clip(p.realization.outcome_probabilities(sigma), 0.0, None)
+        idx = _reference_draw(np.cumsum(probs / probs.sum()), shot_uniforms(seed, shots, 1)[:, 0])
+        return np.asarray(p.realization.values)[idx], idx
+    if kind == "choi":
+        traces = cycle_traces(p.realization.apply(sigma), p.k, p.copy_dim)
+        idx = _reference_draw(np.cumsum(_h_distribution(traces, p.k)),
+                              shot_uniforms(seed, shots, 1)[:, 0])
+        return values[idx], idx
+    traces = cycle_traces(np.stack([e @ sigma @ e.conj().T for e in p.realization.kraus]),
+                          p.k, p.copy_dim)
+    weights = traces[:, 0].real
+    u = shot_uniforms(seed, shots, 2)
+    j = _reference_draw(np.cumsum(weights / weights.sum()), u[:, 0])
+    rows = np.cumsum(_h_distribution(traces, p.k), axis=1)
+    idx = _reference_draw(rows[j], u[:, 1])
+    return values[idx], j
+
+
+BLOCK_SHOTS = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]
+KERNEL_CASES = {
+    "choi": (run_choi_map, de_kth_moment(0.15, 2, 2), depolarizing(0.15, 2)),
+    "measurement": (run_measurement_based, ad_second_moment(0.2), amplitude_damping(0.2)),
+    "mixed": (run_mixed_unitary, de_second_moment(0.1), depolarizing(0.1, 2)),
+}
+
+
+@pytest.mark.parametrize("shots", BLOCK_SHOTS)
+@pytest.mark.parametrize("kind", sorted(KERNEL_CASES))
+def test_blocked_runs_match_reference_draws(kind, shots):
+    # runs that end inside, on and just past a block edge draw the bits of
+    # shot_uniforms and searchsorted
+    run, p, noise = KERNEL_CASES[kind]
+    rho = random_density_matrix(2, 4)
+    got = run(p, rho, noise, shots, seed=-17)
+    per_shot, indices = _reference_run(kind, p, rho, noise, shots, seed=-17)
+    assert got.shots == shots
+    assert np.array_equal(got.per_shot, per_shot)
+    assert np.array_equal(got.outcome_indices, indices)
+
+
+def test_zero_weight_branch_is_never_drawn():
+    # a Kraus branch the state does not reach has no H distribution; the run
+    # still draws the reference bits
+    e0 = np.zeros((4, 4))
+    e0[0, 0] = 1.0
+    p = RetrievalProtocol(k=2, copy_dim=2, f=1.0, t=0.0,
+                          realization=Channel(4, 4, kraus=[e0, np.eye(4) - e0]))
+    rho, noise = Operator([[1, 0], [0, 0]]), depolarizing(0.0, 2)
+    with np.errstate(invalid="ignore"):   # the unreached branch's 0/0
+        got = run_mixed_unitary(p, rho, noise, 500, seed=2)
+        per_shot, indices = _reference_run("mixed", p, rho, noise, 500, seed=2)
+    assert np.all(indices == 0)
+    assert np.array_equal(got.per_shot, per_shot)
+    assert np.array_equal(got.outcome_indices, indices)
+
+
+@pytest.mark.parametrize("shots", [1, 777, _BLOCK + 3])
+def test_run_means_equal_draws(shots):
+    # k = 5 outcomes are not integers, so the row means must add in _draw's order
+    p = identity_protocol(5, 2)
+    values = _h_spectrum(5)[0]
+    thresholds = _thresholds(np.array([0.3, 0.55, 1.0]))
+    seeds = [derive_seed(8, t) for t in range(7)]
+    want = [_draw(p, values, thresholds, shots, s).zeta_bar for s in seeds]
+    assert _run_means(values, thresholds, shots, seeds).tolist() == want
+
+
+@pytest.mark.parametrize("run, p, noise", list(KERNEL_CASES.values()), ids=sorted(KERNEL_CASES))
+def test_degenerate_distribution_refused(run, p, noise):
+    # every Born probability of the zero state is 0: no outcome can be drawn
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="degenerate"):
+        run(p, Operator(np.zeros((2, 2))), noise, 10, seed=0)
+
+
+def test_derive_seed_over_index_arrays():
+    got = derive_seed(12, np.arange(9)[:, None], np.arange(3))
+    assert got.shape == (9, 3)
+    assert [[int(x) for x in row] for row in got] == [
+        [derive_seed(12, t, j) for j in range(3)] for t in range(9)]
 
 
 class TestMixedUnitaryRun:

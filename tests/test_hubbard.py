@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from momentshift.channels import depolarizing
-from momentshift.estimator import derive_seed, run_choi_map
+from momentshift.estimator import _BLOCK, derive_seed, run_choi_map
 from momentshift.hubbard import (
     HubbardModel,
     annihilation_operator,
@@ -160,6 +160,22 @@ class TestFig4:
         n = len(subsystem)
         noise = depolarizing(eps, 2 ** n)
         protocols = [identity_protocol(2, 2 ** n), de_second_moment_nqubit(eps, n)]
+        expected = [[run_choi_map(p, rho_a, noise, shots, derive_seed(seed, t, j)).estimate
+                     for t in range(trials)] for j, p in enumerate(protocols)]
+        assert res.raw_estimates.tolist() == expected[0]
+        assert res.mitigated_estimates.tolist() == expected[1]
+
+    @pytest.mark.parametrize("shots, trials", [(_BLOCK + 5, 2), (3000, 7)],
+                             ids=["run_spans_blocks", "partial_block_of_runs"])
+    def test_estimates_equal_one_run_per_trial_across_blocks(self, shots, trials):
+        # a run longer than a block, and a trial count that leaves the last
+        # block of whole runs part full
+        assert shots > _BLOCK or trials % (_BLOCK // shots)
+        eps, seed, subsystem = 0.12, 5, [0, 1]
+        res = fig4_experiment(eps, subsystem=subsystem, shots=shots, trials=trials, seed=seed)
+        rho_a = reduced_state(ground_state(build_hamiltonian(demo_model())), subsystem)
+        noise = depolarizing(eps, 4)
+        protocols = [identity_protocol(2, 4), de_second_moment_nqubit(eps, 2)]
         expected = [[run_choi_map(p, rho_a, noise, shots, derive_seed(seed, t, j)).estimate
                      for t in range(trials)] for j, p in enumerate(protocols)]
         assert res.raw_estimates.tolist() == expected[0]
