@@ -339,4 +339,4 @@ def run_to_csv(run: EstimationRun, path) -> None:
 
 def save_run(run: EstimationRun, path) -> None:
     with open(path, "w") as fh:
-        json.dump(run_to_json(run), fh)
+        fh.write(json.dumps(run_to_json(run)))

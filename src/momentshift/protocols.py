@@ -535,7 +535,7 @@ def protocol_from_json(doc: dict) -> RetrievalProtocol:
 
 def save_protocol(p: RetrievalProtocol, path) -> None:
     with open(path, "w") as fh:
-        json.dump(protocol_to_json(p), fh)
+        fh.write(json.dumps(protocol_to_json(p)))  # json.dump never uses the C encoder
 
 
 def load_protocol(path) -> RetrievalProtocol:

@@ -4,13 +4,15 @@ The compiled problem is ``min c.x  s.t.  A x = b, x in K`` where K is a
 product of PSD cones (in Hermitian coordinates), free subspaces, and
 lower-bounded scalars.  A block's coordinates are the Hermitian coordinates
 of its symmetry sectors (see ``problem``), so a block with sectors is solved
-on sum_s m_s^2 coordinates instead of dim^2.  Iterations alternate a
-projection onto the affine set (through a cached pseudo-inverse of A) with a
-projection onto K: a Hermitian eigendecomposition per sector, with the
-sectors of one size batched into one ``eigh`` call and 1 x 1 sectors
-clipped.  Over-relaxation is 1.5 with a deterministic residual-balancing
-penalty update.  Everything is plain numpy; identical inputs give identical
-iterates.
+on sum_s m_s^2 coordinates instead of dim^2.  An ADMM iteration T maps the
+state y = (z, u) through projections onto the affine set (a cached
+pseudo-inverse of A) and onto K (one batched ``eigh`` per sector size), with
+over-relaxation 1.5.  T is evaluated at points chosen by safeguarded type-II
+Anderson acceleration, as in SCS 3: a point whose residual ||T(y) - y|| tops
+``ANDERSON_GUARD`` times the best so far is rejected for the plain image of
+the last accepted point, which, like each residual-balancing penalty update,
+clears the memory.  The loop tests and returns the plain image, which lies in
+K.  Everything is plain numpy; identical inputs give identical iterates.
 
 Infeasibility is reported in two ways: inconsistent linear constraints are
 detected up front from the least-squares residual of ``A x = b``; conic
@@ -18,12 +20,13 @@ infeasibility is flagged when the consensus residual stops improving over a
 5000-iteration window while the scaled dual vector keeps growing.
 
 ``SdpSolution.diagnostics`` records the compile, factorization and iteration
-wall times, the coordinate and row counts, each block's sector sizes and the
-termination reason.
+wall times, the coordinate and row counts, each block's sector sizes, the
+termination reason and the acceleration's step, rejection and restart counts.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -39,6 +42,9 @@ CHECK_EVERY = 25
 PENALTY_EVERY = 2000
 STALL_WINDOW = 5000
 CHUNK = 256
+ANDERSON_MEMORY = 10
+ANDERSON_GUARD = 10.0
+ANDERSON_REG = 1e-10
 
 
 @dataclass
@@ -55,15 +61,17 @@ def check_program_memory(name: str, blocks: list[BlockVar], scalars: list[Scalar
                          target_dims: tuple[int, ...]) -> None:
     """Refuse a program whose solver arrays overrun the memory budget: the real
     m x n system A and its stacked rows, the thin SVD of A with a scaled copy of
-    V^T, the n x m pseudo-inverse and one ``CHUNK`` of basis matrices of the
-    largest block.  n counts each block's coordinates (``BlockVar.size``).
+    V^T, the n x m pseudo-inverse, 2 ``ANDERSON_MEMORY`` vectors of the 2n-long
+    ADMM state and one ``CHUNK`` of basis matrices of the largest block.  n
+    counts each block's coordinates (``BlockVar.size``).
     ``target_dims`` gives each constraint's target dimension (1 for a scalar
     target), in the order the constraints are declared."""
     n = sum(b.size for b in blocks) + len(scalars)
     m = sum(t * t for t in target_dims)
     r = min(m, n)
     chunk = 16 * CHUNK * max(b.dim for b in blocks) ** 2
-    check_memory(8 * (2 * m * n + r * (m + 1 + 2 * n)) + chunk, f"program {name}")
+    check_memory(8 * (2 * m * n + r * (m + 1 + 2 * n) + 4 * ANDERSON_MEMORY * n) + chunk,
+                 f"program {name}")
 
 
 def _psd_sections(blk: BlockVar, offset: int) -> list:
@@ -185,6 +193,44 @@ def _project_cone(w: np.ndarray, sections: list) -> np.ndarray:
     return z
 
 
+class _Anderson:
+    """Acceleration state of one ``solve`` loop (Zhang, O'Donoghue & Boyd, SIAM J.
+    Optim. 30, 2020): with dY, dF the last differences of the points and of their
+    residuals f, it steps to T(y) - (dY + dF) gamma, gamma = argmin ||f - dF gamma||."""
+
+    def __init__(self):
+        self.history: deque = deque(maxlen=ANDERSON_MEMORY)  # (dy, df) pairs
+        self.accepted = self.rejected = self.restarts = 0
+        self.last, self.best, self.guarded = None, np.inf, False
+
+    def restart(self, y: np.ndarray) -> np.ndarray:
+        """Clear the memory; ``y``, a plain image, is the next point."""
+        self.history.clear()
+        self.last, self.best, self.guarded = None, np.inf, False
+        self.restarts += 1
+        return y
+
+    def step(self, y: np.ndarray, ty: np.ndarray) -> np.ndarray:
+        """The next point to evaluate, given ``ty = T(y)``."""
+        f = ty - y
+        res = np.linalg.norm(f)
+        if self.guarded and not res <= ANDERSON_GUARD * self.best:  # NaN too
+            self.rejected += 1
+            return self.restart(self.last[2])
+        self.accepted += self.guarded
+        self.best = min(self.best, res)
+        if self.last is not None:
+            self.history.append((y - self.last[0], f - self.last[1]))
+        self.last, self.guarded = (y, f, ty), bool(self.history)
+        if not self.guarded:
+            return ty
+        dy, df = (np.array(v) for v in zip(*self.history))
+        gram = df @ df.T  # Tikhonov-regularized; with every df = 0, gamma = 0
+        gamma = np.linalg.solve(
+            gram + (ANDERSON_REG * np.trace(gram) or 1.0) * np.eye(len(gram)), df @ f)
+        return ty - (dy + df).T @ gamma
+
+
 def solve(p: SdpProblem, tol: float = DEFAULT_TOL,
           max_iters: int = DEFAULT_MAX_ITERS) -> SdpSolution:
     """Solve the program; status is one of optimal / infeasible / max_iters."""
@@ -222,9 +268,8 @@ def solve(p: SdpProblem, tol: float = DEFAULT_TOL,
     diagnostics["factor_s"] = t_factored - t_compiled
 
     sigma = 1.0
-    x = np.zeros(n)
-    z = np.zeros(n)
-    u = np.zeros(n)
+    y = ty = np.zeros(2 * n)  # the ADMM state (z, u), u the scaled dual
+    accel = _Anderson()
     rp = rd = np.inf
     window_best = np.inf
     window_prev_best = np.inf
@@ -233,16 +278,17 @@ def solve(p: SdpProblem, tol: float = DEFAULT_TOL,
     status = reason = "max_iters"
     while it < max_iters:
         it += 1
+        z, u = y[:n], y[n:]
         x = proj_affine(z - u - c / sigma)
         xr = OVER_RELAXATION * x + (1.0 - OVER_RELAXATION) * z
-        z_prev = z
-        z = _project_cone(xr + u, comp.sections)
-        u = u + xr - z
+        z_next = _project_cone(xr + u, comp.sections)
+        ty = np.concatenate([z_next, u + xr - z_next])
+        y = accel.step(y, ty)
 
         if it % CHECK_EVERY == 0 or it == max_iters:
-            scale = 1.0 + max(np.linalg.norm(x), np.linalg.norm(z))
-            rp = np.linalg.norm(x - z) / scale
-            rd = sigma * np.linalg.norm(z - z_prev) / (1.0 + sigma * np.linalg.norm(u))
+            scale = 1.0 + max(np.linalg.norm(x), np.linalg.norm(z_next))
+            rp = np.linalg.norm(x - z_next) / scale
+            rd = sigma * np.linalg.norm(z_next - z) / (1.0 + sigma * np.linalg.norm(ty[n:]))
             res = max(rp, rd)
             window_best = min(window_best, res)
             if res <= tol:
@@ -251,12 +297,14 @@ def solve(p: SdpProblem, tol: float = DEFAULT_TOL,
             if it % PENALTY_EVERY == 0 and rd > 0:
                 if rp > 10.0 * rd and sigma < 1e4:
                     sigma *= 2.0
-                    u = u / 2.0
+                    ty[n:] /= 2.0
+                    y = accel.restart(ty)
                 elif rd > 10.0 * rp and sigma > 1e-4:
                     sigma /= 2.0
-                    u = u * 2.0
+                    ty[n:] *= 2.0
+                    y = accel.restart(ty)
             if it % STALL_WINDOW == 0:
-                u_norm = np.linalg.norm(u)
+                u_norm = np.linalg.norm(ty[n:])
                 stalled = window_best >= window_prev_best * (1.0 - 1e-3)
                 growing = u_norm > 1.2 * max(window_u0, 1e-9)
                 if stalled and growing and window_best > 10.0 * tol \
@@ -267,8 +315,10 @@ def solve(p: SdpProblem, tol: float = DEFAULT_TOL,
                 window_best = np.inf
                 window_u0 = u_norm
 
-    diagnostics.update(iterate_s=perf_counter() - t_factored, reason=reason)
-    return _extract(p, comp, z, status=status, primal=float(rp), dual=float(rd),
+    diagnostics.update(iterate_s=perf_counter() - t_factored, reason=reason,
+                       accelerated_steps=accel.accepted, safeguard_rejections=accel.rejected,
+                       memory_restarts=accel.restarts)
+    return _extract(p, comp, ty[:n], status=status, primal=float(rp), dual=float(rd),
                     iterations=it, diagnostics=diagnostics)
 
 

@@ -23,7 +23,7 @@ from momentshift.protocols import (
     recovery_map,
     transfer_maps,
 )
-from momentshift.sdp import programs
+from momentshift.sdp import programs, solver
 from momentshift.sdp.programs import build_dual_fmin, build_fmin, build_gmin, build_info_recover
 from momentshift.sdp.solver import compile_problem
 
@@ -95,6 +95,16 @@ def test_program_estimate_matches_compiled_shape(build, monkeypatch):
     m = sum(t * t for t in target_dims)
     n = sum(b.size for b in blocks) + len(scalars)
     assert compile_problem(p).A.shape == (m, n)
+
+
+def test_program_estimate_counts_the_acceleration_history(monkeypatch):
+    # the history holds 2 x ANDERSON_MEMORY float vectors of the state (z, u), 2n long
+    memory, requested = solver.ANDERSON_MEMORY, []
+    monkeypatch.setattr(solver, "check_memory", lambda nbytes, what: requested.append(nbytes))
+    for size in (0, memory):
+        monkeypatch.setattr(solver, "ANDERSON_MEMORY", size)
+        p = build_fmin(amplitude_damping(0.2), 2)
+    assert requested[1] - requested[0] == 8 * 2 * memory * 2 * compile_problem(p).n
 
 
 def test_k4_programs_fit_budget():

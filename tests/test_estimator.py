@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from momentshift.estimator import (
     run_protocol,
     run_to_csv,
     run_to_json,
+    save_run,
     shot_uniforms,
 )
 from momentshift.moments import cycle_traces
@@ -417,6 +419,9 @@ def test_run_serialization(tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "shot_index,outcome_index,value"
     assert len(lines) == 51
+    json_path = tmp_path / "run.json"
+    save_run(run, json_path)
+    assert json_path.read_text() == json.dumps(doc)
 
 
 SPECTRUM_CASES = [(k, d) for d in (2, 3, 4) for k in range(2, 6) if d ** k <= 1024]

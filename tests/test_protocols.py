@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from functools import lru_cache
 from math import comb
@@ -524,6 +525,13 @@ class TestSerialization:
         x = random_density_matrix(d, 0)
         assert_allclose(loaded.realization.apply(x.entries),
                         proto.realization.apply(x.entries), atol=1e-12)
+
+    def test_written_text_is_the_json_document(self, tmp_path):
+        sol = solve(build_fmin(amplitude_damping(0.2), 2))
+        for proto in (from_sdp_solution(sol, 2), de_kth_moment(0.2, 3, 2)):
+            path = tmp_path / "proto.json"
+            save_protocol(proto, path)
+            assert path.read_bytes() == json.dumps(protocol_to_json(proto)).encode()
 
     def test_schema_fields(self):
         doc = protocol_to_json(ad_second_moment(0.2))

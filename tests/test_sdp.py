@@ -39,6 +39,7 @@ from momentshift.sdp.programs import (
     dual_constraint_operator,
     gmin_power,
 )
+from momentshift.sdp import solver
 from momentshift.sdp.solver import solve
 
 H2 = moment_observable(2, 2)
@@ -394,3 +395,42 @@ class TestSymmetrySectors:
         assert sol.to_json()["diagnostics"] == diag
         capped = solve(build_fmin(amplitude_damping(0.2), 2), max_iters=10)
         assert capped.diagnostics["reason"] == "max_iters"
+
+
+class TestAcceleration:
+    # closed forms: 1/(1-eps)^2 for both noises at k = 2, (1+eps)/(1-eps)^2 for AD at k = 3
+    @pytest.mark.parametrize("noise,k,most,optimum", [
+        (amplitude_damping(0.2), 2, 75, 1.5625),
+        (amplitude_damping(0.2), 3, 85, 1.875),
+        (depolarizing(0.1, 2), 3, 35, 1 / 0.81),
+    ], ids=["AD0.2_k2", "AD0.2_k3", "DE0.1_k3"])
+    def test_few_iterations_to_the_closed_form(self, noise, k, most, optimum):
+        sol = solve(build_fmin(noise, k))  # the plain loop took 375, 425 and 175
+        assert sol.status == "optimal"
+        assert sol.iterations <= most
+        assert abs(sol.objective_value - optimum) <= 2e-8
+        diag = sol.diagnostics
+        assert 0 < diag["accelerated_steps"] + diag["safeguard_rejections"] <= sol.iterations
+
+    def test_without_memory_the_plain_loop_runs(self, monkeypatch):
+        monkeypatch.setattr(solver, "ANDERSON_MEMORY", 0)
+        sol = solve(build_fmin(amplitude_damping(0.2), 2))
+        assert sol.iterations == 375
+        assert abs(sol.objective_value - 1.5624995827) < 1e-10
+        assert (sol.diagnostics["accelerated_steps"], sol.diagnostics["safeguard_rejections"],
+                sol.diagnostics["memory_restarts"]) == (0, 0, 0)
+
+    def test_no_iteration_returns_the_start(self):
+        sol = solve(build_fmin(amplitude_damping(0.2), 2), max_iters=0)
+        assert (sol.status, sol.iterations, sol.scalar("f")) == ("max_iters", 0, 0.0)
+
+    def test_safeguard_rejection_recovers(self):
+        # at AD 0.1, k = 3 an accelerated point overshoots; the loop goes back to the
+        # plain image of the last accepted point and still lands on 1.1/0.81
+        sol = solve(build_fmin(amplitude_damping(0.1), 3))
+        assert sol.status == "optimal"
+        assert abs(sol.objective_value - 1.1 / 0.81) <= 2e-8
+        diag = sol.diagnostics
+        assert diag["safeguard_rejections"] >= 1
+        assert diag["memory_restarts"] >= diag["safeguard_rejections"]
+        assert sol.block("J").min_eigenvalue() > -1e-12  # a cone image, not the step
