@@ -50,7 +50,7 @@ import numpy as np
 
 from .channels import Channel, noisy_copies
 from .moments import cycle_traces
-from .operators import Operator
+from .operators import Operator, check_memory
 from .protocols import MeasurePrepare, RetrievalProtocol, is_trace_preserving
 
 _MASK = 2 ** 64 - 1
@@ -223,6 +223,7 @@ def _is_measurement(r) -> bool:
 def _draw(p: RetrievalProtocol, values: np.ndarray, thresholds: np.ndarray,
           shots: int, seed: int) -> EstimationRun:
     """One run of ``shots`` draws from a fixed outcome distribution."""
+    check_memory(16 * shots, f"{shots} shots")  # outcome indices and values
     outcome = np.empty((1, shots), dtype=np.intp)
     for _, cs, (w,) in _word_blocks([seed], shots, 1):
         _outcome_index(w, thresholds, outcome[:, cs])
@@ -247,6 +248,7 @@ def _run_means(values: np.ndarray, thresholds: np.ndarray, shots: int, seeds) ->
 def run_mixed_unitary(p: RetrievalProtocol, rho: Operator, noise: Channel,
                       shots: int, seed: int) -> EstimationRun:
     """Sample a Kraus operator per shot, then an H-eigenvalue by Born probabilities."""
+    check_memory(24 * shots, f"{shots} shots")  # Kraus and outcome indices, values
     r = p.realization
     if not _is_kraus(r):
         raise TypeError("protocol realization is not a Kraus-form channel")

@@ -89,12 +89,6 @@ class Operator:
         """Reinterpret the same matrix with a different subsystem factoring."""
         return Operator(self.entries, tuple(subsystem_dims))
 
-    def __add__(self, other: "Operator") -> "Operator":
-        return Operator(self.entries + other.entries, self.subsystem_dims)
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        return Operator(self.entries @ other.entries, self.subsystem_dims)
-
 
 def identity(subsystem_dims: Sequence[int] | int) -> Operator:
     if isinstance(subsystem_dims, int):

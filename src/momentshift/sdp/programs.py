@@ -30,7 +30,7 @@ import numpy as np
 
 from ..channels import Channel, channel_matrix, link_product, tensor_power
 from ..moments import cycle_orbits, cycle_traces, cyclic_shift_index, moment_observable
-from ..operators import Operator, identity, partial_trace, partial_transpose, tensor_product
+from ..operators import Operator
 from .problem import (
     BlockVar,
     Constraint,
@@ -233,26 +233,17 @@ def build_dual_fmin(noise: Channel, k: int) -> SdpProblem:
                       constraints=[psd, trm, trk], maximize=True, name=name)
 
 
-def dual_constraint_operator(cert: DualCertificate, noise: Channel, k: int) -> Operator:
-    """Literal dual operator M (x) I + tr_A[(K^T (x) I (x) H_k)(J^{T_B} (x) I)]."""
-    nk = tensor_power(noise, k)
-    d = nk.in_dim
-    jtb = partial_transpose(nk.choi().with_dims((d, d)), [1])
-    kt = Operator(cert.K.entries.T)
-    big = tensor_product(tensor_product(kt, identity(d)), moment_observable(k, noise.in_dim)) \
-        @ tensor_product(jtb, identity(d)).with_dims((d, d, d))
-    coupling = partial_trace(big.with_dims((d, d, d)), [1, 2])
-    dual_op = tensor_product(Operator(cert.M.entries), identity(d)) + coupling
-    return Operator(dual_op.entries, (d, d))
-
-
 def check_certificate(cert: DualCertificate, noise: Channel, k: int) -> tuple[bool, float]:
-    """Evaluate dual feasibility analytically and return (feasible, -tr[K H_k])."""
-    tr_m = cert.M.trace().real
-    tr_k = cert.K.trace()
-    dual_op = dual_constraint_operator(cert, noise, k)
-    feasible = (tr_m <= 1.0 + 1e-9 and abs(tr_k) <= 1e-9
-                and dual_op.min_eigenvalue() >= -1e-9)
+    """Evaluate dual feasibility analytically and return (feasible, -tr[K H_k]).
+
+    The dual operator ``M (x) I + (N^(x k)(K))^T (x) H_k`` is built by the block
+    maps of ``build_dual_fmin``, applied to a batch of one."""
+    d = noise.in_dim ** k
+    h = moment_observable(k, noise.in_dim).entries
+    dual_op = (_kron_identity_right(d)(cert.M.entries[None])
+               + _noise_pushforward(tensor_power(noise, k).kraus, h, d)(cert.K.entries[None]))
+    feasible = (cert.M.trace().real <= 1.0 + 1e-9 and abs(cert.K.trace()) <= 1e-9
+                and Operator(dual_op[0]).min_eigenvalue() >= -1e-9)
     t = cycle_traces(cert.K.entries, k, noise.in_dim)  # tr[K H_k] = (t_1 + t_{k-1})/2
     return feasible, float(-(t[1] + t[-1]).real / 2)
 

@@ -77,7 +77,7 @@ def checks_moments() -> list[tuple[str, bool, str]]:
     return out
 
 
-def checks_sdp(tol: float = 1e-7) -> list[tuple[str, bool, str]]:
+def checks_sdp() -> list[tuple[str, bool, str]]:
     out = []
     gap_worst = 0.0
     ordering_ok = True
@@ -85,18 +85,18 @@ def checks_sdp(tol: float = 1e-7) -> list[tuple[str, bool, str]]:
     for name, mk in (("DE", lambda e: depolarizing(e, 2)), ("AD", amplitude_damping)):
         for eps in EPS_GRID:
             noise = mk(eps)
-            primal = solve(build_fmin(noise, 2), tol=tol)
-            dual = solve(build_dual_fmin(noise, 2), tol=tol)
+            primal = solve(build_fmin(noise, 2))
+            dual = solve(build_dual_fmin(noise, 2))
             gap = abs(primal.objective_value - dual.objective_value)
             gap_worst = max(gap_worst, gap)
-            g1 = solve(build_gmin(noise), tol=tol).objective_value
+            g1 = solve(build_gmin(noise)).objective_value
             if primal.objective_value > gmin_power(g1, 2) + 1e-6:
                 ordering_ok = False
             detail.append(f"{name}{eps}: f={primal.objective_value:.6f}")
     out.append(("strong_duality_gap_k2", gap_worst < 1e-4, f"max gap {gap_worst:.2e}"))
     out.append(("shift_below_inverse_k2", ordering_ok, "; ".join(detail[:4])))
 
-    sol = solve(build_fmin(depolarizing(1.0, 2), 2), tol=tol)
+    sol = solve(build_fmin(depolarizing(1.0, 2), 2))
     out.append(("noninvertible_infeasible", sol.status == "infeasible",
                 f"status {sol.status}"))
     out.append(("invertibility_rank_test",

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +157,27 @@ class TestEstimate:
         assert code == 1
         assert "shots" in err
         assert "planned shots" not in out and "estimate" not in out
+
+    @pytest.mark.parametrize("source,noise,needed", [
+        ("twirl.json", "depolarizing", 228882),
+        ("ad_measure.json", "amplitude-damping", 152588),
+        ("de_choi_n1.json", "depolarizing", 152588),
+    ], ids=["kraus", "measurement", "choi"])
+    def test_oversized_shots_refused_before_sampling(self, capsys, source, noise, needed):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "estimate", "--protocol",
+                                     str(Path(__file__).parent / "data" / "protocols_v1" / source),
+                                     "--noise", noise, "--eps", "0.1", "--state", "maxmixed",
+                                     "--shots", "10000000000")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert (f"error: 10000000000 shots needs {needed} MiB, over the 4096 MiB memory budget"
+                in err)
+        assert out == ""
+        assert peak < 16 * 2 ** 20
 
     def test_recursive_protocol_needs_exact(self, capsys, tmp_path):
         path = tmp_path / "p3.json"
@@ -466,6 +488,22 @@ class TestHubbardDemo:
         assert code == 1
         assert message in err
         assert "nan" not in out
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--shots", "1000000000"), "60 trials of 1000000000 shots needs 15259 MiB"),
+        (("--trials", "100000000"), "100000000 trials of 4096 shots needs 12208 MiB"),
+    ], ids=["shots", "trials"])
+    def test_oversized_run_refused_before_allocating(self, capsys, flags, message):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "hubbard-demo", "--eps", "0.1", *flags)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert f"error: {message}, over the 4096 MiB memory budget" in err
+        assert out == ""
+        assert peak < 16 * 2 ** 20
 
 
 def test_reused_parser_prints_what_a_fresh_one_prints(capsys, tmp_path):
