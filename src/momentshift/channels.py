@@ -118,17 +118,6 @@ def adjoint_apply(c: Channel, obs: Operator) -> Operator:
     return Operator(c.adjoint_apply(obs.entries), (c.in_dim,))
 
 
-def compose(after: Channel, before: Channel, label: str = "") -> Channel:
-    """Channel ``after . before`` by multiplying Kraus sets."""
-    if before.out_dim != after.in_dim:
-        raise ValueError("cannot compose: dimension mismatch")
-    if before.kraus is None or after.kraus is None:
-        raise ValueError("compose requires Kraus form on both channels")
-    kraus = [a @ b for a in after.kraus for b in before.kraus]
-    return Channel(before.in_dim, after.out_dim, kraus=kraus,
-                   label=label or f"{after.label}.{before.label}")
-
-
 def link_product(j_first: Operator, j_second: np.ndarray,
                  dims: tuple[int, int, int]) -> np.ndarray:
     """Chois of compositions from the Chois of their parts, batched.

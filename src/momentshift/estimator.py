@@ -73,9 +73,11 @@ def _mix(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
 
 
 def _scrambled(x) -> np.ndarray:
-    """mix(x + golden) of every integer in x, taken mod 2^64."""
-    return _mix((np.array(x, dtype=object, ndmin=1) & _MASK).astype(np.uint64)
-                + np.uint64(_GOLDEN))
+    """mix(x + golden) of every integer in x, taken mod 2^64: integer arrays are cast
+    directly, anything else passes through Python ints, which may exceed 64 bits."""
+    z = (np.atleast_1d(x) if isinstance(x, np.ndarray) and x.dtype.kind in "iu"
+         else np.array(x, dtype=object, ndmin=1) & _MASK)
+    return _mix(z.astype(np.uint64) + np.uint64(_GOLDEN))
 
 
 def _word_blocks(seeds, shots: int, draws: int):

@@ -1,9 +1,12 @@
-"""Cyclic permutation operators and the moment observables built from them.
+"""The cyclic shift of k copies as an index permutation, and the moment
+observables built from it.
 
 The k-th moment of a state is read off k copies through the Hermitian
 observable ``H_k = (S_k + S_k^dag)/2`` where ``S_k`` cyclically shifts the
 copies: ``S_k |x1 x2 ... xk> = |x2 ... xk x1>``.  ``S_k`` is a permutation of
-basis indices (``cyclic_shift_index``), and ``cycle_orbits`` tabulates the
+basis indices (``cyclic_shift_index``) and is never built as a dense matrix:
+``moment_observable`` scatters H_k's entries straight from that index, and
+``cycle_orbits`` tabulates the
 orbits of any index permutation P with P^k = I; every other structure of the
 copy cycle in the package is read off that one table; every evaluation of H_k
 on a state reads the traces of ``cycle_traces``.  The orbits of ``S_k`` are
@@ -35,21 +38,15 @@ def cyclic_shift_index(k: int, d: int = 2) -> np.ndarray:
     return np.moveaxis(strings, -1, 0).reshape(-1)
 
 
-def cyclic_permutation(k: int, d: int = 2) -> Operator:
-    """Unitary S_k with S_k |x1 x2 ... xk> = |x2 ... xk x1>."""
-    dim = _dim(k, d)
-    check_memory(2 * 16 * dim * dim, f"cyclic permutation for k={k}, d={d}")  # S_k, copy
-    s = np.zeros((dim, dim), dtype=complex)
-    s[cyclic_shift_index(k, d), np.arange(dim)] = 1.0
-    return Operator(s, (d,) * k)
-
-
 def moment_observable(k: int, d: int = 2) -> Operator:
     """Observable H_k = (S_k + S_k^dag)/2 with tr[H_k rho^(x k)] = tr[rho^k]."""
     dim = _dim(k, d)
-    check_memory(4 * 16 * dim * dim, f"moment observable for k={k}, d={d}")  # S, S^dag, H, copy
-    s = cyclic_permutation(k, d).entries
-    return Operator((s + s.conj().T) / 2, (d,) * k)
+    check_memory(16 * dim * dim + 16 * dim, f"moment observable for k={k}, d={d}")  # H, indices
+    shift, x = cyclic_shift_index(k, d), np.arange(dim)
+    h = np.zeros((dim, dim), dtype=complex)
+    h[shift, x] += 0.5  # S_k |x> = |shift[x]>
+    h[x, shift] += 0.5  # S_k^dag
+    return Operator(h, (d,) * k)
 
 
 def cycle_orbits(perm: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -6,7 +6,8 @@ post-processing scalars: the sampling overhead ``f`` and the shift distance
 
     f * tr[H_k C(noise^(x k)(rho^(x k)))] - t  ==  tr[rho^k]
 
-for all states rho, where H_k is the moment observable on k copies.
+for all states rho, where H_k is the moment observable on k copies;
+``contract_residual`` decides it for all states at once.
 
 Every realization is a linear map with one interface: ``in_dim``,
 ``out_dim``, ``apply(x)`` and ``adjoint_apply(y)`` on dense matrices, and a
@@ -18,7 +19,8 @@ Every realization is a linear map with one interface: ``in_dim``,
 * a :class:`MeasurePrepare` map: the amplitude-damping protocol, a projective
   measurement whose outcomes carry stored values;
 * :class:`Recursive`, the retriever of every moment order under depolarizing
-  noise.  Like the transfer and recovery maps it is built from, it is a
+  noise, composed from the transfer and recovery maps (kept as their small
+  coefficient matrices).  It is a
   :class:`CycleMap` X -> [X +] sum_pq M[p, q] tr[P_q X] P_p^dag over
   leading-copy cycles P = S_m^b (x) I, stored as a small coefficient matrix
   and applied by gathering and scattering d^k matrix entries per cycle; no
@@ -42,7 +44,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import Channel, channel_from_json, channel_to_json
+from .channels import Channel, channel_from_json, channel_matrix, channel_to_json
 from .moments import cycle_traces, leading_cycle_index, moment_observable
 from .operators import (I2, PAULI_X, PAULI_Y, PAULI_Z, Operator, check_memory,
                         list_from_json, matrix_to_json)
@@ -195,6 +197,37 @@ def exact_expectation(p: RetrievalProtocol, noisy_state: Operator) -> float:
     return float((t[1 % p.k] + t[-1]).real / 2)
 
 
+def contract_residual(p: RetrievalProtocol, noise: Channel) -> float:
+    """Spectral norm of the symmetric block of Y = f N^dag(x k)(C^dag(H_k)) - t I - H_k.
+
+    The contract error of a state is tr[Y rho^(x k)], and the rho^(x k) span the
+    operators on the symmetric subspace, so this norm bounds the error of every
+    state and is 0 exactly when the contract holds.  The noise adjoint acts copy
+    by copy; the block is read in one orthonormal vector per multiset of digits.
+    """
+    d, k = p.copy_dim, p.k
+    if (noise.in_dim, noise.out_dim) != (d, d):
+        raise ValueError(f"noise dimension {noise.in_dim} != protocol copy dim {d}")
+    dim = d ** k
+    # H_k, C^dag(H_k) and the temporaries of the adjoints and the label pairs
+    # (tracemalloc: at most 5.1 x 16 dim^2 above dim = 64)
+    check_memory(96 * dim * dim, f"contract residual for k={k}, d={d}")
+    h = moment_observable(k, d).entries
+    y = p.realization.adjoint_apply(h).reshape((d,) * (2 * k))
+    m_dag = channel_matrix(noise).conj().T.reshape(d, d, d, d)  # (column, row) out, then in
+    for i in range(k):
+        y = np.moveaxis(np.tensordot(m_dag, y, axes=([2, 3], [k + i, i])), (0, 1), (k + i, i))
+    y = p.f * y.reshape(dim, dim) - p.t * np.eye(dim) - h
+    digits = np.arange(dim)[:, None] // d ** np.arange(k) % d
+    _, label, size = np.unique(np.sort(digits, axis=1) @ d ** np.arange(k),
+                               return_inverse=True, return_counts=True)
+    pairs = (label[:, None] * size.size + label).reshape(-1)
+    block = (np.bincount(pairs, y.real.reshape(-1), size.size ** 2)
+             + 1j * np.bincount(pairs, y.imag.reshape(-1), size.size ** 2))
+    norm = np.sqrt(size)
+    return float(np.linalg.norm(block.reshape(size.size, -1) / np.outer(norm, norm), 2))
+
+
 # ---------------------------------------------------------------------------
 # analytic single-qubit depolarizing protocol (twelve-unitary twirl)
 
@@ -337,39 +370,6 @@ def _recovery_matrix(k: int, l: int, d: int) -> np.ndarray:
     for s in range(k - 1, l, -1):
         a = _transfer_matrix(q_matrices(s)[0], s, d) @ _gram(s, d) @ a
     return a
-
-
-def _to_copy_cycle(k: int, l: int, d: int, a: np.ndarray) -> CycleMap:
-    """The map X -> sum_pj a[p, j] tr[S_k^j X] S_l^p (x) I on k copies."""
-    return CycleMap(k, d, outputs=[(l, -p) for p in range(l)],
-                    inputs=[(k, j) for j in range(k)], matrix=a)
-
-
-@dataclass(frozen=True)
-class TransferMapPair:
-    forward: CycleMap        # T_k:  H_k -> H_{k-1} (x) I/d
-    forward_neg: CycleMap    # T~_k: H_k -> -H_{k-1} (x) I/d
-
-
-@lru_cache(maxsize=None)
-def transfer_maps(k: int, d: int = 2) -> TransferMapPair:
-    q, q_tilde = q_matrices(k)
-    return TransferMapPair(forward=_to_copy_cycle(k, k - 1, d, _transfer_matrix(q, k, d)),
-                           forward_neg=_to_copy_cycle(k, k - 1, d,
-                                                      _transfer_matrix(q_tilde, k, d)))
-
-
-@lru_cache(maxsize=None)
-def recovery_map(k: int, l: int, d: int = 2) -> CycleMap:
-    """CP map R_l with R_l(H_k) = -H_l (x) I/d^{k-l}.
-
-    Composition (T_{l+1} (x) id) o ... o (T_{k-1} (x) id) o T~_k; the first
-    stage carries the sign flip so that the later stages accumulate only
-    positive transfers.
-    """
-    if not 2 <= l < k:
-        raise ValueError(f"recovery map needs 2 <= l < k, got l={l}, k={k}")
-    return _to_copy_cycle(k, l, d, _recovery_matrix(k, l, d))
 
 
 def _shift_table(eps: float, k: int, d: int) -> tuple[tuple[float, ...], tuple[float, ...]]:

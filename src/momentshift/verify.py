@@ -1,33 +1,30 @@
 """Named invariant suites behind the ``verify`` CLI command.
 
-Each check returns (name, passed, detail).  Suites are deliberately cheaper
-than the full acceptance tests: they cover the module invariants at k = 2
-(plus structural identities up to k = 5 and the Q-matrix condition up to
-k = 100) and are meant as a quick health gate.
+Each check returns (name, passed, detail).  The protocols suite gates every
+closed-form retriever, and the sdp suite every solver-made k = 2 retriever, on
+one exact number: ``protocols.contract_residual``, the norm of the contract's
+residual operator on the symmetric subspace, which bounds the contract error of
+every state.  The other checks cover the moment observable up to k = 5, the
+Q-matrix condition up to k = 100, complete positivity of the recursion,
+strong duality and the Hubbard model.  The suites are a quick health gate
+over product code, cheaper than the acceptance tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .channels import (
-    amplitude_damping,
-    compose,
-    depolarizing,
-    is_invertible,
-    link_product,
-    noisy_copies,
-)
-from .moments import cyclic_permutation, moment_observable, permutation_eigenprojectors
+from .channels import Channel, amplitude_damping, depolarizing, is_invertible, link_product
+from .moments import cycle_traces, moment_observable
 from .operators import partial_trace, random_density_matrix, tensor_product
 from .protocols import (
     ad_second_moment,
+    contract_residual,
+    de_kth_moment,
     de_second_moment,
     de_second_moment_nqubit,
-    exact_expectation,
+    from_sdp_solution,
     q_matrices,
-    recovery_map,
-    transfer_maps,
 )
 from .sdp.programs import build_dual_fmin, build_fmin, build_gmin, gmin_power
 from .sdp.solver import solve
@@ -36,38 +33,21 @@ from .hubbard import annihilation_operator, build_hamiltonian, ground_state, dem
 EPS_GRID = (0.05, 0.1, 0.2, 0.3)
 
 
-def _true_moment(rho, k):
-    return float(np.trace(np.linalg.matrix_power(rho.entries, k)).real)
-
-
 def checks_moments() -> list[tuple[str, bool, str]]:
     out = []
     worst = 0.0
     for k in range(2, 6):
-        s = cyclic_permutation(k, 2)
         h = moment_observable(k, 2)
         for seed in range(100 if k == 2 else 20):
             rho = random_density_matrix(2, seed)
             joint = rho
             for _ in range(k - 1):
                 joint = tensor_product(joint, rho)
-            truth = _true_moment(rho, k)
-            for mat in (s.entries, s.entries.conj().T, h.entries):
-                worst = max(worst, abs(np.trace(mat @ joint.entries).real - truth))
+            truth = np.trace(np.linalg.matrix_power(rho.entries, k)).real
+            t = cycle_traces(joint.entries, k, 2)  # tr[S_k^j X]; S_k^dag = S_k^(k-1)
+            for value in (t[1], t[-1], np.trace(h.entries @ joint.entries)):
+                worst = max(worst, abs(value.real - truth))
     out.append(("cyclic_trace_identity_k2_5", worst < 1e-10, f"max err {worst:.2e}"))
-
-    worst = 0.0
-    for k in range(2, 6):
-        spec = permutation_eigenprojectors(k, 2)
-        om = np.exp(2j * np.pi / k)
-        s_rec = sum(om ** (-m) * spec.projectors[m].entries for m in range(k))
-        worst = max(worst, float(np.max(np.abs(s_rec - cyclic_permutation(k, 2).entries))))
-        for m in range(k):
-            for mp in range(k):
-                prod = spec.projectors[m].entries @ spec.projectors[mp].entries
-                ref = spec.projectors[m].entries if m == mp else 0.0
-                worst = max(worst, float(np.max(np.abs(prod - ref))))
-    out.append(("spectral_reconstruction_k2_5", worst < 1e-10, f"max err {worst:.2e}"))
 
     bound_ok = True
     for k in range(2, 6):
@@ -81,11 +61,14 @@ def checks_sdp() -> list[tuple[str, bool, str]]:
     out = []
     gap_worst = 0.0
     ordering_ok = True
+    residual_worst = 0.0
     detail = []
     for name, mk in (("DE", lambda e: depolarizing(e, 2)), ("AD", amplitude_damping)):
         for eps in EPS_GRID:
             noise = mk(eps)
             primal = solve(build_fmin(noise, 2))
+            residual_worst = max(residual_worst,
+                                 contract_residual(from_sdp_solution(primal, 2), noise))
             dual = solve(build_dual_fmin(noise, 2))
             gap = abs(primal.objective_value - dual.objective_value)
             gap_worst = max(gap_worst, gap)
@@ -95,6 +78,8 @@ def checks_sdp() -> list[tuple[str, bool, str]]:
             detail.append(f"{name}{eps}: f={primal.objective_value:.6f}")
     out.append(("strong_duality_gap_k2", gap_worst < 1e-4, f"max gap {gap_worst:.2e}"))
     out.append(("shift_below_inverse_k2", ordering_ok, "; ".join(detail[:4])))
+    out.append(("sdp_protocol_contract_k2", residual_worst <= 1e-6,
+                f"max residual {residual_worst:.2e}"))
 
     sol = solve(build_fmin(depolarizing(1.0, 2), 2))
     out.append(("noninvertible_infeasible", sol.status == "infeasible",
@@ -120,40 +105,23 @@ def checks_protocols() -> list[tuple[str, bool, str]]:
     out.append(("q_condition_k3_100", worst < 1e-9, f"max residual {worst:.2e}"))
 
     worst = 0.0
-    for k in range(3, 6):
-        tm = transfer_maps(k, 2)
-        hk = moment_observable(k, 2).entries
-        tgt = np.kron(moment_observable(k - 1, 2).entries, np.eye(2) / 2)
-        worst = max(worst, float(np.max(np.abs(tm.forward.apply(hk) - tgt))))
-        worst = max(worst, float(np.max(np.abs(tm.forward_neg.apply(hk) + tgt))))
-    out.append(("transfer_identity_k3_5", worst < 1e-9, f"max err {worst:.2e}"))
-
-    worst = 0.0
-    min_eig = 0.0
-    for (k, l) in ((3, 2), (4, 2), (4, 3)):
-        r = recovery_map(k, l, 2)
-        hk = moment_observable(k, 2).entries
-        tgt = -np.kron(moment_observable(l, 2).entries,
-                       np.eye(2 ** (k - l)) / 2 ** (k - l))
-        worst = max(worst, float(np.max(np.abs(r.apply(hk) - tgt))))
-        min_eig = min(min_eig, r.choi().min_eigenvalue())
-    out.append(("recovery_map_identity", worst < 1e-9 and min_eig > -1e-8,
-                f"max err {worst:.2e}, choi min eig {min_eig:.2e}"))
-
-    worst = 0.0
     for eps in (0.1, 0.3):
-        for proto, noise in ((de_second_moment(eps), depolarizing(eps, 2)),
-                             (ad_second_moment(eps), amplitude_damping(eps)),
-                             (de_second_moment_nqubit(eps, 2), depolarizing(eps, 4))):
-            for seed in range(25):
-                rho = random_density_matrix(proto.copy_dim, seed)
-                z = exact_expectation(proto, noisy_copies(rho, noise, 2))
-                worst = max(worst, abs(proto.f * z - proto.t - _true_moment(rho, 2)))
-    out.append(("defining_contract_k2", worst < 1e-9, f"max err {worst:.2e}"))
+        cases = [(de_second_moment(eps), depolarizing(eps, 2)),
+                 (ad_second_moment(eps), amplitude_damping(eps)),
+                 (de_second_moment_nqubit(eps, 2), depolarizing(eps, 4))]
+        cases += [(de_kth_moment(eps, k, d), depolarizing(eps, d))
+                  for k in range(3, 6) for d in (2, 3, 4) if d ** k <= 256]
+        for proto, noise in cases:
+            worst = max(worst, contract_residual(proto, noise))
+    out.append(("contract_certificate", worst <= 1e-12, f"max residual {worst:.2e}"))
 
-    j_link = link_product(amplitude_damping(0.3).choi(),
-                          depolarizing(0.2, 2).choi().entries[None], (2, 2, 2))
-    j_kraus = compose(depolarizing(0.2, 2), amplitude_damping(0.3)).choi()
+    min_eig = min(de_kth_moment(0.2, k, 2).realization.choi().min_eigenvalue() for k in (3, 4))
+    out.append(("recursive_retriever_cp_k3_4", min_eig > -1e-8,
+                f"choi min eig {min_eig:.2e}"))
+
+    after, before = depolarizing(0.2, 2), amplitude_damping(0.3)
+    j_link = link_product(before.choi(), after.choi().entries[None], (2, 2, 2))
+    j_kraus = Channel(2, 2, kraus=[a @ b for a in after.kraus for b in before.kraus]).choi()
     err = float(np.max(np.abs(j_link[0] - j_kraus.entries)))
     out.append(("choi_link_product_convention", err < 1e-10, f"err {err:.2e}"))
     return out

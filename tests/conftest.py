@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from momentshift import Operator, random_density_matrix, tensor_product
+from momentshift.operators import Operator, random_density_matrix, tensor_product
 
 
 def noisy_copies(rho: Operator, noise, k: int) -> Operator:

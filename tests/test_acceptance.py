@@ -17,11 +17,7 @@ from momentshift.channels import (
 )
 from momentshift.estimator import derive_seed, plan_shots, run_mixed_unitary
 from momentshift.hubbard import fig4_experiment
-from momentshift.moments import (
-    cyclic_permutation,
-    moment_observable,
-    permutation_eigenprojectors,
-)
+from momentshift.moments import moment_observable, permutation_eigenprojectors
 from momentshift.operators import Operator, PAULI_X, PAULI_Y, PAULI_Z, random_density_matrix
 from momentshift.protocols import (
     ad_second_moment,
@@ -30,7 +26,6 @@ from momentshift.protocols import (
     de_second_moment_nqubit,
     exact_expectation,
     q_matrices,
-    transfer_maps,
 )
 from momentshift.sdp.problem import DualCertificate
 from momentshift.sdp.programs import (
@@ -42,6 +37,7 @@ from momentshift.sdp.programs import (
 from momentshift.sdp.solver import solve
 from momentshift.estimator import renyi_entropy
 from conftest import noisy_copies, true_moment
+from oracles import cyclic_permutation, transfer_maps
 
 EPS_GRID = (0.05, 0.1, 0.2, 0.3)
 

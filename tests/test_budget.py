@@ -11,21 +11,17 @@ import pytest
 from momentshift.channels import amplitude_damping, depolarizing, noisy_copies, tensor_power
 from momentshift.cli import main
 from momentshift.hubbard import HubbardModel, build_hamiltonian
-from momentshift.moments import (
-    cyclic_permutation,
-    moment_observable,
-    permutation_eigenprojectors,
-)
+from momentshift.moments import moment_observable, permutation_eigenprojectors
 from momentshift.operators import MEMORY_BUDGET, random_density_matrix
 from momentshift.protocols import (
+    contract_residual,
     de_kth_moment,
     de_second_moment_nqubit,
-    recovery_map,
-    transfer_maps,
 )
 from momentshift.sdp import programs, solver
 from momentshift.sdp.programs import build_dual_fmin, build_fmin, build_gmin, build_info_recover
 from momentshift.sdp.solver import compile_problem
+from oracles import cyclic_permutation, recovery_map, transfer_maps
 
 BUDGET_MESSAGE = rf"needs \d+ MiB, over the {MEMORY_BUDGET // 2 ** 20} MiB memory budget"
 
@@ -36,6 +32,8 @@ OVER_BUDGET = {
                                     depolarizing(0.1, 2), 16),
     "depolarizing": lambda: partial(depolarizing, 0.1, 128),
     "de2_qudit_map": lambda: de_second_moment_nqubit(0.1, 7).realization.choi,
+    "contract_residual": lambda: partial(contract_residual, de_kth_moment(0.1, 14, 2),
+                                         depolarizing(0.1, 2)),
     "cyclic_permutation": lambda: partial(cyclic_permutation, 14, 2),
     "moment_observable": lambda: partial(moment_observable, 14, 2),
     "permutation_eigenprojectors": lambda: partial(permutation_eigenprojectors, 12, 2),

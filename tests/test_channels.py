@@ -12,7 +12,6 @@ from momentshift.channels import (
     channel_from_json,
     channel_matrix,
     channel_to_json,
-    compose,
     depolarizing,
     identity_channel,
     is_invertible,
@@ -30,6 +29,7 @@ from momentshift.operators import (
     tensor_product,
 )
 from conftest import noisy_copies as oracle_noisy_copies
+from oracles import compose
 
 
 class TestDepolarizing:

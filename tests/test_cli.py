@@ -179,6 +179,30 @@ class TestEstimate:
         assert out == ""
         assert peak < 16 * 2 ** 20
 
+    @pytest.mark.parametrize("source,noise", [
+        ("ad_measure.json", "amplitude-damping"),
+        ("de_choi_n1.json", "depolarizing"),
+    ], ids=["measurement", "choi"])
+    def test_oversized_json_record_refused_before_sampling(self, capsys, tmp_path,
+                                                           source, noise):
+        # the sampling arrays alone (3,815 MiB) fit the budget; the JSON record does not
+        out_path = tmp_path / "run.json"
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "estimate", "--protocol",
+                                     str(Path(__file__).parent / "data" / "protocols_v1" / source),
+                                     "--noise", noise, "--eps", "0.1", "--state", "maxmixed",
+                                     "--shots", "250000000", "--out", str(out_path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert ("error: the JSON record of 250000000 shots needs 25034 MiB, "
+                "over the 4096 MiB memory budget" in err)
+        assert out == ""
+        assert not out_path.exists()
+        assert peak < 16 * 2 ** 20
+
     def test_recursive_protocol_needs_exact(self, capsys, tmp_path):
         path = tmp_path / "p3.json"
         run_cli(capsys, "synthesize", "--noise", "depolarizing", "--eps", "0.1",
@@ -458,6 +482,20 @@ class TestVerifyCommand:
         assert code == 0
         assert "PASS" in out and "FAIL" not in out
 
+    def test_check_names(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all")
+        assert code == 0
+        assert [line.split(":")[0] for line in out.splitlines()[:-1]] == [
+            f"PASS {name}" for name in (
+                "cyclic_trace_identity_k2_5", "observable_eigenvalue_bound",
+                "strong_duality_gap_k2", "shift_below_inverse_k2", "sdp_protocol_contract_k2",
+                "noninvertible_infeasible", "invertibility_rank_test",
+                "q_condition_k3_100", "contract_certificate", "recursive_retriever_cp_k3_4",
+                "choi_link_product_convention",
+                "canonical_anticommutation", "ground_energy_variational",
+                "reduced_purity_in_range")]
+        assert out.splitlines()[-1] == "14/14 checks passed"
+
 
 class TestHubbardDemo:
     def test_outputs(self, capsys, tmp_path):
@@ -491,7 +529,7 @@ class TestHubbardDemo:
 
     @pytest.mark.parametrize("flags, message", [
         (("--shots", "1000000000"), "60 trials of 1000000000 shots needs 15259 MiB"),
-        (("--trials", "100000000"), "100000000 trials of 4096 shots needs 12208 MiB"),
+        (("--trials", "100000000"), "100000000 trials of 4096 shots needs 4674 MiB"),
     ], ids=["shots", "trials"])
     def test_oversized_run_refused_before_allocating(self, capsys, flags, message):
         tracemalloc.start()

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from momentshift.estimator import (
     _outcome_index,
     _run_means,
     _thresholds,
+    _word_blocks,
     derive_seed,
     plan_shots,
     renyi_entropy,
@@ -258,6 +260,36 @@ def test_derive_seed_over_index_arrays():
         [derive_seed(12, t, j) for j in range(3)] for t in range(9)]
 
 
+@pytest.mark.parametrize("ix", [
+    np.arange(-3, 3), np.array([0, -1, 2 ** 63 - 1]), np.array([2 ** 64 - 1], dtype=np.uint64),
+], ids=["arange", "int64_edges", "uint64_max"])
+def test_integer_array_seeds_match_python_ints(ix):
+    # integer arrays are cast to uint64 directly; Python ints go through object arrays
+    assert derive_seed(12, ix).tolist() == [derive_seed(12, int(i)) for i in ix]
+    assert derive_seed(int(ix[-1]), ix).tolist() == [derive_seed(int(ix[-1]), int(i)) for i in ix]
+
+
+def test_word_blocks_of_seed_arrays_match_python_ints():
+    seeds = derive_seed(3, np.arange(6)[:, None], np.arange(2)).reshape(-1)
+    blocks = [[(r, cs, [w.copy() for w in words]) for r, cs, words in _word_blocks(s, 5, 2)]
+              for s in (seeds, [int(x) for x in seeds])]
+    for (r, cs, words), (r_ref, cs_ref, ref) in zip(*blocks):
+        assert (r, cs) == (r_ref, cs_ref)
+        assert all(np.array_equal(w, v) for w, v in zip(words, ref))
+
+
+def test_seed_arrays_stay_uint64():
+    ix = np.arange(100_000)
+    tracemalloc.start()
+    try:
+        seeds = derive_seed(5, ix)
+        next(_word_blocks(seeds, 1, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * ix.size  # through object arrays of Python ints, about 90 bytes each
+
+
 class TestMixedUnitaryRun:
     def test_noiseless_pure_state(self):
         p = de_second_moment(0.0)
@@ -430,7 +462,8 @@ SPECTRUM_CASES = [(k, d) for d in (2, 3, 4) for k in range(2, 6) if d ** k <= 10
 @pytest.mark.parametrize("k,d", SPECTRUM_CASES)
 def test_h_spectrum_matches_dense_eigh(k, d):
     from momentshift.estimator import _h_distribution, _h_spectrum
-    from momentshift.moments import cycle_traces, cyclic_permutation
+    from momentshift.moments import cycle_traces
+    from oracles import cyclic_permutation
     s = cyclic_permutation(k, d).entries
     w, v = np.linalg.eigh((s + s.conj().T) / 2)
     values = _h_spectrum(k)[0]

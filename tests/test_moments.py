@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from momentshift.moments import (
     cycle_orbits,
     cyclic_shift_index,
-    cyclic_permutation,
     moment_observable,
     permutation_eigenprojectors,
 )
@@ -20,6 +19,7 @@ from momentshift.operators import (
     tensor_product,
 )
 from conftest import true_moment
+from oracles import cyclic_permutation
 
 
 def _copies(rho, k):
@@ -95,6 +95,12 @@ class TestMomentObservable:
         for k in (2, 3, 4, 5):
             w = np.linalg.eigvalsh(moment_observable(k, 2).entries)
             assert w.min() >= -1 - 1e-12 and w.max() <= 1 + 1e-12
+
+    @pytest.mark.parametrize("k,d", [(k, d) for d in (2, 3, 4) for k in range(1, 6)
+                                     if d ** k <= 1024])
+    def test_scattered_from_the_shift_index_bit_for_bit(self, k, d):
+        s = cyclic_permutation(k, d).entries
+        assert np.array_equal(moment_observable(k, d).entries, (s + s.conj().T) / 2)
 
 
 def _min_rotation_necklaces(k, d):

@@ -8,11 +8,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from momentshift.channels import Channel, amplitude_damping, apply, depolarizing, identity_channel
-from momentshift.moments import cyclic_permutation, moment_observable, permutation_eigenprojectors
+from momentshift.moments import moment_observable, permutation_eigenprojectors
 from momentshift.operators import Operator, random_density_matrix, tensor_product
 from momentshift.protocols import (
     MeasurePrepare,
     ad_second_moment,
+    contract_residual,
     de_kth_moment,
     de_second_moment,
     de_second_moment_nqubit,
@@ -24,13 +25,12 @@ from momentshift.protocols import (
     protocol_from_json,
     protocol_to_json,
     q_matrices,
-    recovery_map,
     save_protocol,
-    transfer_maps,
 )
 from momentshift.sdp.programs import build_fmin
 from momentshift.sdp.solver import solve
 from conftest import noisy_copies, true_moment
+from oracles import cyclic_permutation, recovery_map, transfer_maps
 
 
 class TestTwirlProtocol:
@@ -453,6 +453,53 @@ class TestFromSdpSolution:
             z = exact_expectation(p, noisy_copies(rho, noise, 2))
             worst = max(worst, abs(p.f * z - p.t - true_moment(rho, 2)))
         assert worst < 1e-5
+
+
+def _closed_forms():
+    """Every closed-form constructor with its noise over the eps grid, k <= 5,
+    d in {2, 3, 4} and d^k <= 1024."""
+    for eps in (0.0, 0.05, 0.1, 0.2, 0.3):
+        yield de_second_moment(eps), depolarizing(eps, 2)
+        yield ad_second_moment(eps), amplitude_damping(eps)
+        yield de_second_moment_nqubit(eps, 2), depolarizing(eps, 4)
+        for k in range(2, 6):
+            for d in (2, 3, 4):
+                if d ** k <= 1024:
+                    yield de_kth_moment(eps, k, d), depolarizing(eps, d)
+
+
+class TestContractResidual:
+    def test_closed_forms_meet_the_contract(self):
+        worst = max(contract_residual(p, noise) for p, noise in _closed_forms())
+        assert worst <= 1e-13
+
+    def test_bounds_every_state_of_a_solver_protocol(self):
+        noise = amplitude_damping(0.2)
+        p = from_sdp_solution(solve(build_fmin(noise, 3)), 3)
+        bound = contract_residual(p, noise)
+        assert 1e-10 < bound < 1e-6  # solver precision, not rounding
+        for seed in range(50):
+            rho = random_density_matrix(2, seed, rank=1 + seed % 2)
+            err = abs(p.f * exact_expectation(p, noisy_copies(rho, noise, 3)) - p.t
+                      - true_moment(rho, 3))
+            assert err <= bound + 1e-15
+
+    def test_shifted_t_detected(self):
+        p = de_second_moment(0.1)
+        shifted = replace(p, t=p.t + 1e-9)
+        assert contract_residual(shifted, depolarizing(0.1, 2)) == pytest.approx(1e-9, rel=1e-6)
+
+    @pytest.mark.parametrize("p,noise", [
+        (de_second_moment(0.1), depolarizing(0.2, 2)),
+        (ad_second_moment(0.2), amplitude_damping(0.1)),
+        (de_kth_moment(0.1, 3, 2), depolarizing(0.2, 2)),
+    ], ids=["twirl", "ad_measure", "recursive_k3"])
+    def test_wrong_noise_level_detected(self, p, noise):
+        assert contract_residual(p, noise) > 1e-2
+
+    def test_mismatched_noise_dimension_refused(self):
+        with pytest.raises(ValueError, match="noise dimension 3 != protocol copy dim 2"):
+            contract_residual(de_kth_moment(0.1, 3, 2), depolarizing(0.1, 3))
 
 
 class TestExactExpectation:
