@@ -27,12 +27,8 @@ from .operators import (
     matrix_from_json,
     matrix_rank,
     matrix_to_json,
-    partial_trace,
-    partial_transpose,
     tensor_product,
 )
-
-CPTP_TOL = 1e-9
 
 
 class Channel:
@@ -96,26 +92,12 @@ class Channel:
         # N^dag(y) = tr_B[(I (x) y^T) J^T]
         return np.einsum("ab,qbpa->pq", y, j)
 
-    def is_cptp(self) -> bool:
-        j = self.choi()
-        if j.min_eigenvalue() < -CPTP_TOL:
-            return False
-        marg = partial_trace(j.with_dims((self.in_dim, self.out_dim)), [0])
-        return bool(np.max(np.abs(marg.entries - np.eye(self.in_dim))) <= CPTP_TOL)
-
 
 def apply(c: Channel, rho: Operator) -> Operator:
     """Schroedinger-picture action N(rho)."""
     if rho.dim != c.in_dim:
         raise ValueError(f"state dimension {rho.dim} != channel input {c.in_dim}")
     return Operator(c.apply(rho.entries), (c.out_dim,))
-
-
-def adjoint_apply(c: Channel, obs: Operator) -> Operator:
-    """Heisenberg-picture action N^dag(O); unital when N is trace preserving."""
-    if obs.dim != c.out_dim:
-        raise ValueError(f"observable dimension {obs.dim} != channel output {c.out_dim}")
-    return Operator(c.adjoint_apply(obs.entries), (c.in_dim,))
 
 
 def link_product(j_first: Operator, j_second: np.ndarray,
@@ -127,7 +109,7 @@ def link_product(j_first: Operator, j_second: np.ndarray,
     composed maps A -> C, each ``tr_B[(J_first^{T_B} (x) I_C)(I_A (x) J_second)]``.
     """
     da, db, dc = dims
-    jt4 = partial_transpose(j_first.with_dims((da, db)), [1]).entries.reshape(da, db, da, db)
+    jt4 = np.ascontiguousarray(j_first.entries.reshape(da, db, da, db).transpose(0, 3, 2, 1))
     n = j_second.shape[0]
     x4 = j_second.reshape(n, db, dc, db, dc)
     return np.einsum("abpq,nqcbe->nacpe", jt4, x4).reshape(n, da * dc, da * dc)
@@ -185,10 +167,6 @@ def channel_matrix(c: Channel) -> np.ndarray:
 def is_invertible(c: Channel) -> bool:
     """Rank test on M_N: invertible iff the channel matrix has full rank."""
     return matrix_rank(channel_matrix(c)) == c.in_dim ** 2
-
-
-def identity_channel(d: int) -> Channel:
-    return Channel(d, d, kraus=[np.eye(d, dtype=complex)], label=f"id_{d}")
 
 
 def _weyl_operators(d: int) -> list[np.ndarray]:

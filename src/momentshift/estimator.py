@@ -73,9 +73,10 @@ def _mix(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
 
 
 def _scrambled(x) -> np.ndarray:
-    """mix(x + golden) of every integer in x, taken mod 2^64: integer arrays are cast
-    directly, anything else passes through Python ints, which may exceed 64 bits."""
-    z = (np.atleast_1d(x) if isinstance(x, np.ndarray) and x.dtype.kind in "iu"
+    """mix(x + golden) of every integer in x, taken mod 2^64: anything NumPy holds as
+    an integer dtype is cast directly, anything else passes through Python ints,
+    which may exceed 64 bits."""
+    z = (np.atleast_1d(x) if np.asarray(x).dtype.kind in "iu"
          else np.array(x, dtype=object, ndmin=1) & _MASK)
     return _mix(z.astype(np.uint64) + np.uint64(_GOLDEN))
 
@@ -310,27 +311,13 @@ def run_protocol(p: RetrievalProtocol, rho: Operator, noise: Channel,
     return run_choi_map(p, rho, noise, shots, seed)
 
 
-def renyi_entropy(moment_value: float, alpha: int, base2: bool = False) -> float:
+def renyi_entropy(moment_value: float, alpha: int) -> float:
     """Renyi entropy (1/(1-alpha)) log tr[rho^alpha] from a moment value."""
     if alpha < 2:
         raise ValueError("integer-order Renyi entropy needs alpha >= 2")
     if moment_value <= 0:
         raise ValueError("moment value must be positive")
-    h = math.log(moment_value) / (1.0 - alpha)
-    return h / math.log(2.0) if base2 else h
-
-
-def run_to_json(run: EstimationRun) -> dict:
-    return {
-        "schema_version": 1,
-        "seed": run.seed,
-        "shots": run.shots,
-        "zeta_bar": run.zeta_bar,
-        "estimate": run.estimate,
-        "protocol_ref": run.protocol_ref,
-        "per_shot": [float(x) for x in run.per_shot],
-        "outcome_indices": [int(i) for i in run.outcome_indices],
-    }
+    return math.log(moment_value) / (1.0 - alpha)
 
 
 def run_to_csv(run: EstimationRun, path) -> None:
@@ -342,5 +329,14 @@ def run_to_csv(run: EstimationRun, path) -> None:
 
 
 def save_run(run: EstimationRun, path) -> None:
+    """The run as one JSON object, its per-shot lists written ``_BLOCK`` shots at a time."""
+    head = {"schema_version": 1, "seed": run.seed, "shots": run.shots, "zeta_bar": run.zeta_bar,
+            "estimate": run.estimate, "protocol_ref": run.protocol_ref}
     with open(path, "w") as fh:
-        fh.write(json.dumps(run_to_json(run)))
+        fh.write(json.dumps(head)[:-1])  # without its closing brace
+        for name, a in (("per_shot", run.per_shot), ("outcome_indices", run.outcome_indices)):
+            fh.write(f', "{name}": [')
+            for i in range(0, a.size, _BLOCK):
+                fh.write((", " if i else "") + ", ".join(map(repr, a[i:i + _BLOCK].tolist())))
+            fh.write("]")
+        fh.write("}")

@@ -110,10 +110,6 @@ class PermutationSpectrum:
     eigenstates: dict
     projectors: tuple[Operator, ...]
 
-    def projector_ranks(self) -> tuple[int, ...]:
-        return tuple(sum(1 for (m, _x) in self.eigenstates if m == mm)
-                     for mm in range(self.k))
-
 
 def permutation_eigenprojectors(k: int, d: int = 2) -> PermutationSpectrum:
     dim = _dim(k, d)

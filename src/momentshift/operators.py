@@ -10,7 +10,7 @@ checks its bytes against the one fixed :data:`MEMORY_BUDGET` (:func:`check_memor
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -72,10 +72,6 @@ class Operator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def num_subsystems(self) -> int:
-        return len(self.subsystem_dims)
-
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
 
@@ -84,17 +80,6 @@ class Operator:
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh((self.entries + self.entries.conj().T) / 2)[0])
-
-    def with_dims(self, subsystem_dims: Sequence[int]) -> "Operator":
-        """Reinterpret the same matrix with a different subsystem factoring."""
-        return Operator(self.entries, tuple(subsystem_dims))
-
-
-def identity(subsystem_dims: Sequence[int] | int) -> Operator:
-    if isinstance(subsystem_dims, int):
-        subsystem_dims = (subsystem_dims,)
-    dims = tuple(int(d) for d in subsystem_dims)
-    return Operator(np.eye(int(np.prod(dims)), dtype=complex), dims)
 
 
 def tensor_product(a: Operator, b: Operator) -> Operator:
@@ -121,7 +106,7 @@ def tensor_product(a: Operator, b: Operator) -> Operator:
 
 def _check_subsystems(op: Operator, subsystems: Iterable[int]) -> tuple[int, ...]:
     subs = tuple(int(s) for s in subsystems)
-    n = op.num_subsystems
+    n = len(op.subsystem_dims)
     if len(set(subs)) != len(subs):
         raise ValueError(f"repeated subsystem index in {subs}")
     for s in subs:
@@ -150,19 +135,6 @@ def partial_trace(op: Operator, keep: Iterable[int]) -> Operator:
     return Operator(t.reshape(d, d), new_dims if new_dims else (1,))
 
 
-def partial_transpose(op: Operator, subsystems: Iterable[int]) -> Operator:
-    """Transpose the row/column indices of the given subsystems only."""
-    subs = _check_subsystems(op, subsystems)
-    dims = op.subsystem_dims
-    n = len(dims)
-    t = op.entries.reshape(dims + dims)
-    axes = list(range(2 * n))
-    for s in subs:
-        axes[s], axes[s + n] = axes[s + n], axes[s]
-    t = t.transpose(axes)
-    return Operator(t.reshape(op.dim, op.dim), dims)
-
-
 def matrix_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
     sv = np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
@@ -170,15 +142,14 @@ def matrix_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
     return int(np.sum(sv > tol * sv[0]))
 
 
-def random_density_matrix(dim: int, seed: int, rank: int | None = None,
-                          subsystem_dims: Sequence[int] | None = None) -> Operator:
+def random_density_matrix(dim: int, seed: int, rank: int | None = None) -> Operator:
     """Random full-rank (or rank-limited) density matrix via the Ginibre map."""
     rng = np.random.default_rng(seed)
     r = rank or dim
     g = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
-    return Operator(rho, tuple(subsystem_dims) if subsystem_dims else (dim,))
+    return Operator(rho)
 
 
 def matrix_to_json(m: np.ndarray) -> list:

@@ -359,19 +359,6 @@ def _transfer_matrix(q: np.ndarray, k: int, d: int) -> np.ndarray:
     return _dft(k - 1) @ q @ (f_k / rank[:, None]) / d
 
 
-def _recovery_matrix(k: int, l: int, d: int) -> np.ndarray:
-    """A[p, j] with R_l(X) = sum_pj A[p, j] tr[S_k^j X] S_l^p (x) I.
-
-    R_l is the composition (T_{l+1} (x) id) o ... o (T_{k-1} (x) id) o T~_k.
-    Stage T_s (x) id reads tr[S_s^a (S_s^p (x) I)] = G_s[a, p] off the previous
-    stage's output, so the stages multiply through the Gram matrices.
-    """
-    a = _transfer_matrix(q_matrices(k)[1], k, d)
-    for s in range(k - 1, l, -1):
-        a = _transfer_matrix(q_matrices(s)[0], s, d) @ _gram(s, d) @ a
-    return a
-
-
 def _shift_table(eps: float, k: int, d: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Tables (f_2..f_k, t_2..t_k) of the recursive construction.
 
@@ -398,16 +385,24 @@ def _recursion_matrix(eps: float, k: int, d: int) -> tuple[np.ndarray, list[tupl
     sum_p (A_l t)_p S_l^p (x) I, t_j = tr[S_k^j Y], and C_l^dag maps S_l^p to
     column V_l[:, p]: the unit vector of (l, p) (l >= 3) plus (U_l G_l)[:, p].
     The labels of every U_l are a prefix of those of U_k, m = 2 .. k-1.
+
+    R_l is the composition (T_{l+1} (x) id) o ... o (T_{k-1} (x) id) o T~_k.
+    Stage T_s (x) id reads tr[S_s^a (S_s^p (x) I)] = G_s[a, p] off the previous
+    stage's output, so A_l = A(T_{l+1}) G_{l+1} A_{l+1} from A_{k-1} = A(T~_k):
+    one walk down the chain gives every A_l.
     """
     u = {2: np.array([[1.0, -1.0 / d], [-1.0 / d, 1.0]]) / (d * d - 1)}
     for kk in range(3, k + 1):
+        a = {kk - 1: _transfer_matrix(q_matrices(kk)[1], kk, d)}
+        for s in range(kk - 1, 2, -1):
+            a[s - 1] = _transfer_matrix(q_matrices(s)[0], s, d) @ _gram(s, d) @ a[s]
         u[kk] = np.zeros((kk * (kk - 1) // 2 - 1, kk), dtype=complex)
         for l in range(2, kk):
             v = u[l] @ _gram(l, d)
             if l > 2:
                 v = np.vstack([v, np.eye(l)])
             c = comb(kk, l) * eps ** (kk - l)  # binomial weight (1-eps)^l eps^(kk-l) times f_l
-            u[kk][:len(v)] += c * v @ _recovery_matrix(kk, l, d)
+            u[kk][:len(v)] += c * v @ a[l]
     return u[k], [(m, b) for m in range(2, max(k, 3)) for b in range(m)]
 
 

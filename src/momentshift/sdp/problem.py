@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..operators import Operator, matrix_to_json
+from ..operators import Operator
 
 
 class HermitianBasis:
@@ -198,22 +198,6 @@ class SdpSolution:
 
     def scalar(self, name: str) -> float:
         return float(self.variables[name])
-
-    def to_json(self) -> dict:
-        out = {
-            "status": self.status,
-            "objective_value": self.objective_value,
-            "primal_residual": self.primal_residual,
-            "dual_residual": self.dual_residual,
-            "iterations": self.iterations,
-            "name": self.name,
-            "diagnostics": self.diagnostics,
-            "variables": {},
-        }
-        for k, v in self.variables.items():
-            out["variables"][k] = matrix_to_json(v.entries) if isinstance(v, Operator) \
-                else float(v)
-        return out
 
 
 @dataclass(frozen=True)

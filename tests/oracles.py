@@ -1,8 +1,9 @@
 """Dense and composed reference objects the tests check the package against.
 
 The package builds H_k from an index permutation, composes channels through
-``link_product`` and keeps the transfer and recovery maps as the coefficient
-matrices of the recursion; these are the literal objects those forms replace.
+``link_product``, keeps the transfer and recovery maps as the coefficient
+matrices of the recursion and streams its run records; these are the literal
+objects those forms replace.
 """
 
 from dataclasses import dataclass
@@ -11,9 +12,10 @@ from functools import lru_cache
 import numpy as np
 
 from momentshift.channels import Channel
+from momentshift.estimator import EstimationRun
 from momentshift.moments import cyclic_shift_index
-from momentshift.operators import Operator, check_memory
-from momentshift.protocols import CycleMap, _recovery_matrix, _transfer_matrix, q_matrices
+from momentshift.operators import Operator, check_memory, partial_trace
+from momentshift.protocols import CycleMap, _gram, _transfer_matrix, q_matrices
 
 
 def cyclic_permutation(k: int, d: int = 2) -> Operator:
@@ -24,6 +26,26 @@ def cyclic_permutation(k: int, d: int = 2) -> Operator:
     s = np.zeros((dim, dim), dtype=complex)
     s[shift, np.arange(dim)] = 1.0
     return Operator(s, (d,) * k)
+
+
+def run_to_json(run: EstimationRun) -> dict:
+    """The run record as one dict; ``estimator.save_run`` writes its ``json.dumps``."""
+    return {"schema_version": 1, "seed": run.seed, "shots": run.shots,
+            "zeta_bar": run.zeta_bar, "estimate": run.estimate, "protocol_ref": run.protocol_ref,
+            "per_shot": [float(x) for x in run.per_shot],
+            "outcome_indices": [int(i) for i in run.outcome_indices]}
+
+
+def identity_channel(d: int) -> Channel:
+    return Channel(d, d, kraus=[np.eye(d, dtype=complex)], label=f"id_{d}")
+
+
+def is_cptp(c: Channel) -> bool:
+    """Choi matrix PSD and input marginal I, both to within 1e-9."""
+    j = c.choi()
+    marg = partial_trace(Operator(j.entries, (c.in_dim, c.out_dim)), [0])
+    return bool(j.min_eigenvalue() >= -1e-9
+                and np.max(np.abs(marg.entries - np.eye(c.in_dim))) <= 1e-9)
 
 
 def compose(after: Channel, before: Channel, label: str = "") -> Channel:
@@ -67,4 +89,7 @@ def recovery_map(k: int, l: int, d: int = 2) -> CycleMap:
     """
     if not 2 <= l < k:
         raise ValueError(f"recovery map needs 2 <= l < k, got l={l}, k={k}")
-    return _to_copy_cycle(k, l, d, _recovery_matrix(k, l, d))
+    a = _transfer_matrix(q_matrices(k)[1], k, d)
+    for s in range(k - 1, l, -1):
+        a = _transfer_matrix(q_matrices(s)[0], s, d) @ _gram(s, d) @ a
+    return _to_copy_cycle(k, l, d, a)

@@ -5,9 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from momentshift.channels import amplitude_damping, depolarizing
 from momentshift.cli import build_parser, main
+from momentshift.estimator import run_protocol
+from momentshift.operators import Operator
 from momentshift.protocols import (ad_second_moment, de_second_moment, load_protocol,
                                    protocol_to_json)
+from oracles import run_to_json
 
 
 def run_cli(capsys, *argv):
@@ -180,28 +184,28 @@ class TestEstimate:
         assert peak < 16 * 2 ** 20
 
     @pytest.mark.parametrize("source,noise", [
+        ("twirl.json", "depolarizing"),
         ("ad_measure.json", "amplitude-damping"),
-        ("de_choi_n1.json", "depolarizing"),
-    ], ids=["measurement", "choi"])
-    def test_oversized_json_record_refused_before_sampling(self, capsys, tmp_path,
-                                                           source, noise):
-        # the sampling arrays alone (3,815 MiB) fit the budget; the JSON record does not
+        (("--noise", "depolarizing", "--k", "2"), "depolarizing"),
+        (("--noise", "amplitude-damping", "--k", "3"), "amplitude-damping"),
+    ], ids=["kraus", "measurement", "recursive_k2", "sdp_ad_k3"])
+    def test_json_record_is_the_dumped_run(self, capsys, tmp_path, source, noise):
+        # a synthesized file for a tuple, a stored one otherwise; 2 _BLOCK + 3 shots
+        # cross two block boundaries, and the k = 3 outcomes print 19 characters
+        if isinstance(source, tuple):
+            path = tmp_path / "p.json"
+            run_cli(capsys, "synthesize", *source, "--eps", "0.2", "--out", str(path))
+        else:
+            path = Path(__file__).parent / "data" / "protocols_v1" / source
         out_path = tmp_path / "run.json"
-        tracemalloc.start()
-        try:
-            code, out, err = run_cli(capsys, "estimate", "--protocol",
-                                     str(Path(__file__).parent / "data" / "protocols_v1" / source),
-                                     "--noise", noise, "--eps", "0.1", "--state", "maxmixed",
-                                     "--shots", "250000000", "--out", str(out_path))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert code == 1
-        assert ("error: the JSON record of 250000000 shots needs 25034 MiB, "
-                "over the 4096 MiB memory budget" in err)
-        assert out == ""
-        assert not out_path.exists()
-        assert peak < 16 * 2 ** 20
+        code, _, _ = run_cli(capsys, "estimate", "--protocol", str(path), "--noise", noise,
+                             "--eps", "0.1", "--state", "maxmixed", "--shots", "32771",
+                             "--seed", "11", "--out", str(out_path))
+        assert code == 0
+        p = load_protocol(path)
+        channel = depolarizing(0.1, 2) if noise == "depolarizing" else amplitude_damping(0.1)
+        run = run_protocol(p, Operator(np.eye(2) / 2), channel, 32771, 11)
+        assert out_path.read_text() == json.dumps(run_to_json(run))
 
     def test_recursive_protocol_needs_exact(self, capsys, tmp_path):
         path = tmp_path / "p3.json"

@@ -24,7 +24,6 @@ from momentshift.estimator import (
     run_mixed_unitary,
     run_protocol,
     run_to_csv,
-    run_to_json,
     save_run,
     shot_uniforms,
 )
@@ -40,6 +39,7 @@ from momentshift.protocols import (
     identity_protocol,
 )
 from conftest import noisy_copies
+from oracles import run_to_json
 
 
 class TestPlanShots:
@@ -264,9 +264,16 @@ def test_derive_seed_over_index_arrays():
     np.arange(-3, 3), np.array([0, -1, 2 ** 63 - 1]), np.array([2 ** 64 - 1], dtype=np.uint64),
 ], ids=["arange", "int64_edges", "uint64_max"])
 def test_integer_array_seeds_match_python_ints(ix):
-    # integer arrays are cast to uint64 directly; Python ints go through object arrays
+    # integer arrays are cast to uint64 directly; ints beyond 64 bits go through object arrays
     assert derive_seed(12, ix).tolist() == [derive_seed(12, int(i)) for i in ix]
     assert derive_seed(int(ix[-1]), ix).tolist() == [derive_seed(int(ix[-1]), int(i)) for i in ix]
+
+
+@pytest.mark.parametrize("x", [np.int64(-7), np.int32(5), np.int8(-1), np.uint64(2 ** 64 - 1)],
+                         ids=["int64", "int32", "int8", "uint64"])
+def test_numpy_integer_scalars_match_python_ints(x):
+    assert derive_seed(12345, x) == derive_seed(12345, int(x))
+    assert derive_seed(x, 3) == derive_seed(int(x), 3)
 
 
 def test_word_blocks_of_seed_arrays_match_python_ints():
@@ -430,9 +437,6 @@ class TestRenyi:
     def test_third_order(self):
         assert abs(renyi_entropy(0.25, 3) - math.log(2)) < 1e-12
 
-    def test_base2(self):
-        assert abs(renyi_entropy(0.5, 2, base2=True) - 1.0) < 1e-12
-
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             renyi_entropy(0.0, 2)
@@ -454,6 +458,19 @@ def test_run_serialization(tmp_path):
     json_path = tmp_path / "run.json"
     save_run(run, json_path)
     assert json_path.read_text() == json.dumps(doc)
+
+
+def test_json_record_streams(tmp_path):
+    # the per-shot lists go out a block at a time: no list or text of every shot
+    run = run_measurement_based(ad_second_moment(0.2), random_density_matrix(2, 1),
+                                amplitude_damping(0.2), 2_000_000, seed=6)
+    tracemalloc.start()
+    try:
+        save_run(run, tmp_path / "run.json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 SPECTRUM_CASES = [(k, d) for d in (2, 3, 4) for k in range(2, 6) if d ** k <= 1024]

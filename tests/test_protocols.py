@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from momentshift.channels import Channel, amplitude_damping, apply, depolarizing, identity_channel
+from momentshift.channels import Channel, amplitude_damping, apply, depolarizing
 from momentshift.moments import moment_observable, permutation_eigenprojectors
 from momentshift.operators import Operator, random_density_matrix, tensor_product
 from momentshift.protocols import (
@@ -30,7 +30,7 @@ from momentshift.protocols import (
 from momentshift.sdp.programs import build_fmin
 from momentshift.sdp.solver import solve
 from conftest import noisy_copies, true_moment
-from oracles import cyclic_permutation, recovery_map, transfer_maps
+from oracles import cyclic_permutation, identity_channel, recovery_map, transfer_maps
 
 
 class TestTwirlProtocol:
@@ -129,7 +129,7 @@ class TestAmplitudeDampingProtocol:
         j = ad_second_moment(0.3).realization.choi()
         assert j.min_eigenvalue() > -1e-12
         from momentshift.operators import partial_trace
-        marg = partial_trace(j.with_dims((4, 4)), [0])
+        marg = partial_trace(Operator(j.entries, (4, 4)), [0])
         assert_allclose(marg.entries, np.eye(4), atol=1e-12)
 
     def test_choi_closed_form(self):
