@@ -28,10 +28,11 @@ distribution step runs the sampling gates (trace preservation, the state
 dimension and the memory budget of the noisy k-copy state) and returns the
 outcome values with the integer thresholds of their cumulative probabilities;
 it depends only on the protocol, the state and the noise, and refuses a
-distribution whose probabilities are all 0.  The draw step turns it, a shot
-count and a seed into an ``EstimationRun``.  A caller that repeats runs of one
-fixed set-up, such as ``hubbard.fig4_experiment``, builds the distribution
-once and reads every trial's ``zeta_bar`` off ``_run_means``.
+distribution whose probabilities are all 0, or an H_k probability below
+-``SAMPLING_TP_TOL``.  The draw step turns it, a shot count and a seed into an
+``EstimationRun``.  A caller that repeats runs of one fixed set-up, such as
+``hubbard.fig4_experiment``, builds the distribution once and reads every
+trial's ``zeta_bar`` off ``_run_means``.
 
 Per-shot outcomes are eigenvalues of the moment observable or stored
 per-outcome values, all in [-1, 1], which fixes the range constant in the
@@ -51,7 +52,7 @@ import numpy as np
 from .channels import Channel, noisy_copies
 from .moments import cycle_traces
 from .operators import Operator, check_memory
-from .protocols import MeasurePrepare, RetrievalProtocol, is_trace_preserving
+from .protocols import SAMPLING_TP_TOL, MeasurePrepare, RetrievalProtocol, is_trace_preserving
 
 _MASK = 2 ** 64 - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -134,13 +135,17 @@ def plan_shots(delta: float, fail_prob: float, f: float) -> SamplingPlan:
     Hoeffding bound for outcomes in [-1, 1], scaled by the overhead f:
     shots >= f^2 * (2/delta^2) * ln(2/fail_prob), natural logarithm.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     if not 0.0 < fail_prob < 1.0:
         raise ValueError("failure probability must be in (0, 1)")
-    if f <= 0:
+    if not f > 0:
         raise ValueError("overhead must be positive")
-    shots = math.ceil(f * f * (2.0 / delta ** 2) * math.log(2.0 / fail_prob))
+    try:
+        shots = math.ceil(f * f * (2.0 / delta ** 2) * math.log(2.0 / fail_prob))
+    except (ZeroDivisionError, OverflowError):  # delta^2 underflows to 0 or the count to inf
+        raise ValueError(f"delta={delta:g} at overhead f={f:g} needs more shots than a "
+                         "float can count") from None
     return SamplingPlan(delta=delta, fail_prob=fail_prob, f=f, shots=shots)
 
 
@@ -193,9 +198,15 @@ def _h_spectrum(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _h_distribution(traces: np.ndarray, k: int) -> np.ndarray:
-    """Born probabilities of H_k's outcomes from each state's traces tr[S_k^j X]."""
-    probs = np.clip(traces.real @ _h_spectrum(k)[1].T, 0.0, None)
-    return probs / probs.sum(axis=-1, keepdims=True)
+    """Born probabilities of H_k's outcomes from each state's traces tr[S_k^j X], rounding
+    below 0 clipped; a row whose probabilities are all 0 is NaN."""
+    probs = traces.real @ _h_spectrum(k)[1].T
+    if probs.min() < -SAMPLING_TP_TOL:  # the retriever's output is no state
+        raise ValueError(f"H_{k} outcome probability {probs.min():.3g} < 0: the retriever is "
+                         "not positive, so it cannot be sampled; evaluate it exactly (--exact)")
+    probs = np.clip(probs, 0.0, None)
+    total = probs.sum(axis=-1, keepdims=True)
+    return probs / np.where(total > 0, total, np.nan)  # 0 / NaN is NaN, with no 0/0 warning
 
 
 def _thresholds(cumulative: np.ndarray) -> np.ndarray:

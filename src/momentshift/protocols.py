@@ -37,6 +37,7 @@ describe.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import comb
@@ -494,11 +495,13 @@ def _realization_from_json(kind: str, data: dict) -> Channel | MeasurePrepare:
 
 
 def _field(doc: dict, name: str, kind: type = int):
-    """doc[name], refused unless it is a JSON integer (``int``) or number (``float``)."""
-    if isinstance(doc[name], bool) or not isinstance(doc[name], (int, kind)):
+    """doc[name], refused unless a JSON integer (``int``) or finite number (``float``)."""
+    value = doc[name]
+    if isinstance(value, bool) or not isinstance(value, (int, kind)) or \
+            (kind is float and not abs(value) <= sys.float_info.max):
         raise ValueError(f"protocol field {name!r} is not "
-                         f"{'an integer' if kind is int else 'a number'}")
-    return doc[name]
+                         f"{'an integer' if kind is int else 'a finite number'}")
+    return value
 
 
 def protocol_from_json(doc: dict) -> RetrievalProtocol:
@@ -525,6 +528,9 @@ def protocol_from_json(doc: dict) -> RetrievalProtocol:
     if (r.in_dim, r.out_dim) != (dim, dim):
         raise ValueError(f"protocol realization maps dimension {r.in_dim} to {r.out_dim}, "
                          f"but {k} copies of dimension {copy_dim} need {dim}")
+    if (k, copy_dim) != (p.k, p.copy_dim):  # a recursive file's data builds the retriever
+        raise ValueError(f"protocol fields 'k' = {k} and 'copy_dim' = {copy_dim} disagree "
+                         f"with data.order = {p.k} and data.copy_dim = {p.copy_dim}")
     return p
 
 

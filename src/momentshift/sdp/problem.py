@@ -1,12 +1,13 @@
 """Canonical conic-program containers and real coordinates for Hermitian blocks.
 
 A problem is a list of Hermitian matrix blocks (PSD-constrained or free),
-real scalars (optionally bounded below), a linear objective, and linear
-equality constraints whose left-hand sides are built from callables acting on
-batches of basis matrices.  The solver compiles everything to one real system
-``A x = b`` over the orthonormal Hermitian coordinate basis
-``{E_ii} u {(E_ij + E_ji)/sqrt2} u {i(E_ij - E_ji)/sqrt2}``, under which
-Frobenius norms and inner products carry over to ordinary Euclidean ones.
+real scalars (optionally bounded below), a linear objective over the scalars
+to minimize, and linear equality constraints whose left-hand sides are built
+from callables acting on batches of basis matrices.  The solver compiles
+everything to one real system ``A x = b`` over the orthonormal Hermitian
+coordinate basis ``{E_ii} u {(E_ij + E_ji)/sqrt2} u {i(E_ij - E_ji)/sqrt2}``,
+under which Frobenius norms and inner products carry over to ordinary
+Euclidean ones.  A solution's diagnostics hold its solve's ``dual_objective``.
 
 A block may declare symmetry sectors: orthonormal column bases Q_s with
 mutually orthogonal ranges, restricting it to ``X = sum_s Q_s B_s Q_s^dag``
@@ -98,12 +99,6 @@ class Sector:
     def size(self) -> int:
         return len(self.rows) if self.q is None else self.q.shape[1]
 
-    def restrict(self, h: np.ndarray) -> np.ndarray:
-        """(dim, dim) -> (m, m): Q^dag h Q."""
-        if self.q is None:
-            return h
-        return self.q.conj().T @ h[np.ix_(self.rows, self.rows)] @ self.q
-
     def embed(self, b: np.ndarray, dim: int) -> np.ndarray:
         """(..., m, m) -> (..., dim, dim): Q b Q^dag."""
         if self.q is None:
@@ -163,9 +158,8 @@ class Constraint:
 class SdpProblem:
     blocks: list[BlockVar]
     scalars: list[ScalarVar]
-    objective: dict  # var name -> float (scalars) or ndarray C (blocks, <C, X>)
+    objective: dict  # scalar name -> float coefficient; minimized
     constraints: list[Constraint]
-    maximize: bool = False
     name: str = ""
 
     def __post_init__(self):
@@ -175,8 +169,8 @@ class SdpProblem:
                 if t.var not in declared:
                     raise ValueError(f"constraint {c.name!r} references undeclared {t.var!r}")
         for v in self.objective:
-            if v not in declared:
-                raise ValueError(f"objective references undeclared {v!r}")
+            if v not in {s.name for s in self.scalars}:
+                raise ValueError(f"objective term {v!r} is not a declared scalar")
 
 
 @dataclass

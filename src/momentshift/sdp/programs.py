@@ -1,4 +1,4 @@
-"""Builders for the four conic programs behind the retrieval machinery.
+"""Builders for the three conic programs behind the retrieval machinery.
 
 All programs are phrased over Choi matrices with the package's input-first
 convention.  Labels follow the roles in the composition
@@ -10,8 +10,6 @@ the retriever, C the retriever output measured with the moment observable.
   through the noise (the observable-shift program).  Its Choi block is
   declared in the sectors of the copy cycle and, for phase-covariant noise,
   of the excitation charge (``copy_sectors``), both symmetries of H_k.
-* ``build_dual_fmin``: its Lagrangian dual over (M, K) with objective
-  ``-tr[K H_k]``; any feasible point certifies a lower bound on f.
 * ``build_gmin``: quasi-probability overhead of simulating the exact inverse
   of a channel as a difference of two scaled channels.
 * ``build_info_recover``: overhead of a Hermitian-preserving trace-scaling
@@ -20,6 +18,9 @@ the retriever, C the retriever output measured with the moment observable.
 The last two are one program from one builder: PSD J1, J2 with tr_C J_i =
 c_i I, one coupling ``L(J1) - L(J2) = target`` and objective c1 + c2; L is the
 link with the noise (inverse) or the observable pullback (recover).
+
+No dual program is built: each solve records its dual objective in its
+diagnostics, and ``check_certificate`` tests an (M, K) of the shift dual exactly.
 """
 
 from __future__ import annotations
@@ -61,10 +62,6 @@ def _trace_scaling(block: str, scale: str, d1: int, d2: int, name: str) -> Const
         terms=(ConstraintTerm(var=block, block_map=_trace_out_second(d1, d2)),
                ConstraintTerm(var=scale, scalar_coeff_op=-np.eye(d1))),
         target=np.zeros((d1, d1)), name=name)
-
-
-def _batch_trace(batch: np.ndarray) -> np.ndarray:
-    return np.real(np.einsum("naa->n", batch))
 
 
 def _negated(block_map):
@@ -192,52 +189,11 @@ def _kron_identity_right(d: int):
     return mapper
 
 
-def _identity_map(batch: np.ndarray) -> np.ndarray:
-    return batch
-
-
-def build_dual_fmin(noise: Channel, k: int) -> SdpProblem:
-    """Dual of the observable-shift program: max -tr[K H_k] over feasible (M, K)."""
-    d = noise.in_dim ** k
-    name = f"dual_fmin[{noise.label},k={k}]"
-    blocks = [BlockVar("M", d, psd=False), BlockVar("K", d, psd=False),
-              BlockVar("T", d * d, psd=True)]
-    scalars = [ScalarVar("s", lower=0.0)]
-    check_program_memory(name, blocks, scalars, (d * d, 1, 1))
-    nk = tensor_power(noise, k)
-    h = moment_observable(k, noise.in_dim).entries
-
-    psd = Constraint(
-        terms=(
-            ConstraintTerm(var="T", block_map=_identity_map),
-            ConstraintTerm(var="M", block_map=_negated(_kron_identity_right(d))),
-            ConstraintTerm(var="K", block_map=_negated(_noise_pushforward(nk.kraus, h, d))),
-        ),
-        target=np.zeros((d * d, d * d)),
-        name="dual_psd",
-    )
-    trm = Constraint(
-        terms=(
-            ConstraintTerm(var="M", block_map=_batch_trace),
-            ConstraintTerm(var="s", scalar_coeff_op=np.eye(1)),
-        ),
-        target=np.ones((1, 1)),
-        name="trace_M_bound",
-    )
-    trk = Constraint(
-        terms=(ConstraintTerm(var="K", block_map=_batch_trace),),
-        target=np.zeros((1, 1)),
-        name="trace_K_zero",
-    )
-    return SdpProblem(blocks=blocks, scalars=scalars, objective={"K": -h},
-                      constraints=[psd, trm, trk], maximize=True, name=name)
-
-
 def check_certificate(cert: DualCertificate, noise: Channel, k: int) -> tuple[bool, float]:
     """Evaluate dual feasibility analytically and return (feasible, -tr[K H_k]).
 
-    The dual operator ``M (x) I + (N^(x k)(K))^T (x) H_k`` is built by the block
-    maps of ``build_dual_fmin``, applied to a batch of one."""
+    The dual operator ``M (x) I + (N^(x k)(K))^T (x) H_k`` is built by two
+    batched maps applied to a batch of one."""
     d = noise.in_dim ** k
     h = moment_observable(k, noise.in_dim).entries
     dual_op = (_kron_identity_right(d)(cert.M.entries[None])

@@ -26,7 +26,8 @@ give identical iterates.
 
 ``SdpSolution.diagnostics`` records the compile, factorization and iteration
 wall times, the coordinate and row counts, each block's sector sizes, the
-termination reason and the acceleration's step and rejection counts.
+termination reason and the acceleration's step and rejection counts; a solve
+that runs the loop adds ``dual_objective``, read off its final scaled dual.
 """
 
 from __future__ import annotations
@@ -89,14 +90,8 @@ def _psd_sections(blk: BlockVar, offset: int) -> list:
             for m, group in sorted(starts.items())]
 
 
-def _block_coords(blk: BlockVar, h: np.ndarray) -> np.ndarray:
-    """Coordinates of the block's projection onto its sectors."""
-    return np.concatenate([HermitianBasis(s.size).to_coords(s.restrict(h))
-                           for s in blk.parts()])
-
-
 def _block_matrix(blk: BlockVar, x: np.ndarray) -> np.ndarray:
-    """Inverse of ``_block_coords``: the dim x dim matrix sum_s Q_s B_s Q_s^dag."""
+    """The dim x dim matrix sum_s Q_s B_s Q_s^dag of the block's coordinates ``x``."""
     h = 0
     for s in blk.parts():
         size = s.size * s.size
@@ -148,13 +143,7 @@ def compile_problem(p: SdpProblem) -> _Compiled:
 
     c = np.zeros(n)
     for var, coeff in p.objective.items():
-        off, blk = layout[var]
-        if blk is None:
-            c[off] = float(coeff)
-        else:
-            c[off:off + blk.size] = _block_coords(blk, np.asarray(coeff))
-    if p.maximize:
-        c = -c
+        c[layout[var][0]] = float(coeff)
     return _Compiled(A=A, b=b, c=c, sections=sections, layout=layout, n=n)
 
 
@@ -236,6 +225,8 @@ class _Anderson:
 def solve(p: SdpProblem, tol: float = DEFAULT_TOL,
           max_iters: int = DEFAULT_MAX_ITERS) -> SdpSolution:
     """Solve the program; status is one of optimal / infeasible / max_iters."""
+    if not tol > 0:  # no iterate meets a tolerance of 0, and NaN compares false
+        raise ValueError(f"solver tolerance must be positive, got {tol}")
     t_start = perf_counter()
     comp = compile_problem(p)
     t_compiled = perf_counter()
@@ -246,26 +237,18 @@ def solve(p: SdpProblem, tol: float = DEFAULT_TOL,
                    "sector_sizes": {blk.name: [s.size for s in blk.parts()]
                                     for blk in p.blocks}}
 
-    if A.shape[0]:
-        u_svd, s_svd, vt_svd = np.linalg.svd(A, full_matrices=False)
-        keep = s_svd > max(1e-12 * s_svd[0], 1e-300)
-        pinv = (vt_svd[keep].T / s_svd[keep]) @ u_svd[:, keep].T  # (n, m)
-
-        def proj_affine(w: np.ndarray) -> np.ndarray:
-            return w - pinv @ (A @ w - b)
-
-        x_ls = pinv @ b
-        lin_res = np.linalg.norm(A @ x_ls - b) / (1.0 + np.linalg.norm(b))
-        if lin_res > 1e-7:
-            diagnostics.update(factor_s=perf_counter() - t_compiled, iterate_s=0.0,
-                               reason="equality constraints inconsistent",
-                               linear_residual=float(lin_res))
-            return _extract(p, comp, x_ls, status="infeasible",
-                            primal=lin_res, dual=0.0, iterations=0,
-                            diagnostics=diagnostics)
-    else:
-        def proj_affine(w: np.ndarray) -> np.ndarray:
-            return w
+    u_svd, s_svd, vt_svd = np.linalg.svd(A, full_matrices=False)
+    keep = s_svd > max(1e-12 * s_svd.max(initial=0.0), 1e-300)
+    pinv = (vt_svd[keep].T / s_svd[keep]) @ u_svd[:, keep].T  # (n, m)
+    x_ls = pinv @ b
+    lin_res = np.linalg.norm(A @ x_ls - b) / (1.0 + np.linalg.norm(b))
+    if lin_res > 1e-7:
+        diagnostics.update(factor_s=perf_counter() - t_compiled, iterate_s=0.0,
+                           reason="equality constraints inconsistent",
+                           linear_residual=float(lin_res))
+        return _extract(p, comp, x_ls, status="infeasible",
+                        primal=lin_res, dual=0.0, iterations=0,
+                        diagnostics=diagnostics)
     t_factored = perf_counter()
     diagnostics["factor_s"] = t_factored - t_compiled
 
@@ -277,7 +260,8 @@ def solve(p: SdpProblem, tol: float = DEFAULT_TOL,
     while it < max_iters:
         it += 1
         z, u = y[:n], y[n:]
-        x = proj_affine(z - u - c)
+        w = z - u - c
+        x = w - pinv @ (A @ w - b)
         xr = OVER_RELAXATION * x + (1.0 - OVER_RELAXATION) * z
         z_next = _project_cone(xr + u, comp.sections)
         ty = np.concatenate([z_next, u + xr - z_next])
@@ -293,8 +277,15 @@ def solve(p: SdpProblem, tol: float = DEFAULT_TOL,
                 status, reason = "optimal", "tolerance reached"
                 break
 
+    # The dual point (O'Donoghue et al., JOTA 169, 2016): by Moreau, u+ = u + x_r - z+ is the
+    # polar-cone projection of x_r + u, so s = -u+ lies in K*; y = pinv^T (c + u+) gives
+    # c - A^T y = s at a fixed point.  Objective: b.y = x_ls.(c + u+), + bound * s ("lower").
+    u = ty[n:]
+    dual_obj = x_ls @ (c + u) - sum(bound * u[sel] for kind, sel, bound in comp.sections
+                                    if kind == "lower")
     diagnostics.update(iterate_s=perf_counter() - t_factored, reason=reason,
-                       accelerated_steps=accel.accepted, safeguard_rejections=accel.rejected)
+                       accelerated_steps=accel.accepted, safeguard_rejections=accel.rejected,
+                       dual_objective=float(dual_obj))
     return _extract(p, comp, ty[:n], status=status, primal=float(rp), dual=float(rd),
                     iterations=it, diagnostics=diagnostics)
 
@@ -308,10 +299,7 @@ def _extract(p: SdpProblem, comp: _Compiled, xvec: np.ndarray, status: str,
             variables[name] = float(xvec[off])
         else:
             variables[name] = Operator(_block_matrix(blk, xvec[off:off + blk.size]))
-    obj = float(comp.c @ xvec)
-    if p.maximize:
-        obj = -obj
-    return SdpSolution(status=status, objective_value=obj, variables=variables,
+    return SdpSolution(status=status, objective_value=float(comp.c @ xvec), variables=variables,
                        primal_residual=primal, dual_residual=dual,
                        iterations=iterations, name=p.name,
                        diagnostics=diagnostics)

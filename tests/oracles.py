@@ -2,8 +2,8 @@
 
 The package builds H_k from an index permutation, composes channels through
 ``link_product``, keeps the transfer and recovery maps as the coefficient
-matrices of the recursion and streams its run records; these are the literal
-objects those forms replace.
+matrices of the recursion, streams its run records and reads the dual objective
+off the primal solve; these are the literal objects those forms replace.
 """
 
 from dataclasses import dataclass
@@ -11,11 +11,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from momentshift.channels import Channel
+from momentshift.channels import Channel, tensor_power
 from momentshift.estimator import EstimationRun
-from momentshift.moments import cyclic_shift_index
+from momentshift.moments import cyclic_shift_index, moment_observable
 from momentshift.operators import Operator, check_memory, partial_trace
 from momentshift.protocols import CycleMap, _gram, _transfer_matrix, q_matrices
+from momentshift.sdp.problem import BlockVar, Constraint, ConstraintTerm, ScalarVar, SdpProblem
+from momentshift.sdp.programs import _kron_identity_right, _negated, _noise_pushforward
 
 
 def cyclic_permutation(k: int, d: int = 2) -> Operator:
@@ -93,3 +95,37 @@ def recovery_map(k: int, l: int, d: int = 2) -> CycleMap:
     for s in range(k - 1, l, -1):
         a = _transfer_matrix(q_matrices(s)[0], s, d) @ _gram(s, d) @ a
     return _to_copy_cycle(k, l, d, a)
+
+
+def dual_fmin(noise: Channel, k: int) -> SdpProblem:
+    """The observable-shift dual as its own program: minimize v = tr[K H_k] over
+    PSD T = M (x) I + (N^(x k)(K))^T (x) H_k with tr M + s = 1, s >= 0, tr K = 0,
+    so that -v is the dual optimum, max -tr[K H_k]."""
+    d = noise.in_dim ** k
+    h = moment_observable(k, noise.in_dim).entries
+
+    def trace(batch):
+        return np.real(np.einsum("naa->n", batch))
+
+    psd = Constraint(terms=(
+        ConstraintTerm("T", block_map=lambda batch: batch),
+        ConstraintTerm("M", block_map=_negated(_kron_identity_right(d))),
+        ConstraintTerm("K", block_map=_negated(_noise_pushforward(tensor_power(noise, k).kraus,
+                                                                  h, d)))),
+        target=np.zeros((d * d, d * d)), name="dual_psd")
+    return SdpProblem(
+        blocks=[BlockVar("M", d, psd=False), BlockVar("K", d, psd=False),
+                BlockVar("T", d * d, psd=True)],
+        scalars=[ScalarVar("s", lower=0.0), ScalarVar("v")],
+        objective={"v": 1.0},
+        constraints=[psd,
+                     Constraint(terms=(ConstraintTerm("M", block_map=trace),
+                                       ConstraintTerm("s", scalar_coeff_op=np.eye(1))),
+                                target=1.0, name="trace_M_bound"),
+                     Constraint(terms=(ConstraintTerm("K", block_map=trace),), target=0.0,
+                                name="trace_K_zero"),
+                     Constraint(terms=(ConstraintTerm("K", block_map=lambda batch: np.real(
+                                           np.einsum("nab,ba->n", batch, h))),
+                                       ConstraintTerm("v", scalar_coeff_op=-np.eye(1))),
+                                target=0.0, name="objective_value")],
+        name=f"dual_fmin[{noise.label},k={k}]")

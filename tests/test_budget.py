@@ -19,7 +19,7 @@ from momentshift.protocols import (
     de_second_moment_nqubit,
 )
 from momentshift.sdp import programs, solver
-from momentshift.sdp.programs import build_dual_fmin, build_fmin, build_gmin, build_info_recover
+from momentshift.sdp.programs import build_fmin, build_gmin, build_info_recover
 from momentshift.sdp.solver import compile_problem
 from oracles import cyclic_permutation, recovery_map, transfer_maps
 
@@ -42,7 +42,6 @@ OVER_BUDGET = {
     "recovery_map_choi": lambda: recovery_map(7, 3, 2).choi,
     "recursive_choi": lambda: de_kth_moment(0.1, 7, 2).realization.choi,
     "build_fmin": lambda: partial(build_fmin, amplitude_damping(0.1), 5),
-    "build_dual_fmin": lambda: partial(build_dual_fmin, amplitude_damping(0.1), 4),
     "build_gmin": lambda: partial(build_gmin, depolarizing(0.1, 16)),
     "build_info_recover": lambda: partial(build_info_recover,
                                           tensor_power(amplitude_damping(0.1), 5),
@@ -77,11 +76,10 @@ def test_noisy_copies_holds_the_joint_state_once():
 
 @pytest.mark.parametrize("build", [
     lambda: build_fmin(amplitude_damping(0.2), 2),
-    lambda: build_dual_fmin(amplitude_damping(0.2), 2),
     lambda: build_gmin(depolarizing(0.2, 2)),
     lambda: build_info_recover(tensor_power(amplitude_damping(0.2), 2),
                                moment_observable(2, 2)),
-], ids=["fmin", "dual_fmin", "gmin", "info_recover"])
+], ids=["fmin", "gmin", "info_recover"])
 def test_program_estimate_matches_compiled_shape(build, monkeypatch):
     declared = []
     monkeypatch.setattr(programs, "check_program_memory",

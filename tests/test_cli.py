@@ -5,12 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from momentshift.channels import amplitude_damping, depolarizing
+from momentshift.channels import Channel, amplitude_damping, depolarizing
 from momentshift.cli import build_parser, main
 from momentshift.estimator import run_protocol
 from momentshift.operators import Operator
-from momentshift.protocols import (ad_second_moment, de_second_moment, load_protocol,
-                                   protocol_to_json)
+from momentshift.protocols import (RetrievalProtocol, ad_second_moment, de_second_moment,
+                                   load_protocol, protocol_to_json, save_protocol)
 from oracles import run_to_json
 
 
@@ -223,6 +223,38 @@ class TestEstimate:
         lines = dict(l.split(": ") for l in out.strip().splitlines())
         assert float(lines["estimate"]) == pytest.approx(0.25, abs=1e-10)
 
+    @staticmethod
+    def kraus_or_choi_file(tmp_path, **realization):
+        path = tmp_path / "p.json"
+        save_protocol(RetrievalProtocol(k=2, copy_dim=2, f=1.0, t=0.0,
+                                        realization=Channel(4, 4, **realization)), path)
+        return path
+
+    def test_sampled_retriever_that_is_not_positive_refused(self, capsys, tmp_path):
+        # J = J_id + I (x) (P_sym/3 - P_anti) is trace preserving, but the noisy copies'
+        # image has a negative H_2 probability; clipped, it printed zeta_bar: 1
+        omega, swap = np.eye(4).reshape(-1), np.eye(4)[[0, 2, 1, 3]]
+        choi = np.outer(omega, omega) + np.kron(np.eye(4), (np.eye(4) + swap) / 6
+                                                - (np.eye(4) - swap) / 2)
+        path = self.kraus_or_choi_file(tmp_path, choi=Operator(choi, (4, 4)))
+        argv = ("estimate", "--protocol", str(path), "--noise", "depolarizing", "--eps", "0.1")
+        code, out, err = run_cli(capsys, *argv, "--shots", "20000")
+        assert (code, out) == (1, "")
+        assert "the retriever is not positive" in err and "(--exact)" in err
+        code, out, _ = run_cli(capsys, *argv, "--exact")
+        assert (code, out) == (0, "zeta: 2.7489986271\nestimate: 2.7489986271\n")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_weight_kraus_branch_warns_nothing(self, capsys, tmp_path):
+        # at AD eps 1 the copies are |00><00|, which the branch I - |00><00| never reaches
+        e0 = np.zeros((4, 4))
+        e0[0, 0] = 1.0
+        path = self.kraus_or_choi_file(tmp_path, kraus=[e0, np.eye(4) - e0])
+        code, out, err = run_cli(capsys, "estimate", "--protocol", str(path), "--noise",
+                                 "amplitude-damping", "--eps", "1.0", "--shots", "1000")
+        assert (code, err) == (0, "")
+        assert "zeta_bar: 1\n" in out
+
     @pytest.mark.parametrize("noise,synth,mode,realization_dim", [
         ("amplitude-damping", ["--k", "2", "--force-sdp"], ["--shots", "10"], 4),
         ("depolarizing", ["--k", "4"], ["--exact"], 16),
@@ -328,6 +360,47 @@ def test_order_or_qubits_out_of_range_is_usage_error(capsys, tmp_path, argv, fla
     assert out == "" and not path.exists()
 
 
+class TestNumericInputs:
+    """A number the computation cannot use is an ``error: ...`` line and exit 1, not a
+    traceback or a run of every iteration."""
+
+    @pytest.mark.parametrize("delta", ["1e-300", "1e-160"], ids=["square_is_0", "plan_is_inf"])
+    def test_delta_too_small_to_plan(self, capsys, tmp_path, delta):
+        path = tmp_path / "p.json"
+        save_protocol(ad_second_moment(0.2), path)
+        code, out, err = run_cli(capsys, "estimate", "--protocol", str(path), "--noise",
+                                 "amplitude-damping", "--eps", "0.2", "--delta", delta)
+        assert (code, out) == (1, "")
+        assert err == (f"error: delta={float(delta):g} at overhead f=1.5625 needs more shots "
+                       "than a float can count\n")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("f", "Infinity", "protocol field 'f' is not a finite number"),
+        ("f", "-Infinity", "protocol field 'f' is not a finite number"),
+        ("t", "NaN", "protocol field 't' is not a finite number"),
+        ("f", "1" + "0" * 400, "protocol field 'f' is not a finite number"),
+        ("f", "1e200", "delta=0.05 at overhead f=1e+200 needs more shots than a float can count"),
+    ], ids=["f_inf", "f_minus_inf", "t_nan", "f_int_past_float", "f_1e200"])
+    def test_protocol_number_out_of_range(self, capsys, tmp_path, field, value, message):
+        doc = protocol_to_json(ad_second_moment(0.2))
+        doc[field] = "VALUE"
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc).replace('"VALUE"', value))
+        code, out, err = run_cli(capsys, "estimate", "--protocol", str(path), "--noise",
+                                 "amplitude-damping", "--eps", "0.2")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("tol", ["0", "-0.5", "nan"])
+    @pytest.mark.parametrize("command", [
+        ["synthesize", "--noise", "amplitude-damping", "--eps", "0.2", "--force-sdp"],
+        ["overhead-sweep", "--noise", "amplitude-damping", "--eps-grid", "0.2"],
+    ], ids=["synthesize", "sweep"])
+    def test_tolerance_must_be_positive(self, capsys, command, tol):
+        code, out, err = run_cli(capsys, *command, "--tol", tol)
+        assert (code, out) == (1, "")
+        assert err == f"error: solver tolerance must be positive, got {float(tol)}\n"
+
+
 class TestFileErrors:
     """A file that cannot be read or written, or that lacks a field, is an
     ``error: ...`` line and exit 1, never a traceback."""
@@ -427,6 +500,23 @@ class TestFileErrors:
         code, out, err = self.estimate(capsys, path, "--state", str(state))
         assert code == 1 and out == ""
         assert err == "error: a JSON matrix is a list of rows of [real, imag] pairs\n"
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"k": 4, "copy_dim": 2, "f": 99}, "'k' = 4 and 'copy_dim' = 2 disagree with "
+                                           "data.order = 2 and data.copy_dim = 4"),
+        ({"copy_dim": -4}, "'k' = 2 and 'copy_dim' = -4 disagree with "
+                           "data.order = 2 and data.copy_dim = 4"),
+    ], ids=["k4_d2", "copy_dim_negative"])
+    def test_recursive_fields_must_match_data(self, capsys, tmp_path, edit, message):
+        # both edits keep copy_dim^k = 16, the dimension of the k = 2, d = 4 retriever
+        path = tmp_path / "p.json"
+        run_cli(capsys, "synthesize", "--noise", "depolarizing", "--eps", "0.1", "--n", "2",
+                "--out", str(path))
+        doc = json.loads(path.read_text())
+        doc.update(edit)
+        path.write_text(json.dumps(doc))
+        code, out, err = self.estimate(capsys, path, "--renyi", "4")
+        assert (code, out, err) == (1, "", f"error: protocol fields {message}\n")
 
     @staticmethod
     def document(source: str) -> dict:

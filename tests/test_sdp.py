@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from momentshift.sdp.problem import (
     SdpProblem,
 )
 from momentshift.sdp.programs import (
-    build_dual_fmin,
     build_fmin,
     build_gmin,
     build_info_recover,
@@ -40,7 +40,7 @@ from momentshift.sdp.programs import (
 )
 from momentshift.sdp import solver
 from momentshift.sdp.solver import solve
-from oracles import identity_channel
+from oracles import dual_fmin, identity_channel
 
 H2 = moment_observable(2, 2)
 
@@ -74,12 +74,16 @@ class TestHermitianBasis:
 
 class TestSolverToy:
     def test_min_trace_density(self):
+        # the objective names scalars only: tr X is stated through t with tr X - t = 0
         p = SdpProblem(
             blocks=[BlockVar("X", 3)],
-            scalars=[],
-            objective={"X": np.eye(3)},
+            scalars=[ScalarVar("t")],
+            objective={"t": 1.0},
             constraints=[Constraint(terms=(ConstraintTerm("X", block_map=_trace_map),),
-                                    target=1.0)],
+                                    target=1.0),
+                         Constraint(terms=(ConstraintTerm("X", block_map=_trace_map),
+                                           ConstraintTerm("t", scalar_coeff_op=-np.eye(1))),
+                                    target=0.0)],
         )
         sol = solve(p)
         assert sol.status == "optimal"
@@ -90,6 +94,21 @@ class TestSolverToy:
         with pytest.raises(ValueError):
             SdpProblem(blocks=[], scalars=[ScalarVar("a")], objective={"b": 1.0},
                        constraints=[])
+
+    def test_block_objective_rejected(self):
+        with pytest.raises(ValueError, match="'X' is not a declared scalar"):
+            SdpProblem(blocks=[BlockVar("X", 2)], scalars=[], objective={"X": np.eye(2)},
+                       constraints=[])
+
+    def test_constraint_free_program_is_optimal(self):
+        # no equality rows: the affine projection is the identity through the SVD path
+        p = SdpProblem(blocks=[BlockVar("X", 2)], scalars=[ScalarVar("x", lower=0.5)],
+                       objective={"x": 1.0}, constraints=[])
+        sol = solve(p)
+        assert (sol.status, sol.diagnostics["rows"]) == ("optimal", 0)
+        assert abs(sol.objective_value - 0.5) < 1e-9
+        assert abs(sol.diagnostics["dual_objective"] - 0.5) < 1e-9
+        assert sol.block("X").min_eigenvalue() > -1e-12
 
     def test_determinism(self):
         p1 = solve(build_fmin(depolarizing(0.1, 2), 2))
@@ -169,10 +188,28 @@ class TestDuality:
         (amplitude_damping, 0.1), (amplitude_damping, 0.2),
     ])
     def test_gap(self, mk, eps):
+        # the dual optimum max -tr[K H_2] is -v of the separately solved oracle program
         primal = solve(build_fmin(mk(eps), 2))
-        dual = solve(build_dual_fmin(mk(eps), 2))
+        dual = solve(dual_fmin(mk(eps), 2))
         assert primal.status == dual.status == "optimal"
-        assert abs(primal.objective_value - dual.objective_value) < 1e-4
+        assert abs(primal.objective_value + dual.objective_value) < 1e-4
+        assert abs(primal.objective_value - primal.diagnostics["dual_objective"]) <= 1e-6
+
+    @pytest.mark.parametrize("build", [
+        *(partial(build_fmin, mk(eps), 2) for mk in (lambda e: depolarizing(e, 2),
+                                                     amplitude_damping)
+          for eps in (0.05, 0.1, 0.2, 0.3)),
+        partial(build_fmin, amplitude_damping(0.2), 3),
+        partial(build_fmin, depolarizing(0.1, 2), 3),
+        partial(build_gmin, amplitude_damping(0.2)),
+        partial(build_info_recover, tensor_power(amplitude_damping(0.2), 3),
+                moment_observable(3, 2)),
+    ], ids=[*(f"{n}{e}_k2" for n in ("DE", "AD") for e in (0.05, 0.1, 0.2, 0.3)),
+            "AD0.2_k3", "DE0.1_k3", "gmin_AD0.2", "recover_AD0.2_k3"])
+    def test_dual_objective_read_off_the_solve(self, build):
+        sol = solve(build())
+        assert sol.status == "optimal"
+        assert abs(sol.objective_value - sol.diagnostics["dual_objective"]) <= 1e-6
 
     def test_simplified_coupling_matches_literal(self):
         # the dual builder contracts tr_A[(K^T x I x H)(J^TB x I)] to
