@@ -169,15 +169,14 @@ def is_invertible(c: Channel) -> bool:
     return matrix_rank(channel_matrix(c)) == c.in_dim ** 2
 
 
-def _weyl_operators(d: int) -> list[np.ndarray]:
-    """Shift/clock unitary basis; reduces to Paulis (up to phase) at d = 2."""
-    omega = np.exp(2j * np.pi / d)
-    shift = np.zeros((d, d), dtype=complex)
-    for x in range(d):
-        shift[(x + 1) % d, x] = 1.0
-    clock = np.diag([omega ** x for x in range(d)])
-    return [np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
-            for a in range(d) for b in range(d)]
+def _weyl_operators(d: int) -> np.ndarray:
+    """Shift/clock unitaries X^a Z^b, index a d + b, by index arithmetic:
+    X^a Z^b |x> = w^(bx) |x + a>, w = exp(2 pi i/d).  The Paulis (up to phase) at d = 2."""
+    x = np.arange(d)
+    a, b = x[:, None, None], x[None, :, None]
+    out = np.zeros((d, d, d, d), dtype=complex)
+    out[a, b, (x + a) % d, x] = np.exp(2j * np.pi / d) ** (b * x)
+    return out.reshape(d * d, d, d)
 
 
 def depolarizing(eps: float, d: int = 2) -> Channel:

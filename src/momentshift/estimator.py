@@ -34,6 +34,12 @@ distribution whose probabilities are all 0, or an H_k probability below
 ``hubbard.fig4_experiment``, builds the distribution once and reads every
 trial's ``zeta_bar`` off ``_run_means``.
 
+A run keeps only its outcome counts, a sufficient statistic of ``zeta_bar``:
+each block of shots is tallied (its words at or above each threshold, or a
+``bincount`` per Kraus branch and outcome) and dropped, so any shot count
+needs one block of memory.  The JSON and CSV records rebuild every shot from
+the seed, a block at a time.
+
 Per-shot outcomes are eigenvalues of the moment observable or stored
 per-outcome values, all in [-1, 1], which fixes the range constant in the
 Hoeffding plan.
@@ -51,7 +57,7 @@ import numpy as np
 
 from .channels import Channel, noisy_copies
 from .moments import cycle_traces
-from .operators import Operator, check_memory
+from .operators import Operator
 from .protocols import SAMPLING_TP_TOL, MeasurePrepare, RetrievalProtocol, is_trace_preserving
 
 _MASK = 2 ** 64 - 1
@@ -151,22 +157,29 @@ def plan_shots(delta: float, fail_prob: float, f: float) -> SamplingPlan:
 
 @dataclass(frozen=True)
 class EstimationRun:
+    """A run's outcome counts and what it drew them with; no per-shot array is kept,
+    the record writers rebuild each shot from ``seed`` and ``thresholds``."""
     seed: int
     shots: int
-    per_shot: np.ndarray         # outcome values, each in [-1, 1]
-    outcome_indices: np.ndarray  # Kraus, measurement or H-eigenvalue index per shot
+    counts: np.ndarray           # shots per outcome, or per (branch, outcome) of a Kraus run
+    values: np.ndarray           # outcome values, each in [-1, 1]
+    thresholds: tuple            # per uniform a shot draws: outcome, or branch then outcome rows
     zeta_bar: float
     estimate: float              # f * zeta_bar - t
     protocol_ref: str
 
 
-def _finish_run(p: RetrievalProtocol, seed: int, values: np.ndarray,
-                indices: np.ndarray) -> EstimationRun:
-    zeta_bar = float(values.mean())
-    return EstimationRun(seed=seed, shots=values.size, per_shot=values,
-                         outcome_indices=indices, zeta_bar=zeta_bar,
-                         estimate=p.f * zeta_bar - p.t,
-                         protocol_ref=p.label or p.kind)
+def _zeta_bar(counts: np.ndarray, values: np.ndarray, shots: int) -> np.ndarray:
+    """Mean outcome value of each run from its outcome counts (the last axis)."""
+    return (counts * values).sum(-1) / shots
+
+
+def _finish_run(p: RetrievalProtocol, seed: int, shots: int, counts: np.ndarray,
+                values: np.ndarray, thresholds: tuple) -> EstimationRun:
+    zeta_bar = float(_zeta_bar(counts.reshape(-1, values.size).sum(0), values, shots))
+    return EstimationRun(seed=seed, shots=shots, counts=counts, values=values,
+                         thresholds=thresholds, zeta_bar=zeta_bar,
+                         estimate=p.f * zeta_bar - p.t, protocol_ref=p.label or p.kind)
 
 
 def _noisy_state(p: RetrievalProtocol, rho: Operator, noise: Channel) -> Operator:
@@ -204,9 +217,13 @@ def _h_distribution(traces: np.ndarray, k: int) -> np.ndarray:
     if probs.min() < -SAMPLING_TP_TOL:  # the retriever's output is no state
         raise ValueError(f"H_{k} outcome probability {probs.min():.3g} < 0: the retriever is "
                          "not positive, so it cannot be sampled; evaluate it exactly (--exact)")
-    probs = np.clip(probs, 0.0, None)
-    total = probs.sum(axis=-1, keepdims=True)
-    return probs / np.where(total > 0, total, np.nan)  # 0 / NaN is NaN, with no 0/0 warning
+    return _normalized(np.clip(probs, 0.0, None))
+
+
+def _normalized(weights: np.ndarray) -> np.ndarray:
+    """Each row of weights over its sum; a row whose weights are all 0 is NaN."""
+    total = weights.sum(axis=-1, keepdims=True)
+    return weights / np.where(total > 0, total, np.nan)  # 0 / NaN is NaN, with no 0/0 warning
 
 
 def _thresholds(cumulative: np.ndarray) -> np.ndarray:
@@ -234,49 +251,64 @@ def _is_measurement(r) -> bool:
     return isinstance(r, MeasurePrepare) and r.values is not None
 
 
+def _tally(thresholds: np.ndarray, shots: int, seeds):
+    """Yield ``(r, counts)`` once a block ends runs r, r + 1, ...: their shots per outcome,
+    a row each, in a reused buffer.  Each block's words are counted, then dropped."""
+    tally = np.empty((min(len(seeds), max(1, _BLOCK // shots)), len(thresholds) + 1), np.int64)
+    for r, cs, (w,) in _word_blocks(seeds, shots, 1):
+        counts = tally[:len(w)]
+        if cs.start == 0:
+            counts[:, 0], counts[:, 1:] = shots, 0
+        for n, t in enumerate(thresholds, 1):  # column n: words at or above the n-th threshold
+            counts[:, n] += np.count_nonzero(w >= t, axis=1 if len(w) > 1 else None)
+        if cs.stop == shots:
+            counts[:, :-1] -= counts[:, 1:]  # thresholds ascend: a difference counts an outcome
+            yield r, counts
+
+
+def _shot_blocks(thresholds: tuple, shots: int, seed: int):
+    """Yield ``(cs, recorded, outcome)`` index arrays of one run's shots ``cs``, a block at a
+    time, rebuilt from its seed; ``recorded`` is a Kraus run's branch, else the outcome."""
+    idx = np.empty((len(thresholds), 1, min(shots, _BLOCK)), dtype=np.intp)
+    for _, cs, words in _word_blocks([seed], shots, len(thresholds)):
+        out = idx[..., :cs.stop - cs.start]
+        _outcome_index(words[0], thresholds[0], out[0])
+        if len(words) > 1:  # a Kraus run: the outcome row of each shot's branch
+            _outcome_index(words[1], thresholds[1][:, out[0]], out[1])
+        yield cs, out[0, 0], out[-1, 0]
+
+
 def _draw(p: RetrievalProtocol, values: np.ndarray, thresholds: np.ndarray,
           shots: int, seed: int) -> EstimationRun:
     """One run of ``shots`` draws from a fixed outcome distribution."""
-    check_memory(16 * shots, f"{shots} shots")  # outcome indices and values
-    outcome = np.empty((1, shots), dtype=np.intp)
-    for _, cs, (w,) in _word_blocks([seed], shots, 1):
-        _outcome_index(w, thresholds, outcome[:, cs])
-    return _finish_run(p, seed, values[outcome[0]], outcome[0])
+    (_, counts), = _tally(thresholds, shots, [seed])
+    return _finish_run(p, seed, shots, counts[0], values, (thresholds,))
 
 
 def _run_means(values: np.ndarray, thresholds: np.ndarray, shots: int, seeds) -> np.ndarray:
     """``zeta_bar`` of one ``shots``-shot run per seed, bit-equal to ``_draw``'s."""
     zeta = np.empty(len(seeds))
-    outcome = np.empty((max(1, _BLOCK // shots), shots), dtype=np.intp)
-    per_shot = np.empty(outcome.shape)
-    for r, cs, (w,) in _word_blocks(seeds, shots, 1):
-        nr = len(w)
-        _outcome_index(w, thresholds, outcome[:nr, cs])
-        if cs.stop == shots:  # the block ends runs r .. r + nr - 1
-            # indices are in range; take's default mode "raise" copies through a buffer
-            np.take(values, outcome[:nr], out=per_shot[:nr], mode="clip")
-            zeta[r:r + nr] = per_shot[:nr].mean(axis=1)
+    for r, counts in _tally(thresholds, shots, seeds):
+        zeta[r:r + len(counts)] = _zeta_bar(counts, values, shots)
     return zeta
 
 
 def run_mixed_unitary(p: RetrievalProtocol, rho: Operator, noise: Channel,
                       shots: int, seed: int) -> EstimationRun:
     """Sample a Kraus operator per shot, then an H-eigenvalue by Born probabilities."""
-    check_memory(24 * shots, f"{shots} shots")  # Kraus and outcome indices, values
     r = p.realization
     if not _is_kraus(r):
         raise TypeError("protocol realization is not a Kraus-form channel")
     sigma = _noisy_state(p, rho, noise).entries
     values = _h_spectrum(p.k)[0]
     traces = cycle_traces(np.stack([e @ sigma @ e.conj().T for e in r.kraus]), p.k, p.copy_dim)
-    weights = traces[:, 0].real  # tr[S_k^0 X] = tr X
-    branch = _thresholds(np.cumsum(weights / weights.sum()))
     # a branch of weight 0, never drawn, has a NaN row: no word reaches 1, so outcome 0
     rows = _thresholds(np.nan_to_num(np.cumsum(_h_distribution(traces, p.k), axis=1), nan=1.0))
-    j, outcome = np.empty((2, 1, shots), dtype=np.intp)
-    for _, cs, (w1, w2) in _word_blocks([seed], shots, 2):
-        _outcome_index(w2, rows[:, _outcome_index(w1, branch, j[:, cs])], outcome[:, cs])
-    return _finish_run(p, seed, values[outcome[0]], j[0])
+    thresholds = (_thresholds(np.cumsum(_normalized(traces[:, 0].real))), rows)  # weight tr X
+    counts = np.zeros(len(r.kraus) * values.size, dtype=np.int64)
+    for _, j, outcome in _shot_blocks(thresholds, shots, seed):
+        counts += np.bincount(j * values.size + outcome, minlength=counts.size)
+    return _finish_run(p, seed, shots, counts.reshape(-1, values.size), values, thresholds)
 
 
 def _measurement_distribution(p: RetrievalProtocol, rho: Operator,
@@ -287,7 +319,7 @@ def _measurement_distribution(p: RetrievalProtocol, rho: Operator,
         raise TypeError("protocol realization is not a projective measurement")
     sigma = _noisy_state(p, rho, noise).entries
     probs = np.clip(r.outcome_probabilities(sigma), 0.0, None)
-    return np.asarray(r.values, dtype=float), _thresholds(np.cumsum(probs / probs.sum()))
+    return np.asarray(r.values, dtype=float), _thresholds(np.cumsum(_normalized(probs)))
 
 
 def run_measurement_based(p: RetrievalProtocol, rho: Operator, noise: Channel,
@@ -332,22 +364,27 @@ def renyi_entropy(moment_value: float, alpha: int) -> float:
 
 
 def run_to_csv(run: EstimationRun, path) -> None:
+    """The run as CSV, one row per shot, rebuilt and written a block at a time."""
+    table = np.array([f"{v:.12g}" for v in run.values], dtype=object)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["shot_index", "outcome_index", "value"])
-        for i, (idx, val) in enumerate(zip(run.outcome_indices, run.per_shot)):
-            w.writerow([i, int(idx), f"{val:.12g}"])
+        for cs, recorded, outcome in _shot_blocks(run.thresholds, run.shots, run.seed):
+            w.writerows(zip(range(cs.start, cs.stop), recorded.tolist(), table[outcome]))
 
 
 def save_run(run: EstimationRun, path) -> None:
-    """The run as one JSON object, its per-shot lists written ``_BLOCK`` shots at a time."""
+    """The run as one JSON object, its per-shot lists rebuilt and written a block at a time."""
     head = {"schema_version": 1, "seed": run.seed, "shots": run.shots, "zeta_bar": run.zeta_bar,
             "estimate": run.estimate, "protocol_ref": run.protocol_ref}
+    tables = (("per_shot", 2, map(repr, run.values.tolist())),
+              ("outcome_indices", 1, map(str, range(len(run.thresholds[0]) + 1))))
     with open(path, "w") as fh:
         fh.write(json.dumps(head)[:-1])  # without its closing brace
-        for name, a in (("per_shot", run.per_shot), ("outcome_indices", run.outcome_indices)):
+        for name, pick, strings in tables:
+            table = np.array(list(strings), dtype=object)
             fh.write(f', "{name}": [')
-            for i in range(0, a.size, _BLOCK):
-                fh.write((", " if i else "") + ", ".join(map(repr, a[i:i + _BLOCK].tolist())))
+            for block in _shot_blocks(run.thresholds, run.shots, run.seed):
+                fh.write((", " if block[0].start else "") + ", ".join(table[block[pick]]))
             fh.write("]")
         fh.write("}")

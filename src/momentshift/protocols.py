@@ -40,7 +40,7 @@ import json
 import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from math import comb
+from math import comb, isclose
 from typing import Callable, Sequence
 
 import numpy as np
@@ -506,19 +506,20 @@ def _field(doc: dict, name: str, kind: type = int):
 
 def protocol_from_json(doc: dict) -> RetrievalProtocol:
     """The protocol a file describes, refused if it is not a JSON object, lacks a
-    field or a number, or does not act on k copies of copy_dim."""
+    field or a number, does not act on k copies of copy_dim, or stores an f or t
+    more than 1e-12 relative from the one a recursive file's data builds."""
     if not isinstance(doc, dict) or not isinstance(doc.get("data", {}), dict):
         raise ValueError("protocol file or its 'data' is not a JSON object")
     if doc.get("schema_version") != PROTOCOL_SCHEMA_VERSION:
         raise ValueError(f"unsupported protocol schema {doc.get('schema_version')}")
     try:
         data, k = doc["data"], _field(doc, "k")
+        f, t = _field(doc, "f", float), _field(doc, "t", float)
         if doc["kind"] == "recursive":  # de_kth_moment refuses a bad data.copy_dim
             p = de_kth_moment(_field(data, "eps", float), _field(data, "order"),
                               data["copy_dim"])
         else:
-            p = RetrievalProtocol(k=k, copy_dim=_field(doc, "copy_dim"),
-                                  f=_field(doc, "f", float), t=_field(doc, "t", float),
+            p = RetrievalProtocol(k=k, copy_dim=_field(doc, "copy_dim"), f=f, t=t,
                                   label=doc.get("label", ""),
                                   realization=_realization_from_json(doc["kind"], data))
         r, copy_dim = p.realization, _field(doc, "copy_dim")
@@ -531,6 +532,10 @@ def protocol_from_json(doc: dict) -> RetrievalProtocol:
     if (k, copy_dim) != (p.k, p.copy_dim):  # a recursive file's data builds the retriever
         raise ValueError(f"protocol fields 'k' = {k} and 'copy_dim' = {copy_dim} disagree "
                          f"with data.order = {p.k} and data.copy_dim = {p.copy_dim}")
+    for name, stored in (("f", f), ("t", t)):  # and its overhead and shift
+        if not isclose(stored, getattr(p, name), rel_tol=1e-12):
+            raise ValueError(f"protocol field {name!r} = {stored!r} differs from "
+                             f"{getattr(p, name)!r}, the value its data builds")
     return p
 
 

@@ -2,22 +2,26 @@
 
 The package builds H_k from an index permutation, composes channels through
 ``link_product``, keeps the transfer and recovery maps as the coefficient
-matrices of the recursion, streams its run records and reads the dual objective
+matrices of the recursion, tallies its shots and rebuilds their records from the
+seed, builds the Weyl basis by index arithmetic and reads the dual objective
 off the primal solve; these are the literal objects those forms replace.
 """
 
+import csv
+import io
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from momentshift.channels import Channel, tensor_power
-from momentshift.estimator import EstimationRun
-from momentshift.moments import cyclic_shift_index, moment_observable
+from momentshift.estimator import EstimationRun, _h_distribution, _h_spectrum, shot_uniforms
+from momentshift.moments import cycle_traces, cyclic_shift_index, moment_observable
 from momentshift.operators import Operator, check_memory, partial_trace
-from momentshift.protocols import CycleMap, _gram, _transfer_matrix, q_matrices
+from momentshift.protocols import CycleMap, MeasurePrepare, _gram, _transfer_matrix, q_matrices
 from momentshift.sdp.problem import BlockVar, Constraint, ConstraintTerm, ScalarVar, SdpProblem
 from momentshift.sdp.programs import _kron_identity_right, _negated, _noise_pushforward
+from conftest import noisy_copies
 
 
 def cyclic_permutation(k: int, d: int = 2) -> Operator:
@@ -30,12 +34,71 @@ def cyclic_permutation(k: int, d: int = 2) -> Operator:
     return Operator(s, (d,) * k)
 
 
-def run_to_json(run: EstimationRun) -> dict:
-    """The run record as one dict; ``estimator.save_run`` writes its ``json.dumps``."""
+def searchsorted_index(cumulative, u):
+    return np.searchsorted(cumulative, u, side="right").clip(0, cumulative.size - 1)
+
+
+def _reference_draw(cumulative, u):
+    """Outcome per shot from the uniforms, row by row of a per-shot cumulative table."""
+    if cumulative.ndim == 1:
+        return searchsorted_index(cumulative, u)
+    out = np.empty(u.size, dtype=np.intp)
+    for row in np.unique(cumulative, axis=0):
+        mine = (cumulative == row).all(axis=1)
+        out[mine] = searchsorted_index(row, u[mine])
+    return out
+
+
+def reference_run(p, rho, noise, shots, seed):
+    """Per-shot values, recorded indices (a Kraus run's branch, else the outcome) and
+    outcomes of a sampled run, from whole arrays of shot_uniforms and searchsorted."""
+    sigma = noisy_copies(rho, noise, p.k).entries
+    values = _h_spectrum(p.k)[0]
+    r = p.realization
+    if isinstance(r, Channel) and r.kraus is not None:
+        traces = cycle_traces(np.stack([e @ sigma @ e.conj().T for e in r.kraus]), p.k, p.copy_dim)
+        weights = traces[:, 0].real
+        u = shot_uniforms(seed, shots, 2)
+        j = _reference_draw(np.cumsum(weights / weights.sum()), u[:, 0])
+        idx = _reference_draw(np.cumsum(_h_distribution(traces, p.k), axis=1)[j], u[:, 1])
+        return values[idx], j, idx
+    if isinstance(r, MeasurePrepare) and r.values is not None:
+        probs = np.clip(r.outcome_probabilities(sigma), 0.0, None)
+        cumulative, values = np.cumsum(probs / probs.sum()), np.asarray(r.values, dtype=float)
+    else:
+        cumulative = np.cumsum(_h_distribution(cycle_traces(r.apply(sigma), p.k, p.copy_dim), p.k))
+    idx = _reference_draw(cumulative, shot_uniforms(seed, shots, 1)[:, 0])
+    return values[idx], idx, idx
+
+
+def run_to_json(run: EstimationRun, per_shot, indices) -> dict:
+    """The run record as one dict, with whole per-shot lists; ``estimator.save_run``
+    writes its ``json.dumps``."""
     return {"schema_version": 1, "seed": run.seed, "shots": run.shots,
             "zeta_bar": run.zeta_bar, "estimate": run.estimate, "protocol_ref": run.protocol_ref,
-            "per_shot": [float(x) for x in run.per_shot],
-            "outcome_indices": [int(i) for i in run.outcome_indices]}
+            "per_shot": [float(x) for x in per_shot],
+            "outcome_indices": [int(i) for i in indices]}
+
+
+def run_csv_text(per_shot, indices) -> str:
+    """The CSV record, one ``csv.writer`` row per shot; ``estimator.run_to_csv`` writes it."""
+    out = io.StringIO(newline="")
+    w = csv.writer(out)
+    w.writerow(["shot_index", "outcome_index", "value"])
+    for i, (idx, val) in enumerate(zip(indices, per_shot)):
+        w.writerow([i, int(idx), f"{val:.12g}"])
+    return out.getvalue()
+
+
+def weyl_operators(d: int) -> list[np.ndarray]:
+    """Shift/clock unitaries X^a Z^b, a, b = 0 .. d-1, as products of matrix powers."""
+    omega = np.exp(2j * np.pi / d)
+    shift = np.zeros((d, d), dtype=complex)
+    for x in range(d):
+        shift[(x + 1) % d, x] = 1.0
+    clock = np.diag([omega ** x for x in range(d)])
+    return [np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
+            for a in range(d) for b in range(d)]
 
 
 def identity_channel(d: int) -> Channel:

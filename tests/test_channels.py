@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from momentshift.channels import (
     Channel,
+    _weyl_operators,
     amplitude_damping,
     apply,
     channel_from_json,
@@ -26,7 +27,7 @@ from momentshift.operators import (
     tensor_product,
 )
 from conftest import noisy_copies as oracle_noisy_copies
-from oracles import compose, identity_channel, is_cptp
+from oracles import compose, identity_channel, is_cptp, weyl_operators
 
 
 class TestDepolarizing:
@@ -57,6 +58,16 @@ class TestDepolarizing:
         out = apply(c, rho)
         assert_allclose(out.entries, (1 - eps) * rho.entries + eps * np.eye(d) / d,
                         atol=1e-12)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_weyl_basis_matches_matrix_powers(d):
+    # index arithmetic against the products of shift and clock matrix powers; the
+    # qubit and two-qubit bases, which every depolarizing run builds, bit for bit
+    got, want = _weyl_operators(d), np.array(weyl_operators(d))
+    assert_allclose(got, want, rtol=0, atol=1e-14)
+    if d in (2, 4):
+        assert np.array_equal(got, want)
 
 
 class TestAmplitudeDamping:

@@ -14,6 +14,7 @@ from momentshift.estimator import (
     _h_spectrum,
     _outcome_index,
     _run_means,
+    _shot_blocks,
     _thresholds,
     _word_blocks,
     derive_seed,
@@ -39,7 +40,7 @@ from momentshift.protocols import (
     identity_protocol,
 )
 from conftest import noisy_copies
-from oracles import run_to_json
+from oracles import reference_run, run_csv_text, run_to_json, searchsorted_index
 
 
 class TestPlanShots:
@@ -120,10 +121,6 @@ class TestStreams:
             [0.07517679596274518, 0.8207499569688473]]
 
 
-def _searchsorted_index(cumulative, u):
-    return np.searchsorted(cumulative, u, side="right").clip(0, cumulative.size - 1)
-
-
 def _on_grid(x):
     """x rounded down to a multiple of 2^-53, the values a drawn uniform takes."""
     return np.floor(np.asarray(x) * 2.0 ** 53) * 2.0 ** -53
@@ -153,48 +150,28 @@ def test_sample_categorical_matches_searchsorted(n):
                      "above the last": np.array([below[-1], 0.95, 0.999])}
             for name, u in cases.items():
                 got = _pick(entries, u)
-                assert np.array_equal(got, _searchsorted_index(entries, u)), (scale, name)
+                assert np.array_equal(got, searchsorted_index(entries, u)), (scale, name)
         # one row per shot: every other shot reads ``cum``, the rest a row of their own
         u = rng.random(1000)
         rows = _on_grid(np.cumsum(rng.dirichlet(np.ones(n), size=u.size), axis=1) * scale)
         rows[::2] = cum
         u[1::4] = rows[1::4, 0]   # on an entry of the shot's own row
-        want = [_searchsorted_index(row, x) for row, x in zip(rows, u)]
+        want = [searchsorted_index(row, x) for row, x in zip(rows, u)]
         assert np.array_equal(_pick(rows, u), want), scale
 
 
-def _reference_draw(cumulative, u):
-    """Outcome per shot from the uniforms, row by row of a per-shot cumulative table."""
-    if cumulative.ndim == 1:
-        return _searchsorted_index(cumulative, u)
-    out = np.empty(u.size, dtype=np.intp)
-    for row in np.unique(cumulative, axis=0):
-        mine = (cumulative == row).all(axis=1)
-        out[mine] = _searchsorted_index(row, u[mine])
-    return out
+def _rebuilt(run):
+    """The run's per-shot values and recorded indices, rebuilt whole from its seed."""
+    blocks = [(run.values[o], j.copy()) for _, j, o in _shot_blocks(run.thresholds, run.shots,
+                                                                     run.seed)]
+    return tuple(np.concatenate(a) for a in zip(*blocks))
 
 
-def _reference_run(kind, p, rho, noise, shots, seed):
-    """per_shot and outcome_indices from shot_uniforms and searchsorted(side="right")."""
-    sigma = noisy_copies(rho, noise, p.k).entries
-    values = _h_spectrum(p.k)[0]
-    if kind == "measurement":
-        probs = np.clip(p.realization.outcome_probabilities(sigma), 0.0, None)
-        idx = _reference_draw(np.cumsum(probs / probs.sum()), shot_uniforms(seed, shots, 1)[:, 0])
-        return np.asarray(p.realization.values)[idx], idx
-    if kind == "choi":
-        traces = cycle_traces(p.realization.apply(sigma), p.k, p.copy_dim)
-        idx = _reference_draw(np.cumsum(_h_distribution(traces, p.k)),
-                              shot_uniforms(seed, shots, 1)[:, 0])
-        return values[idx], idx
-    traces = cycle_traces(np.stack([e @ sigma @ e.conj().T for e in p.realization.kraus]),
-                          p.k, p.copy_dim)
-    weights = traces[:, 0].real
-    u = shot_uniforms(seed, shots, 2)
-    j = _reference_draw(np.cumsum(weights / weights.sum()), u[:, 0])
-    rows = np.cumsum(_h_distribution(traces, p.k), axis=1)
-    idx = _reference_draw(rows[j], u[:, 1])
-    return values[idx], j
+def _reference_counts(run, recorded, outcome):
+    """The run's counts as the bincount of reference outcomes, per branch for a Kraus run."""
+    m = run.values.size
+    key = recorded * m + outcome if run.counts.ndim == 2 else outcome
+    return np.bincount(key, minlength=run.counts.size).reshape(run.counts.shape)
 
 
 BLOCK_SHOTS = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]
@@ -213,10 +190,31 @@ def test_blocked_runs_match_reference_draws(kind, shots):
     run, p, noise = KERNEL_CASES[kind]
     rho = random_density_matrix(2, 4)
     got = run(p, rho, noise, shots, seed=-17)
-    per_shot, indices = _reference_run(kind, p, rho, noise, shots, seed=-17)
+    per_shot, indices, outcome = reference_run(p, rho, noise, shots, seed=-17)
     assert got.shots == shots
-    assert np.array_equal(got.per_shot, per_shot)
-    assert np.array_equal(got.outcome_indices, indices)
+    assert np.array_equal(got.counts, _reference_counts(got, indices, outcome))
+    rebuilt = _rebuilt(got)
+    assert np.array_equal(rebuilt[0], per_shot)
+    assert np.array_equal(rebuilt[1], indices)
+
+
+@pytest.mark.parametrize("kind", sorted(KERNEL_CASES))
+def test_records_rebuilt_from_seed_match_reference(kind, tmp_path):
+    # the run keeps only counts; its JSON and CSV records are rebuilt block by block
+    # from the seed and must be the bytes written from whole reference arrays
+    run, p, noise = KERNEL_CASES[kind]
+    rho, shots = random_density_matrix(2, 5), 2 * _BLOCK + 3
+    got = run(p, rho, noise, shots, seed=23)
+    per_shot, indices, outcome = reference_run(p, rho, noise, shots, seed=23)
+    assert np.array_equal(got.counts, _reference_counts(got, indices, outcome))
+    assert got.counts.sum() == shots
+    # the counts add the values in another order than the per-shot mean
+    assert abs(got.zeta_bar - per_shot.mean()) <= 8 * np.finfo(float).eps
+    save_run(got, tmp_path / "run.json")
+    assert (tmp_path / "run.json").read_text() == json.dumps(run_to_json(got, per_shot, indices))
+    run_to_csv(got, tmp_path / "run.csv")
+    with open(tmp_path / "run.csv", newline="") as fh:
+        assert fh.read() == run_csv_text(per_shot, indices)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -229,10 +227,10 @@ def test_zero_weight_branch_is_never_drawn():
                           realization=Channel(4, 4, kraus=[e0, np.eye(4) - e0]))
     rho, noise = Operator([[1, 0], [0, 0]]), depolarizing(0.0, 2)
     got = run_mixed_unitary(p, rho, noise, 500, seed=2)
-    per_shot, indices = _reference_run("mixed", p, rho, noise, 500, seed=2)
+    per_shot, indices, outcome = reference_run(p, rho, noise, 500, seed=2)
     assert np.all(indices == 0)
-    assert np.array_equal(got.per_shot, per_shot)
-    assert np.array_equal(got.outcome_indices, indices)
+    assert np.array_equal(got.counts, _reference_counts(got, indices, outcome))
+    assert np.array_equal(_rebuilt(got)[0], per_shot)
 
 
 @pytest.mark.parametrize("shots", [1, 777, _BLOCK + 3])
@@ -249,7 +247,7 @@ def test_run_means_equal_draws(shots):
 @pytest.mark.parametrize("run, p, noise", list(KERNEL_CASES.values()), ids=sorted(KERNEL_CASES))
 def test_degenerate_distribution_refused(run, p, noise):
     # every Born probability of the zero state is 0: no outcome can be drawn
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="degenerate"):
+    with pytest.raises(ValueError, match="degenerate"):
         run(p, Operator(np.zeros((2, 2))), noise, 10, seed=0)
 
 
@@ -303,14 +301,15 @@ class TestMixedUnitaryRun:
         run = run_mixed_unitary(p, Operator([[1, 0], [0, 0]]),
                                 depolarizing(0.0, 2), 10000, seed=7)
         assert abs(run.estimate - 1.0) < 0.05
-        assert np.max(np.abs(run.per_shot)) <= 1 + 1e-12
+        assert np.max(np.abs(_rebuilt(run)[0])) <= 1 + 1e-12
 
     def test_bitwise_reproducible(self):
         p = de_second_moment(0.1)
         rho = random_density_matrix(2, 0)
         a = run_mixed_unitary(p, rho, depolarizing(0.1, 2), 500, seed=3)
         b = run_mixed_unitary(p, rho, depolarizing(0.1, 2), 500, seed=3)
-        assert np.array_equal(a.per_shot, b.per_shot)
+        assert np.array_equal(a.counts, b.counts)
+        assert all(np.array_equal(x, y) for x, y in zip(_rebuilt(a), _rebuilt(b)))
         assert a.estimate == b.estimate
 
     def test_mean_converges_to_exact(self):
@@ -319,7 +318,7 @@ class TestMixedUnitaryRun:
         rho = Operator(np.eye(2) / 2)
         run = run_mixed_unitary(p, rho, noise, 100000, seed=11)
         z = exact_expectation(p, noisy_copies(rho, noise, 2))
-        se = run.per_shot.std() / np.sqrt(run.shots)
+        se = _rebuilt(run)[0].std() / np.sqrt(run.shots)
         assert abs(run.zeta_bar - z) < 5 * se
 
     def test_estimate_formula_exact_from_fields(self):
@@ -341,8 +340,9 @@ class TestMeasurementRun:
         rho = Operator([[0, 0], [0, 1]])
         run = run_measurement_based(p, rho, amplitude_damping(0.0), 2000, seed=5)
         # |11> is the only outcome; all per-shot values are 1
-        assert np.all(run.per_shot == 1.0)
-        assert np.all(run.outcome_indices == 3)
+        assert run.counts.tolist() == [0, 0, 0, 2000]
+        assert np.all(_rebuilt(run)[0] == 1.0)
+        assert np.all(_rebuilt(run)[1] == 3)
         assert run.estimate == 1.0
 
     def test_convergence(self):
@@ -352,7 +352,7 @@ class TestMeasurementRun:
         rho = random_density_matrix(2, 3)
         run = run_measurement_based(p, rho, noise, 100000, seed=8)
         z = exact_expectation(p, noisy_copies(rho, noise, 2))
-        se = run.per_shot.std() / np.sqrt(run.shots)
+        se = _rebuilt(run)[0].std() / np.sqrt(run.shots)
         assert abs(run.zeta_bar - z) < 5 * se
 
     def test_outcome_frequencies_match_born(self):
@@ -365,7 +365,7 @@ class TestMeasurementRun:
         sigma = noisy_copies(rho, noise, 2).entries
         born = p.realization.outcome_probabilities(sigma)
         for i in range(4):
-            freq = np.mean(run.outcome_indices == i)
+            freq = run.counts[i] / shots
             bound = 4 * np.sqrt(born[i] * (1 - born[i]) / shots) + 1e-9
             assert abs(freq - born[i]) < bound
 
@@ -378,7 +378,7 @@ class TestChoiRun:
         rho = random_density_matrix(4, 9)
         run = run_choi_map(p, rho, noise, 60000, seed=4)
         truth = float(np.trace(rho.entries @ rho.entries).real)
-        se = p.f * run.per_shot.std() / np.sqrt(run.shots)
+        se = p.f * _rebuilt(run)[0].std() / np.sqrt(run.shots)
         assert abs(run.estimate - truth) < 5 * se
 
     def test_dispatcher(self):
@@ -446,7 +446,7 @@ def test_run_serialization(tmp_path):
     p = ad_second_moment(0.2)
     run = run_measurement_based(p, random_density_matrix(2, 1),
                                 amplitude_damping(0.2), 50, seed=6)
-    doc = run_to_json(run)
+    doc = run_to_json(run, *_rebuilt(run))
     assert doc["shots"] == 50
     assert len(doc["per_shot"]) == 50
     assert doc["estimate"] == run.estimate
