@@ -11,11 +11,13 @@ Conventions, pinned once and verified by round-trip tests:
 
 Channels are immutable; the Kraus -> Choi conversion is computed once on
 first request and cached (compute-then-publish, idempotent under concurrent
-access).
+access).  The depolarizing channel acts in closed form and builds its d^2
+Kraus operators the same way, on first request.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -61,8 +63,8 @@ class Channel:
             raise ValueError("Choi dimension does not match in_dim * out_dim")
 
     def __repr__(self):
-        form = "kraus" if self.kraus is not None else "choi"
-        return f"Channel({self.label or form}, {self.in_dim}->{self.out_dim})"
+        form = self.label or ("kraus" if self.kraus is not None else "choi")
+        return f"Channel({form}, {self.in_dim}->{self.out_dim})"
 
     def choi(self) -> Operator:
         """Choi matrix J = sum_ij |i><j| (x) N(|i><j|), input factor first."""
@@ -179,18 +181,41 @@ def _weyl_operators(d: int) -> np.ndarray:
     return out.reshape(d * d, d, d)
 
 
-def depolarizing(eps: float, d: int = 2) -> Channel:
+class Depolarizing(Channel):
+    """Depolarizing channel X -> (1 - eps) X + eps tr(X) I/d, applied in closed form.
+
+    The map is self-adjoint.  Its d^2 Weyl Kraus operators are built, and
+    checked against the memory budget, only when ``kraus`` is first read: by
+    ``choi``, ``channel_matrix``, ``tensor_power`` or a caller of its own.
+    """
+
+    def __init__(self, eps: float, d: int):
+        self.in_dim = self.out_dim = int(d)
+        self.eps = eps
+        self.label = f"DE(eps={eps:g},d={d})"
+        self._choi = None
+
+    @cached_property
+    def kraus(self) -> tuple[np.ndarray, ...]:
+        d, eps = self.in_dim, self.eps
+        check_memory(2 * 16 * d ** 4, f"depolarizing channel on dimension {d}")  # Kraus, Weyl
+        scale = np.sqrt(eps) / d
+        return (np.sqrt(1.0 - eps + eps / d ** 2) * np.eye(d, dtype=complex),
+                *(scale * w for w in _weyl_operators(d)[1:]))
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        out = (1.0 - self.eps) * np.asarray(x, dtype=complex)
+        out.flat[::self.in_dim + 1] += self.eps * np.trace(x) / self.in_dim
+        return out
+
+    adjoint_apply = apply
+
+
+def depolarizing(eps: float, d: int = 2) -> Depolarizing:
     """Depolarizing channel rho -> (1 - eps) rho + eps I/d."""
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"depolarizing noise level must be in [0, 1], got {eps}")
-    check_memory(2 * 16 * d ** 4, f"depolarizing channel on dimension {d}")  # Kraus, Weyl
-    kraus = []
-    w0 = np.sqrt(1.0 - eps + eps / d ** 2)
-    kraus.append(w0 * np.eye(d, dtype=complex))
-    scale = np.sqrt(eps) / d
-    for w in _weyl_operators(d)[1:]:
-        kraus.append(scale * w)
-    return Channel(d, d, kraus=kraus, label=f"DE(eps={eps:g},d={d})")
+    return Depolarizing(eps, d)
 
 
 def amplitude_damping(eps: float) -> Channel:

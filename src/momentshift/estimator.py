@@ -21,7 +21,9 @@ has its own stream layout:
   retriever for k >= 3, fails the trace-preservation gate: evaluate it exactly.
 
 H_k's outcomes cos(2 pi m/k) and their Born probabilities come from the k
-traces tr[S_k^j X] (``moments.cycle_traces``); no eigendecomposition is computed.
+traces tr[S_k^j X] (``protocols.output_traces``); no eigendecomposition of H_k
+is computed.  A copy-cycle retriever reads them off the moments of one noisy
+copy, so sampling it builds no k-copy state.
 
 The measurement and the apply-then-measure modes run in two steps.  The
 distribution step runs the sampling gates (trace preservation, the state
@@ -58,7 +60,8 @@ import numpy as np
 from .channels import Channel, noisy_copies
 from .moments import cycle_traces
 from .operators import Operator
-from .protocols import SAMPLING_TP_TOL, MeasurePrepare, RetrievalProtocol, is_trace_preserving
+from .protocols import (SAMPLING_TP_TOL, MeasurePrepare, RetrievalProtocol, is_trace_preserving,
+                        output_traces)
 
 _MASK = 2 ** 64 - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -182,13 +185,18 @@ def _finish_run(p: RetrievalProtocol, seed: int, shots: int, counts: np.ndarray,
                          estimate=p.f * zeta_bar - p.t, protocol_ref=p.label or p.kind)
 
 
-def _noisy_state(p: RetrievalProtocol, rho: Operator, noise: Channel) -> Operator:
-    """The k-copy noisy input of a sampled protocol, after the sampling gates."""
+def _check_sampleable(p: RetrievalProtocol, rho: Operator) -> None:
+    """The sampling gates: a trace-preserving retriever and a state of its copy dimension."""
     if not is_trace_preserving(p.realization):
         raise ValueError("finite-shot simulation needs a trace-preserving retriever; "
                          "evaluate this one exactly (--exact)")
     if rho.dim != p.copy_dim:
         raise ValueError(f"state dim {rho.dim} != protocol copy dim {p.copy_dim}")
+
+
+def _noisy_state(p: RetrievalProtocol, rho: Operator, noise: Channel) -> Operator:
+    """The k-copy noisy input of a sampled protocol, after the sampling gates."""
+    _check_sampleable(p, rho)
     return noisy_copies(rho, noise, p.k)
 
 
@@ -234,12 +242,20 @@ def _thresholds(cumulative: np.ndarray) -> np.ndarray:
     return np.ceil(cumulative[..., :-1].T * 2.0 ** 53).clip(0).astype(np.uint64)
 
 
-def _outcome_index(words: np.ndarray, thresholds: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _outcome_index(words: np.ndarray, thresholds: np.ndarray, out: np.ndarray,
+                   branch: np.ndarray | None = None, scratch: tuple | None = None) -> np.ndarray:
     """The comparison step: out = number of thresholds ``t`` (one, or one per word) with
-    ``words >= t``, i.e. ``searchsorted(c, words 2^-53, side="right")`` below m."""
-    out[...] = words >= thresholds[0] if len(thresholds) else 0
-    for t in thresholds[1:]:
-        out += words >= t
+    ``words >= t``, i.e. ``searchsorted(c, words 2^-53, side="right")`` below m.  With
+    ``branch``, each threshold is a row read at every word's branch index.  Each pass
+    compares into a boolean mask and adds it to ``out``, which may be ``uint8`` for at
+    most 255 thresholds; ``scratch`` holds the mask and gathered-threshold buffers."""
+    mask, per_word = scratch or (np.empty(words.shape, bool), np.empty(words.shape, np.uint64))
+    out[...] = 0
+    for t in thresholds:
+        if branch is not None:
+            t = np.take(t, branch, out=per_word, mode="clip")
+        np.greater_equal(words, t, out=mask)
+        np.add(out, mask, out=out)
     return out
 
 
@@ -269,13 +285,16 @@ def _tally(thresholds: np.ndarray, shots: int, seeds):
 def _shot_blocks(thresholds: tuple, shots: int, seed: int):
     """Yield ``(cs, recorded, outcome)`` index arrays of one run's shots ``cs``, a block at a
     time, rebuilt from its seed; ``recorded`` is a Kraus run's branch, else the outcome."""
-    idx = np.empty((len(thresholds), 1, min(shots, _BLOCK)), dtype=np.intp)
+    n = min(shots, _BLOCK)
+    idx = [np.empty((1, n), dtype=np.uint8 if len(t) <= 255 else np.intp) for t in thresholds]
+    mask, per_word = np.empty((1, n), bool), np.empty((1, n), np.uint64)
     for _, cs, words in _word_blocks([seed], shots, len(thresholds)):
-        out = idx[..., :cs.stop - cs.start]
-        _outcome_index(words[0], thresholds[0], out[0])
+        m = cs.stop - cs.start
+        out, scratch = [i[:, :m] for i in idx], (mask[:, :m], per_word[:, :m])
+        _outcome_index(words[0], thresholds[0], out[0], scratch=scratch)
         if len(words) > 1:  # a Kraus run: the outcome row of each shot's branch
-            _outcome_index(words[1], thresholds[1][:, out[0]], out[1])
-        yield cs, out[0, 0], out[-1, 0]
+            _outcome_index(words[1], thresholds[1], out[1], out[0], scratch)
+        yield cs, out[0][0], out[-1][0]
 
 
 def _draw(p: RetrievalProtocol, values: np.ndarray, thresholds: np.ndarray,
@@ -306,8 +325,11 @@ def run_mixed_unitary(p: RetrievalProtocol, rho: Operator, noise: Channel,
     rows = _thresholds(np.nan_to_num(np.cumsum(_h_distribution(traces, p.k), axis=1), nan=1.0))
     thresholds = (_thresholds(np.cumsum(_normalized(traces[:, 0].real))), rows)  # weight tr X
     counts = np.zeros(len(r.kraus) * values.size, dtype=np.int64)
-    for _, j, outcome in _shot_blocks(thresholds, shots, seed):
-        counts += np.bincount(j * values.size + outcome, minlength=counts.size)
+    key = np.empty(min(shots, _BLOCK), dtype=np.intp)
+    for cs, j, outcome in _shot_blocks(thresholds, shots, seed):
+        pair = key[:cs.stop - cs.start]
+        np.multiply(j, values.size, out=pair, dtype=np.intp)  # (branch, outcome) pairs
+        counts += np.bincount(np.add(pair, outcome, out=pair), minlength=counts.size)
     return _finish_run(p, seed, shots, counts.reshape(-1, values.size), values, thresholds)
 
 
@@ -331,8 +353,8 @@ def run_measurement_based(p: RetrievalProtocol, rho: Operator, noise: Channel,
 def _choi_distribution(p: RetrievalProtocol, rho: Operator,
                        noise: Channel) -> tuple[np.ndarray, np.ndarray]:
     """Outcomes of H_k and the thresholds of their Born probabilities after the retriever."""
-    out = p.realization.apply(_noisy_state(p, rho, noise).entries)
-    traces = cycle_traces(out, p.k, p.copy_dim)
+    _check_sampleable(p, rho)
+    traces = output_traces(p, rho, noise)
     return _h_spectrum(p.k)[0], _thresholds(np.cumsum(_h_distribution(traces, p.k)))
 
 

@@ -14,6 +14,13 @@ necklaces (equivalence classes of index strings under rotation), each named by
 its smallest string; a necklace of period p contributes eigenstates only for
 the p phase labels m with m*p = 0 mod k, and its projector terms fill only the
 p x p block of its orbit.
+
+On a product state sigma^(x k) no index table is needed: a permutation of the
+copies has trace prod over its cycles c of tr[sigma^|c|], and two permutation
+operators P, Q have tr[P Q^dag] = d^(#cycles of P Q^dag).  ``cycle_type`` and
+``cycle_counts`` tabulate those numbers per (k, labels) for the leading-copy
+cycles, and ``power_traces`` gives the moments tr[sigma^l] from one d x d
+eigendecomposition.
 """
 
 from __future__ import annotations
@@ -81,6 +88,56 @@ def leading_cycle_index(m: int, k: int, d: int = 2) -> np.ndarray:
     table = x * dim + orbits[:, x // rest] * rest + x % rest
     table.flags.writeable = False
     return table
+
+
+def _copy_permutation(m: int, b: int, k: int) -> list[int]:
+    """S_m^b (x) I on k copies as a copy order: output copy i holds input copy perm[i]."""
+    return [(i + b) % m if i < m else i for i in range(k)]
+
+
+def _cycles(perm: list[int]) -> list[int]:
+    """The length of every cycle of a permutation."""
+    seen, lengths = [False] * len(perm), []
+    for start in range(len(perm)):
+        n, i = 0, start
+        while not seen[i]:
+            seen[i], i, n = True, perm[i], n + 1
+        if n:
+            lengths.append(n)
+    return lengths
+
+
+@lru_cache(maxsize=None)
+def cycle_type(k: int, labels: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Row q counts the cycles of each length l = 1 .. k of P_q = S_m^b (x) I, (m, b) =
+    labels[q], so tr[P_q sigma^(x k)] = prod_l tr[sigma^l]^row[l - 1].  Cached; read-only."""
+    table = np.zeros((len(labels), k), dtype=np.int64)
+    for q, (m, b) in enumerate(labels):
+        for length in _cycles(_copy_permutation(m, b, k)):
+            table[q, length - 1] += 1
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
+def cycle_counts(k: int, left: tuple[tuple[int, int], ...],
+                 right: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """[a, b]: the number of cycles of P_a P_b^dag for the leading-copy cycles of labels
+    left[a] and right[b], so tr[P_a P_b^dag] = d^[a, b] on k copies of C^d; (1, 0) labels
+    the identity.  Cached; read-only."""
+    # W_p |x> = |x_p(0) ... x_p(k-1)> composes as W_p W_r^dag = W_(r^-1 o p)
+    inverse = [np.argsort(_copy_permutation(m, b, k)) for m, b in right]
+    table = np.array([[len(_cycles(inv[_copy_permutation(m, b, k)].tolist())) for inv in inverse]
+                      for m, b in left], dtype=np.int64).reshape(len(left), len(right))
+    table.flags.writeable = False
+    return table
+
+
+def power_traces(x: np.ndarray, k: int) -> np.ndarray:
+    """p_l = tr[x^l], l = 1 .. k, of the Hermitian part of a d x d matrix, from its
+    eigenvalues: the moments that every trace of a permutation on x^(x k) multiplies."""
+    eigenvalues = np.linalg.eigvalsh((x + x.conj().T) / 2)
+    return (eigenvalues[:, None] ** np.arange(1, k + 1)).sum(axis=0)
 
 
 def cycle_traces(x: np.ndarray, k: int, d: int = 2) -> np.ndarray:

@@ -144,8 +144,11 @@ def matrix_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
 
 def random_density_matrix(dim: int, seed: int, rank: int | None = None) -> Operator:
     """Random full-rank (or rank-limited) density matrix via the Ginibre map."""
-    rng = np.random.default_rng(seed)
     r = rank or dim
+    # rho and its frozen copy, the Ginibre factor and its temporaries (tracemalloc: 51 dim^2
+    # bytes at full rank, 32 dim^2 at rank 1)
+    check_memory(32 * dim * dim + 24 * dim * r, f"random density matrix of dimension {dim}")
+    rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
     rho = g @ g.conj().T
     rho /= np.trace(rho).real

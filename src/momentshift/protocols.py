@@ -24,9 +24,14 @@ Every realization is a linear map with one interface: ``in_dim``,
   :class:`CycleMap` X -> [X +] sum_pq M[p, q] tr[P_q X] P_p^dag over
   leading-copy cycles P = S_m^b (x) I, stored as a small coefficient matrix
   and applied by gathering and scattering d^k matrix entries per cycle; no
-  d^k x d^k operator is built.  It is the two-term qudit map at k = 2; it is
-  not trace preserving for k >= 3, so the trace-preservation gate of
-  finite-shot sampling refuses it and it is evaluated exactly only.
+  d^k x d^k operator is built.  On a product input N(rho)^(x k) its output
+  traces follow from the k moments of the one noisy copy and tables of cycle
+  counts (``CycleMap.product_traces``), so ``output_traces``, exact
+  evaluation and sampling build no d^k object either, and neither does its
+  trace-preservation gate (``CycleMap.unit_error``).  It is the two-term
+  qudit map at k = 2; it is not trace preserving for k >= 3, so the
+  trace-preservation gate of finite-shot sampling refuses it and it is
+  evaluated exactly only.
 
 Protocol files are written with kind ``channel``, ``measure_prepare`` or
 ``recursive``; files of the earlier kinds ``mixed_unitary``,
@@ -45,8 +50,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import Channel, channel_from_json, channel_matrix, channel_to_json
-from .moments import cycle_traces, leading_cycle_index, moment_observable
+from .channels import (Channel, apply, channel_from_json, channel_matrix, channel_to_json,
+                       noisy_copies)
+from .moments import (cycle_counts, cycle_traces, cycle_type, leading_cycle_index,
+                      moment_observable, power_traces)
 from .operators import (I2, PAULI_X, PAULI_Y, PAULI_Z, Operator, check_memory,
                         list_from_json, matrix_to_json)
 from .sdp.problem import SdpSolution
@@ -120,7 +127,8 @@ class CycleMap:
     gather-sum over d^k entries of X and each P_p^dag a scatter onto d^k
     entries (``moments.leading_cycle_index``), so applying the map costs
     O(labels * d^k) besides the output matrix.  The adjoint swaps the two
-    label sets and uses M^H.
+    label sets and uses M^H.  On a product input, ``product_traces`` needs
+    only the input's k moments and the cached cycle tables of (k, labels).
     """
 
     def __init__(self, k: int, d: int, outputs: Sequence[tuple[int, int]],
@@ -150,6 +158,29 @@ class CycleMap:
 
     def choi(self) -> Operator:
         return _dense_choi(self.apply, self.in_dim)
+
+    def product_traces(self, moments: np.ndarray) -> np.ndarray:
+        """t_j = tr[S_k^j C(sigma^(x k))], j < k, from moments[l - 1] = tr[sigma^l], l <= k.
+
+        tr[P sigma^(x k)] is the product of tr[sigma^|c|] over the cycles c of P, and
+        tr[S_k^j P_p^dag] = d^(#cycles of S_k^j P_p^dag): no d^k object is built.
+        """
+        shifts = tuple((self.k, j) for j in range(self.k))
+        traces_in = np.prod(moments ** cycle_type(self.k, self.inputs), axis=1)
+        t = float(self.d) ** cycle_counts(self.k, shifts, self.outputs) @ (self.matrix @ traces_in)
+        if self.identity:
+            t = t + np.prod(moments ** cycle_type(self.k, shifts), axis=1)
+        return t
+
+    def unit_error(self) -> float:
+        """||C^dag(I) - I||_F, read off the Gram matrix G[q, q'] = tr[P_q P_q'^dag] of
+        the terms P_q^dag of C^dag(I) and I as c^H G c, with no d^k object."""
+        unit = ((1, 0),)
+        labels = self.inputs + unit
+        c = self.matrix.conj().T @ float(self.d) ** cycle_counts(self.k, self.outputs, unit)[:, 0]
+        c = np.append(c, 0.0 if self.identity else -1.0)
+        square = (c.conj() @ float(self.d) ** cycle_counts(self.k, labels, labels) @ c).real
+        return float(np.sqrt(max(square, 0.0)))
 
 
 class Recursive(CycleMap):
@@ -184,17 +215,30 @@ class RetrievalProtocol:
 
 
 def is_trace_preserving(r: Channel | MeasurePrepare | Recursive) -> bool:
-    """Whether the realization's adjoint maps the identity to the identity."""
+    """Whether the realization's adjoint maps the identity to the identity: a copy-cycle
+    map to within SAMPLING_TP_TOL in Frobenius norm, any other in every entry."""
+    if isinstance(r, CycleMap):
+        return r.unit_error() <= SAMPLING_TP_TOL
     unit = r.adjoint_apply(np.eye(r.out_dim))
     return bool(np.max(np.abs(unit - np.eye(r.in_dim))) <= SAMPLING_TP_TOL)
 
 
-def exact_expectation(p: RetrievalProtocol, noisy_state: Operator) -> float:
-    """zeta = tr[H_k C(noisy_state)], no sampling: Re(t_1 + t_{k-1})/2 of the
-    traces t_j = tr[S_k^j C(noisy_state)] that sampling reads too."""
-    if noisy_state.dim != p.copy_dim ** p.k:
-        raise ValueError("noisy state dimension does not match protocol")
-    t = cycle_traces(p.realization.apply(noisy_state.entries), p.k, p.copy_dim)
+def output_traces(p: RetrievalProtocol, rho: Operator, noise: Channel) -> np.ndarray:
+    """t_j = tr[S_k^j C(N(rho)^(x k))], j < k, the traces that H_k's value and Born
+    probabilities read.  A copy-cycle map takes them from the k moments of the one noisy
+    copy; any other realization is applied to the k-copy joint state."""
+    if rho.dim != p.copy_dim:
+        raise ValueError(f"state dim {rho.dim} != protocol copy dim {p.copy_dim}")
+    if isinstance(p.realization, CycleMap):
+        return p.realization.product_traces(power_traces(apply(noise, rho).entries, p.k))
+    joint = noisy_copies(rho, noise, p.k).entries
+    return cycle_traces(p.realization.apply(joint), p.k, p.copy_dim)
+
+
+def exact_expectation(p: RetrievalProtocol, rho: Operator, noise: Channel) -> float:
+    """zeta = tr[H_k C(N(rho)^(x k))], no sampling: Re(t_1 + t_{k-1})/2 of the
+    traces ``output_traces`` that sampling reads too."""
+    t = output_traces(p, rho, noise)
     return float((t[1 % p.k] + t[-1]).real / 2)
 
 
@@ -360,6 +404,18 @@ def _transfer_matrix(q: np.ndarray, k: int, d: int) -> np.ndarray:
     return _dft(k - 1) @ q @ (f_k / rank[:, None]) / d
 
 
+@lru_cache(maxsize=None)
+def _stages(s: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(A(T_s) G_s, A(T~_s)): a positive transfer stage of the recursion's chain, premultiplied
+    by the Gram matrix it reads its input through, and the sign-flipped first stage.
+    Neither depends on eps, so both are built once per (s, d); read-only."""
+    q, q_tilde = q_matrices(s)
+    out = (_transfer_matrix(q, s, d) @ _gram(s, d), _transfer_matrix(q_tilde, s, d))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def _shift_table(eps: float, k: int, d: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Tables (f_2..f_k, t_2..t_k) of the recursive construction.
 
@@ -390,20 +446,23 @@ def _recursion_matrix(eps: float, k: int, d: int) -> tuple[np.ndarray, list[tupl
     R_l is the composition (T_{l+1} (x) id) o ... o (T_{k-1} (x) id) o T~_k.
     Stage T_s (x) id reads tr[S_s^a (S_s^p (x) I)] = G_s[a, p] off the previous
     stage's output, so A_l = A(T_{l+1}) G_{l+1} A_{l+1} from A_{k-1} = A(T~_k):
-    one walk down the chain gives every A_l.
+    one walk down the chain gives every A_l.  The stages are built once per
+    (s, d) and each V_l once per call.
     """
     u = {2: np.array([[1.0, -1.0 / d], [-1.0 / d, 1.0]]) / (d * d - 1)}
+    v = {}
     for kk in range(3, k + 1):
-        a = {kk - 1: _transfer_matrix(q_matrices(kk)[1], kk, d)}
+        a = {kk - 1: _stages(kk, d)[1]}
         for s in range(kk - 1, 2, -1):
-            a[s - 1] = _transfer_matrix(q_matrices(s)[0], s, d) @ _gram(s, d) @ a[s]
+            a[s - 1] = _stages(s, d)[0] @ a[s]
+        l = kk - 1
+        v[l] = u[l] @ _gram(l, d)
+        if l > 2:
+            v[l] = np.vstack([v[l], np.eye(l)])
         u[kk] = np.zeros((kk * (kk - 1) // 2 - 1, kk), dtype=complex)
         for l in range(2, kk):
-            v = u[l] @ _gram(l, d)
-            if l > 2:
-                v = np.vstack([v, np.eye(l)])
             c = comb(kk, l) * eps ** (kk - l)  # binomial weight (1-eps)^l eps^(kk-l) times f_l
-            u[kk][:len(v)] += c * v @ a[l]
+            u[kk][:len(v[l])] += c * v[l] @ a[l]
     return u[k], [(m, b) for m in range(2, max(k, 3)) for b in range(m)]
 
 

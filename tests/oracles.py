@@ -2,23 +2,27 @@
 
 The package builds H_k from an index permutation, composes channels through
 ``link_product``, keeps the transfer and recovery maps as the coefficient
-matrices of the recursion, tallies its shots and rebuilds their records from the
-seed, builds the Weyl basis by index arithmetic and reads the dual objective
-off the primal solve; these are the literal objects those forms replace.
+matrices of the recursion, builds the recursion's stages once, evaluates copy-cycle
+retrievers from the moments of one noisy copy, applies depolarizing noise in
+closed form, tallies its shots and rebuilds their records from the seed, builds
+the Weyl basis by index arithmetic and reads the dual objective off the primal
+solve; these are the literal objects those forms replace.
 """
 
 import csv
 import io
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
-from momentshift.channels import Channel, tensor_power
+from momentshift.channels import Channel, _weyl_operators, tensor_power
 from momentshift.estimator import EstimationRun, _h_distribution, _h_spectrum, shot_uniforms
 from momentshift.moments import cycle_traces, cyclic_shift_index, moment_observable
 from momentshift.operators import Operator, check_memory, partial_trace
-from momentshift.protocols import CycleMap, MeasurePrepare, _gram, _transfer_matrix, q_matrices
+from momentshift.protocols import (SAMPLING_TP_TOL, CycleMap, MeasurePrepare, _gram,
+                                  _transfer_matrix, q_matrices)
 from momentshift.sdp.problem import BlockVar, Constraint, ConstraintTerm, ScalarVar, SdpProblem
 from momentshift.sdp.programs import _kron_identity_right, _negated, _noise_pushforward
 from conftest import noisy_copies
@@ -192,3 +196,49 @@ def dual_fmin(noise: Channel, k: int) -> SdpProblem:
                                        ConstraintTerm("v", scalar_coeff_op=-np.eye(1))),
                                 target=0.0, name="objective_value")],
         name=f"dual_fmin[{noise.label},k={k}]")
+
+
+def dense_output_traces(p, noisy_state: Operator) -> np.ndarray:
+    """t_j = tr[S_k^j C(X)] of the realization applied to a whole k-copy matrix X."""
+    if noisy_state.dim != p.copy_dim ** p.k:
+        raise ValueError("noisy state dimension does not match protocol")
+    return cycle_traces(p.realization.apply(noisy_state.entries), p.k, p.copy_dim)
+
+
+def dense_exact_expectation(p, noisy_state: Operator) -> float:
+    """tr[H_k C(X)] = Re(t_1 + t_{k-1})/2 of ``dense_output_traces``."""
+    t = dense_output_traces(p, noisy_state)
+    return float((t[1 % p.k] + t[-1]).real / 2)
+
+
+def dense_is_trace_preserving(r) -> bool:
+    """Every entry of C^dag(I) - I, built as a d^k x d^k matrix, within SAMPLING_TP_TOL."""
+    unit = r.adjoint_apply(np.eye(r.out_dim))
+    return bool(np.max(np.abs(unit - np.eye(r.in_dim))) <= SAMPLING_TP_TOL)
+
+
+def weyl_depolarizing(eps: float, d: int) -> Channel:
+    """The depolarizing channel as its d^2 Weyl Kraus operators, sqrt(1 - eps + eps/d^2) I
+    and sqrt(eps)/d X^a Z^b otherwise."""
+    kraus = [np.sqrt(1.0 - eps + eps / d ** 2) * np.eye(d, dtype=complex)]
+    scale = np.sqrt(eps) / d
+    for w in _weyl_operators(d)[1:]:
+        kraus.append(scale * w)
+    return Channel(d, d, kraus=kraus, label=f"DE(eps={eps:g},d={d})")
+
+
+def recursion_matrix_per_order(eps: float, k: int, d: int):
+    """U_k and its labels, every transfer stage and V_l rebuilt for each order kk."""
+    u = {2: np.array([[1.0, -1.0 / d], [-1.0 / d, 1.0]]) / (d * d - 1)}
+    for kk in range(3, k + 1):
+        a = {kk - 1: _transfer_matrix(q_matrices(kk)[1], kk, d)}
+        for s in range(kk - 1, 2, -1):
+            a[s - 1] = _transfer_matrix(q_matrices(s)[0], s, d) @ _gram(s, d) @ a[s]
+        u[kk] = np.zeros((kk * (kk - 1) // 2 - 1, kk), dtype=complex)
+        for l in range(2, kk):
+            v = u[l] @ _gram(l, d)
+            if l > 2:
+                v = np.vstack([v, np.eye(l)])
+            c = comb(kk, l) * eps ** (kk - l)
+            u[kk][:len(v)] += c * v @ a[l]
+    return u[k], [(m, b) for m in range(2, max(k, 3)) for b in range(m)]

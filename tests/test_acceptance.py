@@ -36,7 +36,7 @@ from momentshift.sdp.programs import (
 )
 from momentshift.sdp.solver import solve
 from momentshift.estimator import renyi_entropy
-from conftest import noisy_copies, true_moment
+from conftest import true_moment
 from oracles import cyclic_permutation, transfer_maps
 
 EPS_GRID = (0.05, 0.1, 0.2, 0.3)
@@ -178,7 +178,7 @@ def test_criterion_6_exact_recovery_contract():
     for proto, noise, k in cases:
         for seed in range(100):
             rho = random_density_matrix(proto.copy_dim, seed)
-            z = exact_expectation(proto, noisy_copies(rho, noise, k))
+            z = exact_expectation(proto, rho, noise)
             worst = max(worst, abs(proto.f * z - proto.t - true_moment(rho, k)))
     wall = time.time() - t0
     _report(6, worst <= 1e-9 and wall < 60.0,

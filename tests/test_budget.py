@@ -30,12 +30,13 @@ OVER_BUDGET = {
     "tensor_power": lambda: partial(tensor_power, depolarizing(0.1, 16), 2),
     "noisy_copies": lambda: partial(noisy_copies, random_density_matrix(2, 0),
                                     depolarizing(0.1, 2), 16),
-    "depolarizing": lambda: partial(depolarizing, 0.1, 128),
+    "depolarizing": lambda: partial(getattr, depolarizing(0.1, 128), "kraus"),
     "de2_qudit_map": lambda: de_second_moment_nqubit(0.1, 7).realization.choi,
     "contract_residual": lambda: partial(contract_residual, de_kth_moment(0.1, 14, 2),
                                          depolarizing(0.1, 2)),
     "cyclic_permutation": lambda: partial(cyclic_permutation, 14, 2),
     "moment_observable": lambda: partial(moment_observable, 14, 2),
+    "random_density_matrix": lambda: partial(random_density_matrix, 2 ** 15, 0),
     "permutation_eigenprojectors": lambda: partial(permutation_eigenprojectors, 12, 2),
     "transfer_maps": lambda: transfer_maps(12, 2).forward.choi,
     "de_kth_moment": lambda: de_kth_moment(0.1, 12, 2).realization.choi,
@@ -129,8 +130,35 @@ def test_cli_estimate_n4_exact_matches_purity(capsys, tmp_path):
 
 
 def test_cli_recursive_k4_n3_exact_matches_moment(capsys, tmp_path):
-    # the recursion on four three-qubit copies builds no d^k x d^k operator besides
-    # the 4096 x 4096 state and its image
+    # the recursion on four three-qubit copies reads the moments of one noisy copy;
+    # no d^k x d^k operator is built
     rho = random_density_matrix(8, 3).entries
     moment = np.trace(np.linalg.matrix_power(rho, 4)).real
     assert abs(_cli_exact_estimate(capsys, tmp_path, 3, 4) - moment) < 1e-9
+
+
+@pytest.mark.parametrize("n, k", [(4, 4), (3, 5), (10, 2)])
+def test_cli_exact_beyond_the_joint_state(capsys, tmp_path, n, k):
+    # joint states of 64 GiB, 16 GiB and 16 TiB: each estimate reads k moments instead
+    rho = random_density_matrix(2 ** n, 3).entries
+    moment = np.trace(np.linalg.matrix_power(rho, k)).real
+    assert abs(_cli_exact_estimate(capsys, tmp_path, n, k) - moment) < 1e-9
+
+
+def test_cli_state_over_budget_refused(capsys, tmp_path):
+    # nothing of a 30-qubit retriever or its noise is dense; the state is refused first
+    path = tmp_path / "de_n30.json"
+    assert main(["synthesize", "--noise", "depolarizing", "--eps", "0.1", "--n", "30",
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(["estimate", "--protocol", str(path), "--noise", "depolarizing",
+                     "--eps", "0.1", "--n", "30", "--state", "random"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert re.search(f"a state of dimension {2 ** 30} {BUDGET_MESSAGE}", err)
+    assert peak < 16 * 2 ** 20

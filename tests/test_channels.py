@@ -27,7 +27,7 @@ from momentshift.operators import (
     tensor_product,
 )
 from conftest import noisy_copies as oracle_noisy_copies
-from oracles import compose, identity_channel, is_cptp, weyl_operators
+from oracles import compose, identity_channel, is_cptp, weyl_depolarizing, weyl_operators
 
 
 class TestDepolarizing:
@@ -58,6 +58,21 @@ class TestDepolarizing:
         out = apply(c, rho)
         assert_allclose(out.entries, (1 - eps) * rho.entries + eps * np.eye(d) / d,
                         atol=1e-12)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_closed_form_matches_weyl_kraus(d):
+    # the closed form and its adjoint against the Kraus sum; the Kraus list, built on
+    # request, is the Weyl construction bit for bit
+    eps = 0.3
+    c, ref = depolarizing(eps, d), weyl_depolarizing(eps, d)
+    rho = random_density_matrix(d, d).entries
+    obs = random_density_matrix(d, d + 10).entries
+    obs = (obs - np.trace(obs) * np.eye(d) / d) * d
+    assert_allclose(c.apply(rho), ref.apply(rho), rtol=0, atol=1e-14)
+    assert_allclose(c.adjoint_apply(obs), ref.adjoint_apply(obs), rtol=0, atol=1e-14)
+    assert len(c.kraus) == len(ref.kraus) == d * d
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(c.kraus, ref.kraus))
 
 
 @pytest.mark.parametrize("d", range(2, 9))

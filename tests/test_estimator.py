@@ -174,11 +174,22 @@ def _reference_counts(run, recorded, outcome):
     return np.bincount(key, minlength=run.counts.size).reshape(run.counts.shape)
 
 
+def _random_unitary_mixture(branches: int) -> RetrievalProtocol:
+    """A trace-preserving two-copy map of ``branches`` equal-weight random unitaries."""
+    rng = np.random.default_rng(branches)
+    us = [np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+          for _ in range(branches)]
+    return RetrievalProtocol(k=2, copy_dim=2, f=1.0, t=0.0,
+                             realization=Channel(4, 4, kraus=[u / np.sqrt(branches) for u in us]))
+
+
 BLOCK_SHOTS = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]
 KERNEL_CASES = {
     "choi": (run_choi_map, de_kth_moment(0.15, 2, 2), depolarizing(0.15, 2)),
     "measurement": (run_measurement_based, ad_second_moment(0.2), amplitude_damping(0.2)),
     "mixed": (run_mixed_unitary, de_second_moment(0.1), depolarizing(0.1, 2)),
+    # more branch thresholds than a uint8 branch index counts
+    "mixed_wide": (run_mixed_unitary, _random_unitary_mixture(300), depolarizing(0.1, 2)),
 }
 
 
@@ -317,7 +328,7 @@ class TestMixedUnitaryRun:
         noise = depolarizing(0.1, 2)
         rho = Operator(np.eye(2) / 2)
         run = run_mixed_unitary(p, rho, noise, 100000, seed=11)
-        z = exact_expectation(p, noisy_copies(rho, noise, 2))
+        z = exact_expectation(p, rho, noise)
         se = _rebuilt(run)[0].std() / np.sqrt(run.shots)
         assert abs(run.zeta_bar - z) < 5 * se
 
@@ -351,7 +362,7 @@ class TestMeasurementRun:
         noise = amplitude_damping(eps)
         rho = random_density_matrix(2, 3)
         run = run_measurement_based(p, rho, noise, 100000, seed=8)
-        z = exact_expectation(p, noisy_copies(rho, noise, 2))
+        z = exact_expectation(p, rho, noise)
         se = _rebuilt(run)[0].std() / np.sqrt(run.shots)
         assert abs(run.zeta_bar - z) < 5 * se
 

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from momentshift.channels import Channel, amplitude_damping, apply, depolarizing
+from momentshift.channels import Channel, amplitude_damping, depolarizing, noisy_copies
 from momentshift.moments import moment_observable, permutation_eigenprojectors
-from momentshift.operators import Operator, random_density_matrix, tensor_product
+from momentshift.estimator import _h_spectrum
+from momentshift.operators import Operator, random_density_matrix
 from momentshift.protocols import (
     MeasurePrepare,
     ad_second_moment,
@@ -18,10 +19,12 @@ from momentshift.protocols import (
     de_second_moment,
     de_second_moment_nqubit,
     exact_expectation,
+    _recursion_matrix,
     from_sdp_solution,
     identity_protocol,
     is_trace_preserving,
     load_protocol,
+    output_traces,
     protocol_from_json,
     protocol_to_json,
     q_matrices,
@@ -29,8 +32,10 @@ from momentshift.protocols import (
 )
 from momentshift.sdp.programs import build_fmin
 from momentshift.sdp.solver import solve
-from conftest import noisy_copies, true_moment
-from oracles import cyclic_permutation, identity_channel, recovery_map, transfer_maps
+from conftest import true_moment
+from oracles import (cyclic_permutation, dense_exact_expectation, dense_is_trace_preserving,
+                     dense_output_traces, identity_channel, recovery_map,
+                     recursion_matrix_per_order, transfer_maps, weyl_depolarizing)
 
 
 class TestTwirlProtocol:
@@ -56,7 +61,7 @@ class TestTwirlProtocol:
         p = de_second_moment(0.0)
         assert p.f == 1.0 and p.t == 0.0
         rho = random_density_matrix(2, 3)
-        z = exact_expectation(p, noisy_copies(rho, depolarizing(0.0, 2), 2))
+        z = exact_expectation(p, rho, depolarizing(0.0, 2))
         assert abs(z - true_moment(rho, 2)) < 1e-12
 
     def test_scalar_values_at_01(self):
@@ -70,7 +75,7 @@ class TestTwirlProtocol:
         noise = depolarizing(eps, 2)
         for seed in range(20):
             rho = random_density_matrix(2, seed)
-            z = exact_expectation(p, noisy_copies(rho, noise, 2))
+            z = exact_expectation(p, rho, noise)
             assert abs(p.f * z - p.t - true_moment(rho, 2)) < 1e-12
 
     def test_rejects_eps_one(self):
@@ -113,7 +118,7 @@ class TestAmplitudeDampingProtocol:
         p = ad_second_moment(0.0)
         assert p.realization.values == (1.0, 1.0, -1.0, 1.0)
         rho = random_density_matrix(2, 9, rank=1)
-        z = exact_expectation(p, noisy_copies(rho, amplitude_damping(0.0), 2))
+        z = exact_expectation(p, rho, amplitude_damping(0.0))
         assert abs(p.f * z - p.t - 1.0) < 1e-12
 
     @pytest.mark.parametrize("eps", [0.2, 0.4])
@@ -122,7 +127,7 @@ class TestAmplitudeDampingProtocol:
         noise = amplitude_damping(eps)
         for seed in range(20):
             rho = random_density_matrix(2, seed)
-            z = exact_expectation(p, noisy_copies(rho, noise, 2))
+            z = exact_expectation(p, rho, noise)
             assert abs(p.f * z - p.t - true_moment(rho, 2)) < 1e-12
 
     def test_choi_trace_preserving_cp(self):
@@ -167,7 +172,7 @@ class TestNQubitProtocol:
         noise = depolarizing(eps, d)
         for seed in range(10):
             rho = random_density_matrix(d, seed)
-            z = exact_expectation(p, noisy_copies(rho, noise, 2))
+            z = exact_expectation(p, rho, noise)
             assert abs(p.f * z - p.t - true_moment(rho, 2)) < 1e-10
 
     def test_defining_contract_n4(self):
@@ -176,8 +181,7 @@ class TestNQubitProtocol:
         noise = depolarizing(eps, d)
         for seed in range(3):
             rho = random_density_matrix(d, seed)
-            noisy = apply(noise, rho)
-            z = exact_expectation(p, tensor_product(noisy, noisy))
+            z = exact_expectation(p, rho, noise)
             assert abs(p.f * z - p.t - true_moment(rho, 2)) < 1e-10
 
     def test_cap(self):
@@ -294,7 +298,7 @@ class TestRecursiveProtocol:
         noise = depolarizing(eps, 2)
         for seed in range(8):
             rho = random_density_matrix(2, seed)
-            z = exact_expectation(p, noisy_copies(rho, noise, k))
+            z = exact_expectation(p, rho, noise)
             assert abs(p.f * z - p.t - true_moment(rho, k)) < 1e-9
 
     def test_overhead_normalization(self):
@@ -311,7 +315,7 @@ class TestRecursiveProtocol:
         p = de_kth_moment(eps, 3, 3)
         noise = depolarizing(eps, 3)
         rho = random_density_matrix(3, 1)
-        z = exact_expectation(p, noisy_copies(rho, noise, 3))
+        z = exact_expectation(p, rho, noise)
         assert abs(p.f * z - p.t - true_moment(rho, 3)) < 1e-9
 
 
@@ -410,8 +414,8 @@ class TestFromSdpSolution:
         noise = depolarizing(eps, 2)
         for seed in range(5):
             rho = random_density_matrix(2, seed)
-            za = exact_expectation(p, noisy_copies(rho, noise, 2))
-            zb = exact_expectation(ref, noisy_copies(rho, noise, 2))
+            za = exact_expectation(p, rho, noise)
+            zb = exact_expectation(ref, rho, noise)
             assert abs(p.f * za - p.t - (ref.f * zb - ref.t)) < 1e-4
 
     def test_identity_channel(self):
@@ -420,7 +424,7 @@ class TestFromSdpSolution:
         assert abs(p.f - 1.0) < 1e-4
         assert abs(p.t) < 1e-4
         rho = random_density_matrix(2, 2)
-        z = exact_expectation(p, noisy_copies(rho, identity_channel(2), 2))
+        z = exact_expectation(p, rho, identity_channel(2))
         assert abs(p.f * z - p.t - true_moment(rho, 2)) < 1e-5
 
     def test_amplitude_damping_cross_implementation(self):
@@ -431,8 +435,8 @@ class TestFromSdpSolution:
         noise = amplitude_damping(eps)
         for seed in range(5):
             rho = random_density_matrix(2, seed)
-            est_sdp = p.f * exact_expectation(p, noisy_copies(rho, noise, 2)) - p.t
-            est_ref = ref.f * exact_expectation(ref, noisy_copies(rho, noise, 2)) - ref.t
+            est_sdp = p.f * exact_expectation(p, rho, noise) - p.t
+            est_ref = ref.f * exact_expectation(ref, rho, noise) - ref.t
             assert abs(est_sdp - est_ref) < 1e-4
 
     def test_rejects_non_optimal(self):
@@ -450,7 +454,7 @@ class TestFromSdpSolution:
         worst = 0.0
         for seed in range(100):
             rho = random_density_matrix(2, seed)
-            z = exact_expectation(p, noisy_copies(rho, noise, 2))
+            z = exact_expectation(p, rho, noise)
             worst = max(worst, abs(p.f * z - p.t - true_moment(rho, 2)))
         assert worst < 1e-5
 
@@ -480,7 +484,7 @@ class TestContractResidual:
         assert 1e-10 < bound < 1e-6  # solver precision, not rounding
         for seed in range(50):
             rho = random_density_matrix(2, seed, rank=1 + seed % 2)
-            err = abs(p.f * exact_expectation(p, noisy_copies(rho, noise, 3)) - p.t
+            err = abs(p.f * exact_expectation(p, rho, noise) - p.t
                       - true_moment(rho, 3))
             assert err <= bound + 1e-15
 
@@ -506,13 +510,13 @@ class TestExactExpectation:
     def test_pure_state(self):
         p = de_second_moment(0.1)
         rho = Operator([[1, 0], [0, 0]])
-        z = exact_expectation(p, noisy_copies(rho, depolarizing(0.1, 2), 2))
+        z = exact_expectation(p, rho, depolarizing(0.1, 2))
         assert abs(p.f * z - p.t - 1.0) < 1e-12
 
     def test_maximally_mixed(self):
         p = de_second_moment(0.1)
         rho = Operator(np.eye(2) / 2)
-        z = exact_expectation(p, noisy_copies(rho, depolarizing(0.1, 2), 2))
+        z = exact_expectation(p, rho, depolarizing(0.1, 2))
         assert abs(p.f * z - p.t - 0.5) < 1e-12
 
     def test_bloch_state_purity(self):
@@ -520,22 +524,22 @@ class TestExactExpectation:
         from momentshift.operators import PAULI_X
         p = ad_second_moment(0.2)
         rho = Operator((np.eye(2) + 0.4 * PAULI_X) / 2)
-        z = exact_expectation(p, noisy_copies(rho, amplitude_damping(0.2), 2))
+        z = exact_expectation(p, rho, amplitude_damping(0.2))
         assert abs(p.f * z - p.t - 0.58) < 1e-10
 
     def test_dimension_mismatch(self):
         p = de_second_moment(0.1)
         with pytest.raises(ValueError):
-            exact_expectation(p, random_density_matrix(8, 0))
+            exact_expectation(p, random_density_matrix(8, 0), depolarizing(0.1, 2))
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_matches_dense_observable(self, k, d):
-        # the trace read equals tr[H_k C(x)] with the dense H_k, C = id
+        # the dense oracle's trace read equals tr[H_k C(x)] with the dense H_k, C = id
         rng = np.random.default_rng(10 * k + d)
         x = rng.normal(size=(d ** k, d ** k)) + 1j * rng.normal(size=(d ** k, d ** k))
         h = moment_observable(k, d).entries
-        z = exact_expectation(identity_protocol(k, d), Operator(x))
+        z = dense_exact_expectation(identity_protocol(k, d), Operator(x))
         assert abs(z - np.sum(h * x.T).real) < 1e-10
         # and Re tr[S_k C(rho)] for each kind of realization: a recursive map
         # everywhere, a Kraus channel, a Choi channel and the AD measurement at k = d = 2
@@ -548,7 +552,54 @@ class TestExactExpectation:
             protocols += [twirl, replace(twirl, realization=choi), ad_second_moment(0.2)]
         for p in protocols:
             dense = np.trace(s @ p.realization.apply(rho.entries)).real
-            assert abs(exact_expectation(p, rho) - dense) < 1e-10
+            assert abs(dense_exact_expectation(p, rho) - dense) < 1e-10
+
+
+class TestMomentPath:
+    """Copy-cycle retrievers read off the moments of one noisy copy, against the dense
+    oracle: the retriever applied to the joint state of Kraus-form noisy copies."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_matches_dense_oracle(self, k, d):
+        eps = 0.15
+        p, noise = de_kth_moment(eps, k, d), depolarizing(eps, d)
+        weights = _h_spectrum(k)[1].T
+        for seed in range(3):
+            rho = random_density_matrix(d, 100 * k + 10 * d + seed)
+            joint = noisy_copies(rho, weyl_depolarizing(eps, d), k)
+            moment, dense = output_traces(p, rho, noise), dense_output_traces(p, joint)
+            assert_allclose(moment, dense, rtol=0, atol=1e-12)
+            assert abs(exact_expectation(p, rho, noise) - dense_exact_expectation(p, joint)) \
+                < 1e-12
+            # the unnormalized Born probabilities of H_k's outcomes
+            assert_allclose(moment.real @ weights, dense.real @ weights, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_trace_preservation_verdict(self, k, d):
+        r = de_kth_moment(0.15, k, d).realization
+        assert is_trace_preserving(r) == dense_is_trace_preserving(r) == (k == 2)
+        eye = np.eye(d ** k)
+        dense = np.linalg.norm(r.adjoint_apply(eye) - eye)  # Frobenius norm
+        assert abs(r.unit_error() - dense) <= 1e-9 * max(1.0, dense)
+
+    def test_no_joint_state_at_ten_qubits(self):
+        # the purity retriever on ten-qubit copies: the joint state alone would need 16 TiB
+        eps, p = 0.1, de_second_moment_nqubit(0.1, 10)
+        rho = random_density_matrix(1024, 0)
+        assert is_trace_preserving(p.realization)
+        assert abs(p.f * exact_expectation(p, rho, depolarizing(eps, 1024)) - p.t
+                   - true_moment(rho, 2)) < 1e-10
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+@pytest.mark.parametrize("k", range(2, 8))
+def test_recursion_matrix_bytes_match_per_order_build(k, d):
+    u, labels = _recursion_matrix(0.17, k, d)
+    ref, ref_labels = recursion_matrix_per_order(0.17, k, d)
+    assert (u.dtype, u.shape, labels) == (ref.dtype, ref.shape, ref_labels)
+    assert u.tobytes() == ref.tobytes()
 
 
 class TestSerialization:
