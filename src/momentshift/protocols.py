@@ -14,8 +14,8 @@ Every realization is a linear map with one interface: ``in_dim``,
 ``choi()`` method.  Three realizations are used:
 
 * a :class:`~momentshift.channels.Channel`, in Kraus form (the twelve-unitary
-  depolarizing twirl with Kraus operators sqrt(p_j) U_j, the identity
-  protocol) or in Choi form (SDP extractions);
+  depolarizing twirl with Kraus operators sqrt(p_j) U_j) or in Choi form (SDP
+  extractions);
 * a :class:`MeasurePrepare` map: the amplitude-damping protocol, a projective
   measurement whose outcomes carry stored values;
 * :class:`Recursive`, the retriever of every moment order under depolarizing
@@ -31,7 +31,8 @@ Every realization is a linear map with one interface: ``in_dim``,
   trace-preservation gate (``CycleMap.unit_error``).  It is the two-term
   qudit map at k = 2; it is not trace preserving for k >= 3, so the
   trace-preservation gate of finite-shot sampling refuses it and it is
-  evaluated exactly only.
+  evaluated exactly only.  The identity protocol is the copy-cycle map with
+  only its identity term.
 
 Protocol files are written with kind ``channel``, ``measure_prepare`` or
 ``recursive``; files of the earlier kinds ``mixed_unitary``,
@@ -205,7 +206,7 @@ class RetrievalProtocol:
     copy_dim: int
     f: float
     t: float
-    realization: Channel | MeasurePrepare | Recursive
+    realization: Channel | MeasurePrepare | CycleMap
     label: str = ""
 
     @property
@@ -508,11 +509,10 @@ def from_sdp_solution(sol: SdpSolution, k: int) -> RetrievalProtocol:
 
 
 def identity_protocol(k: int, d: int) -> RetrievalProtocol:
-    """Measure the moment observable directly; f = 1, t = 0 (no mitigation)."""
-    dk = d ** k
-    return RetrievalProtocol(k=k, copy_dim=d, f=1.0, t=0.0,
-                             realization=Channel(dk, dk, kraus=[np.eye(dk)]),
-                             label="identity")
+    """Measure the moment observable directly; f = 1, t = 0 (no mitigation).  A copy-cycle
+    map with only its identity term, so it reads the noisy copy's moments; no file holds it."""
+    return RetrievalProtocol(k=k, copy_dim=d, f=1.0, t=0.0, label="identity",
+                             realization=CycleMap(k, d, (), (), np.zeros((0, 0)), identity=True))
 
 
 # ---------------------------------------------------------------------------

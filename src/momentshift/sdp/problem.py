@@ -2,12 +2,13 @@
 
 A problem is a list of Hermitian matrix blocks (PSD-constrained or free),
 real scalars (optionally bounded below), a linear objective over the scalars
-to minimize, and linear equality constraints whose left-hand sides are built
-from callables acting on batches of basis matrices.  The solver compiles
-everything to one real system ``A x = b`` over the orthonormal Hermitian
-coordinate basis ``{E_ii} u {(E_ij + E_ji)/sqrt2} u {i(E_ij - E_ji)/sqrt2}``,
-under which Frobenius norms and inner products carry over to ordinary
-Euclidean ones.  A solution's diagnostics hold its solve's ``dual_objective``.
+to minimize, and linear equality constraints whose block terms are given by
+the adjoints of their maps, from the target space back to the block.  The
+solver compiles everything to one real system ``A x = b`` over the orthonormal
+Hermitian basis ``{E_ii} u {(E_ij + E_ji)/sqrt2} u {i(E_ij - E_ji)/sqrt2}``,
+under which Frobenius inner products are Euclidean ones, so A's row for a
+target basis matrix E is the coordinate vector of the adjoint's image of E.
+A solution's diagnostics hold its solve's ``dual_objective``.
 
 A block may declare symmetry sectors: orthonormal column bases Q_s with
 mutually orthogonal ranges, restricting it to ``X = sum_s Q_s B_s Q_s^dag``
@@ -107,6 +108,12 @@ class Sector:
         out[..., self.rows[:, None], self.rows] = self.q @ b @ self.q.conj().T
         return out
 
+    def restrict(self, g: np.ndarray) -> np.ndarray:
+        """(..., dim, dim) -> (..., m, m): Q^dag g Q, the adjoint of ``embed``."""
+        if self.q is None:
+            return g
+        return self.q.conj().T @ g[..., self.rows[:, None], self.rows] @ self.q
+
 
 @dataclass(frozen=True)
 class BlockVar:
@@ -136,14 +143,15 @@ class ScalarVar:
 class ConstraintTerm:
     """One linear term of an equality constraint.
 
-    For a block variable, ``block_map`` maps a batch (n, D, D) of Hermitian
-    matrices to (n, Dc, Dc) target-space matrices; at Dc = 1 it may return
-    (n,) reals.  For a scalar variable, ``scalar_coeff_op`` is its (Dc, Dc)
-    coefficient operator on the target space.
+    For a block variable, ``adjoint`` is the adjoint L^dag of the term's map L:
+    it maps a batch (n, Dc, Dc) of target-space Hermitian matrices Y (Dc = 1
+    for a scalar target) to the (n, D, D) block matrices with
+    tr[L^dag(Y) X] = tr[Y L(X)].  For a scalar variable, ``scalar_coeff_op`` is
+    its (Dc, Dc) coefficient operator on the target space.
     """
 
     var: str
-    block_map: Callable[[np.ndarray], np.ndarray] | None = None
+    adjoint: Callable[[np.ndarray], np.ndarray] | None = None
     scalar_coeff_op: np.ndarray | None = None
 
 

@@ -19,6 +19,16 @@ The last two are one program from one builder: PSD J1, J2 with tr_C J_i =
 c_i I, one coupling ``L(J1) - L(J2) = target`` and objective c1 + c2; L is the
 link with the noise (inverse) or the observable pullback (recover).
 
+Every constraint term is stated by its adjoint map, from the constraint's
+target space back to the Choi block, which is what the solver compiles A's
+rows from and what the dual operator of ``check_certificate`` is made of:
+
+* the trace scaling tr_2[J] = c I has the adjoint Y -> Y (x) I;
+* the observable pullback J -> N^dag(x k)(tr_C[(I (x) H^T) J^T]) has the
+  pushforward Y -> (N^(x k)(Y))^T (x) H, with the noise applied copy by copy
+  through its d^2 x d^2 channel matrix;
+* the link with the noise has the adjoint of ``channels.link_product``.
+
 No dual program is built: each solve records its dual objective in its
 diagnostics, and ``check_certificate`` tests an (M, K) of the shift dual exactly.
 """
@@ -29,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..channels import Channel, channel_matrix, link_product, tensor_power
+from ..channels import Channel, channel_matrix
 from ..moments import cycle_orbits, cycle_traces, cyclic_shift_index, moment_observable
 from ..operators import Operator
 from .problem import (
@@ -47,46 +57,40 @@ F_LOWER_BOUND = 1e-9
 SYMMETRY_TOL = 1e-12
 
 
-def _trace_out_second(d1: int, d2: int):
-    """Map on Herm(d1*d2): partial trace over the second factor, batched."""
-    def mapper(batch: np.ndarray) -> np.ndarray:
-        n = batch.shape[0]
-        t = batch.reshape(n, d1, d2, d1, d2)
-        return np.einsum("nbcac->nba", t)
-    return mapper
+def _kron_identity(d2: int):
+    """Batched Y -> Y (x) I_d2: the adjoint of the partial trace over a second factor."""
+    def adjoint(batch: np.ndarray) -> np.ndarray:
+        n, d1 = batch.shape[:2]
+        return (batch[:, :, None, :, None] * np.eye(d2)[:, None]).reshape(n, d1 * d2, d1 * d2)
+    return adjoint
 
 
 def _trace_scaling(block: str, scale: str, d1: int, d2: int, name: str) -> Constraint:
     """tr_2[block] = scale * I: the Choi ``block`` is ``scale`` times trace preserving."""
     return Constraint(
-        terms=(ConstraintTerm(var=block, block_map=_trace_out_second(d1, d2)),
+        terms=(ConstraintTerm(var=block, adjoint=_kron_identity(d2)),
                ConstraintTerm(var=scale, scalar_coeff_op=-np.eye(d1))),
         target=np.zeros((d1, d1)), name=name)
 
 
-def _negated(block_map):
-    """Batched X -> -block_map(X)."""
-    return lambda batch: -block_map(batch)
+def _noise_pushforward(noise: Channel, k: int, h: np.ndarray):
+    """Batched Y -> (N^(x k)(Y))^T (x) H, the adjoint of the retriever pullback
+    J -> N^dag(x k)(tr_C[(I (x) H^T) J^T]) and the dual coupling term.
 
+    The noise acts copy by copy through its channel matrix, as in
+    ``protocols.contract_residual``: no k-fold Kraus set is built."""
+    d = noise.in_dim
+    m = channel_matrix(noise).reshape(d, d, d, d)  # (column, row) out, then in
 
-def _retriever_pullback(noise: Channel, h: np.ndarray, d: int):
-    """Batched J -> NK^dag( tr_C[(I (x) H^T) J^T] ) for J on B (x) C.
-
-    ``tr_C[(I (x) H^T) J^T]`` is the adjoint of the map with Choi J applied
-    to H; composing with the Kraus adjoint of the noise gives the
-    Heisenberg-picture pullback of the observable through retriever and
-    noise.  The observable contraction is done in one einsum (never forming
-    the d^2 x d^2 product) and the noise adjoint through its precomputed
-    vectorized matrix, which keeps 256-dim Choi blocks tractable.
-    """
-    madj = channel_matrix(noise).T
-
-    def mapper(batch: np.ndarray) -> np.ndarray:
-        n = batch.shape[0]
-        t = batch.reshape(n, d, d, d, d)
-        y = np.einsum("cd,npdqc->nqp", h, t, optimize=True)
-        return (madj @ y.reshape(n, d * d).T).T.reshape(n, d, d)
-    return mapper
+    def pushforward(batch: np.ndarray) -> np.ndarray:
+        n, dim = batch.shape[0], d ** k
+        y = batch.reshape((n,) + (d,) * (2 * k))
+        for i in range(k):
+            y = np.moveaxis(np.tensordot(m, y, axes=([2, 3], [k + 1 + i, 1 + i])),
+                            (0, 1), (k + 1 + i, 1 + i))
+        y = np.ascontiguousarray(y.reshape(n, dim, dim).transpose(0, 2, 1))
+        return (y[:, :, None, :, None] * h[:, None]).reshape(n, dim * dim, dim * dim)
+    return pushforward
 
 
 def _charges(k: int, d: int) -> np.ndarray:
@@ -152,12 +156,11 @@ def build_fmin(noise: Channel, k: int) -> SdpProblem:
     blocks = [BlockVar("J", d * d, psd=True, sectors=_fmin_sectors(noise, k))]
     scalars = [ScalarVar("f", lower=F_LOWER_BOUND), ScalarVar("t")]
     check_program_memory(name, blocks, scalars, (d, d))
-    nk = tensor_power(noise, k)
     h = moment_observable(k, noise.in_dim).entries
     ts = _trace_scaling("J", "f", d, d, "trace_scaling")
     shift = Constraint(
         terms=(
-            ConstraintTerm(var="J", block_map=_retriever_pullback(nk, h, d)),
+            ConstraintTerm(var="J", adjoint=_noise_pushforward(noise, k, h)),
             ConstraintTerm(var="t", scalar_coeff_op=-np.eye(d)),
         ),
         target=h,
@@ -167,37 +170,15 @@ def build_fmin(noise: Channel, k: int) -> SdpProblem:
                       constraints=[ts, shift], name=name)
 
 
-def _noise_pushforward(kraus: tuple[np.ndarray, ...], h: np.ndarray, d: int):
-    """Batched K -> (NK(K))^T (x) H, the contracted dual coupling term."""
-    estack = np.stack(kraus)
-
-    def mapper(batch: np.ndarray) -> np.ndarray:
-        nk_k = np.einsum("kab,nbc,kdc->nad", estack, batch, estack.conj())
-        nk_k_t = np.transpose(nk_k, (0, 2, 1))
-        return np.einsum("nab,cd->nacbd", nk_k_t, h).reshape(
-            batch.shape[0], d * d, d * d)
-    return mapper
-
-
-def _kron_identity_right(d: int):
-    """Batched M -> M (x) I_d."""
-    eye_d = np.eye(d)
-
-    def mapper(batch: np.ndarray) -> np.ndarray:
-        return np.einsum("nab,cd->nacbd", batch, eye_d).reshape(
-            batch.shape[0], d * d, d * d)
-    return mapper
-
-
 def check_certificate(cert: DualCertificate, noise: Channel, k: int) -> tuple[bool, float]:
     """Evaluate dual feasibility analytically and return (feasible, -tr[K H_k]).
 
-    The dual operator ``M (x) I + (N^(x k)(K))^T (x) H_k`` is built by two
-    batched maps applied to a batch of one."""
+    The dual operator ``M (x) I + (N^(x k)(K))^T (x) H_k`` is A^T of the shift
+    program: its two adjoint maps applied to a batch of one."""
     d = noise.in_dim ** k
     h = moment_observable(k, noise.in_dim).entries
-    dual_op = (_kron_identity_right(d)(cert.M.entries[None])
-               + _noise_pushforward(tensor_power(noise, k).kraus, h, d)(cert.K.entries[None]))
+    dual_op = (_kron_identity(d)(cert.M.entries[None])
+               + _noise_pushforward(noise, k, h)(cert.K.entries[None]))
     feasible = (cert.M.trace().real <= 1.0 + 1e-9 and abs(cert.K.trace()) <= 1e-9
                 and Operator(dual_op[0]).min_eigenvalue() >= -1e-9)
     t = cycle_traces(cert.K.entries, k, noise.in_dim)  # tr[K H_k] = (t_1 + t_{k-1})/2
@@ -207,17 +188,17 @@ def check_certificate(cert: DualCertificate, noise: Channel, k: int) -> tuple[bo
 def _channel_difference(name: str, d1: int, d2: int, target_dim: int, coupling,
                         constraint: str) -> SdpProblem:
     """min c1 + c2 over PSD J1, J2 on d1 (x) d2 with tr_2[J_i] = c_i I and
-    L(J1) - L(J2) = target, where ``coupling()`` returns (L, target); it is
+    L(J1) - L(J2) = target, where ``coupling()`` returns (L^dag, target); it is
     called only once the program has passed the memory gate."""
     blocks = [BlockVar("J1", d1 * d2, psd=True), BlockVar("J2", d1 * d2, psd=True)]
     scalars = [ScalarVar("c1", lower=0.0), ScalarVar("c2", lower=0.0)]
     check_program_memory(name, blocks, scalars, (d1, d1, target_dim))
-    block_map, target = coupling()
+    adjoint, target = coupling()
     cons = [
         _trace_scaling("J1", "c1", d1, d2, "ts_J1"),
         _trace_scaling("J2", "c2", d1, d2, "ts_J2"),
-        Constraint(terms=(ConstraintTerm(var="J1", block_map=block_map),
-                          ConstraintTerm(var="J2", block_map=_negated(block_map))),
+        Constraint(terms=(ConstraintTerm(var="J1", adjoint=adjoint),
+                          ConstraintTerm(var="J2", adjoint=lambda y: -adjoint(y))),
                    target=target, name=constraint),
     ]
     return SdpProblem(blocks=blocks, scalars=scalars, objective={"c1": 1.0, "c2": 1.0},
@@ -228,15 +209,20 @@ def build_gmin(noise: Channel) -> SdpProblem:
     """Quasi-probability overhead of the exact channel inverse of ``noise``.
 
     The decomposed map runs from the noise output back to its input; its link
-    with the noise is pinned to the identity Choi matrix.
+    with the noise, ``channels.link_product``, is pinned to the identity Choi
+    matrix.  The link's adjoint takes Y on A (x) A to the Choi on B (x) A
+    ``[(q c), (b e)] -> sum_ap conj(J_N)[(a q), (p b)] Y[(a c), (p e)]``.
     """
     da, db = noise.in_dim, noise.out_dim
 
     def coupling():
-        j_noise = noise.choi()
+        j_conj = noise.choi().entries.conj().reshape(da, db, da, db)
         omega = np.eye(da, dtype=complex).reshape(-1)
-        return (lambda batch: link_product(j_noise, batch, (da, db, da)),
-                np.outer(omega, omega))
+
+        def link_adjoint(batch: np.ndarray) -> np.ndarray:
+            y = batch.reshape(-1, da, da, da, da)
+            return np.einsum("aqpb,nacpe->nqcbe", j_conj, y).reshape(-1, db * da, db * da)
+        return link_adjoint, np.outer(omega, omega)
     return _channel_difference(f"gmin[{noise.label}]", db, da, da * da, coupling,
                                "inverse_composition")
 
@@ -255,5 +241,5 @@ def build_info_recover(noise: Channel, obs: Operator) -> SdpProblem:
         raise ValueError(f"observable dim {obs.dim} != channel dim {d}")
     return _channel_difference(
         f"info_recover[{noise.label}]", d, d, d,
-        lambda: (_retriever_pullback(noise, obs.entries, d), obs.entries),
+        lambda: (_noise_pushforward(noise, 1, obs.entries), obs.entries),
         "observable_recovery")

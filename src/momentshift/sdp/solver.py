@@ -4,7 +4,9 @@ The compiled problem is ``min c.x  s.t.  A x = b, x in K`` where K is a
 product of PSD cones (in Hermitian coordinates), free subspaces, and
 lower-bounded scalars.  A block's coordinates are the Hermitian coordinates
 of its symmetry sectors (see ``problem``), so a block with sectors is solved
-on sum_s m_s^2 coordinates instead of dim^2.  An ADMM iteration T maps the
+on sum_s m_s^2 coordinates instead of dim^2.  A is built by rows: each
+term's adjoint map takes ``CHUNK`` target basis matrices at a time to block
+matrices G, read in each sector as Q^dag G Q.  An ADMM iteration T maps the
 state y = (z, u) through projections onto the affine set (a cached
 pseudo-inverse of A) and onto K (one batched ``eigh`` per sector size), with
 over-relaxation 1.5.  T is evaluated at points chosen by safeguarded type-II
@@ -45,7 +47,7 @@ DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITERS = 10_000
 OVER_RELAXATION = 1.5
 CHECK_EVERY = 25
-CHUNK = 256
+CHUNK = 16
 ANDERSON_MEMORY = 10
 ANDERSON_GUARD = 10.0
 ANDERSON_REG = 1e-10
@@ -66,14 +68,15 @@ def check_program_memory(name: str, blocks: list[BlockVar], scalars: list[Scalar
     """Refuse a program whose solver arrays overrun the memory budget: the real
     m x n system A and its stacked rows, the thin SVD of A with a scaled copy of
     V^T, the n x m pseudo-inverse, 2 ``ANDERSON_MEMORY`` vectors of the 2n-long
-    ADMM state and one ``CHUNK`` of basis matrices of the largest block.  n
-    counts each block's coordinates (``BlockVar.size``).
+    ADMM state and one ``CHUNK`` of rows: the adjoint images in the largest block
+    and a sector's gather of them, four of the largest target's matrices (the
+    basis and the pushforward's temporaries).  n counts each block's coordinates.
     ``target_dims`` gives each constraint's target dimension (1 for a scalar
     target), in the order the constraints are declared."""
     n = sum(b.size for b in blocks) + len(scalars)
     m = sum(t * t for t in target_dims)
     r = min(m, n)
-    chunk = 16 * CHUNK * max(b.dim for b in blocks) ** 2
+    chunk = 16 * CHUNK * (2 * max(b.dim for b in blocks) ** 2 + 4 * max(target_dims) ** 2)
     check_memory(8 * (2 * m * n + r * (m + 1 + 2 * n) + 4 * ANDERSON_MEMORY * n) + chunk,
                  f"program {name}")
 
@@ -120,22 +123,24 @@ def compile_problem(p: SdpProblem) -> _Compiled:
     rows_b: list[np.ndarray] = []
     for con in p.constraints:
         tgt = np.atleast_2d(con.target)  # a float target is the 1 x 1 case
-        dc = tgt.shape[0]
-        basis_out = HermitianBasis(dc)
+        basis_out = HermitianBasis(tgt.shape[0])
         block_rows = np.zeros((basis_out.size, n))
-        for term in con.terms:
-            off, blk = layout[term.var]
-            if blk is not None:
+        for start in range(0, basis_out.size, CHUNK):
+            stop = min(start + CHUNK, basis_out.size)
+            outputs = basis_out.basis_batch(start, stop)
+            for term in con.terms:
+                off, blk = layout[term.var]
+                if blk is None:
+                    block_rows[start:stop, off] += \
+                        basis_out.to_coords(term.scalar_coeff_op)[start:stop]
+                    continue
+                images = term.adjoint(outputs)
                 for sector in blk.parts():
-                    basis_in = HermitianBasis(sector.size)
-                    for start in range(0, basis_in.size, CHUNK):
-                        stop = min(start + CHUNK, basis_in.size)
-                        batch = sector.embed(basis_in.basis_batch(start, stop), blk.dim)
-                        out = term.block_map(batch).reshape(stop - start, dc, dc)
-                        block_rows[:, off + start:off + stop] += basis_out.to_coords(out).T
-                    off += basis_in.size
-            else:
-                block_rows[:, off] += basis_out.to_coords(term.scalar_coeff_op)
+                    size = sector.size ** 2
+                    block_rows[start:stop, off:off + size] += \
+                        HermitianBasis(sector.size).to_coords(sector.restrict(images))
+                    off += size
+                del images  # before the next adjoint call, so one chunk of images is held
         rows_a.append(block_rows)
         rows_b.append(basis_out.to_coords(tgt))
     A = np.vstack(rows_a) if rows_a else np.zeros((0, n))

@@ -5,11 +5,13 @@ The package builds H_k from an index permutation, composes channels through
 matrices of the recursion, builds the recursion's stages once, evaluates copy-cycle
 retrievers from the moments of one noisy copy, applies depolarizing noise in
 closed form, tallies its shots and rebuilds their records from the seed, builds
-the Weyl basis by index arithmetic and reads the dual objective off the primal
-solve; these are the literal objects those forms replace.
+the Weyl basis by index arithmetic, reads the dual objective off the primal
+solve and compiles conic programs by rows through adjoint maps; these are the
+literal objects those forms replace.
 """
 
 import csv
+import dataclasses
 import io
 from dataclasses import dataclass
 from functools import lru_cache
@@ -17,14 +19,16 @@ from math import comb
 
 import numpy as np
 
-from momentshift.channels import Channel, _weyl_operators, tensor_power
+from momentshift.channels import (Channel, _weyl_operators, channel_matrix, link_product,
+                                  tensor_power)
 from momentshift.estimator import EstimationRun, _h_distribution, _h_spectrum, shot_uniforms
 from momentshift.moments import cycle_traces, cyclic_shift_index, moment_observable
 from momentshift.operators import Operator, check_memory, partial_trace
 from momentshift.protocols import (SAMPLING_TP_TOL, CycleMap, MeasurePrepare, _gram,
                                   _transfer_matrix, q_matrices)
-from momentshift.sdp.problem import BlockVar, Constraint, ConstraintTerm, ScalarVar, SdpProblem
-from momentshift.sdp.programs import _kron_identity_right, _negated, _noise_pushforward
+from momentshift.sdp.problem import (BlockVar, Constraint, ConstraintTerm, HermitianBasis,
+                                     ScalarVar, SdpProblem)
+from momentshift.sdp.solver import compile_problem
 from conftest import noisy_copies
 
 
@@ -164,21 +168,100 @@ def recovery_map(k: int, l: int, d: int = 2) -> CycleMap:
     return _to_copy_cycle(k, l, d, a)
 
 
+def _trace_out_second(d1: int, d2: int):
+    """Map on Herm(d1*d2): partial trace over the second factor, batched."""
+    def mapper(batch: np.ndarray) -> np.ndarray:
+        n = batch.shape[0]
+        t = batch.reshape(n, d1, d2, d1, d2)
+        return np.einsum("nbcac->nba", t)
+    return mapper
+
+
+def _negated(block_map):
+    """Batched X -> -block_map(X)."""
+    return lambda batch: -block_map(batch)
+
+
+def _retriever_pullback(noise: Channel, h: np.ndarray, d: int):
+    """Batched J -> NK^dag( tr_C[(I (x) H^T) J^T] ) for J on B (x) C: the adjoint
+    of the map with Choi J applied to H, pulled back through the noise."""
+    madj = channel_matrix(noise).T
+
+    def mapper(batch: np.ndarray) -> np.ndarray:
+        n = batch.shape[0]
+        t = batch.reshape(n, d, d, d, d)
+        y = np.einsum("cd,npdqc->nqp", h, t, optimize=True)
+        return (madj @ y.reshape(n, d * d).T).T.reshape(n, d, d)
+    return mapper
+
+
+def fmin_forward(noise: Channel, k: int) -> dict:
+    """Forward block maps of ``build_fmin``, by (constraint name, variable)."""
+    d = noise.in_dim ** k
+    h = moment_observable(k, noise.in_dim).entries
+    return {("trace_scaling", "J"): _trace_out_second(d, d),
+            ("observable_shift", "J"): _retriever_pullback(tensor_power(noise, k), h, d)}
+
+
+def _difference_forward(d1: int, d2: int, coupling, constraint: str) -> dict:
+    """Forward maps of a channel-difference program: two trace scalings, +/- the coupling."""
+    return {("ts_J1", "J1"): _trace_out_second(d1, d2), ("ts_J2", "J2"): _trace_out_second(d1, d2),
+            (constraint, "J1"): coupling, (constraint, "J2"): _negated(coupling)}
+
+
+def gmin_forward(noise: Channel) -> dict:
+    """Forward block maps of ``build_gmin``: the link with the noise."""
+    da, db = noise.in_dim, noise.out_dim
+    return _difference_forward(
+        db, da, lambda batch: link_product(noise.choi(), batch, (da, db, da)),
+        "inverse_composition")
+
+
+def recover_forward(noise: Channel, obs: Operator) -> dict:
+    """Forward block maps of ``build_info_recover``: the observable pullback."""
+    d = noise.in_dim
+    return _difference_forward(d, d, _retriever_pullback(noise, obs.entries, d),
+                               "observable_recovery")
+
+
+def column_compile(p: SdpProblem, forward: dict, chunk: int = 32) -> np.ndarray:
+    """A of ``p`` built column by column: each sector basis matrix embedded as a full
+    block matrix and pushed through the forward map ``forward[(constraint, var)]``."""
+    layout = compile_problem(dataclasses.replace(p, constraints=[])).layout
+    rows = []
+    for con in p.constraints:
+        basis_out = HermitianBasis(np.atleast_2d(con.target).shape[0])
+        block_rows = np.zeros((basis_out.size, sum(b.size for b in p.blocks) + len(p.scalars)))
+        for term in con.terms:
+            off, blk = layout[term.var]
+            if blk is None:
+                block_rows[:, off] += basis_out.to_coords(term.scalar_coeff_op)
+                continue
+            for sector in blk.parts():
+                basis_in = HermitianBasis(sector.size)
+                for start in range(0, basis_in.size, chunk):
+                    stop = min(start + chunk, basis_in.size)
+                    batch = sector.embed(basis_in.basis_batch(start, stop), blk.dim)
+                    out = forward[con.name, term.var](batch).reshape(
+                        stop - start, basis_out.d, basis_out.d)
+                    block_rows[:, off + start:off + stop] += basis_out.to_coords(out).T
+                off += basis_in.size
+        rows.append(block_rows)
+    return np.vstack(rows)
+
+
 def dual_fmin(noise: Channel, k: int) -> SdpProblem:
     """The observable-shift dual as its own program: minimize v = tr[K H_k] over
     PSD T = M (x) I + (N^(x k)(K))^T (x) H_k with tr M + s = 1, s >= 0, tr K = 0,
-    so that -v is the dual optimum, max -tr[K H_k]."""
+    so that -v is the dual optimum, max -tr[K H_k].  Its terms' adjoints are the
+    primal's forward maps: the partial trace and the retriever pullback."""
     d = noise.in_dim ** k
     h = moment_observable(k, noise.in_dim).entries
 
-    def trace(batch):
-        return np.real(np.einsum("naa->n", batch))
-
     psd = Constraint(terms=(
-        ConstraintTerm("T", block_map=lambda batch: batch),
-        ConstraintTerm("M", block_map=_negated(_kron_identity_right(d))),
-        ConstraintTerm("K", block_map=_negated(_noise_pushforward(tensor_power(noise, k).kraus,
-                                                                  h, d)))),
+        ConstraintTerm("T", adjoint=lambda batch: batch),
+        ConstraintTerm("M", adjoint=_negated(_trace_out_second(d, d))),
+        ConstraintTerm("K", adjoint=_negated(_retriever_pullback(tensor_power(noise, k), h, d)))),
         target=np.zeros((d * d, d * d)), name="dual_psd")
     return SdpProblem(
         blocks=[BlockVar("M", d, psd=False), BlockVar("K", d, psd=False),
@@ -186,13 +269,12 @@ def dual_fmin(noise: Channel, k: int) -> SdpProblem:
         scalars=[ScalarVar("s", lower=0.0), ScalarVar("v")],
         objective={"v": 1.0},
         constraints=[psd,
-                     Constraint(terms=(ConstraintTerm("M", block_map=trace),
+                     Constraint(terms=(ConstraintTerm("M", adjoint=lambda y: y * np.eye(d)),
                                        ConstraintTerm("s", scalar_coeff_op=np.eye(1))),
                                 target=1.0, name="trace_M_bound"),
-                     Constraint(terms=(ConstraintTerm("K", block_map=trace),), target=0.0,
-                                name="trace_K_zero"),
-                     Constraint(terms=(ConstraintTerm("K", block_map=lambda batch: np.real(
-                                           np.einsum("nab,ba->n", batch, h))),
+                     Constraint(terms=(ConstraintTerm("K", adjoint=lambda y: y * np.eye(d)),),
+                                target=0.0, name="trace_K_zero"),
+                     Constraint(terms=(ConstraintTerm("K", adjoint=lambda y: y * h),
                                        ConstraintTerm("v", scalar_coeff_op=-np.eye(1))),
                                 target=0.0, name="objective_value")],
         name=f"dual_fmin[{noise.label},k={k}]")

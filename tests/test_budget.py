@@ -8,7 +8,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from momentshift.channels import amplitude_damping, depolarizing, noisy_copies, tensor_power
+from momentshift.channels import (Channel, amplitude_damping, depolarizing, noisy_copies,
+                                  tensor_power)
 from momentshift.cli import main
 from momentshift.hubbard import HubbardModel, build_hamiltonian
 from momentshift.moments import moment_observable, permutation_eigenprojectors
@@ -42,7 +43,9 @@ OVER_BUDGET = {
     "de_kth_moment": lambda: de_kth_moment(0.1, 12, 2).realization.choi,
     "recovery_map_choi": lambda: recovery_map(7, 3, 2).choi,
     "recursive_choi": lambda: de_kth_moment(0.1, 7, 2).realization.choi,
-    "build_fmin": lambda: partial(build_fmin, amplitude_damping(0.1), 5),
+    # a qutrit channel that breaks the charge symmetry: 177,201 block coordinates at k = 3
+    "build_fmin": lambda: partial(build_fmin, Channel(3, 3, kraus=[
+        np.sqrt(0.9) * np.eye(3), np.sqrt(0.1) * np.roll(np.eye(3), 1, axis=0)]), 3),
     "build_gmin": lambda: partial(build_gmin, depolarizing(0.1, 16)),
     "build_info_recover": lambda: partial(build_info_recover,
                                           tensor_power(amplitude_damping(0.1), 5),
@@ -102,6 +105,18 @@ def test_program_estimate_counts_the_acceleration_history(monkeypatch):
         monkeypatch.setattr(solver, "ANDERSON_MEMORY", size)
         p = build_fmin(amplitude_damping(0.2), 2)
     assert requested[1] - requested[0] == 8 * 2 * memory * 2 * compile_problem(p).n
+
+
+def test_k4_shift_compile_peak():
+    # by rows, one chunk of 256 x 256 adjoint images at a time (by columns: 526 MiB)
+    p = build_fmin(amplitude_damping(0.2), 4)
+    tracemalloc.start()
+    try:
+        compile_problem(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2 ** 20
 
 
 def test_k4_programs_fit_budget():

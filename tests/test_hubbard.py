@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from momentshift.channels import depolarizing
+from momentshift.channels import depolarizing, noisy_copies
 from momentshift.estimator import _BLOCK, derive_seed, run_choi_map
 from momentshift.hubbard import (
     HubbardModel,
@@ -11,11 +13,13 @@ from momentshift.hubbard import (
     fig4_experiment,
     ground_state,
     mode_index,
+    model_ground_state,
     demo_model,
     reduced_state,
 )
+from momentshift.moments import cycle_traces
 from momentshift.operators import random_density_matrix
-from momentshift.protocols import de_second_moment_nqubit, identity_protocol
+from momentshift.protocols import de_second_moment_nqubit, identity_protocol, output_traces
 
 
 class TestJordanWigner:
@@ -147,6 +151,24 @@ class TestFig4:
         assert res.subsystem == (0, 1, 2)
         assert np.isfinite(res.raw_mean) and np.isfinite(res.mitigated_mean)
         assert np.all(np.isfinite(res.std_errors()))
+
+    def test_five_qubit_subsystem(self):
+        # the raw estimator reads the moments of one noisy copy: its traces are those of
+        # the 1024 x 1024 joint state, which the experiment never builds (16 MiB)
+        subsystem, eps = [0, 1, 2, 3, 4], 0.1
+        rho = reduced_state(model_ground_state(demo_model()), subsystem)  # cached for the run
+        noise = depolarizing(eps, 32)
+        assert_allclose(output_traces(identity_protocol(2, 32), rho, noise),
+                        cycle_traces(noisy_copies(rho, noise, 2).entries, 2, 32), atol=1e-12)
+        tracemalloc.start()
+        try:
+            res = fig4_experiment(eps, subsystem=subsystem, shots=16, trials=2, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.subsystem == tuple(subsystem)
+        assert np.all(np.abs(res.raw_estimates) <= 1.0)
+        assert peak < 2 ** 20
 
     @pytest.mark.parametrize("seed", [3, 11])
     @pytest.mark.parametrize("subsystem", [[0, 1], [1, 3], [0, 1, 2]])

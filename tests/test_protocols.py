@@ -13,6 +13,7 @@ from momentshift.estimator import _h_spectrum
 from momentshift.operators import Operator, random_density_matrix
 from momentshift.protocols import (
     MeasurePrepare,
+    RetrievalProtocol,
     ad_second_moment,
     contract_residual,
     de_kth_moment,
@@ -608,7 +609,7 @@ class TestSerialization:
         ad_second_moment(0.25),
         de_second_moment_nqubit(0.1, 2),
         de_kth_moment(0.2, 3, 2),
-        identity_protocol(2, 2),
+        RetrievalProtocol(2, 2, 1.0, 0.0, Channel(4, 4, kraus=[np.eye(4)]), "identity"),
     ])
     def test_round_trip(self, tmp_path, proto):
         path = tmp_path / "proto.json"

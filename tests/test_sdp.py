@@ -39,14 +39,16 @@ from momentshift.sdp.programs import (
     gmin_power,
 )
 from momentshift.sdp import solver
-from momentshift.sdp.solver import solve
-from oracles import dual_fmin, identity_channel
+from momentshift.sdp.solver import compile_problem, solve
+from oracles import (column_compile, dual_fmin, fmin_forward, gmin_forward, identity_channel,
+                     recover_forward)
 
 H2 = moment_observable(2, 2)
 
 
-def _trace_map(batch):
-    return np.real(np.einsum("naa->n", batch))
+def _trace_adjoint(d):
+    """Adjoint y -> y I_d of the trace X -> tr X on Herm(d)."""
+    return lambda y: y * np.eye(d)
 
 
 class TestHermitianBasis:
@@ -79,9 +81,9 @@ class TestSolverToy:
             blocks=[BlockVar("X", 3)],
             scalars=[ScalarVar("t")],
             objective={"t": 1.0},
-            constraints=[Constraint(terms=(ConstraintTerm("X", block_map=_trace_map),),
+            constraints=[Constraint(terms=(ConstraintTerm("X", adjoint=_trace_adjoint(3)),),
                                     target=1.0),
-                         Constraint(terms=(ConstraintTerm("X", block_map=_trace_map),
+                         Constraint(terms=(ConstraintTerm("X", adjoint=_trace_adjoint(3)),
                                            ConstraintTerm("t", scalar_coeff_op=-np.eye(1))),
                                     target=0.0)],
         )
@@ -168,8 +170,8 @@ class TestStatuses:
         # the accelerated scaled dual runs off to ~1e15, where A w - b rounds b away
         # and the affine point equals the cone point X = 0 with zero residuals
         p = SdpProblem(blocks=[BlockVar("X", 2)], scalars=[], objective={},
-                       constraints=[Constraint(terms=(ConstraintTerm("X", block_map=_trace_map),),
-                                               target=-1.0)])
+                       constraints=[Constraint(
+                           terms=(ConstraintTerm("X", adjoint=_trace_adjoint(2)),), target=-1.0)])
         sol = solve(p)
         assert (sol.status, sol.iterations) == ("max_iters", solver.DEFAULT_MAX_ITERS)
 
@@ -229,6 +231,44 @@ class TestDuality:
         pushed = apply(nk, k_op).entries.T
         simplified = np.kron(pushed, H2.entries)
         assert_allclose(literal.entries, simplified, atol=1e-11)
+
+
+_COMPLEX_UNITARY = np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)
+
+
+def _program_and_forward(program, name, eps, k):
+    """A program and its forward block maps; gmin and recover take the k-copy channel.
+    "RU" mixes I and a complex unitary: its Choi matrix, unlike AD's and DE's, is not real."""
+    noise = {"AD": lambda: amplitude_damping(eps), "DE": lambda: depolarizing(eps, 2),
+             "RU": lambda: Channel(2, 2, kraus=[np.sqrt(1 - eps) * np.eye(2),
+                                                np.sqrt(eps) * _COMPLEX_UNITARY])}[name]()
+    if program == "fmin":
+        return build_fmin(noise, k), fmin_forward(noise, k)
+    noise = tensor_power(noise, k)
+    if program == "gmin":
+        return build_gmin(noise), gmin_forward(noise)
+    h = moment_observable(k, 2)
+    return build_info_recover(noise, h), recover_forward(noise, h)
+
+
+ROW_COMPILE_CASES = [
+    *(("fmin", n, e, k) for n in ("AD", "DE") for k in (2, 3) for e in (0.1, 0.2)),
+    ("fmin", "AD", 0.2, 4),
+    ("gmin", "AD", 0.2, 1), ("gmin", "DE", 0.2, 1), ("gmin", "AD", 0.1, 2),
+    *(("recover", n, e, k) for n in ("AD", "DE") for k, e in ((2, 0.1), (3, 0.05), (3, 0.3))),
+    *((program, "RU", 0.2, k) for program in ("fmin", "gmin", "recover") for k in (1, 2)
+      if (program, k) != ("fmin", 1)),
+]
+
+
+class TestRowCompile:
+    # A is built by rows from the adjoint maps; the oracle builds it by columns
+    # from the forward maps, embedding every sector basis matrix
+    @pytest.mark.parametrize("program,name,eps,k", ROW_COMPILE_CASES,
+                             ids=[f"{p}_{n}{e}_k{k}" for p, n, e, k in ROW_COMPILE_CASES])
+    def test_rows_equal_the_column_oracle(self, program, name, eps, k):
+        problem, forward = _program_and_forward(program, name, eps, k)
+        assert np.abs(compile_problem(problem).A - column_compile(problem, forward)).max() <= 1e-14
 
 
 class TestCertificates:
