@@ -17,6 +17,7 @@ Kraus operators the same way, on first request.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import Sequence
 
@@ -164,6 +165,19 @@ def channel_matrix(c: Channel) -> np.ndarray:
     for e in c.kraus:
         m += np.kron(e.conj(), e)
     return m
+
+
+def apply_copywise(m: np.ndarray, batch: np.ndarray, k: int) -> np.ndarray:
+    """The map of channel matrix ``m`` (``channel_matrix``'s vectorization, or its
+    adjoint ``m^dag``) on each of the k copies of every operator of a batch
+    (n, d^k, d^k), one copy at a time: no k-fold matrix is built."""
+    d = math.isqrt(m.shape[0])
+    m = m.reshape(d, d, d, d)  # (column, row) out, then in
+    y = batch.reshape((batch.shape[0],) + (d,) * (2 * k))
+    for i in range(k):
+        y = np.moveaxis(np.tensordot(m, y, axes=([2, 3], [k + 1 + i, 1 + i])),
+                        (0, 1), (k + 1 + i, 1 + i))
+    return y.reshape(batch.shape)
 
 
 def is_invertible(c: Channel) -> bool:

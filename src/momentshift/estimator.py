@@ -25,16 +25,17 @@ traces tr[S_k^j X] (``protocols.output_traces``); no eigendecomposition of H_k
 is computed.  A copy-cycle retriever reads them off the moments of one noisy
 copy, so sampling it builds no k-copy state.
 
-The measurement and the apply-then-measure modes run in two steps.  The
-distribution step runs the sampling gates (trace preservation, the state
-dimension and the memory budget of the noisy k-copy state) and returns the
-outcome values with the integer thresholds of their cumulative probabilities;
-it depends only on the protocol, the state and the noise, and refuses a
-distribution whose probabilities are all 0, or an H_k probability below
--``SAMPLING_TP_TOL``.  The draw step turns it, a shot count and a seed into an
-``EstimationRun``.  A caller that repeats runs of one fixed set-up, such as
-``hubbard.fig4_experiment``, builds the distribution once and reads every
-trial's ``zeta_bar`` off ``_run_means``.
+Every run takes two steps.  The distribution step (``_distribution``) is the one
+place that picks the mode: it runs the sampling gates (trace preservation, then
+the state dimension; building the noisy k-copy state checks the memory budget)
+and returns the outcome values with the integer thresholds of their cumulative
+probabilities, one array, or a Kraus channel's branch thresholds and its H_k
+outcome rows.  It depends only on the protocol, the state and the noise, and
+refuses a distribution whose probabilities are all 0, or an H_k probability
+below -``SAMPLING_TP_TOL``.  The draw step (``run_protocol``) turns it, a shot
+count and a seed into an ``EstimationRun``.  A caller that repeats runs of one
+fixed set-up, such as ``hubbard.fig4_experiment``, builds the distribution
+once and reads every trial's ``zeta_bar`` off ``_run_means``.
 
 A run keeps only its outcome counts, a sufficient statistic of ``zeta_bar``:
 each block of shots is tallied (its words at or above each threshold, or a
@@ -185,21 +186,6 @@ def _finish_run(p: RetrievalProtocol, seed: int, shots: int, counts: np.ndarray,
                          estimate=p.f * zeta_bar - p.t, protocol_ref=p.label or p.kind)
 
 
-def _check_sampleable(p: RetrievalProtocol, rho: Operator) -> None:
-    """The sampling gates: a trace-preserving retriever and a state of its copy dimension."""
-    if not is_trace_preserving(p.realization):
-        raise ValueError("finite-shot simulation needs a trace-preserving retriever; "
-                         "evaluate this one exactly (--exact)")
-    if rho.dim != p.copy_dim:
-        raise ValueError(f"state dim {rho.dim} != protocol copy dim {p.copy_dim}")
-
-
-def _noisy_state(p: RetrievalProtocol, rho: Operator, noise: Channel) -> Operator:
-    """The k-copy noisy input of a sampled protocol, after the sampling gates."""
-    _check_sampleable(p, rho)
-    return noisy_copies(rho, noise, p.k)
-
-
 @lru_cache(maxsize=None)
 def _h_spectrum(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Outcomes of H_k, ascending, and the weights reading their probabilities off S_k.
@@ -259,14 +245,6 @@ def _outcome_index(words: np.ndarray, thresholds: np.ndarray, out: np.ndarray,
     return out
 
 
-def _is_kraus(r) -> bool:
-    return isinstance(r, Channel) and r.kraus is not None
-
-
-def _is_measurement(r) -> bool:
-    return isinstance(r, MeasurePrepare) and r.values is not None
-
-
 def _tally(thresholds: np.ndarray, shots: int, seeds):
     """Yield ``(r, counts)`` once a block ends runs r, r + 1, ...: their shots per outcome,
     a row each, in a reused buffer.  Each block's words are counted, then dropped."""
@@ -312,68 +290,56 @@ def _run_means(values: np.ndarray, thresholds: np.ndarray, shots: int, seeds) ->
     return zeta
 
 
-def run_mixed_unitary(p: RetrievalProtocol, rho: Operator, noise: Channel,
-                      shots: int, seed: int) -> EstimationRun:
-    """Sample a Kraus operator per shot, then an H-eigenvalue by Born probabilities."""
+def _distribution(p: RetrievalProtocol, rho: Operator, noise: Channel,
+                  h_of_output: bool = False) -> tuple[np.ndarray, np.ndarray | tuple]:
+    """The sampling gates, then the draw the realization selects, as (values, thresholds):
+    a measure-and-prepare map with stored values gives one threshold array over them, a
+    Kraus channel the pair (branch thresholds, one H_k outcome row per branch), and any
+    other realization, or any with ``h_of_output``, one threshold array over the H_k
+    outcomes of its output."""
     r = p.realization
-    if not _is_kraus(r):
-        raise TypeError("protocol realization is not a Kraus-form channel")
-    sigma = _noisy_state(p, rho, noise).entries
+    if not is_trace_preserving(r):
+        raise ValueError("finite-shot simulation needs a trace-preserving retriever; "
+                         "evaluate this one exactly (--exact)")
+    if rho.dim != p.copy_dim:
+        raise ValueError(f"state dim {rho.dim} != protocol copy dim {p.copy_dim}")
+    kraus = isinstance(r, Channel) and r.kraus is not None
+    measured = isinstance(r, MeasurePrepare) and r.values is not None
     values = _h_spectrum(p.k)[0]
+    if h_of_output or not (kraus or measured):
+        return values, _thresholds(np.cumsum(_h_distribution(output_traces(p, rho, noise), p.k)))
+    sigma = noisy_copies(rho, noise, p.k).entries
+    if measured:
+        probs = np.clip(r.outcome_probabilities(sigma), 0.0, None)
+        return np.asarray(r.values, dtype=float), _thresholds(np.cumsum(_normalized(probs)))
     traces = cycle_traces(np.stack([e @ sigma @ e.conj().T for e in r.kraus]), p.k, p.copy_dim)
     # a branch of weight 0, never drawn, has a NaN row: no word reaches 1, so outcome 0
     rows = _thresholds(np.nan_to_num(np.cumsum(_h_distribution(traces, p.k), axis=1), nan=1.0))
-    thresholds = (_thresholds(np.cumsum(_normalized(traces[:, 0].real))), rows)  # weight tr X
-    counts = np.zeros(len(r.kraus) * values.size, dtype=np.int64)
+    return values, (_thresholds(np.cumsum(_normalized(traces[:, 0].real))), rows)  # weight tr X
+
+
+def run_choi_map(p: RetrievalProtocol, rho: Operator, noise: Channel,
+                 shots: int, seed: int) -> EstimationRun:
+    """Apply the (trace-preserving) retriever, then measure H_k, whatever its realization."""
+    return _draw(p, *_distribution(p, rho, noise, h_of_output=True), shots, seed)
+
+
+def run_protocol(p: RetrievalProtocol, rho: Operator, noise: Channel,
+                 shots: int, seed: int) -> EstimationRun:
+    """Sample in the mode the realization selects; trace-preserving realizations only.
+    A Kraus run draws a branch, then an H_k outcome from that branch's row."""
+    if shots < 1:
+        raise ValueError(f"shots must be at least 1, got {shots}")
+    values, thresholds = _distribution(p, rho, noise)
+    if not isinstance(thresholds, tuple):
+        return _draw(p, values, thresholds, shots, seed)
+    counts = np.zeros((len(thresholds[0]) + 1) * values.size, dtype=np.int64)
     key = np.empty(min(shots, _BLOCK), dtype=np.intp)
     for cs, j, outcome in _shot_blocks(thresholds, shots, seed):
         pair = key[:cs.stop - cs.start]
         np.multiply(j, values.size, out=pair, dtype=np.intp)  # (branch, outcome) pairs
         counts += np.bincount(np.add(pair, outcome, out=pair), minlength=counts.size)
     return _finish_run(p, seed, shots, counts.reshape(-1, values.size), values, thresholds)
-
-
-def _measurement_distribution(p: RetrievalProtocol, rho: Operator,
-                              noise: Channel) -> tuple[np.ndarray, np.ndarray]:
-    """Stored values and thresholds of the measurement outcomes."""
-    r = p.realization
-    if not _is_measurement(r):
-        raise TypeError("protocol realization is not a projective measurement")
-    sigma = _noisy_state(p, rho, noise).entries
-    probs = np.clip(r.outcome_probabilities(sigma), 0.0, None)
-    return np.asarray(r.values, dtype=float), _thresholds(np.cumsum(_normalized(probs)))
-
-
-def run_measurement_based(p: RetrievalProtocol, rho: Operator, noise: Channel,
-                          shots: int, seed: int) -> EstimationRun:
-    """Sample a measurement outcome per shot; record its stored value."""
-    return _draw(p, *_measurement_distribution(p, rho, noise), shots, seed)
-
-
-def _choi_distribution(p: RetrievalProtocol, rho: Operator,
-                       noise: Channel) -> tuple[np.ndarray, np.ndarray]:
-    """Outcomes of H_k and the thresholds of their Born probabilities after the retriever."""
-    _check_sampleable(p, rho)
-    traces = output_traces(p, rho, noise)
-    return _h_spectrum(p.k)[0], _thresholds(np.cumsum(_h_distribution(traces, p.k)))
-
-
-def run_choi_map(p: RetrievalProtocol, rho: Operator, noise: Channel,
-                 shots: int, seed: int) -> EstimationRun:
-    """Apply the (trace-preserving) retriever, then measure H."""
-    return _draw(p, *_choi_distribution(p, rho, noise), shots, seed)
-
-
-def run_protocol(p: RetrievalProtocol, rho: Operator, noise: Channel,
-                 shots: int, seed: int) -> EstimationRun:
-    """Sample in the mode the realization selects; trace-preserving realizations only."""
-    if shots < 1:
-        raise ValueError(f"shots must be at least 1, got {shots}")
-    if _is_kraus(p.realization):
-        return run_mixed_unitary(p, rho, noise, shots, seed)
-    if _is_measurement(p.realization):
-        return run_measurement_based(p, rho, noise, shots, seed)
-    return run_choi_map(p, rho, noise, shots, seed)
 
 
 def renyi_entropy(moment_value: float, alpha: int) -> float:

@@ -21,7 +21,7 @@ from math import exp
 import numpy as np
 
 from .channels import depolarizing
-from .estimator import _choi_distribution, _run_means, derive_seed
+from .estimator import _distribution, _run_means, derive_seed
 from .operators import I2, PAULI_Z, Operator, check_memory, partial_trace
 from .protocols import de_second_moment_nqubit, identity_protocol
 
@@ -206,7 +206,7 @@ def fig4_experiment(eps: float, subsystem: list[int] | None = None,
 
     # The outcome distributions are fixed; trials differ only in their seeds.
     seeds = derive_seed(seed, np.arange(trials)[:, None], np.arange(2))
-    raw, mit = (p.f * _run_means(*_choi_distribution(p, rho_a, noise), shots, seeds[:, j]) - p.t
+    raw, mit = (p.f * _run_means(*_distribution(p, rho_a, noise), shots, seeds[:, j]) - p.t
                 for j, p in enumerate((raw_protocol, mitigated_protocol)))
     return Fig4Result(
         exact_purity=exact, eps=eps, subsystem=tuple(subsystem),

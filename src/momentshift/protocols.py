@@ -51,8 +51,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import (Channel, apply, channel_from_json, channel_matrix, channel_to_json,
-                       noisy_copies)
+from .channels import (Channel, apply, apply_copywise, channel_from_json, channel_matrix,
+                       channel_to_json, noisy_copies)
 from .moments import (cycle_counts, cycle_traces, cycle_type, leading_cycle_index,
                       moment_observable, power_traces)
 from .operators import (I2, PAULI_X, PAULI_Y, PAULI_Z, Operator, check_memory,
@@ -259,11 +259,8 @@ def contract_residual(p: RetrievalProtocol, noise: Channel) -> float:
     # (tracemalloc: at most 5.1 x 16 dim^2 above dim = 64)
     check_memory(96 * dim * dim, f"contract residual for k={k}, d={d}")
     h = moment_observable(k, d).entries
-    y = p.realization.adjoint_apply(h).reshape((d,) * (2 * k))
-    m_dag = channel_matrix(noise).conj().T.reshape(d, d, d, d)  # (column, row) out, then in
-    for i in range(k):
-        y = np.moveaxis(np.tensordot(m_dag, y, axes=([2, 3], [k + i, i])), (0, 1), (k + i, i))
-    y = p.f * y.reshape(dim, dim) - p.t * np.eye(dim) - h
+    y = apply_copywise(channel_matrix(noise).conj().T, p.realization.adjoint_apply(h)[None], k)
+    y = p.f * y[0] - p.t * np.eye(dim) - h
     digits = np.arange(dim)[:, None] // d ** np.arange(k) % d
     _, label, size = np.unique(np.sort(digits, axis=1) @ d ** np.arange(k),
                                return_inverse=True, return_counts=True)
@@ -565,8 +562,9 @@ def _field(doc: dict, name: str, kind: type = int):
 
 def protocol_from_json(doc: dict) -> RetrievalProtocol:
     """The protocol a file describes, refused if it is not a JSON object, lacks a
-    field or a number, does not act on k copies of copy_dim, or stores an f or t
-    more than 1e-12 relative from the one a recursive file's data builds."""
+    field or a number, does not act on k copies of copy_dim, stores an f or t
+    more than 1e-12 relative from the one a recursive file's data builds, or stores
+    an outcome value more than 1e-12 from tr[H_k] of that outcome's output."""
     if not isinstance(doc, dict) or not isinstance(doc.get("data", {}), dict):
         raise ValueError("protocol file or its 'data' is not a JSON object")
     if doc.get("schema_version") != PROTOCOL_SCHEMA_VERSION:
@@ -595,6 +593,14 @@ def protocol_from_json(doc: dict) -> RetrievalProtocol:
         if not isclose(stored, getattr(p, name), rel_tol=1e-12):
             raise ValueError(f"protocol field {name!r} = {stored!r} differs from "
                              f"{getattr(p, name)!r}, the value its data builds")
+    if isinstance(r, MeasurePrepare) and r.values is not None:  # sampling records the values
+        t_out = cycle_traces(np.stack(r.outputs), k, copy_dim)
+        expected = (t_out[:, 1 % k] + t_out[:, -1]).real / 2
+        for m, (stored, value) in enumerate(zip(r.values, expected)):
+            if abs(stored - value) > 1e-12:
+                name = "values" if doc["kind"] == "measure_prepare" else "outcome_values"
+                raise ValueError(f"protocol field {name!r}[{m}] = {stored!r} differs from "
+                                 f"{float(value)!r}, tr[H_k] of its output")
     return p
 
 

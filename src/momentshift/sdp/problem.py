@@ -68,23 +68,9 @@ class HermitianBasis:
 
     def basis_batch(self, start: int, stop: int) -> np.ndarray:
         """Materialize basis elements [start, stop) as a (n, d, d) array."""
-        n = stop - start
-        d, n_off = self.d, self.n_off
-        h = np.zeros((n, d, d), dtype=complex)
-        alphas = np.arange(start, stop)
-        rows = np.arange(n)
-        r2 = 1.0 / np.sqrt(2.0)
-        diag = alphas < d
-        h[rows[diag], alphas[diag], alphas[diag]] = 1.0
-        re = (alphas >= d) & (alphas < d + n_off)
-        idx = alphas[re] - d
-        h[rows[re], self.iu[0][idx], self.iu[1][idx]] = r2
-        h[rows[re], self.iu[1][idx], self.iu[0][idx]] = r2
-        im = alphas >= d + n_off
-        idx = alphas[im] - d - n_off
-        h[rows[im], self.iu[0][idx], self.iu[1][idx]] = 1j * r2
-        h[rows[im], self.iu[1][idx], self.iu[0][idx]] = -1j * r2
-        return h
+        units = np.zeros((stop - start, self.size))
+        units[np.arange(stop - start), np.arange(start, stop)] = 1.0
+        return self.from_coords(units)
 
 
 @dataclass(frozen=True, eq=False)

@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..channels import Channel, channel_matrix
+from ..channels import Channel, apply_copywise, channel_matrix
 from ..moments import cycle_orbits, cycle_traces, cyclic_shift_index, moment_observable
 from ..operators import Operator
 from .problem import (
@@ -77,18 +77,13 @@ def _noise_pushforward(noise: Channel, k: int, h: np.ndarray):
     """Batched Y -> (N^(x k)(Y))^T (x) H, the adjoint of the retriever pullback
     J -> N^dag(x k)(tr_C[(I (x) H^T) J^T]) and the dual coupling term.
 
-    The noise acts copy by copy through its channel matrix, as in
+    The noise acts copy by copy through its channel matrix (``apply_copywise``), as in
     ``protocols.contract_residual``: no k-fold Kraus set is built."""
-    d = noise.in_dim
-    m = channel_matrix(noise).reshape(d, d, d, d)  # (column, row) out, then in
+    m = channel_matrix(noise)
 
     def pushforward(batch: np.ndarray) -> np.ndarray:
-        n, dim = batch.shape[0], d ** k
-        y = batch.reshape((n,) + (d,) * (2 * k))
-        for i in range(k):
-            y = np.moveaxis(np.tensordot(m, y, axes=([2, 3], [k + 1 + i, 1 + i])),
-                            (0, 1), (k + 1 + i, 1 + i))
-        y = np.ascontiguousarray(y.reshape(n, dim, dim).transpose(0, 2, 1))
+        n, dim = batch.shape[0], noise.in_dim ** k
+        y = np.ascontiguousarray(apply_copywise(m, batch, k).transpose(0, 2, 1))
         return (y[:, :, None, :, None] * h[:, None]).reshape(n, dim * dim, dim * dim)
     return pushforward
 

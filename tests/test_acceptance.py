@@ -15,7 +15,7 @@ from momentshift.channels import (
     is_invertible,
     tensor_power,
 )
-from momentshift.estimator import derive_seed, plan_shots, run_mixed_unitary
+from momentshift.estimator import derive_seed, plan_shots, run_protocol
 from momentshift.hubbard import fig4_experiment
 from momentshift.moments import moment_observable, permutation_eigenprojectors
 from momentshift.operators import Operator, PAULI_X, PAULI_Y, PAULI_Z, random_density_matrix
@@ -231,7 +231,7 @@ def test_criterion_9_statistical_validity():
     shots = plan_shots(delta, fail_prob, proto.f).shots
     hits = 0
     for r in range(200):
-        run = run_mixed_unitary(proto, rho, noise, shots, seed=derive_seed(7, r))
+        run = run_protocol(proto, rho, noise, shots, seed=derive_seed(7, r))
         hits += abs(run.estimate - 0.5) <= delta
     wall = time.time() - t0
     _report(9, hits >= 183 and wall < 300.0,

@@ -577,6 +577,25 @@ class TestFileErrors:
         assert code == 1 and out == ""
         assert err == "error: outcome values must lie in [-1, 1]\n"
 
+    @pytest.mark.parametrize("shift", [None, 1e-13], ids=["disagrees", "within_tolerance"])
+    @pytest.mark.parametrize("source, field", [("measure_prepare", "values"),
+                                               ("ad_measure.json", "outcome_values")])
+    def test_stored_value_must_match_its_output(self, capsys, tmp_path, source, field, shift):
+        # sampling records the stored values, where --exact and the contract read the
+        # outputs: a value more than 1e-12 from tr[H_k] of its output is refused
+        doc = self.document(source)
+        values = doc["data"][field]
+        values[:2] = [0.0, 0.0] if shift is None else [v + shift for v in values[:2]]
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = self.estimate(capsys, path)
+        if shift is not None:
+            assert (code, err) == (0, "")
+        else:
+            assert code == 1 and out == ""
+            assert err.startswith(f"error: protocol field {field!r}[0] = 0.0 differs from 0.")
+            assert err.endswith(", tr[H_k] of its output\n")
+
 
 class TestVerifyCommand:
     def test_moments_suite_passes(self, capsys, tmp_path):

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +22,6 @@ from momentshift.estimator import (
     plan_shots,
     renyi_entropy,
     run_choi_map,
-    run_measurement_based,
-    run_mixed_unitary,
     run_protocol,
     run_to_csv,
     save_run,
@@ -38,6 +37,7 @@ from momentshift.protocols import (
     de_second_moment_nqubit,
     exact_expectation,
     identity_protocol,
+    load_protocol,
 )
 from conftest import noisy_copies
 from oracles import reference_run, run_csv_text, run_to_json, searchsorted_index
@@ -183,13 +183,17 @@ def _random_unitary_mixture(branches: int) -> RetrievalProtocol:
                              realization=Channel(4, 4, kraus=[u / np.sqrt(branches) for u in us]))
 
 
+V1 = Path(__file__).parent / "data" / "protocols_v1"
 BLOCK_SHOTS = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]
 KERNEL_CASES = {
     "choi": (run_choi_map, de_kth_moment(0.15, 2, 2), depolarizing(0.15, 2)),
-    "measurement": (run_measurement_based, ad_second_moment(0.2), amplitude_damping(0.2)),
-    "mixed": (run_mixed_unitary, de_second_moment(0.1), depolarizing(0.1, 2)),
+    # Choi-form channels: H_k of the output of the dense k-copy state
+    "choi_form_de": (run_protocol, load_protocol(V1 / "de_choi_n1.json"), depolarizing(0.1, 2)),
+    "choi_form_sdp": (run_protocol, load_protocol(V1 / "sdp_ad_k2.json"), amplitude_damping(0.2)),
+    "measurement": (run_protocol, ad_second_moment(0.2), amplitude_damping(0.2)),
+    "mixed": (run_protocol, de_second_moment(0.1), depolarizing(0.1, 2)),
     # more branch thresholds than a uint8 branch index counts
-    "mixed_wide": (run_mixed_unitary, _random_unitary_mixture(300), depolarizing(0.1, 2)),
+    "mixed_wide": (run_protocol, _random_unitary_mixture(300), depolarizing(0.1, 2)),
 }
 
 
@@ -237,7 +241,7 @@ def test_zero_weight_branch_is_never_drawn():
     p = RetrievalProtocol(k=2, copy_dim=2, f=1.0, t=0.0,
                           realization=Channel(4, 4, kraus=[e0, np.eye(4) - e0]))
     rho, noise = Operator([[1, 0], [0, 0]]), depolarizing(0.0, 2)
-    got = run_mixed_unitary(p, rho, noise, 500, seed=2)
+    got = run_protocol(p, rho, noise, 500, seed=2)
     per_shot, indices, outcome = reference_run(p, rho, noise, 500, seed=2)
     assert np.all(indices == 0)
     assert np.array_equal(got.counts, _reference_counts(got, indices, outcome))
@@ -309,16 +313,16 @@ def test_seed_arrays_stay_uint64():
 class TestMixedUnitaryRun:
     def test_noiseless_pure_state(self):
         p = de_second_moment(0.0)
-        run = run_mixed_unitary(p, Operator([[1, 0], [0, 0]]),
-                                depolarizing(0.0, 2), 10000, seed=7)
+        run = run_protocol(p, Operator([[1, 0], [0, 0]]),
+                           depolarizing(0.0, 2), 10000, seed=7)
         assert abs(run.estimate - 1.0) < 0.05
         assert np.max(np.abs(_rebuilt(run)[0])) <= 1 + 1e-12
 
     def test_bitwise_reproducible(self):
         p = de_second_moment(0.1)
         rho = random_density_matrix(2, 0)
-        a = run_mixed_unitary(p, rho, depolarizing(0.1, 2), 500, seed=3)
-        b = run_mixed_unitary(p, rho, depolarizing(0.1, 2), 500, seed=3)
+        a = run_protocol(p, rho, depolarizing(0.1, 2), 500, seed=3)
+        b = run_protocol(p, rho, depolarizing(0.1, 2), 500, seed=3)
         assert np.array_equal(a.counts, b.counts)
         assert all(np.array_equal(x, y) for x, y in zip(_rebuilt(a), _rebuilt(b)))
         assert a.estimate == b.estimate
@@ -327,29 +331,23 @@ class TestMixedUnitaryRun:
         p = de_second_moment(0.1)
         noise = depolarizing(0.1, 2)
         rho = Operator(np.eye(2) / 2)
-        run = run_mixed_unitary(p, rho, noise, 100000, seed=11)
+        run = run_protocol(p, rho, noise, 100000, seed=11)
         z = exact_expectation(p, rho, noise)
         se = _rebuilt(run)[0].std() / np.sqrt(run.shots)
         assert abs(run.zeta_bar - z) < 5 * se
 
     def test_estimate_formula_exact_from_fields(self):
         p = de_second_moment(0.2)
-        run = run_mixed_unitary(p, random_density_matrix(2, 1),
-                                depolarizing(0.2, 2), 100, seed=1)
+        run = run_protocol(p, random_density_matrix(2, 1),
+                           depolarizing(0.2, 2), 100, seed=1)
         assert run.estimate == p.f * run.zeta_bar - p.t
-
-    def test_realization_mismatch(self):
-        p = ad_second_moment(0.1)
-        with pytest.raises(TypeError):
-            run_mixed_unitary(p, random_density_matrix(2, 0),
-                              amplitude_damping(0.1), 10, seed=0)
 
 
 class TestMeasurementRun:
     def test_excited_state_noiseless(self):
         p = ad_second_moment(0.0)
         rho = Operator([[0, 0], [0, 1]])
-        run = run_measurement_based(p, rho, amplitude_damping(0.0), 2000, seed=5)
+        run = run_protocol(p, rho, amplitude_damping(0.0), 2000, seed=5)
         # |11> is the only outcome; all per-shot values are 1
         assert run.counts.tolist() == [0, 0, 0, 2000]
         assert np.all(_rebuilt(run)[0] == 1.0)
@@ -361,7 +359,7 @@ class TestMeasurementRun:
         p = ad_second_moment(eps)
         noise = amplitude_damping(eps)
         rho = random_density_matrix(2, 3)
-        run = run_measurement_based(p, rho, noise, 100000, seed=8)
+        run = run_protocol(p, rho, noise, 100000, seed=8)
         z = exact_expectation(p, rho, noise)
         se = _rebuilt(run)[0].std() / np.sqrt(run.shots)
         assert abs(run.zeta_bar - z) < 5 * se
@@ -372,7 +370,7 @@ class TestMeasurementRun:
         noise = amplitude_damping(eps)
         rho = random_density_matrix(2, 6)
         shots = 40000
-        run = run_measurement_based(p, rho, noise, shots, seed=2)
+        run = run_protocol(p, rho, noise, shots, seed=2)
         sigma = noisy_copies(rho, noise, 2).entries
         born = p.realization.outcome_probabilities(sigma)
         for i in range(4):
@@ -433,7 +431,7 @@ class TestUnbiasedness:
         shots = plan_shots(delta, fail, p.f).shots
         hits = 0
         for r in range(50):
-            run = run_mixed_unitary(p, rho, noise, shots, seed=derive_seed(99, r))
+            run = run_protocol(p, rho, noise, shots, seed=derive_seed(99, r))
             hits += abs(run.estimate - 0.5) <= delta
         assert hits >= 44
 
@@ -455,8 +453,8 @@ class TestRenyi:
 
 def test_run_serialization(tmp_path):
     p = ad_second_moment(0.2)
-    run = run_measurement_based(p, random_density_matrix(2, 1),
-                                amplitude_damping(0.2), 50, seed=6)
+    run = run_protocol(p, random_density_matrix(2, 1),
+                       amplitude_damping(0.2), 50, seed=6)
     doc = run_to_json(run, *_rebuilt(run))
     assert doc["shots"] == 50
     assert len(doc["per_shot"]) == 50
@@ -473,8 +471,8 @@ def test_run_serialization(tmp_path):
 
 def test_json_record_streams(tmp_path):
     # the per-shot lists go out a block at a time: no list or text of every shot
-    run = run_measurement_based(ad_second_moment(0.2), random_density_matrix(2, 1),
-                                amplitude_damping(0.2), 2_000_000, seed=6)
+    run = run_protocol(ad_second_moment(0.2), random_density_matrix(2, 1),
+                       amplitude_damping(0.2), 2_000_000, seed=6)
     tracemalloc.start()
     try:
         save_run(run, tmp_path / "run.json")
