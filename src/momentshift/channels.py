@@ -4,8 +4,8 @@ Conventions, pinned once and verified by round-trip tests:
 
 * Choi matrices are input-system-first, ``J = sum_ij |i><j| (x) N(|i><j|)``.
 * The link product ``tr_B[(J_N^{T_B} (x) I_C)(I_A (x) J_C)]`` with the partial
-  transpose on the *output* factor of ``J_N`` reproduces Kraus composition
-  (``link_product``, the coupling of the inverse-channel program).
+  transpose on the *output* factor of ``J_N`` reproduces Kraus composition; its
+  one statement is the adjoint ``sdp.programs.noise_link_adjoint``.
 * The channel matrix is ``M_N = sum_k conj(E_k) (x) E_k`` and satisfies
   ``M_N |X> = |N(X)>`` in the column-index-first vectorization.
 
@@ -101,21 +101,6 @@ def apply(c: Channel, rho: Operator) -> Operator:
     if rho.dim != c.in_dim:
         raise ValueError(f"state dimension {rho.dim} != channel input {c.in_dim}")
     return Operator(c.apply(rho.entries), (c.out_dim,))
-
-
-def link_product(j_first: Operator, j_second: np.ndarray,
-                 dims: tuple[int, int, int]) -> np.ndarray:
-    """Chois of compositions from the Chois of their parts, batched.
-
-    ``j_first`` is J of a map A -> B and ``j_second`` a stack (n, B C, B C) of
-    Chois of maps B -> C; the result stacks the (n, A C, A C) Chois of the
-    composed maps A -> C, each ``tr_B[(J_first^{T_B} (x) I_C)(I_A (x) J_second)]``.
-    """
-    da, db, dc = dims
-    jt4 = np.ascontiguousarray(j_first.entries.reshape(da, db, da, db).transpose(0, 3, 2, 1))
-    n = j_second.shape[0]
-    x4 = j_second.reshape(n, db, dc, db, dc)
-    return np.einsum("abpq,nqcbe->nacpe", jt4, x4).reshape(n, da * dc, da * dc)
 
 
 def tensor_power(c: Channel, k: int) -> Channel:

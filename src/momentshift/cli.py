@@ -103,11 +103,8 @@ def cmd_synthesize(args) -> int:
         status, residual, iterations = "analytic", 0.0, 0
     else:
         noise = _noise_channel(args.noise, args.eps, args.n)
-        if not is_invertible(noise):
-            print(f"status: infeasible\n{INFEASIBLE_MSG}")
-            return EXIT_INFEASIBLE
-        sol = solve(build_fmin(noise, args.k), tol=args.tol)
-        if sol.status == "infeasible":
+        sol = solve(build_fmin(noise, args.k), tol=args.tol) if is_invertible(noise) else None
+        if sol is None or sol.status == "infeasible":
             print(f"status: infeasible\n{INFEASIBLE_MSG}")
             return EXIT_INFEASIBLE
         if sol.status != "optimal":
@@ -148,7 +145,6 @@ def cmd_overhead_sweep(args) -> int:
         for method in methods:
             value, status = _overhead_value(args.noise, eps, args.k, method, args.tol)
             rows.append((eps, method, value, status))
-    header = ["eps", "method", "overhead", "status"]
     if args.format == "json":
         doc = [{"eps": eps, "method": method,
                 "overhead": value if np.isfinite(value) else None, "status": status}
@@ -160,19 +156,15 @@ def cmd_overhead_sweep(args) -> int:
         else:
             print(json.dumps(doc))
         return EXIT_OK
+    table = [["eps", "method", "overhead", "status"]] + [
+        [_fmt(eps), method, _fmt(value) if np.isfinite(value) else "NaN", status]
+        for eps, method, value, status in rows]
     if args.out:
         with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for eps, method, value, status in rows:
-                w.writerow([_fmt(eps), method,
-                            _fmt(value) if np.isfinite(value) else "NaN", status])
+            csv.writer(fh).writerows(table)
         print(f"sweep written to {args.out}")
     else:
-        print(",".join(header))
-        for eps, method, value, status in rows:
-            print(f"{_fmt(eps)},{method},"
-                  f"{_fmt(value) if np.isfinite(value) else 'NaN'},{status}")
+        print("\n".join(",".join(row) for row in table))
     return EXIT_OK
 
 

@@ -145,8 +145,8 @@ def plan_shots(delta: float, fail_prob: float, f: float) -> SamplingPlan:
     Hoeffding bound for outcomes in [-1, 1], scaled by the overhead f:
     shots >= f^2 * (2/delta^2) * ln(2/fail_prob), natural logarithm.
     """
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta:g}")
     if not 0.0 < fail_prob < 1.0:
         raise ValueError("failure probability must be in (0, 1)")
     if not f > 0:

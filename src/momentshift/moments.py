@@ -48,11 +48,13 @@ def cyclic_shift_index(k: int, d: int = 2) -> np.ndarray:
 def moment_observable(k: int, d: int = 2) -> Operator:
     """Observable H_k = (S_k + S_k^dag)/2 with tr[H_k rho^(x k)] = tr[rho^k]."""
     dim = _dim(k, d)
-    check_memory(16 * dim * dim + 16 * dim, f"moment observable for k={k}, d={d}")  # H, indices
+    # H, its two index arrays and the dim entries a scatter gathers
+    check_memory(16 * dim * dim + 32 * dim, f"moment observable for k={k}, d={d}")
     shift, x = cyclic_shift_index(k, d), np.arange(dim)
     h = np.zeros((dim, dim), dtype=complex)
     h[shift, x] += 0.5  # S_k |x> = |shift[x]>
     h[x, shift] += 0.5  # S_k^dag
+    h.flags.writeable = False  # frozen, so the Operator holds it without a copy
     return Operator(h, (d,) * k)
 
 

@@ -7,7 +7,7 @@ post-processing scalars: the sampling overhead ``f`` and the shift distance
     f * tr[H_k C(noise^(x k)(rho^(x k)))] - t  ==  tr[rho^k]
 
 for all states rho, where H_k is the moment observable on k copies;
-``contract_residual`` decides it for all states at once.
+``contract_residual`` decides it for all states, mixed ones included, at once.
 
 Every realization is a linear map with one interface: ``in_dim``,
 ``out_dim``, ``apply(x)`` and ``adjoint_apply(y)`` on dense matrices, and a
@@ -61,6 +61,7 @@ from .sdp.problem import SdpSolution
 
 PROTOCOL_SCHEMA_VERSION = 1
 SAMPLING_TP_TOL = 1e-6  # trace preservation required of a sampled realization
+MAX_RECURSIVE_ORDER = 100  # highest k of the Q matrices behind the recursive retriever
 
 
 # ---------------------------------------------------------------------------
@@ -244,31 +245,32 @@ def exact_expectation(p: RetrievalProtocol, rho: Operator, noise: Channel) -> fl
 
 
 def contract_residual(p: RetrievalProtocol, noise: Channel) -> float:
-    """Spectral norm of the symmetric block of Y = f N^dag(x k)(C^dag(H_k)) - t I - H_k.
-
-    The contract error of a state is tr[Y rho^(x k)], and the rho^(x k) span the
-    operators on the symmetric subspace, so this norm bounds the error of every
-    state and is 0 exactly when the contract holds.  The noise adjoint acts copy
-    by copy; the block is read in one orthonormal vector per multiset of digits.
-    """
+    """Spectral norm of the Hermitian part of Ybar, the copy-permutation average of
+    Y = f N^dag(x k)(C^dag(H_k)) - t I - H_k.  A state's estimate errs by
+    Re tr[Y rho^(x k)] = tr[Ybar rho^(x k)], as rho^(x k) commutes with the copy
+    permutations, so this bounds every state's error, and the X^(x k) span the
+    permutation-invariant operators, so it is 0 exactly when the contract holds.  The
+    noise adjoint acts copy by copy; the average is taken by cosets of the copy swaps,
+    Ybar_j = (1/j) sum_(i <= j) tau_ij Ybar_(j-1): k(k-1)/2 axis swaps, not k! terms."""
     d, k = p.copy_dim, p.k
     if (noise.in_dim, noise.out_dim) != (d, d):
         raise ValueError(f"noise dimension {noise.in_dim} != protocol copy dim {d}")
     dim = d ** k
-    # H_k, C^dag(H_k) and the temporaries of the adjoints and the label pairs
-    # (tracemalloc: at most 5.1 x 16 dim^2 above dim = 64)
-    check_memory(96 * dim * dim, f"contract residual for k={k}, d={d}")
+    # H_k, C^dag(H_k), the temporaries of the adjoints, and at k = 2 the channel matrix, as
+    # large as H_k (tracemalloc: at most 6.2 x 16 dim^2 at k = 2, 5.1 x 16 dim^2 beyond)
+    check_memory(100 * dim * dim, f"contract residual for k={k}, d={d}")
     h = moment_observable(k, d).entries
     y = apply_copywise(channel_matrix(noise).conj().T, p.realization.adjoint_apply(h)[None], k)
-    y = p.f * y[0] - p.t * np.eye(dim) - h
-    digits = np.arange(dim)[:, None] // d ** np.arange(k) % d
-    _, label, size = np.unique(np.sort(digits, axis=1) @ d ** np.arange(k),
-                               return_inverse=True, return_counts=True)
-    pairs = (label[:, None] * size.size + label).reshape(-1)
-    block = (np.bincount(pairs, y.real.reshape(-1), size.size ** 2)
-             + 1j * np.bincount(pairs, y.imag.reshape(-1), size.size ** 2))
-    norm = np.sqrt(size)
-    return float(np.linalg.norm(block.reshape(size.size, -1) / np.outer(norm, norm), 2))
+    y = p.f * y[0] - h
+    y.flat[::dim + 1] -= p.t
+    y = y.reshape((d,) * (2 * k))
+    for j in range(1, k):
+        average = y.copy()
+        for i in range(j):
+            average += y.swapaxes(i, j).swapaxes(k + i, k + j)
+        y = np.divide(average, j + 1, out=average)
+    y = y.reshape(dim, dim)
+    return float(np.abs(np.linalg.eigvalsh(y + y.conj().T)).max() / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +368,8 @@ def q_matrices(k: int) -> tuple[np.ndarray, np.ndarray]:
     w_{k-1}^l; the companion matrix picks up the opposite sign through a
     half-turn permutation of rows (odd k) or columns (even k).
     """
-    if k < 3 or k > 100:
-        raise ValueError("Q construction requires 3 <= k <= 100")
+    if k < 3 or k > MAX_RECURSIVE_ORDER:
+        raise ValueError(f"Q construction requires 3 <= k <= {MAX_RECURSIVE_ORDER}")
     q = np.zeros((k - 1, k))
     csc = 1.0 / np.sin(2 * np.pi / k)
     for l in range(k - 1):
@@ -475,8 +477,8 @@ def de_kth_moment(eps: float, k: int, d: int = 2) -> RetrievalProtocol:
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError("depolarizing retrieval requires 0 <= eps < 1")
-    if k < 2:
-        raise ValueError("moment order must be >= 2")
+    if not 2 <= k <= MAX_RECURSIVE_ORDER:  # before the tables, which overflow near k = 1100
+        raise ValueError(f"moment order must be in [2, {MAX_RECURSIVE_ORDER}], got {k}")
     if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 2:
         raise ValueError(f"copy dimension must be an integer >= 2, got {d!r}")
     f_table, t_table = _shift_table(eps, k, d)

@@ -27,7 +27,8 @@ rows from and what the dual operator of ``check_certificate`` is made of:
 * the observable pullback J -> N^dag(x k)(tr_C[(I (x) H^T) J^T]) has the
   pushforward Y -> (N^(x k)(Y))^T (x) H, with the noise applied copy by copy
   through its d^2 x d^2 channel matrix;
-* the link with the noise has the adjoint of ``channels.link_product``.
+* the link with the noise has the adjoint ``noise_link_adjoint``, the package's one
+  statement of the link convention.
 
 No dual program is built: each solve records its dual objective in its
 diagnostics, and ``check_certificate`` tests an (M, K) of the shift dual exactly.
@@ -41,7 +42,7 @@ import numpy as np
 
 from ..channels import Channel, apply_copywise, channel_matrix
 from ..moments import cycle_orbits, cycle_traces, cyclic_shift_index, moment_observable
-from ..operators import Operator
+from ..operators import Operator, check_memory
 from .problem import (
     BlockVar,
     Constraint,
@@ -51,7 +52,7 @@ from .problem import (
     SdpProblem,
     Sector,
 )
-from .solver import check_program_memory
+from .solver import check_program_memory, program_bytes
 
 F_LOWER_BOUND = 1e-9
 SYMMETRY_TOL = 1e-12
@@ -133,23 +134,28 @@ def copy_sectors(k: int, d: int, charge: bool) -> tuple[Sector, ...]:
     return tuple(sectors)
 
 
-def _fmin_sectors(noise: Channel, k: int) -> tuple[Sector, ...]:
-    """Sectors of the observable-shift program's J: the copy cycle's, split by
-    charge when the noise is phase covariant (H_k is both by construction)."""
+def _phase_covariant(noise: Channel) -> bool:
+    """Whether the noise conserves the excitation charge, so H_k's charge sectors
+    are the program's too (H_k has the copy cycle's by construction)."""
     n1 = _charges(1, noise.in_dim)
     q = (n1[:, None] - n1).reshape(-1)  # charge of each basis state of the Choi matrix
-    covariant = np.abs(noise.choi().entries[q[:, None] != q]).max(initial=0.0) <= SYMMETRY_TOL
-    return copy_sectors(k, noise.in_dim, covariant)
+    return bool(np.abs(noise.choi().entries[q[:, None] != q]).max(initial=0.0) <= SYMMETRY_TOL)
 
 
 def build_fmin(noise: Channel, k: int) -> SdpProblem:
-    """Primal observable-shift program for H_k; optimum is f_min(noise, k)."""
+    """Primal observable-shift program for H_k; optimum is f_min(noise, k).  J's sectors, at
+    most k per charge value, have sizes summing to d^2, so by Cauchy-Schwarz J has at least
+    d^4 / labels coordinates: the program is gated on that before its sectors are built."""
     if noise.in_dim != noise.out_dim:
         raise ValueError("observable-shift synthesis needs a square channel")
     d = noise.in_dim ** k
     name = f"fmin[{noise.label},k={k}]"
-    blocks = [BlockVar("J", d * d, psd=True, sectors=_fmin_sectors(noise, k))]
     scalars = [ScalarVar("f", lower=F_LOWER_BOUND), ScalarVar("t")]
+    covariant = _phase_covariant(noise)
+    labels = k * (2 * k * int(_charges(1, noise.in_dim).max()) + 1) if covariant else k
+    check_memory(program_bytes(-(-d ** 4 // labels) + len(scalars), d * d, (d, d)),
+                 f"program {name}")
+    blocks = [BlockVar("J", d * d, psd=True, sectors=copy_sectors(k, noise.in_dim, covariant))]
     check_program_memory(name, blocks, scalars, (d, d))
     h = moment_observable(k, noise.in_dim).entries
     ts = _trace_scaling("J", "f", d, d, "trace_scaling")
@@ -200,25 +206,27 @@ def _channel_difference(name: str, d1: int, d2: int, target_dim: int, coupling,
                       constraints=cons, name=name)
 
 
-def build_gmin(noise: Channel) -> SdpProblem:
-    """Quasi-probability overhead of the exact channel inverse of ``noise``.
-
-    The decomposed map runs from the noise output back to its input; its link
-    with the noise, ``channels.link_product``, is pinned to the identity Choi
-    matrix.  The link's adjoint takes Y on A (x) A to the Choi on B (x) A
-    ``[(q c), (b e)] -> sum_ap conj(J_N)[(a q), (p b)] Y[(a c), (p e)]``.
-    """
+def noise_link_adjoint(noise: Channel):
+    """Batched adjoint of the link L(J) = tr_B[(J_N^{T_B} (x) I_A)(I_A (x) J)], the Choi on
+    A (x) A of (the map B -> A of Choi J on B (x) A) o noise: L^dag takes Y on A (x) A to
+    ``[(q c), (b e)] -> sum_ap conj(J_N)[(a q), (p b)] Y[(a c), (p e)]`` on B (x) A."""
     da, db = noise.in_dim, noise.out_dim
+    j_conj = noise.choi().entries.conj().reshape(da, db, da, db)
 
-    def coupling():
-        j_conj = noise.choi().entries.conj().reshape(da, db, da, db)
-        omega = np.eye(da, dtype=complex).reshape(-1)
+    def adjoint(batch: np.ndarray) -> np.ndarray:
+        y = batch.reshape(-1, da, da, da, da)
+        return np.einsum("aqpb,nacpe->nqcbe", j_conj, y).reshape(-1, db * da, db * da)
+    return adjoint
 
-        def link_adjoint(batch: np.ndarray) -> np.ndarray:
-            y = batch.reshape(-1, da, da, da, da)
-            return np.einsum("aqpb,nacpe->nqcbe", j_conj, y).reshape(-1, db * da, db * da)
-        return link_adjoint, np.outer(omega, omega)
-    return _channel_difference(f"gmin[{noise.label}]", db, da, da * da, coupling,
+
+def build_gmin(noise: Channel) -> SdpProblem:
+    """Quasi-probability overhead of the exact channel inverse of ``noise``: the
+    decomposed map runs from the noise output back to its input, and its link
+    with the noise (``noise_link_adjoint``) is pinned to the identity Choi matrix."""
+    da, db = noise.in_dim, noise.out_dim
+    omega = np.eye(da, dtype=complex).reshape(-1)
+    return _channel_difference(f"gmin[{noise.label}]", db, da, da * da,
+                               lambda: (noise_link_adjoint(noise), np.outer(omega, omega)),
                                "inverse_composition")
 
 

@@ -63,22 +63,25 @@ class _Compiled:
     n: int
 
 
-def check_program_memory(name: str, blocks: list[BlockVar], scalars: list[ScalarVar],
-                         target_dims: tuple[int, ...]) -> None:
-    """Refuse a program whose solver arrays overrun the memory budget: the real
-    m x n system A and its stacked rows, the thin SVD of A with a scaled copy of
-    V^T, the n x m pseudo-inverse, 2 ``ANDERSON_MEMORY`` vectors of the 2n-long
-    ADMM state and one ``CHUNK`` of rows: the adjoint images in the largest block
-    and a sector's gather of them, four of the largest target's matrices (the
-    basis and the pushforward's temporaries).  n counts each block's coordinates.
-    ``target_dims`` gives each constraint's target dimension (1 for a scalar
-    target), in the order the constraints are declared."""
-    n = sum(b.size for b in blocks) + len(scalars)
+def program_bytes(n: int, block_dim: int, target_dims: tuple[int, ...]) -> int:
+    """Bytes of the solver arrays of a program of n coordinates, largest block side
+    ``block_dim`` and constraint targets ``target_dims``: the real m x n system A and
+    its stacked rows, the thin SVD of A with a scaled copy of V^T, the n x m
+    pseudo-inverse, 2 ``ANDERSON_MEMORY`` vectors of the 2n-long ADMM state and one
+    ``CHUNK`` of rows (the adjoint images in the largest block, a sector's gather of
+    them, four of the largest target's matrices: the basis and pushforward temporaries)."""
     m = sum(t * t for t in target_dims)
     r = min(m, n)
-    chunk = 16 * CHUNK * (2 * max(b.dim for b in blocks) ** 2 + 4 * max(target_dims) ** 2)
-    check_memory(8 * (2 * m * n + r * (m + 1 + 2 * n) + 4 * ANDERSON_MEMORY * n) + chunk,
-                 f"program {name}")
+    chunk = 16 * CHUNK * (2 * block_dim ** 2 + 4 * max(target_dims) ** 2)
+    return 8 * (2 * m * n + r * (m + 1 + 2 * n) + 4 * ANDERSON_MEMORY * n) + chunk
+
+
+def check_program_memory(name: str, blocks: list[BlockVar], scalars: list[ScalarVar],
+                         target_dims: tuple[int, ...]) -> None:
+    """Refuse a program whose ``program_bytes`` overrun the memory budget; ``target_dims``
+    gives each constraint's target dimension (1 for a scalar), in declaration order."""
+    n = sum(b.size for b in blocks) + len(scalars)
+    check_memory(program_bytes(n, max(b.dim for b in blocks), target_dims), f"program {name}")
 
 
 def _psd_sections(blk: BlockVar, offset: int) -> list:

@@ -2,20 +2,20 @@
 
 Each check returns (name, passed, detail).  The protocols suite gates every
 closed-form retriever, and the sdp suite every solver-made k = 2 retriever, on
-one exact number: ``protocols.contract_residual``, the norm of the contract's
-residual operator on the symmetric subspace, which bounds the contract error of
-every state.  The other checks cover the moment observable up to k = 5, the
-Q-matrix condition up to k = 100, complete positivity of the recursion, strong
-duality (each primal against its solve's dual objective) and the Hubbard
-model.  The suites are a quick health gate over product code, cheaper than the
-acceptance tests.
+one exact number: ``protocols.contract_residual``, the norm of the
+copy-permutation average of the contract's residual operator, which bounds the
+contract error of every state.  The other checks cover H_k up to k = 5, the
+Q-matrix condition up to k = 100, complete positivity of the recursion, the
+Choi link the inverse program compiles, strong duality (each primal against its
+solve's dual objective) and the Hubbard model.  The suites are a quick health
+gate over product code, cheaper than the acceptance tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .channels import Channel, amplitude_damping, depolarizing, is_invertible, link_product
+from .channels import Channel, amplitude_damping, depolarizing, is_invertible
 from .moments import cycle_traces, moment_observable
 from .operators import partial_trace, random_density_matrix, tensor_product
 from .protocols import (
@@ -27,7 +27,8 @@ from .protocols import (
     from_sdp_solution,
     q_matrices,
 )
-from .sdp.programs import build_fmin, build_gmin, gmin_power
+from .sdp.problem import HermitianBasis
+from .sdp.programs import build_fmin, build_gmin, gmin_power, noise_link_adjoint
 from .sdp.solver import solve
 from .hubbard import annihilation_operator, build_hamiltonian, ground_state, demo_model
 
@@ -119,10 +120,12 @@ def checks_protocols() -> list[tuple[str, bool, str]]:
     out.append(("recursive_retriever_cp_k3_4", min_eig > -1e-8,
                 f"choi min eig {min_eig:.2e}"))
 
+    # tr[L^dag(Y) J_B] = tr[Y J_(B o A)] over a basis of Y, L the link with the noise A
     after, before = depolarizing(0.2, 2), amplitude_damping(0.3)
-    j_link = link_product(before.choi(), after.choi().entries[None], (2, 2, 2))
+    y = HermitianBasis(4).basis_batch(0, 16)
     j_kraus = Channel(2, 2, kraus=[a @ b for a in after.kraus for b in before.kraus]).choi()
-    err = float(np.max(np.abs(j_link[0] - j_kraus.entries)))
+    link = np.einsum("nij,ji->n", noise_link_adjoint(before)(y), after.choi().entries)
+    err = float(np.max(np.abs(link - np.einsum("nij,ji->n", y, j_kraus.entries))))
     out.append(("choi_link_product_convention", err < 1e-10, f"err {err:.2e}"))
     return out
 

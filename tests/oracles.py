@@ -1,7 +1,7 @@
 """Dense and composed reference objects the tests check the package against.
 
-The package builds H_k from an index permutation, composes channels through
-``link_product``, keeps the transfer and recovery maps as the coefficient
+The package builds H_k from an index permutation, states the Choi link only
+as its adjoint, keeps the transfer and recovery maps as the coefficient
 matrices of the recursion, builds the recursion's stages once, evaluates copy-cycle
 retrievers from the moments of one noisy copy, applies depolarizing noise in
 closed form, tallies its shots and rebuilds their records from the seed, builds
@@ -19,8 +19,7 @@ from math import comb
 
 import numpy as np
 
-from momentshift.channels import (Channel, _weyl_operators, channel_matrix, link_product,
-                                  tensor_power)
+from momentshift.channels import Channel, _weyl_operators, channel_matrix, tensor_power
 from momentshift.estimator import EstimationRun, _h_distribution, _h_spectrum, shot_uniforms
 from momentshift.moments import cycle_traces, cyclic_shift_index, moment_observable
 from momentshift.operators import Operator, check_memory, partial_trace
@@ -207,6 +206,21 @@ def _difference_forward(d1: int, d2: int, coupling, constraint: str) -> dict:
     """Forward maps of a channel-difference program: two trace scalings, +/- the coupling."""
     return {("ts_J1", "J1"): _trace_out_second(d1, d2), ("ts_J2", "J2"): _trace_out_second(d1, d2),
             (constraint, "J1"): coupling, (constraint, "J2"): _negated(coupling)}
+
+
+def link_product(j_first: Operator, j_second: np.ndarray,
+                 dims: tuple[int, int, int]) -> np.ndarray:
+    """Chois of compositions from the Chois of their parts, batched.
+
+    ``j_first`` is J of a map A -> B and ``j_second`` a stack (n, B C, B C) of
+    Chois of maps B -> C; the result stacks the (n, A C, A C) Chois of the
+    composed maps A -> C, each ``tr_B[(J_first^{T_B} (x) I_C)(I_A (x) J_second)]``.
+    """
+    da, db, dc = dims
+    jt4 = np.ascontiguousarray(j_first.entries.reshape(da, db, da, db).transpose(0, 3, 2, 1))
+    n = j_second.shape[0]
+    x4 = j_second.reshape(n, db, dc, db, dc)
+    return np.einsum("abpq,nqcbe->nacpe", jt4, x4).reshape(n, da * dc, da * dc)
 
 
 def gmin_forward(noise: Channel) -> dict:

@@ -8,6 +8,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from momentshift import moments
 from momentshift.channels import (Channel, amplitude_damping, depolarizing, noisy_copies,
                                   tensor_power)
 from momentshift.cli import main
@@ -46,6 +47,9 @@ OVER_BUDGET = {
     # a qutrit channel that breaks the charge symmetry: 177,201 block coordinates at k = 3
     "build_fmin": lambda: partial(build_fmin, Channel(3, 3, kraus=[
         np.sqrt(0.9) * np.eye(3), np.sqrt(0.1) * np.roll(np.eye(3), 1, axis=0)]), 3),
+    # refused on the size bound, before the sectors' orbit table (k d^2k entries) is built
+    "build_fmin_k7": lambda: partial(build_fmin, amplitude_damping(0.2), 7),
+    "build_fmin_k12": lambda: partial(build_fmin, amplitude_damping(0.2), 12),
     "build_gmin": lambda: partial(build_gmin, depolarizing(0.1, 16)),
     "build_info_recover": lambda: partial(build_info_recover,
                                           tensor_power(amplitude_damping(0.1), 5),
@@ -76,6 +80,21 @@ def test_noisy_copies_holds_the_joint_state_once():
     finally:
         tracemalloc.stop()
     assert peak <= 1.2 * joint.entries.nbytes  # 1 MiB joint state at d = 4, k = 4
+
+
+@pytest.mark.parametrize("k, d", [(6, 2), (4, 4), (3, 8)])
+def test_moment_observable_peak_within_its_gate(k, d, monkeypatch):
+    # H_k is frozen before it is wrapped, so the Operator holds it without a copy
+    requested = []
+    monkeypatch.setattr(moments, "check_memory", lambda nbytes, what: requested.append(nbytes))
+    tracemalloc.start()
+    try:
+        moment_observable(k, d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    (gate,) = requested
+    assert peak <= gate + 8 * 2 ** 10  # and the interpreter's objects, the same at every size
 
 
 @pytest.mark.parametrize("build", [

@@ -14,7 +14,6 @@ from momentshift.channels import (
     channel_to_json,
     depolarizing,
     is_invertible,
-    link_product,
     noisy_copies,
     tensor_power,
 )
@@ -27,7 +26,8 @@ from momentshift.operators import (
     tensor_product,
 )
 from conftest import noisy_copies as oracle_noisy_copies
-from oracles import compose, identity_channel, is_cptp, weyl_depolarizing, weyl_operators
+from oracles import (compose, identity_channel, is_cptp, link_product, weyl_depolarizing,
+                     weyl_operators)
 
 
 class TestDepolarizing:

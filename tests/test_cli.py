@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -12,6 +13,8 @@ from momentshift.operators import Operator
 from momentshift.protocols import (RetrievalProtocol, ad_second_moment, de_second_moment,
                                    load_protocol, protocol_to_json, save_protocol)
 from oracles import reference_run, run_to_json
+
+DATA = Path(__file__).parent / "data" / "protocols_v1"
 
 
 def run_cli(capsys, *argv):
@@ -371,6 +374,32 @@ class TestNumericInputs:
         assert (code, out) == (1, "")
         assert err == (f"error: delta={float(delta):g} at overhead f=1.5625 needs more shots "
                        "than a float can count\n")
+
+    def test_infinite_delta_refused_before_planning(self, capsys):
+        code, out, err = run_cli(capsys, "estimate", "--protocol",
+                                 str(DATA / "recursive_k3.json"), "--noise", "depolarizing",
+                                 "--eps", "0.2", "--delta", "inf")
+        assert (code, out) == (1, "")
+        assert err == "error: delta must be positive and finite, got inf\n"
+
+    @pytest.mark.parametrize("k", ["101", "2000"], ids=["past_q_bound", "past_float_tables"])
+    def test_recursive_order_past_bound_refused_first(self, capsys, k):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "synthesize", "--noise", "depolarizing",
+                                 "--eps", "0.1", "--k", k)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == f"error: moment order must be in [2, 100], got {k}\n"
+
+    def test_recursive_file_order_past_bound(self, capsys, tmp_path):
+        doc = json.loads((DATA / "recursive_k3.json").read_text())
+        doc["data"]["order"] = 2000
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "estimate", "--protocol", str(path), "--noise",
+                                 "depolarizing", "--eps", "0.2", "--exact")
+        assert (code, out) == (1, "")
+        assert err == "error: moment order must be in [2, 100], got 2000\n"
 
     @pytest.mark.parametrize("field, value, message", [
         ("f", "Infinity", "protocol field 'f' is not a finite number"),

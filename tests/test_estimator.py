@@ -65,7 +65,7 @@ class TestPlanShots:
         assert plan.shots - 1 < bound
 
     @pytest.mark.parametrize("bad", [(0, 0.05, 1), (0.05, 0, 1), (0.05, 1.0, 1),
-                                     (0.05, 0.05, 0)])
+                                     (0.05, 0.05, 0), (math.inf, 0.05, 1)])
     def test_rejects_bad_parameters(self, bad):
         with pytest.raises(ValueError):
             plan_shots(*bad)

@@ -12,6 +12,7 @@ from momentshift.moments import moment_observable, permutation_eigenprojectors
 from momentshift.estimator import _h_spectrum
 from momentshift.operators import Operator, random_density_matrix
 from momentshift.protocols import (
+    CycleMap,
     MeasurePrepare,
     RetrievalProtocol,
     ad_second_moment,
@@ -488,6 +489,20 @@ class TestContractResidual:
             err = abs(p.f * exact_expectation(p, rho, noise) - p.t
                       - true_moment(rho, 3))
             assert err <= bound + 1e-15
+
+    def test_mixed_state_error_detected(self):
+        # Y = c (S - I) at k = 2 vanishes on the symmetric subspace, yet a mixed state
+        # errs by c (tr[rho^2] - 1): only the copy-permutation average of Y sees it
+        c, t = 0.3, 0.1
+        p = RetrievalProtocol(k=2, copy_dim=2, f=1.0, t=t, realization=CycleMap(
+            2, 2, [(2, 0), (2, 1)], [(2, 0), (2, 1)], np.diag([(t - c) / 2, (1 + c) / 4])))
+        noise = depolarizing(0.0, 2)
+        bound = contract_residual(p, noise)
+        assert bound >= 0.5
+        for seed in range(3):
+            rho = random_density_matrix(2, seed)
+            err = abs(p.f * exact_expectation(p, rho, noise) - p.t - true_moment(rho, 2))
+            assert 0.05 < err <= bound
 
     def test_shifted_t_detected(self):
         p = de_second_moment(0.1)
