@@ -219,7 +219,16 @@ def _load_state(args, protocol) -> Operator:
 
 
 def cmd_estimate(args) -> int:
+    """Evaluate or sample, write the run record, then print the report; a run refused or
+    failed at any step prints nothing on stdout."""
+    if args.exact and (args.shots is not None or args.out is not None):
+        flag = "--shots" if args.shots is not None else "--out"
+        return _fail(f"--exact draws no shots and writes no run, so it takes no {flag}",
+                     EXIT_USAGE)
     protocol = load_protocol(args.protocol)
+    if args.renyi not in (None, protocol.k):
+        return _fail(f"--renyi {args.renyi} needs tr[rho^{args.renyi}], but the protocol "
+                     f"retrieves tr[rho^{protocol.k}]", EXIT_USAGE)
     noise = _noise_channel(args.noise, args.eps, args.n)
     if noise.in_dim != protocol.copy_dim:
         return _fail(f"noise dim {noise.in_dim} != protocol copy dim "
@@ -227,31 +236,23 @@ def cmd_estimate(args) -> int:
     rho = _load_state(args, protocol)
     if args.exact:
         zeta = exact_expectation(protocol, rho, noise)
-        est = protocol.f * zeta - protocol.t
-        print(f"zeta: {_fmt(zeta)}")
-        print(f"estimate: {_fmt(est)}")
-        if args.renyi:
-            print(f"renyi_{args.renyi}: {_fmt(renyi_entropy(est, args.renyi))}")
-        return EXIT_OK
-    if args.shots is not None:
-        shots = args.shots
+        est, report = protocol.f * zeta - protocol.t, [f"zeta: {_fmt(zeta)}"]
     else:
-        plan = plan_shots(args.delta, args.fail_prob, protocol.f)
-        shots = plan.shots
-        print(f"planned shots: {shots} (delta={_fmt(args.delta)}, "
-              f"fail_prob={_fmt(args.fail_prob)}, f={_fmt(protocol.f)})")
-    run = run_protocol(protocol, rho, noise, shots, args.seed)
-    print(f"shots: {run.shots}")
-    print(f"zeta_bar: {_fmt(run.zeta_bar)}")
-    print(f"estimate: {_fmt(run.estimate)}")
+        shots, report = args.shots, []
+        if shots is None:
+            shots = plan_shots(args.delta, args.fail_prob, protocol.f)
+            report.append(f"planned shots: {shots} (delta={_fmt(args.delta)}, "
+                          f"fail_prob={_fmt(args.fail_prob)}, f={_fmt(protocol.f)})")
+        run = run_protocol(protocol, rho, noise, shots, args.seed)
+        est = run.estimate
+        report += [f"shots: {run.shots}", f"zeta_bar: {_fmt(run.zeta_bar)}"]
+    report.append(f"estimate: {_fmt(est)}")
     if args.renyi:
-        print(f"renyi_{args.renyi}: {_fmt(renyi_entropy(run.estimate, args.renyi))}")
+        report.append(f"renyi_{args.renyi}: {_fmt(renyi_entropy(est, args.renyi))}")
     if args.out:
-        if args.format == "csv":
-            run_to_csv(run, args.out)
-        else:
-            save_run(run, args.out)
-        print(f"run written to {args.out}")
+        (run_to_csv if args.format == "csv" else save_run)(run, args.out)
+        report.append(f"run written to {args.out}")
+    print("\n".join(report))
     return EXIT_OK
 
 

@@ -131,15 +131,7 @@ def derive_seed(seed: int, *indices):
     return s if any(np.ndim(ix) for ix in indices) else s.item()
 
 
-@dataclass(frozen=True)
-class SamplingPlan:
-    delta: float
-    fail_prob: float
-    f: float
-    shots: int
-
-
-def plan_shots(delta: float, fail_prob: float, f: float) -> SamplingPlan:
+def plan_shots(delta: float, fail_prob: float, f: float) -> int:
     """Minimal shot count with |estimate - truth| <= delta at confidence 1 - fail_prob.
 
     Hoeffding bound for outcomes in [-1, 1], scaled by the overhead f:
@@ -152,11 +144,10 @@ def plan_shots(delta: float, fail_prob: float, f: float) -> SamplingPlan:
     if not f > 0:
         raise ValueError("overhead must be positive")
     try:
-        shots = math.ceil(f * f * (2.0 / delta ** 2) * math.log(2.0 / fail_prob))
+        return math.ceil(f * f * (2.0 / delta ** 2) * math.log(2.0 / fail_prob))
     except (ZeroDivisionError, OverflowError):  # delta^2 underflows to 0 or the count to inf
         raise ValueError(f"delta={delta:g} at overhead f={f:g} needs more shots than a "
                          "float can count") from None
-    return SamplingPlan(delta=delta, fail_prob=fail_prob, f=f, shots=shots)
 
 
 @dataclass(frozen=True)

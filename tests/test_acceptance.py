@@ -228,7 +228,7 @@ def test_criterion_9_statistical_validity():
     proto = de_second_moment(0.1)
     noise = depolarizing(0.1, 2)
     rho = Operator(np.eye(2) / 2)
-    shots = plan_shots(delta, fail_prob, proto.f).shots
+    shots = plan_shots(delta, fail_prob, proto.f)
     hits = 0
     for r in range(200):
         run = run_protocol(proto, rho, noise, shots, seed=derive_seed(7, r))

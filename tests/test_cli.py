@@ -8,7 +8,7 @@ import pytest
 
 from momentshift.channels import Channel, amplitude_damping, depolarizing
 from momentshift.cli import build_parser, main
-from momentshift.estimator import run_protocol
+from momentshift.estimator import run_choi_map, run_protocol
 from momentshift.operators import Operator
 from momentshift.protocols import (RetrievalProtocol, ad_second_moment, de_second_moment,
                                    load_protocol, protocol_to_json, save_protocol)
@@ -290,6 +290,70 @@ class TestEstimate:
         assert code == 1
         assert f"copy dimension must be an integer >= 2, got {copy_dim}" in err
         assert out == ""
+
+    def test_refused_sampling_prints_nothing(self, capsys, tmp_path):
+        # the k = 5 recursion is not trace preserving: its sampled run is refused after
+        # the plan (8464 shots) is made, and the plan line is not printed
+        path = tmp_path / "p5.json"
+        run_cli(capsys, "synthesize", "--noise", "depolarizing", "--eps", "0.1", "--k", "5",
+                "--out", str(path))
+        code, out, err = run_cli(capsys, "estimate", "--protocol", str(path), "--noise",
+                                 "depolarizing", "--eps", "0.1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "(--exact)" in err
+
+    def test_unwritable_run_record_prints_nothing(self, capsys, tmp_path):
+        out_path = tmp_path / "no" / "run.json"
+        code, out, err = run_cli(capsys, "estimate", "--protocol", str(DATA / "twirl.json"),
+                                 "--noise", "depolarizing", "--eps", "0.1", "--shots", "10",
+                                 "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and str(out_path) in err
+
+    def test_renyi_order_must_be_the_protocols(self, capsys, tmp_path):
+        # a k = 3 file estimates tr[rho^3], whose -log is no Renyi-2 entropy; refused before
+        # the state is read, so the missing state file is not reported
+        for mode in (["--exact"], ["--shots", "10"]):
+            code, out, err = run_cli(capsys, "estimate", "--protocol",
+                                     str(DATA / "recursive_k3.json"), "--noise", "depolarizing",
+                                     "--eps", "0.2", "--renyi", "2",
+                                     "--state", str(tmp_path / "missing.json"), *mode)
+            assert (code, out, err) == (1, "", "error: --renyi 2 needs tr[rho^2], but the "
+                                               "protocol retrieves tr[rho^3]\n")
+
+    @pytest.mark.parametrize("flag, value", [("--shots", "100"), ("--out", "run.json")])
+    def test_exact_takes_no_sampling_option(self, capsys, tmp_path, flag, value):
+        value = str(tmp_path / value) if flag == "--out" else value
+        code, out, err = run_cli(capsys, "estimate", "--protocol", str(DATA / "twirl.json"),
+                                 "--noise", "depolarizing", "--eps", "0.1", "--exact",
+                                 flag, value)
+        assert (code, out) == (1, "")
+        assert err == ("error: --exact draws no shots and writes no run, so it takes "
+                       f"no {flag}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_measure_prepare_file_without_values(self, capsys, tmp_path):
+        # a measure-and-prepare map with no stored values is sampled by measuring H_2 on
+        # its output; --exact reads the same tr[H_2 X] as the valued file
+        doc = protocol_to_json(ad_second_moment(0.2))
+        valued, valueless = tmp_path / "valued.json", tmp_path / "valueless.json"
+        valued.write_text(json.dumps(doc))
+        doc["data"]["values"] = None
+        valueless.write_text(json.dumps(doc))
+        argv = ("--noise", "amplitude-damping", "--eps", "0.2", "--state", "maxmixed")
+        exact = [run_cli(capsys, "estimate", "--protocol", str(path), *argv, "--exact")
+                 for path in (valued, valueless)]
+        assert exact[0] == exact[1] == (0, "zeta: 0.28\nestimate: 0.5\n", "")
+        assert run_cli(capsys, "estimate", "--protocol", str(valueless), *argv,
+                       "--seed", "4") == (0, (
+                           "planned shots: 7205 (delta=0.05, fail_prob=0.05, f=1.5625)\n"
+                           "shots: 7205\nzeta_bar: 0.295489243581\nestimate: 0.524201943095\n"),
+                           "")
+        assert load_protocol(valueless).realization.values is None
+        # the same draw as H_2 measured on the valued map's output
+        run = run_choi_map(load_protocol(valued), Operator(np.eye(2) / 2),
+                           amplitude_damping(0.2), 7205, 4)
+        assert f"{run.zeta_bar:.12g}" == "0.295489243581"
 
 
 class TestSweep:

@@ -45,11 +45,11 @@ CASES = {
                   "shots: 7205\nzeta_bar: 0.570575988897\nestimate: 0.954025161847\n",
                   "zeta: 0.553884593499\nestimate: 0.927944863503\n"
                   "renyi_2: 0.0747829622894\n"),
-    # sampling is refused after the shot plan is printed (exit 1)
-    "recursive_k3": (DE, "0.2", ["--k", "3"],
-                     "planned shots: 11258 (delta=0.05, fail_prob=0.05, f=1.953125)\n",
+    # sampling is refused (exit 1) before anything is printed; the exact run reports the
+    # k = 3 moment, so it takes --renyi 3 (test_cli: --renyi 2 on this file is refused)
+    "recursive_k3": (DE, "0.2", ["--k", "3"], "",
                      "zeta: 0.428661631296\nestimate: 0.891917248625\n"
-                     "renyi_2: 0.114381921305\n"),
+                     "renyi_3: 0.0571909606525\n"),
 }
 
 
@@ -100,7 +100,8 @@ def test_estimate_stdout_pinned(name, source, tmp_path):
     base = ["estimate", "--protocol", str(path), "--noise", noise, "--eps", eps]
     assert _run(base + ["--seed", "4", "--state-seed", "4"]) == \
         (1 if name == "recursive_k3" else 0, sampled)
-    assert _run(base + ["--state-seed", "4", "--exact", "--renyi", "2"]) == (0, exact)
+    renyi = "3" if name == "recursive_k3" else "2"
+    assert _run(base + ["--state-seed", "4", "--exact", "--renyi", renyi]) == (0, exact)
 
 
 def test_hubbard_demo_stdout_pinned():
