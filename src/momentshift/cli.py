@@ -218,13 +218,21 @@ def _load_state(args, protocol) -> Operator:
     return rho
 
 
+# the options only a sampled estimate reads, with its defaults; --exact refuses each one given
+SAMPLING_OPTIONS = {"shots": None, "out": None, "seed": 0, "format": "json", "delta": 0.05,
+                    "fail_prob": 0.05}
+
+
 def cmd_estimate(args) -> int:
     """Evaluate or sample, write the run record, then print the report; a run refused or
     failed at any step prints nothing on stdout."""
-    if args.exact and (args.shots is not None or args.out is not None):
-        flag = "--shots" if args.shots is not None else "--out"
-        return _fail(f"--exact draws no shots and writes no run, so it takes no {flag}",
-                     EXIT_USAGE)
+    given = [name for name in SAMPLING_OPTIONS if getattr(args, name) is not None]
+    if args.exact and given:
+        return _fail("--exact draws no shots and writes no run, so it takes no "
+                     f"--{given[0].replace('_', '-')}", EXIT_USAGE)
+    for name, default in SAMPLING_OPTIONS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     protocol = load_protocol(args.protocol)
     if args.renyi not in (None, protocol.k):
         return _fail(f"--renyi {args.renyi} needs tr[rho^{args.renyi}], but the protocol "
@@ -277,7 +285,6 @@ def cmd_hubbard_demo(args) -> int:
     subsystem = [int(x) for x in args.subsystem.split(",")]
     res = fig4_experiment(args.eps, subsystem=subsystem, shots=args.shots,
                           trials=args.trials, seed=args.seed)
-    summary = res.summary()
     se_raw, se_mit = res.std_errors()
     print(f"exact tr[rho_A^2]: {_fmt(res.exact_purity)}")
     print(f"analytic biased value: {_fmt(res.biased_value())}")
@@ -290,7 +297,7 @@ def cmd_hubbard_demo(args) -> int:
             for trial, method, est in res.records():
                 w.writerow([trial, method, _fmt(est)])
         with open(args.out + ".json", "w") as fh:
-            json.dump(summary, fh, indent=1)
+            json.dump(res.summary(), fh, indent=1)
         print(f"written to {args.out}.csv and {args.out}.json")
     return EXIT_OK
 
@@ -340,14 +347,22 @@ def build_parser() -> _Parser:
     sp.add_argument("--state", default="random",
                     help="random | maxmixed | hubbard | path to density-matrix JSON")
     sp.add_argument("--state-seed", type=int, default=0)
-    sp.add_argument("--delta", type=float, default=0.05)
-    sp.add_argument("--fail-prob", type=float, default=0.05)
-    sp.add_argument("--shots", type=int, default=None)
+    # a sampled run's options default to None, so --exact can tell a given one
+    sampling = SAMPLING_OPTIONS
+    sp.add_argument("--delta", type=float, default=None,
+                    help=f"error bound of the shot plan (default {sampling['delta']})")
+    sp.add_argument("--fail-prob", type=float, default=None,
+                    help=f"failure probability of the shot plan (default {sampling['fail_prob']})")
+    sp.add_argument("--shots", type=int, default=None, help="shots, instead of the plan")
+    sp.add_argument("--format", choices=("json", "csv"), default=None,
+                    help=f"run record format (default {sampling['format']})")
+    sp.add_argument("--seed", type=int, default=None,
+                    help=f"shot seed (default {sampling['seed']})")
     sp.add_argument("--exact", action="store_true",
-                    help="exact evaluation, no sampling")
+                    help="exact evaluation, no sampling; takes no sampling option")
     sp.add_argument("--renyi", type=_at_least(2), default=None,
                     help="also print the Renyi entropy of this order")
-    common(sp, "--format", "--seed")
+    common(sp)
     sp.set_defaults(fn=cmd_estimate)
 
     sp = sub.add_parser("verify", help="run module invariant suites")
@@ -369,6 +384,8 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.out == "":  # every command takes --out; "" would be taken for no path
+        return _fail("--out needs a file path, got an empty one", EXIT_USAGE)
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

@@ -4,9 +4,17 @@ Shot randomness comes from SplitMix64 (Steele, Lea & Flood's 64-bit
 mix/increment generator) used in counter mode: the stream for shot ``i`` of a
 run seeded ``s`` starts from state ``scramble(s) + i`` and emits uniforms by
 stepping the golden-ratio increment.  Streams are therefore a pure function
-of ``(seed, shot_index)``, the same bits in any blocking.  Sampling compares
-each word's ``w >> 11`` with the integer thresholds ``ceil(c 2^53)`` of the
-cumulative probabilities c: ``u = (w >> 11) 2^-53 >= c`` iff ``w >> 11 >= ceil(c 2^53)``.
+of ``(seed, shot_index)``, the same bits in any blocking.  A uniform is
+``u = (w >> 11) 2^-53`` of a 64-bit word w, and ``u >= c`` iff
+``w >> 11 >= t = ceil(c 2^53)``, the integer threshold of a cumulative
+probability c.  For 1 <= t < 2^53 that holds iff ``w > t 2^11 - 1``, so
+sampling compares raw words and shifts none; every word meets t = 0, and none
+meets t >= 2^53 (a cumulative probability at or above 1 before the last
+outcome).
+
+Words are made a block at a time: at most ``_BLOCK`` (16,384) shots of one
+run, or whole runs up to ``_BLOCK_WORDS`` (32,768) words, the shapes measured
+fastest on one long run and on many 4,096-shot runs.
 
 The sampling mode follows from the protocol's realization, and each mode
 has its own stream layout:
@@ -38,10 +46,10 @@ fixed set-up, such as ``hubbard.fig4_experiment``, builds the distribution
 once and reads every trial's ``zeta_bar`` off ``_run_means``.
 
 A run keeps only its outcome counts, a sufficient statistic of ``zeta_bar``:
-each block of shots is tallied (its words at or above each threshold, or a
-``bincount`` per Kraus branch and outcome) and dropped, so any shot count
-needs one block of memory.  The JSON and CSV records rebuild every shot from
-the seed, a block at a time.
+each block of shots is tallied (its words above each raw threshold, counted a
+row at a time, or a ``bincount`` per Kraus branch and outcome) and dropped, so
+any shot count needs one block of memory.  The JSON and CSV records rebuild
+every shot from the seed, a block at a time.
 
 Per-shot outcomes are eigenvalues of the moment observable or stored
 per-outcome values, all in [-1, 1], which fixes the range constant in the
@@ -66,20 +74,20 @@ from .protocols import (SAMPLING_TP_TOL, MeasurePrepare, RetrievalProtocol, is_t
 
 _MASK = 2 ** 64 - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
-_BLOCK = 1 << 14  # shots per sampling block: a uint64 scratch buffer is 128 KB
+_MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_BLOCK = 1 << 14        # shots of one run per sampling block
+_BLOCK_WORDS = 1 << 15  # words per block of whole runs: a uint64 buffer of 256 KB
+_NEVER = np.uint64(_MASK)  # a raw-word threshold that no word exceeds
 
 
 def _mix(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
     """SplitMix64's output mix of every entry of a uint64 array, in place."""
     tmp = np.empty_like(z) if tmp is None else tmp
-    for shift, mix in ((30, _MIX1), (27, _MIX2)):
-        np.right_shift(z, shift, out=tmp)
-        z ^= tmp
-        z *= np.uint64(mix)
-    np.right_shift(z, 31, out=tmp)
-    z ^= tmp
+    z ^= np.right_shift(z, 30, out=tmp)
+    z *= _MIX1
+    z ^= np.right_shift(z, 27, out=tmp)
+    z *= _MIX2
+    z ^= np.right_shift(z, 31, out=tmp)
     return z
 
 
@@ -93,24 +101,28 @@ def _scrambled(x) -> np.ndarray:
 
 
 def _word_blocks(seeds, shots: int, draws: int):
-    """Yield ``(r, cs, words)`` per block of at most ``_BLOCK`` shots, whole runs or one
-    run's shots, in reused buffers: ``words[n][i, j]`` is the SplitMix64 output of
-    ``scramble(seed) + shot + (n + 1) golden``, >> 11, for shot cs.start + j of run r + i."""
-    bases = _scrambled(seeds)
+    """Yield ``(r, cs, words)`` per block, whole runs of at most ``_BLOCK_WORDS`` words or
+    at most ``_BLOCK`` shots of one run, in reused buffers: ``words[n][i, j]`` is the raw
+    SplitMix64 output mix(scramble(seed) + shot + (n + 1) golden) of shot cs.start + j of
+    run r + i."""
     cols = min(shots, _BLOCK)
-    rows = min(_BLOCK // cols, bases.size)
+    steps = np.arange(1, draws + 1, dtype=np.uint64) * np.uint64(_GOLDEN)  # wraps mod 2^64
+    bases = np.add.outer(steps, _scrambled(seeds))[..., None]  # [draw, run, 1]
+    runs = bases.shape[1]
+    rows = min(max(1, _BLOCK_WORDS // cols), runs)
     ramp = np.arange(cols, dtype=np.uint64)
     bufs = [np.empty(rows * cols, dtype=np.uint64) for _ in range(draws + 1)]
-    for r in range(0, bases.size, rows):
-        for c in range(0, shots, cols):
-            nr, nc = min(rows, bases.size - r), min(cols, shots - c)
-            words = [b[:nr * nc].reshape(nr, nc) for b in bufs]
-            for n, z in enumerate(words[:-1], 1):
-                np.add(bases[r:r + nr, None] + np.uint64((c + n * _GOLDEN) & _MASK),
-                       ramp[:nc], out=z)
-                _mix(z, words[-1])
-                z >>= 11
-            yield r, slice(c, c + nc), words[:-1]
+    shape = None
+    for r in range(0, runs, rows):
+        for start in range(0, shots, cols):
+            nr, nc = min(rows, runs - r), min(cols, shots - start)
+            if shape != (nr, nc):
+                shape = (nr, nc)
+                *words, tmp = (buf[:nr * nc].reshape(shape) for buf in bufs)
+            first = bases[:, r:r + nr] + np.uint64(start)
+            for n, z in enumerate(words):
+                _mix(np.add(first[n], ramp[:nc], out=z), tmp)
+            yield r, slice(start, start + nc), words
 
 
 def shot_uniforms(seed: int, shots: int, draws: int) -> np.ndarray:
@@ -118,6 +130,7 @@ def shot_uniforms(seed: int, shots: int, draws: int) -> np.ndarray:
     out = np.empty((shots, draws))
     for _, cs, words in _word_blocks([seed], shots, draws):
         for n, w in enumerate(words):
+            w >>= 11
             np.multiply(w[0], 2.0 ** -53, out=out[cs, n])
     return out
 
@@ -219,66 +232,91 @@ def _thresholds(cumulative: np.ndarray) -> np.ndarray:
     return np.ceil(cumulative[..., :-1].T * 2.0 ** 53).clip(0).astype(np.uint64)
 
 
-def _outcome_index(words: np.ndarray, thresholds: np.ndarray, out: np.ndarray,
+def _strict(thresholds: np.ndarray) -> np.ndarray:
+    """Raw-word forms s of integer thresholds t, so that no word is shifted: for
+    1 <= t < 2^53, ``w >> 11 >= t`` iff ``w > s = t 2^11 - 1``.  A t >= 2^53 (a cumulative
+    probability at or above 1 before the last outcome), which no word meets, and a t = 0,
+    which every word meets and callers count apart, both give 2^64 - 1, which no word
+    exceeds."""
+    return (np.minimum(thresholds, np.uint64(2 ** 53)) << np.uint64(11)) - np.uint64(1)
+
+
+def _comparisons(thresholds: np.ndarray, dtype) -> tuple:
+    """What ``_outcome_index`` compares for integer thresholds (one array, or one row over
+    the branches per threshold): the count of thresholds 0, per branch for rows, as
+    ``dtype``, and the ``_strict`` forms that some word can exceed."""
+    return ((thresholds == 0).sum(axis=0).astype(dtype),
+            [s for s in _strict(thresholds) if (s != _NEVER).any()])
+
+
+def _outcome_index(words: np.ndarray, comparisons: tuple, out: np.ndarray,
                    branch: np.ndarray | None = None, scratch: tuple | None = None) -> np.ndarray:
     """The comparison step: out = number of thresholds ``t`` (one, or one per word) with
-    ``words >= t``, i.e. ``searchsorted(c, words 2^-53, side="right")`` below m.  With
-    ``branch``, each threshold is a row read at every word's branch index.  Each pass
-    compares into a boolean mask and adds it to ``out``, which may be ``uint8`` for at
-    most 255 thresholds; ``scratch`` holds the mask and gathered-threshold buffers."""
+    ``words >> 11 >= t``, i.e. ``searchsorted(c, (words >> 11) 2^-53, side="right")`` below
+    m, from raw words and the thresholds' ``_comparisons``.  With ``branch``, each threshold
+    is a row read at every word's branch index.  Each pass compares into a boolean mask and
+    adds it to ``out``, which may be ``uint8`` for at most 255 thresholds; ``scratch`` holds
+    the mask and gathered-threshold buffers."""
     mask, per_word = scratch or (np.empty(words.shape, bool), np.empty(words.shape, np.uint64))
-    out[...] = 0
-    for t in thresholds:
+    at_zero, strict = comparisons
+    if branch is None:
+        out[...] = at_zero
+    else:
+        np.take(at_zero, branch, out=out, mode="clip")
+    for s in strict:
         if branch is not None:
-            t = np.take(t, branch, out=per_word, mode="clip")
-        np.greater_equal(words, t, out=mask)
+            s = np.take(s, branch, out=per_word, mode="clip")
+        np.greater(words, s, out=mask)
         np.add(out, mask, out=out)
     return out
 
 
-def _tally(thresholds: np.ndarray, shots: int, seeds):
-    """Yield ``(r, counts)`` once a block ends runs r, r + 1, ...: their shots per outcome,
-    a row each, in a reused buffer.  Each block's words are counted, then dropped."""
-    tally = np.empty((min(len(seeds), max(1, _BLOCK // shots)), len(thresholds) + 1), np.int64)
-    for r, cs, (w,) in _word_blocks(seeds, shots, 1):
-        counts = tally[:len(w)]
-        if cs.start == 0:
-            counts[:, 0], counts[:, 1:] = shots, 0
-        for n, t in enumerate(thresholds, 1):  # column n: words at or above the n-th threshold
-            counts[:, n] += np.count_nonzero(w >= t, axis=1 if len(w) > 1 else None)
-        if cs.stop == shots:
-            counts[:, :-1] -= counts[:, 1:]  # thresholds ascend: a difference counts an outcome
-            yield r, counts
+def _tally(thresholds: np.ndarray, shots: int, seeds) -> np.ndarray:
+    """Shots per outcome of one ``shots``-shot run per seed, a row each.  Each block's
+    words are counted a row at a time, then dropped: column n counts the words at or above
+    the n-th threshold; thresholds ascend, so a difference of columns counts an outcome."""
+    counts = np.empty((len(seeds), len(thresholds) + 1), np.int64)
+    counts[:, 0], counts[:, 1:] = shots, np.where(thresholds == 0, shots, 0)  # 0: every word
+    passes = [(n, s) for n, s in enumerate(_strict(thresholds), 1) if s != _NEVER]
+    buf = np.empty(_BLOCK_WORDS, bool)  # no block has more words
+    for r, _, (w,) in _word_blocks(seeds, shots, 1):
+        mask = buf[:w.size].reshape(w.shape)
+        for n, s in passes:
+            np.greater(w, s, out=mask)
+            for i, row in enumerate(mask, r):
+                counts[i, n] += np.count_nonzero(row)
+    counts[:, :-1] -= counts[:, 1:]
+    return counts
 
 
 def _shot_blocks(thresholds: tuple, shots: int, seed: int):
     """Yield ``(cs, recorded, outcome)`` index arrays of one run's shots ``cs``, a block at a
     time, rebuilt from its seed; ``recorded`` is a Kraus run's branch, else the outcome."""
     n = min(shots, _BLOCK)
-    idx = [np.empty((1, n), dtype=np.uint8 if len(t) <= 255 else np.intp) for t in thresholds]
-    mask, per_word = np.empty((1, n), bool), np.empty((1, n), np.uint64)
+    dtypes = [np.uint8 if len(t) <= 255 else np.intp for t in thresholds]
+    comparisons = [_comparisons(t, d) for t, d in zip(thresholds, dtypes)]
+    bufs = [np.empty((1, n), dtype=d) for d in dtypes] + [np.empty((1, n), bool),
+                                                          np.empty((1, n), np.uint64)]
     for _, cs, words in _word_blocks([seed], shots, len(thresholds)):
-        m = cs.stop - cs.start
-        out, scratch = [i[:, :m] for i in idx], (mask[:, :m], per_word[:, :m])
-        _outcome_index(words[0], thresholds[0], out[0], scratch=scratch)
+        if cs.stop - cs.start < n:  # the last block is shorter
+            bufs = [b[:, :cs.stop - cs.start] for b in bufs]
+        *out, mask, per_word = bufs
+        _outcome_index(words[0], comparisons[0], out[0], scratch=(mask, per_word))
         if len(words) > 1:  # a Kraus run: the outcome row of each shot's branch
-            _outcome_index(words[1], thresholds[1], out[1], out[0], scratch)
+            _outcome_index(words[1], comparisons[1], out[1], out[0], (mask, per_word))
         yield cs, out[0][0], out[-1][0]
 
 
 def _draw(p: RetrievalProtocol, values: np.ndarray, thresholds: np.ndarray,
           shots: int, seed: int) -> EstimationRun:
     """One run of ``shots`` draws from a fixed outcome distribution."""
-    (_, counts), = _tally(thresholds, shots, [seed])
-    return _finish_run(p, seed, shots, counts[0], values, (thresholds,))
+    counts = _tally(thresholds, shots, [seed])[0]
+    return _finish_run(p, seed, shots, counts, values, (thresholds,))
 
 
 def _run_means(values: np.ndarray, thresholds: np.ndarray, shots: int, seeds) -> np.ndarray:
     """``zeta_bar`` of one ``shots``-shot run per seed, bit-equal to ``_draw``'s."""
-    zeta = np.empty(len(seeds))
-    for r, counts in _tally(thresholds, shots, seeds):
-        zeta[r:r + len(counts)] = _zeta_bar(counts, values, shots)
-    return zeta
+    return _zeta_bar(_tally(thresholds, shots, seeds), values, shots)
 
 
 def _distribution(p: RetrievalProtocol, rho: Operator, noise: Channel,

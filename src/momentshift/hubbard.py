@@ -191,8 +191,9 @@ def fig4_experiment(eps: float, subsystem: list[int] | None = None,
         raise ValueError(f"shots must be at least 1, got {shots}")
     if trials < 2:
         raise ValueError(f"trials must be at least 2 for a standard error, got {trials}")
-    # per trial, its seeds, their scrambles and the estimates (49 bytes, from tracemalloc)
-    check_memory(49 * trials, f"{trials} trials of {shots} shots")
+    # per trial, its seeds, their scrambles and first counters, its outcome counts, their
+    # weighted values and its estimate (64 bytes, from tracemalloc)
+    check_memory(64 * trials, f"{trials} trials of {shots} shots")
     model = model or demo_model()
     subsystem = list(subsystem) if subsystem is not None else [0, 1]
     n = len(subsystem)

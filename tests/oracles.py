@@ -41,6 +41,48 @@ def cyclic_permutation(k: int, d: int = 2) -> Operator:
     return Operator(s, (d,) * k)
 
 
+MASK64, GOLDEN = 2 ** 64 - 1, 0x9E3779B97F4A7C15
+MIX1, MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+
+
+def splitmix_mix(z: int) -> int:
+    """SplitMix64's output mix of one 64-bit word, with Python ints."""
+    z = ((z ^ (z >> 30)) * MIX1) & MASK64
+    z = ((z ^ (z >> 27)) * MIX2) & MASK64
+    return z ^ (z >> 31)
+
+
+def splitmix_unmix(z: int) -> int:
+    """The inverse of ``splitmix_mix``: an xorshift y = x ^ (x >> k) is undone by
+    repeating x = y ^ (x >> k), an odd multiplier by its inverse mod 2^64."""
+    def unshift(y, k):
+        x = y
+        for _ in range(64 // k + 1):
+            x = y ^ (x >> k)
+        return x
+    z = unshift(z, 31)
+    z = unshift((z * pow(MIX2, -1, 2 ** 64)) & MASK64, 27)
+    return unshift((z * pow(MIX1, -1, 2 ** 64)) & MASK64, 30)
+
+
+def splitmix_words(seed: int, shots, draw: int) -> list[int]:
+    """Raw SplitMix64 words of the given shots of one draw (1, 2, ...) in counter mode:
+    mix(scramble(seed) + shot + draw golden), scramble(s) = mix(s + golden), mod 2^64."""
+    base = splitmix_mix((seed + GOLDEN) & MASK64)
+    return [splitmix_mix((base + i + draw * GOLDEN) & MASK64) for i in shots]
+
+
+def seed_with_counter(counter: int, draw: int = 1) -> int:
+    """A seed whose shot 0 of draw ``draw`` mixes the counter ``counter`` mod 2^64."""
+    return (splitmix_unmix((counter - draw * GOLDEN) & MASK64) - GOLDEN) & MASK64
+
+
+def threshold_counts(words, thresholds) -> np.ndarray:
+    """Per word, the number of integer thresholds t with (word >> 11) >= t."""
+    ts = [int(t) for t in np.ravel(thresholds)]
+    return np.array([sum((w >> 11) >= t for t in ts) for w in words], dtype=np.intp)
+
+
 def searchsorted_index(cumulative, u):
     return np.searchsorted(cumulative, u, side="right").clip(0, cumulative.size - 1)
 

@@ -321,7 +321,9 @@ class TestEstimate:
             assert (code, out, err) == (1, "", "error: --renyi 2 needs tr[rho^2], but the "
                                                "protocol retrieves tr[rho^3]\n")
 
-    @pytest.mark.parametrize("flag, value", [("--shots", "100"), ("--out", "run.json")])
+    @pytest.mark.parametrize("flag, value", [
+        ("--shots", "100"), ("--out", "run.json"), ("--seed", "5"), ("--format", "csv"),
+        ("--delta", "0.01"), ("--fail-prob", "0.1")])
     def test_exact_takes_no_sampling_option(self, capsys, tmp_path, flag, value):
         value = str(tmp_path / value) if flag == "--out" else value
         code, out, err = run_cli(capsys, "estimate", "--protocol", str(DATA / "twirl.json"),
@@ -330,6 +332,30 @@ class TestEstimate:
         assert (code, out) == (1, "")
         assert err == ("error: --exact draws no shots and writes no run, so it takes "
                        f"no {flag}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sampled_defaults_when_options_are_not_given(self, capsys, tmp_path, monkeypatch):
+        # --seed, --format, --delta and --fail-prob default to None so that --exact can
+        # refuse them; a sampled run reads 0, json, 0.05 and 0.05 for them
+        monkeypatch.chdir(tmp_path)
+        argv = ("estimate", "--protocol", str(DATA / "de_choi_n1.json"), "--noise",
+                "depolarizing", "--eps", "0.1", "--state", "maxmixed")
+        implicit = run_cli(capsys, *argv, "--out", "implicit.json")
+        explicit = run_cli(capsys, *argv, "--seed", "0", "--format", "json", "--delta", "0.05",
+                           "--fail-prob", "0.05", "--out", "explicit.json")
+        assert implicit[0] == 0 and "planned shots: " in implicit[1]
+        assert implicit[1].replace("implicit", "explicit") == explicit[1]
+        assert (tmp_path / "implicit.json").read_text() == (tmp_path / "explicit.json").read_text()
+
+    @pytest.mark.parametrize("argv", [
+        ("estimate", "--protocol", str(DATA / "de_choi_n1.json"), "--noise", "depolarizing",
+         "--eps", "0.1", "--shots", "10"),
+        ("synthesize", "--noise", "depolarizing", "--eps", "0.1")], ids=["estimate", "synthesize"])
+    def test_empty_out_refused(self, capsys, tmp_path, monkeypatch, argv):
+        # an empty path was taken for no --out: the run printed its report and wrote nothing
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv, "--out", "")
+        assert (code, out, err) == (1, "", "error: --out needs a file path, got an empty one\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_measure_prepare_file_without_values(self, capsys, tmp_path):
@@ -752,7 +778,7 @@ class TestHubbardDemo:
         assert "nan" not in out
 
     @pytest.mark.parametrize("flags, message", [
-        (("--trials", "100000000"), "100000000 trials of 4096 shots needs 4674 MiB"),
+        (("--trials", "100000000"), "100000000 trials of 4096 shots needs 6104 MiB"),
     ], ids=["trials"])
     def test_oversized_run_refused_before_allocating(self, capsys, flags, message):
         tracemalloc.start()

@@ -10,12 +10,15 @@ from numpy.testing import assert_allclose
 from momentshift.channels import Channel, amplitude_damping, depolarizing
 from momentshift.estimator import (
     _BLOCK,
+    _BLOCK_WORDS,
+    _comparisons,
     _draw,
     _h_distribution,
     _h_spectrum,
     _outcome_index,
     _run_means,
     _shot_blocks,
+    _tally,
     _thresholds,
     _word_blocks,
     derive_seed,
@@ -40,7 +43,8 @@ from momentshift.protocols import (
     load_protocol,
 )
 from conftest import noisy_copies
-from oracles import reference_run, run_csv_text, run_to_json, searchsorted_index
+from oracles import (reference_run, run_csv_text, run_to_json, searchsorted_index,
+                     seed_with_counter, splitmix_words, threshold_counts)
 
 
 class TestPlanShots:
@@ -102,18 +106,10 @@ class TestStreams:
     def test_shot_uniforms_across_blocks(self):
         # SplitMix64 in counter mode, written out with Python integers: shot i,
         # draw n of seed s is mix(scramble(s) + i + n golden) >> 11, times 2^-53
-        mask, golden = 2 ** 64 - 1, 0x9E3779B97F4A7C15
-
-        def mix(z):
-            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-            return z ^ (z >> 31)
-
         seed, shots = -9, 3 * _BLOCK + 7
-        base = mix((seed + golden) & mask)
         u = shot_uniforms(seed, shots, 2)
         for i in (0, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, shots - 1):
-            want = [(mix((base + i + n * golden) & mask) >> 11) * 2.0 ** -53 for n in (1, 2)]
+            want = [(splitmix_words(seed, [i], n)[0] >> 11) * 2.0 ** -53 for n in (1, 2)]
             assert u[i].tolist() == want, i
 
     def test_shot_uniforms_pinned(self):
@@ -128,10 +124,13 @@ def _on_grid(x):
 
 
 def _pick(cumulative, u):
-    """The kernel's comparison step on the words of the uniforms u = words 2^-53."""
-    words = (u * 2.0 ** 53).astype(np.uint64)
-    assert np.array_equal(words * 2.0 ** -53, u)   # u is a uniform the stream can draw
-    return _outcome_index(words, _thresholds(cumulative), np.empty(u.shape, dtype=np.intp))
+    """The kernel's comparison step on raw words whose uniforms are u = (words >> 11) 2^-53;
+    their low 11 bits, which the uniform drops, run through every value."""
+    high = (u * 2.0 ** 53).astype(np.uint64)
+    assert np.array_equal(high * 2.0 ** -53, u) and u.max() < 1.0   # a uniform the stream draws
+    words = high << np.uint64(11) | np.arange(u.size, dtype=np.uint64) % np.uint64(2048)
+    return _outcome_index(words, _comparisons(_thresholds(cumulative), np.intp),
+                          np.empty(u.shape, dtype=np.intp))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7])
@@ -150,13 +149,15 @@ def test_sample_categorical_matches_searchsorted(n):
                                                         np.maximum(below - 2.0 ** -53, 0)]),
                      "above the last": np.array([below[-1], 0.95, 0.999])}
             for name, u in cases.items():
+                u = u[u < 1.0]   # a 1.0, on the grid below a last entry of 1, is no uniform
                 got = _pick(entries, u)
                 assert np.array_equal(got, searchsorted_index(entries, u)), (scale, name)
         # one row per shot: every other shot reads ``cum``, the rest a row of their own
         u = rng.random(1000)
         rows = _on_grid(np.cumsum(rng.dirichlet(np.ones(n), size=u.size), axis=1) * scale)
         rows[::2] = cum
-        u[1::4] = rows[1::4, 0]   # on an entry of the shot's own row
+        # on an entry of the shot's own row, or the top uniform below an entry of 1
+        u[1::4] = np.minimum(rows[1::4, 0], np.nextafter(1.0, 0.0))
         want = [searchsorted_index(row, x) for row, x in zip(rows, u)]
         assert np.array_equal(_pick(rows, u), want), scale
 
@@ -309,6 +310,112 @@ def test_seed_arrays_stay_uint64():
     finally:
         tracemalloc.stop()
     assert peak <= 32 * ix.size  # through object arrays of Python ints, about 90 bytes each
+
+
+# Seeds whose counters reach the edges of the uint64 counter arithmetic: shot i of draw
+# n mixes the counter c + i, c that of shot 0.  A row that crosses a multiple of 2^30
+# changes x >> 30, the mix's first shift, within the row; one that wraps past 2^64 wraps
+# its add.
+EDGE_SEEDS = {
+    "cross_2^30": seed_with_counter(7 * 2 ** 30 - 100),
+    "cross_2^30_second_block": seed_with_counter(3 * 2 ** 30 - _BLOCK - 10),
+    "cross_2^30_draw_2": seed_with_counter(2 ** 31 - 3000, draw=2),
+    "wrap_2^64": seed_with_counter(2 ** 64 - 50),
+    "wrap_2^64_draw_2": seed_with_counter(2 ** 64 - 1, draw=2),
+}
+# thresholds of 0, met by every word, and at or above 2^53, met by none
+EDGE_THRESHOLDS = np.array([0, 0, 2 ** 51, 2 ** 52 + 12345, 2 ** 53 - 1, 2 ** 53, 2 ** 53 + 2],
+                           dtype=np.uint64)
+
+
+def _spread(seeds: list, runs: int) -> list:
+    """``runs`` seeds, ``seeds`` spread among the others from first to last."""
+    out = [derive_seed(4, i) for i in range(runs)]
+    for i, seed in zip(np.linspace(0, runs - 1, len(seeds)).astype(int), seeds):
+        out[i] = seed
+    return out
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS.values(), ids=EDGE_SEEDS)
+def test_words_at_counter_edges_match_python_ints(seed):
+    shots = 2 * _BLOCK + 3
+    blocks = [[w[0].copy() for w in words] for _, _, words in _word_blocks([seed], shots, 2)]
+    u = shot_uniforms(seed, shots, 2)
+    for n, got in enumerate(zip(*blocks), 1):
+        want = splitmix_words(seed, range(shots), n)
+        assert np.concatenate(got).tolist() == want
+        assert u[:, n - 1].tolist() == [(w >> 11) * 2.0 ** -53 for w in want]
+
+
+def test_multi_row_block_at_counter_edges_matches_python_ints():
+    # one block of 40 runs, some of whose rows cross 2^30 or wrap
+    seeds, shots = _spread(list(EDGE_SEEDS.values()), 40), 300
+    (r, cs, words), = _word_blocks(seeds, shots, 2)
+    assert (r, cs, words[0].shape) == (0, slice(0, shots), (40, shots))
+    for n, w in enumerate(words, 1):
+        assert w.tolist() == [splitmix_words(seed, range(shots), n) for seed in seeds]
+
+
+@pytest.mark.parametrize("shots, runs", [(1000, 70), (4096, 19)],
+                         ids=["many_short_rows", "few_long_rows"])
+def test_tally_at_edges_matches_python_ints(shots, runs):
+    # blocks of 32 rows of 1000 shots, or of 8 rows of 4096, the last row block short in
+    # both; edge seeds among the runs, and thresholds of 0 and at or above 2^53
+    assert runs % (_BLOCK_WORDS // shots)
+    seeds = _spread(list(EDGE_SEEDS.values()), runs)
+    want = [np.bincount(threshold_counts(splitmix_words(s, range(shots), 1), EDGE_THRESHOLDS),
+                        minlength=EDGE_THRESHOLDS.size + 1) for s in seeds]
+    assert _tally(EDGE_THRESHOLDS, shots, seeds).tolist() == np.array(want).tolist()
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS.values(), ids=EDGE_SEEDS)
+def test_shot_blocks_at_edges_match_python_ints(seed):
+    # a run's records, one draw and a Kraus run's two, rebuilt a block at a time (the
+    # second block short) from thresholds of 0 and at or above 2^53: a branch no word can
+    # reach, and branch rows, one per threshold, each ascending along its branch
+    shots = _BLOCK + 3
+    first, second = (splitmix_words(seed, range(shots), n) for n in (1, 2))
+    single = [np.concatenate(o) for o in zip(*[(o.copy(),) for _, _, o in _shot_blocks(
+        (EDGE_THRESHOLDS,), shots, seed)])]
+    assert single[0].tolist() == threshold_counts(first, EDGE_THRESHOLDS).tolist()
+    branch = np.array([0, 2 ** 52, 2 ** 53 - 1, 2 ** 53], dtype=np.uint64)
+    rows = np.array([[0, 0, 2 ** 50, 0, 0],
+                     [2 ** 52, 2 ** 53, 2 ** 51, 2 ** 53, 2 ** 53],
+                     [2 ** 53, 2 ** 53 + 2, 2 ** 53 - 1, 2 ** 53 + 2, 2 ** 53 + 2]],
+                    dtype=np.uint64)
+    got = [np.concatenate(a) for a in zip(*[(j.copy(), o.copy()) for _, j, o in _shot_blocks(
+        (branch, rows), shots, seed)])]
+    j = threshold_counts(first, branch)
+    assert set(j.tolist()) == {1, 2}
+    assert got[0].tolist() == j.tolist()
+    assert got[1].tolist() == [threshold_counts([w], rows[:, b])[0] for w, b in zip(second, j)]
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS.values(), ids=EDGE_SEEDS)
+def test_kraus_run_at_counter_edges_matches_reference(seed):
+    p, noise, rho = de_second_moment(0.1), depolarizing(0.1, 2), random_density_matrix(2, 4)
+    got = run_protocol(p, rho, noise, _BLOCK + 3, seed)
+    per_shot, indices, outcome = reference_run(p, rho, noise, _BLOCK + 3, seed)
+    assert np.array_equal(got.counts, _reference_counts(got, indices, outcome))
+    rebuilt = _rebuilt(got)
+    assert np.array_equal(rebuilt[0], per_shot)
+    assert np.array_equal(rebuilt[1], indices)
+
+
+@pytest.mark.parametrize("run", [run_choi_map, run_protocol], ids=["one_draw", "kraus"])
+def test_run_memory_does_not_grow_with_shots(run):
+    # a run keeps its counts and one block of words, whatever its shot count
+    p, noise, rho = de_second_moment(0.1), depolarizing(0.1, 2), random_density_matrix(2, 4)
+    run(p, rho, noise, 10, 1)  # caches
+    peaks = []
+    for shots in (10 ** 5, 10 ** 7):
+        tracemalloc.start()
+        try:
+            run(p, rho, noise, shots, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 4096
 
 
 class TestMixedUnitaryRun:

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from momentshift.channels import depolarizing, noisy_copies
-from momentshift.estimator import _BLOCK, derive_seed, run_choi_map
+from momentshift.estimator import _BLOCK, _BLOCK_WORDS, derive_seed, run_choi_map
 from momentshift.hubbard import (
     HubbardModel,
     annihilation_operator,
@@ -187,12 +187,13 @@ class TestFig4:
         assert res.raw_estimates.tolist() == expected[0]
         assert res.mitigated_estimates.tolist() == expected[1]
 
-    @pytest.mark.parametrize("shots, trials", [(_BLOCK + 5, 2), (3000, 7)],
+    @pytest.mark.parametrize("shots, trials", [(_BLOCK + 5, 2), (3000, 23)],
                              ids=["run_spans_blocks", "partial_block_of_runs"])
     def test_estimates_equal_one_run_per_trial_across_blocks(self, shots, trials):
-        # a run longer than a block, and a trial count that leaves the last
-        # block of whole runs part full
-        assert shots > _BLOCK or trials % (_BLOCK // shots)
+        # a run longer than a block, and a trial count that fills blocks of whole
+        # runs and leaves the last one part full
+        rows = _BLOCK_WORDS // shots
+        assert shots > _BLOCK or trials > rows and trials % rows
         eps, seed, subsystem = 0.12, 5, [0, 1]
         res = fig4_experiment(eps, subsystem=subsystem, shots=shots, trials=trials, seed=seed)
         rho_a = reduced_state(ground_state(build_hamiltonian(demo_model())), subsystem)
