@@ -104,7 +104,8 @@ def apply(c: Channel, rho: Operator) -> Operator:
 
 
 def tensor_power(c: Channel, k: int) -> Channel:
-    """k-fold tensor product channel, Kraus set = all k-fold products."""
+    """k-fold tensor product channel, Kraus set = all k-fold products.  No command calls
+    it; the benchmark's spans (``bench/tracing.py``) wrap it and the test oracles call it."""
     if k < 1:
         raise ValueError("tensor power requires k >= 1")
     if c.kraus is None:
@@ -183,9 +184,10 @@ def _weyl_operators(d: int) -> np.ndarray:
 class Depolarizing(Channel):
     """Depolarizing channel X -> (1 - eps) X + eps tr(X) I/d, applied in closed form.
 
-    The map is self-adjoint.  Its d^2 Weyl Kraus operators are built, and
-    checked against the memory budget, only when ``kraus`` is first read: by
-    ``choi``, ``channel_matrix``, ``tensor_power`` or a caller of its own.
+    The map is self-adjoint.  Its d^2 Weyl Kraus operators are built, and checked against
+    the memory budget, only when ``kraus`` is first read: by ``choi`` and ``channel_matrix``
+    (the conic programs, the invertibility test, the contract certificate), by ``verify``'s
+    link check, and by ``tensor_power`` in the test oracles.
     """
 
     def __init__(self, eps: float, d: int):

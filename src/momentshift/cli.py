@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .channels import amplitude_damping, depolarizing, is_invertible, tensor_power
+from .channels import amplitude_damping, depolarizing, is_invertible
 from .estimator import (
     plan_shots,
     renyi_entropy,
@@ -139,12 +139,8 @@ def cmd_overhead_sweep(args) -> int:
     for m in methods:
         if m not in ("shift", "inverse", "recover"):
             return _fail(f"unknown method {m!r}", EXIT_USAGE)
-    grid = _parse_grid(args.eps_grid)
-    rows = []
-    for eps in grid:
-        for method in methods:
-            value, status = _overhead_value(args.noise, eps, args.k, method, args.tol)
-            rows.append((eps, method, value, status))
+    rows = [(eps, method, *_overhead_value(args.noise, eps, args.k, method, args.tol))
+            for eps in _parse_grid(args.eps_grid) for method in methods]
     if args.format == "json":
         doc = [{"eps": eps, "method": method,
                 "overhead": value if np.isfinite(value) else None, "status": status}
@@ -182,17 +178,15 @@ def _overhead_value(model: str, eps: float, k: int, method: str,
         return float("nan"), "infeasible"
     noise = _noise_channel(model, eps, 1)
     if method == "shift":
-        # k = 2 optima are known in closed form; beyond that the program is
-        # the authority (the recursive construction is achievable but can be
-        # loose, e.g. depolarizing at k = 3)
+        # k = 2 optima are the closed-form retrievers' f; beyond that the program is the
+        # authority (the recursive retriever is achievable but can be loose, e.g. DE at k = 3)
         if k == 2:
-            return 1.0 / (1.0 - eps) ** 2, "analytic"
+            return _analytic_protocol(model, eps, 2, 1).f, "analytic"
         return _optimum(build_fmin(noise, k), tol)
     if method == "inverse":
         g1, status = _optimum(build_gmin(noise), tol)
         return gmin_power(g1, k), status
-    return _optimum(build_info_recover(tensor_power(noise, k),
-                                       moment_observable(k, 2)), tol)
+    return _optimum(build_info_recover(noise, moment_observable(k, 2)), tol)
 
 
 def _load_state(args, protocol) -> Operator:

@@ -212,8 +212,8 @@ class RetrievalProtocol:
 
     @property
     def kind(self) -> str:
-        return {Channel: "channel", MeasurePrepare: "measure_prepare",
-                Recursive: "recursive"}[type(self.realization)]
+        return {Channel: "channel", MeasurePrepare: "measure_prepare", Recursive: "recursive",
+                CycleMap: "cycle_map"}[type(self.realization)]
 
 
 def is_trace_preserving(r: Channel | MeasurePrepare | Recursive) -> bool:
@@ -526,8 +526,10 @@ def protocol_to_json(p: RetrievalProtocol) -> dict:
         data = {"effects": [matrix_to_json(e) for e in r.effects],
                 "outputs": [matrix_to_json(o) for o in r.outputs],
                 "values": r.values}
-    else:
+    elif isinstance(r, Recursive):
         data = {"eps": r.eps, "order": r.k, "copy_dim": r.d}
+    else:
+        raise ValueError(f"protocol {p.label!r}: a {p.kind} realization has no file form")
     return {"schema_version": PROTOCOL_SCHEMA_VERSION, "kind": p.kind, "k": p.k,
             "copy_dim": p.copy_dim, "f": p.f, "t": p.t, "label": p.label,
             "data": data}
@@ -607,8 +609,9 @@ def protocol_from_json(doc: dict) -> RetrievalProtocol:
 
 
 def save_protocol(p: RetrievalProtocol, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps(protocol_to_json(p)))  # json.dump never uses the C encoder
+    text = json.dumps(protocol_to_json(p))  # not json.dump, which never uses the C encoder
+    with open(path, "w") as fh:  # opened only once the protocol has a file form
+        fh.write(text)
 
 
 def load_protocol(path) -> RetrievalProtocol:

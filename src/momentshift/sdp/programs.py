@@ -13,11 +13,12 @@ the retriever, C the retriever output measured with the moment observable.
 * ``build_gmin``: quasi-probability overhead of simulating the exact inverse
   of a channel as a difference of two scaled channels.
 * ``build_info_recover``: overhead of a Hermitian-preserving trace-scaling
-  map recovering the expectation of one fixed observable.
+  map recovering the expectation of one fixed observable on k noisy copies.
 
-The last two are one program from one builder: PSD J1, J2 with tr_C J_i =
-c_i I, one coupling ``L(J1) - L(J2) = target`` and objective c1 + c2; L is the
-link with the noise (inverse) or the observable pullback (recover).
+Every program takes one copy's noise; none builds a k-fold channel.  The last
+two are one program from one builder: PSD J1, J2 with tr_C J_i = c_i I, one
+coupling ``L(J1) - L(J2) = target`` and objective c1 + c2; L is the link with
+the noise (inverse) or the observable pullback (recover).
 
 Every constraint term is stated by its adjoint map, from the constraint's
 target space back to the Choi block, which is what the solver compiles A's
@@ -25,8 +26,7 @@ rows from and what the dual operator of ``check_certificate`` is made of:
 
 * the trace scaling tr_2[J] = c I has the adjoint Y -> Y (x) I;
 * the observable pullback J -> N^dag(x k)(tr_C[(I (x) H^T) J^T]) has the
-  pushforward Y -> (N^(x k)(Y))^T (x) H, with the noise applied copy by copy
-  through its d^2 x d^2 channel matrix;
+  pushforward Y -> (N^(x k)(Y))^T (x) H (``_noise_pushforward``);
 * the link with the noise has the adjoint ``noise_link_adjoint``, the package's one
   statement of the link convention.
 
@@ -236,13 +236,14 @@ def gmin_power(g1: float, k: int) -> float:
 
 
 def build_info_recover(noise: Channel, obs: Operator) -> SdpProblem:
-    """Overhead of recovering one observable's expectation through ``noise``."""
+    """Overhead of recovering one observable's expectation on k copies, each through
+    ``noise``; k is read off ``obs.dim == noise.in_dim ** k``."""
     d = noise.in_dim
-    if noise.out_dim != d:
-        raise ValueError("information recovery assumes a square channel")
-    if obs.dim != d:
-        raise ValueError(f"observable dim {obs.dim} != channel dim {d}")
+    k = next((k for k in range(1, obs.dim.bit_length() + 1) if d ** k == obs.dim), None)
+    if noise.out_dim != d or k is None:
+        raise ValueError(f"information recovery needs a square channel and an observable on "
+                         f"copies of its input, got {noise!r} and dimension {obs.dim}")
     return _channel_difference(
-        f"info_recover[{noise.label}]", d, d, d,
-        lambda: (_noise_pushforward(noise, 1, obs.entries), obs.entries),
+        f"info_recover[{noise.label},k={k}]", obs.dim, obs.dim, obs.dim,
+        lambda: (_noise_pushforward(noise, k, obs.entries), obs.entries),
         "observable_recovery")

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -408,6 +409,19 @@ class TestSweep:
         code = main(["overhead-sweep", "--noise", "depolarizing",
                      "--methods", "bogus"])
         assert code == 1
+
+    def test_recover_builds_no_k_fold_channel(self, capsys, monkeypatch):
+        # the recover program takes one copy's noise: no module may reach tensor_power
+        def refused(*args, **kwargs):
+            raise AssertionError("tensor_power called")
+        for module in [m for name, m in sys.modules.items() if name.startswith("momentshift")]:
+            if hasattr(module, "tensor_power"):
+                monkeypatch.setattr(module, "tensor_power", refused)
+        code, out, _ = run_cli(capsys, "overhead-sweep", "--noise", "amplitude-damping",
+                               "--k", "3", "--eps-grid", "0.1", "--methods", "recover")
+        eps, method, value, status = out.splitlines()[1].split(",")
+        assert (code, eps, method, status) == (0, "0.1", "recover", "optimal")
+        assert abs(float(value) - 37 / 27) <= 1e-6
 
 
 @pytest.mark.parametrize("argv", [

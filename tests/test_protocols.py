@@ -186,6 +186,20 @@ class TestNQubitProtocol:
             z = exact_expectation(p, rho, noise)
             assert abs(p.f * z - p.t - true_moment(rho, 2)) < 1e-10
 
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_k2_retriever_keeps_the_swap_test_weights(self, d):
+        # C(X) and X have the same H_2 Born weights: the k = 2 depolarizing retriever is the
+        # swap test on the two noisy copies, rescaled by f and shifted by t
+        c = de_kth_moment(0.2, 2, d).realization
+        projectors = permutation_eigenprojectors(2, d).projectors
+        rng = np.random.default_rng(d)
+        for _ in range(5):
+            a = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+            x = a @ a.conj().T / np.trace(a @ a.conj().T).real
+            y = c.apply(x)
+            for pm in projectors:
+                assert abs(np.trace(pm.entries @ (y - x))) <= 1e-13
+
     def test_cap(self):
         # nothing large is built at construction; the dense Choi matrix is refused
         with pytest.raises(ValueError):
@@ -646,6 +660,19 @@ class TestSerialization:
             path = tmp_path / "proto.json"
             save_protocol(proto, path)
             assert path.read_bytes() == json.dumps(protocol_to_json(proto)).encode()
+
+    def test_every_built_realization_has_a_kind(self):
+        sol = solve(build_fmin(amplitude_damping(0.2), 2))
+        kinds = [p.kind for p in (de_second_moment(0.1), ad_second_moment(0.2),
+                                  de_kth_moment(0.1, 3, 2), from_sdp_solution(sol, 2),
+                                  identity_protocol(2, 2))]
+        assert kinds == ["channel", "measure_prepare", "recursive", "channel", "cycle_map"]
+
+    def test_identity_protocol_has_no_file_form(self, tmp_path):
+        path = tmp_path / "identity.json"
+        with pytest.raises(ValueError, match="'identity': a cycle_map realization has no file form"):
+            save_protocol(identity_protocol(3, 2), path)
+        assert not path.exists()
 
     def test_schema_fields(self):
         doc = protocol_to_json(ad_second_moment(0.2))

@@ -237,18 +237,20 @@ _COMPLEX_UNITARY = np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)
 
 
 def _program_and_forward(program, name, eps, k):
-    """A program and its forward block maps; gmin and recover take the k-copy channel.
+    """A program and its forward block maps; gmin and recover take the k-copy channel, and
+    recover_copywise builds recover from one copy's noise against the k-copy oracle.
     "RU" mixes I and a complex unitary: its Choi matrix, unlike AD's and DE's, is not real."""
     noise = {"AD": lambda: amplitude_damping(eps), "DE": lambda: depolarizing(eps, 2),
              "RU": lambda: Channel(2, 2, kraus=[np.sqrt(1 - eps) * np.eye(2),
                                                 np.sqrt(eps) * _COMPLEX_UNITARY])}[name]()
     if program == "fmin":
         return build_fmin(noise, k), fmin_forward(noise, k)
-    noise = tensor_power(noise, k)
+    noise_k = tensor_power(noise, k)
     if program == "gmin":
-        return build_gmin(noise), gmin_forward(noise)
+        return build_gmin(noise_k), gmin_forward(noise_k)
     h = moment_observable(k, 2)
-    return build_info_recover(noise, h), recover_forward(noise, h)
+    built = build_info_recover(noise if program == "recover_copywise" else noise_k, h)
+    return built, recover_forward(noise_k, h)
 
 
 ROW_COMPILE_CASES = [
@@ -256,6 +258,7 @@ ROW_COMPILE_CASES = [
     ("fmin", "AD", 0.2, 4),
     ("gmin", "AD", 0.2, 1), ("gmin", "DE", 0.2, 1), ("gmin", "AD", 0.1, 2),
     *(("recover", n, e, k) for n in ("AD", "DE") for k, e in ((2, 0.1), (3, 0.05), (3, 0.3))),
+    *(("recover_copywise", n, e, k) for n in ("AD", "DE") for k, e in ((2, 0.1), (3, 0.2))),
     *((program, "RU", 0.2, k) for program in ("fmin", "gmin", "recover") for k in (1, 2)
       if (program, k) != ("fmin", 1)),
 ]
@@ -361,6 +364,12 @@ class TestInfoRecover:
         rec = solve(build_info_recover(noise, Operator(PAULI_Z))).objective_value
         g = solve(build_gmin(noise)).objective_value
         assert 1.0 - 1e-6 <= rec <= g + 1e-6
+
+    @pytest.mark.parametrize("noise,dim", [(amplitude_damping(0.1), 6),
+                                           (Channel(2, 3, kraus=[np.eye(3, 2)]), 4)])
+    def test_observable_on_no_copies_of_a_square_channel_refused(self, noise, dim):
+        with pytest.raises(ValueError, match="needs a square channel and an observable"):
+            build_info_recover(noise, Operator(np.eye(dim)))
 
     def test_between_shift_and_inverse_k3(self):
         # the three-method comparison at one grid point
