@@ -243,5 +243,5 @@ def channel_from_json(data: dict) -> Channel:
     if "kraus" in data:
         return Channel(d_in, d_out, kraus=list_from_json(data, "kraus"),
                        label=data.get("label", ""))
-    return Channel(d_in, d_out, choi=Operator(matrix_from_json(data["choi"]), (d_in, d_out)),
-                   label=data.get("label", ""))
+    choi = Operator(matrix_from_json(data["choi"], "choi"), (d_in, d_out))
+    return Channel(d_in, d_out, choi=choi, label=data.get("label", ""))

@@ -9,6 +9,8 @@ checks its bytes against the one fixed :data:`MEMORY_BUDGET` (:func:`check_memor
 
 from __future__ import annotations
 
+import base64
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -155,34 +157,57 @@ def random_density_matrix(dim: int, seed: int, rank: int | None = None) -> Opera
     return Operator(rho)
 
 
-def matrix_to_json(m: np.ndarray) -> list:
-    """Complex matrix as nested ``[real, imag]`` pairs, row by row."""
-    m = np.asarray(m, dtype=complex)
-    return np.stack([m.real, m.imag], axis=-1).tolist()
+def matrix_to_json(m: np.ndarray) -> dict:
+    """Complex matrix as ``{"shape": [rows, cols], "base64": ...}``: its row-major
+    little-endian complex128 bytes, base64-encoded, so every bit round-trips."""
+    m = np.ascontiguousarray(m, dtype="<c16")
+    return {"shape": list(m.shape), "base64": base64.b64encode(m.tobytes()).decode("ascii")}
 
 
-def matrix_from_json(rows: list) -> np.ndarray:
-    """Inverse of :func:`matrix_to_json`; rejects anything but (r, c, 2) pairs."""
-    try:
-        pairs = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError):  # not numbers, or ragged
-        pairs = np.empty(0)
-    if pairs.ndim != 3 or pairs.shape[-1] != 2:
-        raise ValueError("a JSON matrix is a list of rows of [real, imag] pairs")
-    m = np.empty(pairs.shape[:2], dtype=complex)
-    m.real = pairs[..., 0]
-    m.imag = pairs[..., 1]
+def matrix_from_json(entries, name: str = "") -> np.ndarray:
+    """Inverse of :func:`matrix_to_json`, which also reads nested ``[real, imag]`` pairs,
+    row by row (schema-1 protocol files, state files).  Anything else, or a non-finite
+    entry, is refused, naming the JSON field ``name`` when one is given."""
+    what = f"a matrix in JSON field {name!r}" if name else "a JSON matrix"
+    if isinstance(entries, dict) and not {"shape", "base64"}.isdisjoint(entries):
+        for key in ("shape", "base64"):
+            if key not in entries:
+                raise ValueError(f"{what} lacks the key {key!r}")
+        shape, text = entries["shape"], entries["base64"]
+        if not (isinstance(shape, list) and len(shape) == 2 and
+                all(type(n) is int and n > 0 for n in shape)):
+            raise ValueError(f"{what} has shape {shape!r}, not two positive integers")
+        try:
+            raw = base64.b64decode(text, validate=True)
+        except (TypeError, ValueError):  # not a string, or not base64 characters
+            raise ValueError(f"{what} holds text that is not base64") from None
+        if len(raw) != (nbytes := 16 * shape[0] * shape[1]):
+            raise ValueError(f"{what} holds {len(raw)} bytes, not the {nbytes} of a "
+                             f"{shape[0]} x {shape[1]} matrix")
+        m = np.frombuffer(raw, dtype="<c16").astype(complex).reshape(shape)
+    else:
+        try:
+            pairs = np.asarray(entries, dtype=float)
+        except (TypeError, ValueError):  # not numbers, or ragged
+            pairs = np.empty(0)
+        if pairs.ndim != 3 or pairs.shape[-1] != 2:
+            raise ValueError(f"JSON field {name!r} holds neither rows of [real, imag] pairs nor "
+                             "a shape and base64 object" if name else
+                             "a JSON matrix is a list of rows of [real, imag] pairs")
+        m = np.empty(pairs.shape[:2], dtype=complex)
+        m.real = pairs[..., 0]
+        m.imag = pairs[..., 1]
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} has a non-finite entry")
     return m
 
 
 def list_from_json(doc: dict, name: str, numbers: bool = False) -> list:
-    """The matrices, or the numbers, of the nonempty JSON list ``doc[name]``; a
+    """The matrices, or the finite numbers, of the nonempty JSON list ``doc[name]``; a
     field holding anything else is refused by name."""
     entries = doc[name]
-    if isinstance(entries, list) and entries and (
-            not numbers or all(type(x) in (int, float) for x in entries)):
-        try:
-            return [float(x) if numbers else matrix_from_json(x) for x in entries]
-        except ValueError:
-            pass
+    if isinstance(entries, list) and entries and all(
+            type(x) in (int, float) and abs(x) <= sys.float_info.max if numbers
+            else isinstance(x, (list, dict)) for x in entries):
+        return [float(x) if numbers else matrix_from_json(x, name) for x in entries]
     raise ValueError(f"JSON field {name!r} is not a list of {'numbers' if numbers else 'matrices'}")

@@ -37,7 +37,8 @@ Every realization is a linear map with one interface: ``in_dim``,
 Protocol files are written with kind ``channel``, ``measure_prepare`` or
 ``recursive``; files of the earlier kinds ``mixed_unitary``,
 ``measurement_based`` and ``choi`` still load, as the realization they
-describe.
+describe.  Schema 2 writes each matrix as a base64 object
+(:func:`~momentshift.operators.matrix_to_json`); schema-1 files, in pairs, still load.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .operators import (I2, PAULI_X, PAULI_Y, PAULI_Z, Operator, check_memory,
                         list_from_json, matrix_to_json)
 from .sdp.problem import SdpSolution
 
-PROTOCOL_SCHEMA_VERSION = 1
+PROTOCOL_SCHEMA_VERSION = 2
 SAMPLING_TP_TOL = 1e-6  # trace preservation required of a sampled realization
 MAX_RECURSIVE_ORDER = 100  # highest k of the Q matrices behind the recursive retriever
 
@@ -571,9 +572,9 @@ def protocol_from_json(doc: dict) -> RetrievalProtocol:
     an outcome value more than 1e-12 from tr[H_k] of that outcome's output."""
     if not isinstance(doc, dict) or not isinstance(doc.get("data", {}), dict):
         raise ValueError("protocol file or its 'data' is not a JSON object")
-    if doc.get("schema_version") != PROTOCOL_SCHEMA_VERSION:
-        raise ValueError(f"unsupported protocol schema {doc.get('schema_version')}")
     try:
+        if _field(doc, "schema_version") not in (1, PROTOCOL_SCHEMA_VERSION):
+            raise ValueError(f"unsupported protocol schema {doc['schema_version']}")
         data, k = doc["data"], _field(doc, "k")
         f, t = _field(doc, "f", float), _field(doc, "t", float)
         if doc["kind"] == "recursive":  # de_kth_moment refuses a bad data.copy_dim

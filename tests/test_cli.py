@@ -1,3 +1,4 @@
+import base64
 import json
 import sys
 import time
@@ -10,7 +11,7 @@ import pytest
 from momentshift.channels import Channel, amplitude_damping, depolarizing
 from momentshift.cli import build_parser, main
 from momentshift.estimator import run_choi_map, run_protocol
-from momentshift.operators import Operator
+from momentshift.operators import Operator, matrix_from_json, matrix_to_json
 from momentshift.protocols import (RetrievalProtocol, ad_second_moment, de_second_moment,
                                    load_protocol, protocol_to_json, save_protocol)
 from oracles import reference_run, run_to_json
@@ -631,6 +632,90 @@ class TestFileErrors:
         code, out, err = self.estimate(capsys, path, "--state", str(state))
         assert code == 1 and out == ""
         assert err == "error: a JSON matrix is a list of rows of [real, imag] pairs\n"
+
+    @staticmethod
+    def sdp_k2(capsys, tmp_path, choi_form: str, edit=None, flags=("--exact",)):
+        """Estimate from the stored k = 2 SDP file, its Choi matrix in ``choi_form`` and
+        passed through ``edit`` (the matrix JSON in, the field's JSON out)."""
+        doc = json.loads((DATA / "sdp_ad_k2.json").read_text())
+        if choi_form == "object":
+            doc["data"]["choi"] = matrix_to_json(matrix_from_json(doc["data"]["choi"]))
+        if edit is not None:
+            doc["data"]["choi"] = edit(doc["data"]["choi"])
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        return run_cli(capsys, "estimate", "--protocol", str(path), "--noise",
+                       "amplitude-damping", "--eps", "0.2", *flags)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: {**c, "base64": "AAAA*AAA"}, "holds text that is not base64"),
+        (lambda c: {**c, "base64": c["base64"][:-2]}, "holds text that is not base64"),
+        (lambda c: {**c, "base64": c["base64"][:-4]},
+         "holds 4095 bytes, not the 4096 of a 16 x 16 matrix"),
+        (lambda c: {**c, "base64": base64.b64encode(bytes(16 * 15)).decode()},
+         "holds 240 bytes, not the 4096 of a 16 x 16 matrix"),
+        (lambda c: {**c, "shape": [16, 16.0]}, "has shape [16, 16.0], not two positive integers"),
+        (lambda c: {**c, "shape": [256]}, "has shape [256], not two positive integers"),
+        (lambda c: {**c, "shape": [-16, -16]}, "has shape [-16, -16], not two positive integers"),
+        (lambda c: {**c, "shape": "16 x 16"}, "has shape '16 x 16', not two positive integers"),
+        (lambda c: {"shape": c["shape"]}, "lacks the key 'base64'"),
+        (lambda c: {"base64": c["base64"]}, "lacks the key 'shape'"),
+    ], ids=["not_base64", "cut_padding", "cut_group", "byte_count", "float_dim", "one_dim",
+            "negative", "string", "no_base64", "no_shape"])
+    def test_malformed_matrix_object(self, capsys, tmp_path, edit, message):
+        code, out, err = self.sdp_k2(capsys, tmp_path, "object", edit)
+        assert (code, out, err) == (1, "", f"error: a matrix in JSON field 'choi' {message}\n")
+
+    @pytest.mark.parametrize("choi_form", ["object", "pairs"])
+    def test_choi_forms_estimate_alike(self, capsys, tmp_path, choi_form):
+        code, out, err = self.sdp_k2(capsys, tmp_path, choi_form)
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, "estimate", "--protocol", str(DATA / "sdp_ad_k2.json"),
+                              "--noise", "amplitude-damping", "--eps", "0.2", "--exact")[1]
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "sampled"])
+    @pytest.mark.parametrize("choi_form", ["object", "pairs"])
+    def test_non_finite_choi_entry(self, capsys, tmp_path, choi_form, exact):
+        def with_nan(c):
+            m = matrix_from_json(c)
+            m[3, 5] = complex(0.1, np.nan)
+            return matrix_to_json(m) if choi_form == "object" else \
+                np.stack([m.real, m.imag], axis=-1).tolist()
+        code, out, err = self.sdp_k2(capsys, tmp_path, choi_form, with_nan,
+                                     ["--exact"] if exact else ["--shots", "10"])
+        assert (code, out, err) == (1, "", "error: a matrix in JSON field 'choi' has a "
+                                           "non-finite entry\n")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("unitaries", "Infinity", "a matrix in JSON field 'unitaries' has a non-finite entry"),
+        ("probabilities", "NaN", "JSON field 'probabilities' is not a list of numbers"),
+    ])
+    def test_non_finite_v1_entry(self, capsys, tmp_path, field, value, message):
+        doc = json.loads((DATA / "twirl.json").read_text())
+        entries = doc["data"][field]
+        if field == "unitaries":
+            entries[1][0][1][0] = "VALUE"
+        else:
+            entries[1] = "VALUE"
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc).replace('"VALUE"', value))
+        code, out, err = self.estimate(capsys, path)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("form", ["object", "pairs", "non_finite"])
+    def test_state_in_either_form(self, capsys, tmp_path, form):
+        path = self.protocol(capsys, tmp_path)
+        rho = np.array([[0.75, 0.25j], [-0.25j, 0.25]])
+        if form == "non_finite":
+            rho[1, 1] = np.inf
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(matrix_to_json(rho) if form == "object" else
+                                    np.stack([rho.real, rho.imag], axis=-1).tolist()))
+        code, out, err = self.estimate(capsys, path, "--state", str(state))
+        if form == "non_finite":
+            assert (code, out, err) == (1, "", "error: a JSON matrix has a non-finite entry\n")
+        else:
+            assert (code, err) == (0, "") and "estimate: 0.75\n" in out
 
     @pytest.mark.parametrize("edit, message", [
         ({"k": 4, "copy_dim": 2, "f": 99}, "'k' = 4 and 'copy_dim' = 2 disagree with "

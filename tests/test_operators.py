@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,6 +10,8 @@ from momentshift.operators import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    matrix_from_json,
+    matrix_to_json,
     partial_trace,
     random_density_matrix,
     tensor_product,
@@ -112,3 +116,57 @@ def test_operator_keeps_a_frozen_array_it_owns():
     m.flags.writeable = False
     assert Operator(m).entries is m
     assert Operator(m[:1, :1]).entries.base is None  # a view is copied
+
+
+def _awkward_matrix() -> np.ndarray:
+    """Entries whose bits a lossy codec would change: signed zeros, subnormals, extremes."""
+    m = np.empty((2, 3), dtype=complex)
+    m.real = [[-0.0, 5e-324, -2.2250738585072014e-308], [1.7976931348623157e+308, 0.1, -1 / 3]]
+    m.imag = [[0.0, -0.0, 1e-320], [-5e-324, np.pi, -1.7976931348623157e+308]]
+    return m
+
+
+@pytest.mark.parametrize("form", ["object", "pairs"])
+def test_matrix_codec_round_trips_every_bit(form):
+    m = _awkward_matrix()
+    doc = matrix_to_json(m) if form == "object" else \
+        np.stack([m.real, m.imag], axis=-1).tolist()
+    back = matrix_from_json(json.loads(json.dumps(doc)))
+    assert back.dtype == complex and back.shape == (2, 3)
+    assert back.tobytes() == m.tobytes()
+
+
+def test_matrix_object_form():
+    doc = matrix_to_json(np.arange(6).reshape(3, 2) * (1 + 2j))
+    assert doc == {"shape": [3, 2], "base64": doc["base64"]}
+    assert isinstance(doc["base64"], str)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"shape": [1, 1]}, "a JSON matrix lacks the key 'base64'"),
+    ({"base64": "AAAA"}, "a JSON matrix lacks the key 'shape'"),
+    ({"shape": [1, 1], "base64": "AA*A"}, "a JSON matrix holds text that is not base64"),
+    ({"shape": [1, 1], "base64": 7}, "a JSON matrix holds text that is not base64"),
+    ({"shape": [1, 2], "base64": "AAAA"}, "a JSON matrix holds 3 bytes, not the 32 of a 1 x 2 "
+                                          "matrix"),
+    ({"shape": [0, 1], "base64": ""}, "a JSON matrix has shape [0, 1], not two positive "
+                                      "integers"),
+    ({"shape": [True, 1], "base64": ""}, "a JSON matrix has shape [True, 1], not two "
+                                         "positive integers"),
+    ({"shape": [1, 1, 1], "base64": ""}, "a JSON matrix has shape [1, 1, 1], not two "
+                                         "positive integers"),
+    ({"shape": [1, 1], "base64": matrix_to_json([[np.nan]])["base64"]},
+     "a JSON matrix has a non-finite entry"),
+    ([[[0.0, float("inf")]]], "a JSON matrix has a non-finite entry"),
+    ({"a": 1}, "a JSON matrix is a list of rows of [real, imag] pairs"),
+    ([[1.0, 2.0]], "a JSON matrix is a list of rows of [real, imag] pairs"),
+])
+def test_matrix_codec_refuses(bad, message):
+    with pytest.raises(ValueError) as err:
+        matrix_from_json(bad)
+    assert str(err.value) == message
+
+
+def test_matrix_codec_names_the_field():
+    with pytest.raises(ValueError, match=r"^a matrix in JSON field 'choi' has a non-finite "):
+        matrix_from_json([[[np.nan, 0.0]]], "choi")

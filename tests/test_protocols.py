@@ -1,7 +1,9 @@
+import base64
 import json
 from dataclasses import replace
 from functools import lru_cache
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -676,7 +678,7 @@ class TestSerialization:
 
     def test_schema_fields(self):
         doc = protocol_to_json(ad_second_moment(0.2))
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert {"kind", "k", "copy_dim", "f", "t", "data"} <= set(doc)
 
     def test_unknown_schema_rejected(self):
@@ -684,6 +686,77 @@ class TestSerialization:
         doc["schema_version"] = 99
         with pytest.raises(ValueError):
             protocol_from_json(doc)
+
+    @pytest.mark.parametrize("version, message", [
+        (3, "unsupported protocol schema 3"),
+        (True, "protocol field 'schema_version' is not an integer"),
+        (1.0, "protocol field 'schema_version' is not an integer"),
+        (None, "protocol file lacks the field 'schema_version'"),
+    ], ids=["3", "true", "float", "missing"])
+    def test_schema_version_is_a_json_integer(self, version, message):
+        doc = protocol_to_json(de_second_moment(0.1))
+        if version is None:
+            del doc["schema_version"]
+        else:
+            doc["schema_version"] = version
+        with pytest.raises(ValueError) as err:
+            protocol_from_json(doc)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_both_schemas_load(self, version):
+        doc = json.loads(json.dumps(protocol_to_json(ad_second_moment(0.2))))
+        doc["schema_version"] = version
+        assert protocol_from_json(doc).f == ad_second_moment(0.2).f
+
+    @pytest.mark.parametrize("build", [
+        lambda: de_second_moment(0.15),
+        lambda: _sdp_protocol(2),
+        lambda: _sdp_protocol(3),
+        lambda: ad_second_moment(0.25),
+    ], ids=["twirl_kraus", "sdp_choi_k2", "sdp_choi_k3", "ad_measure_prepare"])
+    def test_matrices_round_trip_bit_equal(self, tmp_path, build):
+        # .tobytes() compares bits: a -0.0 or a subnormal that comes back changed fails
+        proto, path = build(), tmp_path / "proto.json"
+        save_protocol(proto, path)
+        written = _file_matrices(proto.realization)
+        assert written and _bits(_file_matrices(load_protocol(path).realization)) == \
+            _bits(written)
+
+    @pytest.mark.parametrize("name", ["twirl.json", "ad_measure.json", "de_choi_n1.json",
+                                      "sdp_ad_k2.json"])
+    def test_v1_file_rewritten_loads_bit_equal(self, tmp_path, name):
+        v1 = load_protocol(V1 / name)
+        save_protocol(v1, tmp_path / name)
+        assert json.loads((tmp_path / name).read_text())["schema_version"] == 2
+        assert _bits(_file_matrices(load_protocol(tmp_path / name).realization)) == \
+            _bits(_file_matrices(v1.realization))
+
+    def test_k3_choi_is_written_as_an_object(self, tmp_path):
+        save_protocol(_sdp_protocol(3), tmp_path / "sdp_k3.json")
+        choi = json.loads((tmp_path / "sdp_k3.json").read_text())["data"]["choi"]
+        assert set(choi) == {"shape", "base64"} and choi["shape"] == [64, 64]
+        entries = _sdp_protocol(3).realization.choi().entries  # row-major little-endian
+        assert base64.b64decode(choi["base64"]) == entries.astype("<c16").tobytes()
+
+
+V1 = Path(__file__).parent / "data" / "protocols_v1"
+
+
+@lru_cache(maxsize=None)
+def _sdp_protocol(k: int) -> RetrievalProtocol:
+    return from_sdp_solution(solve(build_fmin(amplitude_damping(0.1), k)), k)
+
+
+def _file_matrices(r) -> list[np.ndarray]:
+    """Every matrix the file form of a Channel or MeasurePrepare realization stores."""
+    if isinstance(r, MeasurePrepare):
+        return list(r.effects) + list(r.outputs)
+    return list(r.kraus) if r.kraus is not None else [r.choi().entries]
+
+
+def _bits(matrices: list[np.ndarray]) -> list[tuple]:
+    return [(m.dtype.str, m.shape, m.tobytes()) for m in matrices]
 
 
 def _adjoint_maps():
