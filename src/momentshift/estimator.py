@@ -20,7 +20,8 @@ The sampling mode follows from the protocol's realization, and each mode
 has its own stream layout:
 
 * a Kraus-form channel draws a Kraus index, then an H_k eigenvalue from the
-  Born distribution of that branch (two uniforms per shot);
+  Born distribution of that branch (two uniforms per shot); a run makes a
+  shot's branch uniform only where the branch can change its outcome;
 * a projective measure-and-prepare map draws an outcome m from tr[E_m sigma]
   and records its stored value (one uniform);
 * any other trace-preserving realization is applied, then H_k is measured
@@ -47,9 +48,12 @@ once and reads every trial's ``zeta_bar`` off ``_run_means``.
 
 A run keeps only its outcome counts, a sufficient statistic of ``zeta_bar``:
 each block of shots is tallied (its words above each raw threshold, counted a
-row at a time, or a ``bincount`` per Kraus branch and outcome) and dropped, so
-any shot count needs one block of memory.  The JSON and CSV records rebuild
-every shot from the seed, a block at a time.
+row at a time) and dropped, so any shot count needs one block of memory.  A
+Kraus run tallies its outcome words against each outcome threshold's largest
+value over the branches, and draws the branch of a shot only when its word
+lies between that threshold's smallest and largest value (``_kraus_tally``).
+The JSON and CSV records rebuild every shot, branch included, from the seed,
+a block at a time.
 
 Per-shot outcomes are eigenvalues of the moment observable or stored
 per-outcome values, all in [-1, 1], which fixes the range constant in the
@@ -100,13 +104,13 @@ def _scrambled(x) -> np.ndarray:
     return _mix(z.astype(np.uint64) + np.uint64(_GOLDEN))
 
 
-def _word_blocks(seeds, shots: int, draws: int):
+def _word_blocks(seeds, shots: int, draws: int, first: int = 1):
     """Yield ``(r, cs, words)`` per block, whole runs of at most ``_BLOCK_WORDS`` words or
     at most ``_BLOCK`` shots of one run, in reused buffers: ``words[n][i, j]`` is the raw
-    SplitMix64 output mix(scramble(seed) + shot + (n + 1) golden) of shot cs.start + j of
-    run r + i."""
+    SplitMix64 output mix(scramble(seed) + shot + (first + n) golden) of shot cs.start + j
+    of run r + i."""
     cols = min(shots, _BLOCK)
-    steps = np.arange(1, draws + 1, dtype=np.uint64) * np.uint64(_GOLDEN)  # wraps mod 2^64
+    steps = np.arange(first, first + draws, dtype=np.uint64) * np.uint64(_GOLDEN)  # mod 2^64
     bases = np.add.outer(steps, _scrambled(seeds))[..., None]  # [draw, run, 1]
     runs = bases.shape[1]
     rows = min(max(1, _BLOCK_WORDS // cols), runs)
@@ -123,6 +127,13 @@ def _word_blocks(seeds, shots: int, draws: int):
             for n, z in enumerate(words):
                 _mix(np.add(first[n], ramp[:nc], out=z), tmp)
             yield r, slice(start, start + nc), words
+
+
+def _shot_words(shots: np.ndarray, base: np.ndarray, tmp: np.ndarray | None = None):
+    """The raw words mix(base + shot) of the given ``uint64`` shot indices alone, made in
+    place; ``base`` = scramble(seed) + draw golden picks the run and the draw."""
+    shots += base  # wraps mod 2^64
+    return _mix(shots, tmp)
 
 
 def shot_uniforms(seed: int, shots: int, draws: int) -> np.ndarray:
@@ -169,7 +180,7 @@ class EstimationRun:
     the record writers rebuild each shot from ``seed`` and ``thresholds``."""
     seed: int
     shots: int
-    counts: np.ndarray           # shots per outcome, or per (branch, outcome) of a Kraus run
+    counts: np.ndarray           # shots per outcome
     values: np.ndarray           # outcome values, each in [-1, 1]
     thresholds: tuple            # per uniform a shot draws: outcome, or branch then outcome rows
     zeta_bar: float
@@ -184,7 +195,7 @@ def _zeta_bar(counts: np.ndarray, values: np.ndarray, shots: int) -> np.ndarray:
 
 def _finish_run(p: RetrievalProtocol, seed: int, shots: int, counts: np.ndarray,
                 values: np.ndarray, thresholds: tuple) -> EstimationRun:
-    zeta_bar = float(_zeta_bar(counts.reshape(-1, values.size).sum(0), values, shots))
+    zeta_bar = float(_zeta_bar(counts, values, shots))
     return EstimationRun(seed=seed, shots=shots, counts=counts, values=values,
                          thresholds=thresholds, zeta_bar=zeta_bar,
                          estimate=p.f * zeta_bar - p.t, protocol_ref=p.label or p.kind)
@@ -271,21 +282,94 @@ def _outcome_index(words: np.ndarray, comparisons: tuple, out: np.ndarray,
     return out
 
 
-def _tally(thresholds: np.ndarray, shots: int, seeds) -> np.ndarray:
-    """Shots per outcome of one ``shots``-shot run per seed, a row each.  Each block's
-    words are counted a row at a time, then dropped: column n counts the words at or above
-    the n-th threshold; thresholds ascend, so a difference of columns counts an outcome."""
+def _tally(thresholds: np.ndarray, shots: int, seeds, draw: int = 1,
+           recount=None) -> np.ndarray:
+    """Shots per outcome of one ``shots``-shot run per seed, a row each, from the words of
+    draw ``draw``.  Each block's words are counted a row at a time, then dropped: column n
+    counts the words at or above the n-th threshold; thresholds ascend, so a difference of
+    columns counts an outcome.  ``recount(cs, words)``, if given, sees each block's words
+    (of a one-run tally) before they are dropped."""
     counts = np.empty((len(seeds), len(thresholds) + 1), np.int64)
     counts[:, 0], counts[:, 1:] = shots, np.where(thresholds == 0, shots, 0)  # 0: every word
     passes = [(n, s) for n, s in enumerate(_strict(thresholds), 1) if s != _NEVER]
     buf = np.empty(_BLOCK_WORDS, bool)  # no block has more words
-    for r, _, (w,) in _word_blocks(seeds, shots, 1):
+    for r, cs, (w,) in _word_blocks(seeds, shots, 1, draw):
         mask = buf[:w.size].reshape(w.shape)
         for n, s in passes:
             np.greater(w, s, out=mask)
             for i, row in enumerate(mask, r):
                 counts[i, n] += np.count_nonzero(row)
+        if recount is not None:
+            recount(cs, w[0])
     counts[:, :-1] -= counts[:, 1:]
+    return counts
+
+
+def _index_dtype(thresholds: np.ndarray):
+    """The dtype an outcome index over ``thresholds`` is counted in: ``uint8`` up to 255."""
+    return np.uint8 if len(thresholds) <= 255 else np.intp
+
+
+def _kraus_tally(thresholds: tuple, shots: int, seed: int) -> np.ndarray:
+    """Shots per outcome of one Kraus run, the outcomes ``_shot_blocks`` reads, without
+    drawing the branch of a shot whose branch cannot change its outcome.
+
+    Over the branches some word draws, the n-th outcome threshold lies in [lo_n, hi_n]: an
+    outcome word that meets hi_n meets it whatever the branch, one that misses lo_n misses
+    it for every branch.  So the outcome words alone are tallied against hi (``_tally`` on
+    draw 2), and only the shots in a window, whose word meets lo_n but not hi_n, get their
+    branch word (draw 1): those that meet their branch's threshold move up one outcome.  A
+    run whose rows coincide has no window and makes no branch word."""
+    branch, rows = thresholds
+    top = np.uint64(2 ** 53)  # thresholds at or above it are met by no word
+    cut = np.minimum(np.append(branch, top), top)  # branch j: the words in [cut[j-1], cut[j])
+    drawn = np.minimum(rows[:, cut > np.append(np.uint64(0), cut[:-1])], top)
+    lo, hi = drawn.min(axis=1), drawn.max(axis=1)
+    # window n holds the words w with lo_n 2^11 <= w < hi_n 2^11, i.e. w - lo_n 2^11 <= span;
+    # such a w meets a threshold t in [lo_n, hi_n] iff w >> 1 >= t 2^10, which is below 2^64
+    windows = [(n, np.uint64(a << 11), np.uint64(((b - a) << 11) - 1),
+                np.minimum(rows[n], top) << np.uint64(10))
+               for n, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())) if a < b]
+    if not windows:
+        return _tally(hi, shots, [seed], 2)[0]
+    picks = _comparisons(branch, _index_dtype(branch))
+    size = min(shots, _BLOCK)
+    fix, ramp = np.zeros(len(hi), np.int64), np.arange(size, dtype=np.uint64)
+    base = _scrambled(seed) + np.uint64(_GOLDEN)  # branch words are draw 1
+    bufs = [np.empty(size, d) for d in (bool, bool, np.uint64, np.uint64, np.uint64,
+                                        _index_dtype(branch))]
+
+    def recount(cs: slice, w: np.ndarray) -> None:
+        inside, mask, off, halves, tmp, j = (b[:w.size] for b in bufs)
+        for i, (_, low, span, _) in enumerate(windows):
+            np.subtract(w, low, out=off)  # wraps below low
+            if i:
+                inside |= np.less_equal(off, span, out=mask)
+            else:
+                np.less_equal(off, span, out=inside)
+        k = np.count_nonzero(inside)
+        if k < w.size:  # gather the window's shots, unless it holds them all
+            if not k:
+                return
+            at = np.flatnonzero(inside)
+            inside, mask, off, halves, tmp, j = (b[:k] for b in bufs)
+            off[...] = at
+            w = np.take(w, at, out=halves, mode="clip")
+        else:
+            off[...] = ramp[:k]
+        np.right_shift(w, np.uint64(1), out=halves)
+        _shot_words(off, base + np.uint64(cs.start), tmp)
+        _outcome_index(off, picks, j, scratch=(mask, tmp))
+        for n, low, span, met_at in windows:
+            met = np.greater_equal(halves, np.take(met_at, j, out=tmp, mode="clip"), out=mask)
+            if len(windows) > 1:  # only this window's shots, the others' are clear here
+                np.subtract(halves, low >> np.uint64(1), out=tmp)
+                met &= np.less_equal(tmp, span >> np.uint64(1), out=inside)
+            fix[n] += np.count_nonzero(met)
+
+    counts = _tally(hi, shots, [seed], 2, recount)[0]
+    counts[:-1] -= fix  # a window shot that meets its branch's threshold moves up one outcome
+    counts[1:] += fix
     return counts
 
 
@@ -293,7 +377,7 @@ def _shot_blocks(thresholds: tuple, shots: int, seed: int):
     """Yield ``(cs, recorded, outcome)`` index arrays of one run's shots ``cs``, a block at a
     time, rebuilt from its seed; ``recorded`` is a Kraus run's branch, else the outcome."""
     n = min(shots, _BLOCK)
-    dtypes = [np.uint8 if len(t) <= 255 else np.intp for t in thresholds]
+    dtypes = [_index_dtype(t) for t in thresholds]
     comparisons = [_comparisons(t, d) for t, d in zip(thresholds, dtypes)]
     bufs = [np.empty((1, n), dtype=d) for d in dtypes] + [np.empty((1, n), bool),
                                                           np.empty((1, n), np.uint64)]
@@ -362,13 +446,8 @@ def run_protocol(p: RetrievalProtocol, rho: Operator, noise: Channel,
     values, thresholds = _distribution(p, rho, noise)
     if not isinstance(thresholds, tuple):
         return _draw(p, values, thresholds, shots, seed)
-    counts = np.zeros((len(thresholds[0]) + 1) * values.size, dtype=np.int64)
-    key = np.empty(min(shots, _BLOCK), dtype=np.intp)
-    for cs, j, outcome in _shot_blocks(thresholds, shots, seed):
-        pair = key[:cs.stop - cs.start]
-        np.multiply(j, values.size, out=pair, dtype=np.intp)  # (branch, outcome) pairs
-        counts += np.bincount(np.add(pair, outcome, out=pair), minlength=counts.size)
-    return _finish_run(p, seed, shots, counts.reshape(-1, values.size), values, thresholds)
+    return _finish_run(p, seed, shots, _kraus_tally(thresholds, shots, seed), values,
+                       thresholds)
 
 
 def renyi_entropy(moment_value: float, alpha: int) -> float:

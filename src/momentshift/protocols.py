@@ -526,7 +526,7 @@ def protocol_to_json(p: RetrievalProtocol) -> dict:
     elif isinstance(r, MeasurePrepare):
         data = {"effects": [matrix_to_json(e) for e in r.effects],
                 "outputs": [matrix_to_json(o) for o in r.outputs],
-                "values": r.values}
+                "values": None if r.values is None else list(r.values)}
     elif isinstance(r, Recursive):
         data = {"eps": r.eps, "order": r.k, "copy_dim": r.d}
     else:

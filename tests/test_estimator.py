@@ -7,14 +7,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from momentshift import estimator
 from momentshift.channels import Channel, amplitude_damping, depolarizing
 from momentshift.estimator import (
     _BLOCK,
     _BLOCK_WORDS,
     _comparisons,
+    _distribution,
     _draw,
     _h_distribution,
     _h_spectrum,
+    _kraus_tally,
     _outcome_index,
     _run_means,
     _shot_blocks,
@@ -43,8 +46,9 @@ from momentshift.protocols import (
     load_protocol,
 )
 from conftest import noisy_copies
-from oracles import (reference_run, run_csv_text, run_to_json, searchsorted_index,
-                     seed_with_counter, splitmix_words, threshold_counts)
+from oracles import (GOLDEN, MASK64, reference_run, run_csv_text, run_to_json,
+                     searchsorted_index, seed_with_counter, splitmix_mix, splitmix_unmix,
+                     splitmix_words, threshold_counts)
 
 
 class TestPlanShots:
@@ -169,11 +173,9 @@ def _rebuilt(run):
     return tuple(np.concatenate(a) for a in zip(*blocks))
 
 
-def _reference_counts(run, recorded, outcome):
-    """The run's counts as the bincount of reference outcomes, per branch for a Kraus run."""
-    m = run.values.size
-    key = recorded * m + outcome if run.counts.ndim == 2 else outcome
-    return np.bincount(key, minlength=run.counts.size).reshape(run.counts.shape)
+def _reference_counts(run, outcome):
+    """The run's counts as the bincount of its reference outcomes."""
+    return np.bincount(outcome, minlength=run.values.size)
 
 
 def _random_unitary_mixture(branches: int) -> RetrievalProtocol:
@@ -209,7 +211,7 @@ def test_blocked_runs_match_reference_draws(kind, shots):
     got = run(p, rho, noise, shots, seed=-17)
     per_shot, indices, outcome = reference_run(p, rho, noise, shots, seed=-17)
     assert got.shots == shots
-    assert np.array_equal(got.counts, _reference_counts(got, indices, outcome))
+    assert np.array_equal(got.counts, _reference_counts(got, outcome))
     rebuilt = _rebuilt(got)
     assert np.array_equal(rebuilt[0], per_shot)
     assert np.array_equal(rebuilt[1], indices)
@@ -223,7 +225,7 @@ def test_records_rebuilt_from_seed_match_reference(kind, tmp_path):
     rho, shots = random_density_matrix(2, 5), 2 * _BLOCK + 3
     got = run(p, rho, noise, shots, seed=23)
     per_shot, indices, outcome = reference_run(p, rho, noise, shots, seed=23)
-    assert np.array_equal(got.counts, _reference_counts(got, indices, outcome))
+    assert np.array_equal(got.counts, _reference_counts(got, outcome))
     assert got.counts.sum() == shots
     # the counts add the values in another order than the per-shot mean
     assert abs(got.zeta_bar - per_shot.mean()) <= 8 * np.finfo(float).eps
@@ -246,7 +248,7 @@ def test_zero_weight_branch_is_never_drawn():
     got = run_protocol(p, rho, noise, 500, seed=2)
     per_shot, indices, outcome = reference_run(p, rho, noise, 500, seed=2)
     assert np.all(indices == 0)
-    assert np.array_equal(got.counts, _reference_counts(got, indices, outcome))
+    assert np.array_equal(got.counts, _reference_counts(got, outcome))
     assert np.array_equal(_rebuilt(got)[0], per_shot)
 
 
@@ -396,10 +398,124 @@ def test_kraus_run_at_counter_edges_matches_reference(seed):
     p, noise, rho = de_second_moment(0.1), depolarizing(0.1, 2), random_density_matrix(2, 4)
     got = run_protocol(p, rho, noise, _BLOCK + 3, seed)
     per_shot, indices, outcome = reference_run(p, rho, noise, _BLOCK + 3, seed)
-    assert np.array_equal(got.counts, _reference_counts(got, indices, outcome))
+    assert np.array_equal(got.counts, _reference_counts(got, outcome))
     rebuilt = _rebuilt(got)
     assert np.array_equal(rebuilt[0], per_shot)
     assert np.array_equal(rebuilt[1], indices)
+
+
+def _per_shot_counts(thresholds: tuple, shots: int, seed: int) -> np.ndarray:
+    """A Kraus run's outcome counts from every shot's branch and outcome, ``_shot_blocks``."""
+    m = len(thresholds[1]) + 1
+    return sum(np.bincount(o, minlength=m) for _, _, o in _shot_blocks(thresholds, shots, seed))
+
+
+def _window_table(kind: str, shots: int, seed: int) -> tuple:
+    """Branch thresholds and two ascending rows of outcome thresholds over the branches."""
+    rng = np.random.default_rng(len(kind))
+    branches = 300 if kind == "wide" else 7
+    weights = rng.random(branches)
+    cumulative = np.cumsum(rng.dirichlet(np.ones(3), size=branches), axis=1)
+    if kind == "equal":
+        cumulative[:] = cumulative[0]
+    elif kind == "threshold_zero":  # the first outcome has probability 0 on some branches
+        cumulative[::2, 0] = 0.0
+    elif kind == "zero_weight":  # a branch no shot draws has a NaN row, read as 1
+        weights[3], cumulative[3] = 0.0, 1.0
+    rows = _thresholds(cumulative)
+    if kind in ("units_apart", "wide"):
+        # each row 0-2 units of 2^-53 wide, from the outcome word of a shot of the run up,
+        # so that this shot's outcome turns on its branch
+        words = splitmix_words(seed, rng.integers(0, shots, 2).tolist(), 2)
+        for n, w in enumerate(sorted(words)):
+            rows[n] = np.uint64(w >> 11) + rng.integers(0, 3, branches).astype(np.uint64)
+        rows.sort(axis=0)  # ascending along each branch, also where both shots coincide
+    return _thresholds(np.cumsum(weights / weights.sum())), rows
+
+
+WINDOW_KINDS = ["equal", "units_apart", "far", "zero_weight", "threshold_zero", "wide"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("shots", [1, _BLOCK, _BLOCK + 1])
+@pytest.mark.parametrize("kind", WINDOW_KINDS)
+def test_kraus_window_matches_per_shot_counts(kind, shots):
+    # the counts of a run that draws a shot's branch only in a window equal the counts
+    # of every shot's branch and outcome
+    thresholds = _window_table(kind, shots, seed=11)
+    assert np.array_equal(_kraus_tally(thresholds, shots, 11),
+                          _per_shot_counts(thresholds, shots, 11))
+
+
+# branch rows over four branches, each ascending along its branch: a first row from 0
+# (every word) to 2^53 (none) puts every word in its window; rows one unit wide below 2^52
+# and below 2^53 make two windows, the words of the second meeting all of the first row
+EDGE_ROWS = {"every_word": [[0, 2 ** 52, 2 ** 53 - 1, 2 ** 53],
+                            [2 ** 53, 2 ** 53, 2 ** 53 + 1, 2 ** 53]],
+             "two_windows": [[2 ** 52 - 1, 2 ** 52, 2 ** 52, 2 ** 52],
+                             [2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, 2 ** 53]]}
+
+
+@pytest.mark.parametrize("rows", EDGE_ROWS.values(), ids=EDGE_ROWS)
+@pytest.mark.parametrize("word", [0, 2 ** 63, 2 ** 63 - 1, 2 ** 64 - 2048, 2 ** 64 - 1],
+                         ids=["0", "on_t", "below_t", "on_top_unit", "top"])
+def test_kraus_window_at_word_edges_matches_python_ints(word, rows):
+    # shot 0's outcome word is set, on and next to the rows' thresholds 2^52 and 2^53 - 1
+    seed = seed_with_counter(splitmix_unmix(word), draw=2)
+    assert splitmix_words(seed, [0], 2) == [word]
+    branch = np.array([2 ** 51, 2 ** 52, 2 ** 52 + 2 ** 51], dtype=np.uint64)
+    rows, shots = np.array(rows, dtype=np.uint64), 5
+    j = threshold_counts(splitmix_words(seed, range(shots), 1), branch)
+    want = [threshold_counts([w], rows[:, b])[0] for w, b in
+            zip(splitmix_words(seed, range(shots), 2), j)]
+    assert _kraus_tally((branch, rows), shots, seed).tolist() == \
+        np.bincount(want, minlength=3).tolist()
+
+
+def test_window_branch_words_match_python_ints(monkeypatch):
+    # a window shot's branch word is draw 1 of its shot, made for it alone
+    shots, seed = 2 * _BLOCK + 5, -3
+    thresholds = _window_table("units_apart", shots, seed)
+    made = []
+
+    def spy(at, base, tmp=None):
+        first = np.uint64((splitmix_mix((seed + GOLDEN) & MASK64) + GOLDEN) & MASK64)
+        index = at + base - first  # the shot indices, wrapping mod 2^64
+        words = estimator_shot_words(at, base, tmp)
+        made.extend(zip(index.tolist(), words.tolist()))
+        return words
+
+    estimator_shot_words = estimator._shot_words
+    monkeypatch.setattr(estimator, "_shot_words", spy)
+    assert np.array_equal(_kraus_tally(thresholds, shots, seed),
+                          _per_shot_counts(thresholds, shots, seed))
+    assert made and len(made) < shots // 2
+    assert [w for _, w in made] == [splitmix_words(seed, [i], 1)[0] for i, _ in made]
+
+
+def test_coinciding_rows_make_no_branch_word(monkeypatch):
+    # at the maximally mixed state every twirl branch has the same outcome row, so no
+    # shot's branch can change its outcome: only the outcome words, draw 2, are made
+    p, noise, rho = de_second_moment(0.1), depolarizing(0.1, 2), Operator(np.eye(2) / 2)
+    rows = _distribution(p, rho, noise)[1][1]
+    assert np.array_equal(rows.min(axis=1), rows.max(axis=1))
+    made, word_blocks = [], estimator._word_blocks
+
+    def spy(seeds, shots, draws, first=1):
+        made.append((draws, first))
+        return word_blocks(seeds, shots, draws, first)
+
+    def refuse(*args):
+        raise AssertionError("a branch word was made")
+
+    shots = 2 * _BLOCK + 3
+    with monkeypatch.context() as m:
+        m.setattr(estimator, "_word_blocks", spy)
+        m.setattr(estimator, "_shot_words", refuse)
+        got = run_protocol(p, rho, noise, shots, seed=9)
+    assert made == [(1, 2)]
+    per_shot, indices, outcome = reference_run(p, rho, noise, shots, seed=9)
+    assert np.array_equal(got.counts, _reference_counts(got, outcome))
 
 
 @pytest.mark.parametrize("run", [run_choi_map, run_protocol], ids=["one_draw", "kraus"])

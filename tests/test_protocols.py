@@ -732,6 +732,26 @@ class TestSerialization:
         assert _bits(_file_matrices(load_protocol(tmp_path / name).realization)) == \
             _bits(_file_matrices(v1.realization))
 
+    @pytest.mark.parametrize("build", [
+        lambda: de_second_moment(0.15),
+        lambda: _sdp_protocol(2),
+        lambda: ad_second_moment(0.25),
+        lambda: RetrievalProtocol(2, 2, 1.0, 0.0, MeasurePrepare(
+            [np.diag(e) for e in np.eye(4)], [np.eye(4) / 4] * 4)),
+    ], ids=["twirl_kraus", "sdp_choi_k2", "ad_measure_prepare", "measure_prepare_no_values"])
+    def test_round_trip_in_memory(self, build):
+        # the document itself loads, not only the text json.dumps makes of it
+        proto = build()
+        doc = protocol_to_json(proto)
+        loaded = protocol_from_json(doc)
+        assert (loaded.kind, loaded.f, loaded.t) == (proto.kind, proto.f, proto.t)
+        assert _bits(_file_matrices(loaded.realization)) == \
+            _bits(_file_matrices(proto.realization))
+        if isinstance(proto.realization, MeasurePrepare):
+            values = proto.realization.values
+            assert doc["data"]["values"] == (None if values is None else list(values))
+            assert loaded.realization.values == values
+
     def test_k3_choi_is_written_as_an_object(self, tmp_path):
         save_protocol(_sdp_protocol(3), tmp_path / "sdp_k3.json")
         choi = json.loads((tmp_path / "sdp_k3.json").read_text())["data"]["choi"]
