@@ -2,9 +2,8 @@
 verification, and the Fermi-Hubbard demonstration.
 
 Exit codes: 0 success, 1 usage, file or format error or failed verification,
-2 infeasible / moment unrecoverable, 3 solver non-convergence.  All floats are
-printed with 12 significant digits; every randomized command takes a --seed
-and is bit-reproducible.
+2 infeasible / moment unrecoverable.  All floats are printed with 12 significant
+digits; every randomized command takes a --seed and is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -17,34 +16,20 @@ import sys
 
 import numpy as np
 
-from .channels import amplitude_damping, depolarizing, is_invertible
-from .estimator import (
-    plan_shots,
-    renyi_entropy,
-    run_protocol,
-    run_to_csv,
-    save_run,
-)
+from .channels import amplitude_damping, depolarizing
+from .estimator import plan_shots, renyi_entropy, run_protocol, run_to_csv, save_run
 from .hubbard import demo_model, fig4_experiment, model_ground_state, reduced_state
-from .moments import moment_observable
 from .operators import Operator, check_memory, matrix_from_json, random_density_matrix
-from .protocols import (
-    ad_second_moment,
-    de_kth_moment,
-    exact_expectation,
-    from_sdp_solution,
-    load_protocol,
-    protocol_to_json,
-    save_protocol,
-)
-from .sdp.programs import build_fmin, build_gmin, build_info_recover, gmin_power
+from .protocols import (ad_second_moment, contract_residual, de_kth_moment, exact_expectation,
+                        load_protocol, optimal_shift, protocol_to_json, recover_overhead,
+                        save_protocol)
+from .sdp.programs import build_gmin, gmin_power
 from .sdp.solver import DEFAULT_TOL, solve
 from .verify import run_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
-EXIT_NO_CONVERGENCE = 3
 
 INFEASIBLE_MSG = "noise channel not invertible or moment unrecoverable"
 
@@ -103,17 +88,11 @@ def cmd_synthesize(args) -> int:
         status, residual, iterations = "analytic", 0.0, 0
     else:
         noise = _noise_channel(args.noise, args.eps, args.n)
-        sol = solve(build_fmin(noise, args.k), tol=args.tol) if is_invertible(noise) else None
-        if sol is None or sol.status == "infeasible":
+        protocol = optimal_shift(noise, args.k)
+        if protocol is None:
             print(f"status: infeasible\n{INFEASIBLE_MSG}")
             return EXIT_INFEASIBLE
-        if sol.status != "optimal":
-            print(f"status: {sol.status} after {sol.iterations} iterations "
-                  f"(residuals {_fmt(sol.primal_residual)}, {_fmt(sol.dual_residual)})")
-            return EXIT_NO_CONVERGENCE
-        protocol = from_sdp_solution(sol, args.k)
-        status, residual, iterations = sol.status, max(
-            sol.primal_residual, sol.dual_residual), sol.iterations
+        status, residual, iterations = "optimal", contract_residual(protocol, noise), 0
     print(f"f: {_fmt(protocol.f)}")
     print(f"t: {_fmt(protocol.t)}")
     print(f"status: {status}")
@@ -164,29 +143,21 @@ def cmd_overhead_sweep(args) -> int:
     return EXIT_OK
 
 
-def _optimum(problem, tol: float) -> tuple[float, str]:
-    """(optimal value, status) of a solve, or (NaN, status) when not optimal."""
-    sol = solve(problem, tol=tol)
-    if sol.status != "optimal":
-        return float("nan"), sol.status
-    return sol.objective_value, sol.status
-
-
 def _overhead_value(model: str, eps: float, k: int, method: str,
                     tol: float) -> tuple[float, str]:
+    """(overhead, status) of one sweep cell: the shift and recover optima are spectral, and
+    only the inverse is solved; a solve that ends short of optimal reads NaN."""
     if eps >= 1.0:
         return float("nan"), "infeasible"
     noise = _noise_channel(model, eps, 1)
-    if method == "shift":
-        # k = 2 optima are the closed-form retrievers' f; beyond that the program is the
-        # authority (the recursive retriever is achievable but can be loose, e.g. DE at k = 3)
-        if k == 2:
-            return _analytic_protocol(model, eps, 2, 1).f, "analytic"
-        return _optimum(build_fmin(noise, k), tol)
     if method == "inverse":
-        g1, status = _optimum(build_gmin(noise), tol)
-        return gmin_power(g1, k), status
-    return _optimum(build_info_recover(noise, moment_observable(k, 2)), tol)
+        sol = solve(build_gmin(noise), tol=tol)
+        if sol.status != "optimal":
+            return float("nan"), sol.status
+        return gmin_power(sol.objective_value, k), sol.status
+    # noise with eps < 1 is invertible, so both optima exist
+    value = optimal_shift(noise, k).f if method == "shift" else recover_overhead(noise, k)
+    return value, "optimal"
 
 
 def _load_state(args, protocol) -> Operator:
@@ -318,8 +289,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--k", type=_at_least(2), default=2, help="moment order")
     sp.add_argument("--n", type=_at_least(1), default=1, help="qubits per copy")
     sp.add_argument("--force-sdp", action="store_true",
-                    help="skip closed forms and always solve the program")
-    common(sp, "--tol")
+                    help="skip closed forms and always build the least-overhead retriever "
+                         "from the spectrum of the pulled-back observable")
+    common(sp)
     sp.set_defaults(fn=cmd_synthesize)
 
     sp = sub.add_parser("overhead-sweep", help="overhead vs noise level table")

@@ -14,10 +14,11 @@ Every realization is a linear map with one interface: ``in_dim``,
 ``choi()`` method.  Three realizations are used:
 
 * a :class:`~momentshift.channels.Channel`, in Kraus form (the twelve-unitary
-  depolarizing twirl with Kraus operators sqrt(p_j) U_j) or in Choi form (SDP
-  extractions);
+  depolarizing twirl with Kraus operators sqrt(p_j) U_j) or in Choi form (files
+  written from solver optima);
 * a :class:`MeasurePrepare` map: the amplitude-damping protocol, a projective
-  measurement whose outcomes carry stored values;
+  measurement whose outcomes carry stored values, and the spectral optimum
+  ``optimal_shift``, a two-outcome measurement whose outputs are H_k eigenstates;
 * :class:`Recursive`, the retriever of every moment order under depolarizing
   noise, composed from the transfer and recovery maps (kept as their small
   coefficient matrices).  It is a
@@ -53,12 +54,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channels import (Channel, apply, apply_copywise, channel_from_json, channel_matrix,
-                       channel_to_json, noisy_copies)
+                       channel_to_json, is_invertible, noisy_copies)
 from .moments import (cycle_counts, cycle_traces, cycle_type, leading_cycle_index,
                       moment_observable, power_traces)
 from .operators import (I2, PAULI_X, PAULI_Y, PAULI_Z, Operator, check_memory,
                         list_from_json, matrix_to_json)
-from .sdp.problem import SdpSolution
 
 PROTOCOL_SCHEMA_VERSION = 2
 SAMPLING_TP_TOL = 1e-6  # trace preservation required of a sampled realization
@@ -489,23 +489,55 @@ def de_kth_moment(eps: float, k: int, d: int = 2) -> RetrievalProtocol:
 
 
 # ---------------------------------------------------------------------------
-# SDP extraction
+# the spectral optima of the observable-shift and recover programs
 
 
-def from_sdp_solution(sol: SdpSolution, k: int) -> RetrievalProtocol:
-    """Turn an optimal observable-shift solution into an executable protocol."""
-    if sol.status != "optimal":
-        raise ValueError(f"cannot extract a protocol from a {sol.status} solution")
-    f = sol.scalar("f")
-    t = sol.scalar("t")
-    j_scaled = sol.block("J")
-    d = int(round(np.sqrt(j_scaled.dim)))
-    copy_dim = int(round(d ** (1.0 / k)))
+def _pulled_back_observable(noise: Channel, k: int) -> tuple | None:
+    """(A, a_min, a_max, lam): A = ((N^dag)^-1)^(x k)(H_k), its extreme eigenvalues and
+    lam = lambda_min(H_k) = cos(2 pi floor(k/2) / k); None when the noise is not invertible
+    and no retriever exists.  A shift retriever has f N^dag(x k)(C^dag(H_k)) = H_k + t I,
+    so f C^dag(H_k) = A + t I."""
+    d, dim = noise.in_dim, noise.in_dim ** k
+    # H_k, A, the temporaries of the copywise map and eigvalsh, and the two effects
+    check_memory(6 * 16 * dim * dim, f"spectral optimum for k={k}, d={d}")
+    if not is_invertible(noise):
+        return None
+    h = moment_observable(k, d).entries
+    a = apply_copywise(np.linalg.inv(channel_matrix(noise)).conj().T, h[None], k)[0]
+    w = np.linalg.eigvalsh(a)
+    return a, float(w[0]), float(w[-1]), float(np.cos(2 * np.pi * (k // 2) / k))
+
+
+def optimal_shift(noise: Channel, k: int) -> RetrievalProtocol | None:
+    """The observable-shift retriever of least overhead, or None for non-invertible noise.
+
+    A CPTP retriever has lam I <= C^dag(H_k) <= I, so f lam I <= A + t I <= f I, whose
+    least f is (a_max - a_min) / (1 - lam), at t = (lam a_max - a_min) / (1 - lam).  It
+    measures {E+, I - E+}, E+ = (A - a_min I) / (a_max - a_min), and prepares |0..0>
+    (H_k value 1) or v = k^-1/2 sum_j w^(j floor(k/2)) |e_j> (H_k value lam), |e_j> the
+    string with a 1 on copy j: a closed-form eigenvector, so runs stay bit-reproducible."""
+    if (pulled := _pulled_back_observable(noise, k)) is None:
+        return None
+    a, a_min, a_max, lam = pulled
+    d, dim, j = noise.in_dim, noise.in_dim ** k, np.arange(k)
+    effect = (a - a_min * np.eye(dim)) / (a_max - a_min)
+    top, v = np.zeros((dim, dim), dtype=complex), np.zeros(dim, dtype=complex)
+    top[0, 0] = 1.0
+    v[d ** (k - 1 - j)] = np.exp(2j * np.pi * j * (k // 2) / k) / np.sqrt(k)
     return RetrievalProtocol(
-        k=k, copy_dim=copy_dim, f=f, t=t,
-        realization=Channel(d, d, choi=Operator(j_scaled.entries / f, (d, d))),
-        label=sol.name or "sdp_protocol",
-    )
+        k=k, copy_dim=d, f=(a_max - a_min) / (1 - lam), t=(lam * a_max - a_min) / (1 - lam),
+        realization=MeasurePrepare([effect, np.eye(dim) - effect], [top, np.outer(v, v.conj())]),
+        label=f"optimal_shift[{noise.label},k={k}]")
+
+
+def recover_overhead(noise: Channel, k: int) -> float | None:
+    """Least overhead c1 + c2 of recovering tr[H_k rho^(x k)] from k noisy copies, or None
+    for non-invertible noise: pinched to A's eigenbasis, the recover program is the LP
+    min c1 + c2, c1 - lam c2 >= a_max, c2 - lam c1 >= -a_min, c_i >= 0 (||A|| at k = 2)."""
+    if (pulled := _pulled_back_observable(noise, k)) is None:
+        return None
+    _, a_min, a_max, lam = pulled
+    return max(a_max, -a_min, (a_max - a_min) / (1 - lam))
 
 
 def identity_protocol(k: int, d: int) -> RetrievalProtocol:

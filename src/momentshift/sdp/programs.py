@@ -15,6 +15,10 @@ the retriever, C the retriever output measured with the moment observable.
 * ``build_info_recover``: overhead of a Hermitian-preserving trace-scaling
   map recovering the expectation of one fixed observable on k noisy copies.
 
+The first and last optima are spectral (``protocols.optimal_shift``,
+``protocols.recover_overhead``); those programs are the reference the spectral
+optima are checked against, and ``build_gmin`` is the one program the CLI solves.
+
 Every program takes one copy's noise; none builds a k-fold channel.  The last
 two are one program from one builder: PSD J1, J2 with tr_C J_i = c_i I, one
 coupling ``L(J1) - L(J2) = target`` and objective c1 + c2; L is the link with

@@ -23,10 +23,10 @@ from momentshift.channels import Channel, _weyl_operators, channel_matrix, tenso
 from momentshift.estimator import EstimationRun, _h_distribution, _h_spectrum, shot_uniforms
 from momentshift.moments import cycle_traces, cyclic_shift_index, moment_observable
 from momentshift.operators import Operator, check_memory, partial_trace
-from momentshift.protocols import (SAMPLING_TP_TOL, CycleMap, MeasurePrepare, _gram,
-                                  _transfer_matrix, q_matrices)
+from momentshift.protocols import (SAMPLING_TP_TOL, CycleMap, MeasurePrepare,
+                                  RetrievalProtocol, _gram, _transfer_matrix, q_matrices)
 from momentshift.sdp.problem import (BlockVar, Constraint, ConstraintTerm, HermitianBasis,
-                                     ScalarVar, SdpProblem)
+                                     ScalarVar, SdpProblem, SdpSolution)
 from momentshift.sdp.solver import compile_problem
 from conftest import noisy_copies
 
@@ -334,6 +334,18 @@ def dual_fmin(noise: Channel, k: int) -> SdpProblem:
                                        ConstraintTerm("v", scalar_coeff_op=-np.eye(1))),
                                 target=0.0, name="objective_value")],
         name=f"dual_fmin[{noise.label},k={k}]")
+
+
+def from_sdp_solution(sol: SdpSolution, k: int) -> RetrievalProtocol:
+    """Turn an optimal observable-shift solution into a protocol with a Choi realization."""
+    if sol.status != "optimal":
+        raise ValueError(f"cannot extract a protocol from a {sol.status} solution")
+    f, j_scaled = sol.scalar("f"), sol.block("J")
+    d = int(round(np.sqrt(j_scaled.dim)))
+    return RetrievalProtocol(
+        k=k, copy_dim=int(round(d ** (1.0 / k))), f=f, t=sol.scalar("t"),
+        realization=Channel(d, d, choi=Operator(j_scaled.entries / f, (d, d))),
+        label=sol.name or "sdp_protocol")
 
 
 def dense_output_traces(p, noisy_state: Operator) -> np.ndarray:

@@ -60,6 +60,20 @@ class TestSynthesize:
         assert proto.f == pytest.approx(1.5625, abs=1e-4)
         assert proto.t == pytest.approx(-0.0625, abs=1e-4)
 
+    @pytest.mark.parametrize("noise,n,k", [("amplitude-damping", 1, 5), ("depolarizing", 2, 3)],
+                             ids=["AD_k5", "DE_n2_k3"])
+    def test_force_sdp_writes_the_spectral_optimum(self, capsys, tmp_path, noise, n, k):
+        path = tmp_path / "p.json"
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "synthesize", "--noise", noise, "--eps", "0.2",
+                               "--n", str(n), "--k", str(k), "--force-sdp", "--out", str(path))
+        assert time.perf_counter() - start < 1.0
+        fields = dict(line.split(": ", 1) for line in out.splitlines()[:5])
+        assert code == 0 and (fields["status"], fields["iterations"]) == ("optimal", "0")
+        assert float(fields["residual"]) <= 1e-13
+        proto = load_protocol(path)
+        assert proto.kind == "measure_prepare" and f"{proto.f:.12g}" == fields["f"]
+
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "synthesize", "--noise", "bogus", "--eps", "0.1")
@@ -422,7 +436,25 @@ class TestSweep:
                                "--k", "3", "--eps-grid", "0.1", "--methods", "recover")
         eps, method, value, status = out.splitlines()[1].split(",")
         assert (code, eps, method, status) == (0, "0.1", "recover", "optimal")
-        assert abs(float(value) - 37 / 27) <= 1e-6
+        assert abs(float(value) - 37 / 27) <= 1e-12
+
+
+def test_shift_and_recover_run_no_solver(capsys, monkeypatch, tmp_path):
+    # synthesize and the sweep's shift and recover cells read one eigendecomposition
+    def refused(*args, **kwargs):
+        raise AssertionError("solve called")
+    for module in [m for name, m in sys.modules.items() if name.startswith("momentshift")]:
+        if hasattr(module, "solve"):
+            monkeypatch.setattr(module, "solve", refused)
+    code, out, _ = run_cli(capsys, "synthesize", "--noise", "amplitude-damping", "--eps",
+                           "0.1", "--k", "3", "--force-sdp", "--out", str(tmp_path / "p.json"))
+    assert code == 0 and "f: 1.35802469136\nt: " in out and "status: optimal\n" in out
+    code, out, _ = run_cli(capsys, "overhead-sweep", "--noise", "depolarizing", "--k", "3",
+                           "--eps-grid", "0.1,0.2", "--methods", "shift,recover")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert code == 0 and [(r[1], r[3]) for r in rows] == [("shift", "optimal"),
+                                                          ("recover", "optimal")] * 2
+    assert abs(float(rows[0][2]) - 1 / 0.81) <= 1e-9
 
 
 @pytest.mark.parametrize("argv", [
@@ -436,6 +468,8 @@ class TestSweep:
     ["hubbard-demo", "--format", "csv"],
     ["hubbard-demo", "--tol", "1e-3"],
     ["synthesize", "--noise", "depolarizing", "--eps", "0.1", "--format", "csv"],
+    ["synthesize", "--noise", "amplitude-damping", "--eps", "0.2", "--force-sdp",
+     "--tol", "1e-3"],
 ])
 def test_unread_option_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -524,9 +558,8 @@ class TestNumericInputs:
 
     @pytest.mark.parametrize("tol", ["0", "-0.5", "nan"])
     @pytest.mark.parametrize("command", [
-        ["synthesize", "--noise", "amplitude-damping", "--eps", "0.2", "--force-sdp"],
         ["overhead-sweep", "--noise", "amplitude-damping", "--eps-grid", "0.2"],
-    ], ids=["synthesize", "sweep"])
+    ], ids=["sweep"])
     def test_tolerance_must_be_positive(self, capsys, command, tol):
         code, out, err = run_cli(capsys, *command, "--tol", tol)
         assert (code, out) == (1, "")

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from momentshift.channels import Channel, amplitude_damping, depolarizing, noisy_copies
+from momentshift.channels import (Channel, amplitude_damping, apply_copywise, channel_matrix,
+                                  depolarizing, is_invertible, noisy_copies)
 from momentshift.moments import moment_observable, permutation_eigenprojectors
 from momentshift.estimator import _h_spectrum
 from momentshift.operators import Operator, random_density_matrix
@@ -24,21 +25,23 @@ from momentshift.protocols import (
     de_second_moment_nqubit,
     exact_expectation,
     _recursion_matrix,
-    from_sdp_solution,
     identity_protocol,
     is_trace_preserving,
     load_protocol,
+    optimal_shift,
     output_traces,
     protocol_from_json,
     protocol_to_json,
     q_matrices,
+    recover_overhead,
     save_protocol,
 )
-from momentshift.sdp.programs import build_fmin
+from momentshift.sdp.problem import DualCertificate
+from momentshift.sdp.programs import build_fmin, build_info_recover, check_certificate
 from momentshift.sdp.solver import solve
 from conftest import true_moment
 from oracles import (cyclic_permutation, dense_exact_expectation, dense_is_trace_preserving,
-                     dense_output_traces, identity_channel, recovery_map,
+                     dense_output_traces, from_sdp_solution, identity_channel, recovery_map,
                      recursion_matrix_per_order, transfer_maps, weyl_depolarizing)
 
 
@@ -475,6 +478,90 @@ class TestFromSdpSolution:
             z = exact_expectation(p, rho, noise)
             worst = max(worst, abs(p.f * z - p.t - true_moment(rho, 2)))
         assert worst < 1e-5
+
+
+def _random_qubit_channel(seed: int, p: float = 0.2) -> Channel:
+    """A random unitary with weight 1 - p, mixed with a random channel of two Kraus
+    operators: invertible, and neither unital nor phase covariant."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    v = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))[0]
+    noise = Channel(2, 2, kraus=[np.sqrt(1 - p) * u, np.sqrt(p) * v[:2], np.sqrt(p) * v[2:]],
+                    label=f"random{seed}")
+    assert is_invertible(noise)
+    return noise
+
+
+def _sweep_noises():
+    """The overhead-sweep grid of both models and three random qubit channels."""
+    for eps in (0.05, 0.1, 0.2, 0.3):
+        yield amplitude_damping(eps)
+        yield depolarizing(eps, 2)
+    for seed in range(2):
+        yield _random_qubit_channel(seed)
+
+
+class TestSpectralOptimum:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_the_admm_programs(self, k):
+        for noise in _sweep_noises():
+            shift = solve(build_fmin(noise, k))
+            recover = solve(build_info_recover(noise, moment_observable(k, 2)))
+            assert (shift.status, recover.status) == ("optimal", "optimal"), noise.label
+            assert abs(optimal_shift(noise, k).f - shift.objective_value) <= 1e-6, noise.label
+            assert abs(recover_overhead(noise, k) - recover.objective_value) <= 1e-6, \
+                noise.label
+
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2, 0.3])
+    def test_amplitude_damping_table(self, eps):
+        noise = amplitude_damping(eps)
+        for k in (2, 4, 6):
+            assert abs(optimal_shift(noise, k).f - 1 / (1 - eps) ** k) <= 1e-12
+        assert abs(optimal_shift(noise, 3).f - (1 + eps) / (1 - eps) ** 2) <= 1e-12
+
+    def test_every_protocol_meets_the_contract(self):
+        cases = [(noise, k) for noise in _sweep_noises() for k in (2, 3, 4)]
+        cases += [(amplitude_damping(0.2), 5), (depolarizing(0.1, 4), 3),
+                  (depolarizing(0.1, 3), 3)]
+        worst = max(contract_residual(optimal_shift(noise, k), noise) for noise, k in cases)
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("noise,k", [(amplitude_damping(0.2), 2),
+                                         (amplitude_damping(0.2), 3),
+                                         (depolarizing(0.1, 2), 3)], ids=["AD_k2", "AD_k3",
+                                                                          "DE_k3"])
+    def test_closed_form_dual_certifies_f(self, noise, k):
+        # N^(x k)(K) = alpha (P_min - P_max), M = alpha (P_max^T - lam P_min^T), alpha =
+        # 1/(1 - lam), over A's extreme eigenvectors: the dual operator is
+        # alpha [P_max^T (x) (I - H_k) + P_min^T (x) (H_k - lam I)] >= 0, value f
+        g = np.linalg.inv(channel_matrix(noise))
+        a = apply_copywise(g.conj().T, moment_observable(k, 2).entries[None], k)[0]
+        vecs = np.linalg.eigh(a)[1]
+        p_min, p_max = (np.outer(vecs[:, i], vecs[:, i].conj()) for i in (0, -1))
+        lam = np.cos(2 * np.pi * (k // 2) / k)
+        alpha = 1 / (1 - lam)
+        k_op = apply_copywise(g, alpha * (p_min - p_max)[None], k)[0]
+        cert = DualCertificate(M=Operator(alpha * (p_max.T - lam * p_min.T)), K=Operator(k_op))
+        feasible, value = check_certificate(cert, noise, k)
+        assert feasible
+        assert abs(value - optimal_shift(noise, k).f) <= 1e-12
+
+    def test_realization_is_a_trace_preserving_two_outcome_map(self, tmp_path):
+        noise = amplitude_damping(0.1)
+        p = optimal_shift(noise, 3)
+        assert p.kind == "measure_prepare" and p.realization.values is None
+        assert len(p.realization.effects) == 2 and is_trace_preserving(p.realization)
+        h = moment_observable(3, 2).entries
+        assert_allclose([np.trace(h @ o).real for o in p.realization.outputs], [1, -0.5],
+                        atol=1e-15)
+        save_protocol(p, tmp_path / "p.json")
+        loaded = load_protocol(tmp_path / "p.json")
+        assert (loaded.kind, loaded.f, loaded.t) == (p.kind, p.f, p.t)
+        assert _bits(list(loaded.realization.effects)) == _bits(list(p.realization.effects))
+
+    def test_non_invertible_noise_has_no_optimum(self):
+        assert optimal_shift(depolarizing(1.0, 2), 2) is None
+        assert recover_overhead(amplitude_damping(1.0), 3) is None
 
 
 def _closed_forms():
