@@ -469,7 +469,11 @@ def test_shift_and_recover_run_no_solver(capsys, monkeypatch, tmp_path):
     ["hubbard-demo", "--tol", "1e-3"],
     ["synthesize", "--noise", "depolarizing", "--eps", "0.1", "--format", "csv"],
     ["synthesize", "--noise", "amplitude-damping", "--eps", "0.2", "--force-sdp",
-     "--tol", "1e-3"],
+     "--tol", "0"],
+    ["synthesize", "--noise", "amplitude-damping", "--eps", "0.2", "--force-sdp",
+     "--tol", "-0.5"],
+    ["synthesize", "--noise", "amplitude-damping", "--eps", "0.2", "--force-sdp",
+     "--tol", "nan"],
 ])
 def test_unread_option_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
