@@ -24,7 +24,7 @@ from .protocols import (ad_second_moment, contract_residual, de_kth_moment, exac
                         load_protocol, optimal_shift, protocol_to_json, recover_overhead,
                         save_protocol)
 from .sdp.programs import build_gmin, gmin_power
-from .sdp.solver import DEFAULT_TOL, solve
+from .sdp.solver import solve
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -118,7 +118,7 @@ def cmd_overhead_sweep(args) -> int:
     for m in methods:
         if m not in ("shift", "inverse", "recover"):
             return _fail(f"unknown method {m!r}", EXIT_USAGE)
-    rows = [(eps, method, *_overhead_value(args.noise, eps, args.k, method, args.tol))
+    rows = [(eps, method, *_overhead_value(args.noise, eps, args.k, method))
             for eps in _parse_grid(args.eps_grid) for method in methods]
     if args.format == "json":
         doc = [{"eps": eps, "method": method,
@@ -143,15 +143,14 @@ def cmd_overhead_sweep(args) -> int:
     return EXIT_OK
 
 
-def _overhead_value(model: str, eps: float, k: int, method: str,
-                    tol: float) -> tuple[float, str]:
+def _overhead_value(model: str, eps: float, k: int, method: str) -> tuple[float, str]:
     """(overhead, status) of one sweep cell: the shift and recover optima are spectral, and
     only the inverse is solved; a solve that ends short of optimal reads NaN."""
     if eps >= 1.0:
         return float("nan"), "infeasible"
     noise = _noise_channel(model, eps, 1)
     if method == "inverse":
-        sol = solve(build_gmin(noise), tol=tol)
+        sol = solve(build_gmin(noise))
         if sol.status != "optimal":
             return float("nan"), sol.status
         return gmin_power(sol.objective_value, k), sol.status
@@ -276,7 +275,6 @@ def build_parser() -> _Parser:
 
     def common(sp, *flags, fmt="json"):
         shared = {"--format": dict(choices=("json", "csv"), default=fmt),
-                  "--tol": dict(type=float, default=DEFAULT_TOL, help="solver tolerance"),
                   "--seed": dict(type=int, default=0)}
         sp.add_argument("--out", default=None, help="output file path")
         for flag in flags:
@@ -301,7 +299,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--eps-grid", default="0:0.3:7",
                     help="start:stop:num or comma-separated values")
     sp.add_argument("--methods", default="shift,inverse,recover")
-    common(sp, "--format", "--tol", fmt="csv")
+    common(sp, "--format", fmt="csv")
     sp.set_defaults(fn=cmd_overhead_sweep)
 
     sp = sub.add_parser("estimate", help="finite-shot or exact estimation")

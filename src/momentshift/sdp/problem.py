@@ -8,14 +8,8 @@ solver compiles everything to one real system ``A x = b`` over the orthonormal
 Hermitian basis ``{E_ii} u {(E_ij + E_ji)/sqrt2} u {i(E_ij - E_ji)/sqrt2}``,
 under which Frobenius inner products are Euclidean ones, so A's row for a
 target basis matrix E is the coordinate vector of the adjoint's image of E.
-A solution's diagnostics hold its solve's ``dual_objective``.
-
-A block may declare symmetry sectors: orthonormal column bases Q_s with
-mutually orthogonal ranges, restricting it to ``X = sum_s Q_s B_s Q_s^dag``
-with each ``B_s`` Hermitian of size m_s.  Its coordinates are then the
-Hermitian coordinates of the ``B_s``, concatenated (sum_s m_s^2 of them
-instead of dim^2); since ``||X||_F^2 = sum_s ||B_s||_F^2`` the map is still an
-isometry.  A block without sectors is the one-sector case Q = I.
+A block of side dim has the dim^2 Hermitian coordinates of its matrix.  A
+solution's diagnostics hold its solve's ``dual_objective``.
 """
 
 from __future__ import annotations
@@ -73,50 +67,16 @@ class HermitianBasis:
         return self.from_coords(units)
 
 
-@dataclass(frozen=True, eq=False)
-class Sector:
-    """Orthonormal columns Q (dim x m) spanning one sector of a block, stored
-    by the rows they touch: ``Q[rows] = q`` and every other row is zero.
-    ``q=None`` is the whole space, Q = I."""
-
-    rows: np.ndarray
-    q: np.ndarray | None = None
-
-    @property
-    def size(self) -> int:
-        return len(self.rows) if self.q is None else self.q.shape[1]
-
-    def embed(self, b: np.ndarray, dim: int) -> np.ndarray:
-        """(..., m, m) -> (..., dim, dim): Q b Q^dag."""
-        if self.q is None:
-            return b
-        out = np.zeros(b.shape[:-2] + (dim, dim), dtype=complex)
-        out[..., self.rows[:, None], self.rows] = self.q @ b @ self.q.conj().T
-        return out
-
-    def restrict(self, g: np.ndarray) -> np.ndarray:
-        """(..., dim, dim) -> (..., m, m): Q^dag g Q, the adjoint of ``embed``."""
-        if self.q is None:
-            return g
-        return self.q.conj().T @ g[..., self.rows[:, None], self.rows] @ self.q
-
-
 @dataclass(frozen=True)
 class BlockVar:
     name: str
     dim: int
     psd: bool = True  # False => free Hermitian variable
-    sectors: tuple[Sector, ...] | None = None  # None => one sector, Q = I
-
-    def parts(self) -> tuple[Sector, ...]:
-        return self.sectors or (Sector(np.arange(self.dim)),)
 
     @property
     def size(self) -> int:
-        """Real coordinates of the block: sum_s m_s^2, or dim^2 without sectors."""
-        if self.sectors is None:
-            return self.dim * self.dim
-        return sum(s.size ** 2 for s in self.sectors)
+        """Real coordinates of the block, dim^2."""
+        return self.dim * self.dim
 
 
 @dataclass(frozen=True)
@@ -187,10 +147,3 @@ class SdpSolution:
     def scalar(self, name: str) -> float:
         return float(self.variables[name])
 
-
-@dataclass(frozen=True)
-class DualCertificate:
-    """Feasible point (M, K) of the dual program; objective is -tr[K H]."""
-
-    M: Operator
-    K: Operator

@@ -2,24 +2,23 @@
 
 The compiled problem is ``min c.x  s.t.  A x = b, x in K`` where K is a
 product of PSD cones (in Hermitian coordinates), free subspaces, and
-lower-bounded scalars.  A block's coordinates are the Hermitian coordinates
-of its symmetry sectors (see ``problem``), so a block with sectors is solved
-on sum_s m_s^2 coordinates instead of dim^2.  A is built by rows: each
-term's adjoint map takes ``CHUNK`` target basis matrices at a time to block
-matrices G, read in each sector as Q^dag G Q.  An ADMM iteration T maps the
-state y = (z, u) through projections onto the affine set (a cached
-pseudo-inverse of A) and onto K (one batched ``eigh`` per sector size), with
-over-relaxation 1.5.  T is evaluated at points chosen by safeguarded type-II
-Anderson acceleration, as in SCS 3: a point whose residual ||T(y) - y|| tops
-``ANDERSON_GUARD`` times the best so far is rejected for the plain image of
-the last accepted point, which clears the memory.  The loop tests and returns
-the plain image, which lies in K.  Everything is plain numpy; identical inputs
+lower-bounded scalars.  A block's coordinates are the dim^2 Hermitian
+coordinates of its matrix (see ``problem``).  A is filled in place by rows:
+each term's adjoint map takes ``CHUNK`` target basis matrices at a time to
+block matrices, and their coordinates are those rows' entries in the block's
+columns.  An ADMM iteration T maps the state y = (z, u) through projections
+onto the affine set (a cached pseudo-inverse of A) and onto K (one ``eigh``
+per PSD block), with over-relaxation 1.5.  T is evaluated at points chosen
+by safeguarded type-II Anderson acceleration, as in SCS 3: a point whose
+residual ||T(y) - y|| tops ``ANDERSON_GUARD`` times the best so far is
+rejected for the plain image of the last accepted point, which clears the
+memory.  The loop tests and returns the plain image, which lies in K.  Everything is plain numpy; identical inputs
 give identical iterates.
 
 ``solve`` ends in one of three statuses:
 
 * ``optimal``: the primal and dual residuals of the plain image are within
-  ``tol``, and so is the affine point's residual ``||A x - b||``;
+  ``TOL``, and so is the affine point's residual ``||A x - b||``;
 * ``infeasible``: the linear constraints ``A x = b`` are inconsistent, found
   before the first iteration from the least-squares residual, which the
   diagnostics record as ``linear_residual``;
@@ -27,9 +26,9 @@ give identical iterates.
   infeasible program with consistent linear constraints ends here.
 
 ``SdpSolution.diagnostics`` records the compile, factorization and iteration
-wall times, the coordinate and row counts, each block's sector sizes, the
-termination reason and the acceleration's step and rejection counts; a solve
-that runs the loop adds ``dual_objective``, read off its final scaled dual.
+wall times, the coordinate and row counts, the termination reason and the
+acceleration's step and rejection counts; a solve that runs the loop adds
+``dual_objective``, read off its final scaled dual.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ import numpy as np
 from ..operators import Operator, check_memory
 from .problem import BlockVar, HermitianBasis, ScalarVar, SdpProblem, SdpSolution
 
-DEFAULT_TOL = 1e-7
+TOL = 1e-7
 DEFAULT_MAX_ITERS = 10_000
 OVER_RELAXATION = 1.5
 CHECK_EVERY = 25
@@ -58,52 +57,26 @@ class _Compiled:
     A: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    sections: list  # ("psd", coordinates, sector size) | ("lower", offset, bound)
+    sections: list  # ("psd", coordinate slice, block side) | ("lower", offset, bound)
     layout: dict    # var name -> (offset, BlockVar or None)
     n: int
 
 
-def program_bytes(n: int, block_dim: int, target_dims: tuple[int, ...]) -> int:
-    """Bytes of the solver arrays of a program of n coordinates, largest block side
-    ``block_dim`` and constraint targets ``target_dims``: the real m x n system A and
-    its stacked rows, the thin SVD of A with a scaled copy of V^T, the n x m
-    pseudo-inverse, 2 ``ANDERSON_MEMORY`` vectors of the 2n-long ADMM state and one
-    ``CHUNK`` of rows (the adjoint images in the largest block, a sector's gather of
-    them, four of the largest target's matrices: the basis and pushforward temporaries)."""
-    m = sum(t * t for t in target_dims)
-    r = min(m, n)
-    chunk = 16 * CHUNK * (2 * block_dim ** 2 + 4 * max(target_dims) ** 2)
-    return 8 * (2 * m * n + r * (m + 1 + 2 * n) + 4 * ANDERSON_MEMORY * n) + chunk
-
-
 def check_program_memory(name: str, blocks: list[BlockVar], scalars: list[ScalarVar],
                          target_dims: tuple[int, ...]) -> None:
-    """Refuse a program whose ``program_bytes`` overrun the memory budget; ``target_dims``
-    gives each constraint's target dimension (1 for a scalar), in declaration order."""
+    """Refuse a program whose solver arrays overrun the memory budget; ``target_dims``
+    gives each constraint's target dimension (1 for a scalar), in declaration order.
+    With n coordinates and m rows the arrays are the real m x n system A and the SVD's
+    copy of it, the thin SVD of A with a scaled copy of V^T, the n x m pseudo-inverse,
+    2 ``ANDERSON_MEMORY`` vectors of the 2n-long ADMM state and one ``CHUNK`` of rows
+    (the adjoint images in the largest block and their coordinates, four of the largest
+    target's matrices: the basis and pushforward temporaries)."""
     n = sum(b.size for b in blocks) + len(scalars)
-    check_memory(program_bytes(n, max(b.dim for b in blocks), target_dims), f"program {name}")
-
-
-def _psd_sections(blk: BlockVar, offset: int) -> list:
-    """Cone sections of a PSD block, one per sector size m: the coordinates of
-    its sectors of that size, a slice for a lone sector, else a (g, m^2) index."""
-    starts: dict[int, list[int]] = {}
-    for sector in blk.parts():
-        starts.setdefault(sector.size, []).append(offset)
-        offset += sector.size ** 2
-    return [("psd", slice(group[0], group[0] + m * m) if len(group) == 1
-             else np.add.outer(group, np.arange(m * m)), m)
-            for m, group in sorted(starts.items())]
-
-
-def _block_matrix(blk: BlockVar, x: np.ndarray) -> np.ndarray:
-    """The dim x dim matrix sum_s Q_s B_s Q_s^dag of the block's coordinates ``x``."""
-    h = 0
-    for s in blk.parts():
-        size = s.size * s.size
-        h = h + s.embed(HermitianBasis(s.size).from_coords(x[:size]), blk.dim)
-        x = x[size:]
-    return (h + h.conj().T) / 2  # exact no-op on one dense sector
+    m = sum(t * t for t in target_dims)
+    r = min(m, n)
+    chunk = 16 * CHUNK * (2 * max(b.dim for b in blocks) ** 2 + 4 * max(target_dims) ** 2)
+    check_memory(8 * (2 * m * n + r * (m + 1 + 2 * n) + 4 * ANDERSON_MEMORY * n) + chunk,
+                 f"program {name}")
 
 
 def compile_problem(p: SdpProblem) -> _Compiled:
@@ -113,7 +86,7 @@ def compile_problem(p: SdpProblem) -> _Compiled:
     for blk in p.blocks:
         layout[blk.name] = (offset, blk)
         if blk.psd:
-            sections += _psd_sections(blk, offset)
+            sections.append(("psd", slice(offset, offset + blk.size), blk.dim))
         offset += blk.size
     for sc in p.scalars:
         layout[sc.name] = (offset, None)
@@ -122,32 +95,25 @@ def compile_problem(p: SdpProblem) -> _Compiled:
         offset += 1
     n = offset
 
-    rows_a: list[np.ndarray] = []
-    rows_b: list[np.ndarray] = []
-    for con in p.constraints:
-        tgt = np.atleast_2d(con.target)  # a float target is the 1 x 1 case
+    targets = [np.atleast_2d(con.target) for con in p.constraints]  # a float is 1 x 1
+    A = np.zeros((sum(t.shape[0] ** 2 for t in targets), n))
+    b = np.zeros(len(A))
+    row = 0
+    for con, tgt in zip(p.constraints, targets):
         basis_out = HermitianBasis(tgt.shape[0])
-        block_rows = np.zeros((basis_out.size, n))
+        b[row:row + basis_out.size] = basis_out.to_coords(tgt)
         for start in range(0, basis_out.size, CHUNK):
             stop = min(start + CHUNK, basis_out.size)
+            rows = A[row + start:row + stop]
             outputs = basis_out.basis_batch(start, stop)
             for term in con.terms:
                 off, blk = layout[term.var]
                 if blk is None:
-                    block_rows[start:stop, off] += \
-                        basis_out.to_coords(term.scalar_coeff_op)[start:stop]
-                    continue
-                images = term.adjoint(outputs)
-                for sector in blk.parts():
-                    size = sector.size ** 2
-                    block_rows[start:stop, off:off + size] += \
-                        HermitianBasis(sector.size).to_coords(sector.restrict(images))
-                    off += size
-                del images  # before the next adjoint call, so one chunk of images is held
-        rows_a.append(block_rows)
-        rows_b.append(basis_out.to_coords(tgt))
-    A = np.vstack(rows_a) if rows_a else np.zeros((0, n))
-    b = np.concatenate(rows_b) if rows_b else np.zeros(0)
+                    rows[:, off] += basis_out.to_coords(term.scalar_coeff_op)[start:stop]
+                else:  # one chunk of adjoint images is held at a time
+                    rows[:, off:off + blk.size] += \
+                        HermitianBasis(blk.dim).to_coords(term.adjoint(outputs))
+        row += basis_out.size
 
     c = np.zeros(n)
     for var, coeff in p.objective.items():
@@ -185,8 +151,6 @@ def _project_cone(w: np.ndarray, sections: list) -> np.ndarray:
     for kind, sel, extra in sections:
         if kind == "lower":
             z[sel] = max(w[sel], extra)
-        elif extra == 1:
-            z[sel] = np.maximum(w[sel], 0.0)
         else:
             basis = HermitianBasis(extra)
             z[sel] = basis.to_coords(_project_psd(basis.from_coords(w[sel])))
@@ -230,20 +194,15 @@ class _Anderson:
         return ty - (dy + df).T @ gamma
 
 
-def solve(p: SdpProblem, tol: float = DEFAULT_TOL,
-          max_iters: int = DEFAULT_MAX_ITERS) -> SdpSolution:
+def solve(p: SdpProblem, max_iters: int = DEFAULT_MAX_ITERS) -> SdpSolution:
     """Solve the program; status is one of optimal / infeasible / max_iters."""
-    if not tol > 0:  # no iterate meets a tolerance of 0, and NaN compares false
-        raise ValueError(f"solver tolerance must be positive, got {tol}")
     t_start = perf_counter()
     comp = compile_problem(p)
     t_compiled = perf_counter()
     A, b, c = comp.A, comp.b, comp.c
     n = comp.n
     diagnostics = {"compile_s": t_compiled - t_start, "coordinates": n,
-                   "rows": A.shape[0],
-                   "sector_sizes": {blk.name: [s.size for s in blk.parts()]
-                                    for blk in p.blocks}}
+                   "rows": A.shape[0]}
 
     u_svd, s_svd, vt_svd = np.linalg.svd(A, full_matrices=False)
     keep = s_svd > max(1e-12 * s_svd.max(initial=0.0), 1e-300)
@@ -280,8 +239,8 @@ def solve(p: SdpProblem, tol: float = DEFAULT_TOL,
             rp = np.linalg.norm(x - z_next) / scale
             rd = np.linalg.norm(z_next - z) / (1.0 + np.linalg.norm(ty[n:]))
             # a huge scaled dual can round b out of A w - b, leaving x unprojected
-            if max(rp, rd) <= tol and \
-                    np.linalg.norm(A @ x - b) <= tol * (1.0 + np.linalg.norm(b)):
+            if max(rp, rd) <= TOL and \
+                    np.linalg.norm(A @ x - b) <= TOL * (1.0 + np.linalg.norm(b)):
                 status, reason = "optimal", "tolerance reached"
                 break
 
@@ -306,7 +265,8 @@ def _extract(p: SdpProblem, comp: _Compiled, xvec: np.ndarray, status: str,
         if blk is None:
             variables[name] = float(xvec[off])
         else:
-            variables[name] = Operator(_block_matrix(blk, xvec[off:off + blk.size]))
+            variables[name] = Operator(HermitianBasis(blk.dim).from_coords(
+                xvec[off:off + blk.size]))
     return SdpSolution(status=status, objective_value=float(comp.c @ xvec), variables=variables,
                        primal_residual=primal, dual_residual=dual,
                        iterations=iterations, name=p.name,

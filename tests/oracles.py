@@ -7,7 +7,8 @@ retrievers from the moments of one noisy copy, applies depolarizing noise in
 closed form, tallies its shots and rebuilds their records from the seed, builds
 the Weyl basis by index arithmetic, reads the dual objective off the primal
 solve and compiles conic programs by rows through adjoint maps; these are the
-literal objects those forms replace.
+literal objects those forms replace.  ``check_certificate`` tests a point of
+the observable-shift dual exactly.
 """
 
 import csv
@@ -27,6 +28,7 @@ from momentshift.protocols import (SAMPLING_TP_TOL, CycleMap, MeasurePrepare,
                                   RetrievalProtocol, _gram, _transfer_matrix, q_matrices)
 from momentshift.sdp.problem import (BlockVar, Constraint, ConstraintTerm, HermitianBasis,
                                      ScalarVar, SdpProblem, SdpSolution)
+from momentshift.sdp.programs import _kron_identity, _noise_pushforward
 from momentshift.sdp.solver import compile_problem
 from conftest import noisy_copies
 
@@ -281,8 +283,8 @@ def recover_forward(noise: Channel, obs: Operator) -> dict:
 
 
 def column_compile(p: SdpProblem, forward: dict, chunk: int = 32) -> np.ndarray:
-    """A of ``p`` built column by column: each sector basis matrix embedded as a full
-    block matrix and pushed through the forward map ``forward[(constraint, var)]``."""
+    """A of ``p`` built column by column: each block basis matrix pushed through the
+    forward map ``forward[(constraint, var)]``."""
     layout = compile_problem(dataclasses.replace(p, constraints=[])).layout
     rows = []
     for con in p.constraints:
@@ -293,15 +295,12 @@ def column_compile(p: SdpProblem, forward: dict, chunk: int = 32) -> np.ndarray:
             if blk is None:
                 block_rows[:, off] += basis_out.to_coords(term.scalar_coeff_op)
                 continue
-            for sector in blk.parts():
-                basis_in = HermitianBasis(sector.size)
-                for start in range(0, basis_in.size, chunk):
-                    stop = min(start + chunk, basis_in.size)
-                    batch = sector.embed(basis_in.basis_batch(start, stop), blk.dim)
-                    out = forward[con.name, term.var](batch).reshape(
-                        stop - start, basis_out.d, basis_out.d)
-                    block_rows[:, off + start:off + stop] += basis_out.to_coords(out).T
-                off += basis_in.size
+            basis_in = HermitianBasis(blk.dim)
+            for start in range(0, basis_in.size, chunk):
+                stop = min(start + chunk, basis_in.size)
+                out = forward[con.name, term.var](basis_in.basis_batch(start, stop)).reshape(
+                    stop - start, basis_out.d, basis_out.d)
+                block_rows[:, off + start:off + stop] += basis_out.to_coords(out).T
         rows.append(block_rows)
     return np.vstack(rows)
 
@@ -334,6 +333,29 @@ def dual_fmin(noise: Channel, k: int) -> SdpProblem:
                                        ConstraintTerm("v", scalar_coeff_op=-np.eye(1))),
                                 target=0.0, name="objective_value")],
         name=f"dual_fmin[{noise.label},k={k}]")
+
+
+@dataclass(frozen=True)
+class DualCertificate:
+    """Feasible point (M, K) of the observable-shift dual; objective is -tr[K H_k]."""
+
+    M: Operator
+    K: Operator
+
+
+def check_certificate(cert: DualCertificate, noise: Channel, k: int) -> tuple[bool, float]:
+    """Evaluate dual feasibility analytically and return (feasible, -tr[K H_k]).
+
+    The dual operator ``M (x) I + (N^(x k)(K))^T (x) H_k`` is A^T of the shift
+    program: its two adjoint maps applied to a batch of one."""
+    d = noise.in_dim ** k
+    h = moment_observable(k, noise.in_dim).entries
+    dual_op = (_kron_identity(d)(cert.M.entries[None])
+               + _noise_pushforward(noise, k, h)(cert.K.entries[None]))
+    feasible = (cert.M.trace().real <= 1.0 + 1e-9 and abs(cert.K.trace()) <= 1e-9
+                and Operator(dual_op[0]).min_eigenvalue() >= -1e-9)
+    t = cycle_traces(cert.K.entries, k, noise.in_dim)  # tr[K H_k] = (t_1 + t_{k-1})/2
+    return feasible, float(-(t[1] + t[-1]).real / 2)
 
 
 def from_sdp_solution(sol: SdpSolution, k: int) -> RetrievalProtocol:

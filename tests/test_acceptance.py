@@ -27,17 +27,11 @@ from momentshift.protocols import (
     exact_expectation,
     q_matrices,
 )
-from momentshift.sdp.problem import DualCertificate
-from momentshift.sdp.programs import (
-    build_fmin,
-    build_gmin,
-    check_certificate,
-    gmin_power,
-)
+from momentshift.sdp.programs import build_fmin, build_gmin, gmin_power
 from momentshift.sdp.solver import solve
 from momentshift.estimator import renyi_entropy
 from conftest import true_moment
-from oracles import cyclic_permutation, transfer_maps
+from oracles import DualCertificate, check_certificate, cyclic_permutation, transfer_maps
 
 EPS_GRID = (0.05, 0.1, 0.2, 0.3)
 

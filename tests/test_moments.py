@@ -59,6 +59,12 @@ class TestCyclicPermutation:
             cyclic_permutation(14, 2)
 
 
+def _string_charges(k, d):
+    """Excitation number of each basis string of k copies of C^d: its digits' popcounts."""
+    digits = [np.arange(d ** k) // d ** (k - 1 - i) % d for i in range(k)]
+    return sum(np.array([bin(v).count("1") for v in range(d)])[x] for x in digits)
+
+
 class TestMomentObservable:
     def test_h2_pauli_form(self):
         expect = (np.kron(I2, I2) + np.kron(PAULI_X, PAULI_X)
@@ -101,6 +107,16 @@ class TestMomentObservable:
     def test_scattered_from_the_shift_index_bit_for_bit(self, k, d):
         s = cyclic_permutation(k, d).entries
         assert np.array_equal(moment_observable(k, d).entries, (s + s.conj().T) / 2)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_moment_observable_has_both_symmetries(self, d):
+        # H_k commutes with the copy cycle and conserves the excitation charge
+        for k in range(2, 6):
+            h = moment_observable(k, d).entries
+            p = cyclic_shift_index(k, d)
+            assert np.array_equal(h[np.ix_(p, p)], h)
+            n = _string_charges(k, d)
+            assert not h[n[:, None] != n].any()
 
 
 def _min_rotation_necklaces(k, d):

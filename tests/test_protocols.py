@@ -36,12 +36,12 @@ from momentshift.protocols import (
     recover_overhead,
     save_protocol,
 )
-from momentshift.sdp.problem import DualCertificate
-from momentshift.sdp.programs import build_fmin, build_info_recover, check_certificate
+from momentshift.sdp.programs import build_fmin, build_info_recover
 from momentshift.sdp.solver import solve
 from conftest import true_moment
-from oracles import (cyclic_permutation, dense_exact_expectation, dense_is_trace_preserving,
-                     dense_output_traces, from_sdp_solution, identity_channel, recovery_map,
+from oracles import (DualCertificate, check_certificate, cyclic_permutation,
+                     dense_exact_expectation, dense_is_trace_preserving, dense_output_traces,
+                     from_sdp_solution, identity_channel, recovery_map,
                      recursion_matrix_per_order, transfer_maps, weyl_depolarizing)
 
 
