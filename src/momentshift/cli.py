@@ -145,18 +145,18 @@ def cmd_overhead_sweep(args) -> int:
 
 def _overhead_value(model: str, eps: float, k: int, method: str) -> tuple[float, str]:
     """(overhead, status) of one sweep cell: the shift and recover optima are spectral, and
-    only the inverse is solved; a solve that ends short of optimal reads NaN."""
-    if eps >= 1.0:
-        return float("nan"), "infeasible"
+    only the inverse is solved; a solve that ends short of optimal reads NaN, and so does a
+    spectral optimum of non-invertible noise, which is infeasible."""
     noise = _noise_channel(model, eps, 1)
     if method == "inverse":
         sol = solve(build_gmin(noise))
         if sol.status != "optimal":
             return float("nan"), sol.status
         return gmin_power(sol.objective_value, k), sol.status
-    # noise with eps < 1 is invertible, so both optima exist
-    value = optimal_shift(noise, k).f if method == "shift" else recover_overhead(noise, k)
-    return value, "optimal"
+    value = optimal_shift(noise, k) if method == "shift" else recover_overhead(noise, k)
+    if value is None:
+        return float("nan"), "infeasible"
+    return (value.f if method == "shift" else value), "optimal"
 
 
 def _load_state(args, protocol) -> Operator:

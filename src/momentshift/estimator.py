@@ -34,26 +34,28 @@ traces tr[S_k^j X] (``protocols.output_traces``); no eigendecomposition of H_k
 is computed.  A copy-cycle retriever reads them off the moments of one noisy
 copy, so sampling it builds no k-copy state.
 
-Every run takes two steps.  The distribution step (``_distribution``) is the one
-place that picks the mode: it runs the sampling gates (trace preservation, then
-the state dimension; building the noisy k-copy state checks the memory budget)
-and returns the outcome values with the integer thresholds of their cumulative
-probabilities, one array, or a Kraus channel's branch thresholds and its H_k
-outcome rows.  It depends only on the protocol, the state and the noise, and
-refuses a distribution whose probabilities are all 0, or an H_k probability
-below -``SAMPLING_TP_TOL``.  The draw step (``run_protocol``) turns it, a shot
-count and a seed into an ``EstimationRun``.  A caller that repeats runs of one
-fixed set-up, such as ``hubbard.fig4_experiment``, builds the distribution
-once and reads every trial's ``zeta_bar`` off ``_run_means``.
+A run checks its shot count and the sampling gates (trace preservation, then
+the state dimension), then takes its distribution, the outcome values with
+the integer thresholds of their cumulative probabilities as a tuple: one
+array, or a Kraus channel's branch thresholds and its H_k outcome rows.
+``_distribution`` is the one place that picks the mode; ``run_choi_map``
+takes the H_k-of-output distribution of its generic mode whatever the
+realization.  Building the noisy k-copy state checks the memory budget, and a
+distribution whose probabilities are all 0, or an H_k probability below
+-``SAMPLING_TP_TOL``, is refused.  ``_run`` then counts the shots and builds the
+``EstimationRun``.  A caller that repeats runs of one fixed set-up, such as
+``hubbard.fig4_experiment``, builds the distribution once and reads every
+trial's ``zeta_bar`` off ``_run_means``.
 
 A run keeps only its outcome counts, a sufficient statistic of ``zeta_bar``:
 each block of shots is tallied (its words above each raw threshold, counted a
 row at a time) and dropped, so any shot count needs one block of memory.  A
 Kraus run tallies its outcome words against each outcome threshold's largest
 value over the branches, and draws the branch of a shot only when its word
-lies between that threshold's smallest and largest value (``_kraus_tally``).
-The JSON and CSV records rebuild every shot, branch included, from the seed,
-a block at a time.
+lies between that threshold's smallest and largest value; the comparison step
+that the records use, ``_outcome_index``, then recounts those shots
+(``_kraus_tally``).  The JSON and CSV records rebuild every shot, branch
+included, from the seed, a block at a time.
 
 Per-shot outcomes are eigenvalues of the moment observable or stored
 per-outcome values, all in [-1, 1], which fixes the range constant in the
@@ -193,14 +195,6 @@ def _zeta_bar(counts: np.ndarray, values: np.ndarray, shots: int) -> np.ndarray:
     return (counts * values).sum(-1) / shots
 
 
-def _finish_run(p: RetrievalProtocol, seed: int, shots: int, counts: np.ndarray,
-                values: np.ndarray, thresholds: tuple) -> EstimationRun:
-    zeta_bar = float(_zeta_bar(counts, values, shots))
-    return EstimationRun(seed=seed, shots=shots, counts=counts, values=values,
-                         thresholds=thresholds, zeta_bar=zeta_bar,
-                         estimate=p.f * zeta_bar - p.t, protocol_ref=p.label or p.kind)
-
-
 @lru_cache(maxsize=None)
 def _h_spectrum(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Outcomes of H_k, ascending, and the weights reading their probabilities off S_k.
@@ -252,12 +246,11 @@ def _strict(thresholds: np.ndarray) -> np.ndarray:
     return (np.minimum(thresholds, np.uint64(2 ** 53)) << np.uint64(11)) - np.uint64(1)
 
 
-def _comparisons(thresholds: np.ndarray, dtype) -> tuple:
+def _comparisons(thresholds: np.ndarray) -> tuple:
     """What ``_outcome_index`` compares for integer thresholds (one array, or one row over
-    the branches per threshold): the count of thresholds 0, per branch for rows, as
-    ``dtype``, and the ``_strict`` forms that some word can exceed."""
-    return ((thresholds == 0).sum(axis=0).astype(dtype),
-            [s for s in _strict(thresholds) if (s != _NEVER).any()])
+    the branches per threshold): the count of thresholds 0, per branch for rows, and the
+    ``_strict`` forms that some word can exceed."""
+    return (thresholds == 0).sum(axis=0), [s for s in _strict(thresholds) if (s != _NEVER).any()]
 
 
 def _outcome_index(words: np.ndarray, comparisons: tuple, out: np.ndarray,
@@ -266,8 +259,7 @@ def _outcome_index(words: np.ndarray, comparisons: tuple, out: np.ndarray,
     ``words >> 11 >= t``, i.e. ``searchsorted(c, (words >> 11) 2^-53, side="right")`` below
     m, from raw words and the thresholds' ``_comparisons``.  With ``branch``, each threshold
     is a row read at every word's branch index.  Each pass compares into a boolean mask and
-    adds it to ``out``, which may be ``uint8`` for at most 255 thresholds; ``scratch`` holds
-    the mask and gathered-threshold buffers."""
+    adds it to ``out``; ``scratch`` holds the mask and gathered-threshold buffers."""
     mask, per_word = scratch or (np.empty(words.shape, bool), np.empty(words.shape, np.uint64))
     at_zero, strict = comparisons
     if branch is None:
@@ -305,11 +297,6 @@ def _tally(thresholds: np.ndarray, shots: int, seeds, draw: int = 1,
     return counts
 
 
-def _index_dtype(thresholds: np.ndarray):
-    """The dtype an outcome index over ``thresholds`` is counted in: ``uint8`` up to 255."""
-    return np.uint8 if len(thresholds) <= 255 else np.intp
-
-
 def _kraus_tally(thresholds: tuple, shots: int, seed: int) -> np.ndarray:
     """Shots per outcome of one Kraus run, the outcomes ``_shot_blocks`` reads, without
     drawing the branch of a shot whose branch cannot change its outcome.
@@ -317,70 +304,57 @@ def _kraus_tally(thresholds: tuple, shots: int, seed: int) -> np.ndarray:
     Over the branches some word draws, the n-th outcome threshold lies in [lo_n, hi_n]: an
     outcome word that meets hi_n meets it whatever the branch, one that misses lo_n misses
     it for every branch.  So the outcome words alone are tallied against hi (``_tally`` on
-    draw 2), and only the shots in a window, whose word meets lo_n but not hi_n, get their
-    branch word (draw 1): those that meet their branch's threshold move up one outcome.  A
-    run whose rows coincide has no window and makes no branch word."""
+    draw 2), and only the shots in a window, whose word meets some lo_n but not hi_n, get
+    their branch word (draw 1): their outcomes against their branch's row replace those
+    against hi.  A run whose rows coincide has no window and makes no branch word."""
     branch, rows = thresholds
     top = np.uint64(2 ** 53)  # thresholds at or above it are met by no word
     cut = np.minimum(np.append(branch, top), top)  # branch j: the words in [cut[j-1], cut[j])
     drawn = np.minimum(rows[:, cut > np.append(np.uint64(0), cut[:-1])], top)
     lo, hi = drawn.min(axis=1), drawn.max(axis=1)
-    # window n holds the words w with lo_n 2^11 <= w < hi_n 2^11, i.e. w - lo_n 2^11 <= span;
-    # such a w meets a threshold t in [lo_n, hi_n] iff w >> 1 >= t 2^10, which is below 2^64
-    windows = [(n, np.uint64(a << 11), np.uint64(((b - a) << 11) - 1),
-                np.minimum(rows[n], top) << np.uint64(10))
-               for n, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())) if a < b]
+    # window n holds the words w with lo_n 2^11 <= w < hi_n 2^11, i.e. w - lo_n 2^11 <= width
+    windows = [(np.uint64(a << 11), np.uint64(((b - a) << 11) - 1))
+               for a, b in zip(lo.tolist(), hi.tolist()) if a < b]
     if not windows:
         return _tally(hi, shots, [seed], 2)[0]
-    picks = _comparisons(branch, _index_dtype(branch))
-    size = min(shots, _BLOCK)
-    fix, ramp = np.zeros(len(hi), np.int64), np.arange(size, dtype=np.uint64)
+    picks, by_branch, by_hi = _comparisons(branch), _comparisons(rows), _comparisons(hi)
+    size, m = min(shots, _BLOCK), len(hi) + 1
+    fix, ramp = np.zeros(m, np.int64), np.arange(size, dtype=np.uint64)
     base = _scrambled(seed) + np.uint64(_GOLDEN)  # branch words are draw 1
-    bufs = [np.empty(size, d) for d in (bool, bool, np.uint64, np.uint64, np.uint64,
-                                        _index_dtype(branch))]
+    bufs = [np.empty(size, d) for d in (bool, bool) + (np.uint64,) * 3 + (np.intp,) * 2]
 
     def recount(cs: slice, w: np.ndarray) -> None:
-        inside, mask, off, halves, tmp, j = (b[:w.size] for b in bufs)
-        for i, (_, low, span, _) in enumerate(windows):
-            np.subtract(w, low, out=off)  # wraps below low
+        inside, mask, at, picked, tmp, j, o = (b[:w.size] for b in bufs)
+        for i, (low, width) in enumerate(windows):
+            np.subtract(w, low, out=at)  # wraps below low
             if i:
-                inside |= np.less_equal(off, span, out=mask)
+                inside |= np.less_equal(at, width, out=mask)
             else:
-                np.less_equal(off, span, out=inside)
+                np.less_equal(at, width, out=inside)
         k = np.count_nonzero(inside)
         if k < w.size:  # gather the window's shots, unless it holds them all
             if not k:
                 return
-            at = np.flatnonzero(inside)
-            inside, mask, off, halves, tmp, j = (b[:k] for b in bufs)
-            off[...] = at
-            w = np.take(w, at, out=halves, mode="clip")
+            mask, at, picked, tmp, j, o = (b[:k] for b in bufs[1:])
+            at[...] = np.flatnonzero(inside)
+            w = np.take(w, at, out=picked, mode="clip")
         else:
-            off[...] = ramp[:k]
-        np.right_shift(w, np.uint64(1), out=halves)
-        _shot_words(off, base + np.uint64(cs.start), tmp)
-        _outcome_index(off, picks, j, scratch=(mask, tmp))
-        for n, low, span, met_at in windows:
-            met = np.greater_equal(halves, np.take(met_at, j, out=tmp, mode="clip"), out=mask)
-            if len(windows) > 1:  # only this window's shots, the others' are clear here
-                np.subtract(halves, low >> np.uint64(1), out=tmp)
-                met &= np.less_equal(tmp, span >> np.uint64(1), out=inside)
-            fix[n] += np.count_nonzero(met)
+            at[...] = ramp[:k]
+        _shot_words(at, base + np.uint64(cs.start), tmp)  # the shots' branch words
+        _outcome_index(at, picks, j, scratch=(mask, tmp))
+        fix[:] += np.bincount(_outcome_index(w, by_branch, o, j, (mask, tmp)), minlength=m)
+        fix[:] -= np.bincount(_outcome_index(w, by_hi, o, scratch=(mask, tmp)), minlength=m)
 
-    counts = _tally(hi, shots, [seed], 2, recount)[0]
-    counts[:-1] -= fix  # a window shot that meets its branch's threshold moves up one outcome
-    counts[1:] += fix
-    return counts
+    return _tally(hi, shots, [seed], 2, recount)[0] + fix
 
 
 def _shot_blocks(thresholds: tuple, shots: int, seed: int):
     """Yield ``(cs, recorded, outcome)`` index arrays of one run's shots ``cs``, a block at a
     time, rebuilt from its seed; ``recorded`` is a Kraus run's branch, else the outcome."""
     n = min(shots, _BLOCK)
-    dtypes = [_index_dtype(t) for t in thresholds]
-    comparisons = [_comparisons(t, d) for t, d in zip(thresholds, dtypes)]
-    bufs = [np.empty((1, n), dtype=d) for d in dtypes] + [np.empty((1, n), bool),
-                                                          np.empty((1, n), np.uint64)]
+    comparisons = [_comparisons(t) for t in thresholds]
+    bufs = [np.empty((1, n), np.intp) for _ in thresholds] + [np.empty((1, n), bool),
+                                                              np.empty((1, n), np.uint64)]
     for _, cs, words in _word_blocks([seed], shots, len(thresholds)):
         if cs.stop - cs.start < n:  # the last block is shorter
             bufs = [b[:, :cs.stop - cs.start] for b in bufs]
@@ -391,63 +365,68 @@ def _shot_blocks(thresholds: tuple, shots: int, seed: int):
         yield cs, out[0][0], out[-1][0]
 
 
-def _draw(p: RetrievalProtocol, values: np.ndarray, thresholds: np.ndarray,
-          shots: int, seed: int) -> EstimationRun:
-    """One run of ``shots`` draws from a fixed outcome distribution."""
-    counts = _tally(thresholds, shots, [seed])[0]
-    return _finish_run(p, seed, shots, counts, values, (thresholds,))
+def _run_means(values: np.ndarray, thresholds: tuple, shots: int, seeds) -> np.ndarray:
+    """``zeta_bar`` of a one-draw ``shots``-shot run per seed, bit-equal to ``_run``'s."""
+    (outcome,) = thresholds
+    return _zeta_bar(_tally(outcome, shots, seeds), values, shots)
 
 
-def _run_means(values: np.ndarray, thresholds: np.ndarray, shots: int, seeds) -> np.ndarray:
-    """``zeta_bar`` of one ``shots``-shot run per seed, bit-equal to ``_draw``'s."""
-    return _zeta_bar(_tally(thresholds, shots, seeds), values, shots)
+def _output_distribution(p: RetrievalProtocol, rho: Operator, noise: Channel) -> tuple:
+    """H_k's outcome values and, as a 1-tuple, the thresholds of their Born probabilities on
+    the output of the realization, applied whatever its form (one draw)."""
+    traces = output_traces(p, rho, noise)
+    return _h_spectrum(p.k)[0], (_thresholds(np.cumsum(_h_distribution(traces, p.k))),)
 
 
-def _distribution(p: RetrievalProtocol, rho: Operator, noise: Channel,
-                  h_of_output: bool = False) -> tuple[np.ndarray, np.ndarray | tuple]:
-    """The sampling gates, then the draw the realization selects, as (values, thresholds):
-    a measure-and-prepare map with stored values gives one threshold array over them, a
-    Kraus channel the pair (branch thresholds, one H_k outcome row per branch), and any
-    other realization, or any with ``h_of_output``, one threshold array over the H_k
-    outcomes of its output."""
+def _distribution(p: RetrievalProtocol, rho: Operator, noise: Channel) -> tuple:
+    """The draw the realization selects, as (values, thresholds): a measure-and-prepare map
+    with stored values gives one threshold array over them, a Kraus channel the pair (branch
+    thresholds, one H_k outcome row per branch), and any other realization one threshold
+    array over the H_k outcomes of its output; one array comes as a 1-tuple."""
     r = p.realization
-    if not is_trace_preserving(r):
+    if isinstance(r, MeasurePrepare) and r.values is not None:
+        probs = np.clip(r.outcome_probabilities(noisy_copies(rho, noise, p.k).entries), 0.0, None)
+        return np.asarray(r.values, dtype=float), (_thresholds(np.cumsum(_normalized(probs))),)
+    if not (isinstance(r, Channel) and r.kraus is not None):
+        return _output_distribution(p, rho, noise)
+    sigma = noisy_copies(rho, noise, p.k).entries
+    traces = cycle_traces(np.stack([e @ sigma @ e.conj().T for e in r.kraus]), p.k, p.copy_dim)
+    # a branch weighs tr X; one of weight 0, never drawn, has a NaN row, read as 1: outcome 0
+    rows = _thresholds(np.nan_to_num(np.cumsum(_h_distribution(traces, p.k), axis=1), nan=1.0))
+    return _h_spectrum(p.k)[0], (_thresholds(np.cumsum(_normalized(traces[:, 0].real))), rows)
+
+
+def _run(p: RetrievalProtocol, rho: Operator, noise: Channel, shots: int, seed: int,
+         distribution) -> EstimationRun:
+    """The shot count and sampling gates, then one run of ``shots`` draws from
+    ``distribution(p, rho, noise)``: one threshold array is tallied, a Kraus pair recounted."""
+    if shots < 1:
+        raise ValueError(f"shots must be at least 1, got {shots}")
+    if not is_trace_preserving(p.realization):
         raise ValueError("finite-shot simulation needs a trace-preserving retriever; "
                          "evaluate this one exactly (--exact)")
     if rho.dim != p.copy_dim:
         raise ValueError(f"state dim {rho.dim} != protocol copy dim {p.copy_dim}")
-    kraus = isinstance(r, Channel) and r.kraus is not None
-    measured = isinstance(r, MeasurePrepare) and r.values is not None
-    values = _h_spectrum(p.k)[0]
-    if h_of_output or not (kraus or measured):
-        return values, _thresholds(np.cumsum(_h_distribution(output_traces(p, rho, noise), p.k)))
-    sigma = noisy_copies(rho, noise, p.k).entries
-    if measured:
-        probs = np.clip(r.outcome_probabilities(sigma), 0.0, None)
-        return np.asarray(r.values, dtype=float), _thresholds(np.cumsum(_normalized(probs)))
-    traces = cycle_traces(np.stack([e @ sigma @ e.conj().T for e in r.kraus]), p.k, p.copy_dim)
-    # a branch of weight 0, never drawn, has a NaN row: no word reaches 1, so outcome 0
-    rows = _thresholds(np.nan_to_num(np.cumsum(_h_distribution(traces, p.k), axis=1), nan=1.0))
-    return values, (_thresholds(np.cumsum(_normalized(traces[:, 0].real))), rows)  # weight tr X
+    values, thresholds = distribution(p, rho, noise)
+    counts = (_tally(thresholds[0], shots, [seed])[0] if len(thresholds) == 1
+              else _kraus_tally(thresholds, shots, seed))
+    zeta_bar = float(_zeta_bar(counts, values, shots))
+    return EstimationRun(seed=seed, shots=shots, counts=counts, values=values,
+                         thresholds=thresholds, zeta_bar=zeta_bar,
+                         estimate=p.f * zeta_bar - p.t, protocol_ref=p.label or p.kind)
 
 
 def run_choi_map(p: RetrievalProtocol, rho: Operator, noise: Channel,
                  shots: int, seed: int) -> EstimationRun:
     """Apply the (trace-preserving) retriever, then measure H_k, whatever its realization."""
-    return _draw(p, *_distribution(p, rho, noise, h_of_output=True), shots, seed)
+    return _run(p, rho, noise, shots, seed, _output_distribution)
 
 
 def run_protocol(p: RetrievalProtocol, rho: Operator, noise: Channel,
                  shots: int, seed: int) -> EstimationRun:
     """Sample in the mode the realization selects; trace-preserving realizations only.
     A Kraus run draws a branch, then an H_k outcome from that branch's row."""
-    if shots < 1:
-        raise ValueError(f"shots must be at least 1, got {shots}")
-    values, thresholds = _distribution(p, rho, noise)
-    if not isinstance(thresholds, tuple):
-        return _draw(p, values, thresholds, shots, seed)
-    return _finish_run(p, seed, shots, _kraus_tally(thresholds, shots, seed), values,
-                       thresholds)
+    return _run(p, rho, noise, shots, seed, _distribution)
 
 
 def renyi_entropy(moment_value: float, alpha: int) -> float:

@@ -15,8 +15,9 @@ the retriever, C the retriever output measured with the moment observable.
 
 The first and last optima are spectral (``protocols.optimal_shift``,
 ``protocols.recover_overhead``); those programs are the reference the spectral
-optima are checked against, and ``build_gmin`` is the one program the CLI solves.
-Every block is one dense Hermitian matrix.
+optima are checked against in tests, and ``build_gmin`` is the one program
+package code solves (the sweep's ``inverse`` cells and ``verify``).  Every block
+is one dense Hermitian matrix.
 
 Every program takes one copy's noise; none builds a k-fold channel.  The last
 two are one program from one builder: PSD J1, J2 with tr_C J_i = c_i I, one

@@ -6,9 +6,9 @@ exact number: ``protocols.contract_residual``, the norm of the copy-permutation
 average of the contract's residual operator, which bounds the contract error of
 every state.  The other checks cover H_k up to k = 5, the Q-matrix condition up
 to k = 100, complete positivity of the recursion, the Choi link the inverse
-program compiles, strong duality (each primal against its solve's dual
-objective) and the Hubbard model.  The suites are a quick health gate over
-product code, cheaper than the acceptance tests.
+program compiles, strong duality of the inverse program (each ``gmin`` primal
+against its solve's dual objective) and the Hubbard model.  The suites are a
+quick health gate over product code, cheaper than the acceptance tests.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .operators import partial_trace, random_density_matrix, tensor_product
 from .protocols import (ad_second_moment, contract_residual, de_kth_moment, de_second_moment,
                         de_second_moment_nqubit, optimal_shift, q_matrices)
 from .sdp.problem import HermitianBasis
-from .sdp.programs import build_fmin, build_gmin, gmin_power, noise_link_adjoint
+from .sdp.programs import build_gmin, gmin_power, noise_link_adjoint
 from .sdp.solver import solve
 from .hubbard import annihilation_operator, build_hamiltonian, ground_state, demo_model
 
@@ -61,24 +61,24 @@ def checks_sdp() -> list[tuple[str, bool, str]]:
     for name, mk in (("DE", lambda e: depolarizing(e, 2)), ("AD", amplitude_damping)):
         for eps in EPS_GRID:
             noise = mk(eps)
-            primal = solve(build_fmin(noise, 2))
-            residual_worst = max(residual_worst, contract_residual(optimal_shift(noise, 2), noise))
-            gap_worst = max(gap_worst,
-                            abs(primal.objective_value - primal.diagnostics["dual_objective"]))
-            g1 = solve(build_gmin(noise)).objective_value
-            if primal.objective_value > gmin_power(g1, 2) + 1e-6:
-                ordering_ok = False
-            detail.append(f"{name}{eps}: f={primal.objective_value:.6f}")
+            shift = optimal_shift(noise, 2)
+            residual_worst = max(residual_worst, contract_residual(shift, noise))
+            g1 = solve(build_gmin(noise))
+            gap_worst = max(gap_worst, abs(g1.objective_value - g1.diagnostics["dual_objective"]))
+            ordering_ok &= shift.f <= gmin_power(g1.objective_value, 2) + 1e-6
+            detail.append(f"{name}{eps}: f={shift.f:.6f}")
     out.append(("strong_duality_gap_k2", gap_worst < 1e-4, f"max gap {gap_worst:.2e}"))
     out.append(("shift_below_inverse_k2", ordering_ok, "; ".join(detail[:4])))
     out.append(("sdp_protocol_contract_k2", residual_worst <= 1e-12,
                 f"max residual {residual_worst:.2e}"))
 
-    sol = solve(build_fmin(depolarizing(1.0, 2), 2))
-    out.append(("noninvertible_infeasible", sol.status == "infeasible",
-                f"status {sol.status}"))
+    noise = depolarizing(1.0, 2)
+    sol = solve(build_gmin(noise))
+    out.append(("noninvertible_infeasible",
+                optimal_shift(noise, 2) is None and sol.status == "infeasible",
+                f"no spectral optimum; gmin status {sol.status}"))
     out.append(("invertibility_rank_test",
-                (not is_invertible(depolarizing(1.0, 2))) and is_invertible(depolarizing(0.5, 2)),
+                (not is_invertible(noise)) and is_invertible(depolarizing(0.5, 2)),
                 "rank(M_N) signature"))
     return out
 

@@ -425,6 +425,25 @@ class TestSweep:
                      "--methods", "bogus"])
         assert code == 1
 
+    @pytest.mark.parametrize("noise, name", [("depolarizing", "depolarizing noise level"),
+                                             ("amplitude-damping", "damping rate")])
+    @pytest.mark.parametrize("grid", ["1.5", "0.1,1.5", "-0.1"])
+    def test_noise_level_outside_unit_interval_refused(self, capsys, noise, name, grid):
+        # a level past 1 is no noise, not an infeasible cell: no row is printed
+        code, out, err = run_cli(capsys, "overhead-sweep", "--noise", noise, "--k", "2",
+                                 "--eps-grid", grid)
+        bad = grid.split(",")[-1]
+        assert (code, out) == (1, "")
+        assert err == f"error: {name} must be in [0, 1], got {bad}\n"
+
+    @pytest.mark.parametrize("noise", ["depolarizing", "amplitude-damping"])
+    def test_noise_level_one_is_infeasible(self, capsys, noise):
+        code, out, _ = run_cli(capsys, "overhead-sweep", "--noise", noise, "--k", "2",
+                               "--eps-grid", "1")
+        assert code == 0
+        assert out == ("eps,method,overhead,status\n1,shift,NaN,infeasible\n"
+                       "1,inverse,NaN,infeasible\n1,recover,NaN,infeasible\n")
+
     def test_recover_builds_no_k_fold_channel(self, capsys, monkeypatch):
         # the recover program takes one copy's noise: no module may reach tensor_power
         def refused(*args, **kwargs):

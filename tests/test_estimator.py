@@ -14,9 +14,7 @@ from momentshift.estimator import (
     _BLOCK_WORDS,
     _comparisons,
     _distribution,
-    _draw,
     _h_distribution,
-    _h_spectrum,
     _kraus_tally,
     _outcome_index,
     _run_means,
@@ -133,7 +131,7 @@ def _pick(cumulative, u):
     high = (u * 2.0 ** 53).astype(np.uint64)
     assert np.array_equal(high * 2.0 ** -53, u) and u.max() < 1.0   # a uniform the stream draws
     words = high << np.uint64(11) | np.arange(u.size, dtype=np.uint64) % np.uint64(2048)
-    return _outcome_index(words, _comparisons(_thresholds(cumulative), np.intp),
+    return _outcome_index(words, _comparisons(_thresholds(cumulative)),
                           np.empty(u.shape, dtype=np.intp))
 
 
@@ -196,7 +194,7 @@ KERNEL_CASES = {
     "choi_form_sdp": (run_protocol, load_protocol(V1 / "sdp_ad_k2.json"), amplitude_damping(0.2)),
     "measurement": (run_protocol, ad_second_moment(0.2), amplitude_damping(0.2)),
     "mixed": (run_protocol, de_second_moment(0.1), depolarizing(0.1, 2)),
-    # more branch thresholds than a uint8 branch index counts
+    # 300 branches: a branch index past 255
     "mixed_wide": (run_protocol, _random_unitary_mixture(300), depolarizing(0.1, 2)),
 }
 
@@ -254,13 +252,11 @@ def test_zero_weight_branch_is_never_drawn():
 
 @pytest.mark.parametrize("shots", [1, 777, _BLOCK + 3])
 def test_run_means_equal_draws(shots):
-    # k = 5 outcomes are not integers, so the row means must add in _draw's order
-    p = identity_protocol(5, 2)
-    values = _h_spectrum(5)[0]
-    thresholds = _thresholds(np.array([0.3, 0.55, 1.0]))
+    # k = 5 outcomes are not integers, so the row means must add in a run's order
+    p, noise, rho = identity_protocol(5, 2), depolarizing(0.1, 2), random_density_matrix(2, 8)
     seeds = [derive_seed(8, t) for t in range(7)]
-    want = [_draw(p, values, thresholds, shots, s).zeta_bar for s in seeds]
-    assert _run_means(values, thresholds, shots, seeds).tolist() == want
+    want = [run_protocol(p, rho, noise, shots, s).zeta_bar for s in seeds]
+    assert _run_means(*_distribution(p, rho, noise), shots, seeds).tolist() == want
 
 
 @pytest.mark.parametrize("run, p, noise", list(KERNEL_CASES.values()), ids=sorted(KERNEL_CASES))
@@ -411,7 +407,18 @@ def _per_shot_counts(thresholds: tuple, shots: int, seed: int) -> np.ndarray:
 
 
 def _window_table(kind: str, shots: int, seed: int) -> tuple:
-    """Branch thresholds and two ascending rows of outcome thresholds over the branches."""
+    """Branch thresholds and two ascending rows of outcome thresholds over the branches; for
+    ``random<m>_<i>``, m - 1 seeded random rows over 2-13 branches, one of weight 0, that
+    reach thresholds 0 and 2^53, so that most shots lie in a window."""
+    if kind.startswith("random"):
+        rng = np.random.default_rng([int(x) for x in kind[6:].split("_")])
+        m, branches = int(kind[6]), int(rng.integers(2, 14))
+        weights = rng.random(branches)
+        weights[rng.integers(branches)] = 0.0
+        rows = rng.integers(0, 2 ** 53, (m - 1, branches), dtype=np.uint64, endpoint=True)
+        rows[0, rng.integers(branches)], rows[-1, rng.integers(branches)] = 0, 2 ** 53
+        rows.sort(axis=0)
+        return _thresholds(np.cumsum(weights / weights.sum())), rows
     rng = np.random.default_rng(len(kind))
     branches = 300 if kind == "wide" else 7
     weights = rng.random(branches)
@@ -433,7 +440,8 @@ def _window_table(kind: str, shots: int, seed: int) -> tuple:
     return _thresholds(np.cumsum(weights / weights.sum())), rows
 
 
-WINDOW_KINDS = ["equal", "units_apart", "far", "zero_weight", "threshold_zero", "wide"]
+WINDOW_KINDS = ["equal", "units_apart", "far", "zero_weight", "threshold_zero", "wide"] + [
+    f"random{m}_{i}" for m in (3, 4, 5) for i in range(3)]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -641,8 +649,17 @@ class TestChoiRun:
 def test_run_protocol_rejects_shots_below_one(shots):
     p = de_second_moment(0.1)
     rho = Operator(np.eye(2) / 2)
-    with pytest.raises(ValueError, match="shots"):
+    with pytest.raises(ValueError, match=f"^shots must be at least 1, got {shots}$"):
         run_protocol(p, rho, depolarizing(0.1, 2), shots, seed=0)
+
+
+@pytest.mark.parametrize("shots", [0, -5])
+def test_run_choi_map_rejects_shots_below_one(shots):
+    # the same refusal as run_protocol's, before any distribution is built
+    p = de_second_moment(0.1)
+    rho = Operator(np.eye(2) / 2)
+    with pytest.raises(ValueError, match=f"^shots must be at least 1, got {shots}$"):
+        run_choi_map(p, rho, depolarizing(0.1, 2), shots, seed=0)
 
 
 class TestUnbiasedness:
