@@ -16,16 +16,15 @@ Words are made a block at a time: at most ``_BLOCK`` (16,384) shots of one
 run, or whole runs up to ``_BLOCK_WORDS`` (32,768) words, the shapes measured
 fastest on one long run and on many 4,096-shot runs.
 
-The sampling mode follows from the protocol's realization, and each mode
-has its own stream layout:
+Every mode draws one outcome per shot from the first uniform of its stream,
+and the realization picks the outcome law:
 
-* a Kraus-form channel draws a Kraus index, then an H_k eigenvalue from the
-  Born distribution of that branch (two uniforms per shot); a run makes a
-  shot's branch uniform only where the branch can change its outcome;
-* a projective measure-and-prepare map draws an outcome m from tr[E_m sigma]
-  and records its stored value (one uniform);
-* any other trace-preserving realization is applied, then H_k is measured
-  (one uniform);
+* a projective measure-and-prepare map with stored values draws an outcome m
+  from tr[E_m sigma] and records its stored value;
+* any other trace-preserving realization, a Kraus-form channel included, is
+  applied, then H_k is measured.  The outcome law is linear in the map, so a
+  Kraus channel's output gives the mixture over its branches of each
+  branch's law, and no branch is drawn;
 * a realization that is not trace preserving, such as the recursive
   retriever for k >= 3, fails the trace-preservation gate: evaluate it exactly.
 
@@ -35,27 +34,22 @@ is computed.  A copy-cycle retriever reads them off the moments of one noisy
 copy, so sampling it builds no k-copy state.
 
 A run checks its shot count and the sampling gates (trace preservation, then
-the state dimension), then takes its distribution, the outcome values with
-the integer thresholds of their cumulative probabilities as a tuple: one
-array, or a Kraus channel's branch thresholds and its H_k outcome rows.
-``_distribution`` is the one place that picks the mode; ``run_choi_map``
-takes the H_k-of-output distribution of its generic mode whatever the
-realization.  Building the noisy k-copy state checks the memory budget, and a
-distribution whose probabilities are all 0, or an H_k probability below
--``SAMPLING_TP_TOL``, is refused.  ``_run`` then counts the shots and builds the
-``EstimationRun``.  A caller that repeats runs of one fixed set-up, such as
+the state dimension), then takes its distribution: the outcome values and the
+integer thresholds of their cumulative probabilities.  ``_distribution`` is
+the one place that picks the mode; ``run_choi_map`` takes the H_k-of-output
+distribution of its generic mode whatever the realization.  Building the
+noisy k-copy state checks the memory budget, and a distribution whose
+probabilities are all 0, or an H_k probability below -``SAMPLING_TP_TOL``, is
+refused.  ``_run`` then counts the shots and builds the ``EstimationRun``.  A
+caller that repeats runs of one fixed set-up, such as
 ``hubbard.fig4_experiment``, builds the distribution once and reads every
 trial's ``zeta_bar`` off ``_run_means``.
 
 A run keeps only its outcome counts, a sufficient statistic of ``zeta_bar``:
 each block of shots is tallied (its words above each raw threshold, counted a
-row at a time) and dropped, so any shot count needs one block of memory.  A
-Kraus run tallies its outcome words against each outcome threshold's largest
-value over the branches, and draws the branch of a shot only when its word
-lies between that threshold's smallest and largest value; the comparison step
-that the records use, ``_outcome_index``, then recounts those shots
-(``_kraus_tally``).  The JSON and CSV records rebuild every shot, branch
-included, from the seed, a block at a time.
+row at a time) and dropped, so any shot count needs one block of memory.  The
+JSON and CSV records rebuild every shot's outcome from the seed, a block at a
+time, with the comparison step ``_outcome_index``.
 
 Per-shot outcomes are eigenvalues of the moment observable or stored
 per-outcome values, all in [-1, 1], which fixes the range constant in the
@@ -73,7 +67,6 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import Channel, noisy_copies
-from .moments import cycle_traces
 from .operators import Operator
 from .protocols import (SAMPLING_TP_TOL, MeasurePrepare, RetrievalProtocol, is_trace_preserving,
                         output_traces)
@@ -106,13 +99,13 @@ def _scrambled(x) -> np.ndarray:
     return _mix(z.astype(np.uint64) + np.uint64(_GOLDEN))
 
 
-def _word_blocks(seeds, shots: int, draws: int, first: int = 1):
+def _word_blocks(seeds, shots: int, draws: int):
     """Yield ``(r, cs, words)`` per block, whole runs of at most ``_BLOCK_WORDS`` words or
     at most ``_BLOCK`` shots of one run, in reused buffers: ``words[n][i, j]`` is the raw
-    SplitMix64 output mix(scramble(seed) + shot + (first + n) golden) of shot cs.start + j
+    SplitMix64 output mix(scramble(seed) + shot + (n + 1) golden) of shot cs.start + j
     of run r + i."""
     cols = min(shots, _BLOCK)
-    steps = np.arange(first, first + draws, dtype=np.uint64) * np.uint64(_GOLDEN)  # mod 2^64
+    steps = np.arange(1, draws + 1, dtype=np.uint64) * np.uint64(_GOLDEN)  # mod 2^64
     bases = np.add.outer(steps, _scrambled(seeds))[..., None]  # [draw, run, 1]
     runs = bases.shape[1]
     rows = min(max(1, _BLOCK_WORDS // cols), runs)
@@ -129,13 +122,6 @@ def _word_blocks(seeds, shots: int, draws: int, first: int = 1):
             for n, z in enumerate(words):
                 _mix(np.add(first[n], ramp[:nc], out=z), tmp)
             yield r, slice(start, start + nc), words
-
-
-def _shot_words(shots: np.ndarray, base: np.ndarray, tmp: np.ndarray | None = None):
-    """The raw words mix(base + shot) of the given ``uint64`` shot indices alone, made in
-    place; ``base`` = scramble(seed) + draw golden picks the run and the draw."""
-    shots += base  # wraps mod 2^64
-    return _mix(shots, tmp)
 
 
 def shot_uniforms(seed: int, shots: int, draws: int) -> np.ndarray:
@@ -184,7 +170,7 @@ class EstimationRun:
     shots: int
     counts: np.ndarray           # shots per outcome
     values: np.ndarray           # outcome values, each in [-1, 1]
-    thresholds: tuple            # per uniform a shot draws: outcome, or branch then outcome rows
+    thresholds: np.ndarray       # uint64 ceil(c 2^53) of each cumulative probability c but the last
     zeta_bar: float
     estimate: float              # f * zeta_bar - t
     protocol_ref: str
@@ -230,11 +216,11 @@ def _normalized(weights: np.ndarray) -> np.ndarray:
 
 
 def _thresholds(cumulative: np.ndarray) -> np.ndarray:
-    """Integer thresholds ceil(c 2^53), outcome axis first, of each row's cumulative
-    probabilities c but the last; a NaN row, all of whose probabilities were 0, is refused."""
+    """Integer thresholds ceil(c 2^53) of the cumulative probabilities c but the last;
+    NaN ones, from probabilities that were all 0, are refused."""
     if np.isnan(cumulative).any():
         raise ValueError("degenerate outcome distribution: every outcome has probability 0")
-    return np.ceil(cumulative[..., :-1].T * 2.0 ** 53).clip(0).astype(np.uint64)
+    return np.ceil(cumulative[:-1] * 2.0 ** 53).clip(0).astype(np.uint64)
 
 
 def _strict(thresholds: np.ndarray) -> np.ndarray:
@@ -247,159 +233,82 @@ def _strict(thresholds: np.ndarray) -> np.ndarray:
 
 
 def _comparisons(thresholds: np.ndarray) -> tuple:
-    """What ``_outcome_index`` compares for integer thresholds (one array, or one row over
-    the branches per threshold): the count of thresholds 0, per branch for rows, and the
-    ``_strict`` forms that some word can exceed."""
-    return (thresholds == 0).sum(axis=0), [s for s in _strict(thresholds) if (s != _NEVER).any()]
+    """What ``_outcome_index`` compares for integer thresholds: the count of thresholds 0
+    and the ``_strict`` forms that some word can exceed."""
+    return int((thresholds == 0).sum()), [s for s in _strict(thresholds) if s != _NEVER]
 
 
 def _outcome_index(words: np.ndarray, comparisons: tuple, out: np.ndarray,
-                   branch: np.ndarray | None = None, scratch: tuple | None = None) -> np.ndarray:
-    """The comparison step: out = number of thresholds ``t`` (one, or one per word) with
-    ``words >> 11 >= t``, i.e. ``searchsorted(c, (words >> 11) 2^-53, side="right")`` below
-    m, from raw words and the thresholds' ``_comparisons``.  With ``branch``, each threshold
-    is a row read at every word's branch index.  Each pass compares into a boolean mask and
-    adds it to ``out``; ``scratch`` holds the mask and gathered-threshold buffers."""
-    mask, per_word = scratch or (np.empty(words.shape, bool), np.empty(words.shape, np.uint64))
+                   mask: np.ndarray | None = None) -> np.ndarray:
+    """The comparison step: out = number of thresholds ``t`` with ``words >> 11 >= t``,
+    i.e. ``searchsorted(c, (words >> 11) 2^-53, side="right")`` below m, from raw words and
+    the thresholds' ``_comparisons``.  Each pass compares into the boolean ``mask`` and
+    adds it to ``out``."""
+    mask = np.empty(words.shape, bool) if mask is None else mask
     at_zero, strict = comparisons
-    if branch is None:
-        out[...] = at_zero
-    else:
-        np.take(at_zero, branch, out=out, mode="clip")
+    out[...] = at_zero
     for s in strict:
-        if branch is not None:
-            s = np.take(s, branch, out=per_word, mode="clip")
         np.greater(words, s, out=mask)
         np.add(out, mask, out=out)
     return out
 
 
-def _tally(thresholds: np.ndarray, shots: int, seeds, draw: int = 1,
-           recount=None) -> np.ndarray:
-    """Shots per outcome of one ``shots``-shot run per seed, a row each, from the words of
-    draw ``draw``.  Each block's words are counted a row at a time, then dropped: column n
-    counts the words at or above the n-th threshold; thresholds ascend, so a difference of
-    columns counts an outcome.  ``recount(cs, words)``, if given, sees each block's words
-    (of a one-run tally) before they are dropped."""
+def _tally(thresholds: np.ndarray, shots: int, seeds) -> np.ndarray:
+    """Shots per outcome of one ``shots``-shot run per seed, a row each.  Each block's
+    words are counted a row at a time, then dropped: column n counts the words at or above
+    the n-th threshold; thresholds ascend, so a difference of columns counts an outcome."""
     counts = np.empty((len(seeds), len(thresholds) + 1), np.int64)
     counts[:, 0], counts[:, 1:] = shots, np.where(thresholds == 0, shots, 0)  # 0: every word
     passes = [(n, s) for n, s in enumerate(_strict(thresholds), 1) if s != _NEVER]
     buf = np.empty(_BLOCK_WORDS, bool)  # no block has more words
-    for r, cs, (w,) in _word_blocks(seeds, shots, 1, draw):
+    for r, _, (w,) in _word_blocks(seeds, shots, 1):
         mask = buf[:w.size].reshape(w.shape)
         for n, s in passes:
             np.greater(w, s, out=mask)
             for i, row in enumerate(mask, r):
                 counts[i, n] += np.count_nonzero(row)
-        if recount is not None:
-            recount(cs, w[0])
     counts[:, :-1] -= counts[:, 1:]
     return counts
 
 
-def _kraus_tally(thresholds: tuple, shots: int, seed: int) -> np.ndarray:
-    """Shots per outcome of one Kraus run, the outcomes ``_shot_blocks`` reads, without
-    drawing the branch of a shot whose branch cannot change its outcome.
-
-    Over the branches some word draws, the n-th outcome threshold lies in [lo_n, hi_n]: an
-    outcome word that meets hi_n meets it whatever the branch, one that misses lo_n misses
-    it for every branch.  So the outcome words alone are tallied against hi (``_tally`` on
-    draw 2), and only the shots in a window, whose word meets some lo_n but not hi_n, get
-    their branch word (draw 1): their outcomes against their branch's row replace those
-    against hi.  A run whose rows coincide has no window and makes no branch word."""
-    branch, rows = thresholds
-    top = np.uint64(2 ** 53)  # thresholds at or above it are met by no word
-    cut = np.minimum(np.append(branch, top), top)  # branch j: the words in [cut[j-1], cut[j])
-    drawn = np.minimum(rows[:, cut > np.append(np.uint64(0), cut[:-1])], top)
-    lo, hi = drawn.min(axis=1), drawn.max(axis=1)
-    # window n holds the words w with lo_n 2^11 <= w < hi_n 2^11, i.e. w - lo_n 2^11 <= width
-    windows = [(np.uint64(a << 11), np.uint64(((b - a) << 11) - 1))
-               for a, b in zip(lo.tolist(), hi.tolist()) if a < b]
-    if not windows:
-        return _tally(hi, shots, [seed], 2)[0]
-    picks, by_branch, by_hi = _comparisons(branch), _comparisons(rows), _comparisons(hi)
-    size, m = min(shots, _BLOCK), len(hi) + 1
-    fix, ramp = np.zeros(m, np.int64), np.arange(size, dtype=np.uint64)
-    base = _scrambled(seed) + np.uint64(_GOLDEN)  # branch words are draw 1
-    bufs = [np.empty(size, d) for d in (bool, bool) + (np.uint64,) * 3 + (np.intp,) * 2]
-
-    def recount(cs: slice, w: np.ndarray) -> None:
-        inside, mask, at, picked, tmp, j, o = (b[:w.size] for b in bufs)
-        for i, (low, width) in enumerate(windows):
-            np.subtract(w, low, out=at)  # wraps below low
-            if i:
-                inside |= np.less_equal(at, width, out=mask)
-            else:
-                np.less_equal(at, width, out=inside)
-        k = np.count_nonzero(inside)
-        if k < w.size:  # gather the window's shots, unless it holds them all
-            if not k:
-                return
-            mask, at, picked, tmp, j, o = (b[:k] for b in bufs[1:])
-            at[...] = np.flatnonzero(inside)
-            w = np.take(w, at, out=picked, mode="clip")
-        else:
-            at[...] = ramp[:k]
-        _shot_words(at, base + np.uint64(cs.start), tmp)  # the shots' branch words
-        _outcome_index(at, picks, j, scratch=(mask, tmp))
-        fix[:] += np.bincount(_outcome_index(w, by_branch, o, j, (mask, tmp)), minlength=m)
-        fix[:] -= np.bincount(_outcome_index(w, by_hi, o, scratch=(mask, tmp)), minlength=m)
-
-    return _tally(hi, shots, [seed], 2, recount)[0] + fix
-
-
-def _shot_blocks(thresholds: tuple, shots: int, seed: int):
-    """Yield ``(cs, recorded, outcome)`` index arrays of one run's shots ``cs``, a block at a
-    time, rebuilt from its seed; ``recorded`` is a Kraus run's branch, else the outcome."""
+def _shot_blocks(thresholds: np.ndarray, shots: int, seed: int):
+    """Yield ``(cs, outcome)``, the outcome indices of one run's shots ``cs``, a block at a
+    time, rebuilt from its seed."""
     n = min(shots, _BLOCK)
-    comparisons = [_comparisons(t) for t in thresholds]
-    bufs = [np.empty((1, n), np.intp) for _ in thresholds] + [np.empty((1, n), bool),
-                                                              np.empty((1, n), np.uint64)]
-    for _, cs, words in _word_blocks([seed], shots, len(thresholds)):
-        if cs.stop - cs.start < n:  # the last block is shorter
-            bufs = [b[:, :cs.stop - cs.start] for b in bufs]
-        *out, mask, per_word = bufs
-        _outcome_index(words[0], comparisons[0], out[0], scratch=(mask, per_word))
-        if len(words) > 1:  # a Kraus run: the outcome row of each shot's branch
-            _outcome_index(words[1], comparisons[1], out[1], out[0], (mask, per_word))
-        yield cs, out[0][0], out[-1][0]
+    comparisons = _comparisons(thresholds)
+    out, mask = np.empty((1, n), np.intp), np.empty((1, n), bool)
+    for _, cs, (w,) in _word_blocks([seed], shots, 1):
+        m = cs.stop - cs.start  # the last block is shorter
+        yield cs, _outcome_index(w, comparisons, out[:, :m], mask[:, :m])[0]
 
 
-def _run_means(values: np.ndarray, thresholds: tuple, shots: int, seeds) -> np.ndarray:
-    """``zeta_bar`` of a one-draw ``shots``-shot run per seed, bit-equal to ``_run``'s."""
-    (outcome,) = thresholds
-    return _zeta_bar(_tally(outcome, shots, seeds), values, shots)
+def _run_means(values: np.ndarray, thresholds: np.ndarray, shots: int, seeds) -> np.ndarray:
+    """``zeta_bar`` of a ``shots``-shot run per seed, bit-equal to ``_run``'s."""
+    return _zeta_bar(_tally(thresholds, shots, seeds), values, shots)
 
 
 def _output_distribution(p: RetrievalProtocol, rho: Operator, noise: Channel) -> tuple:
-    """H_k's outcome values and, as a 1-tuple, the thresholds of their Born probabilities on
-    the output of the realization, applied whatever its form (one draw)."""
+    """H_k's outcome values and the thresholds of their Born probabilities on the output of
+    the realization, applied whatever its form."""
     traces = output_traces(p, rho, noise)
-    return _h_spectrum(p.k)[0], (_thresholds(np.cumsum(_h_distribution(traces, p.k))),)
+    return _h_spectrum(p.k)[0], _thresholds(np.cumsum(_h_distribution(traces, p.k)))
 
 
 def _distribution(p: RetrievalProtocol, rho: Operator, noise: Channel) -> tuple:
-    """The draw the realization selects, as (values, thresholds): a measure-and-prepare map
-    with stored values gives one threshold array over them, a Kraus channel the pair (branch
-    thresholds, one H_k outcome row per branch), and any other realization one threshold
-    array over the H_k outcomes of its output; one array comes as a 1-tuple."""
+    """The law the realization selects, as (values, thresholds): a measure-and-prepare map
+    with stored values draws over them, any other realization over the H_k outcomes of its
+    output."""
     r = p.realization
-    if isinstance(r, MeasurePrepare) and r.values is not None:
-        probs = np.clip(r.outcome_probabilities(noisy_copies(rho, noise, p.k).entries), 0.0, None)
-        return np.asarray(r.values, dtype=float), (_thresholds(np.cumsum(_normalized(probs))),)
-    if not (isinstance(r, Channel) and r.kraus is not None):
+    if not (isinstance(r, MeasurePrepare) and r.values is not None):
         return _output_distribution(p, rho, noise)
-    sigma = noisy_copies(rho, noise, p.k).entries
-    traces = cycle_traces(np.stack([e @ sigma @ e.conj().T for e in r.kraus]), p.k, p.copy_dim)
-    # a branch weighs tr X; one of weight 0, never drawn, has a NaN row, read as 1: outcome 0
-    rows = _thresholds(np.nan_to_num(np.cumsum(_h_distribution(traces, p.k), axis=1), nan=1.0))
-    return _h_spectrum(p.k)[0], (_thresholds(np.cumsum(_normalized(traces[:, 0].real))), rows)
+    probs = np.clip(r.outcome_probabilities(noisy_copies(rho, noise, p.k).entries), 0.0, None)
+    return np.asarray(r.values, dtype=float), _thresholds(np.cumsum(_normalized(probs)))
 
 
 def _run(p: RetrievalProtocol, rho: Operator, noise: Channel, shots: int, seed: int,
          distribution) -> EstimationRun:
     """The shot count and sampling gates, then one run of ``shots`` draws from
-    ``distribution(p, rho, noise)``: one threshold array is tallied, a Kraus pair recounted."""
+    ``distribution(p, rho, noise)``."""
     if shots < 1:
         raise ValueError(f"shots must be at least 1, got {shots}")
     if not is_trace_preserving(p.realization):
@@ -408,8 +317,7 @@ def _run(p: RetrievalProtocol, rho: Operator, noise: Channel, shots: int, seed: 
     if rho.dim != p.copy_dim:
         raise ValueError(f"state dim {rho.dim} != protocol copy dim {p.copy_dim}")
     values, thresholds = distribution(p, rho, noise)
-    counts = (_tally(thresholds[0], shots, [seed])[0] if len(thresholds) == 1
-              else _kraus_tally(thresholds, shots, seed))
+    counts = _tally(thresholds, shots, [seed])[0]
     zeta_bar = float(_zeta_bar(counts, values, shots))
     return EstimationRun(seed=seed, shots=shots, counts=counts, values=values,
                          thresholds=thresholds, zeta_bar=zeta_bar,
@@ -424,8 +332,7 @@ def run_choi_map(p: RetrievalProtocol, rho: Operator, noise: Channel,
 
 def run_protocol(p: RetrievalProtocol, rho: Operator, noise: Channel,
                  shots: int, seed: int) -> EstimationRun:
-    """Sample in the mode the realization selects; trace-preserving realizations only.
-    A Kraus run draws a branch, then an H_k outcome from that branch's row."""
+    """Sample in the mode the realization selects; trace-preserving realizations only."""
     return _run(p, rho, noise, shots, seed, _distribution)
 
 
@@ -444,22 +351,22 @@ def run_to_csv(run: EstimationRun, path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["shot_index", "outcome_index", "value"])
-        for cs, recorded, outcome in _shot_blocks(run.thresholds, run.shots, run.seed):
-            w.writerows(zip(range(cs.start, cs.stop), recorded.tolist(), table[outcome]))
+        for cs, outcome in _shot_blocks(run.thresholds, run.shots, run.seed):
+            w.writerows(zip(range(cs.start, cs.stop), outcome.tolist(), table[outcome]))
 
 
 def save_run(run: EstimationRun, path) -> None:
     """The run as one JSON object, its per-shot lists rebuilt and written a block at a time."""
     head = {"schema_version": 1, "seed": run.seed, "shots": run.shots, "zeta_bar": run.zeta_bar,
             "estimate": run.estimate, "protocol_ref": run.protocol_ref}
-    tables = (("per_shot", 2, map(repr, run.values.tolist())),
-              ("outcome_indices", 1, map(str, range(len(run.thresholds[0]) + 1))))
+    tables = (("per_shot", map(repr, run.values.tolist())),
+              ("outcome_indices", map(str, range(run.values.size))))
     with open(path, "w") as fh:
         fh.write(json.dumps(head)[:-1])  # without its closing brace
-        for name, pick, strings in tables:
+        for name, strings in tables:
             table = np.array(list(strings), dtype=object)
             fh.write(f', "{name}": [')
-            for block in _shot_blocks(run.thresholds, run.shots, run.seed):
-                fh.write((", " if block[0].start else "") + ", ".join(table[block[pick]]))
+            for cs, outcome in _shot_blocks(run.thresholds, run.shots, run.seed):
+                fh.write((", " if cs.start else "") + ", ".join(table[outcome]))
             fh.write("]")
         fh.write("}")

@@ -69,6 +69,13 @@ MAX_RECURSIVE_ORDER = 100  # highest k of the Q matrices behind the recursive re
 # realizations
 
 
+def _check_paired(first: str, a: Sequence, second: str, b: Sequence) -> None:
+    """Refuse two lists whose entries pair up one to one unless they have one length."""
+    if len(a) != len(b):
+        raise ValueError(f"fields {first!r} and {second!r} have {len(a)} and {len(b)} "
+                         "entries; they must pair up")
+
+
 class MeasurePrepare:
     """Linear map rho -> sum_m tr[effects_m rho] outputs_m.
 
@@ -83,8 +90,15 @@ class MeasurePrepare:
                  values: Sequence[float] | None = None):
         self.effects = tuple(np.asarray(e, dtype=complex) for e in effects)
         self.outputs = tuple(np.asarray(o, dtype=complex) for o in outputs)
+        _check_paired("effects", self.effects, "outputs", self.outputs)
         self.in_dim = self.effects[0].shape[0]
         self.out_dim = self.outputs[0].shape[0]
+        for name, mats, dim in (("effects", self.effects, self.in_dim),
+                                ("outputs", self.outputs, self.out_dim)):
+            for i, m in enumerate(mats):
+                if m.shape != (dim, dim):
+                    raise ValueError(f"field {name!r}[{i}] has shape {m.shape}, "
+                                     f"not ({dim}, {dim})")
         self.values = None if values is None else tuple(float(v) for v in values)
         if self.values is not None:
             projective = all(np.max(np.abs(e @ e - e)) <= 1e-9 for e in self.effects)
@@ -576,13 +590,16 @@ def _realization_from_json(kind: str, data: dict) -> Channel | MeasurePrepare:
         return MeasurePrepare(list_from_json(data, "effects"), list_from_json(data, "outputs"),
                               values)
     if kind == "mixed_unitary":
-        kraus = [np.sqrt(p) * u for p, u in zip(list_from_json(data, "probabilities", True),
-                                                list_from_json(data, "unitaries"))]
+        probs = list_from_json(data, "probabilities", True)
+        unitaries = list_from_json(data, "unitaries")
+        _check_paired("probabilities", probs, "unitaries", unitaries)
+        kraus = [np.sqrt(p) * u for p, u in zip(probs, unitaries)]
         return Channel(kraus[0].shape[1], kraus[0].shape[0], kraus=kraus)
     if kind == "measurement_based":
         basis = [b.reshape(-1) for b in list_from_json(data, "basis_states")]
-        return MeasurePrepare([np.outer(b, b.conj()) for b in basis],
-                              list_from_json(data, "output_states"),
+        outputs = list_from_json(data, "output_states")
+        _check_paired("basis_states", basis, "output_states", outputs)
+        return MeasurePrepare([np.outer(b, b.conj()) for b in basis], outputs,
                               list_from_json(data, "outcome_values", True))
     raise ValueError(f"unknown protocol kind {kind!r}")
 

@@ -67,7 +67,7 @@ def checks_sdp() -> list[tuple[str, bool, str]]:
             gap_worst = max(gap_worst, abs(g1.objective_value - g1.diagnostics["dual_objective"]))
             ordering_ok &= shift.f <= gmin_power(g1.objective_value, 2) + 1e-6
             detail.append(f"{name}{eps}: f={shift.f:.6f}")
-    out.append(("strong_duality_gap_k2", gap_worst < 1e-4, f"max gap {gap_worst:.2e}"))
+    out.append(("strong_duality_gap_gmin", gap_worst < 1e-4, f"max gap {gap_worst:.2e}"))
     out.append(("shift_below_inverse_k2", ordering_ok, "; ".join(detail[:4])))
     out.append(("sdp_protocol_contract_k2", residual_worst <= 1e-12,
                 f"max residual {residual_worst:.2e}"))

@@ -89,37 +89,19 @@ def searchsorted_index(cumulative, u):
     return np.searchsorted(cumulative, u, side="right").clip(0, cumulative.size - 1)
 
 
-def _reference_draw(cumulative, u):
-    """Outcome per shot from the uniforms, row by row of a per-shot cumulative table."""
-    if cumulative.ndim == 1:
-        return searchsorted_index(cumulative, u)
-    out = np.empty(u.size, dtype=np.intp)
-    for row in np.unique(cumulative, axis=0):
-        mine = (cumulative == row).all(axis=1)
-        out[mine] = searchsorted_index(row, u[mine])
-    return out
-
-
 def reference_run(p, rho, noise, shots, seed):
-    """Per-shot values, recorded indices (a Kraus run's branch, else the outcome) and
-    outcomes of a sampled run, from whole arrays of shot_uniforms and searchsorted."""
+    """Per-shot values and outcome indices of a sampled run, from whole arrays of
+    shot_uniforms and searchsorted."""
     sigma = noisy_copies(rho, noise, p.k).entries
     values = _h_spectrum(p.k)[0]
     r = p.realization
-    if isinstance(r, Channel) and r.kraus is not None:
-        traces = cycle_traces(np.stack([e @ sigma @ e.conj().T for e in r.kraus]), p.k, p.copy_dim)
-        weights = traces[:, 0].real
-        u = shot_uniforms(seed, shots, 2)
-        j = _reference_draw(np.cumsum(weights / weights.sum()), u[:, 0])
-        idx = _reference_draw(np.cumsum(_h_distribution(traces, p.k), axis=1)[j], u[:, 1])
-        return values[idx], j, idx
     if isinstance(r, MeasurePrepare) and r.values is not None:
         probs = np.clip(r.outcome_probabilities(sigma), 0.0, None)
         cumulative, values = np.cumsum(probs / probs.sum()), np.asarray(r.values, dtype=float)
     else:
         cumulative = np.cumsum(_h_distribution(cycle_traces(r.apply(sigma), p.k, p.copy_dim), p.k))
-    idx = _reference_draw(cumulative, shot_uniforms(seed, shots, 1)[:, 0])
-    return values[idx], idx, idx
+    idx = searchsorted_index(cumulative, shot_uniforms(seed, shots, 1)[:, 0])
+    return values[idx], idx
 
 
 def run_to_json(run: EstimationRun, per_shot, indices) -> dict:

@@ -221,7 +221,7 @@ class TestEstimate:
         channel = depolarizing(0.1, 2) if noise == "depolarizing" else amplitude_damping(0.1)
         rho = Operator(np.eye(2) / 2)
         run = run_protocol(p, rho, channel, 32771, 11)
-        per_shot, indices, _ = reference_run(p, rho, channel, 32771, 11)
+        per_shot, indices = reference_run(p, rho, channel, 32771, 11)
         assert out_path.read_text() == json.dumps(run_to_json(run, per_shot, indices))
 
     def test_recursive_protocol_needs_exact(self, capsys, tmp_path):
@@ -834,6 +834,31 @@ class TestFileErrors:
         assert code == 1 and out == ""
         assert err == f"error: JSON field {field!r} is not a list of {entries}\n"
 
+    @pytest.mark.parametrize("source, field, message", [
+        ("measure_prepare", "outputs", "'effects' and 'outputs' have 4 and 3"),
+        ("twirl.json", "probabilities", "'probabilities' and 'unitaries' have 11 and 12"),
+        ("ad_measure.json", "output_states", "'basis_states' and 'output_states' have 4 and 3"),
+    ])
+    def test_paired_lists_of_two_lengths_refused(self, capsys, tmp_path, source, field,
+                                                 message):
+        # zip would drop the unpaired entry and evaluate another map
+        doc = self.document(source)
+        doc["data"][field].pop()
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = self.estimate(capsys, path, "--state", "maxmixed")
+        assert (code, out, err) == (1, "", f"error: fields {message} entries; they must "
+                                           "pair up\n")
+
+    def test_effect_of_another_shape_refused(self, capsys, tmp_path):
+        doc = self.document("measure_prepare")
+        doc["data"]["effects"][1] = matrix_to_json(np.eye(2) / 2)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = self.estimate(capsys, path, "--state", "maxmixed")
+        assert (code, out, err) == (1, "", "error: field 'effects'[1] has shape (2, 2), "
+                                           "not (4, 4)\n")
+
     @pytest.mark.parametrize("source, field", [("measure_prepare", "values"),
                                                ("ad_measure.json", "outcome_values")])
     def test_stored_value_outside_unit_range(self, capsys, tmp_path, source, field):
@@ -888,7 +913,7 @@ class TestVerifyCommand:
         assert [line.split(":")[0] for line in out.splitlines()[:-1]] == [
             f"PASS {name}" for name in (
                 "cyclic_trace_identity_k2_5", "observable_eigenvalue_bound",
-                "strong_duality_gap_k2", "shift_below_inverse_k2", "sdp_protocol_contract_k2",
+                "strong_duality_gap_gmin", "shift_below_inverse_k2", "sdp_protocol_contract_k2",
                 "noninvertible_infeasible", "invertibility_rank_test",
                 "q_condition_k3_100", "contract_certificate", "recursive_retriever_cp_k3_4",
                 "choi_link_product_convention",

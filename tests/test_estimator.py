@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from momentshift import estimator
 from momentshift.channels import Channel, amplitude_damping, depolarizing
 from momentshift.estimator import (
     _BLOCK,
@@ -15,7 +14,6 @@ from momentshift.estimator import (
     _comparisons,
     _distribution,
     _h_distribution,
-    _kraus_tally,
     _outcome_index,
     _run_means,
     _shot_blocks,
@@ -42,11 +40,11 @@ from momentshift.protocols import (
     exact_expectation,
     identity_protocol,
     load_protocol,
+    output_traces,
 )
 from conftest import noisy_copies
-from oracles import (GOLDEN, MASK64, reference_run, run_csv_text, run_to_json,
-                     searchsorted_index, seed_with_counter, splitmix_mix, splitmix_unmix,
-                     splitmix_words, threshold_counts)
+from oracles import (reference_run, run_csv_text, run_to_json, searchsorted_index,
+                     seed_with_counter, splitmix_words, threshold_counts)
 
 
 class TestPlanShots:
@@ -154,21 +152,13 @@ def test_sample_categorical_matches_searchsorted(n):
                 u = u[u < 1.0]   # a 1.0, on the grid below a last entry of 1, is no uniform
                 got = _pick(entries, u)
                 assert np.array_equal(got, searchsorted_index(entries, u)), (scale, name)
-        # one row per shot: every other shot reads ``cum``, the rest a row of their own
-        u = rng.random(1000)
-        rows = _on_grid(np.cumsum(rng.dirichlet(np.ones(n), size=u.size), axis=1) * scale)
-        rows[::2] = cum
-        # on an entry of the shot's own row, or the top uniform below an entry of 1
-        u[1::4] = np.minimum(rows[1::4, 0], np.nextafter(1.0, 0.0))
-        want = [searchsorted_index(row, x) for row, x in zip(rows, u)]
-        assert np.array_equal(_pick(rows, u), want), scale
 
 
 def _rebuilt(run):
-    """The run's per-shot values and recorded indices, rebuilt whole from its seed."""
-    blocks = [(run.values[o], j.copy()) for _, j, o in _shot_blocks(run.thresholds, run.shots,
-                                                                     run.seed)]
-    return tuple(np.concatenate(a) for a in zip(*blocks))
+    """The run's per-shot values and outcome indices, rebuilt whole from its seed."""
+    outcome = np.concatenate([o.copy() for _, o in _shot_blocks(run.thresholds, run.shots,
+                                                                run.seed)])
+    return run.values[outcome], outcome
 
 
 def _reference_counts(run, outcome):
@@ -185,6 +175,14 @@ def _random_unitary_mixture(branches: int) -> RetrievalProtocol:
                              realization=Channel(4, 4, kraus=[u / np.sqrt(branches) for u in us]))
 
 
+def _zero_weight_branch() -> RetrievalProtocol:
+    """A two-branch Kraus map whose branch I - |00><00| the state |00><00| never reaches."""
+    e0 = np.zeros((4, 4))
+    e0[0, 0] = 1.0
+    return RetrievalProtocol(k=2, copy_dim=2, f=1.0, t=0.0,
+                             realization=Channel(4, 4, kraus=[e0, np.eye(4) - e0]))
+
+
 V1 = Path(__file__).parent / "data" / "protocols_v1"
 BLOCK_SHOTS = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]
 KERNEL_CASES = {
@@ -194,7 +192,7 @@ KERNEL_CASES = {
     "choi_form_sdp": (run_protocol, load_protocol(V1 / "sdp_ad_k2.json"), amplitude_damping(0.2)),
     "measurement": (run_protocol, ad_second_moment(0.2), amplitude_damping(0.2)),
     "mixed": (run_protocol, de_second_moment(0.1), depolarizing(0.1, 2)),
-    # 300 branches: a branch index past 255
+    # 300 Kraus branches
     "mixed_wide": (run_protocol, _random_unitary_mixture(300), depolarizing(0.1, 2)),
 }
 
@@ -207,12 +205,12 @@ def test_blocked_runs_match_reference_draws(kind, shots):
     run, p, noise = KERNEL_CASES[kind]
     rho = random_density_matrix(2, 4)
     got = run(p, rho, noise, shots, seed=-17)
-    per_shot, indices, outcome = reference_run(p, rho, noise, shots, seed=-17)
+    per_shot, outcome = reference_run(p, rho, noise, shots, seed=-17)
     assert got.shots == shots
     assert np.array_equal(got.counts, _reference_counts(got, outcome))
     rebuilt = _rebuilt(got)
     assert np.array_equal(rebuilt[0], per_shot)
-    assert np.array_equal(rebuilt[1], indices)
+    assert np.array_equal(rebuilt[1], outcome)
 
 
 @pytest.mark.parametrize("kind", sorted(KERNEL_CASES))
@@ -222,30 +220,25 @@ def test_records_rebuilt_from_seed_match_reference(kind, tmp_path):
     run, p, noise = KERNEL_CASES[kind]
     rho, shots = random_density_matrix(2, 5), 2 * _BLOCK + 3
     got = run(p, rho, noise, shots, seed=23)
-    per_shot, indices, outcome = reference_run(p, rho, noise, shots, seed=23)
+    per_shot, outcome = reference_run(p, rho, noise, shots, seed=23)
     assert np.array_equal(got.counts, _reference_counts(got, outcome))
     assert got.counts.sum() == shots
     # the counts add the values in another order than the per-shot mean
     assert abs(got.zeta_bar - per_shot.mean()) <= 8 * np.finfo(float).eps
     save_run(got, tmp_path / "run.json")
-    assert (tmp_path / "run.json").read_text() == json.dumps(run_to_json(got, per_shot, indices))
+    assert (tmp_path / "run.json").read_text() == json.dumps(run_to_json(got, per_shot, outcome))
     run_to_csv(got, tmp_path / "run.csv")
     with open(tmp_path / "run.csv", newline="") as fh:
-        assert fh.read() == run_csv_text(per_shot, indices)
+        assert fh.read() == run_csv_text(per_shot, outcome)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_zero_weight_branch_is_never_drawn():
     # a Kraus branch the state does not reach has no H distribution; the run
     # still draws the reference bits
-    e0 = np.zeros((4, 4))
-    e0[0, 0] = 1.0
-    p = RetrievalProtocol(k=2, copy_dim=2, f=1.0, t=0.0,
-                          realization=Channel(4, 4, kraus=[e0, np.eye(4) - e0]))
-    rho, noise = Operator([[1, 0], [0, 0]]), depolarizing(0.0, 2)
+    p, rho, noise = _zero_weight_branch(), Operator([[1, 0], [0, 0]]), depolarizing(0.0, 2)
     got = run_protocol(p, rho, noise, 500, seed=2)
-    per_shot, indices, outcome = reference_run(p, rho, noise, 500, seed=2)
-    assert np.all(indices == 0)
+    per_shot, outcome = reference_run(p, rho, noise, 500, seed=2)
     assert np.array_equal(got.counts, _reference_counts(got, outcome))
     assert np.array_equal(_rebuilt(got)[0], per_shot)
 
@@ -368,162 +361,64 @@ def test_tally_at_edges_matches_python_ints(shots, runs):
 
 @pytest.mark.parametrize("seed", EDGE_SEEDS.values(), ids=EDGE_SEEDS)
 def test_shot_blocks_at_edges_match_python_ints(seed):
-    # a run's records, one draw and a Kraus run's two, rebuilt a block at a time (the
-    # second block short) from thresholds of 0 and at or above 2^53: a branch no word can
-    # reach, and branch rows, one per threshold, each ascending along its branch
+    # a run's outcomes rebuilt a block at a time (the second block short) from
+    # thresholds of 0 and at or above 2^53
     shots = _BLOCK + 3
-    first, second = (splitmix_words(seed, range(shots), n) for n in (1, 2))
-    single = [np.concatenate(o) for o in zip(*[(o.copy(),) for _, _, o in _shot_blocks(
-        (EDGE_THRESHOLDS,), shots, seed)])]
-    assert single[0].tolist() == threshold_counts(first, EDGE_THRESHOLDS).tolist()
-    branch = np.array([0, 2 ** 52, 2 ** 53 - 1, 2 ** 53], dtype=np.uint64)
-    rows = np.array([[0, 0, 2 ** 50, 0, 0],
-                     [2 ** 52, 2 ** 53, 2 ** 51, 2 ** 53, 2 ** 53],
-                     [2 ** 53, 2 ** 53 + 2, 2 ** 53 - 1, 2 ** 53 + 2, 2 ** 53 + 2]],
-                    dtype=np.uint64)
-    got = [np.concatenate(a) for a in zip(*[(j.copy(), o.copy()) for _, j, o in _shot_blocks(
-        (branch, rows), shots, seed)])]
-    j = threshold_counts(first, branch)
-    assert set(j.tolist()) == {1, 2}
-    assert got[0].tolist() == j.tolist()
-    assert got[1].tolist() == [threshold_counts([w], rows[:, b])[0] for w, b in zip(second, j)]
+    got = np.concatenate([o.copy() for _, o in _shot_blocks(EDGE_THRESHOLDS, shots, seed)])
+    assert got.tolist() == threshold_counts(splitmix_words(seed, range(shots), 1),
+                                            EDGE_THRESHOLDS).tolist()
 
 
 @pytest.mark.parametrize("seed", EDGE_SEEDS.values(), ids=EDGE_SEEDS)
 def test_kraus_run_at_counter_edges_matches_reference(seed):
     p, noise, rho = de_second_moment(0.1), depolarizing(0.1, 2), random_density_matrix(2, 4)
     got = run_protocol(p, rho, noise, _BLOCK + 3, seed)
-    per_shot, indices, outcome = reference_run(p, rho, noise, _BLOCK + 3, seed)
+    per_shot, outcome = reference_run(p, rho, noise, _BLOCK + 3, seed)
     assert np.array_equal(got.counts, _reference_counts(got, outcome))
     rebuilt = _rebuilt(got)
     assert np.array_equal(rebuilt[0], per_shot)
-    assert np.array_equal(rebuilt[1], indices)
+    assert np.array_equal(rebuilt[1], outcome)
 
 
-def _per_shot_counts(thresholds: tuple, shots: int, seed: int) -> np.ndarray:
-    """A Kraus run's outcome counts from every shot's branch and outcome, ``_shot_blocks``."""
-    m = len(thresholds[1]) + 1
-    return sum(np.bincount(o, minlength=m) for _, _, o in _shot_blocks(thresholds, shots, seed))
+# Kraus-form channels and the noise they are sampled under
+KRAUS_CASES = {
+    "twirl": (de_second_moment(0.1), depolarizing(0.1, 2)),
+    "mixed_wide": (_random_unitary_mixture(300), depolarizing(0.1, 2)),
+    "zero_weight": (_zero_weight_branch(), depolarizing(0.0, 2)),
+}
 
 
-def _window_table(kind: str, shots: int, seed: int) -> tuple:
-    """Branch thresholds and two ascending rows of outcome thresholds over the branches; for
-    ``random<m>_<i>``, m - 1 seeded random rows over 2-13 branches, one of weight 0, that
-    reach thresholds 0 and 2^53, so that most shots lie in a window."""
-    if kind.startswith("random"):
-        rng = np.random.default_rng([int(x) for x in kind[6:].split("_")])
-        m, branches = int(kind[6]), int(rng.integers(2, 14))
-        weights = rng.random(branches)
-        weights[rng.integers(branches)] = 0.0
-        rows = rng.integers(0, 2 ** 53, (m - 1, branches), dtype=np.uint64, endpoint=True)
-        rows[0, rng.integers(branches)], rows[-1, rng.integers(branches)] = 0, 2 ** 53
-        rows.sort(axis=0)
-        return _thresholds(np.cumsum(weights / weights.sum())), rows
-    rng = np.random.default_rng(len(kind))
-    branches = 300 if kind == "wide" else 7
-    weights = rng.random(branches)
-    cumulative = np.cumsum(rng.dirichlet(np.ones(3), size=branches), axis=1)
-    if kind == "equal":
-        cumulative[:] = cumulative[0]
-    elif kind == "threshold_zero":  # the first outcome has probability 0 on some branches
-        cumulative[::2, 0] = 0.0
-    elif kind == "zero_weight":  # a branch no shot draws has a NaN row, read as 1
-        weights[3], cumulative[3] = 0.0, 1.0
-    rows = _thresholds(cumulative)
-    if kind in ("units_apart", "wide"):
-        # each row 0-2 units of 2^-53 wide, from the outcome word of a shot of the run up,
-        # so that this shot's outcome turns on its branch
-        words = splitmix_words(seed, rng.integers(0, shots, 2).tolist(), 2)
-        for n, w in enumerate(sorted(words)):
-            rows[n] = np.uint64(w >> 11) + rng.integers(0, 3, branches).astype(np.uint64)
-        rows.sort(axis=0)  # ascending along each branch, also where both shots coincide
-    return _thresholds(np.cumsum(weights / weights.sum())), rows
+@pytest.mark.parametrize("kind", sorted(KRAUS_CASES))
+def test_branch_mixture_is_the_output_law(kind):
+    # the H_k law is linear in the channel, so drawing a branch by its weight, then an
+    # outcome from that branch's law, draws from the law of the channel's output
+    p, noise = KRAUS_CASES[kind]
+    states = [random_density_matrix(2, seed) for seed in range(50)]
+    # last: |0><0|, whose noiseless copies never reach the zero_weight case's branch 1
+    for rho in states + [Operator([[1, 0], [0, 0]])]:
+        sigma = noisy_copies(rho, noise, 2).entries
+        traces = cycle_traces(np.stack([e @ sigma @ e.conj().T for e in p.realization.kraus]),
+                              2, 2)
+        weights = traces[:, 0].real
+        reached = weights > 0  # a branch of weight 0 has no law
+        mixture = weights[reached] @ _h_distribution(traces[reached], 2) / weights.sum()
+        assert_allclose(mixture, _h_distribution(output_traces(p, rho, noise), 2),
+                        rtol=0, atol=4e-15)
 
 
-WINDOW_KINDS = ["equal", "units_apart", "far", "zero_weight", "threshold_zero", "wide"] + [
-    f"random{m}_{i}" for m in (3, 4, 5) for i in range(3)]
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("shots", [1, _BLOCK, _BLOCK + 1])
-@pytest.mark.parametrize("kind", WINDOW_KINDS)
-def test_kraus_window_matches_per_shot_counts(kind, shots):
-    # the counts of a run that draws a shot's branch only in a window equal the counts
-    # of every shot's branch and outcome
-    thresholds = _window_table(kind, shots, seed=11)
-    assert np.array_equal(_kraus_tally(thresholds, shots, 11),
-                          _per_shot_counts(thresholds, shots, 11))
-
-
-# branch rows over four branches, each ascending along its branch: a first row from 0
-# (every word) to 2^53 (none) puts every word in its window; rows one unit wide below 2^52
-# and below 2^53 make two windows, the words of the second meeting all of the first row
-EDGE_ROWS = {"every_word": [[0, 2 ** 52, 2 ** 53 - 1, 2 ** 53],
-                            [2 ** 53, 2 ** 53, 2 ** 53 + 1, 2 ** 53]],
-             "two_windows": [[2 ** 52 - 1, 2 ** 52, 2 ** 52, 2 ** 52],
-                             [2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, 2 ** 53]]}
-
-
-@pytest.mark.parametrize("rows", EDGE_ROWS.values(), ids=EDGE_ROWS)
-@pytest.mark.parametrize("word", [0, 2 ** 63, 2 ** 63 - 1, 2 ** 64 - 2048, 2 ** 64 - 1],
-                         ids=["0", "on_t", "below_t", "on_top_unit", "top"])
-def test_kraus_window_at_word_edges_matches_python_ints(word, rows):
-    # shot 0's outcome word is set, on and next to the rows' thresholds 2^52 and 2^53 - 1
-    seed = seed_with_counter(splitmix_unmix(word), draw=2)
-    assert splitmix_words(seed, [0], 2) == [word]
-    branch = np.array([2 ** 51, 2 ** 52, 2 ** 52 + 2 ** 51], dtype=np.uint64)
-    rows, shots = np.array(rows, dtype=np.uint64), 5
-    j = threshold_counts(splitmix_words(seed, range(shots), 1), branch)
-    want = [threshold_counts([w], rows[:, b])[0] for w, b in
-            zip(splitmix_words(seed, range(shots), 2), j)]
-    assert _kraus_tally((branch, rows), shots, seed).tolist() == \
-        np.bincount(want, minlength=3).tolist()
-
-
-def test_window_branch_words_match_python_ints(monkeypatch):
-    # a window shot's branch word is draw 1 of its shot, made for it alone
-    shots, seed = 2 * _BLOCK + 5, -3
-    thresholds = _window_table("units_apart", shots, seed)
-    made = []
-
-    def spy(at, base, tmp=None):
-        first = np.uint64((splitmix_mix((seed + GOLDEN) & MASK64) + GOLDEN) & MASK64)
-        index = at + base - first  # the shot indices, wrapping mod 2^64
-        words = estimator_shot_words(at, base, tmp)
-        made.extend(zip(index.tolist(), words.tolist()))
-        return words
-
-    estimator_shot_words = estimator._shot_words
-    monkeypatch.setattr(estimator, "_shot_words", spy)
-    assert np.array_equal(_kraus_tally(thresholds, shots, seed),
-                          _per_shot_counts(thresholds, shots, seed))
-    assert made and len(made) < shots // 2
-    assert [w for _, w in made] == [splitmix_words(seed, [i], 1)[0] for i, _ in made]
-
-
-def test_coinciding_rows_make_no_branch_word(monkeypatch):
-    # at the maximally mixed state every twirl branch has the same outcome row, so no
-    # shot's branch can change its outcome: only the outcome words, draw 2, are made
-    p, noise, rho = de_second_moment(0.1), depolarizing(0.1, 2), Operator(np.eye(2) / 2)
-    rows = _distribution(p, rho, noise)[1][1]
-    assert np.array_equal(rows.min(axis=1), rows.max(axis=1))
-    made, word_blocks = [], estimator._word_blocks
-
-    def spy(seeds, shots, draws, first=1):
-        made.append((draws, first))
-        return word_blocks(seeds, shots, draws, first)
-
-    def refuse(*args):
-        raise AssertionError("a branch word was made")
-
-    shots = 2 * _BLOCK + 3
-    with monkeypatch.context() as m:
-        m.setattr(estimator, "_word_blocks", spy)
-        m.setattr(estimator, "_shot_words", refuse)
-        got = run_protocol(p, rho, noise, shots, seed=9)
-    assert made == [(1, 2)]
-    per_shot, indices, outcome = reference_run(p, rho, noise, shots, seed=9)
-    assert np.array_equal(got.counts, _reference_counts(got, outcome))
+@pytest.mark.parametrize("kind", sorted(KRAUS_CASES))
+def test_kraus_run_is_the_run_of_its_output(kind, tmp_path):
+    # run_protocol samples a Kraus channel as run_choi_map does: counts, mean and records
+    p, noise = KRAUS_CASES[kind]
+    rho, shots = random_density_matrix(2, 7), 2 * _BLOCK + 3
+    records = []
+    for run in (run_protocol, run_choi_map):
+        got = run(p, rho, noise, shots, seed=5)
+        save_run(got, tmp_path / "run.json")
+        run_to_csv(got, tmp_path / "run.csv")
+        records.append((got.counts.tolist(), got.zeta_bar, (tmp_path / "run.json").read_text(),
+                        (tmp_path / "run.csv").read_text()))
+    assert records[0] == records[1]
 
 
 @pytest.mark.parametrize("run", [run_choi_map, run_protocol], ids=["one_draw", "kraus"])
