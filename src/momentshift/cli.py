@@ -107,10 +107,15 @@ def cmd_synthesize(args) -> int:
 
 
 def _parse_grid(spec: str) -> list[float]:
-    if ":" in spec:
+    try:
+        if ":" not in spec:
+            return [float(x) for x in spec.split(",")]
         start, stop, num = spec.split(":")
-        return [float(x) for x in np.linspace(float(start), float(stop), int(num))]
-    return [float(x) for x in spec.split(",")]
+        start, stop, num = float(start), float(stop), int(num)
+    except ValueError:
+        raise ValueError("--eps-grid takes start:stop:num or comma-separated numbers, "
+                         f"got {spec!r}") from None
+    return [float(x) for x in np.linspace(start, stop, num)]
 
 
 def cmd_overhead_sweep(args) -> int:
@@ -246,7 +251,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_hubbard_demo(args) -> int:
-    subsystem = [int(x) for x in args.subsystem.split(",")]
+    try:
+        subsystem = [int(x) for x in args.subsystem.split(",")]
+    except ValueError:
+        raise ValueError("--subsystem takes comma-separated qubit indices, "
+                         f"got {args.subsystem!r}") from None
     res = fig4_experiment(args.eps, subsystem=subsystem, shots=args.shots,
                           trials=args.trials, seed=args.seed)
     se_raw, se_mit = res.std_errors()
@@ -272,6 +281,7 @@ def build_parser() -> _Parser:
     p = _Parser(prog="momentshift",
                 description="Retrieve density-matrix moments from noisy states")
     sub = p.add_subparsers(dest="command", required=True)
+    p.commands = sub.choices  # each subcommand's parser, by name
 
     def common(sp, *flags, fmt="json"):
         shared = {"--format": dict(choices=("json", "csv"), default=fmt),
@@ -346,8 +356,22 @@ def build_parser() -> _Parser:
     return p
 
 
+def parse_args(argv=None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` in one pass when argv opens with a subcommand: its
+    parser alone reads the rest, and the top-level parser refuses what that leaves over."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:  # no argv, an unknown command or a leading option
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     if args.out == "":  # every command takes --out; "" would be taken for no path
         return _fail("--out needs a file path, got an empty one", EXIT_USAGE)
     try:

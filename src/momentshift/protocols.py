@@ -182,9 +182,9 @@ class CycleMap:
         tr[P sigma^(x k)] is the product of tr[sigma^|c|] over the cycles c of P, and
         tr[S_k^j P_p^dag] = d^(#cycles of S_k^j P_p^dag): no d^k object is built.
         """
-        shifts = tuple((self.k, j) for j in range(self.k))
+        shifts, weights = _shift_weights(self.k, self.d, self.outputs)
         traces_in = np.prod(moments ** cycle_type(self.k, self.inputs), axis=1)
-        t = float(self.d) ** cycle_counts(self.k, shifts, self.outputs) @ (self.matrix @ traces_in)
+        t = weights @ (self.matrix @ traces_in)
         if self.identity:
             t = t + np.prod(moments ** cycle_type(self.k, shifts), axis=1)
         return t
@@ -198,6 +198,16 @@ class CycleMap:
         c = np.append(c, 0.0 if self.identity else -1.0)
         square = (c.conj() @ float(self.d) ** cycle_counts(self.k, labels, labels) @ c).real
         return float(np.sqrt(max(square, 0.0)))
+
+
+@lru_cache(maxsize=None)
+def _shift_weights(k: int, d: int, outputs: tuple[tuple[int, int], ...]) -> tuple:
+    """The labels (k, j), j < k, of the powers of S_k, and the table d^(#cycles of
+    S_k^j P_p^dag) over the output labels p.  Built once per (k, d, outputs); read-only."""
+    shifts = tuple((k, j) for j in range(k))
+    weights = float(d) ** cycle_counts(k, shifts, outputs)
+    weights.flags.writeable = False
+    return shifts, weights
 
 
 class Recursive(CycleMap):
@@ -404,10 +414,13 @@ def _dft(k: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(j, j) / k) / k
 
 
+@lru_cache(maxsize=None)
 def _gram(s: int, d: int) -> np.ndarray:
-    """G[a, b] = tr[S_s^a S_s^b] = d^gcd(a + b, s)."""
+    """G[a, b] = tr[S_s^a S_s^b] = d^gcd(a + b, s).  Built once per (s, d); read-only."""
     a = np.arange(s)
-    return float(d) ** np.gcd(a[:, None] + a, s)
+    g = float(d) ** np.gcd(a[:, None] + a, s)
+    g.flags.writeable = False
+    return g
 
 
 def _transfer_matrix(q: np.ndarray, k: int, d: int) -> np.ndarray:
@@ -429,6 +442,17 @@ def _stages(s: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     for a in out:
         a.flags.writeable = False
     return out
+
+
+@lru_cache(maxsize=None)
+def _chain(k: int, d: int) -> tuple[np.ndarray, ...]:
+    """The transfer chains (A_2, ..., A_{k-1}) of the order-k recursion, walked down from
+    A_{k-1} = A(T~_k) by A_{s-1} = A(T_s) G_s A_s.  Built once per (k, d); read-only."""
+    a = [_stages(k, d)[1]]
+    for s in range(k - 1, 2, -1):
+        a.append(_stages(s, d)[0] @ a[-1])
+        a[-1].flags.writeable = False
+    return tuple(reversed(a))
 
 
 def _shift_table(eps: float, k: int, d: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -461,23 +485,20 @@ def _recursion_matrix(eps: float, k: int, d: int) -> tuple[np.ndarray, list[tupl
     R_l is the composition (T_{l+1} (x) id) o ... o (T_{k-1} (x) id) o T~_k.
     Stage T_s (x) id reads tr[S_s^a (S_s^p (x) I)] = G_s[a, p] off the previous
     stage's output, so A_l = A(T_{l+1}) G_{l+1} A_{l+1} from A_{k-1} = A(T~_k):
-    one walk down the chain gives every A_l.  The stages are built once per
-    (s, d) and each V_l once per call.
+    one walk down the chain gives every A_l.  The stages, chains and Gram
+    matrices are built once per (k, d), and each V_l once per call.
     """
     u = {2: np.array([[1.0, -1.0 / d], [-1.0 / d, 1.0]]) / (d * d - 1)}
     v = {}
     for kk in range(3, k + 1):
-        a = {kk - 1: _stages(kk, d)[1]}
-        for s in range(kk - 1, 2, -1):
-            a[s - 1] = _stages(s, d)[0] @ a[s]
         l = kk - 1
         v[l] = u[l] @ _gram(l, d)
         if l > 2:
             v[l] = np.vstack([v[l], np.eye(l)])
         u[kk] = np.zeros((kk * (kk - 1) // 2 - 1, kk), dtype=complex)
-        for l in range(2, kk):
+        for l, a in enumerate(_chain(kk, d), start=2):
             c = comb(kk, l) * eps ** (kk - l)  # binomial weight (1-eps)^l eps^(kk-l) times f_l
-            u[kk][:len(v[l])] += c * v[l] @ a[l]
+            u[kk][:len(v[l])] += c * v[l] @ a
     return u[k], [(m, b) for m in range(2, max(k, 3)) for b in range(m)]
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from momentshift.channels import Channel, amplitude_damping, depolarizing
-from momentshift.cli import build_parser, main
+from momentshift.cli import build_parser, cmd_estimate, main, parse_args
 from momentshift.estimator import run_choi_map, run_protocol
 from momentshift.operators import Operator, matrix_from_json, matrix_to_json
 from momentshift.protocols import (RetrievalProtocol, ad_second_moment, de_second_moment,
@@ -435,6 +435,14 @@ class TestSweep:
         bad = grid.split(",")[-1]
         assert (code, out) == (1, "")
         assert err == f"error: {name} must be in [0, 1], got {bad}\n"
+
+    @pytest.mark.parametrize("grid", ["0:0.3", "0:0.3:7:1", "0.1,,0.2", "0:0.3:2.5", ""])
+    def test_malformed_grid_refused_naming_the_option(self, capsys, grid):
+        code, out, err = run_cli(capsys, "overhead-sweep", "--noise", "depolarizing",
+                                 "--eps-grid", grid)
+        assert (code, out) == (1, "")
+        assert err == ("error: --eps-grid takes start:stop:num or comma-separated numbers, "
+                       f"got {grid!r}\n")
 
     @pytest.mark.parametrize("noise", ["depolarizing", "amplitude-damping"])
     def test_noise_level_one_is_infeasible(self, capsys, noise):
@@ -952,6 +960,13 @@ class TestHubbardDemo:
         assert message in err
         assert "nan" not in out
 
+    @pytest.mark.parametrize("subsystem", ["0,x", "0,"])
+    def test_malformed_subsystem_refused_naming_the_option(self, capsys, subsystem):
+        code, out, err = run_cli(capsys, "hubbard-demo", "--subsystem", subsystem)
+        assert (code, out) == (1, "")
+        assert err == ("error: --subsystem takes comma-separated qubit indices, "
+                       f"got {subsystem!r}\n")
+
     @pytest.mark.parametrize("flags, message", [
         (("--trials", "100000000"), "100000000 trials of 4096 shots needs 6104 MiB"),
     ], ids=["trials"])
@@ -995,3 +1010,67 @@ def test_reused_parser_prints_what_a_fresh_one_prints(capsys, tmp_path):
         alone.append(outcome(argv))
     assert [code for code, _ in in_sequence] == [0, 1, 0]
     assert in_sequence == alone
+
+
+PARSE_CASES = {
+    "estimate_exact": ["estimate", "--protocol", "p.json", "--noise", "depolarizing",
+                       "--eps", "0.1", "--n", "2", "--state", "s.json", "--exact",
+                       "--renyi", "3"],
+    "estimate_sampled": ["estimate", "--protocol", "p.json", "--noise", "amplitude-damping",
+                         "--eps", "0.2", "--delta", "0.01", "--fail-prob", "0.1",
+                         "--seed", "7", "--format", "csv", "--out", "run.csv"],
+    "opt_equals_value": ["estimate", "--protocol=p.json", "--noise=depolarizing",
+                         "--eps=0.1", "--state-seed=3"],
+    "abbreviated_option": ["synthesize", "--nois", "depolarizing", "--eps", "0.1",
+                           "--force"],
+    "double_dash_value": ["overhead-sweep", "--noise", "depolarizing", "--eps-grid", "--",
+                          "0.1"],
+    "double_dash_then_options": ["synthesize", "--noise", "depolarizing", "--",
+                                 "--eps", "0.1"],
+    "negative_value": ["synthesize", "--noise", "depolarizing", "--eps", "-0.1"],
+    "help_before_command": ["-h", "estimate"],
+    "help_after_command": ["estimate", "-h"],
+    "help_abbreviated_after_options": ["verify", "--suite", "sdp", "--he"],
+    "unknown_option_after_valid": ["synthesize", "--noise", "depolarizing", "--eps", "0.1",
+                                   "--bogus", "3"],
+    "unknown_positional": ["verify", "extra", "words"],
+    "unknown_command": ["bogus", "--eps", "0.1"],
+    "leading_unknown_option": ["--bogus", "estimate"],
+    "empty_argv": [],
+    "missing_required": ["estimate", "--protocol", "p.json", "--noise", "depolarizing"],
+    "bad_choice": ["synthesize", "--noise", "bitflip", "--eps", "0.1"],
+    "bad_type": ["hubbard-demo", "--shots", "many"],
+    "below_floor": ["synthesize", "--noise", "depolarizing", "--eps", "0.1", "--k", "1"],
+    "missing_value": ["estimate", "--protocol"],
+    "defaults_only": ["hubbard-demo"],
+    "repeated_option": ["overhead-sweep", "--noise", "depolarizing", "--k", "2", "--k", "3",
+                        "--methods", "shift"],
+}
+
+
+def _parsed(capsys, parse, argv):
+    try:
+        result = parse(list(argv))
+    except SystemExit as exc:
+        result = exc.code
+    out, err = capsys.readouterr()
+    return result, out, err
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES.values(), ids=PARSE_CASES.keys())
+def test_direct_dispatch_parses_as_the_top_level_parser(capsys, argv):
+    # a call that opens with its subcommand skips the top-level pass; it must return the
+    # namespace, or exit with the code and output, that the full argparse pass gives
+    direct = _parsed(capsys, parse_args, argv)
+    reference = _parsed(capsys, build_parser().parse_args, argv)
+    assert direct == reference
+    assert isinstance(direct[0], int) or direct[1:] == ("", "")
+
+
+def test_subcommand_call_skips_the_top_level_pass(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("top-level parser read a subcommand's argv")
+    monkeypatch.setattr(build_parser(), "parse_known_args", refused)
+    args = parse_args(PARSE_CASES["estimate_exact"])
+    assert (args.command, args.fn, args.exact, args.renyi) == ("estimate", cmd_estimate,
+                                                               True, 3)

@@ -1,5 +1,8 @@
 import base64
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from functools import lru_cache
 from math import comb
@@ -24,7 +27,10 @@ from momentshift.protocols import (
     de_second_moment,
     de_second_moment_nqubit,
     exact_expectation,
+    _chain,
+    _gram,
     _recursion_matrix,
+    _shift_weights,
     identity_protocol,
     is_trace_preserving,
     load_protocol,
@@ -719,6 +725,28 @@ def test_recursion_matrix_bytes_match_per_order_build(k, d):
     ref, ref_labels = recursion_matrix_per_order(0.17, k, d)
     assert (u.dtype, u.shape, labels) == (ref.dtype, ref.shape, ref_labels)
     assert u.tobytes() == ref.tobytes()
+
+
+def test_eps_free_tables_are_frozen_and_shared():
+    # the transfer chains, Gram matrices and product-trace weights are built once per
+    # (k, d) and shared by every eps: a write to any of them must fail, and a second eps
+    # must build the U_k bytes that a fresh process builds
+    k, d = 5, 3
+    first = de_kth_moment(0.11, k, d).realization
+    tables = [*_chain(k, d), *(_gram(s, d) for s in range(2, k + 1)),
+              _shift_weights(k, d, first.outputs)[1]]
+    assert len(_chain(k, d)) == k - 2
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 0.0
+    second = de_kth_moment(0.23, k, d).realization
+    script = ("import sys; from momentshift.protocols import de_kth_moment; "
+              "sys.stdout.write(de_kth_moment(0.23, 5, 3).realization.matrix.tobytes().hex())")
+    package_root = Path(sys.modules["momentshift"].__file__).parent.parent
+    fresh = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": str(package_root)}, check=True)
+    assert second.matrix.tobytes() == bytes.fromhex(fresh.stdout)
+    assert first.matrix.tobytes() != second.matrix.tobytes()
 
 
 class TestSerialization:
