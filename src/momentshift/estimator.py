@@ -1,23 +1,26 @@
 """Finite-shot Monte Carlo simulation of protocol execution.
 
 Shot randomness comes from SplitMix64 (Steele, Lea & Flood's 64-bit
-mix/increment generator) used in counter mode: the stream for shot ``i`` of a
-run seeded ``s`` starts from state ``scramble(s) + i`` and emits uniforms by
-stepping the golden-ratio increment.  Streams are therefore a pure function
-of ``(seed, shot_index)``, the same bits in any blocking.  A uniform is
-``u = (w >> 11) 2^-53`` of a 64-bit word w, and ``u >= c`` iff
-``w >> 11 >= t = ceil(c 2^53)``, the integer threshold of a cumulative
-probability c.  For 1 <= t < 2^53 that holds iff ``w > t 2^11 - 1``, so
-sampling compares raw words and shifts none; every word meets t = 0, and none
-meets t >= 2^53 (a cumulative probability at or above 1 before the last
-outcome).
+mix/increment generator) in counter mode, sliced so that one mixed word serves
+eight shots.  Shot i of a run seeded s draws the 53-bit integer
+``U = top 2^45 + tail``: ``top`` is byte i mod 8 (little-endian) of the
+top-stream word ``mix(scramble(s) + golden + floor(i/8))``, and ``tail`` is
+``mix(scramble(s) + 2 golden + i) >> 19``.  Its uniform is ``U 2^-53``, and
+``U 2^-53 >= c`` iff ``U >= t = ceil(c 2^53)``, the integer threshold of a
+cumulative probability c.  A shot whose top byte is above ``t >> 45`` meets
+t, and one below it does not; only a shot whose top byte ties it, about one
+in 256 per threshold, mixes its tail, and a t whose low 45 bits are 0 has no
+tie.  Every shot meets t = 0, and none meets t >= 2^53 (a cumulative
+probability at or above 1 before the last outcome).  So each shot's outcome
+is a pure function of ``(seed, shot_index)``: the same in any blocking, and a
+run's first shots are those of any longer run.
 
-Words are made a block at a time: at most ``_BLOCK`` (16,384) shots of one
-run, or whole runs up to ``_BLOCK_WORDS`` (32,768) words, the shapes measured
-fastest on one long run and on many 4,096-shot runs.
+Top bytes are made a block at a time: at most ``_BLOCK`` (131,072) shots, of
+one run or of whole runs, the size measured fastest on one long run and on
+many 4,096-shot runs.
 
-Every mode draws one outcome per shot from the first uniform of its stream,
-and the realization picks the outcome law:
+Every mode draws one outcome per shot from its uniform, and the realization
+picks the outcome law:
 
 * a projective measure-and-prepare map with stored values draws an outcome m
   from tr[E_m sigma] and records its stored value;
@@ -46,10 +49,10 @@ caller that repeats runs of one fixed set-up, such as
 trial's ``zeta_bar`` off ``_run_means``.
 
 A run keeps only its outcome counts, a sufficient statistic of ``zeta_bar``:
-each block of shots is tallied (its words above each raw threshold, counted a
-row at a time) and dropped, so any shot count needs one block of memory.  The
-JSON and CSV records rebuild every shot's outcome from the seed, a block at a
-time, with the comparison step ``_outcome_index``.
+each block of shots is tallied (its top bytes above each threshold's, counted
+a row at a time, then its ties' tails) and dropped, so any shot count needs
+one block of memory.  The JSON and CSV records rebuild every shot's outcome
+from the seed, a block at a time, with the comparison step ``_outcome_index``.
 
 Per-shot outcomes are eigenvalues of the moment observable or stored
 per-outcome values, all in [-1, 1], which fixes the range constant in the
@@ -62,7 +65,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -74,9 +77,10 @@ from .protocols import (SAMPLING_TP_TOL, MeasurePrepare, RetrievalProtocol, is_t
 _MASK = 2 ** 64 - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
-_BLOCK = 1 << 14        # shots of one run per sampling block
-_BLOCK_WORDS = 1 << 15  # words per block of whole runs: a uint64 buffer of 256 KB
-_NEVER = np.uint64(_MASK)  # a raw-word threshold that no word exceeds
+_SLICES = 8       # shots per top-stream word, a byte each
+_TAIL = 45        # bits of a shot's uniform below its top byte
+_BLOCK = 1 << 17  # shots per sampling block, of one run or of whole runs
+_MAX_SHOTS = 2 ** 63 - 1  # the largest count an int64 holds
 
 
 def _mix(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
@@ -99,39 +103,57 @@ def _scrambled(x) -> np.ndarray:
     return _mix(z.astype(np.uint64) + np.uint64(_GOLDEN))
 
 
-def _word_blocks(seeds, shots: int, draws: int):
-    """Yield ``(r, cs, words)`` per block, whole runs of at most ``_BLOCK_WORDS`` words or
-    at most ``_BLOCK`` shots of one run, in reused buffers: ``words[n][i, j]`` is the raw
-    SplitMix64 output mix(scramble(seed) + shot + (n + 1) golden) of shot cs.start + j
-    of run r + i."""
-    cols = min(shots, _BLOCK)
-    steps = np.arange(1, draws + 1, dtype=np.uint64) * np.uint64(_GOLDEN)  # mod 2^64
-    bases = np.add.outer(steps, _scrambled(seeds))[..., None]  # [draw, run, 1]
-    runs = bases.shape[1]
-    rows = min(max(1, _BLOCK_WORDS // cols), runs)
-    ramp = np.arange(cols, dtype=np.uint64)
-    bufs = [np.empty(rows * cols, dtype=np.uint64) for _ in range(draws + 1)]
-    shape = None
+def _tails(first: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The 45-bit tails mix(c + j) >> 19 of the shots at rows i, columns j of a block whose
+    rows' first tail-stream counters are ``first``."""
+    return _mix(first[i] + j.astype(np.uint64)) >> np.uint64(64 - _TAIL)
+
+
+def _top_blocks(seeds, shots: int):
+    """Yield ``(r, cs, top, tails, masks)`` per block of at most ``_BLOCK`` shots, whole
+    runs or part of one, in reused buffers: ``top[i, j]`` is the top byte of shot
+    cs.start + j of run r + i, ``tails(i, j)`` the tails of the shots at index arrays i, j,
+    and ``masks`` two boolean scratch arrays of top's shape.  Rows of ``top`` hold whole
+    top-stream words, so columns from ``cs.stop - cs.start`` on are past the block's
+    shots."""
+    cols = min(shots, _BLOCK)  # a multiple of 8 where a run spans blocks
+    scrambled = _scrambled(seeds)[:, None]
+    runs = scrambled.size
+    span = -(-cols // _SLICES)  # top-stream words per row
+    rows = min(max(1, _BLOCK // (span * _SLICES)), runs)
+    ramp = np.arange(span, dtype=np.uint64)
+    words, tmp = np.empty(rows * span, np.uint64), np.empty(rows * span, np.uint64)
+    flags = np.empty(2 * rows * span * _SLICES, bool)
     for r in range(0, runs, rows):
+        nr = min(rows, runs - r)
         for start in range(0, shots, cols):
-            nr, nc = min(rows, runs - r), min(cols, shots - start)
-            if shape != (nr, nc):
-                shape = (nr, nc)
-                *words, tmp = (buf[:nr * nc].reshape(shape) for buf in bufs)
-            first = bases[:, r:r + nr] + np.uint64(start)
-            for n, z in enumerate(words):
-                _mix(np.add(first[n], ramp[:nc], out=z), tmp)
-            yield r, slice(start, start + nc), words
+            nw = -(-min(cols, shots - start) // _SLICES)
+            first = scrambled[r:r + nr]
+            w = np.add(first + np.uint64(_GOLDEN + start // _SLICES), ramp[:nw],
+                       out=words[:nr * nw].reshape(nr, nw))
+            _mix(w, tmp[:nr * nw].reshape(nr, nw))
+            top = w.astype("<u8", copy=False).view(np.uint8)  # byte i mod 8 of word i/8
+            yield (r, slice(start, min(start + cols, shots)), top,
+                   partial(_tails, first[:, 0] + np.uint64((2 * _GOLDEN + start) & _MASK)),
+                   flags[:2 * top.size].reshape(2, *top.shape))
 
 
-def shot_uniforms(seed: int, shots: int, draws: int) -> np.ndarray:
-    """(shots, draws) array of uniforms; row i depends only on (seed, i)."""
-    out = np.empty((shots, draws))
-    for _, cs, words in _word_blocks([seed], shots, draws):
-        for n, w in enumerate(words):
-            w >>= 11
-            np.multiply(w[0], 2.0 ** -53, out=out[cs, n])
+def shot_uniforms(seed: int, shots: int) -> np.ndarray:
+    """Every shot's uniform U 2^-53; entry i depends only on (seed, i)."""
+    out = np.empty(shots)
+    for _, cs, top, tails, _ in _top_blocks([seed], shots):
+        j = np.arange(cs.stop - cs.start)
+        u = top[0, j].astype(np.uint64) << np.uint64(_TAIL) | tails(np.zeros_like(j), j)
+        np.multiply(u, 2.0 ** -53, out=out[cs])
     return out
+
+
+def _check_shots(shots: int) -> None:
+    """Refuse a shot count below 1 or above 2^63 - 1, the largest that a count holds."""
+    if shots < 1:
+        raise ValueError(f"shots must be at least 1, got {shots}")
+    if shots > _MAX_SHOTS:
+        raise ValueError(f"shots must be at most 2^63 - 1 = {_MAX_SHOTS}, got {shots}")
 
 
 def derive_seed(seed: int, *indices):
@@ -223,50 +245,72 @@ def _thresholds(cumulative: np.ndarray) -> np.ndarray:
     return np.ceil(cumulative[:-1] * 2.0 ** 53).clip(0).astype(np.uint64)
 
 
-def _strict(thresholds: np.ndarray) -> np.ndarray:
-    """Raw-word forms s of integer thresholds t, so that no word is shifted: for
-    1 <= t < 2^53, ``w >> 11 >= t`` iff ``w > s = t 2^11 - 1``.  A t >= 2^53 (a cumulative
-    probability at or above 1 before the last outcome), which no word meets, and a t = 0,
-    which every word meets and callers count apart, both give 2^64 - 1, which no word
-    exceeds."""
-    return (np.minimum(thresholds, np.uint64(2 ** 53)) << np.uint64(11)) - np.uint64(1)
+def _passes(thresholds: np.ndarray) -> tuple:
+    """How shots meet integer thresholds t, ``U >= t``: the count of thresholds 0, which
+    every shot meets, and a pass ``(n, g, low)`` per n-th threshold 1 <= t < 2^53.  A shot
+    meets t if its top byte is above g = t >> 45, or, when t's low 45 bits ``low`` are not
+    0, if its top byte ties g and its tail is at least ``low``; with ``low`` 0, g is
+    (t >> 45) - 1 and there is no tie.  No shot meets a t >= 2^53 (a cumulative probability
+    at or above 1 before the last outcome), which gets no pass."""
+    ts = thresholds.tolist()
+    passes = []
+    for n, t in enumerate(ts, 1):
+        if 0 < t < 2 ** 53:
+            g, low = t >> _TAIL, t & (2 ** _TAIL - 1)
+            passes.append((n, g, low) if low else (n, g - 1, 0))
+    return ts.count(0), passes
 
 
-def _comparisons(thresholds: np.ndarray) -> tuple:
-    """What ``_outcome_index`` compares for integer thresholds: the count of thresholds 0
-    and the ``_strict`` forms that some word can exceed."""
-    return int((thresholds == 0).sum()), [s for s in _strict(thresholds) if s != _NEVER]
+def _tie_hits(top: np.ndarray, end: int, tails, masks: np.ndarray, passes: list) -> list:
+    """``(n, i, j)`` per pass with a tie: the rows i and columns j below ``end`` of the
+    block's shots whose top byte ties the pass and whose tail meets it.  The ties of every
+    pass are found in one search of the first of ``masks``, and only their tails are
+    mixed."""
+    tied = [(n, g, low) for n, g, low in passes if low]
+    if not tied:
+        return []
+    mask, eq = masks
+    np.equal(top, tied[0][1], out=mask)
+    for _, g, _ in tied[1:]:
+        mask |= np.equal(top, g, out=eq)
+    mask[:, end:] = False
+    if not mask.any():  # far cheaper than the search
+        return []
+    i, j = np.divmod(np.flatnonzero(mask), top.shape[1])
+    byte, tail = top[i, j], tails(i, j)
+    return [(n, i[hit], j[hit]) for n, g, low in tied
+            for hit in [(byte == g) & (tail >= np.uint64(low))]]
 
 
-def _outcome_index(words: np.ndarray, comparisons: tuple, out: np.ndarray,
-                   mask: np.ndarray | None = None) -> np.ndarray:
-    """The comparison step: out = number of thresholds ``t`` with ``words >> 11 >= t``,
-    i.e. ``searchsorted(c, (words >> 11) 2^-53, side="right")`` below m, from raw words and
-    the thresholds' ``_comparisons``.  Each pass compares into the boolean ``mask`` and
-    adds it to ``out``."""
-    mask = np.empty(words.shape, bool) if mask is None else mask
-    at_zero, strict = comparisons
+def _outcome_index(top: np.ndarray, tails, masks: np.ndarray, comparisons: tuple,
+                   out: np.ndarray) -> np.ndarray:
+    """The comparison step: out = number of thresholds ``t`` with ``U >= t``, i.e.
+    ``searchsorted(c, U 2^-53, side="right")`` below m, from the block's top bytes, the
+    tails of its ties and the thresholds' ``_passes``."""
+    at_zero, passes = comparisons
     out[...] = at_zero
-    for s in strict:
-        np.greater(words, s, out=mask)
-        np.add(out, mask, out=out)
+    for _, g, _ in passes:
+        out += np.greater(top, g, out=masks[0])
+    for _, i, j in _tie_hits(top, top.shape[1], tails, masks, passes):
+        out[i, j] += 1
     return out
 
 
 def _tally(thresholds: np.ndarray, shots: int, seeds) -> np.ndarray:
-    """Shots per outcome of one ``shots``-shot run per seed, a row each.  Each block's
-    words are counted a row at a time, then dropped: column n counts the words at or above
-    the n-th threshold; thresholds ascend, so a difference of columns counts an outcome."""
+    """Shots per outcome of one ``shots``-shot run per seed, a row each.  Each block is
+    counted a row at a time, then dropped: column n counts the shots at or above the n-th
+    threshold; thresholds ascend, so a difference of columns counts an outcome."""
     counts = np.empty((len(seeds), len(thresholds) + 1), np.int64)
-    counts[:, 0], counts[:, 1:] = shots, np.where(thresholds == 0, shots, 0)  # 0: every word
-    passes = [(n, s) for n, s in enumerate(_strict(thresholds), 1) if s != _NEVER]
-    buf = np.empty(_BLOCK_WORDS, bool)  # no block has more words
-    for r, _, (w,) in _word_blocks(seeds, shots, 1):
-        mask = buf[:w.size].reshape(w.shape)
-        for n, s in passes:
-            np.greater(w, s, out=mask)
-            for i, row in enumerate(mask, r):
-                counts[i, n] += np.count_nonzero(row)
+    counts[:, 0], counts[:, 1:] = shots, np.where(thresholds == 0, shots, 0)  # 0: every shot
+    passes = _passes(thresholds)[1]
+    for r, cs, top, tails, masks in _top_blocks(seeds, shots):
+        end, rows, mask = cs.stop - cs.start, slice(r, r + top.shape[0]), masks[0]
+        for n, g, _ in passes:
+            np.greater(top, g, out=mask)[:, end:] = False
+            # a row's True bytes are the set bits of its words
+            counts[rows, n] += np.bitwise_count(mask.view(np.uint64)).sum(1, np.int64)
+        for n, i, _ in _tie_hits(top, end, tails, masks, passes):
+            counts[rows, n] += np.bincount(i, minlength=top.shape[0])
     counts[:, :-1] -= counts[:, 1:]
     return counts
 
@@ -274,12 +318,11 @@ def _tally(thresholds: np.ndarray, shots: int, seeds) -> np.ndarray:
 def _shot_blocks(thresholds: np.ndarray, shots: int, seed: int):
     """Yield ``(cs, outcome)``, the outcome indices of one run's shots ``cs``, a block at a
     time, rebuilt from its seed."""
-    n = min(shots, _BLOCK)
-    comparisons = _comparisons(thresholds)
-    out, mask = np.empty((1, n), np.intp), np.empty((1, n), bool)
-    for _, cs, (w,) in _word_blocks([seed], shots, 1):
-        m = cs.stop - cs.start  # the last block is shorter
-        yield cs, _outcome_index(w, comparisons, out[:, :m], mask[:, :m])[0]
+    comparisons = _passes(thresholds)
+    out = np.empty((1, min(shots, _BLOCK) + 7), np.intp)
+    for _, cs, top, tails, masks in _top_blocks([seed], shots):
+        outcome = _outcome_index(top, tails, masks, comparisons, out[:, :top.shape[1]])
+        yield cs, outcome[0, :cs.stop - cs.start]
 
 
 def _run_means(values: np.ndarray, thresholds: np.ndarray, shots: int, seeds) -> np.ndarray:
@@ -309,8 +352,7 @@ def _run(p: RetrievalProtocol, rho: Operator, noise: Channel, shots: int, seed: 
          distribution) -> EstimationRun:
     """The shot count and sampling gates, then one run of ``shots`` draws from
     ``distribution(p, rho, noise)``."""
-    if shots < 1:
-        raise ValueError(f"shots must be at least 1, got {shots}")
+    _check_shots(shots)
     if not is_trace_preserving(p.realization):
         raise ValueError("finite-shot simulation needs a trace-preserving retriever; "
                          "evaluate this one exactly (--exact)")

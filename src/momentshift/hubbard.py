@@ -21,9 +21,9 @@ from math import exp
 import numpy as np
 
 from .channels import depolarizing
-from .estimator import _distribution, _run_means, derive_seed
+from .estimator import _check_shots, _distribution, _run_means, derive_seed
 from .operators import I2, PAULI_Z, Operator, check_memory, partial_trace
-from .protocols import de_second_moment_nqubit, identity_protocol
+from .protocols import de_kth_moment, identity_protocol
 
 _SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
 DEGENERACY_GAP_TOL = 1e-10  # a smaller spectral gap marks the ground state degenerate
@@ -187,12 +187,11 @@ def fig4_experiment(eps: float, subsystem: list[int] | None = None,
     directly, the mitigated one first applies the n-qubit depolarizing
     retriever and rescales/shifts.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be at least 1, got {shots}")
+    _check_shots(shots)
     if trials < 2:
         raise ValueError(f"trials must be at least 2 for a standard error, got {trials}")
-    # per trial, its seeds, their scrambles and first counters, its outcome counts, their
-    # weighted values and its estimate (64 bytes, from tracemalloc)
+    # per trial, its seeds and their scrambles, its outcome counts, their weighted values
+    # and its estimate (64 bytes, from tracemalloc)
     check_memory(64 * trials, f"{trials} trials of {shots} shots")
     model = model or demo_model()
     subsystem = list(subsystem) if subsystem is not None else [0, 1]
@@ -202,7 +201,7 @@ def fig4_experiment(eps: float, subsystem: list[int] | None = None,
     exact = float(np.trace(rho_a.entries @ rho_a.entries).real)
     d = 2 ** n
     noise = depolarizing(eps, d)
-    mitigated_protocol = de_second_moment_nqubit(eps, n)
+    mitigated_protocol = de_kth_moment(eps, 2, d)
     raw_protocol = identity_protocol(2, d)
 
     # The outcome distributions are fixed; trials differ only in their seeds.

@@ -67,22 +67,33 @@ def splitmix_unmix(z: int) -> int:
     return unshift((z * pow(MIX1, -1, 2 ** 64)) & MASK64, 30)
 
 
-def splitmix_words(seed: int, shots, draw: int) -> list[int]:
-    """Raw SplitMix64 words of the given shots of one draw (1, 2, ...) in counter mode:
-    mix(scramble(seed) + shot + draw golden), scramble(s) = mix(s + golden), mod 2^64."""
+def splitmix_words(seed: int, shots) -> list[int]:
+    """The 53-bit integer U = top 2^45 + tail of each given shot, the sliced layout written
+    out with Python ints: top is byte i mod 8, little-endian, of the top-stream word
+    mix(scramble(seed) + golden + floor(i/8)); tail is mix(scramble(seed) + 2 golden + i)
+    >> 19; scramble(s) = mix(s + golden), mod 2^64."""
     base = splitmix_mix((seed + GOLDEN) & MASK64)
-    return [splitmix_mix((base + i + draw * GOLDEN) & MASK64) for i in shots]
+    words = {}
+    out = []
+    for i in shots:
+        if i // 8 not in words:
+            words[i // 8] = splitmix_mix((base + GOLDEN + i // 8) & MASK64)
+        top = words[i // 8] >> 8 * (i % 8) & 0xFF
+        out.append(top << 45 | splitmix_mix((base + 2 * GOLDEN + i) & MASK64) >> 19)
+    return out
 
 
 def seed_with_counter(counter: int, draw: int = 1) -> int:
-    """A seed whose shot 0 of draw ``draw`` mixes the counter ``counter`` mod 2^64."""
+    """A seed whose draw ``draw`` mixes the counter ``counter`` mod 2^64 first: the top
+    stream (draw 1) in the word of shots 0-7, the tail stream (draw 2) in shot 0's tail."""
     return (splitmix_unmix((counter - draw * GOLDEN) & MASK64) - GOLDEN) & MASK64
 
 
-def threshold_counts(words, thresholds) -> np.ndarray:
-    """Per word, the number of integer thresholds t with (word >> 11) >= t."""
-    ts = [int(t) for t in np.ravel(thresholds)]
-    return np.array([sum((w >> 11) >= t for t in ts) for w in words], dtype=np.intp)
+def threshold_counts(uniforms, thresholds) -> np.ndarray:
+    """Per shot integer U, the number of integer thresholds t with U >= t, compared as
+    exact uint64s."""
+    u = np.array(uniforms, dtype=np.uint64)[:, None]
+    return (u >= np.ravel(thresholds).astype(np.uint64)).sum(axis=1)
 
 
 def searchsorted_index(cumulative, u):
@@ -100,7 +111,7 @@ def reference_run(p, rho, noise, shots, seed):
         cumulative, values = np.cumsum(probs / probs.sum()), np.asarray(r.values, dtype=float)
     else:
         cumulative = np.cumsum(_h_distribution(cycle_traces(r.apply(sigma), p.k, p.copy_dim), p.k))
-    idx = searchsorted_index(cumulative, shot_uniforms(seed, shots, 1)[:, 0])
+    idx = searchsorted_index(cumulative, shot_uniforms(seed, shots))
     return values[idx], idx
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from momentshift.channels import Channel, amplitude_damping, depolarizing
 from momentshift.cli import build_parser, cmd_estimate, main, parse_args
-from momentshift.estimator import run_choi_map, run_protocol
+from momentshift.estimator import _BLOCK, run_choi_map, run_protocol
 from momentshift.operators import Operator, matrix_from_json, matrix_to_json
 from momentshift.protocols import (RetrievalProtocol, ad_second_moment, de_second_moment,
                                    load_protocol, protocol_to_json, save_protocol)
@@ -181,6 +181,15 @@ class TestEstimate:
         assert "shots" in err
         assert "planned shots" not in out and "estimate" not in out
 
+    def test_shots_above_int64_refused(self, capsys):
+        # a count the outcome tally cannot hold is an error line, not an OverflowError
+        code, out, err = run_cli(capsys, "estimate", "--protocol", str(DATA / "ad_measure.json"),
+                                 "--noise", "amplitude-damping", "--eps", "0.1",
+                                 "--state", "maxmixed", "--shots", "10000000000000000000")
+        assert (code, out) == (1, "")
+        assert err == ("error: shots must be at most 2^63 - 1 = 9223372036854775807, "
+                       "got 10000000000000000000\n")
+
     def test_large_shot_count_runs_in_block_memory(self, capsys):
         # a run keeps outcome counts, not shots: 3 x 10^8 shots, whose per-shot arrays
         # would need 4578 MiB, sample in one block's memory
@@ -207,6 +216,7 @@ class TestEstimate:
     def test_json_record_is_the_dumped_run(self, capsys, tmp_path, source, noise):
         # a synthesized file for a tuple, a stored one otherwise; 2 _BLOCK + 3 shots
         # cross two block boundaries, and the k = 3 outcomes print 19 characters
+        shots = 2 * _BLOCK + 3
         if isinstance(source, tuple):
             path = tmp_path / "p.json"
             run_cli(capsys, "synthesize", *source, "--eps", "0.2", "--out", str(path))
@@ -214,14 +224,14 @@ class TestEstimate:
             path = Path(__file__).parent / "data" / "protocols_v1" / source
         out_path = tmp_path / "run.json"
         code, _, _ = run_cli(capsys, "estimate", "--protocol", str(path), "--noise", noise,
-                             "--eps", "0.1", "--state", "maxmixed", "--shots", "32771",
+                             "--eps", "0.1", "--state", "maxmixed", "--shots", str(shots),
                              "--seed", "11", "--out", str(out_path))
         assert code == 0
         p = load_protocol(path)
         channel = depolarizing(0.1, 2) if noise == "depolarizing" else amplitude_damping(0.1)
         rho = Operator(np.eye(2) / 2)
-        run = run_protocol(p, rho, channel, 32771, 11)
-        per_shot, indices = reference_run(p, rho, channel, 32771, 11)
+        run = run_protocol(p, rho, channel, shots, 11)
+        per_shot, indices = reference_run(p, rho, channel, shots, 11)
         assert out_path.read_text() == json.dumps(run_to_json(run, per_shot, indices))
 
     def test_recursive_protocol_needs_exact(self, capsys, tmp_path):
@@ -389,13 +399,13 @@ class TestEstimate:
         assert run_cli(capsys, "estimate", "--protocol", str(valueless), *argv,
                        "--seed", "4") == (0, (
                            "planned shots: 7205 (delta=0.05, fail_prob=0.05, f=1.5625)\n"
-                           "shots: 7205\nzeta_bar: 0.295489243581\nestimate: 0.524201943095\n"),
+                           "shots: 7205\nzeta_bar: 0.271894517696\nestimate: 0.4873351839\n"),
                            "")
         assert load_protocol(valueless).realization.values is None
         # the same draw as H_2 measured on the valued map's output
         run = run_choi_map(load_protocol(valued), Operator(np.eye(2) / 2),
                            amplitude_damping(0.2), 7205, 4)
-        assert f"{run.zeta_bar:.12g}" == "0.295489243581"
+        assert f"{run.zeta_bar:.12g}" == "0.271894517696"
 
 
 class TestSweep:
@@ -959,6 +969,13 @@ class TestHubbardDemo:
         assert code == 1
         assert message in err
         assert "nan" not in out
+
+    def test_shots_above_int64_refused(self, capsys):
+        code, out, err = run_cli(capsys, "hubbard-demo", "--shots", "10000000000000000000",
+                                 "--trials", "2")
+        assert (code, out) == (1, "")
+        assert err == ("error: shots must be at most 2^63 - 1 = 9223372036854775807, "
+                       "got 10000000000000000000\n")
 
     @pytest.mark.parametrize("subsystem", ["0,x", "0,"])
     def test_malformed_subsystem_refused_naming_the_option(self, capsys, subsystem):

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -10,16 +11,15 @@ from numpy.testing import assert_allclose
 from momentshift.channels import Channel, amplitude_damping, depolarizing
 from momentshift.estimator import (
     _BLOCK,
-    _BLOCK_WORDS,
-    _comparisons,
     _distribution,
     _h_distribution,
     _outcome_index,
+    _passes,
     _run_means,
     _shot_blocks,
     _tally,
     _thresholds,
-    _word_blocks,
+    _top_blocks,
     derive_seed,
     plan_shots,
     renyi_entropy,
@@ -78,17 +78,17 @@ class TestPlanShots:
 
 class TestStreams:
     def test_deterministic(self):
-        assert_allclose(shot_uniforms(42, 100, 2), shot_uniforms(42, 100, 2))
+        assert_allclose(shot_uniforms(42, 100), shot_uniforms(42, 100))
 
     def test_prefix_stability(self):
-        full = shot_uniforms(7, 1000, 2)
-        assert_allclose(full[:10], shot_uniforms(7, 10, 2))
+        full = shot_uniforms(7, 1000)
+        assert_allclose(full[:10], shot_uniforms(7, 10))
 
     def test_seed_sensitivity(self):
-        assert not np.allclose(shot_uniforms(1, 50, 1), shot_uniforms(2, 50, 1))
+        assert not np.allclose(shot_uniforms(1, 50), shot_uniforms(2, 50))
 
     def test_range_and_spread(self):
-        u = shot_uniforms(3, 20000, 1)[:, 0]
+        u = shot_uniforms(3, 20000)
         assert u.min() >= 0.0 and u.max() < 1.0
         assert abs(u.mean() - 0.5) < 0.02
 
@@ -104,18 +104,17 @@ class TestStreams:
         assert derive_seed(2 ** 70, 1) == 11869470683344840729
 
     def test_shot_uniforms_across_blocks(self):
-        # SplitMix64 in counter mode, written out with Python integers: shot i,
-        # draw n of seed s is mix(scramble(s) + i + n golden) >> 11, times 2^-53
+        # the sliced layout written out with Python integers: shot i of seed s draws
+        # U = byte i mod 8 of mix(scramble(s) + golden + i/8), times 2^45, plus
+        # mix(scramble(s) + 2 golden + i) >> 19, and its uniform is U 2^-53
         seed, shots = -9, 3 * _BLOCK + 7
-        u = shot_uniforms(seed, shots, 2)
-        for i in (0, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, shots - 1):
-            want = [(splitmix_words(seed, [i], n)[0] >> 11) * 2.0 ** -53 for n in (1, 2)]
-            assert u[i].tolist() == want, i
+        u = shot_uniforms(seed, shots)
+        picks = [0, 7, 8, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, shots - 1]
+        assert u[picks].tolist() == [w * 2.0 ** -53 for w in splitmix_words(seed, picks)]
 
     def test_shot_uniforms_pinned(self):
-        assert shot_uniforms(-5, 2, 2).tolist() == [
-            [0.6763599147503829, 0.44496798724275],
-            [0.07517679596274518, 0.8207499569688473]]
+        assert shot_uniforms(-5, 3).tolist() == [
+            0.7204881562001669, 0.3157060545194095, 0.6291143156262964]
 
 
 def _on_grid(x):
@@ -124,13 +123,14 @@ def _on_grid(x):
 
 
 def _pick(cumulative, u):
-    """The kernel's comparison step on raw words whose uniforms are u = (words >> 11) 2^-53;
-    their low 11 bits, which the uniform drops, run through every value."""
-    high = (u * 2.0 ** 53).astype(np.uint64)
-    assert np.array_equal(high * 2.0 ** -53, u) and u.max() < 1.0   # a uniform the stream draws
-    words = high << np.uint64(11) | np.arange(u.size, dtype=np.uint64) % np.uint64(2048)
-    return _outcome_index(words, _comparisons(_thresholds(cumulative)),
-                          np.empty(u.shape, dtype=np.intp))
+    """The kernel's comparison step on shots whose uniforms are u = U 2^-53: their top
+    bytes U >> 45, and their tails U mod 2^45 read where a top byte ties a threshold's."""
+    whole = (u * 2.0 ** 53).astype(np.uint64)
+    assert np.array_equal(whole * 2.0 ** -53, u) and u.max() < 1.0   # a uniform the stream draws
+    top = (whole >> np.uint64(45)).astype(np.uint8)[None]
+    tail = whole & np.uint64(2 ** 45 - 1)
+    return _outcome_index(top, lambda i, j: tail[j], np.empty((2, *top.shape), bool),
+                          _passes(_thresholds(cumulative)), np.empty(top.shape, np.intp))[0]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7])
@@ -184,7 +184,9 @@ def _zero_weight_branch() -> RetrievalProtocol:
 
 
 V1 = Path(__file__).parent / "data" / "protocols_v1"
-BLOCK_SHOTS = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]
+# runs of one block that end on and next to whole top-stream words, and runs that end
+# inside, on and just past a block edge
+BLOCK_SHOTS = [1, 16383, 16384, 16385, 49159, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]
 KERNEL_CASES = {
     "choi": (run_choi_map, de_kth_moment(0.15, 2, 2), depolarizing(0.15, 2)),
     # Choi-form channels: H_k of the output of the dense k-copy state
@@ -243,7 +245,7 @@ def test_zero_weight_branch_is_never_drawn():
     assert np.array_equal(_rebuilt(got)[0], per_shot)
 
 
-@pytest.mark.parametrize("shots", [1, 777, _BLOCK + 3])
+@pytest.mark.parametrize("shots", [1, 777, 16387, _BLOCK + 3])
 def test_run_means_equal_draws(shots):
     # k = 5 outcomes are not integers, so the row means must add in a run's order
     p, noise, rho = identity_protocol(5, 2), depolarizing(0.1, 2), random_density_matrix(2, 8)
@@ -282,13 +284,27 @@ def test_numpy_integer_scalars_match_python_ints(x):
     assert derive_seed(x, 3) == derive_seed(int(x), 3)
 
 
+@lru_cache(maxsize=None)
+def _integers(seed: int, shots: int) -> tuple:
+    """The Python-int U of every shot of a run, kept for the tests that share it."""
+    return tuple(splitmix_words(seed, range(shots)))
+
+
+def _block_integers(top, cs, tails) -> list:
+    """A block's shots as integers U = top 2^45 + tail, a list per row."""
+    i, j = np.indices((top.shape[0], cs.stop - cs.start)).reshape(2, -1)
+    u = top[i, j].astype(np.uint64) << np.uint64(45) | tails(i, j)
+    return u.reshape(top.shape[0], -1).tolist()
+
+
 def test_word_blocks_of_seed_arrays_match_python_ints():
     seeds = derive_seed(3, np.arange(6)[:, None], np.arange(2)).reshape(-1)
-    blocks = [[(r, cs, [w.copy() for w in words]) for r, cs, words in _word_blocks(s, 5, 2)]
-              for s in (seeds, [int(x) for x in seeds])]
-    for (r, cs, words), (r_ref, cs_ref, ref) in zip(*blocks):
-        assert (r, cs) == (r_ref, cs_ref)
-        assert all(np.array_equal(w, v) for w, v in zip(words, ref))
+    blocks = [[(r, cs, _block_integers(top, cs, tails)) for r, cs, top, tails, _
+               in _top_blocks(s, 5)] for s in (seeds, [int(x) for x in seeds])]
+    assert blocks[0] == blocks[1]
+    (r, cs, rows), = blocks[0]
+    assert (r, cs) == (0, slice(0, 5))
+    assert rows == [list(_integers(int(s), 5)) for s in seeds]
 
 
 def test_seed_arrays_stay_uint64():
@@ -296,25 +312,28 @@ def test_seed_arrays_stay_uint64():
     tracemalloc.start()
     try:
         seeds = derive_seed(5, ix)
-        next(_word_blocks(seeds, 1, 1))
+        next(_top_blocks(seeds, 1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 32 * ix.size  # through object arrays of Python ints, about 90 bytes each
 
 
-# Seeds whose counters reach the edges of the uint64 counter arithmetic: shot i of draw
-# n mixes the counter c + i, c that of shot 0.  A row that crosses a multiple of 2^30
-# changes x >> 30, the mix's first shift, within the row; one that wraps past 2^64 wraps
-# its add.
+# Seeds whose counters reach the edges of the uint64 counter arithmetic: top-stream (draw
+# 1) word w mixes the counter c + w, and the tail (draw 2) of shot i the counter c' + i,
+# c and c' those of word 0 and shot 0.  A row that crosses a multiple of 2^30 changes x >> 30, the mix's
+# first shift, within the row; one that wraps past 2^64 wraps its add.
 EDGE_SEEDS = {
-    "cross_2^30": seed_with_counter(7 * 2 ** 30 - 100),
-    "cross_2^30_second_block": seed_with_counter(3 * 2 ** 30 - _BLOCK - 10),
-    "cross_2^30_draw_2": seed_with_counter(2 ** 31 - 3000, draw=2),
-    "wrap_2^64": seed_with_counter(2 ** 64 - 50),
+    "cross_2^30": seed_with_counter(7 * 2 ** 30 - 20),  # at shot 160
+    "cross_2^30_second_block": seed_with_counter(3 * 2 ** 30 - _BLOCK // 8 - 10),
+    "cross_2^30_draw_2": seed_with_counter(2 ** 31 - 200, draw=2),
+    "cross_2^30_draw_2_second_block": seed_with_counter(2 ** 31 - _BLOCK - 10, draw=2),
+    "wrap_2^64": seed_with_counter(2 ** 64 - 30),  # at shot 240
     "wrap_2^64_draw_2": seed_with_counter(2 ** 64 - 1, draw=2),
 }
-# thresholds of 0, met by every word, and at or above 2^53, met by none
+EDGE_SHOTS = _BLOCK + 99  # past both second-block crossings, in a short padded block
+# thresholds of 0, met by every shot, and at or above 2^53, met by none; two of them tie
+# top bytes 128 and 255
 EDGE_THRESHOLDS = np.array([0, 0, 2 ** 51, 2 ** 52 + 12345, 2 ** 53 - 1, 2 ** 53, 2 ** 53 + 2],
                            dtype=np.uint64)
 
@@ -329,44 +348,81 @@ def _spread(seeds: list, runs: int) -> list:
 
 @pytest.mark.parametrize("seed", EDGE_SEEDS.values(), ids=EDGE_SEEDS)
 def test_words_at_counter_edges_match_python_ints(seed):
-    shots = 2 * _BLOCK + 3
-    blocks = [[w[0].copy() for w in words] for _, _, words in _word_blocks([seed], shots, 2)]
-    u = shot_uniforms(seed, shots, 2)
-    for n, got in enumerate(zip(*blocks), 1):
-        want = splitmix_words(seed, range(shots), n)
-        assert np.concatenate(got).tolist() == want
-        assert u[:, n - 1].tolist() == [(w >> 11) * 2.0 ** -53 for w in want]
+    # every shot's top byte and tail, across the block edge and its padded second block
+    got = [u for _, cs, top, tails, _ in _top_blocks([seed], EDGE_SHOTS)
+           for u in _block_integers(top, cs, tails)[0]]
+    assert got == list(_integers(seed, EDGE_SHOTS))
+    assert shot_uniforms(seed, EDGE_SHOTS).tolist() == [u * 2.0 ** -53 for u in got]
 
 
 def test_multi_row_block_at_counter_edges_matches_python_ints():
-    # one block of 40 runs, some of whose rows cross 2^30 or wrap
+    # one block of 40 runs, some of whose rows cross 2^30 or wrap in either stream
     seeds, shots = _spread(list(EDGE_SEEDS.values()), 40), 300
-    (r, cs, words), = _word_blocks(seeds, shots, 2)
-    assert (r, cs, words[0].shape) == (0, slice(0, shots), (40, shots))
-    for n, w in enumerate(words, 1):
-        assert w.tolist() == [splitmix_words(seed, range(shots), n) for seed in seeds]
+    (r, cs, top, tails, _), = _top_blocks(seeds, shots)
+    assert (r, cs, top.shape) == (0, slice(0, shots), (40, 304))
+    assert _block_integers(top, cs, tails) == [list(_integers(s, shots)) for s in seeds]
 
 
-@pytest.mark.parametrize("shots, runs", [(1000, 70), (4096, 19)],
+def _reference_tally(seeds, shots, thresholds) -> list:
+    return [np.bincount(threshold_counts(_integers(s, shots), thresholds),
+                        minlength=thresholds.size + 1).tolist() for s in seeds]
+
+
+@pytest.mark.parametrize("shots, runs", [(1001, 133), (4096, 35)],
                          ids=["many_short_rows", "few_long_rows"])
 def test_tally_at_edges_matches_python_ints(shots, runs):
-    # blocks of 32 rows of 1000 shots, or of 8 rows of 4096, the last row block short in
-    # both; edge seeds among the runs, and thresholds of 0 and at or above 2^53
-    assert runs % (_BLOCK_WORDS // shots)
+    # blocks of 130 rows of 1001 shots, each padded to whole top-stream words, or of 32
+    # rows of 4096, the last row block short in both; edge seeds among the runs, and
+    # thresholds of 0 and at or above 2^53
+    rows = _BLOCK // (8 * -(-shots // 8))
+    assert runs > rows and runs % rows
     seeds = _spread(list(EDGE_SEEDS.values()), runs)
-    want = [np.bincount(threshold_counts(splitmix_words(s, range(shots), 1), EDGE_THRESHOLDS),
-                        minlength=EDGE_THRESHOLDS.size + 1) for s in seeds]
-    assert _tally(EDGE_THRESHOLDS, shots, seeds).tolist() == np.array(want).tolist()
+    assert _tally(EDGE_THRESHOLDS, shots, seeds).tolist() == \
+        _reference_tally(seeds, shots, EDGE_THRESHOLDS)
 
 
 @pytest.mark.parametrize("seed", EDGE_SEEDS.values(), ids=EDGE_SEEDS)
 def test_shot_blocks_at_edges_match_python_ints(seed):
     # a run's outcomes rebuilt a block at a time (the second block short) from
     # thresholds of 0 and at or above 2^53
-    shots = _BLOCK + 3
-    got = np.concatenate([o.copy() for _, o in _shot_blocks(EDGE_THRESHOLDS, shots, seed)])
-    assert got.tolist() == threshold_counts(splitmix_words(seed, range(shots), 1),
-                                            EDGE_THRESHOLDS).tolist()
+    got = np.concatenate([o.copy() for _, o in _shot_blocks(EDGE_THRESHOLDS, EDGE_SHOTS, seed)])
+    assert got.tolist() == threshold_counts(_integers(seed, EDGE_SHOTS), EDGE_THRESHOLDS).tolist()
+
+
+FORCED_SHOTS = [1, 7, 8, 9, _BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 7]
+FORCED_TIES = {  # thresholds made from the integer U of one shot
+    "own": lambda u: [u],
+    "own_plus_1": lambda u: [u + 1],
+    "own_minus_1": lambda u: [u - 1],
+    "three_share_its_byte": lambda u: [u - 1, u, u + 1],
+    "byte_start_and_own": lambda u: [u >> 45 << 45, u],  # one without a tie, one with
+}
+
+
+@pytest.mark.parametrize("kind", FORCED_TIES)
+@pytest.mark.parametrize("shots", FORCED_SHOTS)
+def test_forced_ties_match_python_ints(shots, kind):
+    # thresholds that tie the last shot's top byte, so its outcome turns on its tail
+    seeds = [derive_seed(6, i) for i in range(3)]
+    u = _integers(seeds[0], shots)
+    assert 0 < u[-1] % 2 ** 45 < 2 ** 45 - 1  # u - 1 and u + 1 share its top byte
+    thresholds = np.array(FORCED_TIES[kind](u[-1]), dtype=np.uint64)
+    want = _reference_tally(seeds, shots, thresholds)
+    assert _tally(thresholds, shots, seeds).tolist() == want
+    values = np.linspace(-1.0, 1.0, thresholds.size + 1)
+    assert _run_means(values, thresholds, shots, seeds).tolist() == \
+        [float((np.array(w) * values).sum() / shots) for w in want]
+    got = np.concatenate([o.copy() for _, o in _shot_blocks(thresholds, shots, seeds[0])])
+    assert got.tolist() == threshold_counts(u, thresholds).tolist()
+
+
+@pytest.mark.parametrize("shots, runs", [(7, 20), (1001, 133), (4096, 35)])
+def test_rows_of_a_block_equal_single_runs(shots, runs):
+    # a run's counts do not depend on the runs that share its blocks
+    seeds = [derive_seed(10, i) for i in range(runs)]
+    thresholds = _thresholds(np.cumsum([0.2, 0.3, 0.1, 0.4]))
+    assert _tally(thresholds, shots, seeds).tolist() == \
+        [_tally(thresholds, shots, [s])[0].tolist() for s in seeds]
 
 
 @pytest.mark.parametrize("seed", EDGE_SEEDS.values(), ids=EDGE_SEEDS)
@@ -423,11 +479,11 @@ def test_kraus_run_is_the_run_of_its_output(kind, tmp_path):
 
 @pytest.mark.parametrize("run", [run_choi_map, run_protocol], ids=["one_draw", "kraus"])
 def test_run_memory_does_not_grow_with_shots(run):
-    # a run keeps its counts and one block of words, whatever its shot count
+    # a run keeps its counts and one block of top bytes, whatever its shot count
     p, noise, rho = de_second_moment(0.1), depolarizing(0.1, 2), random_density_matrix(2, 4)
     run(p, rho, noise, 10, 1)  # caches
     peaks = []
-    for shots in (10 ** 5, 10 ** 7):
+    for shots in (10 ** 6, 10 ** 7):
         tracemalloc.start()
         try:
             run(p, rho, noise, shots, 1)

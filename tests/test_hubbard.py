@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from momentshift.channels import depolarizing, noisy_copies
-from momentshift.estimator import _BLOCK, _BLOCK_WORDS, derive_seed, run_choi_map
+from momentshift.estimator import _BLOCK, _h_distribution, derive_seed, run_choi_map
 from momentshift.hubbard import (
     HubbardModel,
     annihilation_operator,
@@ -19,7 +19,8 @@ from momentshift.hubbard import (
 )
 from momentshift.moments import cycle_traces
 from momentshift.operators import random_density_matrix
-from momentshift.protocols import de_second_moment_nqubit, identity_protocol, output_traces
+from momentshift.protocols import (de_kth_moment, de_second_moment_nqubit, identity_protocol,
+                                  output_traces)
 
 
 class TestJordanWigner:
@@ -146,6 +147,20 @@ class TestFig4:
         assert np.array_equal(a.raw_estimates, b.raw_estimates)
         assert np.array_equal(a.mitigated_estimates, b.mitigated_estimates)
 
+    @pytest.mark.parametrize("eps", [0.05, 0.17, 0.3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_mitigated_protocol_is_the_nqubit_retriever(self, n, eps):
+        # the experiment's k = 2 recursive retriever has the shift and the H_2 law of
+        # de_second_moment_nqubit, so it samples the same estimates
+        mine, named = de_kth_moment(eps, 2, 2 ** n), de_second_moment_nqubit(eps, n)
+        assert_allclose([mine.f, mine.t], [named.f, named.t], rtol=0, atol=1e-12)
+        noise = depolarizing(eps, 2 ** n)
+        for seed in range(3):
+            rho = random_density_matrix(2 ** n, seed)
+            assert_allclose(_h_distribution(output_traces(mine, rho, noise), 2),
+                            _h_distribution(output_traces(named, rho, noise), 2),
+                            rtol=0, atol=1e-12)
+
     def test_three_qubit_subsystem(self):
         res = fig4_experiment(0.1, subsystem=[0, 1, 2], shots=256, trials=4, seed=0)
         assert res.subsystem == (0, 1, 2)
@@ -181,24 +196,24 @@ class TestFig4:
         rho_a = reduced_state(ground_state(build_hamiltonian(demo_model())), subsystem)
         n = len(subsystem)
         noise = depolarizing(eps, 2 ** n)
-        protocols = [identity_protocol(2, 2 ** n), de_second_moment_nqubit(eps, n)]
+        protocols = [identity_protocol(2, 2 ** n), de_kth_moment(eps, 2, 2 ** n)]
         expected = [[run_choi_map(p, rho_a, noise, shots, derive_seed(seed, t, j)).estimate
                      for t in range(trials)] for j, p in enumerate(protocols)]
         assert res.raw_estimates.tolist() == expected[0]
         assert res.mitigated_estimates.tolist() == expected[1]
 
-    @pytest.mark.parametrize("shots, trials", [(_BLOCK + 5, 2), (3000, 23)],
+    @pytest.mark.parametrize("shots, trials", [(_BLOCK + 5, 2), (3000, 50)],
                              ids=["run_spans_blocks", "partial_block_of_runs"])
     def test_estimates_equal_one_run_per_trial_across_blocks(self, shots, trials):
         # a run longer than a block, and a trial count that fills blocks of whole
         # runs and leaves the last one part full
-        rows = _BLOCK_WORDS // shots
+        rows = _BLOCK // shots
         assert shots > _BLOCK or trials > rows and trials % rows
         eps, seed, subsystem = 0.12, 5, [0, 1]
         res = fig4_experiment(eps, subsystem=subsystem, shots=shots, trials=trials, seed=seed)
         rho_a = reduced_state(ground_state(build_hamiltonian(demo_model())), subsystem)
         noise = depolarizing(eps, 4)
-        protocols = [identity_protocol(2, 4), de_second_moment_nqubit(eps, 2)]
+        protocols = [identity_protocol(2, 4), de_kth_moment(eps, 2, 4)]
         expected = [[run_choi_map(p, rho_a, noise, shots, derive_seed(seed, t, j)).estimate
                      for t in range(trials)] for j, p in enumerate(protocols)]
         assert res.raw_estimates.tolist() == expected[0]
