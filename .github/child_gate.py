@@ -6,8 +6,9 @@ output and peak RSS.
 Each ARGV is one ``momentshift.cli`` command, run from the checkout with
 PYTHONPATH=src; ``{tmp}`` in it names a fresh temporary directory that the
 step's commands share.  The commands run in order and the first nonzero exit
-fails the step, unless ``--refused``: then every command must exit 1 with an
-``error: `` line on stderr and no traceback.  ``--f`` requires the last
+fails the step, unless ``--refused``: then every command must exit 1 with a
+stderr that opens with an ``error: `` line, or with argparse's usage block
+ending in one, and holds no traceback.  ``--f`` requires the last
 command's ``f:`` line to lie within 1e-6 of VALUE.  The peak RSS is
 RUSAGE_CHILDREN's, the largest peak of every child this process has waited
 for, so each gated step runs in its own invocation.
@@ -44,8 +45,11 @@ def main(argv: list[str]) -> int:
                              text=True, capture_output=True, env=env)
         print(run.stdout, run.stderr, sep="")
         if args.refused:
-            failed |= (run.returncode != 1 or not run.stderr.startswith("error: ")
-                       or "Traceback" in run.stderr)
+            # an error line, or argparse's usage block ending in one
+            lines = run.stderr.splitlines() or [""]
+            refused = (lines[0].startswith("error: ")
+                       or lines[0].startswith("usage: ") and lines[-1].startswith("error: "))
+            failed |= run.returncode != 1 or not refused or "Traceback" in run.stderr
         elif run.returncode:
             failed = True
             break

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channels import amplitude_damping, depolarizing
 from .estimator import plan_shots, renyi_entropy, run_protocol, run_to_csv, save_run
-from .hubbard import demo_model, fig4_experiment, model_ground_state, reduced_state
+from .hubbard import demo_model, fig4_experiment, model_reduced_state
 from .operators import Operator, check_memory, matrix_from_json, random_density_matrix
 from .protocols import (ad_second_moment, contract_residual, de_kth_moment, exact_expectation,
                         load_protocol, optimal_shift, protocol_to_json, recover_overhead,
@@ -175,7 +175,7 @@ def _load_state(args, protocol) -> Operator:
     if args.state == "maxmixed":
         return Operator(np.eye(d) / d)
     if args.state == "hubbard":
-        rho = reduced_state(model_ground_state(demo_model()), [0, 1])
+        rho = model_reduced_state(demo_model(), (0, 1))[0]
         if rho.dim != d:
             raise ValueError(f"hubbard subsystem dim {rho.dim} != protocol copy dim {d}")
         return rho
@@ -320,7 +320,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--n", type=_at_least(1), default=1)
     sp.add_argument("--state", default="random",
                     help="random | maxmixed | hubbard | path to density-matrix JSON")
-    sp.add_argument("--state-seed", type=int, default=0)
+    sp.add_argument("--state-seed", type=_at_least(0), default=0)
     # a sampled run's options default to None, so --exact can tell a given one
     sampling = SAMPLING_OPTIONS
     sp.add_argument("--delta", type=float, default=None,

@@ -15,9 +15,18 @@ probability at or above 1 before the last outcome).  So each shot's outcome
 is a pure function of ``(seed, shot_index)``: the same in any blocking, and a
 run's first shots are those of any longer run.
 
-Top bytes are made a block at a time: at most ``_BLOCK`` (131,072) shots, of
-one run or of whole runs, the size measured fastest on one long run and on
-many 4,096-shot runs.
+Top bytes are made a block at a time: at most ``_BLOCK`` (262,144) shots, of
+one run or of whole runs.  Median ``_tally`` time in microseconds by block
+size, in-process, on 2 cores with numpy 2.4.6:
+
+    runs x shots                        2^16   2^17   2^18   2^19
+    1 x 112,449                          193    152    154    152
+    1 x 170,000                          273    247    207    207
+    60 x 4,096 (hubbard-demo)            374    306    271    272
+    60 x 4,096, three thresholds         702    597    521    524
+
+2^18 is the smallest size that holds each of these in one block; 2^19 does
+the same work on them with buffers twice as large.
 
 Every mode draws one outcome per shot from its uniform, and the realization
 picks the outcome law:
@@ -45,8 +54,11 @@ noisy k-copy state checks the memory budget, and a distribution whose
 probabilities are all 0, or an H_k probability below -``SAMPLING_TP_TOL``, is
 refused.  ``_run`` then counts the shots and builds the ``EstimationRun``.  A
 caller that repeats runs of one fixed set-up, such as
-``hubbard.fig4_experiment``, builds the distribution once and reads every
-trial's ``zeta_bar`` off ``_run_means``.
+``hubbard.fig4_experiment``, builds each distribution once and reads every
+trial's ``zeta_bar`` off ``_run_means``.  ``_distributions`` builds several
+protocols' distributions on one state and noise: it applies the noise and
+takes the noisy copy's moments once for all the copy-cycle protocols, and
+hands every other realization to ``_distribution``.
 
 A run keeps only its outcome counts, a sufficient statistic of ``zeta_bar``:
 each block of shots is tallied (its top bytes above each threshold's, counted
@@ -69,17 +81,18 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .channels import Channel, noisy_copies
+from .channels import Channel, apply, noisy_copies
+from .moments import power_traces
 from .operators import Operator
-from .protocols import (SAMPLING_TP_TOL, MeasurePrepare, RetrievalProtocol, is_trace_preserving,
-                        output_traces)
+from .protocols import (SAMPLING_TP_TOL, CycleMap, MeasurePrepare, RetrievalProtocol,
+                        is_trace_preserving, output_traces)
 
 _MASK = 2 ** 64 - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 _SLICES = 8       # shots per top-stream word, a byte each
 _TAIL = 45        # bits of a shot's uniform below its top byte
-_BLOCK = 1 << 17  # shots per sampling block, of one run or of whole runs
+_BLOCK = 1 << 18  # shots per sampling block, of one run or of whole runs
 _MAX_SHOTS = 2 ** 63 - 1  # the largest count an int64 holds
 
 
@@ -330,11 +343,15 @@ def _run_means(values: np.ndarray, thresholds: np.ndarray, shots: int, seeds) ->
     return _zeta_bar(_tally(thresholds, shots, seeds), values, shots)
 
 
+def _h_law(traces: np.ndarray, k: int) -> tuple:
+    """H_k's outcome values and the thresholds of their Born probabilities, from the traces
+    tr[S_k^j X] of the output X."""
+    return _h_spectrum(k)[0], _thresholds(np.cumsum(_h_distribution(traces, k)))
+
+
 def _output_distribution(p: RetrievalProtocol, rho: Operator, noise: Channel) -> tuple:
-    """H_k's outcome values and the thresholds of their Born probabilities on the output of
-    the realization, applied whatever its form."""
-    traces = output_traces(p, rho, noise)
-    return _h_spectrum(p.k)[0], _thresholds(np.cumsum(_h_distribution(traces, p.k)))
+    """H_k's law on the output of the realization, applied whatever its form."""
+    return _h_law(output_traces(p, rho, noise), p.k)
 
 
 def _distribution(p: RetrievalProtocol, rho: Operator, noise: Channel) -> tuple:
@@ -348,6 +365,29 @@ def _distribution(p: RetrievalProtocol, rho: Operator, noise: Channel) -> tuple:
     return np.asarray(r.values, dtype=float), _thresholds(np.cumsum(_normalized(probs)))
 
 
+def _distributions(protocols, rho: Operator, noise: Channel) -> list[tuple]:
+    """``_distribution`` of each protocol on one state and noise, bit for bit.  The noise is
+    applied to the state once, and its moments taken once per k, for every copy-cycle
+    protocol; any other realization goes to ``_distribution``."""
+    noisy, moments, laws = None, {}, []
+    for p in protocols:
+        if not isinstance(p.realization, CycleMap):
+            laws.append(_distribution(p, rho, noise))
+            continue
+        _check_state(p, rho)
+        if p.k not in moments:
+            noisy = apply(noise, rho) if noisy is None else noisy
+            moments[p.k] = power_traces(noisy.entries, p.k)
+        laws.append(_h_law(p.realization.product_traces(moments[p.k]), p.k))
+    return laws
+
+
+def _check_state(p: RetrievalProtocol, rho: Operator) -> None:
+    """Refuse a state whose dimension is not the protocol's copy dimension."""
+    if rho.dim != p.copy_dim:
+        raise ValueError(f"state dim {rho.dim} != protocol copy dim {p.copy_dim}")
+
+
 def _run(p: RetrievalProtocol, rho: Operator, noise: Channel, shots: int, seed: int,
          distribution) -> EstimationRun:
     """The shot count and sampling gates, then one run of ``shots`` draws from
@@ -356,8 +396,7 @@ def _run(p: RetrievalProtocol, rho: Operator, noise: Channel, shots: int, seed: 
     if not is_trace_preserving(p.realization):
         raise ValueError("finite-shot simulation needs a trace-preserving retriever; "
                          "evaluate this one exactly (--exact)")
-    if rho.dim != p.copy_dim:
-        raise ValueError(f"state dim {rho.dim} != protocol copy dim {p.copy_dim}")
+    _check_state(p, rho)
     values, thresholds = distribution(p, rho, noise)
     counts = _tally(thresholds, shots, [seed])[0]
     zeta_bar = float(_zeta_bar(counts, values, shots))

@@ -21,7 +21,7 @@ from math import exp
 import numpy as np
 
 from .channels import depolarizing
-from .estimator import _check_shots, _distribution, _run_means, derive_seed
+from .estimator import _check_shots, _distributions, _run_means, derive_seed
 from .operators import I2, PAULI_Z, Operator, check_memory, partial_trace
 from .protocols import de_kth_moment, identity_protocol
 
@@ -126,6 +126,15 @@ def reduced_state(g: GroundStateResult, subsystem: list[int]) -> Operator:
     return partial_trace(g.state, subsystem)
 
 
+@lru_cache(maxsize=None)
+def model_reduced_state(model: HubbardModel,
+                        subsystem: tuple[int, ...]) -> tuple[Operator, float]:
+    """The model's ground state reduced to ``subsystem``, and its purity tr[rho_A^2],
+    computed on the first call per (model, subsystem); the state is read-only."""
+    rho_a = reduced_state(model_ground_state(model), subsystem)
+    return rho_a, float(np.trace(rho_a.entries @ rho_a.entries).real)
+
+
 @dataclass
 class Fig4Result:
     exact_purity: float
@@ -197,17 +206,16 @@ def fig4_experiment(eps: float, subsystem: list[int] | None = None,
     subsystem = list(subsystem) if subsystem is not None else [0, 1]
     n = len(subsystem)
     g = model_ground_state(model)
-    rho_a = reduced_state(g, subsystem)
-    exact = float(np.trace(rho_a.entries @ rho_a.entries).real)
+    rho_a, exact = model_reduced_state(model, tuple(subsystem))
     d = 2 ** n
     noise = depolarizing(eps, d)
-    mitigated_protocol = de_kth_moment(eps, 2, d)
-    raw_protocol = identity_protocol(2, d)
+    protocols = (identity_protocol(2, d), de_kth_moment(eps, 2, d))  # raw, mitigated
 
     # The outcome distributions are fixed; trials differ only in their seeds.
     seeds = derive_seed(seed, np.arange(trials)[:, None], np.arange(2))
-    raw, mit = (p.f * _run_means(*_distribution(p, rho_a, noise), shots, seeds[:, j]) - p.t
-                for j, p in enumerate((raw_protocol, mitigated_protocol)))
+    laws = _distributions(protocols, rho_a, noise)
+    raw, mit = (p.f * _run_means(*law, shots, s) - p.t
+                for p, law, s in zip(protocols, laws, seeds.T))
     return Fig4Result(
         exact_purity=exact, eps=eps, subsystem=tuple(subsystem),
         shots=shots, trials=trials, seed=seed,

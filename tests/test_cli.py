@@ -545,6 +545,18 @@ def test_order_or_qubits_out_of_range_is_usage_error(capsys, tmp_path, argv, fla
     assert out == "" and not path.exists()
 
 
+def test_negative_state_seed_refused_naming_the_option(capsys):
+    # a negative seed reaches no random generator: argparse refuses it by name
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--protocol", str(DATA / "de_choi_n1.json"), "--noise",
+              "depolarizing", "--eps", "0.1", "--state", "random", "--state-seed", "-1",
+              "--exact"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1
+    assert err.splitlines()[-1] == "error: argument --state-seed: must be at least 0, got -1"
+    assert out == ""
+
+
 class TestNumericInputs:
     """A number the computation cannot use is an ``error: ...`` line and exit 1, not a
     traceback or a run of every iteration."""
@@ -976,6 +988,12 @@ class TestHubbardDemo:
         assert (code, out) == (1, "")
         assert err == ("error: shots must be at most 2^63 - 1 = 9223372036854775807, "
                        "got 10000000000000000000\n")
+
+    def test_bad_subsystem_refused_before_the_noise_level(self, capsys):
+        # eps = 1 has no retriever, but the repeated qubit is refused first
+        code, out, err = run_cli(capsys, "hubbard-demo", "--eps", "1", "--subsystem", "0,0")
+        assert (code, out) == (1, "")
+        assert err == "error: repeated subsystem index in (0, 0)\n"
 
     @pytest.mark.parametrize("subsystem", ["0,x", "0,"])
     def test_malformed_subsystem_refused_naming_the_option(self, capsys, subsystem):

@@ -12,6 +12,7 @@ from momentshift.channels import Channel, amplitude_damping, depolarizing
 from momentshift.estimator import (
     _BLOCK,
     _distribution,
+    _distributions,
     _h_distribution,
     _outcome_index,
     _passes,
@@ -184,9 +185,11 @@ def _zero_weight_branch() -> RetrievalProtocol:
 
 
 V1 = Path(__file__).parent / "data" / "protocols_v1"
-# runs of one block that end on and next to whole top-stream words, and runs that end
-# inside, on and just past a block edge
-BLOCK_SHOTS = [1, 16383, 16384, 16385, 49159, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]
+# runs of one block that end on and next to whole top-stream words, runs that end on and
+# next to 2^17 shots or seven past 3 * 2^17 (inside a block, and inside a later one, at a
+# block of 2^18), and runs that end inside, on and just past a block edge
+BLOCK_SHOTS = [1, 16383, 16384, 16385, 49159, 131071, 131072, 131073, 393223,
+               _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]
 KERNEL_CASES = {
     "choi": (run_choi_map, de_kth_moment(0.15, 2, 2), depolarizing(0.15, 2)),
     # Choi-form channels: H_k of the output of the dense k-copy state
@@ -245,13 +248,37 @@ def test_zero_weight_branch_is_never_drawn():
     assert np.array_equal(_rebuilt(got)[0], per_shot)
 
 
-@pytest.mark.parametrize("shots", [1, 777, 16387, _BLOCK + 3])
+@pytest.mark.parametrize("shots", [1, 777, 16387, 131075, _BLOCK + 3])
 def test_run_means_equal_draws(shots):
     # k = 5 outcomes are not integers, so the row means must add in a run's order
     p, noise, rho = identity_protocol(5, 2), depolarizing(0.1, 2), random_density_matrix(2, 8)
     seeds = [derive_seed(8, t) for t in range(7)]
     want = [run_protocol(p, rho, noise, shots, s).zeta_bar for s in seeds]
     assert _run_means(*_distribution(p, rho, noise), shots, seeds).tolist() == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_shared_distributions_equal_each_distribution(n):
+    # the copy-cycle protocols share one noisy copy and its moments per k; a stored
+    # Kraus channel and a stored measure-and-prepare map go through _distribution
+    d, eps = 2 ** n, 0.13
+    protocols = [identity_protocol(2, d), de_kth_moment(eps, 2, d), identity_protocol(3, d)]
+    if n == 1:
+        protocols += [load_protocol(V1 / "twirl.json"), load_protocol(V1 / "ad_measure.json")]
+    rho, noise = random_density_matrix(d, 30 + n), depolarizing(eps, d)
+    got = _distributions(protocols, rho, noise)
+    assert len(got) == len(protocols)
+    for (values, thresholds), p in zip(got, protocols):
+        want_values, want_thresholds = _distribution(p, rho, noise)
+        assert values.dtype == want_values.dtype and values.tolist() == want_values.tolist()
+        assert thresholds.dtype == np.uint64
+        assert thresholds.tolist() == want_thresholds.tolist()
+
+
+def test_shared_distributions_check_the_state_dimension():
+    with pytest.raises(ValueError, match="state dim 2 != protocol copy dim 4"):
+        _distributions([identity_protocol(2, 4)], random_density_matrix(2, 1),
+                       depolarizing(0.1, 4))
 
 
 @pytest.mark.parametrize("run, p, noise", list(KERNEL_CASES.values()), ids=sorted(KERNEL_CASES))
@@ -368,13 +395,13 @@ def _reference_tally(seeds, shots, thresholds) -> list:
                         minlength=thresholds.size + 1).tolist() for s in seeds]
 
 
-@pytest.mark.parametrize("shots, runs", [(1001, 133), (4096, 35)],
-                         ids=["many_short_rows", "few_long_rows"])
-def test_tally_at_edges_matches_python_ints(shots, runs):
-    # blocks of 130 rows of 1001 shots, each padded to whole top-stream words, or of 32
-    # rows of 4096, the last row block short in both; edge seeds among the runs, and
-    # thresholds of 0 and at or above 2^53
+@pytest.mark.parametrize("shots", [1001, 4096], ids=["many_short_rows", "few_long_rows"])
+def test_tally_at_edges_matches_python_ints(shots):
+    # full blocks of rows of 1001 shots, each padded to whole top-stream words, or of
+    # 4096, and three runs past them, so the last row block is short in both; edge seeds
+    # among the runs, and thresholds of 0 and at or above 2^53
     rows = _BLOCK // (8 * -(-shots // 8))
+    runs = rows + 3
     assert runs > rows and runs % rows
     seeds = _spread(list(EDGE_SEEDS.values()), runs)
     assert _tally(EDGE_THRESHOLDS, shots, seeds).tolist() == \
@@ -389,7 +416,7 @@ def test_shot_blocks_at_edges_match_python_ints(seed):
     assert got.tolist() == threshold_counts(_integers(seed, EDGE_SHOTS), EDGE_THRESHOLDS).tolist()
 
 
-FORCED_SHOTS = [1, 7, 8, 9, _BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 7]
+FORCED_SHOTS = [1, 7, 8, 9, 131071, 131073, 393223, _BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 7]
 FORCED_TIES = {  # thresholds made from the integer U of one shot
     "own": lambda u: [u],
     "own_plus_1": lambda u: [u + 1],

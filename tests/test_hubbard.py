@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import momentshift.estimator
+import momentshift.protocols
 from momentshift.channels import depolarizing, noisy_copies
 from momentshift.estimator import _BLOCK, _h_distribution, derive_seed, run_choi_map
 from momentshift.hubbard import (
@@ -14,11 +16,12 @@ from momentshift.hubbard import (
     ground_state,
     mode_index,
     model_ground_state,
+    model_reduced_state,
     demo_model,
     reduced_state,
 )
 from momentshift.moments import cycle_traces
-from momentshift.operators import random_density_matrix
+from momentshift.operators import partial_trace, random_density_matrix
 from momentshift.protocols import (de_kth_moment, de_second_moment_nqubit, identity_protocol,
                                   output_traces)
 
@@ -112,6 +115,16 @@ class TestGroundState:
         assert 0.0 < purity <= 1.0
         assert abs(rho_a.trace().real - 1) < 1e-12
 
+    @pytest.mark.parametrize("subsystem", [(0, 1), (3, 1), (0, 1, 2)])
+    def test_cached_reduced_state_is_read_only_partial_trace(self, subsystem):
+        rho_a, purity = model_reduced_state(demo_model(), subsystem)
+        fresh = partial_trace(ground_state(build_hamiltonian(demo_model())).state, subsystem)
+        assert not rho_a.entries.flags.writeable
+        assert rho_a.subsystem_dims == fresh.subsystem_dims
+        assert np.array_equal(rho_a.entries, fresh.entries)
+        assert purity == float(np.trace(fresh.entries @ fresh.entries).real)
+        assert model_reduced_state(demo_model(), subsystem)[0] is rho_a
+
 
 class TestFig4:
     def test_noiseless_centres_on_exact(self):
@@ -185,6 +198,23 @@ class TestFig4:
         assert np.all(np.abs(res.raw_estimates) <= 1.0)
         assert peak < 2 ** 20
 
+    def test_noisy_moments_computed_once(self, monkeypatch):
+        # both estimators read their laws off one application of the noise to the
+        # reduced state and one set of its moments
+        calls = {"apply": 0, "power_traces": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (momentshift.estimator, momentshift.protocols):
+            for name in calls:
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        fig4_experiment(0.1, subsystem=[1, 3], shots=64, trials=2, seed=0)
+        assert calls == {"apply": 1, "power_traces": 1}
+
     @pytest.mark.parametrize("seed", [3, 11])
     @pytest.mark.parametrize("subsystem", [[0, 1], [1, 3], [0, 1, 2]])
     def test_estimates_equal_one_run_per_trial(self, subsystem, seed):
@@ -202,7 +232,7 @@ class TestFig4:
         assert res.raw_estimates.tolist() == expected[0]
         assert res.mitigated_estimates.tolist() == expected[1]
 
-    @pytest.mark.parametrize("shots, trials", [(_BLOCK + 5, 2), (3000, 50)],
+    @pytest.mark.parametrize("shots, trials", [(_BLOCK + 5, 2), (3000, _BLOCK // 3000 + 3)],
                              ids=["run_spans_blocks", "partial_block_of_runs"])
     def test_estimates_equal_one_run_per_trial_across_blocks(self, shots, trials):
         # a run longer than a block, and a trial count that fills blocks of whole
