@@ -21,10 +21,8 @@ from .estimator import plan_shots, renyi_entropy, run_protocol, run_to_csv, save
 from .hubbard import demo_model, fig4_experiment, model_reduced_state
 from .operators import Operator, check_memory, matrix_from_json, random_density_matrix
 from .protocols import (ad_second_moment, contract_residual, de_kth_moment, exact_expectation,
-                        load_protocol, optimal_shift, protocol_to_json, recover_overhead,
-                        save_protocol)
-from .sdp.programs import build_gmin, gmin_power
-from .sdp.solver import solve
+                        inverse_overhead, load_protocol, optimal_shift, protocol_to_json,
+                        save_protocol, spectral_overheads)
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -112,6 +110,8 @@ def _parse_grid(spec: str) -> list[float]:
             return [float(x) for x in spec.split(",")]
         start, stop, num = spec.split(":")
         start, stop, num = float(start), float(stop), int(num)
+        if num < 1:
+            raise ValueError
     except ValueError:
         raise ValueError("--eps-grid takes start:stop:num or comma-separated numbers, "
                          f"got {spec!r}") from None
@@ -123,11 +123,17 @@ def cmd_overhead_sweep(args) -> int:
     for m in methods:
         if m not in ("shift", "inverse", "recover"):
             return _fail(f"unknown method {m!r}", EXIT_USAGE)
-    rows = [(eps, method, *_overhead_value(args.noise, eps, args.k, method))
-            for eps in _parse_grid(args.eps_grid) for method in methods]
+    rows = []
+    for eps in _parse_grid(args.eps_grid):
+        # no cell is solved: shift and recover read one pulled-back spectrum, inverse a closed form
+        noise = _noise_channel(args.noise, eps, 1)
+        values = {"inverse": inverse_overhead(args.noise, eps, args.k)}
+        if {"shift", "recover"} & set(methods):
+            values["shift"], values["recover"] = spectral_overheads(noise, args.k) or (None, None)
+        rows += [(eps, m, values[m], "infeasible" if values[m] is None else "optimal")
+                 for m in methods]
     if args.format == "json":
-        doc = [{"eps": eps, "method": method,
-                "overhead": value if np.isfinite(value) else None, "status": status}
+        doc = [{"eps": eps, "method": method, "overhead": value, "status": status}
                for eps, method, value, status in rows]
         if args.out:
             with open(args.out, "w") as fh:
@@ -137,7 +143,7 @@ def cmd_overhead_sweep(args) -> int:
             print(json.dumps(doc))
         return EXIT_OK
     table = [["eps", "method", "overhead", "status"]] + [
-        [_fmt(eps), method, _fmt(value) if np.isfinite(value) else "NaN", status]
+        [_fmt(eps), method, "NaN" if value is None else _fmt(value), status]
         for eps, method, value, status in rows]
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -146,22 +152,6 @@ def cmd_overhead_sweep(args) -> int:
     else:
         print("\n".join(",".join(row) for row in table))
     return EXIT_OK
-
-
-def _overhead_value(model: str, eps: float, k: int, method: str) -> tuple[float, str]:
-    """(overhead, status) of one sweep cell: the shift and recover optima are spectral, and
-    only the inverse is solved; a solve that ends short of optimal reads NaN, and so does a
-    spectral optimum of non-invertible noise, which is infeasible."""
-    noise = _noise_channel(model, eps, 1)
-    if method == "inverse":
-        sol = solve(build_gmin(noise))
-        if sol.status != "optimal":
-            return float("nan"), sol.status
-        return gmin_power(sol.objective_value, k), sol.status
-    value = optimal_shift(noise, k) if method == "shift" else recover_overhead(noise, k)
-    if value is None:
-        return float("nan"), "infeasible"
-    return (value.f if method == "shift" else value), "optimal"
 
 
 def _load_state(args, protocol) -> Operator:

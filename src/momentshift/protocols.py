@@ -565,14 +565,30 @@ def optimal_shift(noise: Channel, k: int) -> RetrievalProtocol | None:
         label=f"optimal_shift[{noise.label},k={k}]")
 
 
-def recover_overhead(noise: Channel, k: int) -> float | None:
-    """Least overhead c1 + c2 of recovering tr[H_k rho^(x k)] from k noisy copies, or None
-    for non-invertible noise: pinched to A's eigenbasis, the recover program is the LP
-    min c1 + c2, c1 - lam c2 >= a_max, c2 - lam c1 >= -a_min, c_i >= 0 (||A|| at k = 2)."""
+def spectral_overheads(noise: Channel, k: int) -> tuple[float, float] | None:
+    """``optimal_shift``'s f and the least overhead c1 + c2 of recovering tr[H_k rho^(x k)],
+    off one spectrum; None for non-invertible noise.  Pinched to A's eigenbasis, the recover
+    program is the LP min c1 + c2, c1 - lam c2 >= a_max, c2 - lam c1 >= -a_min, c_i >= 0."""
     if (pulled := _pulled_back_observable(noise, k)) is None:
         return None
     _, a_min, a_max, lam = pulled
-    return max(a_max, -a_min, (a_max - a_min) / (1 - lam))
+    f = (a_max - a_min) / (1 - lam)
+    return f, max(a_max, -a_min, f)
+
+
+def inverse_overhead(model: str, eps: float, k: int, d: int = 2) -> float | None:
+    """gmin^k, the least quasi-probability overhead of inverting k copies of the noise (Temme,
+    Bravyi & Gambetta, PRL 119, 180509, 2017); None at eps = 1, where it is not invertible.
+    gmin, the optimum of ``sdp.programs.build_gmin``, is in closed form.  Depolarizing noise
+    on dimension d commutes with every unitary, so a twirled decomposition N^-1 = c+ C+ - c- C-
+    costs the same and has C+- = [X -> a X + (1 - a) tr(X) I/d], CP for -1/(d^2-1) <= a <= 1:
+    an LP, optimal at a = 1 for C+ and a = -1/(d^2-1) for C-.  Amplitude damping's gmin is the
+    physical implementability of N^-1 (Jiang, Wang & Wang, Quantum 5, 600, 2021)."""
+    if eps >= 1.0:
+        return None
+    gmin = {"depolarizing": 1 + 2 * eps * (d * d - 1) / (d * d * (1 - eps)),
+            "amplitude-damping": (1 + eps) / (1 - eps)}[model]
+    return gmin ** k
 
 
 def identity_protocol(k: int, d: int) -> RetrievalProtocol:

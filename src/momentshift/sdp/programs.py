@@ -14,10 +14,10 @@ the retriever, C the retriever output measured with the moment observable.
   map recovering the expectation of one fixed observable on k noisy copies.
 
 The first and last optima are spectral (``protocols.optimal_shift``,
-``protocols.recover_overhead``); those programs are the reference the spectral
-optima are checked against in tests, and ``build_gmin`` is the one program
-package code solves (the sweep's ``inverse`` cells and ``verify``).  Every block
-is one dense Hermitian matrix.
+``protocols.spectral_overheads``) and the middle one is in closed form for both
+CLI noises (``protocols.inverse_overhead``); the programs are the reference those
+are checked against in tests, and ``verify`` is the one package caller that
+solves (``build_gmin``).  Every block is one dense Hermitian matrix.
 
 Every program takes one copy's noise; none builds a k-fold channel.  The last
 two are one program from one builder: PSD J1, J2 with tr_C J_i = c_i I, one

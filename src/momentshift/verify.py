@@ -7,8 +7,10 @@ average of the contract's residual operator, which bounds the contract error of
 every state.  The other checks cover H_k up to k = 5, the Q-matrix condition up
 to k = 100, complete positivity of the recursion, the Choi link the inverse
 program compiles, strong duality of the inverse program (each ``gmin`` primal
-against its solve's dual objective) and the Hubbard model.  The suites are a
-quick health gate over product code, cheaper than the acceptance tests.
+against its solve's dual objective), the closed form ``protocols.inverse_overhead``
+that ``overhead-sweep`` prints against each ``gmin`` solve, and the Hubbard model.
+The suites are a quick health gate over product code, cheaper than the acceptance
+tests.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from .channels import Channel, amplitude_damping, depolarizing, is_invertible
 from .moments import cycle_traces, moment_observable
 from .operators import partial_trace, random_density_matrix, tensor_product
 from .protocols import (ad_second_moment, contract_residual, de_kth_moment, de_second_moment,
-                        de_second_moment_nqubit, optimal_shift, q_matrices)
+                        de_second_moment_nqubit, inverse_overhead, optimal_shift, q_matrices)
 from .sdp.problem import HermitianBasis
-from .sdp.programs import build_gmin, gmin_power, noise_link_adjoint
+from .sdp.programs import build_gmin, noise_link_adjoint
 from .sdp.solver import solve
 from .hubbard import annihilation_operator, build_hamiltonian, ground_state, demo_model
 
@@ -54,20 +56,22 @@ def checks_moments() -> list[tuple[str, bool, str]]:
 
 def checks_sdp() -> list[tuple[str, bool, str]]:
     out = []
-    gap_worst = 0.0
+    gap_worst = closed_worst = residual_worst = 0.0
     ordering_ok = True
-    residual_worst = 0.0
     detail = []
-    for name, mk in (("DE", lambda e: depolarizing(e, 2)), ("AD", amplitude_damping)):
+    for name, model, mk in (("DE", "depolarizing", lambda e: depolarizing(e, 2)),
+                            ("AD", "amplitude-damping", amplitude_damping)):
         for eps in EPS_GRID:
             noise = mk(eps)
             shift = optimal_shift(noise, 2)
             residual_worst = max(residual_worst, contract_residual(shift, noise))
-            g1 = solve(build_gmin(noise))
+            g1, gmin = solve(build_gmin(noise)), inverse_overhead(model, eps, 1)
             gap_worst = max(gap_worst, abs(g1.objective_value - g1.diagnostics["dual_objective"]))
-            ordering_ok &= shift.f <= gmin_power(g1.objective_value, 2) + 1e-6
+            closed_worst = max(closed_worst, abs(g1.objective_value - gmin))
+            ordering_ok &= shift.f <= gmin ** 2
             detail.append(f"{name}{eps}: f={shift.f:.6f}")
     out.append(("strong_duality_gap_gmin", gap_worst < 1e-4, f"max gap {gap_worst:.2e}"))
+    out.append(("gmin_closed_form", closed_worst <= 1e-6, f"max err {closed_worst:.2e}"))
     out.append(("shift_below_inverse_k2", ordering_ok, "; ".join(detail[:4])))
     out.append(("sdp_protocol_contract_k2", residual_worst <= 1e-12,
                 f"max residual {residual_worst:.2e}"))

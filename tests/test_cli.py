@@ -446,7 +446,8 @@ class TestSweep:
         assert (code, out) == (1, "")
         assert err == f"error: {name} must be in [0, 1], got {bad}\n"
 
-    @pytest.mark.parametrize("grid", ["0:0.3", "0:0.3:7:1", "0.1,,0.2", "0:0.3:2.5", ""])
+    @pytest.mark.parametrize("grid", ["0:0.3", "0:0.3:7:1", "0.1,,0.2", "0:0.3:2.5", "",
+                                      "0:0.3:0", "0:0.3:-2"])
     def test_malformed_grid_refused_naming_the_option(self, capsys, grid):
         code, out, err = run_cli(capsys, "overhead-sweep", "--noise", "depolarizing",
                                  "--eps-grid", grid)
@@ -461,6 +462,16 @@ class TestSweep:
         assert code == 0
         assert out == ("eps,method,overhead,status\n1,shift,NaN,infeasible\n"
                        "1,inverse,NaN,infeasible\n1,recover,NaN,infeasible\n")
+        # next to 1 the noise is invertible, and every cell is finite, the inverse in closed form
+        eps = 0.999999
+        code, out, _ = run_cli(capsys, "overhead-sweep", "--noise", noise, "--k", "2",
+                               "--eps-grid", str(eps))
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert code == 0 and [(r[1], r[3]) for r in rows] == [
+            ("shift", "optimal"), ("inverse", "optimal"), ("recover", "optimal")]
+        gmin = 1 + 1.5 * eps / (1 - eps) if noise == "depolarizing" else (1 + eps) / (1 - eps)
+        assert abs(float(rows[1][2]) / gmin ** 2 - 1) <= 1e-11
+        assert float(rows[0][2]) <= float(rows[2][2]) <= float(rows[1][2])
 
     def test_recover_builds_no_k_fold_channel(self, capsys, monkeypatch):
         # the recover program takes one copy's noise: no module may reach tensor_power
@@ -476,8 +487,9 @@ class TestSweep:
         assert abs(float(value) - 37 / 27) <= 1e-12
 
 
-def test_shift_and_recover_run_no_solver(capsys, monkeypatch, tmp_path):
-    # synthesize and the sweep's shift and recover cells read one eigendecomposition
+def test_sweep_and_synthesize_run_no_solver(capsys, monkeypatch, tmp_path):
+    # synthesize and the sweep's shift and recover cells read one eigendecomposition, and
+    # the sweep's inverse cells a closed form
     def refused(*args, **kwargs):
         raise AssertionError("solve called")
     for module in [m for name, m in sys.modules.items() if name.startswith("momentshift")]:
@@ -486,12 +498,14 @@ def test_shift_and_recover_run_no_solver(capsys, monkeypatch, tmp_path):
     code, out, _ = run_cli(capsys, "synthesize", "--noise", "amplitude-damping", "--eps",
                            "0.1", "--k", "3", "--force-sdp", "--out", str(tmp_path / "p.json"))
     assert code == 0 and "f: 1.35802469136\nt: " in out and "status: optimal\n" in out
-    code, out, _ = run_cli(capsys, "overhead-sweep", "--noise", "depolarizing", "--k", "3",
-                           "--eps-grid", "0.1,0.2", "--methods", "shift,recover")
-    rows = [line.split(",") for line in out.splitlines()[1:]]
-    assert code == 0 and [(r[1], r[3]) for r in rows] == [("shift", "optimal"),
-                                                          ("recover", "optimal")] * 2
-    assert abs(float(rows[0][2]) - 1 / 0.81) <= 1e-9
+    for noise in ("depolarizing", "amplitude-damping"):
+        code, out, _ = run_cli(capsys, "overhead-sweep", "--noise", noise, "--k", "3",
+                               "--eps-grid", "0.1,0.2", "--methods", "shift,inverse,recover")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert code == 0 and [(r[1], r[3]) for r in rows] == [
+            ("shift", "optimal"), ("inverse", "optimal"), ("recover", "optimal")] * 2
+    assert abs(float(rows[0][2]) - 1.1 / 0.81) <= 1e-9  # amplitude damping, eps 0.1
+    assert abs(float(rows[1][2]) - (1.1 / 0.9) ** 3) <= 1e-9
 
 
 @pytest.mark.parametrize("argv", [
@@ -943,13 +957,13 @@ class TestVerifyCommand:
         assert [line.split(":")[0] for line in out.splitlines()[:-1]] == [
             f"PASS {name}" for name in (
                 "cyclic_trace_identity_k2_5", "observable_eigenvalue_bound",
-                "strong_duality_gap_gmin", "shift_below_inverse_k2", "sdp_protocol_contract_k2",
-                "noninvertible_infeasible", "invertibility_rank_test",
+                "strong_duality_gap_gmin", "gmin_closed_form", "shift_below_inverse_k2",
+                "sdp_protocol_contract_k2", "noninvertible_infeasible", "invertibility_rank_test",
                 "q_condition_k3_100", "contract_certificate", "recursive_retriever_cp_k3_4",
                 "choi_link_product_convention",
                 "canonical_anticommutation", "ground_energy_variational",
                 "reduced_purity_in_range")]
-        assert out.splitlines()[-1] == "14/14 checks passed"
+        assert out.splitlines()[-1] == "15/15 checks passed"
 
 
 class TestHubbardDemo:

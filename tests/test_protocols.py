@@ -32,6 +32,7 @@ from momentshift.protocols import (
     _recursion_matrix,
     _shift_weights,
     identity_protocol,
+    inverse_overhead,
     is_trace_preserving,
     load_protocol,
     optimal_shift,
@@ -39,10 +40,10 @@ from momentshift.protocols import (
     protocol_from_json,
     protocol_to_json,
     q_matrices,
-    recover_overhead,
     save_protocol,
+    spectral_overheads,
 )
-from momentshift.sdp.programs import build_fmin, build_info_recover
+from momentshift.sdp.programs import build_fmin, build_gmin, build_info_recover, gmin_power
 from momentshift.sdp.solver import solve
 from conftest import true_moment
 from oracles import (DualCertificate, check_certificate, cyclic_permutation,
@@ -514,9 +515,10 @@ class TestSpectralOptimum:
             shift = solve(build_fmin(noise, k))
             recover = solve(build_info_recover(noise, moment_observable(k, 2)))
             assert (shift.status, recover.status) == ("optimal", "optimal"), noise.label
-            assert abs(optimal_shift(noise, k).f - shift.objective_value) <= 1e-6, noise.label
-            assert abs(recover_overhead(noise, k) - recover.objective_value) <= 1e-6, \
-                noise.label
+            f, recover_min = spectral_overheads(noise, k)
+            assert f == optimal_shift(noise, k).f, noise.label
+            assert abs(f - shift.objective_value) <= 1e-6, noise.label
+            assert abs(recover_min - recover.objective_value) <= 1e-6, noise.label
 
     @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2, 0.3])
     def test_amplitude_damping_table(self, eps):
@@ -567,7 +569,41 @@ class TestSpectralOptimum:
 
     def test_non_invertible_noise_has_no_optimum(self):
         assert optimal_shift(depolarizing(1.0, 2), 2) is None
-        assert recover_overhead(amplitude_damping(1.0), 3) is None
+        assert spectral_overheads(amplitude_damping(1.0), 3) is None
+
+
+def _gmin_cases():
+    """Both CLI noises on the qubit sweep grid, and depolarizing noise on qudits."""
+    for eps in (0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9):
+        yield "AD", eps, 2
+        yield "DE", eps, 2
+    for d in (3, 4):
+        for eps in (0.1, 0.3):
+            yield "DE", eps, d
+
+
+class TestInverseOverhead:
+    @pytest.mark.parametrize("name,eps,d", list(_gmin_cases()))
+    def test_matches_the_admm_program(self, name, eps, d):
+        model = {"AD": "amplitude-damping", "DE": "depolarizing"}[name]
+        noise = amplitude_damping(eps) if name == "AD" else depolarizing(eps, d)
+        sol = solve(build_gmin(noise))
+        assert sol.status == "optimal"
+        for k in (2, 3):
+            oracle = gmin_power(sol.objective_value, k)
+            assert abs(inverse_overhead(model, eps, k, d) - oracle) <= 1e-6 * oracle
+
+    def test_two_copy_values(self):
+        # the two-copy quasi-probability overheads of the acceptance criteria, exactly
+        for eps in (0.05, 0.1, 0.2, 0.3):
+            assert inverse_overhead("depolarizing", eps, 2) == pytest.approx(
+                (1 + eps / 2) ** 2 / (1 - eps) ** 2, rel=1e-14)
+            assert inverse_overhead("amplitude-damping", eps, 2) == pytest.approx(
+                (1 + eps) ** 2 / (1 - eps) ** 2, rel=1e-14)
+
+    def test_non_invertible_noise_has_none(self):
+        for model in ("depolarizing", "amplitude-damping"):
+            assert inverse_overhead(model, 1.0, 2) is None
 
 
 def _closed_forms():
